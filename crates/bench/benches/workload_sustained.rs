@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use mm_core::strategies::Checkerboard;
-use mm_sim::{CostModel, QueueKind, ShardMode};
+use mm_sim::{CostModel, QueueKind, RouterKind, ShardMode};
 use mm_topo::gen;
 use mm_workload::{scenarios, ScenarioRunner};
 
@@ -25,7 +25,7 @@ fn run_scenario(name: &str, n: usize, queue: QueueKind) -> u64 {
 
 fn run_scenario_sharded(name: &str, n: usize, queue: QueueKind, mode: ShardMode) -> u64 {
     let spec = scenarios::by_name(name, n, 7).expect("library scenario");
-    let report = ScenarioRunner::with_shards(
+    let report = ScenarioRunner::with_router(
         spec,
         // under the uniform cost model edges are never consulted, so the
         // edgeless complete-network stand-in is behaviorally identical
@@ -35,6 +35,7 @@ fn run_scenario_sharded(name: &str, n: usize, queue: QueueKind, mode: ShardMode)
         "checkerboard",
         queue,
         mode,
+        RouterKind::Auto,
     )
     .run();
     report.events_executed()

@@ -1,12 +1,12 @@
-//! Byzantine fault profiles shared by both runtimes.
+//! Byzantine fault profiles.
 //!
 //! The paper's §2.4 robustness analysis assumes fail-stop nodes; the
 //! hostile-world layer goes further: a node can stay up and *misbehave*.
 //! A [`FaultProfile`] is attached to a node before (or during) a run and
-//! changes how its protocol handlers respond — identically in the
-//! discrete-event simulator ([`crate::ShotgunEngine`]) and the threaded
-//! live runtime ([`crate::live::LiveNet`]), so hostile workloads remain
-//! differential-testable.
+//! changes how the node machine ([`crate::node`]) responds — necessarily
+//! identically in the discrete-event simulator ([`crate::ShotgunEngine`])
+//! and the threaded live runtime ([`crate::live::LiveNet`]), which host
+//! the same machine, so hostile workloads remain differential-testable.
 //!
 //! Detection is the *client's* job: forged answers carry
 //! [`FORGED_STAMP`], which wins best-stamp selection, but any honest hit

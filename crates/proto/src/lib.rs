@@ -10,12 +10,17 @@
 //!   process with its address. We can timestamp the messages to determine
 //!   which addresses are out of date in case of a conflict."*
 //! * [`fault`] — Byzantine fault profiles (drop-posts, stale-address,
-//!   forged-address, refuse-match) injectable into either runtime's
-//!   protocol handlers; the hostile-world layer on top of fail-stop churn.
-//! * [`shotgun`] — the Shotgun Locate engine: servers post at `P(i)`,
-//!   clients query `Q(j)`, rendezvous nodes answer from their caches.
-//!   Generic over [`mm_core::strategies::PortMapped`], so the same engine
-//!   runs every §2–§3 strategy *and* §5's Hash Locate.
+//!   forged-address, refuse-match); the hostile-world layer on top of
+//!   fail-stop churn.
+//! * [`node`] — the protocol itself, once: a transport-free per-node
+//!   machine `(state, message) → effects` covering posting, querying,
+//!   every fault profile, best-stamp selection and request/reply. The two
+//!   runtimes below only *host* it.
+//! * [`shotgun`] — the Shotgun Locate engine: the node machine on the
+//!   simulator. Servers post at `P(i)`, clients query `Q(j)`, rendezvous
+//!   nodes answer from their caches. Generic over
+//!   [`mm_core::strategies::PortMapped`], so the same engine runs every
+//!   §2–§3 strategy *and* §5's Hash Locate.
 //! * [`hash_locate`] — Hash Locate operations: rehash-on-crash backup
 //!   rendezvous nodes and server polling (§5's two robustness repairs).
 //! * [`lighthouse`] — §4's probabilistic beam algorithm on the Euclidean
@@ -23,11 +28,10 @@
 //!   [`ruler`], the schedule generator itself.
 //! * [`service`] — the Amoeba-style service model of §1.3: request/reply
 //!   on located addresses, migration with stale-cache recovery.
-//! * [`live`] — a threaded runtime (channel mailboxes, one OS thread per
-//!   node) running the same protocols — posting, deregistration, churn,
-//!   application request/reply — under real concurrency, with
-//!   simulator-compatible metrics so whole workloads can be
-//!   differential-tested against [`shotgun`].
+//! * [`live`] — the node machine on threads (channel mailboxes, one OS
+//!   thread per node) under real concurrency, with simulator-compatible
+//!   metrics so whole workloads can be differential-tested against
+//!   [`shotgun`].
 
 pub mod cache;
 pub mod fault;
@@ -36,6 +40,7 @@ pub mod intern;
 pub mod lighthouse;
 pub mod live;
 pub mod messages;
+pub mod node;
 pub mod ruler;
 pub mod service;
 pub mod shotgun;
@@ -43,6 +48,7 @@ pub mod shotgun;
 pub use cache::Cache;
 pub use fault::{FaultProfile, FORGED_STAMP};
 pub use intern::TargetInterner;
-pub use live::{LiveLocateOutcome, LiveNet, LiveRequestOutcome};
+pub use live::{LiveLocateOutcome, LiveNet};
 pub use messages::ProtoMsg;
-pub use shotgun::{LocateHandle, LocateOutcome, ShotgunEngine};
+pub use node::{LocateOutcome, NodeMachine, Outbox, RequestOutcome};
+pub use shotgun::{LocateHandle, ShotgunEngine};

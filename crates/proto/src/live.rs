@@ -1,15 +1,16 @@
 //! A live, threaded runtime for the match-making protocols.
 //!
-//! Every node is an OS thread with a channel mailbox; messages between
-//! distinct nodes count as one message pass each (the paper's
-//! complete-network model, [`mm_sim::CostModel::Uniform`]). The protocol
-//! logic — posting, querying, timestamped caches, application
-//! request/reply — is the same as the simulator's [`crate::shotgun`]
-//! engine, re-hosted on real concurrency: the paper's m(P,Q) ≥ 1
-//! rendezvous invariant is a property of the post/query sets, not of the
-//! scheduler, and the conformance suite (`tests/live_workload_equivalence`)
-//! differential-tests the two runtimes against each other under full
-//! workload load.
+//! Every node is an OS thread with a channel mailbox hosting one
+//! [`NodeMachine`] — the same protocol rules the simulator's
+//! [`crate::shotgun`] engine hosts, re-run on real concurrency: the
+//! paper's m(P,Q) ≥ 1 rendezvous invariant is a property of the post/query
+//! sets, not of the scheduler, and the conformance suite
+//! (`tests/live_workload_equivalence`) differential-tests the two hosts
+//! against each other under full workload load. Messages between distinct
+//! nodes count as one message pass each (the paper's complete-network
+//! model, [`mm_sim::CostModel::Uniform`]). What this module owns is the
+//! hosting: mailboxes, accounting, the crash flag, the control plane, and
+//! the table of who is waiting for which operation's verdict.
 //!
 //! # Accounting parity
 //!
@@ -21,9 +22,9 @@
 //! * a multicast counts one `send` + one pass per *remote* member — a
 //!   sender that is a member of its own target set delivers locally for
 //!   free;
-//! * driver commands ([`LiveMsg::DoPost`] & friends) model the
-//!   simulator's free `inject` — no pass, but the delivery at the
-//!   executing node counts toward `delivered`/`node_load`/events;
+//! * driver commands (post, locate, request) model the simulator's free
+//!   `inject` — no pass, but the delivery at the executing node counts
+//!   toward `delivered`/`node_load`/events;
 //! * a message arriving at a crashed node counts `dropped` (the passes
 //!   spent getting there stay spent), exactly like [`mm_sim::Sim`];
 //! * control-plane traffic (crash/restore/barriers/shutdown) is the live
@@ -42,17 +43,23 @@
 //! the simulator's client timeout without wall-clock flakiness.
 
 use crate::cache::Cache;
-use crate::fault::{FaultProfile, FORGED_STAMP};
+use crate::fault::FaultProfile;
+use crate::messages::ProtoMsg;
+use crate::node::{NodeMachine, Outbox, RequestOutcome, Settled};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use mm_core::Port;
 use mm_sim::{Metrics, TargetSet};
 use mm_topo::NodeId;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The verdict of one live locate: the protocol's one outcome type. The
+/// threads keep no clock, so every `elapsed` reads 0.
+pub use crate::node::LocateOutcome as LiveLocateOutcome;
 
 /// How long a blocking driver call waits before declaring the runtime
 /// wedged. Every wait in the lock-step protocol is guaranteed to finish
@@ -67,159 +74,34 @@ const WEDGE_TIMEOUT: Duration = Duration::from_secs(60);
 /// operation must then be force-classified instead of waiting forever.
 const RACE_RECHECK: Duration = Duration::from_millis(50);
 
-/// The verdict of one live locate — mirrors [`crate::LocateOutcome`]
-/// without the simulated-time fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LiveLocateOutcome {
-    /// Every queried node answered and at least one had the port cached.
-    Found {
-        /// The located server address (newest stamp wins).
-        addr: NodeId,
-        /// The winning advertisement's timestamp.
-        stamp: u64,
-        /// The rendezvous nodes that answered with a hit, sorted — the
-        /// realized match-making intersection, mirroring
-        /// [`crate::LocateOutcome::Found`]'s `meets`.
-        meets: Vec<NodeId>,
-        /// Hit answers whose address disagreed with the winner — the
-        /// client's lie-detection signal, mirroring
-        /// [`crate::LocateOutcome::Found`]'s `dissent`.
-        dissent: usize,
-    },
-    /// Every queried node answered and none knew the port.
-    NotFound,
-    /// Some queried nodes never answered (crashed rendezvous).
-    Unresolved {
-        /// Hits received before the driver gave up.
-        hits: usize,
-        /// Misses received before the driver gave up.
-        misses: usize,
-        /// Queries that never got an answer.
-        missing: usize,
-        /// Best address seen so far, if any hit arrived.
-        best: Option<(NodeId, u64)>,
-        /// Hit answers received so far that disagree with `best` — lets a
-        /// client that salvages a partial answer at timeout still run its
-        /// lie detection.
-        dissent: usize,
-    },
-}
-
-impl LiveLocateOutcome {
-    /// Convenience: the located address if the outcome is `Found`.
-    pub fn addr(&self) -> Option<NodeId> {
-        match self {
-            LiveLocateOutcome::Found { addr, .. } => Some(*addr),
-            _ => None,
-        }
-    }
-}
-
-/// The outcome of a live application request — mirrors
-/// [`crate::shotgun::RequestOutcome`]; `None` from
-/// [`LiveNet::request`] means the server never answered (crashed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiveRequestOutcome {
-    /// The server answered.
-    Replied {
-        /// Response body.
-        body: u64,
-    },
-    /// The addressed node does not serve the port (stale cache).
-    StaleAddress,
-}
-
-/// Messages of the live protocol — the threaded analogue of
-/// [`crate::ProtoMsg`] plus the control plane.
-#[derive(Debug, Clone)]
+/// What travels through a node's mailbox.
+#[derive(Debug)]
 enum LiveMsg {
-    // --- protocol messages (counted like simulator traffic) ---
-    Post {
-        port: Port,
-        addr: NodeId,
-        stamp: u64,
-    },
-    Unpost {
-        port: Port,
-        stamp: u64,
-    },
-    Query {
-        port: Port,
-        reply_to: usize,
-        locate_id: u64,
-    },
-    Hit {
-        addr: NodeId,
-        stamp: u64,
-        locate_id: u64,
-        /// The answering rendezvous node (for `meets` reconstruction).
-        at: usize,
-    },
-    Miss {
-        locate_id: u64,
-    },
-    Request {
-        port: Port,
-        reply_to: usize,
-        body: u64,
-        request_id: u64,
-    },
-    Reply {
-        body: u64,
-        request_id: u64,
-    },
-    NotHere {
-        request_id: u64,
-    },
+    /// Protocol traffic between nodes (counted like simulator traffic).
+    Proto(ProtoMsg),
     // --- driver commands (free injections, like `Sim::inject`) ---
-    DoPost {
-        port: Port,
-        addr: NodeId,
-        stamp: u64,
-        targets: TargetSet,
+    /// A `DoPost`/`DoUnpost` command; `done` fires once the fan-out is
+    /// enqueued.
+    Post {
+        cmd: ProtoMsg,
         done: Sender<()>,
     },
-    DoUnpost {
-        port: Port,
-        stamp: u64,
-        targets: TargetSet,
-        done: Sender<()>,
-    },
-    DoLocate {
+    Locate {
         port: Port,
         locate_id: u64,
         targets: TargetSet,
         done: Sender<LiveLocateOutcome>,
     },
-    DoRequest {
+    Request {
         port: Port,
         addr: NodeId,
         body: u64,
         request_id: u64,
-        done: Sender<Option<LiveRequestOutcome>>,
+        done: Sender<Option<RequestOutcome>>,
     },
     // --- control plane (never counted; works on crashed nodes too) ---
-    Serve {
-        port: Port,
-        on: bool,
-        ack: Sender<()>,
-    },
-    Crash {
-        ack: Sender<()>,
-    },
-    Restore {
-        ack: Sender<()>,
-    },
-    ClearCache {
-        ack: Sender<()>,
-    },
-    Barrier {
-        ack: Sender<()>,
-    },
-    /// Assigns a Byzantine behavior profile (see [`FaultProfile`]) —
-    /// control plane, so it is free and effective even while crashed.
-    SetFault {
-        profile: FaultProfile,
+    Control {
+        change: Change,
         ack: Sender<()>,
     },
     /// Force-completes a pending locate with its partial state — the
@@ -232,6 +114,23 @@ enum LiveMsg {
         request_id: u64,
     },
     Shutdown,
+}
+
+/// An external state change — the live analogue of the simulator's
+/// `crash`/`restore`/`node_mut` calls: free, acknowledged, and effective
+/// even on a crashed node.
+#[derive(Debug, Clone, Copy)]
+enum Change {
+    Serve {
+        port: Port,
+        on: bool,
+    },
+    Crash,
+    Restore,
+    ClearCache,
+    SetFault(FaultProfile),
+    /// No change: the ack alone proves the mailbox drained up to here.
+    Barrier,
 }
 
 /// Shared counters, snapshotted into an [`mm_sim::Metrics`].
@@ -260,216 +159,144 @@ impl LiveCounters {
     }
 }
 
-struct PendingLive {
-    expected: usize,
-    misses: usize,
-    /// Hit answers as `(answering node, advertised addr, stamp)`, in
-    /// arrival order — mailboxes do not preserve fan-out order, so the
-    /// winner is chosen at completion by [`PendingLive::best`].
-    answers: Vec<(NodeId, NodeId, u64)>,
-    done: Sender<LiveLocateOutcome>,
-}
-
-impl PendingLive {
-    /// The winning advertisement: newest stamp, ties broken by lowest
-    /// answering node — the same deterministic rule as the simulator's
-    /// `Pending::best`, so both runtimes classify identically regardless
-    /// of reply arrival order.
-    fn best(&self) -> Option<(NodeId, u64)> {
-        self.answers
-            .iter()
-            .max_by(|a, b| a.2.cmp(&b.2).then(b.0.cmp(&a.0)))
-            .map(|&(_, addr, stamp)| (addr, stamp))
-    }
-
-    /// Hit answers that disagree with the winning address.
-    fn dissent(&self) -> usize {
-        match self.best() {
-            Some((winner, _)) => self.answers.iter().filter(|a| a.1 != winner).count(),
-            None => 0,
-        }
-    }
-}
-
-struct NodeThread {
-    me: usize,
-    rx: Receiver<LiveMsg>,
+/// A node's sending side: the peers' mailboxes plus the pass accounting.
+struct Net {
+    me: NodeId,
     peers: Vec<Sender<LiveMsg>>,
     counters: Arc<LiveCounters>,
-    crashed: bool,
-    fault: FaultProfile,
-    cache: Cache,
-    served: BTreeSet<Port>,
-    pending: HashMap<u64, PendingLive>,
-    requests: HashMap<u64, Sender<Option<LiveRequestOutcome>>>,
 }
 
-impl NodeThread {
-    /// Point-to-point send: one `send`, one pass unless to self — the
-    /// accounting of [`mm_sim::Sim`]'s `route` under the uniform model.
-    fn send(&self, to: usize, msg: LiveMsg) {
+impl Outbox for Net {
+    /// One `send`, one pass unless to self — the accounting of
+    /// [`mm_sim::Sim`]'s `route` under the uniform model.
+    fn send(&mut self, to: NodeId, msg: ProtoMsg) {
         self.counters.sends.fetch_add(1, Ordering::Relaxed);
         if to != self.me {
             self.counters.passes.fetch_add(1, Ordering::Relaxed);
         }
         // a dropped peer just loses the message, like a crashed node
-        let _ = self.peers[to].send(msg);
+        let _ = self.peers[to.index()].send(LiveMsg::Proto(msg));
     }
 
-    /// Multicast fan-out: remote members cost a send + a pass each, a
-    /// sender that is its own target delivers locally for free — the
-    /// accounting of the simulator's `route_multicast` under uniform cost.
-    fn mcast_send(&self, targets: &TargetSet, msg: &LiveMsg) {
-        for t in targets.iter() {
-            if t.index() != self.me {
+    /// Remote members cost a send + a pass each, a sender that is its own
+    /// target delivers locally for free — the accounting of the
+    /// simulator's `route_multicast` under uniform cost.
+    fn multicast(&mut self, to: TargetSet, msg: ProtoMsg) {
+        for t in to.iter() {
+            if t != self.me {
                 self.counters.sends.fetch_add(1, Ordering::Relaxed);
                 self.counters.passes.fetch_add(1, Ordering::Relaxed);
             }
-            let _ = self.peers[t.index()].send(msg.clone());
+            let _ = self.peers[t.index()].send(LiveMsg::Proto(msg.clone()));
         }
     }
+}
 
+/// The thread host of one [`NodeMachine`].
+struct NodeThread {
+    rx: Receiver<LiveMsg>,
+    net: Net,
+    crashed: bool,
+    machine: NodeMachine,
+    /// Who is waiting for which open operation's verdict.
+    locates: HashMap<u64, Sender<LiveLocateOutcome>>,
+    requests: HashMap<u64, Sender<Option<RequestOutcome>>>,
+}
+
+impl NodeThread {
     fn run(mut self) {
         while let Ok(msg) = self.rx.recv() {
-            // the control plane mirrors the simulator's external state
-            // changes: free, and effective even on a crashed node
             match msg {
                 LiveMsg::Shutdown => break,
-                LiveMsg::Serve { port, on, ack } => {
-                    if on {
-                        self.served.insert(port);
-                    } else {
-                        self.served.remove(&port);
+                LiveMsg::Control { change, ack } => {
+                    match change {
+                        Change::Serve { port, on: true } => {
+                            self.machine.served.insert(port);
+                        }
+                        Change::Serve { port, on: false } => {
+                            self.machine.served.remove(&port);
+                        }
+                        Change::Crash => self.crashed = true,
+                        Change::Restore => self.crashed = false,
+                        Change::ClearCache => self.machine.cache = Cache::new(),
+                        Change::SetFault(profile) => self.machine.fault = profile,
+                        Change::Barrier => {}
                     }
                     let _ = ack.send(());
-                    continue;
                 }
-                LiveMsg::Crash { ack } => {
-                    self.crashed = true;
-                    let _ = ack.send(());
-                    continue;
-                }
-                LiveMsg::Restore { ack } => {
-                    self.crashed = false;
-                    let _ = ack.send(());
-                    continue;
-                }
-                LiveMsg::ClearCache { ack } => {
-                    self.cache = Cache::new();
-                    let _ = ack.send(());
-                    continue;
-                }
-                LiveMsg::Barrier { ack } => {
-                    let _ = ack.send(());
-                    continue;
-                }
-                LiveMsg::SetFault { profile, ack } => {
-                    self.fault = profile;
-                    let _ = ack.send(());
-                    continue;
-                }
-                LiveMsg::FinishLocate { locate_id } => {
-                    if let Some(p) = self.pending.remove(&locate_id) {
-                        let _ = p.done.send(LiveLocateOutcome::Unresolved {
-                            hits: p.answers.len(),
-                            misses: p.misses,
-                            missing: p.expected - p.answers.len() - p.misses,
-                            best: p.best(),
-                            dissent: p.dissent(),
-                        });
-                    }
-                    continue;
-                }
-                LiveMsg::FinishRequest { request_id } => {
-                    if let Some(done) = self.requests.remove(&request_id) {
-                        let _ = done.send(None);
-                    }
-                    continue;
-                }
+                LiveMsg::FinishLocate { locate_id } => self.report_locate(locate_id),
+                LiveMsg::FinishRequest { request_id } => self.report_request(request_id),
                 other => self.on_message(other),
             }
         }
     }
 
+    /// Closes locate `id` and tells its waiter how it stands — complete,
+    /// or partial when the driver gave up on it.
+    fn report_locate(&mut self, id: u64) {
+        if let (Some(done), Some(outcome)) = (self.locates.remove(&id), self.machine.end_locate(id))
+        {
+            let _ = done.send(outcome);
+        }
+    }
+
+    /// Closes request `id`; `None` tells the waiter no reply ever came.
+    fn report_request(&mut self, id: u64) {
+        if let Some(done) = self.requests.remove(&id) {
+            let _ = done.send(self.machine.end_request(id));
+        }
+    }
+
     fn on_message(&mut self, msg: LiveMsg) {
-        self.counters.events.fetch_add(1, Ordering::Relaxed);
+        let counters = &self.net.counters;
+        counters.events.fetch_add(1, Ordering::Relaxed);
         if self.crashed {
             // like the simulator: the message dies here, but the driver
             // must never block on a dead node's answer
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+            counters.dropped.fetch_add(1, Ordering::Relaxed);
             match msg {
-                LiveMsg::DoPost { done, .. } | LiveMsg::DoUnpost { done, .. } => {
+                LiveMsg::Post { done, .. } => {
                     let _ = done.send(());
                 }
-                LiveMsg::DoLocate { targets, done, .. } => {
-                    let _ = done.send(LiveLocateOutcome::Unresolved {
-                        hits: 0,
-                        misses: 0,
-                        missing: targets.len(),
-                        best: None,
-                        dissent: 0,
-                    });
+                LiveMsg::Locate { targets, done, .. } => {
+                    let _ = done.send(LiveLocateOutcome::unanswered(targets.len()));
                 }
-                LiveMsg::DoRequest { done, .. } => {
+                LiveMsg::Request { done, .. } => {
                     let _ = done.send(None);
                 }
                 _ => {}
             }
             return;
         }
-        self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-        self.counters.node_load[self.me].fetch_add(1, Ordering::Relaxed);
-        match msg {
-            LiveMsg::DoPost {
-                port,
-                addr,
-                stamp,
-                targets,
-                done,
-            } => {
-                self.mcast_send(&targets, &LiveMsg::Post { port, addr, stamp });
+        counters.delivered.fetch_add(1, Ordering::Relaxed);
+        counters.node_load[self.net.me.index()].fetch_add(1, Ordering::Relaxed);
+        // the threads keep no clock: every machine step happens "at 0"
+        let me = self.net.me;
+        let settled = match msg {
+            LiveMsg::Proto(m) => self.machine.handle(me, m, 0, &mut self.net),
+            LiveMsg::Post { cmd, done } => {
+                self.machine.handle(me, cmd, 0, &mut self.net);
                 // acked only after the fan-out is enqueued: a barrier on
                 // the targets afterwards proves the posts were processed
                 let _ = done.send(());
+                None
             }
-            LiveMsg::DoUnpost {
-                port,
-                stamp,
-                targets,
-                done,
-            } => {
-                self.mcast_send(&targets, &LiveMsg::Unpost { port, stamp });
-                let _ = done.send(());
-            }
-            LiveMsg::DoLocate {
+            LiveMsg::Locate {
                 port,
                 locate_id,
                 targets,
                 done,
             } => {
-                if targets.is_empty() {
-                    let _ = done.send(LiveLocateOutcome::NotFound);
-                    return;
-                }
-                self.pending.insert(
+                self.locates.insert(locate_id, done);
+                self.machine.begin_locate(locate_id, targets.len(), 0);
+                let cmd = ProtoMsg::DoLocate {
+                    port,
                     locate_id,
-                    PendingLive {
-                        expected: targets.len(),
-                        misses: 0,
-                        answers: Vec::new(),
-                        done,
-                    },
-                );
-                self.mcast_send(
-                    &targets,
-                    &LiveMsg::Query {
-                        port,
-                        reply_to: self.me,
-                        locate_id,
-                    },
-                );
+                    targets,
+                };
+                self.machine.handle(me, cmd, 0, &mut self.net)
             }
-            LiveMsg::DoRequest {
+            LiveMsg::Request {
                 port,
                 addr,
                 body,
@@ -477,146 +304,24 @@ impl NodeThread {
                 done,
             } => {
                 self.requests.insert(request_id, done);
-                self.send(
-                    addr.index(),
-                    LiveMsg::Request {
-                        port,
-                        reply_to: self.me,
-                        body,
-                        request_id,
-                    },
-                );
+                self.machine.begin_request(request_id, 0);
+                let cmd = ProtoMsg::DoRequest {
+                    port,
+                    addr,
+                    body,
+                    request_id,
+                };
+                self.machine.handle(me, cmd, 0, &mut self.net)
             }
-            LiveMsg::Post { port, addr, stamp } => match self.fault {
-                // broken storage: the posting is silently lost — the same
-                // arm as the simulator's NsNode, re-hosted on threads
-                FaultProfile::DropPosts => {}
-                FaultProfile::StaleAddress => {
-                    if self.cache.lookup(port).is_none() {
-                        self.cache.insert(port, addr, stamp);
-                    }
-                }
-                _ => {
-                    self.cache.insert(port, addr, stamp);
-                }
-            },
-            LiveMsg::Unpost { port, stamp } => {
-                if !matches!(
-                    self.fault,
-                    FaultProfile::DropPosts | FaultProfile::StaleAddress
-                ) {
-                    self.cache.remove(port, stamp);
-                }
-            }
-            LiveMsg::Query {
-                port,
-                reply_to,
-                locate_id,
-            } => match self.fault {
-                FaultProfile::ForgedAddress => self.send(
-                    reply_to,
-                    LiveMsg::Hit {
-                        addr: NodeId::new(self.me as u32),
-                        stamp: FORGED_STAMP,
-                        locate_id,
-                        at: self.me,
-                    },
-                ),
-                FaultProfile::RefuseMatch => self.send(reply_to, LiveMsg::Miss { locate_id }),
-                _ => match self.cache.lookup(port) {
-                    Some(e) => self.send(
-                        reply_to,
-                        LiveMsg::Hit {
-                            addr: e.addr,
-                            stamp: e.stamp,
-                            locate_id,
-                            at: self.me,
-                        },
-                    ),
-                    None => self.send(reply_to, LiveMsg::Miss { locate_id }),
-                },
-            },
-            LiveMsg::Hit {
-                addr,
-                stamp,
-                locate_id,
-                at,
-            } => {
-                if let Some(p) = self.pending.get_mut(&locate_id) {
-                    p.answers.push((NodeId::new(at as u32), addr, stamp));
-                    self.maybe_finish(locate_id);
-                }
-            }
-            LiveMsg::Miss { locate_id } => {
-                if let Some(p) = self.pending.get_mut(&locate_id) {
-                    p.misses += 1;
-                    self.maybe_finish(locate_id);
-                }
-            }
-            LiveMsg::Request {
-                port,
-                reply_to,
-                body,
-                request_id,
-            } => {
-                if self.served.contains(&port) {
-                    self.send(
-                        reply_to,
-                        LiveMsg::Reply {
-                            // the same trivially checkable toy service as
-                            // the simulator: echo body + 1
-                            body: body.wrapping_add(1),
-                            request_id,
-                        },
-                    );
-                } else {
-                    self.send(reply_to, LiveMsg::NotHere { request_id });
-                }
-            }
-            LiveMsg::Reply { body, request_id } => {
-                if let Some(done) = self.requests.remove(&request_id) {
-                    let _ = done.send(Some(LiveRequestOutcome::Replied { body }));
-                }
-            }
-            LiveMsg::NotHere { request_id } => {
-                if let Some(done) = self.requests.remove(&request_id) {
-                    let _ = done.send(Some(LiveRequestOutcome::StaleAddress));
-                }
-            }
-            // control handled in `run`
-            LiveMsg::Serve { .. }
-            | LiveMsg::Crash { .. }
-            | LiveMsg::Restore { .. }
-            | LiveMsg::ClearCache { .. }
-            | LiveMsg::Barrier { .. }
-            | LiveMsg::SetFault { .. }
+            LiveMsg::Control { .. }
             | LiveMsg::FinishLocate { .. }
             | LiveMsg::FinishRequest { .. }
             | LiveMsg::Shutdown => unreachable!("control messages are handled in run()"),
-        }
-    }
-
-    fn maybe_finish(&mut self, id: u64) {
-        let finished = self
-            .pending
-            .get(&id)
-            .is_some_and(|p| p.answers.len() + p.misses == p.expected);
-        if finished {
-            let p = self.pending.remove(&id).expect("just observed");
-            let outcome = match p.best() {
-                Some((addr, stamp)) => {
-                    let mut meets: Vec<NodeId> = p.answers.iter().map(|a| a.0).collect();
-                    meets.sort_unstable();
-                    LiveLocateOutcome::Found {
-                        addr,
-                        stamp,
-                        meets,
-                        dissent: p.dissent(),
-                    }
-                }
-                None => LiveLocateOutcome::NotFound,
-            };
-            let _ = p.done.send(outcome);
+        };
+        match settled {
+            Some(Settled::Locate(id)) => self.report_locate(id),
+            Some(Settled::Request(id)) => self.report_request(id),
+            None => {}
         }
     }
 }
@@ -652,15 +357,15 @@ impl LiveNet {
         let mut handles = Vec::with_capacity(n);
         for (me, rx) in receivers.into_iter().enumerate() {
             let node = NodeThread {
-                me,
                 rx,
-                peers: senders.clone(),
-                counters: Arc::clone(&counters),
+                net: Net {
+                    me: NodeId::from(me),
+                    peers: senders.clone(),
+                    counters: Arc::clone(&counters),
+                },
                 crashed: false,
-                fault: FaultProfile::Honest,
-                cache: Cache::new(),
-                served: BTreeSet::new(),
-                pending: HashMap::new(),
+                machine: NodeMachine::default(),
+                locates: HashMap::new(),
                 requests: HashMap::new(),
             };
             handles.push(std::thread::spawn(move || node.run()));
@@ -707,22 +412,24 @@ impl LiveNet {
         m
     }
 
-    fn control(&self, to: NodeId, make: impl FnOnce(Sender<()>) -> LiveMsg) {
-        let (ack_tx, ack_rx) = bounded(1);
-        let _ = self.senders[to.index()].send(make(ack_tx));
-        ack_rx
-            .recv_timeout(WEDGE_TIMEOUT)
-            .expect("live node control ack: runtime wedged");
+    /// Applies `change` at node `to` and waits for its ack.
+    fn control(&self, to: NodeId, change: Change) {
+        self.barrier_with([to], change);
     }
 
     /// Waits until every node in `targets` has drained its mailbox up to
     /// this point. FIFO channels make the ack a happens-after proof for
     /// everything enqueued at the node before the barrier.
     fn barrier<I: IntoIterator<Item = NodeId>>(&self, targets: I) {
+        self.barrier_with(targets, Change::Barrier);
+    }
+
+    fn barrier_with<I: IntoIterator<Item = NodeId>>(&self, targets: I, change: Change) {
         let (ack_tx, ack_rx) = unbounded();
         let mut expected = 0usize;
         for t in targets {
-            let _ = self.senders[t.index()].send(LiveMsg::Barrier {
+            let _ = self.senders[t.index()].send(LiveMsg::Control {
+                change,
                 ack: ack_tx.clone(),
             });
             expected += 1;
@@ -731,7 +438,7 @@ impl LiveNet {
         for _ in 0..expected {
             ack_rx
                 .recv_timeout(WEDGE_TIMEOUT)
-                .expect("live barrier ack: runtime wedged");
+                .expect("live control ack: runtime wedged");
         }
     }
 
@@ -742,57 +449,50 @@ impl LiveNet {
         self.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Registers a server for `port` at `at` and posts `(port, at)` at
-    /// `targets` (the strategy's `P(at)`). Returns the posting stamp; on
-    /// return the postings are observable by any subsequent locate.
-    pub fn register_server(&self, at: NodeId, port: Port, targets: impl Into<TargetSet>) -> u64 {
-        let targets = targets.into();
+    /// Starts (`on`) or stops serving `port` at `at` and posts or withdraws
+    /// `(port, at)` at `targets` under a fresh stamp; on return the change
+    /// is observable by any subsequent locate.
+    fn advertise(&self, at: NodeId, port: Port, targets: TargetSet, on: bool) -> u64 {
         let stamp = self.next_stamp();
-        self.control(at, |ack| LiveMsg::Serve {
-            port,
-            on: true,
-            ack,
-        });
+        self.control(at, Change::Serve { port, on });
         let (done_tx, done_rx) = bounded(1);
-        let _ = self.senders[at.index()].send(LiveMsg::DoPost {
-            port,
-            addr: at,
-            stamp,
-            targets: targets.clone(),
-            done: done_tx,
-        });
+        let cmd = if on {
+            ProtoMsg::DoPost {
+                port,
+                addr: at,
+                stamp,
+                targets: targets.clone(),
+            }
+        } else {
+            ProtoMsg::DoUnpost {
+                port,
+                addr: at,
+                stamp,
+                targets: targets.clone(),
+            }
+        };
+        let _ = self.senders[at.index()].send(LiveMsg::Post { cmd, done: done_tx });
         done_rx
             .recv_timeout(WEDGE_TIMEOUT)
-            .expect("live post fan-out ack: runtime wedged");
+            .expect("live fan-out ack: runtime wedged");
         // the fan-out is enqueued everywhere; the barrier makes it
         // *processed* everywhere before the driver moves on
         self.barrier(targets.iter());
         stamp
     }
 
+    /// Registers a server for `port` at `at` and posts `(port, at)` at
+    /// `targets` (the strategy's `P(at)`). Returns the posting stamp; on
+    /// return the postings are observable by any subsequent locate.
+    pub fn register_server(&self, at: NodeId, port: Port, targets: impl Into<TargetSet>) -> u64 {
+        self.advertise(at, port, targets.into(), true)
+    }
+
     /// Deregisters the server at `at` and withdraws its postings from
     /// `targets` with a fresh stamp (withdrawal never erases a newer
     /// advertisement). On return the withdrawal is observable.
     pub fn deregister_server(&self, at: NodeId, port: Port, targets: impl Into<TargetSet>) -> u64 {
-        let targets = targets.into();
-        let stamp = self.next_stamp();
-        self.control(at, |ack| LiveMsg::Serve {
-            port,
-            on: false,
-            ack,
-        });
-        let (done_tx, done_rx) = bounded(1);
-        let _ = self.senders[at.index()].send(LiveMsg::DoUnpost {
-            port,
-            stamp,
-            targets: targets.clone(),
-            done: done_tx,
-        });
-        done_rx
-            .recv_timeout(WEDGE_TIMEOUT)
-            .expect("live unpost fan-out ack: runtime wedged");
-        self.barrier(targets.iter());
-        stamp
+        self.advertise(at, port, targets.into(), false)
     }
 
     /// Migrates the service on `port` from `from` to `to`: the old host
@@ -805,11 +505,7 @@ impl LiveNet {
         to: NodeId,
         post_targets: impl Into<TargetSet>,
     ) -> u64 {
-        self.control(from, |ack| LiveMsg::Serve {
-            port,
-            on: false,
-            ack,
-        });
+        self.control(from, Change::Serve { port, on: false });
         self.register_server(to, port, post_targets)
     }
 
@@ -817,19 +513,19 @@ impl LiveNet {
     pub fn crash(&self, v: NodeId) {
         self.crashed.lock()[v.index()] = true;
         self.counters.crashes.fetch_add(1, Ordering::Relaxed);
-        self.control(v, |ack| LiveMsg::Crash { ack });
+        self.control(v, Change::Crash);
     }
 
     /// Restores a crashed node (cache intact, like [`mm_sim::Sim::restore`];
     /// pair with [`LiveNet::clear_cache`] to model lost volatile memory).
     pub fn restore(&self, v: NodeId) {
         self.crashed.lock()[v.index()] = false;
-        self.control(v, |ack| LiveMsg::Restore { ack });
+        self.control(v, Change::Restore);
     }
 
     /// Empties a node's rendezvous cache (works on crashed nodes too).
     pub fn clear_cache(&self, v: NodeId) {
-        self.control(v, |ack| LiveMsg::ClearCache { ack });
+        self.control(v, Change::ClearCache);
     }
 
     /// Assigns an adversarial behavior profile to a node (see
@@ -837,7 +533,28 @@ impl LiveNet {
     /// [`crate::ShotgunEngine::set_fault`]. Synchronous: on return every
     /// later protocol message at the node sees the new profile.
     pub fn set_fault(&self, v: NodeId, profile: FaultProfile) {
-        self.control(v, |ack| LiveMsg::SetFault { profile, ack });
+        self.control(v, Change::SetFault(profile));
+    }
+
+    /// Waits for an operation's verdict while every node it depends on
+    /// looked live at issue. `None` means a *concurrent* crash (from
+    /// another driver thread) moved the crash epoch past `crash_epoch` —
+    /// the counter only ever grows, so even a crash followed by an
+    /// immediate restore, invisible to a plain crashed-flag re-check, is
+    /// caught — and the caller must force-classify instead of blocking on
+    /// a reply that may never arrive.
+    fn await_unless_raced<T>(&self, done_rx: &Receiver<T>, crash_epoch: u64) -> Option<T> {
+        let mut waited = Duration::ZERO;
+        loop {
+            if let Ok(outcome) = done_rx.recv_timeout(RACE_RECHECK) {
+                return Some(outcome);
+            }
+            waited += RACE_RECHECK;
+            assert!(waited < WEDGE_TIMEOUT, "live operation: runtime wedged");
+            if self.counters.crashes.load(Ordering::SeqCst) != crash_epoch {
+                return None;
+            }
+        }
     }
 
     /// Locates `port` from `client` by querying `targets` (the strategy's
@@ -859,45 +576,25 @@ impl LiveNet {
         let targets = targets.into();
         let id = self.next_locate.fetch_add(1, Ordering::SeqCst);
         let (done_tx, done_rx) = bounded(1);
-        // crash *epoch* at issue time: the counter only ever grows, so any
-        // concurrent crash — even one followed by an immediate restore,
-        // which would be invisible to a plain crashed-flag re-check — is
-        // detected while we wait
         let crash_epoch = self.counters.crashes.load(Ordering::SeqCst);
-        let crashed_targets: Vec<NodeId> = {
-            let crashed = self.crashed.lock();
+        let crashed_targets = |net: &Self| -> Vec<NodeId> {
+            let crashed = net.crashed.lock();
             targets.iter().filter(|t| crashed[t.index()]).collect()
         };
-        let _ = self.senders[client.index()].send(LiveMsg::DoLocate {
+        let all_live = crashed_targets(self).is_empty();
+        let _ = self.senders[client.index()].send(LiveMsg::Locate {
             port,
             locate_id: id,
             targets: targets.clone(),
             done: done_tx,
         });
-        if crashed_targets.is_empty() {
-            // all targets live at issue time: the answers are coming — but
-            // a *concurrent* crash from another driver thread can still
-            // silence a target, so re-check while waiting instead of
-            // blocking on a reply that will never arrive
-            let mut waited = Duration::ZERO;
-            loop {
-                match done_rx.recv_timeout(RACE_RECHECK) {
-                    Ok(outcome) => return outcome,
-                    Err(_) => {
-                        waited += RACE_RECHECK;
-                        assert!(waited < WEDGE_TIMEOUT, "live locate: runtime wedged");
-                        if self.counters.crashes.load(Ordering::SeqCst) != crash_epoch {
-                            break; // raced by a crash: force-classify below
-                        }
-                    }
-                }
+        if all_live {
+            if let Some(outcome) = self.await_unless_raced(&done_rx, crash_epoch) {
+                return outcome;
             }
         }
         // a crashed rendezvous never answers: quiesce, then give up
-        let crashed_now: Vec<NodeId> = {
-            let crashed = self.crashed.lock();
-            targets.iter().filter(|t| crashed[t.index()]).collect()
-        };
+        let crashed_now = crashed_targets(self);
         self.barrier([client]); // queries fanned out
         self.barrier(targets.iter().filter(|t| !crashed_now.contains(t))); // answers sent
         self.barrier([client]); // answers absorbed
@@ -927,13 +624,12 @@ impl LiveNet {
         addr: NodeId,
         port: Port,
         body: u64,
-    ) -> Option<LiveRequestOutcome> {
+    ) -> Option<RequestOutcome> {
         let id = self.next_request.fetch_add(1, Ordering::SeqCst);
         let (done_tx, done_rx) = bounded(1);
-        // see `locate`: the epoch detects even a crash-then-restore race
         let crash_epoch = self.counters.crashes.load(Ordering::SeqCst);
         let addr_crashed = self.crashed.lock()[addr.index()];
-        let _ = self.senders[client.index()].send(LiveMsg::DoRequest {
+        let _ = self.senders[client.index()].send(LiveMsg::Request {
             port,
             addr,
             body,
@@ -941,18 +637,8 @@ impl LiveNet {
             done: done_tx,
         });
         if !addr_crashed {
-            let mut waited = Duration::ZERO;
-            loop {
-                match done_rx.recv_timeout(RACE_RECHECK) {
-                    Ok(outcome) => return outcome,
-                    Err(_) => {
-                        waited += RACE_RECHECK;
-                        assert!(waited < WEDGE_TIMEOUT, "live request: runtime wedged");
-                        if self.counters.crashes.load(Ordering::SeqCst) != crash_epoch {
-                            break; // raced by a crash: force-classify below
-                        }
-                    }
-                }
+            if let Some(outcome) = self.await_unless_raced(&done_rx, crash_epoch) {
+                return outcome;
             }
         }
         self.barrier([client]); // request sent
@@ -993,6 +679,7 @@ impl std::fmt::Debug for LiveNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FORGED_STAMP;
     use mm_core::strategies::Checkerboard;
     use mm_core::Strategy;
 
@@ -1020,7 +707,7 @@ mod tests {
             Port::from_name("ghost"),
             strat.query_set(NodeId::new(0)),
         );
-        assert_eq!(found, LiveLocateOutcome::NotFound);
+        assert_eq!(found, LiveLocateOutcome::NotFound { elapsed: 0 });
     }
 
     #[test]
@@ -1049,7 +736,7 @@ mod tests {
         net.register_server(server, port, strat.post_set(server));
         assert_eq!(
             net.locate(client, port, strat.query_set(client)),
-            LiveLocateOutcome::NotFound
+            LiveLocateOutcome::NotFound { elapsed: 0 }
         );
         // refuse-match still *stores* posts: healing the node heals the pair
         net.set_fault(rdv[0], FaultProfile::Honest);
@@ -1117,7 +804,11 @@ mod tests {
         net.register_server(server, port, strat.post_set(server));
         net.deregister_server(server, port, strat.post_set(server));
         let found = net.locate(NodeId::new(1), port, strat.query_set(NodeId::new(1)));
-        assert_eq!(found, LiveLocateOutcome::NotFound, "unposted everywhere");
+        assert_eq!(
+            found,
+            LiveLocateOutcome::NotFound { elapsed: 0 },
+            "unposted everywhere"
+        );
     }
 
     #[test]
@@ -1178,13 +869,16 @@ mod tests {
         net.register_server(server, port, strat.post_set(server));
         assert_eq!(
             net.request(NodeId::new(12), server, port, 41),
-            Some(LiveRequestOutcome::Replied { body: 42 })
+            Some(RequestOutcome::Replied {
+                body: 42,
+                elapsed: 0
+            })
         );
         // migrate away: the old address bounces
         net.migrate_server(port, server, NodeId::new(9), strat.post_set(NodeId::new(9)));
         assert_eq!(
             net.request(NodeId::new(12), server, port, 1),
-            Some(LiveRequestOutcome::StaleAddress)
+            Some(RequestOutcome::StaleAddress)
         );
         // a crashed host never answers at all
         net.crash(NodeId::new(9));
@@ -1209,5 +903,28 @@ mod tests {
         assert_eq!(m.node_load.iter().sum::<u64>(), m.delivered);
         assert_eq!(m.events_executed, m.delivered);
         assert_eq!(m.peak_queue_depth, 0, "not sampled in the live runtime");
+    }
+
+    /// The machine completes a locate that asks nobody at issue, and a
+    /// crashed client's locate is missing its whole query set — the same
+    /// two answers the simulator host gives (`shotgun::tests`).
+    #[test]
+    fn empty_query_set_and_crashed_client_match_the_simulator() {
+        let n = 16;
+        let strat = Checkerboard::new(n);
+        let net = LiveNet::new(n);
+        let port = Port::from_name("svc");
+        let client = NodeId::new(9);
+        assert_eq!(
+            net.locate(client, port, Vec::new()),
+            LiveLocateOutcome::NotFound { elapsed: 0 }
+        );
+        let q = strat.query_set(client);
+        net.crash(client);
+        assert_eq!(
+            net.locate(client, port, q.clone()),
+            LiveLocateOutcome::unanswered(q.len())
+        );
+        net.shutdown();
     }
 }

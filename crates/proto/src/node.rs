@@ -1,0 +1,670 @@
+//! The match-making protocol as one transport-free node machine.
+//!
+//! The paper's guarantee — `P(s) ∩ Q(c) ≠ ∅` ⇒ the locate meets the post —
+//! is a property of the post/query sets, not of whoever schedules the
+//! messages. [`NodeMachine`] is therefore written once, as per-node rules
+//! `(state, message) → effects`, and hosted twice: the simulator
+//! ([`crate::shotgun`]) forwards its effects to the event queue, the
+//! threaded runtime ([`crate::live`]) to channel mailboxes. Rendezvous
+//! caching, every [`FaultProfile`] arm, best-stamp selection and the
+//! client-side operation bookkeeping live here and nowhere else.
+
+use crate::cache::Cache;
+use crate::fault::{FaultProfile, FORGED_STAMP};
+use crate::messages::ProtoMsg;
+use mm_core::Port;
+use mm_sim::{SimTime, TargetSet};
+use mm_topo::NodeId;
+use std::collections::{BTreeSet, HashMap};
+
+/// Where a [`NodeMachine`] puts the messages it wants sent; the host
+/// decides what sending means (and what it costs).
+pub trait Outbox {
+    /// Point-to-point send.
+    fn send(&mut self, to: NodeId, msg: ProtoMsg);
+    /// One copy of `msg` to every member of `to`.
+    fn multicast(&mut self, to: TargetSet, msg: ProtoMsg);
+}
+
+/// Client-side bookkeeping for one locate operation.
+#[derive(Debug, Clone, Default)]
+struct Pending {
+    expected: usize,
+    misses: usize,
+    /// Hit answers as `(answering node, advertised addr, stamp)`, in
+    /// arrival order. The winner is chosen at read time by
+    /// [`Pending::best`], so arrival order never influences the verdict.
+    answers: Vec<(NodeId, NodeId, u64)>,
+    issued_at: SimTime,
+    completed_at: Option<SimTime>,
+}
+
+impl Pending {
+    /// The winning advertisement: newest stamp, ties broken by lowest
+    /// answering node — deterministic regardless of reply arrival order
+    /// (thread mailboxes do not preserve it).
+    fn best(&self) -> Option<(NodeId, u64)> {
+        self.answers
+            .iter()
+            .max_by(|a, b| a.2.cmp(&b.2).then(b.0.cmp(&a.0)))
+            .map(|&(_, addr, stamp)| (addr, stamp))
+    }
+
+    /// Hit answers that disagree with the winning address — the client's
+    /// cross-check signal for Byzantine forgeries.
+    fn dissent(&self) -> usize {
+        match self.best() {
+            Some((winner, _)) => self.answers.iter().filter(|a| a.1 != winner).count(),
+            None => 0,
+        }
+    }
+
+    /// Records one answer; `true` when it was the last one awaited.
+    fn answered(&mut self, now: SimTime) -> bool {
+        let complete = self.answers.len() + self.misses == self.expected;
+        if complete {
+            self.completed_at = Some(now);
+        }
+        complete
+    }
+
+    fn outcome(&self) -> LocateOutcome {
+        match self.completed_at {
+            Some(done) => match self.best() {
+                Some((addr, stamp)) => {
+                    let mut meets: Vec<NodeId> = self.answers.iter().map(|a| a.0).collect();
+                    meets.sort_unstable();
+                    LocateOutcome::Found {
+                        addr,
+                        stamp,
+                        elapsed: done - self.issued_at,
+                        meets,
+                        dissent: self.dissent(),
+                    }
+                }
+                None => LocateOutcome::NotFound {
+                    elapsed: done - self.issued_at,
+                },
+            },
+            None => LocateOutcome::Unresolved {
+                hits: self.answers.len(),
+                misses: self.misses,
+                missing: self.expected - self.answers.len() - self.misses,
+                best: self.best(),
+                dissent: self.dissent(),
+            },
+        }
+    }
+}
+
+/// The state of a finished (or still-running) locate. Hosts without a
+/// clock (the threaded runtime) report every `elapsed` as 0.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LocateOutcome {
+    /// Every queried node answered and at least one had the port cached:
+    /// the freshest address wins.
+    Found {
+        /// The located server address.
+        addr: NodeId,
+        /// The winning advertisement's timestamp.
+        stamp: u64,
+        /// Ticks from issue to the final answer.
+        elapsed: SimTime,
+        /// The rendezvous nodes that answered with a hit, sorted — the
+        /// realized match-making intersection, `|meets| = m(P,Q)` when
+        /// postings are fresh.
+        meets: Vec<NodeId>,
+        /// Hit answers whose address disagreed with the winner. Zero on
+        /// honest fresh runs; nonzero whenever stale caches or Byzantine
+        /// forgeries were out-voted — the client's lie-detection signal.
+        dissent: usize,
+    },
+    /// Every queried node answered and none knew the port (vacuously so
+    /// for an empty query set).
+    NotFound {
+        /// Ticks from issue to the final answer.
+        elapsed: SimTime,
+    },
+    /// Some queried nodes never answered (crashed rendezvous); partial
+    /// results are reported.
+    Unresolved {
+        /// Hits received so far.
+        hits: usize,
+        /// Misses received so far.
+        misses: usize,
+        /// Queries that never got an answer.
+        missing: usize,
+        /// Best address seen so far, if any hit arrived.
+        best: Option<(NodeId, u64)>,
+        /// Hit answers received so far that disagree with `best` — lets a
+        /// client that salvages a partial answer at timeout still run its
+        /// lie detection.
+        dissent: usize,
+    },
+}
+
+impl LocateOutcome {
+    /// A locate none of whose `queried` targets has answered — what a
+    /// client that crashed before fanning out is left with.
+    pub fn unanswered(queried: usize) -> Self {
+        LocateOutcome::Unresolved {
+            hits: 0,
+            misses: 0,
+            missing: queried,
+            best: None,
+            dissent: 0,
+        }
+    }
+
+    /// Convenience: the located address if the outcome is `Found`.
+    pub fn addr(&self) -> Option<NodeId> {
+        match self {
+            LocateOutcome::Found { addr, .. } => Some(*addr),
+            _ => None,
+        }
+    }
+
+    /// `true` if every queried node answered.
+    pub fn is_complete(&self) -> bool {
+        !matches!(self, LocateOutcome::Unresolved { .. })
+    }
+}
+
+/// Outcome of an application-level request (service model, §1.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestOutcome {
+    /// The server answered.
+    Replied {
+        /// Response body.
+        body: u64,
+        /// Ticks from issue to reply.
+        elapsed: SimTime,
+    },
+    /// The addressed node does not serve the port (stale cache).
+    StaleAddress,
+}
+
+/// A client operation the message just handled brought to its verdict —
+/// what a host that reports completions (instead of being polled) needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Settled {
+    /// The locate with this id has every answer it awaited.
+    Locate(u64),
+    /// The request with this id was answered.
+    Request(u64),
+}
+
+/// Per-node protocol state and rules: the rendezvous cache, locally
+/// served ports, the fault profile, and client-side operation
+/// bookkeeping.
+#[derive(Debug, Default)]
+pub struct NodeMachine {
+    /// The rendezvous cache.
+    pub cache: Cache,
+    /// Ports served by a process on this node.
+    pub served: BTreeSet<Port>,
+    /// Adversarial behavior profile (default: honest).
+    pub fault: FaultProfile,
+    pending: HashMap<u64, Pending>,
+    requests: HashMap<u64, (SimTime, Option<RequestOutcome>)>,
+}
+
+impl NodeMachine {
+    /// Opens the client-side record of a locate that queries `expected`
+    /// nodes. An empty query set has nothing to wait for: the locate is
+    /// complete (as `NotFound`) on the spot.
+    pub fn begin_locate(&mut self, id: u64, expected: usize, now: SimTime) {
+        self.pending.insert(
+            id,
+            Pending {
+                expected,
+                issued_at: now,
+                completed_at: (expected == 0).then_some(now),
+                ..Pending::default()
+            },
+        );
+    }
+
+    /// Opens the client-side record of an application request.
+    pub fn begin_request(&mut self, id: u64, now: SimTime) {
+        self.requests.insert(id, (now, None));
+    }
+
+    /// The current state of locate `id` (`None` for an id never begun).
+    pub fn locate_outcome(&self, id: u64) -> Option<LocateOutcome> {
+        self.pending.get(&id).map(Pending::outcome)
+    }
+
+    /// Closes locate `id`, returning its state at this moment — partial
+    /// if the host gave up on it early.
+    pub fn end_locate(&mut self, id: u64) -> Option<LocateOutcome> {
+        self.pending.remove(&id).map(|p| p.outcome())
+    }
+
+    /// The answer to request `id`, if it arrived.
+    pub fn request_outcome(&self, id: u64) -> Option<RequestOutcome> {
+        self.requests.get(&id).and_then(|(_, o)| *o)
+    }
+
+    /// Closes request `id`, returning its answer if one arrived.
+    pub fn end_request(&mut self, id: u64) -> Option<RequestOutcome> {
+        self.requests.remove(&id).and_then(|(_, o)| o)
+    }
+
+    /// Handles one protocol message delivered to node `me` at `now`,
+    /// putting any messages it causes into `out`.
+    pub fn handle<O: Outbox>(
+        &mut self,
+        me: NodeId,
+        msg: ProtoMsg,
+        now: SimTime,
+        out: &mut O,
+    ) -> Option<Settled> {
+        match msg {
+            ProtoMsg::DoPost {
+                port,
+                addr,
+                stamp,
+                targets,
+            } => out.multicast(targets, ProtoMsg::Post { port, addr, stamp }),
+            ProtoMsg::DoUnpost {
+                port,
+                addr,
+                stamp,
+                targets,
+            } => out.multicast(targets, ProtoMsg::Unpost { port, addr, stamp }),
+            ProtoMsg::DoLocate {
+                port,
+                locate_id,
+                targets,
+            } => {
+                let vacuous = targets.is_empty();
+                out.multicast(
+                    targets,
+                    ProtoMsg::Query {
+                        port,
+                        reply_to: me,
+                        locate_id,
+                    },
+                );
+                return vacuous.then_some(Settled::Locate(locate_id));
+            }
+            ProtoMsg::DoRequest {
+                port,
+                addr,
+                body,
+                request_id,
+            } => out.send(
+                addr,
+                ProtoMsg::Request {
+                    port,
+                    reply_to: me,
+                    body,
+                    request_id,
+                },
+            ),
+            ProtoMsg::Post { port, addr, stamp } => match self.fault {
+                // broken storage: the posting is silently lost
+                FaultProfile::DropPosts => {}
+                // pin the first posting; later (fresher) posts are ignored
+                FaultProfile::StaleAddress => {
+                    if self.cache.lookup(port).is_none() {
+                        self.cache.insert(port, addr, stamp);
+                    }
+                }
+                _ => {
+                    self.cache.insert(port, addr, stamp);
+                }
+            },
+            ProtoMsg::Unpost { port, stamp, .. } => {
+                if !matches!(
+                    self.fault,
+                    FaultProfile::DropPosts | FaultProfile::StaleAddress
+                ) {
+                    self.cache.remove(port, stamp);
+                }
+            }
+            ProtoMsg::Query {
+                port,
+                reply_to,
+                locate_id,
+            } => {
+                let answer = match self.fault {
+                    // forge a hit for every port, stamped to out-bid honesty
+                    FaultProfile::ForgedAddress => Some((me, FORGED_STAMP)),
+                    FaultProfile::RefuseMatch => None,
+                    _ => self.cache.lookup(port).map(|e| (e.addr, e.stamp)),
+                };
+                out.send(
+                    reply_to,
+                    match answer {
+                        Some((addr, stamp)) => ProtoMsg::Hit {
+                            port,
+                            addr,
+                            stamp,
+                            locate_id,
+                            at: me,
+                        },
+                        None => ProtoMsg::Miss { port, locate_id },
+                    },
+                );
+            }
+            ProtoMsg::Hit {
+                addr,
+                stamp,
+                locate_id,
+                at,
+                ..
+            } => {
+                let p = self.pending.get_mut(&locate_id)?;
+                p.answers.push((at, addr, stamp));
+                return p.answered(now).then_some(Settled::Locate(locate_id));
+            }
+            ProtoMsg::Miss { locate_id, .. } => {
+                let p = self.pending.get_mut(&locate_id)?;
+                p.misses += 1;
+                return p.answered(now).then_some(Settled::Locate(locate_id));
+            }
+            ProtoMsg::Request {
+                port,
+                reply_to,
+                body,
+                request_id,
+            } => out.send(
+                reply_to,
+                if self.served.contains(&port) {
+                    ProtoMsg::Reply {
+                        port,
+                        // a trivially checkable service: echo body + 1
+                        body: body.wrapping_add(1),
+                        request_id,
+                    }
+                } else {
+                    ProtoMsg::NotHere { port, request_id }
+                },
+            ),
+            ProtoMsg::Reply {
+                body, request_id, ..
+            } => {
+                let (issued, slot) = self.requests.get_mut(&request_id)?;
+                *slot = Some(RequestOutcome::Replied {
+                    body,
+                    elapsed: now - *issued,
+                });
+                return Some(Settled::Request(request_id));
+            }
+            ProtoMsg::NotHere { request_id, .. } => {
+                let (_, slot) = self.requests.get_mut(&request_id)?;
+                *slot = Some(RequestOutcome::StaleAddress);
+                return Some(Settled::Request(request_id));
+            }
+        }
+        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records what the machine wanted sent — no simulator, no threads.
+    #[derive(Default)]
+    struct Sent(Vec<(Vec<NodeId>, ProtoMsg)>);
+
+    impl Outbox for Sent {
+        fn send(&mut self, to: NodeId, msg: ProtoMsg) {
+            self.0.push((vec![to], msg));
+        }
+
+        fn multicast(&mut self, to: TargetSet, msg: ProtoMsg) {
+            self.0.push((to.iter().collect(), msg));
+        }
+    }
+
+    const ME: NodeId = NodeId::new(4);
+    const CLIENT: NodeId = NodeId::new(9);
+
+    fn node(i: u32) -> NodeId {
+        NodeId::new(i)
+    }
+
+    fn port() -> Port {
+        Port::from_name("svc")
+    }
+
+    /// Runs `msgs` through a machine with `fault`, then queries it.
+    fn answer_after(fault: FaultProfile, msgs: Vec<ProtoMsg>) -> ProtoMsg {
+        let mut m = NodeMachine {
+            fault,
+            ..NodeMachine::default()
+        };
+        let mut out = Sent::default();
+        for msg in msgs {
+            assert_eq!(m.handle(ME, msg, 0, &mut out), None);
+        }
+        assert!(out.0.is_empty(), "posts and unposts send nothing");
+        let query = ProtoMsg::Query {
+            port: port(),
+            reply_to: CLIENT,
+            locate_id: 7,
+        };
+        assert_eq!(m.handle(ME, query, 0, &mut out), None);
+        let (to, reply) = out.0.pop().expect("every query is answered");
+        assert_eq!(to, vec![CLIENT], "the answer goes to the asker");
+        reply
+    }
+
+    fn post(addr: u32, stamp: u64) -> ProtoMsg {
+        ProtoMsg::Post {
+            port: port(),
+            addr: node(addr),
+            stamp,
+        }
+    }
+
+    fn unpost(addr: u32, stamp: u64) -> ProtoMsg {
+        ProtoMsg::Unpost {
+            port: port(),
+            addr: node(addr),
+            stamp,
+        }
+    }
+
+    fn hit(addr: u32, stamp: u64) -> ProtoMsg {
+        ProtoMsg::Hit {
+            port: port(),
+            addr: node(addr),
+            stamp,
+            locate_id: 7,
+            at: ME,
+        }
+    }
+
+    fn miss() -> ProtoMsg {
+        ProtoMsg::Miss {
+            port: port(),
+            locate_id: 7,
+        }
+    }
+
+    /// Every `FaultProfile` × {`Post`, `Unpost`, `Query`} arm, as the
+    /// answer a query gets after a post, a fresher re-post, and an unpost.
+    #[test]
+    fn fault_profiles_shape_what_a_rendezvous_node_answers() {
+        use FaultProfile::*;
+        let forged = hit(ME.raw(), FORGED_STAMP);
+        // (profile, after one post, after a fresher re-post, after an unpost)
+        let table = [
+            (Honest, hit(1, 10), hit(2, 20), miss()),
+            (DropPosts, miss(), miss(), miss()),
+            (StaleAddress, hit(1, 10), hit(1, 10), hit(1, 10)),
+            (ForgedAddress, forged.clone(), forged.clone(), forged),
+            (RefuseMatch, miss(), miss(), miss()),
+        ];
+        for (fault, posted, reposted, unposted) in table {
+            assert_eq!(answer_after(fault, vec![post(1, 10)]), posted, "{fault:?}");
+            assert_eq!(
+                answer_after(fault, vec![post(1, 10), post(2, 20)]),
+                reposted,
+                "{fault:?} re-post"
+            );
+            assert_eq!(
+                answer_after(fault, vec![post(1, 10), unpost(1, 11)]),
+                unposted,
+                "{fault:?} unpost"
+            );
+        }
+        // refuse-match still *stores* posts: healing the node heals the pair
+        let mut m = NodeMachine {
+            fault: RefuseMatch,
+            ..NodeMachine::default()
+        };
+        m.handle(ME, post(1, 10), 0, &mut Sent::default());
+        assert_eq!(m.cache.lookup(port()).map(|e| e.addr), Some(node(1)));
+    }
+
+    /// Feeds a three-target locate the given `(answering node, addr,
+    /// stamp)` hits (the rest miss), in the given order.
+    fn locate_with(answers: &[(u32, u32, u64)]) -> LocateOutcome {
+        let mut m = NodeMachine::default();
+        let mut out = Sent::default();
+        m.begin_locate(7, 3, 100);
+        for (i, &(at, addr, stamp)) in answers.iter().enumerate() {
+            let msg = ProtoMsg::Hit {
+                port: port(),
+                addr: node(addr),
+                stamp,
+                locate_id: 7,
+                at: node(at),
+            };
+            let last = i == 2;
+            assert_eq!(
+                m.handle(CLIENT, msg, 102, &mut out),
+                last.then_some(Settled::Locate(7))
+            );
+        }
+        for i in answers.len()..3 {
+            let last = i == 2;
+            assert_eq!(
+                m.handle(CLIENT, miss(), 102, &mut out),
+                last.then_some(Settled::Locate(7))
+            );
+        }
+        assert!(out.0.is_empty(), "answers cause no traffic");
+        m.locate_outcome(7).expect("begun")
+    }
+
+    #[test]
+    fn best_breaks_stamp_ties_by_lowest_answering_node_in_any_arrival_order() {
+        let expect = LocateOutcome::Found {
+            addr: node(11),
+            stamp: 5,
+            elapsed: 2,
+            meets: vec![node(1), node(2), node(3)],
+            dissent: 2,
+        };
+        // nodes 1 and 3 tie on the newest stamp; node 1 is lower and wins
+        let answers = [(1, 11, 5), (3, 13, 5), (2, 12, 4)];
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0], [1, 0, 2]] {
+            let shuffled: Vec<_> = order.iter().map(|&i| answers[i]).collect();
+            assert_eq!(locate_with(&shuffled), expect, "arrival order {order:?}");
+        }
+    }
+
+    #[test]
+    fn dissent_counts_hits_that_disagree_with_the_winner() {
+        let dissent = |answers: &[(u32, u32, u64)]| match locate_with(answers) {
+            LocateOutcome::Found { dissent, .. } => dissent,
+            other => panic!("expected Found, got {other:?}"),
+        };
+        assert_eq!(
+            dissent(&[(1, 11, 5), (2, 11, 4), (3, 11, 3)]),
+            0,
+            "unanimous"
+        );
+        assert_eq!(dissent(&[(1, 11, 5), (2, 12, 4), (3, 11, 3)]), 1);
+        // a forged stamp wins, and both honest answers dissent
+        assert_eq!(dissent(&[(1, 11, 5), (2, 2, FORGED_STAMP), (3, 11, 5)]), 2);
+        assert_eq!(locate_with(&[]), LocateOutcome::NotFound { elapsed: 2 });
+    }
+
+    #[test]
+    fn partial_and_vacuous_locates() {
+        let mut m = NodeMachine::default();
+        let mut out = Sent::default();
+        m.begin_locate(7, 3, 0);
+        assert_eq!(m.locate_outcome(7), Some(LocateOutcome::unanswered(3)));
+        m.handle(CLIENT, hit(1, 10), 1, &mut out);
+        assert_eq!(
+            m.end_locate(7),
+            Some(LocateOutcome::Unresolved {
+                hits: 1,
+                misses: 0,
+                missing: 2,
+                best: Some((node(1), 10)),
+                dissent: 0,
+            }),
+            "giving up early reports the partial state"
+        );
+        assert_eq!(
+            m.handle(CLIENT, miss(), 2, &mut out),
+            None,
+            "closed: ignored"
+        );
+        assert_eq!(m.locate_outcome(7), None);
+
+        // an empty query set has nobody to wait for
+        m.begin_locate(8, 0, 5);
+        assert_eq!(
+            m.locate_outcome(8),
+            Some(LocateOutcome::NotFound { elapsed: 0 })
+        );
+        let fan_out = ProtoMsg::DoLocate {
+            port: port(),
+            locate_id: 8,
+            targets: TargetSet::from_vec(vec![]),
+        };
+        assert_eq!(
+            m.handle(CLIENT, fan_out, 5, &mut out),
+            Some(Settled::Locate(8)),
+            "a reporting host learns it at issue"
+        );
+    }
+
+    #[test]
+    fn requests_are_served_bounced_and_timed() {
+        let mut server = NodeMachine::default();
+        server.served.insert(port());
+        let mut out = Sent::default();
+        let ask = |p: Port| ProtoMsg::Request {
+            port: p,
+            reply_to: CLIENT,
+            body: 41,
+            request_id: 3,
+        };
+        server.handle(ME, ask(port()), 0, &mut out);
+        server.handle(ME, ask(Port::from_name("other")), 0, &mut out);
+        let replies: Vec<ProtoMsg> = out.0.drain(..).map(|(_, m)| m).collect();
+        assert!(matches!(replies[0], ProtoMsg::Reply { body: 42, .. }));
+        assert!(matches!(replies[1], ProtoMsg::NotHere { .. }));
+
+        let mut client = NodeMachine::default();
+        client.begin_request(3, 10);
+        assert_eq!(client.request_outcome(3), None);
+        assert_eq!(
+            client.handle(CLIENT, replies[0].clone(), 12, &mut out),
+            Some(Settled::Request(3))
+        );
+        assert_eq!(
+            client.request_outcome(3),
+            Some(RequestOutcome::Replied {
+                body: 42,
+                elapsed: 2
+            })
+        );
+        client.begin_request(3, 20);
+        client.handle(CLIENT, replies[1].clone(), 22, &mut out);
+        assert_eq!(client.end_request(3), Some(RequestOutcome::StaleAddress));
+        assert_eq!(client.end_request(3), None, "closed");
+    }
+}

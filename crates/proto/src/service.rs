@@ -14,7 +14,7 @@
 use crate::shotgun::{LocateOutcome, RequestOutcome, ShotgunEngine};
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
-use mm_sim::{CostModel, QueueKind, RouterKind, ShardMode};
+use mm_sim::CostModel;
 use mm_topo::{Graph, NodeId};
 use std::fmt;
 
@@ -50,7 +50,9 @@ pub struct ServiceNet<PM> {
 }
 
 impl<PM: PortMapped> ServiceNet<PM> {
-    /// Builds a service network over `graph` with the given resolver.
+    /// Builds a service network over `graph` with the given resolver (for
+    /// explicit execution axes, build on
+    /// [`ShotgunEngine::with_router`] directly).
     ///
     /// # Panics
     ///
@@ -58,55 +60,6 @@ impl<PM: PortMapped> ServiceNet<PM> {
     pub fn new(graph: Graph, resolver: PM, cost_model: CostModel) -> Self {
         ServiceNet {
             engine: ShotgunEngine::new(graph, resolver, cost_model),
-        }
-    }
-
-    /// Builds a service network with an explicit simulator event-queue
-    /// implementation (determinism cross-checks and queue benchmarks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolver universe differs from the graph size.
-    pub fn with_queue(graph: Graph, resolver: PM, cost_model: CostModel, kind: QueueKind) -> Self {
-        ServiceNet {
-            engine: ShotgunEngine::with_queue(graph, resolver, cost_model, kind),
-        }
-    }
-
-    /// Builds a service network on an explicit execution core (see
-    /// [`ShardMode`]); output is byte-identical across modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolver universe differs from the graph size.
-    pub fn with_shards(
-        graph: Graph,
-        resolver: PM,
-        cost_model: CostModel,
-        kind: QueueKind,
-        mode: ShardMode,
-    ) -> Self {
-        Self::with_router(graph, resolver, cost_model, kind, mode, RouterKind::Auto)
-    }
-
-    /// Builds a service network with an explicit routing backend as well
-    /// (see [`RouterKind`]); routing is output-invariant like the queue
-    /// and core choices, so this only changes memory/speed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolver universe differs from the graph size, or if
-    /// `router` is `RouterKind::Analytic` on a non-structured graph.
-    pub fn with_router(
-        graph: Graph,
-        resolver: PM,
-        cost_model: CostModel,
-        kind: QueueKind,
-        mode: ShardMode,
-        router: RouterKind,
-    ) -> Self {
-        ServiceNet {
-            engine: ShotgunEngine::with_router(graph, resolver, cost_model, kind, mode, router),
         }
     }
 

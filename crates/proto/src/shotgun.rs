@@ -20,9 +20,10 @@
 //! fresh posting necessarily intersects the client's query set).
 
 use crate::cache::Cache;
-use crate::fault::{FaultProfile, FORGED_STAMP};
+use crate::fault::FaultProfile;
 use crate::intern::TargetInterner;
 use crate::messages::ProtoMsg;
+use crate::node::{NodeMachine, Outbox};
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
 use mm_sim::{
@@ -30,100 +31,8 @@ use mm_sim::{
     TargetSet,
 };
 use mm_topo::{Graph, NodeId};
-use std::collections::{BTreeSet, HashMap};
 
-/// Client-side bookkeeping for one locate operation.
-#[derive(Debug, Clone, Default)]
-struct Pending {
-    expected: usize,
-    misses: usize,
-    /// Hit answers as `(answering node, advertised addr, stamp)`, in
-    /// arrival order. The winner is chosen at read time by
-    /// [`Pending::best`], so arrival order never influences the verdict.
-    answers: Vec<(NodeId, NodeId, u64)>,
-    issued_at: SimTime,
-    completed_at: Option<SimTime>,
-}
-
-impl Pending {
-    /// The winning advertisement: newest stamp, ties broken by lowest
-    /// answering node — deterministic regardless of reply arrival order
-    /// (the live runtime's mailboxes do not preserve it).
-    fn best(&self) -> Option<(NodeId, u64)> {
-        self.answers
-            .iter()
-            .max_by(|a, b| a.2.cmp(&b.2).then(b.0.cmp(&a.0)))
-            .map(|&(_, addr, stamp)| (addr, stamp))
-    }
-
-    /// Hit answers that disagree with the winning address — the client's
-    /// cross-check signal for Byzantine forgeries.
-    fn dissent(&self) -> usize {
-        match self.best() {
-            Some((winner, _)) => self.answers.iter().filter(|a| a.1 != winner).count(),
-            None => 0,
-        }
-    }
-}
-
-/// The state of a finished (or still-running) locate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LocateOutcome {
-    /// Every queried node answered and at least one had the port cached:
-    /// the freshest address wins.
-    Found {
-        /// The located server address.
-        addr: NodeId,
-        /// The winning advertisement's timestamp.
-        stamp: u64,
-        /// Ticks from issue to the final answer.
-        elapsed: SimTime,
-        /// The rendezvous nodes that answered with a hit, sorted — the
-        /// realized match-making intersection, `|meets| = m(P,Q)` when
-        /// postings are fresh.
-        meets: Vec<NodeId>,
-        /// Hit answers whose address disagreed with the winner. Zero on
-        /// honest fresh runs; nonzero whenever stale caches or Byzantine
-        /// forgeries were out-voted — the client's lie-detection signal.
-        dissent: usize,
-    },
-    /// Every queried node answered and none knew the port.
-    NotFound {
-        /// Ticks from issue to the final answer.
-        elapsed: SimTime,
-    },
-    /// Some queried nodes never answered (crashed rendezvous); partial
-    /// results are reported.
-    Unresolved {
-        /// Hits received so far.
-        hits: usize,
-        /// Misses received so far.
-        misses: usize,
-        /// Queries that never got an answer.
-        missing: usize,
-        /// Best address seen so far, if any hit arrived.
-        best: Option<(NodeId, u64)>,
-        /// Hit answers received so far that disagree with `best` — lets a
-        /// client that salvages a partial answer at timeout still run its
-        /// lie detection.
-        dissent: usize,
-    },
-}
-
-impl LocateOutcome {
-    /// Convenience: the located address if the outcome is `Found`.
-    pub fn addr(&self) -> Option<NodeId> {
-        match self {
-            LocateOutcome::Found { addr, .. } => Some(*addr),
-            _ => None,
-        }
-    }
-
-    /// `true` if every queried node answered.
-    pub fn is_complete(&self) -> bool {
-        !matches!(self, LocateOutcome::Unresolved { .. })
-    }
-}
+pub use crate::node::{LocateOutcome, RequestOutcome};
 
 /// Handle identifying a locate operation: `(client node, locate id)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,206 +43,23 @@ pub struct LocateHandle {
     pub id: u64,
 }
 
-/// Outcome of an application-level request (service model, §1.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
-    /// The server answered.
-    Replied {
-        /// Response body.
-        body: u64,
-        /// Ticks from issue to reply.
-        elapsed: SimTime,
-    },
-    /// The addressed node does not serve the port (stale cache).
-    StaleAddress,
-}
+/// The simulator's host of the node machine: messages come off the event
+/// queue, effects go back onto it through [`NodeApi`].
+pub type NsNode = NodeMachine;
 
-/// Per-node protocol state: the rendezvous cache, locally served ports,
-/// and client-side operation bookkeeping.
-#[derive(Debug, Default)]
-pub struct NsNode {
-    /// The rendezvous cache.
-    pub cache: Cache,
-    /// Ports served by a process on this node.
-    pub served: BTreeSet<Port>,
-    /// Adversarial behavior profile (default: honest).
-    pub fault: FaultProfile,
-    pending: HashMap<u64, Pending>,
-    requests: HashMap<u64, (SimTime, Option<RequestOutcome>)>,
+impl Outbox for NodeApi<'_, ProtoMsg> {
+    fn send(&mut self, to: NodeId, msg: ProtoMsg) {
+        NodeApi::send(self, to, msg);
+    }
+
+    fn multicast(&mut self, to: TargetSet, msg: ProtoMsg) {
+        self.multicast_set(to, msg);
+    }
 }
 
 impl Node<ProtoMsg> for NsNode {
     fn on_message(&mut self, env: Envelope<ProtoMsg>, api: &mut NodeApi<'_, ProtoMsg>) {
-        match env.msg {
-            ProtoMsg::DoPost {
-                port,
-                addr,
-                stamp,
-                targets,
-            } => {
-                api.multicast_set(targets, ProtoMsg::Post { port, addr, stamp });
-            }
-            ProtoMsg::DoUnpost {
-                port,
-                addr,
-                stamp,
-                targets,
-            } => {
-                api.multicast_set(targets, ProtoMsg::Unpost { port, addr, stamp });
-            }
-            ProtoMsg::DoLocate {
-                port,
-                locate_id,
-                targets,
-            } => {
-                self.pending.insert(
-                    locate_id,
-                    Pending {
-                        expected: targets.len(),
-                        issued_at: api.now(),
-                        ..Pending::default()
-                    },
-                );
-                api.multicast_set(
-                    targets,
-                    ProtoMsg::Query {
-                        port,
-                        reply_to: api.me(),
-                        locate_id,
-                    },
-                );
-            }
-            ProtoMsg::DoRequest {
-                port,
-                addr,
-                body,
-                request_id,
-            } => {
-                api.send(
-                    addr,
-                    ProtoMsg::Request {
-                        port,
-                        reply_to: api.me(),
-                        body,
-                        request_id,
-                    },
-                );
-            }
-            ProtoMsg::Post { port, addr, stamp } => match self.fault {
-                // broken storage: the posting is silently lost
-                FaultProfile::DropPosts => {}
-                // pin the first posting; later (fresher) posts are ignored
-                FaultProfile::StaleAddress => {
-                    if self.cache.lookup(port).is_none() {
-                        self.cache.insert(port, addr, stamp);
-                    }
-                }
-                _ => {
-                    self.cache.insert(port, addr, stamp);
-                }
-            },
-            ProtoMsg::Unpost { port, stamp, .. } => {
-                if !matches!(
-                    self.fault,
-                    FaultProfile::DropPosts | FaultProfile::StaleAddress
-                ) {
-                    self.cache.remove(port, stamp);
-                }
-            }
-            ProtoMsg::Query {
-                port,
-                reply_to,
-                locate_id,
-            } => {
-                let at = api.me();
-                match self.fault {
-                    // forge a hit for every port, stamped to out-bid honesty
-                    FaultProfile::ForgedAddress => api.send(
-                        reply_to,
-                        ProtoMsg::Hit {
-                            port,
-                            addr: at,
-                            stamp: FORGED_STAMP,
-                            locate_id,
-                            at,
-                        },
-                    ),
-                    FaultProfile::RefuseMatch => {
-                        api.send(reply_to, ProtoMsg::Miss { port, locate_id })
-                    }
-                    _ => match self.cache.lookup(port) {
-                        Some(e) => api.send(
-                            reply_to,
-                            ProtoMsg::Hit {
-                                port,
-                                addr: e.addr,
-                                stamp: e.stamp,
-                                locate_id,
-                                at,
-                            },
-                        ),
-                        None => api.send(reply_to, ProtoMsg::Miss { port, locate_id }),
-                    },
-                }
-            }
-            ProtoMsg::Hit {
-                addr,
-                stamp,
-                locate_id,
-                at,
-                ..
-            } => {
-                if let Some(p) = self.pending.get_mut(&locate_id) {
-                    p.answers.push((at, addr, stamp));
-                    if p.answers.len() + p.misses == p.expected {
-                        p.completed_at = Some(api.now());
-                    }
-                }
-            }
-            ProtoMsg::Miss { locate_id, .. } => {
-                if let Some(p) = self.pending.get_mut(&locate_id) {
-                    p.misses += 1;
-                    if p.answers.len() + p.misses == p.expected {
-                        p.completed_at = Some(api.now());
-                    }
-                }
-            }
-            ProtoMsg::Request {
-                port,
-                reply_to,
-                body,
-                request_id,
-            } => {
-                if self.served.contains(&port) {
-                    api.send(
-                        reply_to,
-                        ProtoMsg::Reply {
-                            port,
-                            // a trivially checkable service: echo body + 1
-                            body: body.wrapping_add(1),
-                            request_id,
-                        },
-                    );
-                } else {
-                    api.send(reply_to, ProtoMsg::NotHere { port, request_id });
-                }
-            }
-            ProtoMsg::Reply {
-                body, request_id, ..
-            } => {
-                if let Some((issued, slot)) = self.requests.get_mut(&request_id) {
-                    *slot = Some(RequestOutcome::Replied {
-                        body,
-                        elapsed: api.now() - *issued,
-                    });
-                }
-            }
-            ProtoMsg::NotHere { request_id, .. } => {
-                if let Some((_, slot)) = self.requests.get_mut(&request_id) {
-                    *slot = Some(RequestOutcome::StaleAddress);
-                }
-            }
-        }
+        self.handle(api.me(), env.msg, api.now(), api);
     }
 }
 
@@ -358,43 +84,22 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     ///
     /// Panics if the resolver's universe size differs from the graph's.
     pub fn new(graph: Graph, resolver: PM, cost_model: CostModel) -> Self {
-        Self::with_queue(graph, resolver, cost_model, QueueKind::Calendar)
+        Self::with_router(
+            graph,
+            resolver,
+            cost_model,
+            QueueKind::Calendar,
+            ShardMode::Single,
+            RouterKind::Auto,
+        )
     }
 
-    /// Builds an engine with an explicit simulator event-queue
-    /// implementation (see [`QueueKind`]); used by the determinism suite
-    /// to cross-check the calendar queue against the `BTreeMap` oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolver's universe size differs from the graph's.
-    pub fn with_queue(graph: Graph, resolver: PM, cost_model: CostModel, kind: QueueKind) -> Self {
-        Self::with_shards(graph, resolver, cost_model, kind, ShardMode::Single)
-    }
-
-    /// Builds an engine on an explicit execution core (see [`ShardMode`]).
-    /// `ProtoMsg` and `NsNode` are `Send` (plain data plus `TargetSet`,
-    /// whose sharing is an atomically refcounted `Arc`), so protocol state
-    /// may migrate to the sharded core's worker threads; output stays
-    /// byte-identical to [`ShardMode::Single`] by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolver's universe size differs from the graph's.
-    pub fn with_shards(
-        graph: Graph,
-        resolver: PM,
-        cost_model: CostModel,
-        kind: QueueKind,
-        mode: ShardMode,
-    ) -> Self {
-        Self::with_router(graph, resolver, cost_model, kind, mode, RouterKind::Auto)
-    }
-
-    /// Builds an engine with an explicit routing backend on top of the
-    /// queue and core choices (see [`RouterKind`]). All three axes are
-    /// output-invariant; the conformance suite uses this to pit analytic
-    /// routers against the table oracle.
+    /// Builds an engine with every execution axis explicit: the event
+    /// queue ([`QueueKind`]), the core ([`ShardMode`] — `ProtoMsg` and
+    /// `NsNode` are `Send`, so protocol state may migrate to the sharded
+    /// core's worker threads) and the routing backend ([`RouterKind`]).
+    /// All three are output-invariant; the determinism and conformance
+    /// suites use this to pit each optimized path against its oracle.
     ///
     /// # Panics
     ///
@@ -524,27 +229,26 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     /// Issues a locate for `port` from `client`; run the engine, then read
     /// the result with [`ShotgunEngine::outcome`].
     pub fn locate(&mut self, client: NodeId, port: Port) -> LocateHandle {
-        let id = self.next_locate;
-        self.next_locate += 1;
         let targets = self.interner.query_set(&self.resolver, client, port);
-        self.sim.inject(
-            client,
-            client,
-            ProtoMsg::DoLocate {
-                port,
-                locate_id: id,
-                targets,
-            },
-        );
-        LocateHandle { client, id }
+        self.issue_locate(client, port, targets)
     }
 
     /// Issues a locate querying an explicit target set (used by Hash
     /// Locate's rehash retries).
     pub fn locate_at(&mut self, client: NodeId, port: Port, targets: Vec<NodeId>) -> LocateHandle {
-        let targets = TargetSet::from_vec(targets);
+        self.issue_locate(client, port, TargetSet::from_vec(targets))
+    }
+
+    /// The client's record opens here, at issue, so that a locate whose
+    /// fan-out command is lost (the client crashed this very tick) still
+    /// reports what it asked for and never heard back.
+    fn issue_locate(&mut self, client: NodeId, port: Port, targets: TargetSet) -> LocateHandle {
         let id = self.next_locate;
         self.next_locate += 1;
+        let now = self.sim.now();
+        self.sim
+            .node_mut(client)
+            .begin_locate(id, targets.len(), now);
         self.sim.inject(
             client,
             client,
@@ -564,7 +268,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
         let id = self.next_request;
         self.next_request += 1;
         let now = self.sim.now();
-        self.sim.node_mut(client).requests.insert(id, (now, None));
+        self.sim.node_mut(client).begin_request(id, now);
         self.sim.inject(
             client,
             client,
@@ -597,58 +301,21 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
         self.sim.now()
     }
 
-    /// The current state of a locate operation.
-    ///
-    /// A handle whose issue message was lost — the client crashed in the
-    /// same tick it called [`locate`](Self::locate), so the self-delivered
-    /// `DoLocate` was dropped before the pending record existed — reports
-    /// as permanently [`LocateOutcome::Unresolved`]; the caller's
-    /// operation timeout classifies it.
+    /// The current state of a locate operation. A locate whose client
+    /// crashed before fanning out stays [`LocateOutcome::Unresolved`] with
+    /// its whole query set missing; the caller's operation timeout
+    /// classifies it. A handle this engine never issued reads as a locate
+    /// that asked nobody.
     pub fn outcome(&self, h: LocateHandle) -> LocateOutcome {
-        let node = self.sim.node(h.client);
-        let Some(p) = node.pending.get(&h.id) else {
-            return LocateOutcome::Unresolved {
-                hits: 0,
-                misses: 0,
-                missing: 0,
-                best: None,
-                dissent: 0,
-            };
-        };
-        match p.completed_at {
-            Some(done) => match p.best() {
-                Some((addr, stamp)) => {
-                    let mut meets: Vec<NodeId> = p.answers.iter().map(|a| a.0).collect();
-                    meets.sort_unstable();
-                    LocateOutcome::Found {
-                        addr,
-                        stamp,
-                        elapsed: done - p.issued_at,
-                        meets,
-                        dissent: p.dissent(),
-                    }
-                }
-                None => LocateOutcome::NotFound {
-                    elapsed: done - p.issued_at,
-                },
-            },
-            None => LocateOutcome::Unresolved {
-                hits: p.answers.len(),
-                misses: p.misses,
-                missing: p.expected - p.answers.len() - p.misses,
-                best: p.best(),
-                dissent: p.dissent(),
-            },
-        }
+        self.sim
+            .node(h.client)
+            .locate_outcome(h.id)
+            .unwrap_or(LocateOutcome::unanswered(0))
     }
 
     /// The outcome of an application request, if the reply arrived.
     pub fn request_outcome(&self, client: NodeId, id: u64) -> Option<RequestOutcome> {
-        self.sim
-            .node(client)
-            .requests
-            .get(&id)
-            .and_then(|(_, o)| *o)
+        self.sim.node(client).request_outcome(id)
     }
 
     /// Crashes a node (it keeps no cache and answers nothing).
@@ -679,6 +346,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FORGED_STAMP;
     use mm_core::strategies::{Broadcast, Checkerboard};
     use mm_topo::gen;
 
@@ -925,5 +593,26 @@ mod tests {
             run(CostModel::Hops) > run(CostModel::Uniform),
             "store-and-forward overhead must show up on a ring"
         );
+    }
+
+    /// Regression (drift between the hosts): a locate over an empty query
+    /// set used to stay `Unresolved { missing: 0 }` forever here while the
+    /// threaded host reported `NotFound`, and a locate issued at a crashed
+    /// client reported nothing missing here and `|Q|` there.
+    #[test]
+    fn empty_query_set_and_crashed_client_match_the_threaded_host() {
+        let n = 16;
+        let mut eng =
+            ShotgunEngine::new(gen::complete(n), Checkerboard::new(n), CostModel::Uniform);
+        let p = port("svc");
+        let client = NodeId::new(9);
+        let h = eng.locate_at(client, p, vec![]);
+        eng.run();
+        assert_eq!(eng.outcome(h), LocateOutcome::NotFound { elapsed: 0 });
+        let q = mm_core::Strategy::query_count(eng.resolver(), client);
+        eng.crash(client);
+        let h = eng.locate(client, p);
+        eng.run();
+        assert_eq!(eng.outcome(h), LocateOutcome::unanswered(q));
     }
 }

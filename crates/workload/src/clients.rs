@@ -1,4 +1,4 @@
-//! The closed-loop client pool shared by **both** workload runtimes.
+//! The closed-loop client pool.
 //!
 //! Open-loop arrivals (the historical mode) issue every offered operation
 //! the tick it arrives, so overload only ever shows up as unresolved
@@ -14,17 +14,16 @@
 //!
 //! # Determinism contract
 //!
-//! The pool is the *single* decision layer for closed-loop runs, used
-//! verbatim by the simulator runner and the live threaded runner. All
-//! randomness (the dispatched operation's client node and port, the think
+//! The pool is the *single* decision layer for closed-loop runs, whatever
+//! runtime executes them. All randomness (the dispatched operation's client node and port, the think
 //! pause) is drawn inside [`ClientPool::service`] in slot-index order at
 //! canonical virtual times, so both runtimes consume the spec's RNG in
 //! exactly the same order — the same contract [`crate::timeline`]
-//! establishes for the open-loop path. The runtime-specific part (actually
-//! issuing a locate and producing its verdict) hides behind [`OpDriver`];
-//! the simulator driver reports the engine's real issue→verdict elapsed,
-//! the live driver reports the uniform-cost model's deterministic elapsed,
-//! and on churn-free scenarios the two are provably identical — which is
+//! establishes for the open-loop path. Actually issuing a locate and
+//! producing its verdict hides behind [`OpDriver`]; the simulator reports
+//! the engine's real issue→verdict elapsed, the thread network the
+//! uniform-cost model's deterministic elapsed, and on churn-free
+//! scenarios the two are provably identical — which is
 //! what lets `tests/live_workload_equivalence.rs` assert byte-equal
 //! latency percentiles across the runtimes.
 

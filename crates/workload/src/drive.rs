@@ -17,9 +17,9 @@
 
 use crate::report::ScenarioReport;
 use crate::runner::ScenarioRunner;
+use crate::runtime::{LiveRuntime, Runtime};
 use crate::scenarios;
 use crate::spec::{ClientModel, Workload};
-use crate::LiveScenarioRunner;
 use mm_core::robust::Replicated;
 use mm_core::strategies::{Broadcast, Checkerboard, HashLocate, PortMapped};
 use mm_obs::{TraceConfig, TraceFile};
@@ -348,39 +348,25 @@ pub fn run_traced(
     cfg: &RunConfig,
     obs: &ObsOptions,
 ) -> Result<(ScenarioReport, Option<TraceFile>), String> {
-    match cfg.runtime {
-        RuntimeKind::Sim => run_sim(cfg, obs),
-        RuntimeKind::Live => run_live(cfg, obs),
-    }
-}
-
-/// Runs one configuration to its report with observability off.
-pub fn run(cfg: &RunConfig) -> Result<ScenarioReport, String> {
-    run_traced(cfg, &ObsOptions::default()).map(|(report, _)| report)
-}
-
-/// Serializes reports exactly as the `scenarios` binary prints them: a
-/// JSON array (even for one run) terminated by a newline. Campaign
-/// per-run files go through this function so `cmp run.json <(scenarios …)`
-/// holds byte for byte.
-pub fn reports_to_json(reports: &[ScenarioReport], pretty: bool) -> String {
-    let json = if pretty {
-        serde_json::to_string_pretty(&reports)
-    } else {
-        serde_json::to_string(&reports)
-    }
-    .expect("reports always serialize");
-    format!("{json}\n")
-}
-
-fn run_sim(
-    cfg: &RunConfig,
-    obs: &ObsOptions,
-) -> Result<(ScenarioReport, Option<TraceFile>), String> {
-    let graph = build_graph(&cfg.topology, cfg.n, cfg.cost, cfg.router)?;
+    // the simulator runs on a graph; the thread network is its own
+    let graph = match cfg.runtime {
+        RuntimeKind::Sim => Some(build_graph(&cfg.topology, cfg.n, cfg.cost, cfg.router)?),
+        RuntimeKind::Live => {
+            if cfg.topology != "complete" || cfg.cost != CostModel::Uniform {
+                return Err("the live runtime is a complete network under uniform cost".into());
+            }
+            if cfg.n > LIVE_THREAD_LIMIT {
+                return Err(format!(
+                    "the live runtime spawns one thread per node; n = {} exceeds the limit {LIVE_THREAD_LIMIT}",
+                    cfg.n
+                ));
+            }
+            None
+        }
+    };
     // the grid topology may round n up; size the workload (churn widths
     // etc.) from the node count actually run, not the requested one
-    let n = graph.node_count();
+    let n = graph.as_ref().map_or(cfg.n, Graph::node_count);
     let spec = build_spec(cfg, n)?;
     let r = replication_factor(cfg, n)?;
     match (cfg.strategy.as_str(), r) {
@@ -411,90 +397,63 @@ fn run_sim(
     }
 }
 
-fn run_live(
-    cfg: &RunConfig,
-    obs: &ObsOptions,
-) -> Result<(ScenarioReport, Option<TraceFile>), String> {
-    if cfg.topology != "complete" || cfg.cost != CostModel::Uniform {
-        return Err("the live runtime is a complete network under uniform cost".into());
-    }
-    if cfg.n > LIVE_THREAD_LIMIT {
-        return Err(format!(
-            "the live runtime spawns one thread per node; n = {} exceeds the limit {LIVE_THREAD_LIMIT}",
-            cfg.n
-        ));
-    }
-    let n = cfg.n;
-    let spec = build_spec(cfg, n)?;
-    let r = replication_factor(cfg, n)?;
-    match (cfg.strategy.as_str(), r) {
-        ("checkerboard", 1) => {
-            run_spec_live(spec, n, Checkerboard::new(n), cfg, obs, "checkerboard")
-        }
-        ("checkerboard", _) => {
-            let s = Replicated::new(Checkerboard::new(n), r);
-            run_spec_live(spec, n, s, cfg, obs, &format!("checkerboard-r{r}"))
-        }
-        ("broadcast", 1) => run_spec_live(spec, n, Broadcast::new(n), cfg, obs, "broadcast"),
-        ("broadcast", _) => {
-            let s = Replicated::new(Broadcast::new(n), r);
-            run_spec_live(spec, n, s, cfg, obs, &format!("broadcast-r{r}"))
-        }
-        ("hash", 1) => run_spec_live(spec, n, HashLocate::new(n, 3.min(n)), cfg, obs, "hash"),
-        ("hash", _) => run_spec_live(
-            spec,
-            n,
-            HashLocate::new(n, r),
-            cfg,
-            obs,
-            &format!("hash-r{r}"),
-        ),
-        (other, _) => Err(format!("unknown strategy `{other}`")),
-    }
+/// Runs one configuration to its report with observability off.
+pub fn run(cfg: &RunConfig) -> Result<ScenarioReport, String> {
+    run_traced(cfg, &ObsOptions::default()).map(|(report, _)| report)
 }
 
+/// Serializes reports exactly as the `scenarios` binary prints them: a
+/// JSON array (even for one run) terminated by a newline. Campaign
+/// per-run files go through this function so `cmp run.json <(scenarios …)`
+/// holds byte for byte.
+pub fn reports_to_json(reports: &[ScenarioReport], pretty: bool) -> String {
+    let json = if pretty {
+        serde_json::to_string_pretty(&reports)
+    } else {
+        serde_json::to_string(&reports)
+    }
+    .expect("reports always serialize");
+    format!("{json}\n")
+}
+
+/// Builds the runtime the config selects — the simulator over `graph`, or
+/// (no graph) a thread per node — and runs `spec` on it.
 fn run_spec<PM: PortMapped>(
     spec: Workload,
-    graph: Graph,
+    graph: Option<Graph>,
     resolver: PM,
     cfg: &RunConfig,
     obs: &ObsOptions,
     label: &str,
 ) -> Result<(ScenarioReport, Option<TraceFile>), String> {
-    let mut runner = ScenarioRunner::with_router(
-        spec,
-        graph,
-        resolver,
-        cfg.cost,
-        label,
-        cfg.queue,
-        cfg.shard_mode(),
-        cfg.router,
-    );
-    if let Some(trace) = obs.trace {
-        runner.set_trace(trace);
+    match graph {
+        Some(graph) => run_on(
+            ScenarioRunner::with_router(
+                spec,
+                graph,
+                resolver,
+                cfg.cost,
+                label,
+                cfg.queue,
+                cfg.shard_mode(),
+                cfg.router,
+            ),
+            cfg,
+            obs,
+        ),
+        None => run_on(
+            ScenarioRunner::over(spec, LiveRuntime::new(cfg.n, resolver), label),
+            cfg,
+            obs,
+        ),
     }
-    if obs.obs {
-        runner.enable_obs();
-    }
-    if obs.throughput {
-        runner.enable_throughput();
-    }
-    if cfg.replication > 0 {
-        runner.enable_robustness(cfg.replication + 1);
-    }
-    Ok(runner.run_traced())
 }
 
-fn run_spec_live<PM: PortMapped>(
-    spec: Workload,
-    n: usize,
-    resolver: PM,
+fn run_on<R: Runtime>(
+    mut runner: ScenarioRunner<R>,
     cfg: &RunConfig,
     obs: &ObsOptions,
-    label: &str,
 ) -> Result<(ScenarioReport, Option<TraceFile>), String> {
-    let mut runner = LiveScenarioRunner::new(spec, n, resolver, label);
     if let Some(trace) = obs.trace {
         runner.set_trace(trace);
     }

@@ -1,32 +1,42 @@
-//! Shared observability glue for both runtimes: the virtual-timing law,
-//! causal span-tree emission for post/locate/request operations, and
+//! The runner's observability glue: the virtual-timing law, causal
+//! span-tree emission for post/locate/request operations, and
 //! metrics-registry feeding.
 //!
-//! [`crate::runner::ScenarioRunner`] and
-//! [`crate::live_runner::LiveScenarioRunner`] call these helpers with the
-//! same arguments in the same dispatch order, so a trace of a churn-free
-//! spec is **byte-identical** across the runtimes (and across event-queue
-//! implementations) at equal seeds — the simulator emits spans at
-//! classification time and the live runtime at issue time, but every
-//! field is computed from spec-level state (virtual ticks, target sets,
-//! meets) rather than engine clocks, and [`mm_obs::Tracer::finish`]
+//! A trace of a churn-free spec is **byte-identical** across the runtimes
+//! (and across event-queue implementations) at equal seeds: every field
+//! is computed from spec-level state (virtual ticks, target sets, meets)
+//! rather than runtime clocks, and [`mm_obs::Tracer::finish`]
 //! canonicalizes the order.
 
 use crate::report::LocateVerdict;
 use mm_obs::{Registry, SpanRecord, TraceFile, TraceHeader, Tracer, TRACE_VERSION};
-use mm_sim::SimTime;
+use mm_sim::{SimTime, TargetSet};
 use mm_topo::NodeId;
 
-/// The uniform-cost virtual-elapsed law shared by both runtimes: a query
-/// set containing only the client itself costs 0 ticks (free local
-/// delivery), any remote fan-out completes when the slowest reply lands
-/// at issue + 2 (query tick + reply tick), and an unresolved operation
-/// burns the full client timeout.
-pub(crate) fn virtual_elapsed(solo: bool, verdict: LocateVerdict, op_timeout: SimTime) -> u64 {
+/// Ticks a fully answered locate takes under uniform cost: a query set
+/// containing only the client itself costs 0 (free local delivery), any
+/// remote fan-out completes when the slowest reply lands at issue + 2
+/// (query tick + reply tick).
+pub(crate) fn uniform_round_trip(targets: &TargetSet, client: NodeId) -> SimTime {
+    if targets.len() == 1 && targets.contains(client) {
+        0
+    } else {
+        2
+    }
+}
+
+/// The uniform-cost virtual-elapsed law every trace is stamped with,
+/// whatever the runtime: [`uniform_round_trip`] for a decided locate, the
+/// full client timeout for an unresolved one.
+pub(crate) fn virtual_elapsed(
+    targets: &TargetSet,
+    client: NodeId,
+    verdict: LocateVerdict,
+    op_timeout: SimTime,
+) -> u64 {
     match verdict {
         LocateVerdict::Unresolved => op_timeout,
-        _ if solo => 0,
-        _ => 2,
+        _ => uniform_round_trip(targets, client),
     }
 }
 

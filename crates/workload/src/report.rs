@@ -1,14 +1,13 @@
-//! Report structs and builders shared by **both** workload runtimes.
+//! Report structs and builders.
 //!
-//! The simulator runner ([`crate::runner::ScenarioRunner`]) and the live
-//! threaded runner ([`crate::live_runner::LiveScenarioRunner`]) emit the
-//! same JSON schema from the same code: per-phase [`PhaseReport`]s built
-//! by [`build_phase_report`] out of an operation-accumulator ([`Acc`]) and
-//! an [`mm_sim::Metrics`] delta. That shared path is what makes the
-//! cross-runtime conformance suite meaningful — any field that diverges
-//! reflects the runtimes, not the serializers.
+//! [`crate::runner::ScenarioRunner`] emits one JSON schema whatever
+//! [`crate::Runtime`] it drives: per-phase [`PhaseReport`]s built by
+//! [`build_phase_report`] out of an operation-accumulator ([`Acc`]) and
+//! an [`mm_sim::Metrics`] delta — so any field that diverges between the
+//! simulator and the thread network reflects the runtimes, not the
+//! serializers.
 //!
-//! Runners also keep a per-operation [`LocateRecord`] log. Records are
+//! The runner also keeps a per-operation [`LocateRecord`] log. Records are
 //! keyed by *arrival index* (the position in the spec's deterministic
 //! arrival sequence), so the differential tests can compare verdicts
 //! operation by operation across runtimes regardless of how phase

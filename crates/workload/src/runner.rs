@@ -1,19 +1,20 @@
-//! The simulator-backed scenario runner: compiles a [`Workload`] into
-//! simulator injections and drives a [`ServiceNet`]/[`ShotgunEngine`]
-//! open-loop to the horizon.
+//! The scenario runner: compiles a [`Workload`] into operations against a
+//! [`Runtime`] and drives it open-loop to the horizon.
 //!
-//! The runner is the missing layer between the protocols and the
-//! benchmarks: the paper (and the E1–E18 harness) measures one locate at a
-//! time on an otherwise silent network, while [`ScenarioRunner`] sustains
-//! concurrent load — arrivals do not wait for earlier operations, churn
-//! fires on schedule, and servers refresh their postings while clients
-//! keep querying. Per-[`crate::Phase`] metrics come out as
-//! [`PhaseReport`]s (throughput, passes per locate, hit rate, node-load
-//! percentiles, staleness recoveries), byte-identically reproducible for
-//! equal seeds. The same specs run unchanged on the threaded runtime via
-//! [`crate::live_runner::LiveScenarioRunner`]; the report schema and the
-//! timeline compilation are shared ([`crate::report`],
-//! [`crate::timeline`]) so the two runtimes are differential-testable.
+//! The runner is the layer between the protocols and the benchmarks: the
+//! paper (and the E1–E18 harness) measures one locate at a time on an
+//! otherwise silent network, while [`ScenarioRunner`] sustains concurrent
+//! load — arrivals do not wait for earlier operations, churn fires on
+//! schedule, and servers refresh their postings while clients keep
+//! querying. Per-[`crate::Phase`] metrics come out as [`PhaseReport`]s
+//! (throughput, passes per locate, hit rate, node-load percentiles,
+//! staleness recoveries), byte-identically reproducible for equal seeds.
+//!
+//! There is one runner. What executes the protocol — the `mm-sim` event
+//! queue or a network of OS threads — sits behind the [`Runtime`] seam
+//! ([`crate::runtime`]), and the runner never asks which: it consumes the
+//! spec's RNG, allocates trace ids and walks the timeline in one order,
+//! which is what makes the runtimes differential-testable.
 
 use crate::clients::{ClientPool, OpDriver};
 use crate::observe::{
@@ -22,19 +23,18 @@ use crate::observe::{
 };
 use crate::report::{
     build_closed_loop, build_phase_report, classify_hit, predict_passes_per_locate, Acc,
-    RobustnessReport,
+    RobustnessReport, WindowReport,
 };
+use crate::runtime::{Issued, Runtime};
 use crate::spec::{ChurnAction, Workload};
 use crate::timeline::{draw_arrival, resolve_churn, Event, ResolvedChurn, Timeline};
 use crate::traffic::PopularitySampler;
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
 use mm_obs::{Registry, TraceConfig, TraceFile, Tracer, HIST_BUCKETS};
-use mm_proto::service::ServiceNet;
-use mm_proto::shotgun::RequestOutcome;
-use mm_proto::{FaultProfile, LocateHandle, LocateOutcome, ShotgunEngine};
-use mm_sim::{CostModel, QueueKind, RouterKind, ShardMode, SimTime};
-use mm_topo::{Graph, NodeId, Router as _};
+use mm_proto::{FaultProfile, LocateHandle, LocateOutcome, RequestOutcome, ShotgunEngine};
+use mm_sim::{CostModel, Metrics, QueueKind, RouterKind, ShardMode, SimTime};
+use mm_topo::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -43,12 +43,20 @@ use std::time::Instant;
 pub use crate::report::{LocateRecord, LocateVerdict, PhaseReport, ScenarioReport};
 
 /// An in-flight client operation awaiting its verdict.
-#[derive(Debug)]
-enum Op {
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    issued_at: SimTime,
+    /// The runtime settled it at issue: an unresolved locate or an
+    /// unanswered request is final, not a reason to wait for the timeout.
+    settled: bool,
+    kind: OpKind,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum OpKind {
     Locate {
         handle: LocateHandle,
         port_idx: usize,
-        issued_at: SimTime,
         /// Position in the deterministic arrival sequence; `None` for
         /// stale-recovery retries (which are timing-dependent and thus
         /// excluded from the cross-runtime operation log).
@@ -63,19 +71,18 @@ enum Op {
         client: NodeId,
         request_id: u64,
         port_idx: usize,
-        issued_at: SimTime,
         /// This request follows a stale-retry locate; don't retry again.
         after_retry: bool,
     },
 }
 
-/// The simulator's [`OpDriver`]: issues locates into the engine and polls
-/// their outcomes, translating engine time (offset by `t0`) to the spec's
-/// virtual clock. The engine reports the *exact* completion tick
+/// The closed-loop pool's [`OpDriver`]: issues locates into the runtime
+/// and polls their outcomes, translating runtime time (offset by `t0`) to
+/// the spec's virtual clock. Outcomes carry the *exact* completion tick
 /// (`issued + elapsed`), so per-tick polling never skews latency
 /// accounting.
-struct SimDriver<'a, PM: PortMapped> {
-    net: &'a mut ServiceNet<PM>,
+struct Driver<'a, R: Runtime> {
+    rt: &'a mut R,
     ports: &'a [Port],
     homes: &'a [NodeId],
     /// Byzantine ground truth: `liars[v]` iff node `v` forges addresses.
@@ -87,24 +94,34 @@ struct SimDriver<'a, PM: PortMapped> {
     op_timeout: SimTime,
     tracer: &'a mut Option<Tracer>,
     registry: &'a mut Option<Registry>,
-    /// Observability side table, engine locate id → (trace id, port
-    /// index). The pool polls without the port, and the simulator only
-    /// learns the verdict at poll time, so dispatch-time facts ride here
-    /// until the unique successful poll emits the spans.
+    /// Observability side table, locate id → (trace id, port index). The
+    /// pool polls without the port, and the verdict is only read at poll
+    /// time, so dispatch-time facts ride here until the unique successful
+    /// poll emits the spans.
     traced: &'a mut HashMap<u64, (Option<u64>, usize)>,
 }
 
-impl<PM: PortMapped> OpDriver for SimDriver<'_, PM> {
-    fn issue(&mut self, _now: SimTime, client: NodeId, port_idx: usize) -> (u64, Option<SimTime>) {
-        let handle = self.net.engine_mut().locate(client, self.ports[port_idx]);
+impl<R: Runtime> OpDriver for Driver<'_, R> {
+    fn issue(&mut self, now: SimTime, client: NodeId, port_idx: usize) -> (u64, Option<SimTime>) {
+        let Issued {
+            token: handle,
+            settled,
+        } = self.rt.locate(client, self.ports[port_idx]);
         if self.tracer.is_some() || self.registry.is_some() {
-            // allocated inside the shared pool code path, so the live
-            // driver allocates the identical id for the identical attempt
+            // allocated inside the shared pool code path, so every runtime
+            // allocates the identical id for the identical attempt
             let trace = self.tracer.as_mut().map(Tracer::next_trace_id);
             self.traced.insert(handle.id, (trace, port_idx));
         }
-        // no wake-up hint: the verdict tick is only knowable by polling
-        (handle.id, None)
+        // a settled operation's verdict tick is known now; otherwise it
+        // is only knowable by polling
+        let hint = settled.then(|| match self.rt.locate_outcome(handle) {
+            LocateOutcome::Found { elapsed, .. } | LocateOutcome::NotFound { elapsed } => {
+                now + elapsed
+            }
+            LocateOutcome::Unresolved { .. } => now + self.op_timeout,
+        });
+        (handle.id, hint)
     }
 
     fn poll(
@@ -117,11 +134,8 @@ impl<PM: PortMapped> OpDriver for SimDriver<'_, PM> {
     ) -> Option<(LocateVerdict, Option<NodeId>, SimTime)> {
         // idempotent: make sure every event due at `now` has executed
         // (an operation issued this tick may complete this tick)
-        self.net.engine_mut().run_until(self.t0 + now);
-        let outcome = self
-            .net
-            .engine()
-            .outcome(LocateHandle { client, id: token });
+        self.rt.advance(self.t0 + now);
+        let outcome = self.rt.locate_outcome(LocateHandle { client, id: token });
         let (result, meets) = match outcome {
             LocateOutcome::Found {
                 addr,
@@ -156,11 +170,7 @@ impl<PM: PortMapped> OpDriver for SimDriver<'_, PM> {
         if let Some((verdict, _, completed)) = result {
             // the pool reads each verdict exactly once; emit here
             if let Some((trace, port_idx)) = self.traced.remove(&token) {
-                let targets = self
-                    .net
-                    .engine_mut()
-                    .query_targets(client, self.ports[port_idx]);
-                let solo = targets.len() == 1 && targets.contains(client);
+                let targets = self.rt.query_targets(client, self.ports[port_idx]);
                 // a salvaged verdict waited out the full timeout; the
                 // virtual law only knows decisive completions
                 let elapsed = if completed - issued >= self.op_timeout
@@ -168,7 +178,7 @@ impl<PM: PortMapped> OpDriver for SimDriver<'_, PM> {
                 {
                     self.op_timeout
                 } else {
-                    virtual_elapsed(solo, verdict, self.op_timeout)
+                    virtual_elapsed(&targets, client, verdict, self.op_timeout)
                 };
                 if let Some(reg) = self.registry.as_mut() {
                     observe_locate(reg, verdict, elapsed, targets.len(), meets.len());
@@ -188,11 +198,21 @@ impl<PM: PortMapped> OpDriver for SimDriver<'_, PM> {
     }
 }
 
-/// Drives one [`Workload`] against one `topology × strategy × cost model`
-/// instance and produces a [`ScenarioReport`].
+/// What a phase's report is measured against, captured as it opens.
+struct PhaseStart {
+    before: Metrics,
+    wall: Instant,
+    /// Cumulative queue-depth histogram, when the registry wants the
+    /// phase's delta and the runtime has a queue to sample.
+    queue_depth: Option<[u64; HIST_BUCKETS]>,
+}
+
+/// Drives one [`Workload`] against one [`Runtime`] — a `topology ×
+/// strategy × cost model` instance on the simulator, or a network of
+/// threads — and produces a [`ScenarioReport`].
 #[derive(Debug)]
-pub struct ScenarioRunner<PM: PortMapped> {
-    net: ServiceNet<PM>,
+pub struct ScenarioRunner<R: Runtime> {
+    rt: R,
     spec: Workload,
     rng: StdRng,
     sampler: PopularitySampler,
@@ -200,7 +220,7 @@ pub struct ScenarioRunner<PM: PortMapped> {
     ports: Vec<Port>,
     /// Current true server address per port.
     homes: Vec<NodeId>,
-    /// Runner-side crash view (mirrors the simulator).
+    /// Runner-side crash view (mirrors the runtime's).
     crashed: Vec<bool>,
     /// Byzantine ground truth for verdict classification: `liars[v]` iff
     /// the spec gives node `v` a forging fault profile.
@@ -219,18 +239,13 @@ pub struct ScenarioRunner<PM: PortMapped> {
     /// Per-operation verdict log for the cross-runtime conformance suite.
     op_log: Vec<LocateRecord>,
     next_arrival: u64,
-    /// Offset between spec-relative time and simulator time (setup
-    /// posting settles during the offset window).
+    /// Offset between spec-relative time and runtime time (setup posting
+    /// settles during the offset window).
     t0: SimTime,
-    /// Client timeout actually used: the spec's `op_timeout` under the
-    /// uniform cost model, stretched to cover a store-and-forward
-    /// round trip (≈ 2·diameter) under [`CostModel::Hops`] — otherwise
-    /// healthy slow answers on sparse topologies would be misreported
-    /// as unresolved.
+    /// Client timeout actually used: the spec's `op_timeout` as the
+    /// runtime stretches it (see [`Runtime::op_timeout`]).
     op_timeout: SimTime,
     strategy: String,
-    topology: String,
-    cost_label: String,
     /// Deterministic causal tracer (`None` = tracing off, the default).
     tracer: Option<Tracer>,
     /// Metrics registry (`None` = observability off, the default).
@@ -239,13 +254,14 @@ pub struct ScenarioRunner<PM: PortMapped> {
     wallclock: bool,
     /// Echo of the trace config's sampling rate for the file header.
     sample_rate: f64,
-    /// Closed-loop observability side table (see [`SimDriver::traced`]).
+    /// Closed-loop observability side table (see [`Driver::traced`]).
     traced: HashMap<u64, (Option<u64>, usize)>,
 }
 
-impl<PM: PortMapped> ScenarioRunner<PM> {
-    /// Builds a runner for `spec` over `graph` with `resolver` as the
-    /// match-making strategy. `strategy` is the label echoed in reports.
+impl<PM: PortMapped> ScenarioRunner<ShotgunEngine<PM>> {
+    /// Builds a simulator-backed runner for `spec` over `graph` with
+    /// `resolver` as the match-making strategy, on the default execution
+    /// axes. `strategy` is the label echoed in reports.
     ///
     /// # Panics
     ///
@@ -258,79 +274,24 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         cost_model: CostModel,
         strategy: &str,
     ) -> Self {
-        Self::with_queue(
-            spec,
-            graph,
-            resolver,
-            cost_model,
-            strategy,
-            QueueKind::Calendar,
-        )
-    }
-
-    /// Like [`ScenarioRunner::new`] with an explicit simulator event-queue
-    /// implementation — the determinism suite runs the same scenario
-    /// through the calendar queue and the `BTreeMap` reference and
-    /// asserts byte-identical reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`Workload::validate`] or the resolver
-    /// universe differs from the graph size.
-    pub fn with_queue(
-        spec: Workload,
-        graph: Graph,
-        resolver: PM,
-        cost_model: CostModel,
-        strategy: &str,
-        queue: QueueKind,
-    ) -> Self {
-        Self::with_shards(
-            spec,
-            graph,
-            resolver,
-            cost_model,
-            strategy,
-            queue,
-            ShardMode::Single,
-        )
-    }
-
-    /// Like [`ScenarioRunner::with_queue`] on an explicit execution core
-    /// (see [`ShardMode`]): the sharded core partitions nodes across
-    /// per-shard calendar queues and executes ticks on worker threads,
-    /// with reports byte-identical to [`ShardMode::Single`] at every
-    /// shard/thread count — the cross-core determinism suite enforces it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`Workload::validate`] or the resolver
-    /// universe differs from the graph size.
-    pub fn with_shards(
-        spec: Workload,
-        graph: Graph,
-        resolver: PM,
-        cost_model: CostModel,
-        strategy: &str,
-        queue: QueueKind,
-        mode: ShardMode,
-    ) -> Self {
         Self::with_router(
             spec,
             graph,
             resolver,
             cost_model,
             strategy,
-            queue,
-            mode,
+            QueueKind::Calendar,
+            ShardMode::Single,
             RouterKind::Auto,
         )
     }
 
-    /// Like [`ScenarioRunner::with_shards`] with an explicit routing
-    /// backend (see [`RouterKind`]): analytic closed-form routers for the
-    /// structured families versus the O(n²) table oracle, byte-identical
-    /// reports either way — the router conformance suite enforces it.
+    /// Like [`ScenarioRunner::new`] with every simulator execution axis
+    /// explicit: the event queue (calendar vs the `BTreeMap` reference),
+    /// the core (single vs sharded across worker threads) and the routing
+    /// backend (analytic closed forms vs the O(n²) table oracle). Reports
+    /// are byte-identical at every combination — the queue, shard and
+    /// router determinism suites enforce it.
     ///
     /// # Panics
     ///
@@ -348,11 +309,27 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         mode: ShardMode,
         router: RouterKind,
     ) -> Self {
+        assert!(graph.node_count() > 0, "empty graph");
+        let engine = ShotgunEngine::with_router(graph, resolver, cost_model, queue, mode, router);
+        Self::over(spec, engine, strategy)
+    }
+}
+
+impl<R: Runtime> ScenarioRunner<R> {
+    /// Builds a runner driving `spec` over an already-built runtime — the
+    /// way in for every runtime but the simulator (which has the
+    /// conveniences above): `ScenarioRunner::over(spec,
+    /// LiveRuntime::new(n, resolver), "checkerboard")`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec fails [`Workload::validate`] or names a fault
+    /// node outside the runtime's network.
+    pub fn over(spec: Workload, rt: R, strategy: &str) -> Self {
         if let Err(e) = spec.validate() {
             panic!("invalid workload {:?}: {e}", spec.name);
         }
-        let n = graph.node_count();
-        assert!(n > 0, "empty graph");
+        let n = rt.resolver().node_count();
         assert!(
             spec.faults.iter().all(|f| f.node_index < n),
             "fault node_index out of range for n = {n}"
@@ -363,32 +340,10 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
                 liars[f.node_index] = true;
             }
         }
-        let topology = graph.name().to_string();
-        let sampler = PopularitySampler::new(spec.ports, spec.popularity);
-        let net = ServiceNet::with_router(graph, resolver, cost_model, queue, mode, router);
-        let op_timeout = match net.engine().sim().routing() {
-            // double-sweep estimate of the diameter via the router:
-            // eccentricity of node 0, then of the farthest node
-            Some(rt) => {
-                let ecc = |from: NodeId| -> (NodeId, u32) {
-                    (0..n)
-                        .map(NodeId::from)
-                        .map(|v| (v, rt.distance(from, v).unwrap_or(0)))
-                        .max_by_key(|&(_, d)| d)
-                        .expect("nonempty graph")
-                };
-                let (far, _) = ecc(NodeId::new(0));
-                let (_, diameter) = ecc(far);
-                // 2·diameter covers query + reply; the spec's timeout is
-                // kept as slack for the double-sweep underestimate
-                spec.op_timeout
-                    .max(2 * diameter as SimTime + spec.op_timeout)
-            }
-            None => spec.op_timeout,
-        };
+        let op_timeout = rt.op_timeout(spec.op_timeout);
         ScenarioRunner {
             rng: StdRng::seed_from_u64(spec.seed),
-            sampler,
+            sampler: PopularitySampler::new(spec.ports, spec.popularity),
             ports: (0..spec.ports)
                 .map(|i| Port::from_name(&format!("svc-{i}")))
                 .collect(),
@@ -406,18 +361,13 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
             t0: op_timeout,
             op_timeout,
             strategy: strategy.to_string(),
-            topology,
-            cost_label: match cost_model {
-                CostModel::Uniform => "uniform".to_string(),
-                CostModel::Hops => "hops".to_string(),
-            },
             tracer: None,
             registry: None,
             wallclock: false,
             sample_rate: 1.0,
             traced: HashMap::new(),
             spec,
-            net,
+            rt,
         }
     }
 
@@ -449,72 +399,6 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         self.replication = replication.max(1);
     }
 
-    /// Installs the spec's Byzantine fault profiles — before any posting,
-    /// so the world is hostile from tick 0 (a stale-address fault pins the
-    /// *setup* posting). Hostile traces get one `fault` span per profile
-    /// ahead of the setup-post trees.
-    fn apply_faults(&mut self) {
-        let faults = self.spec.faults.clone();
-        for f in &faults {
-            let node = NodeId::from(f.node_index);
-            self.eng().set_fault(node, f.fault);
-            if let Some(tr) = self.tracer.as_mut() {
-                let trace = tr.next_trace_id();
-                emit_fault_span(tr, trace, node, f.fault.label());
-            }
-        }
-    }
-
-    /// Folds the current crash pattern into the run's minimum sampled
-    /// survival fraction (robustness reporting only).
-    fn observe_survival(&mut self) {
-        if self.robust {
-            let sf = mm_core::robust::survival_fraction_pm(
-                self.net.engine().resolver(),
-                &self.ports,
-                &self.crashed,
-                64,
-            );
-            self.min_survival = self.min_survival.min(sf);
-        }
-    }
-
-    /// Like [`ScenarioRunner::run`], additionally returning the sealed
-    /// trace file when [`ScenarioRunner::set_trace`] was called.
-    pub fn run_traced(self) -> (ScenarioReport, Option<TraceFile>) {
-        let (report, _, trace) = self.run_all();
-        (report, trace)
-    }
-
-    fn eng(&mut self) -> &mut ShotgunEngine<PM> {
-        self.net.engine_mut()
-    }
-
-    fn n(&self) -> usize {
-        self.crashed.len()
-    }
-
-    fn crash_node(&mut self, v: NodeId) {
-        debug_assert!(!self.crashed[v.index()]);
-        self.crashed[v.index()] = true;
-        if let Ok(pos) = self.live.binary_search(&v) {
-            self.live.remove(pos);
-        }
-        self.eng().crash(v);
-    }
-
-    fn restore_node(&mut self, v: NodeId, clear_cache: bool) {
-        debug_assert!(self.crashed[v.index()]);
-        self.crashed[v.index()] = false;
-        if let Err(pos) = self.live.binary_search(&v) {
-            self.live.insert(pos, v);
-        }
-        self.eng().restore(v);
-        if clear_cache {
-            self.eng().clear_cache(v);
-        }
-    }
-
     /// Runs the scenario to its horizon and reports.
     pub fn run(self) -> ScenarioReport {
         self.run_logged().0
@@ -528,49 +412,95 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         (report, log)
     }
 
-    /// Emits the setup-post causal trees (trace ids `0..ports`, virtual
-    /// tick 0) once the homes are placed.
-    fn trace_setup_posts(&mut self) {
-        if self.tracer.is_none() {
-            return;
+    /// Like [`ScenarioRunner::run`], additionally returning the sealed
+    /// trace file when [`ScenarioRunner::set_trace`] was called.
+    pub fn run_traced(self) -> (ScenarioReport, Option<TraceFile>) {
+        let (report, _, trace) = self.run_all();
+        (report, trace)
+    }
+
+    fn n(&self) -> usize {
+        self.crashed.len()
+    }
+
+    /// Everything before the first timeline event: install the spec's
+    /// Byzantine fault profiles — before any posting, so the world is
+    /// hostile from tick 0 (a stale-address fault pins the *setup*
+    /// posting) — place one server per port, let the postings settle
+    /// through the `t0` window, and compile the timeline. Traces get one
+    /// `fault` span per profile, then the setup-post trees (virtual tick
+    /// 0). Returns the theory prediction and the timeline.
+    fn setup(&mut self) -> (f64, Timeline) {
+        let predicted = predict_passes_per_locate(self.rt.resolver(), self.n(), &self.ports);
+        for f in &self.spec.faults {
+            let node = NodeId::from(f.node_index);
+            self.rt.set_fault(node, f.fault);
+            if let Some(tr) = self.tracer.as_mut() {
+                let trace = tr.next_trace_id();
+                emit_fault_span(tr, trace, node, f.fault.label());
+            }
         }
         for i in 0..self.spec.ports {
+            let home = NodeId::from(self.rng.gen_range(0..self.n()));
+            self.homes.push(home);
+            self.rt.register_server(home, self.ports[i]);
+        }
+        for i in 0..self.spec.ports {
+            self.trace_post(i, 0);
+        }
+        self.rt.advance(self.t0);
+        // Arrival draws happen in phase order before the run so the RNG
+        // consumption order is part of the spec's deterministic contract.
+        (predicted, Timeline::compile(&self.spec, &mut self.rng))
+    }
+
+    /// Emits the causal tree of port `i`'s posting from its home at
+    /// virtual tick `t` (no-op with tracing off).
+    fn trace_post(&mut self, i: usize, t: SimTime) {
+        if let Some(tr) = self.tracer.as_mut() {
             let home = self.homes[i];
-            let targets = self.net.engine_mut().post_targets(home, self.ports[i]);
-            let tr = self.tracer.as_mut().expect("checked above");
+            let targets = self.rt.post_targets(home, self.ports[i]);
             let trace = tr.next_trace_id();
-            emit_post_spans(tr, trace, home, i, &targets, 0);
+            emit_post_spans(tr, trace, home, i, &targets, t);
         }
     }
 
-    /// Copies the simulator's cumulative queue-depth histogram when the
-    /// registry wants per-phase deltas.
-    fn queue_depth_snapshot(&self) -> Option<[u64; HIST_BUCKETS]> {
-        self.registry
-            .as_ref()
-            .map(|_| *self.net.engine().sim().queue_depth_buckets())
+    fn begin_phase(&mut self) -> PhaseStart {
+        self.acc = Acc::default();
+        PhaseStart {
+            before: self.rt.metrics(),
+            wall: Instant::now(),
+            queue_depth: self
+                .registry
+                .as_ref()
+                .and_then(|_| self.rt.queue_depth_buckets()),
+        }
     }
 
-    /// Finishes a phase's observability: wall-clock throughput and the
-    /// registry snapshot (with the phase's queue-depth bucket delta).
-    fn finish_phase_obs(
+    /// Builds the phase's report from what accumulated since
+    /// [`begin_phase`](Self::begin_phase), plus its observability:
+    /// wall-clock throughput and the registry snapshot (with the phase's
+    /// queue-depth bucket delta).
+    fn end_phase(
         &mut self,
-        report: &mut PhaseReport,
-        events_delta: u64,
-        wall: Instant,
-        qd_before: Option<[u64; HIST_BUCKETS]>,
-    ) {
+        name: &str,
+        start: SimTime,
+        end: SimTime,
+        ps: PhaseStart,
+    ) -> PhaseReport {
+        let delta = self.rt.metrics().delta(&ps.before);
+        let mut report =
+            build_phase_report(name, start, end, &self.acc, &delta, self.spec.hostile());
         if self.wallclock {
-            let secs = wall.elapsed().as_secs_f64();
+            let secs = ps.wall.elapsed().as_secs_f64();
             report.throughput = Some(if secs > 0.0 {
-                events_delta as f64 / secs
+                delta.events_executed as f64 / secs
             } else {
                 0.0
             });
         }
         if let Some(reg) = self.registry.as_mut() {
-            if let Some(before) = qd_before {
-                let now = *self.net.engine().sim().queue_depth_buckets();
+            if let (Some(before), Some(now)) = (ps.queue_depth, self.rt.queue_depth_buckets()) {
                 let mut delta = [0u64; HIST_BUCKETS];
                 for (d, (a, b)) in delta.iter_mut().zip(now.iter().zip(before.iter())) {
                     *d = a - b;
@@ -579,22 +509,7 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
             }
             report.obs = Some(reg.snapshot_and_reset());
         }
-    }
-
-    /// Seals the tracer (when present) with the run's cumulative metrics.
-    fn seal_trace(&mut self) -> Option<TraceFile> {
-        let totals = self.net.engine().metrics().clone();
-        finish_trace(
-            self.tracer.take(),
-            &self.spec.name,
-            &self.strategy,
-            self.n() as u64,
-            self.spec.seed,
-            self.spec.ports as u64,
-            self.sample_rate,
-            totals.sends,
-            totals.message_passes,
-        )
+        report
     }
 
     /// The single execution path behind [`ScenarioRunner::run`] /
@@ -603,39 +518,19 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         if self.spec.clients.is_some() {
             return self.run_logged_closed();
         }
-        let predicted =
-            predict_passes_per_locate(self.net.engine().resolver(), self.n(), &self.ports);
-
-        // --- setup: install faults, place one server per port, settle ---
-        self.apply_faults();
-        for i in 0..self.spec.ports {
-            let home = NodeId::from(self.rng.gen_range(0..self.n()));
-            self.homes.push(home);
-            let port = self.ports[i];
-            self.eng().register_server(home, port);
-        }
-        self.trace_setup_posts();
+        let (predicted, timeline) = self.setup();
         let t0 = self.t0;
-        self.eng().run_until(t0);
 
-        // --- compile the spec into a merged, sorted event timeline ---
-        // Arrival draws happen in phase order before the run so the RNG
-        // consumption order is part of the spec's deterministic contract.
-        let timeline = Timeline::compile(&self.spec, &mut self.rng);
-
-        // --- drive the engine phase by phase ---
+        // --- drive the runtime phase by phase ---
         let mut reports = Vec::with_capacity(timeline.phase_bounds.len());
         let mut next = 0usize;
         let last = timeline.phase_bounds.len() - 1;
         for (pi, (start, end, name)) in timeline.phase_bounds.iter().enumerate() {
-            let before = self.net.engine().metrics().clone();
-            let wall = Instant::now();
-            let qd_before = self.queue_depth_snapshot();
-            self.acc = Acc::default();
+            let ps = self.begin_phase();
             while next < timeline.events.len() && timeline.events[next].0 < *end {
                 let (t, ev) = timeline.events[next].clone();
                 next += 1;
-                self.eng().run_until(t0 + t);
+                self.rt.advance(t0 + t);
                 self.drain(t0 + t, false);
                 self.apply(t, ev);
             }
@@ -646,45 +541,23 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
             } else {
                 t0 + end
             };
-            self.eng().run_until(close);
+            self.rt.advance(close);
             self.drain(close, pi == last);
-            let after = self.net.engine().metrics().clone();
-            let delta = after.delta(&before);
-            let mut report =
-                build_phase_report(name, *start, *end, &self.acc, &delta, self.spec.hostile());
-            self.finish_phase_obs(&mut report, delta.events_executed, wall, qd_before);
-            reports.push(report);
+            reports.push(self.end_phase(name, *start, *end, ps));
         }
-
-        let trace = self.seal_trace();
-        let report = self.assemble(None, timeline.horizon, predicted, reports, None);
-        let mut log = std::mem::take(&mut self.op_log);
-        log.sort_by_key(|r| r.arrival);
-        (report, log, trace)
+        self.finish(None, timeline.horizon, predicted, reports, None)
     }
 
-    /// The closed-loop twin of [`ScenarioRunner::run_logged`]: timeline
-    /// arrivals are *offered* to a [`ClientPool`] instead of being issued
-    /// on the spot, and the runner's event loop interleaves timeline
+    /// The closed-loop twin of the loop in [`run_all`](Self::run_all):
+    /// timeline arrivals are *offered* to a [`ClientPool`] instead of
+    /// being issued on the spot, and the event loop interleaves timeline
     /// events with the pool's wake-ups (verdict polls, retry backoffs,
     /// think-pause expiries) in virtual-time order. The pool makes every
-    /// random decision, so the live runner — which drives the identical
-    /// pool code — consumes the RNG in the same order.
+    /// random decision, so every runtime consumes the RNG in the same
+    /// order.
     fn run_logged_closed(mut self) -> (ScenarioReport, Vec<LocateRecord>, Option<TraceFile>) {
-        let predicted =
-            predict_passes_per_locate(self.net.engine().resolver(), self.n(), &self.ports);
-        self.apply_faults();
-        for i in 0..self.spec.ports {
-            let home = NodeId::from(self.rng.gen_range(0..self.n()));
-            self.homes.push(home);
-            let port = self.ports[i];
-            self.eng().register_server(home, port);
-        }
-        self.trace_setup_posts();
+        let (predicted, timeline) = self.setup();
         let t0 = self.t0;
-        self.eng().run_until(t0);
-
-        let timeline = Timeline::compile(&self.spec, &mut self.rng);
         let model = self.spec.clients.expect("closed-loop path");
         let mut pool = ClientPool::new(model);
         let horizon = timeline.horizon;
@@ -693,10 +566,7 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         let mut next = 0usize;
         let last = timeline.phase_bounds.len() - 1;
         for (pi, (start, end, name)) in timeline.phase_bounds.iter().enumerate() {
-            let before = self.net.engine().metrics().clone();
-            let wall = Instant::now();
-            let qd_before = self.queue_depth_snapshot();
-            self.acc = Acc::default();
+            let ps = self.begin_phase();
             loop {
                 let ev_t = timeline.events.get(next).map(|e| e.0).filter(|t| t < end);
                 let pool_t = pool.next_wakeup().filter(|t| t < end);
@@ -704,7 +574,7 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
                     (None, None) => break,
                     (a, b) => a.into_iter().chain(b).min().expect("one is Some"),
                 };
-                self.eng().run_until(t0 + t);
+                self.rt.advance(t0 + t);
                 // verdicts are read before the world reshapes at the same
                 // tick (the drain-before-apply discipline of the open loop)
                 self.service_pool(&mut pool, t);
@@ -727,23 +597,18 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
             // run in-phase message chains to the boundary so the metrics
             // snapshot charges them to this phase (passes are counted at
             // send time, which is ≤ the boundary for in-phase issues)
-            self.eng().run_until(t0 + *end);
+            self.rt.advance(t0 + *end);
             if pi == last {
                 // horizon: stop dispatching and retrying, drain verdicts
                 pool.freeze();
                 let drain_end = horizon + self.op_timeout;
                 while let Some(t) = pool.next_wakeup().filter(|&t| t <= drain_end) {
-                    self.eng().run_until(t0 + t);
+                    self.rt.advance(t0 + t);
                     self.service_pool(&mut pool, t);
                 }
-                self.eng().run_until(t0 + drain_end);
+                self.rt.advance(t0 + drain_end);
             }
-            let after = self.net.engine().metrics().clone();
-            let delta = after.delta(&before);
-            let mut report =
-                build_phase_report(name, *start, *end, &self.acc, &delta, self.spec.hostile());
-            self.finish_phase_obs(&mut report, delta.events_executed, wall, qd_before);
-            reports.push(report);
+            reports.push(self.end_phase(name, *start, *end, ps));
         }
 
         let records = pool.into_records();
@@ -752,24 +617,20 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         for (report, stats) in reports.iter_mut().zip(phase_stats) {
             report.closed_loop = Some(stats);
         }
-        let trace = self.seal_trace();
-        let report = self.assemble(
+        self.finish(
             Some(model.clients as u64),
             horizon,
             predicted,
             reports,
             Some(windows),
-        );
-        let mut log = std::mem::take(&mut self.op_log);
-        log.sort_by_key(|r| r.arrival);
-        (report, log, trace)
+        )
     }
 
-    /// One [`ClientPool::service`] call with this runner's engine behind
+    /// One [`ClientPool::service`] call with this runner's runtime behind
     /// the [`OpDriver`] seam.
     fn service_pool(&mut self, pool: &mut ClientPool, now: SimTime) {
-        let mut driver = SimDriver {
-            net: &mut self.net,
+        let mut driver = Driver {
+            rt: &mut self.rt,
             ports: &self.ports,
             homes: &self.homes,
             liars: &self.liars,
@@ -791,20 +652,35 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         );
     }
 
-    /// Assembles the scenario-level report envelope.
-    fn assemble(
-        &self,
+    /// Seals the trace with the run's cumulative metrics, assembles the
+    /// scenario-level report envelope, and hands back the op log in
+    /// arrival order (a retried closed-loop operation can reach its final
+    /// verdict after later arrivals).
+    fn finish(
+        mut self,
         clients: Option<u64>,
         horizon: SimTime,
         predicted: f64,
         phases: Vec<PhaseReport>,
-        windows: Option<Vec<crate::report::WindowReport>>,
-    ) -> ScenarioReport {
-        ScenarioReport {
+        windows: Option<Vec<WindowReport>>,
+    ) -> (ScenarioReport, Vec<LocateRecord>, Option<TraceFile>) {
+        let totals = self.rt.metrics();
+        let trace = finish_trace(
+            self.tracer.take(),
+            &self.spec.name,
+            &self.strategy,
+            self.n() as u64,
+            self.spec.seed,
+            self.spec.ports as u64,
+            self.sample_rate,
+            totals.sends,
+            totals.message_passes,
+        );
+        let report = ScenarioReport {
             scenario: self.spec.name.clone(),
             strategy: self.strategy.clone(),
-            cost_model: self.cost_label.clone(),
-            topology: self.topology.clone(),
+            cost_model: self.rt.cost_model().to_string(),
+            topology: self.rt.topology(),
             n: self.n() as u64,
             seed: self.spec.seed,
             ports: self.spec.ports as u64,
@@ -815,7 +691,7 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
             windows,
             robustness: self.robust.then(|| RobustnessReport {
                 max_tolerated_faults: mm_core::robust::max_tolerated_faults_pm(
-                    self.net.engine().resolver(),
+                    self.rt.resolver(),
                     &self.ports,
                     64,
                 ) as u64,
@@ -823,13 +699,15 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
                 byzantine_nodes: self.spec.faults.len() as u64,
                 replication: self.replication,
             }),
-        }
+        };
+        let mut log = std::mem::take(&mut self.op_log);
+        log.sort_by_key(|r| r.arrival);
+        (report, log, trace)
     }
 
-    /// Applies one timeline event at the current simulated time. All
-    /// random draws go through the shared decision layer
-    /// ([`draw_arrival`]/[`resolve_churn`]) so the RNG-consumption order
-    /// is provably identical to the live runner's.
+    /// Applies one timeline event at the current virtual time. All random
+    /// draws go through the shared decision layer
+    /// ([`draw_arrival`]/[`resolve_churn`]), in timeline order.
     fn apply(&mut self, t: SimTime, ev: Event) {
         match ev {
             Event::Arrival => {
@@ -838,23 +716,33 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
                 else {
                     return; // total outage: the open-loop client is dead too
                 };
-                let port = self.ports[port_idx];
-                let issued_at = self.net.engine().now();
-                let handle = self.eng().locate(client, port);
+                let issued_at = self.rt.now();
+                let Issued {
+                    token: handle,
+                    settled,
+                } = self.rt.locate(client, self.ports[port_idx]);
                 let arrival = self.next_arrival;
                 self.next_arrival += 1;
                 // trace ids bind to spec-level arrivals at dispatch, in
-                // timeline order — the same order the live runner sees
+                // timeline order
                 let trace = self.tracer.as_mut().map(Tracer::next_trace_id);
-                self.in_flight.push(Op::Locate {
-                    handle,
-                    port_idx,
+                self.in_flight.push(Op {
                     issued_at,
-                    arrival: Some(arrival),
-                    retry: false,
-                    trace,
+                    settled,
+                    kind: OpKind::Locate {
+                        handle,
+                        port_idx,
+                        arrival: Some(arrival),
+                        retry: false,
+                        trace,
+                    },
                 });
                 self.acc.issued += 1;
+                if settled {
+                    // nothing to wait for: classify it, and whatever
+                    // follow-ups that spawns, before the next event
+                    self.drain(issued_at, false);
+                }
             }
             Event::Refresh => self.refresh_all(t),
             Event::Churn(action) => self.apply_churn(t, action),
@@ -865,13 +753,8 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         for i in 0..self.homes.len() {
             let home = self.homes[i];
             if !self.crashed[home.index()] {
-                let port = self.ports[i];
-                self.eng().register_server(home, port);
-                if let Some(tr) = self.tracer.as_mut() {
-                    let targets = self.net.engine_mut().post_targets(home, port);
-                    let trace = tr.next_trace_id();
-                    emit_post_spans(tr, trace, home, i, &targets, t);
-                }
+                self.rt.register_server(home, self.ports[i]);
+                self.trace_post(i, t);
             }
         }
     }
@@ -889,79 +772,89 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
             match r {
                 ResolvedChurn::Crash(v) => {
                     any_crash = true;
-                    self.crash_node(v)
+                    debug_assert!(!self.crashed[v.index()]);
+                    self.crashed[v.index()] = true;
+                    if let Ok(pos) = self.live.binary_search(&v) {
+                        self.live.remove(pos);
+                    }
+                    self.rt.crash(v);
                 }
                 ResolvedChurn::Restore { node, clear_cache } => {
-                    self.restore_node(node, clear_cache)
+                    debug_assert!(self.crashed[node.index()]);
+                    self.crashed[node.index()] = false;
+                    if let Err(pos) = self.live.binary_search(&node) {
+                        self.live.insert(pos, node);
+                    }
+                    self.rt.restore(node);
+                    if clear_cache {
+                        self.rt.clear_cache(node);
+                    }
                 }
                 ResolvedChurn::Migrate { port_idx, from, to } => {
-                    let port = self.ports[port_idx];
-                    self.eng().migrate_server(port, from, to);
+                    self.rt.migrate_server(self.ports[port_idx], from, to);
                     self.homes[port_idx] = to;
                 }
                 ResolvedChurn::ClearAllCaches => {
                     for vi in 0..self.n() {
-                        self.eng().clear_cache(NodeId::from(vi));
+                        self.rt.clear_cache(NodeId::from(vi));
                     }
                 }
                 ResolvedChurn::RefreshAll => self.refresh_all(t),
             }
         }
-        if any_crash {
-            self.observe_survival();
+        if any_crash && self.robust {
+            // fold the crash pattern into the run's minimum sampled
+            // survival fraction (robustness reporting only)
+            let sf = mm_core::robust::survival_fraction_pm(
+                self.rt.resolver(),
+                &self.ports,
+                &self.crashed,
+                64,
+            );
+            self.min_survival = self.min_survival.min(sf);
         }
     }
 
-    fn record(
+    /// Feeds one classified locate into the op log and the
+    /// tracer/registry. Spans use the virtual-timing law, never runtime
+    /// clocks — the trace must be byte-identical across runtimes. Returns
+    /// the virtual elapsed and fan-out width for the follow-up request
+    /// span.
+    #[allow(clippy::too_many_arguments)]
+    fn observe_locate_verdict(
         &mut self,
         arrival: Option<u64>,
+        trace: Option<u64>,
         handle: LocateHandle,
         port_idx: usize,
         issued_at: SimTime,
         verdict: LocateVerdict,
         addr: Option<NodeId>,
-    ) {
+        meets: &[NodeId],
+        salvaged: bool,
+    ) -> (u64, u32) {
+        let client = handle.client;
+        let issued_spec = issued_at - self.t0;
         if let Some(arrival) = arrival {
             self.op_log.push(LocateRecord {
                 arrival,
-                at: issued_at - self.t0,
-                client: handle.client,
+                at: issued_spec,
+                client,
                 port_idx,
                 verdict,
                 addr,
             });
         }
-    }
-
-    /// Feeds one classified locate into the tracer/registry using the
-    /// virtual-timing law (never engine clocks — the trace must be
-    /// byte-identical to the live runtime's). Returns the virtual elapsed
-    /// and fan-out width for the follow-up request span.
-    #[allow(clippy::too_many_arguments)]
-    fn observe_locate_verdict(
-        &mut self,
-        trace: Option<u64>,
-        client: NodeId,
-        port_idx: usize,
-        issued_spec: SimTime,
-        verdict: LocateVerdict,
-        meets: &[NodeId],
-        salvaged: bool,
-    ) -> (u64, u32) {
         if self.tracer.is_none() && self.registry.is_none() {
             return (0, 0);
         }
-        let targets = self
-            .net
-            .engine_mut()
-            .query_targets(client, self.ports[port_idx]);
-        let solo = targets.len() == 1 && targets.contains(client);
+        let targets = self.rt.query_targets(client, self.ports[port_idx]);
         // a salvaged verdict was decided by the client's own timeout, not
         // by the slowest reply — its elapsed is the full wait
         let elapsed = if salvaged {
             self.op_timeout
         } else {
-            virtual_elapsed(solo, verdict, self.op_timeout)
+            virtual_elapsed(&targets, client, verdict, self.op_timeout)
         };
         if let Some(reg) = self.registry.as_mut() {
             observe_locate(reg, verdict, elapsed, targets.len(), meets.len());
@@ -983,10 +876,18 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
     }
 
     /// Classifies finished in-flight operations; `force` settles
-    /// everything still pending (end of scenario).
+    /// everything still pending (end of scenario). A pass whose
+    /// follow-ups the runtime settled on the spot has fresh verdicts to
+    /// read, so it goes again.
     fn drain(&mut self, now: SimTime, force: bool) {
-        /// A request to issue once the classification pass is done (the
-        /// pass holds the engine immutably; issuing needs it mutably).
+        while self.drain_pass(now, force) {}
+    }
+
+    /// One classification pass over the in-flight operations; `true` if
+    /// it issued a follow-up that is already settled.
+    fn drain_pass(&mut self, now: SimTime, force: bool) -> bool {
+        /// A request to issue once the classification pass is done (so
+        /// follow-ups enter the runtime in one canonical order).
         struct Followup {
             client: NodeId,
             addr: NodeId,
@@ -1001,190 +902,117 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         let ops = std::mem::take(&mut self.in_flight);
         let mut keep = Vec::with_capacity(ops.len());
         for op in ops {
-            match op {
-                Op::Locate {
+            let Op {
+                issued_at,
+                settled,
+                kind,
+            } = op;
+            let gave_up = force || settled || now.saturating_sub(issued_at) >= self.op_timeout;
+            match kind {
+                OpKind::Locate {
                     handle,
                     port_idx,
-                    issued_at,
                     arrival,
                     retry,
                     trace,
-                } => match self.net.engine().outcome(handle) {
-                    LocateOutcome::Found {
-                        addr,
-                        meets,
-                        dissent,
-                        ..
-                    } => {
-                        self.acc.completed += 1;
-                        let fresh = addr == self.homes[port_idx];
-                        let verdict =
-                            classify_hit(addr, self.homes[port_idx], dissent, &self.liars);
-                        self.record(arrival, handle, port_idx, issued_at, verdict, Some(addr));
-                        let issued_spec = issued_at - self.t0;
-                        let (elapsed, fanout) = self.observe_locate_verdict(
-                            trace,
-                            handle.client,
-                            port_idx,
-                            issued_spec,
-                            verdict,
-                            &meets,
-                            false,
-                        );
-                        match verdict {
-                            LocateVerdict::Hit => {
-                                self.acc.hits += 1;
-                                if !fresh {
-                                    self.acc.stale_results += 1;
-                                }
-                                if retry && fresh {
-                                    self.acc.recoveries += 1;
-                                }
-                            }
-                            LocateVerdict::DetectedLie => {
-                                // the dissenting honest answer exposed the
-                                // forgery: the client discards the address
-                                // and never calls it
-                                self.acc.detected_lie += 1;
-                            }
-                            LocateVerdict::FalseMatch => {
-                                // the forgery escaped; the follow-up call
-                                // below bounces off the non-serving liar
-                                // and the §1.3 loop re-locates
-                                self.acc.false_match += 1;
-                            }
-                            _ => unreachable!("classify_hit never yields {verdict:?}"),
+                } => {
+                    // an address to act on, or the address-less verdict
+                    let located = match self.rt.locate_outcome(handle) {
+                        LocateOutcome::Found {
+                            addr,
+                            meets,
+                            dissent,
+                            ..
+                        } => Ok((addr, meets, dissent, false)),
+                        LocateOutcome::NotFound { .. } => Err(LocateVerdict::Miss),
+                        LocateOutcome::Unresolved { .. } if !gave_up => {
+                            keep.push(op);
+                            continue;
                         }
-                        if self.spec.request_after_locate && verdict != LocateVerdict::DetectedLie {
-                            requests.push(Followup {
-                                client: handle.client,
-                                addr,
-                                port_idx,
-                                after_retry: retry,
-                                trace_info: trace.map(|tr| (tr, issued_spec + elapsed, fanout)),
-                            });
-                        }
-                    }
-                    LocateOutcome::NotFound { .. } => {
-                        self.acc.completed += 1;
-                        self.acc.misses += 1;
-                        self.record(
-                            arrival,
-                            handle,
-                            port_idx,
-                            issued_at,
-                            LocateVerdict::Miss,
-                            None,
-                        );
-                        self.observe_locate_verdict(
-                            trace,
-                            handle.client,
-                            port_idx,
-                            issued_at - self.t0,
-                            LocateVerdict::Miss,
-                            &[],
-                            false,
-                        );
-                    }
-                    LocateOutcome::Unresolved { best, dissent, .. } => {
-                        if force || now.saturating_sub(issued_at) >= self.op_timeout {
-                            self.acc.completed += 1;
-                            if let Some((addr, _)) = best.filter(|_| self.spec.hostile()) {
-                                // hostile-world clients salvage the best
-                                // partial answer at timeout: a crashed
-                                // rendezvous must not sever an alive pair
-                                // that a surviving replica still serves
-                                // (§2.4) — and the salvaged address still
-                                // runs the lie detection
-                                let fresh = addr == self.homes[port_idx];
-                                let verdict =
-                                    classify_hit(addr, self.homes[port_idx], dissent, &self.liars);
-                                self.record(
-                                    arrival,
-                                    handle,
-                                    port_idx,
-                                    issued_at,
-                                    verdict,
-                                    Some(addr),
-                                );
-                                self.observe_locate_verdict(
-                                    trace,
-                                    handle.client,
-                                    port_idx,
-                                    issued_at - self.t0,
-                                    verdict,
-                                    &[],
-                                    true,
-                                );
-                                match verdict {
-                                    LocateVerdict::Hit => {
-                                        self.acc.hits += 1;
-                                        if !fresh {
-                                            self.acc.stale_results += 1;
-                                        }
-                                        if retry && fresh {
-                                            self.acc.recoveries += 1;
-                                        }
-                                    }
-                                    LocateVerdict::DetectedLie => self.acc.detected_lie += 1,
-                                    LocateVerdict::FalseMatch => self.acc.false_match += 1,
-                                    _ => unreachable!("classify_hit never yields {verdict:?}"),
-                                }
-                                if self.spec.request_after_locate
-                                    && verdict != LocateVerdict::DetectedLie
-                                {
-                                    requests.push(Followup {
-                                        client: handle.client,
-                                        addr,
-                                        port_idx,
-                                        after_retry: retry,
-                                        trace_info: trace.map(|tr| {
-                                            (tr, issued_at - self.t0 + self.op_timeout, 0)
-                                        }),
-                                    });
-                                }
-                            } else {
-                                self.acc.unresolved += 1;
-                                self.record(
-                                    arrival,
-                                    handle,
-                                    port_idx,
-                                    issued_at,
-                                    LocateVerdict::Unresolved,
-                                    None,
-                                );
-                                self.observe_locate_verdict(
-                                    trace,
-                                    handle.client,
-                                    port_idx,
-                                    issued_at - self.t0,
-                                    LocateVerdict::Unresolved,
-                                    &[],
-                                    false,
-                                );
+                        // hostile-world clients salvage the best partial
+                        // answer at timeout: a crashed rendezvous must not
+                        // sever an alive pair that a surviving replica
+                        // still serves (§2.4) — and the salvaged address
+                        // still runs the lie detection
+                        LocateOutcome::Unresolved { best, dissent, .. } => {
+                            match best.filter(|_| self.spec.hostile()) {
+                                Some((addr, _)) => Ok((addr, Vec::new(), dissent, true)),
+                                None => Err(LocateVerdict::Unresolved),
                             }
-                        } else {
-                            keep.push(Op::Locate {
+                        }
+                    };
+                    self.acc.completed += 1;
+                    let (addr, meets, dissent, salvaged) = match located {
+                        Ok(hit) => hit,
+                        Err(verdict) => {
+                            match verdict {
+                                LocateVerdict::Miss => self.acc.misses += 1,
+                                _ => self.acc.unresolved += 1,
+                            }
+                            self.observe_locate_verdict(
+                                arrival,
+                                trace,
                                 handle,
                                 port_idx,
                                 issued_at,
-                                arrival,
-                                retry,
-                                trace,
-                            });
+                                verdict,
+                                None,
+                                &[],
+                                false,
+                            );
+                            continue;
                         }
+                    };
+                    let fresh = addr == self.homes[port_idx];
+                    let verdict = classify_hit(addr, self.homes[port_idx], dissent, &self.liars);
+                    let (elapsed, fanout) = self.observe_locate_verdict(
+                        arrival,
+                        trace,
+                        handle,
+                        port_idx,
+                        issued_at,
+                        verdict,
+                        Some(addr),
+                        &meets,
+                        salvaged,
+                    );
+                    match verdict {
+                        LocateVerdict::Hit => {
+                            self.acc.hits += 1;
+                            if !fresh {
+                                self.acc.stale_results += 1;
+                            }
+                            if retry && fresh {
+                                self.acc.recoveries += 1;
+                            }
+                        }
+                        // the dissenting honest answer exposed the
+                        // forgery: the client discards the address and
+                        // never calls it
+                        LocateVerdict::DetectedLie => self.acc.detected_lie += 1,
+                        // the forgery escaped; the follow-up call below
+                        // bounces off the non-serving liar and the §1.3
+                        // loop re-locates
+                        LocateVerdict::FalseMatch => self.acc.false_match += 1,
+                        _ => unreachable!("classify_hit never yields {verdict:?}"),
                     }
-                },
-                Op::Request {
+                    if self.spec.request_after_locate && verdict != LocateVerdict::DetectedLie {
+                        requests.push(Followup {
+                            client: handle.client,
+                            addr,
+                            port_idx,
+                            after_retry: retry,
+                            trace_info: trace.map(|tr| (tr, issued_at - self.t0 + elapsed, fanout)),
+                        });
+                    }
+                }
+                OpKind::Request {
                     client,
                     request_id,
                     port_idx,
-                    issued_at,
                     after_retry,
-                } => match self.net.engine().request_outcome(client, request_id) {
-                    Some(RequestOutcome::Replied { .. }) => {
-                        self.acc.requests_ok += 1;
-                    }
+                } => match self.rt.request_outcome(client, request_id) {
+                    Some(RequestOutcome::Replied { .. }) => self.acc.requests_ok += 1,
                     Some(RequestOutcome::StaleAddress) => {
                         self.acc.stale_requests += 1;
                         if !after_retry {
@@ -1192,73 +1020,68 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
                             relocates.push((client, port_idx));
                         }
                     }
-                    None => {
-                        if force || now.saturating_sub(issued_at) >= self.op_timeout {
-                            self.acc.request_timeouts += 1;
-                        } else {
-                            keep.push(Op::Request {
-                                client,
-                                request_id,
-                                port_idx,
-                                issued_at,
-                                after_retry,
-                            });
-                        }
-                    }
+                    None if gave_up => self.acc.request_timeouts += 1,
+                    None => keep.push(op),
                 },
             }
         }
-        // After the final forced drain the engine never steps again, so a
-        // follow-up issued here could neither run nor be classified —
+        // After the final forced drain the runtime never steps again, so
+        // a follow-up issued here could neither run nor be classified —
         // skip issuance rather than let tail operations vanish from the
         // accounting.
+        let mut any_settled = false;
         if !force {
             for f in requests {
-                let port = self.ports[f.port_idx];
-                let issued = self.net.engine().now();
-                let id = self.eng().request(f.client, f.addr, port, 1);
-                if let Some((trace, tick, fanout)) = f.trace_info {
-                    if let Some(tr) = self.tracer.as_mut() {
-                        emit_request_span(
-                            tr,
-                            trace,
-                            fanout + 1,
-                            f.client,
-                            f.addr,
-                            f.port_idx,
-                            tick,
-                        );
-                    }
+                let issued_at = self.rt.now();
+                let Issued {
+                    token: request_id,
+                    settled,
+                } = self.rt.request(f.client, f.addr, self.ports[f.port_idx], 1);
+                any_settled |= settled;
+                if let (Some((trace, tick, fanout)), Some(tr)) =
+                    (f.trace_info, self.tracer.as_mut())
+                {
+                    emit_request_span(tr, trace, fanout + 1, f.client, f.addr, f.port_idx, tick);
                 }
-                keep.push(Op::Request {
-                    client: f.client,
-                    request_id: id,
-                    port_idx: f.port_idx,
-                    issued_at: issued,
-                    after_retry: f.after_retry,
+                keep.push(Op {
+                    issued_at,
+                    settled,
+                    kind: OpKind::Request {
+                        client: f.client,
+                        request_id,
+                        port_idx: f.port_idx,
+                        after_retry: f.after_retry,
+                    },
                 });
             }
             for (client, port_idx) in relocates {
-                let port = self.ports[port_idx];
-                let issued = self.net.engine().now();
-                let handle = self.eng().locate(client, port);
+                let issued_at = self.rt.now();
+                let Issued {
+                    token: handle,
+                    settled,
+                } = self.rt.locate(client, self.ports[port_idx]);
+                any_settled |= settled;
                 // retries are locate operations too: count them as issued
                 // so completed can never exceed issued within a phase
                 self.acc.issued += 1;
-                keep.push(Op::Locate {
-                    handle,
-                    port_idx,
-                    issued_at: issued,
-                    // stale-recovery retries are timing-dependent, so
-                    // they stay out of the trace (conservation is only
-                    // claimed on churn-free specs, which never retry)
-                    arrival: None,
-                    retry: true,
-                    trace: None,
+                keep.push(Op {
+                    issued_at,
+                    settled,
+                    kind: OpKind::Locate {
+                        handle,
+                        port_idx,
+                        // stale-recovery retries are timing-dependent, so
+                        // they stay out of the trace (conservation is only
+                        // claimed on churn-free specs, which never retry)
+                        arrival: None,
+                        retry: true,
+                        trace: None,
+                    },
                 });
             }
         }
         self.in_flight = keep;
+        any_settled
     }
 }
 
@@ -1526,13 +1349,15 @@ mod tests {
     fn closed_loop_reports_are_byte_identical() {
         let json = |seed: u64, queue: QueueKind| {
             let spec = scenarios::by_name("overload-ramp", 64, seed).unwrap();
-            let r = ScenarioRunner::with_queue(
+            let r = ScenarioRunner::with_router(
                 spec,
                 gen::complete(64),
                 Checkerboard::new(64),
                 CostModel::Uniform,
                 "checkerboard",
                 queue,
+                ShardMode::Single,
+                RouterKind::Auto,
             )
             .run();
             serde_json::to_string(&r).unwrap()

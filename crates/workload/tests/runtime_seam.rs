@@ -1,0 +1,308 @@
+//! The runner's own accounting, pinned through the [`Runtime`] seam with a
+//! scripted in-memory network — no simulator event loop, no threads. What
+//! is asserted here is decided by `ScenarioRunner` alone (retry on a
+//! stale bounce, timeout classification, the forced final drain, the
+//! verdict partition) and was previously only observable through a full
+//! engine.
+
+use mm_core::strategies::Checkerboard;
+use mm_core::Port;
+use mm_proto::{FaultProfile, LocateHandle, LocateOutcome, RequestOutcome};
+use mm_sim::{Metrics, SimTime, TargetSet};
+use mm_topo::NodeId;
+use mm_workload::{
+    ArrivalProcess, FaultSpec, Issued, LocateVerdict, Phase, PortPopularity, Runtime,
+    ScenarioReport, ScenarioRunner, Workload,
+};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+
+const N: usize = 16;
+/// The spec marks both as forgers; the script lies with one that is not
+/// the port's home (which the runner draws).
+const LIARS: [u32; 2] = [3, 5];
+
+/// What the network answers to a locate.
+#[derive(Debug, Clone, Copy)]
+enum Answer {
+    /// The server's true address.
+    Home,
+    /// A well-meant but wrong address (a stale cache).
+    Elsewhere,
+    /// Every rendezvous answers "unknown".
+    Unknown,
+    /// Nobody ever answers.
+    Silence,
+    /// A forger's address, with this many honest answers dissenting.
+    Lie { dissent: usize },
+}
+
+/// What the test can still see after the runner consumed the runtime.
+#[derive(Debug, Default)]
+struct Issues {
+    locates: usize,
+    requests: usize,
+}
+
+/// A network that answers the `k`-th locate with `script[k]` (the last
+/// entry repeating), `latency` ticks after issue — or on the spot, when
+/// `settled`. Requests are served only at a port's registered home.
+struct Scripted {
+    resolver: Checkerboard,
+    script: Vec<Answer>,
+    latency: SimTime,
+    settled: bool,
+    now: SimTime,
+    homes: HashMap<Port, NodeId>,
+    locates: Vec<(SimTime, Option<LocateOutcome>)>,
+    requests: Vec<(SimTime, RequestOutcome)>,
+    issues: Rc<RefCell<Issues>>,
+}
+
+impl Scripted {
+    fn new(script: &[Answer], settled: bool) -> (Self, Rc<RefCell<Issues>>) {
+        let issues = Rc::new(RefCell::new(Issues::default()));
+        let rt = Scripted {
+            resolver: Checkerboard::new(N),
+            script: script.to_vec(),
+            latency: if settled { 0 } else { 2 },
+            settled,
+            now: 0,
+            homes: HashMap::new(),
+            locates: Vec::new(),
+            requests: Vec::new(),
+            issues: Rc::clone(&issues),
+        };
+        (rt, issues)
+    }
+
+    fn due(&self, issued: SimTime) -> bool {
+        self.now >= issued + self.latency
+    }
+}
+
+impl Runtime for Scripted {
+    type Resolver = Checkerboard;
+
+    fn resolver(&self) -> &Checkerboard {
+        &self.resolver
+    }
+    fn topology(&self) -> String {
+        "scripted".to_string()
+    }
+    fn cost_model(&self) -> &'static str {
+        "uniform"
+    }
+    fn post_targets(&mut self, at: NodeId, _port: Port) -> TargetSet {
+        TargetSet::from_vec(mm_core::Strategy::post_set(&self.resolver, at))
+    }
+    fn query_targets(&mut self, client: NodeId, _port: Port) -> TargetSet {
+        TargetSet::from_vec(mm_core::Strategy::query_set(&self.resolver, client))
+    }
+    fn register_server(&mut self, at: NodeId, port: Port) {
+        self.homes.insert(port, at);
+    }
+    fn migrate_server(&mut self, port: Port, _from: NodeId, to: NodeId) {
+        self.homes.insert(port, to);
+    }
+
+    fn locate(&mut self, client: NodeId, port: Port) -> Issued<LocateHandle> {
+        let k = self.locates.len();
+        let home = self.homes[&port];
+        let found = |addr: NodeId, dissent| {
+            Some(LocateOutcome::Found {
+                addr,
+                stamp: 1,
+                elapsed: self.latency,
+                meets: vec![addr],
+                dissent,
+            })
+        };
+        let liar = NodeId::new(LIARS[usize::from(home.raw() == LIARS[0])]);
+        let outcome = match self.script[k.min(self.script.len() - 1)] {
+            Answer::Home => found(home, 0),
+            Answer::Elsewhere => found(NodeId::new((home.raw() + 7) % N as u32), 0),
+            Answer::Unknown => Some(LocateOutcome::NotFound {
+                elapsed: self.latency,
+            }),
+            Answer::Silence => None,
+            Answer::Lie { dissent } => found(liar, dissent),
+        };
+        self.locates.push((self.now, outcome));
+        self.issues.borrow_mut().locates += 1;
+        Issued {
+            token: LocateHandle {
+                client,
+                id: k as u64,
+            },
+            settled: self.settled,
+        }
+    }
+
+    fn locate_outcome(&self, h: LocateHandle) -> LocateOutcome {
+        let (issued, outcome) = &self.locates[h.id as usize];
+        outcome
+            .clone()
+            .filter(|_| self.due(*issued))
+            .unwrap_or(LocateOutcome::unanswered(1))
+    }
+
+    fn request(&mut self, _client: NodeId, addr: NodeId, port: Port, body: u64) -> Issued<u64> {
+        let outcome = if self.homes[&port] == addr {
+            RequestOutcome::Replied {
+                body: body + 1,
+                elapsed: self.latency,
+            }
+        } else {
+            RequestOutcome::StaleAddress
+        };
+        self.requests.push((self.now, outcome));
+        self.issues.borrow_mut().requests += 1;
+        Issued {
+            token: self.requests.len() as u64 - 1,
+            settled: self.settled,
+        }
+    }
+
+    fn request_outcome(&self, _client: NodeId, id: u64) -> Option<RequestOutcome> {
+        let (issued, outcome) = self.requests[id as usize];
+        self.due(issued).then_some(outcome)
+    }
+
+    fn crash(&mut self, _v: NodeId) {}
+    fn restore(&mut self, _v: NodeId) {}
+    fn clear_cache(&mut self, _v: NodeId) {}
+    fn set_fault(&mut self, _v: NodeId, _profile: FaultProfile) {}
+
+    fn advance(&mut self, deadline: SimTime) {
+        self.now = self.now.max(deadline);
+    }
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn metrics(&self) -> Metrics {
+        Metrics::new(N)
+    }
+}
+
+/// Two 100-tick phases, one arrival every 10 ticks: 20 arrivals, one
+/// port, locate-then-call, a 16-tick client timeout.
+fn spec(faults: Vec<FaultSpec>) -> Workload {
+    let arrivals = ArrivalProcess::FixedRate { interval: 10 };
+    Workload {
+        name: "scripted".into(),
+        seed: 1,
+        ports: 1,
+        popularity: PortPopularity::Uniform,
+        phases: vec![
+            Phase::new("first", 100, arrivals),
+            Phase::new("second", 100, arrivals),
+        ],
+        churn: vec![],
+        refresh_interval: None,
+        request_after_locate: true,
+        op_timeout: 16,
+        clients: None,
+        faults,
+    }
+}
+
+fn total(r: &ScenarioReport, f: impl Fn(&mm_workload::PhaseReport) -> u64) -> u64 {
+    r.phases.iter().map(f).sum()
+}
+
+#[test]
+fn a_stale_bounce_yields_exactly_one_retry_and_one_recovery() {
+    // polled and settled-at-issue runtimes must account identically
+    for settled in [false, true] {
+        let (rt, issues) = Scripted::new(&[Answer::Elsewhere, Answer::Home], settled);
+        let r = ScenarioRunner::over(spec(vec![]), rt, "scripted").run();
+        assert_eq!(total(&r, |p| p.stale_requests), 1, "settled={settled}");
+        assert_eq!(total(&r, |p| p.staleness_recoveries), 1);
+        assert_eq!(total(&r, |p| p.stale_results), 1, "the wrong address hit");
+        assert_eq!(total(&r, |p| p.locates_issued), 21, "20 arrivals + 1 retry");
+        assert_eq!(issues.borrow().locates, 21, "and no locate beyond them");
+        assert_eq!(total(&r, |p| p.hits), 21);
+        assert_eq!(total(&r, |p| p.request_timeouts), 0);
+    }
+}
+
+#[test]
+fn a_silent_runtime_times_every_operation_out_at_op_timeout() {
+    let (rt, issues) = Scripted::new(&[Answer::Silence], false);
+    let (r, log) = ScenarioRunner::over(spec(vec![]), rt, "scripted").run_logged();
+    assert_eq!(log.len(), 20);
+    assert!(log
+        .iter()
+        .all(|rec| rec.verdict == LocateVerdict::Unresolved));
+    // verdicts land the first time the runner looks at or after issue +
+    // 16: the arrivals at 0..=80 by the first phase's close at 100, the
+    // one at 90 only in the second phase — not earlier, not at the end
+    assert_eq!(r.phases[0].unresolved, 9);
+    assert_eq!(r.phases[1].unresolved, 11);
+    assert_eq!(total(&r, |p| p.locates_completed), 20);
+    assert_eq!(total(&r, |p| p.hits + p.misses), 0);
+    let issues = issues.borrow();
+    assert_eq!(
+        (issues.locates, issues.requests),
+        (20, 0),
+        "nothing followed up"
+    );
+}
+
+#[test]
+fn the_forced_final_drain_issues_no_follow_ups() {
+    let (rt, issues) = Scripted::new(&[Answer::Home], false);
+    let r = ScenarioRunner::over(spec(vec![]), rt, "scripted").run();
+    // the last arrival (tick 190) is only read by the forced drain: it
+    // counts as a hit, but the call it would make could never be answered
+    assert_eq!(total(&r, |p| p.hits), 20);
+    assert_eq!(issues.borrow().requests, 19);
+    assert_eq!(
+        total(&r, |p| p.requests_ok),
+        19,
+        "every issued call is accounted"
+    );
+    assert_eq!(total(&r, |p| p.request_timeouts), 0);
+}
+
+#[test]
+fn completed_locates_partition_into_the_five_verdicts_per_phase() {
+    let cycle = [
+        Answer::Home,
+        Answer::Unknown,
+        Answer::Silence,
+        Answer::Lie { dissent: 1 },
+        Answer::Lie { dissent: 0 },
+    ];
+    let script: Vec<Answer> = (0..64).map(|k| cycle[k % cycle.len()]).collect();
+    let faults = LIARS
+        .iter()
+        .map(|&v| FaultSpec {
+            node_index: v as usize,
+            fault: FaultProfile::ForgedAddress,
+        })
+        .collect();
+    let (rt, _) = Scripted::new(&script, false);
+    let r = ScenarioRunner::over(spec(faults), rt, "scripted").run();
+    for p in &r.phases {
+        let (lies, fooled) = (p.detected_lie.unwrap(), p.false_match.unwrap());
+        assert_eq!(
+            p.locates_completed,
+            p.hits + p.misses + p.unresolved + lies + fooled,
+            "phase {}",
+            p.name
+        );
+        assert!(
+            p.hits > 0 && p.misses > 0 && p.unresolved > 0 && lies > 0 && fooled > 0,
+            "every verdict occurs in phase {}: {p:?}",
+            p.name
+        );
+    }
+    // an escaped forgery bounces off the non-serving liar and re-locates
+    assert_eq!(
+        total(&r, |p| p.stale_requests),
+        total(&r, |p| p.false_match.unwrap()),
+    );
+}

@@ -20,9 +20,9 @@
 
 use match_making::core::robust::Replicated;
 use match_making::prelude::*;
-use mm_sim::QueueKind;
+use mm_sim::{QueueKind, RouterKind, ShardMode};
 use mm_workload::{
-    scenarios, ArrivalProcess, ChurnAction, ChurnEvent, LiveScenarioRunner, Phase, PhaseReport,
+    scenarios, ArrivalProcess, ChurnAction, ChurnEvent, LiveRuntime, Phase, PhaseReport,
     PortPopularity, ScenarioReport, ScenarioRunner, Workload,
 };
 
@@ -38,7 +38,12 @@ fn sim_report(spec: Workload, n: usize) -> ScenarioReport {
 }
 
 fn live_report(spec: Workload, n: usize) -> ScenarioReport {
-    LiveScenarioRunner::new(spec, n, Checkerboard::new(n), "checkerboard").run()
+    ScenarioRunner::over(
+        spec,
+        LiveRuntime::new(n, Checkerboard::new(n)),
+        "checkerboard",
+    )
+    .run()
 }
 
 fn phase<'a>(r: &'a ScenarioReport, name: &str) -> &'a PhaseReport {
@@ -150,13 +155,15 @@ fn hostile_reports_byte_identical_across_queues() {
         for seed in [7u64, 23] {
             let spec = scenarios::by_name(name, n, seed).unwrap();
             let json = |queue: QueueKind| {
-                let r = ScenarioRunner::with_queue(
+                let r = ScenarioRunner::with_router(
                     spec.clone(),
                     gen::complete(n),
                     Checkerboard::new(n),
                     CostModel::Uniform,
                     "checkerboard",
                     queue,
+                    ShardMode::Single,
+                    RouterKind::Auto,
                 )
                 .run();
                 serde_json::to_string(&r).unwrap()
@@ -245,13 +252,15 @@ fn churn_edge_cases_are_deterministic_in_the_simulator() {
     let n = 36;
     let spec = churn_edge_spec(11);
     let json = |queue: QueueKind| {
-        let r = ScenarioRunner::with_queue(
+        let r = ScenarioRunner::with_router(
             spec.clone(),
             gen::complete(n),
             Checkerboard::new(n),
             CostModel::Uniform,
             "checkerboard",
             queue,
+            ShardMode::Single,
+            RouterKind::Auto,
         )
         .run();
         serde_json::to_string(&r).unwrap()

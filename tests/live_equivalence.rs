@@ -84,7 +84,7 @@ fn live_missing_service_is_not_found() {
         Strategy::query_set(&strat, NodeId::new(0)),
     );
     // every rendezvous answers "unknown": a clean miss, not a timeout
-    assert_eq!(found, LiveLocateOutcome::NotFound);
+    assert_eq!(found, LiveLocateOutcome::NotFound { elapsed: 0 });
     live.shutdown();
 }
 
@@ -127,7 +127,7 @@ fn locate_racing_deregistration_never_tears() {
                 assert_eq!(s, stamp, "a hit must carry the exact posting stamp");
                 outcomes[0] += 1;
             }
-            LiveLocateOutcome::NotFound => outcomes[1] += 1,
+            LiveLocateOutcome::NotFound { .. } => outcomes[1] += 1,
             other => panic!("no rendezvous crashed, yet got {other:?}"),
         }
         live.shutdown();
@@ -139,7 +139,7 @@ fn locate_racing_deregistration_never_tears() {
     live.deregister_server(server, port, Strategy::post_set(&strat, server));
     assert_eq!(
         live.locate(client, port, Strategy::query_set(&strat, client)),
-        LiveLocateOutcome::NotFound
+        LiveLocateOutcome::NotFound { elapsed: 0 }
     );
     live.shutdown();
 }
@@ -217,7 +217,7 @@ fn locate_racing_crash_then_restore_never_wedges() {
             LiveLocateOutcome::Found { addr, stamp: s, .. } => {
                 assert_eq!((addr, s), (server, stamp));
             }
-            LiveLocateOutcome::NotFound | LiveLocateOutcome::Unresolved { .. } => {}
+            LiveLocateOutcome::NotFound { .. } | LiveLocateOutcome::Unresolved { .. } => {}
         }
         live.shutdown();
     }
@@ -253,7 +253,7 @@ fn locate_racing_crash_is_always_classified() {
             LiveLocateOutcome::Found { addr, stamp: s, .. } => {
                 assert_eq!((addr, s), (server, stamp));
             }
-            LiveLocateOutcome::NotFound | LiveLocateOutcome::Unresolved { .. } => {}
+            LiveLocateOutcome::NotFound { .. } | LiveLocateOutcome::Unresolved { .. } => {}
         }
         live.shutdown();
     }

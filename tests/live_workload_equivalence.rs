@@ -40,7 +40,7 @@
 use match_making::prelude::*;
 use mm_workload::report::{LocateRecord, ScenarioReport};
 use mm_workload::{
-    scenarios, ChurnAction, ClientModel, LiveScenarioRunner, ScenarioRunner, ThinkTime, Workload,
+    scenarios, ChurnAction, ClientModel, LiveRuntime, ScenarioRunner, ThinkTime, Workload,
 };
 
 /// Longest operation chain (in uniform-cost ticks) that can straddle a
@@ -94,8 +94,12 @@ fn run_pair_spec(spec: Workload, n: usize) -> Pair {
         "checkerboard",
     )
     .run_logged();
-    let (live, live_log) =
-        LiveScenarioRunner::new(spec.clone(), n, Checkerboard::new(n), "checkerboard").run_logged();
+    let (live, live_log) = ScenarioRunner::over(
+        spec.clone(),
+        LiveRuntime::new(n, Checkerboard::new(n)),
+        "checkerboard",
+    )
+    .run_logged();
     Pair {
         spec,
         sim,
@@ -357,9 +361,17 @@ fn closed_loop_exponential_think_agrees_exactly() {
 #[test]
 fn live_op_log_is_deterministic() {
     let spec = scenarios::by_name("rolling-churn", 64, 11).unwrap();
-    let (_, a) = LiveScenarioRunner::new(spec.clone(), 64, Checkerboard::new(64), "checkerboard")
-        .run_logged();
-    let (_, b) =
-        LiveScenarioRunner::new(spec, 64, Checkerboard::new(64), "checkerboard").run_logged();
+    let (_, a) = ScenarioRunner::over(
+        spec.clone(),
+        LiveRuntime::new(64, Checkerboard::new(64)),
+        "checkerboard",
+    )
+    .run_logged();
+    let (_, b) = ScenarioRunner::over(
+        spec,
+        LiveRuntime::new(64, Checkerboard::new(64)),
+        "checkerboard",
+    )
+    .run_logged();
     assert_eq!(a, b);
 }

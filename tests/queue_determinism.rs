@@ -10,19 +10,21 @@
 //! byte-identical JSON reports across several seeds.
 
 use mm_core::strategies::Checkerboard;
-use mm_sim::{CostModel, QueueKind};
+use mm_sim::{CostModel, QueueKind, RouterKind, ShardMode};
 use mm_topo::gen;
 use mm_workload::{scenarios, ScenarioRunner};
 
 fn report_json(scenario: &str, n: usize, seed: u64, queue: QueueKind) -> String {
     let spec = scenarios::by_name(scenario, n, seed).expect("library scenario");
-    let report = ScenarioRunner::with_queue(
+    let report = ScenarioRunner::with_router(
         spec,
         gen::complete(n),
         Checkerboard::new(n),
         CostModel::Uniform,
         "checkerboard",
         queue,
+        ShardMode::Single,
+        RouterKind::Auto,
     )
     .run();
     serde_json::to_string(&report).expect("reports serialize")
@@ -63,13 +65,15 @@ fn queues_agree_under_hops_cost_model() {
     for seed in [3u64, 9] {
         let run = |queue| {
             let spec = scenarios::by_name("migrate-under-load", 64, seed).expect("scenario");
-            let report = ScenarioRunner::with_queue(
+            let report = ScenarioRunner::with_router(
                 spec,
                 gen::grid(8, 8, false),
                 Checkerboard::new(64),
                 CostModel::Hops,
                 "checkerboard",
                 queue,
+                ShardMode::Single,
+                RouterKind::Auto,
             )
             .run();
             serde_json::to_string(&report).expect("reports serialize")

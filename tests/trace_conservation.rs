@@ -19,11 +19,9 @@
 //! whole-run account.
 
 use match_making::prelude::*;
-use match_making::sim::QueueKind;
+use match_making::sim::{QueueKind, RouterKind, ShardMode};
 use mm_obs::{analyze, TraceConfig, TraceFile};
-use mm_workload::{
-    ArrivalProcess, LiveScenarioRunner, Phase, PortPopularity, ScenarioRunner, Workload,
-};
+use mm_workload::{ArrivalProcess, LiveRuntime, Phase, PortPopularity, ScenarioRunner, Workload};
 use proptest::prelude::*;
 
 /// Builds a random churn-free open-loop spec from primitive draws: 1–4
@@ -80,20 +78,26 @@ fn sim_trace(spec: &Workload, n: usize, rate: f64) -> TraceFile {
 }
 
 fn sim_trace_queued(spec: &Workload, n: usize, rate: f64, queue: QueueKind) -> TraceFile {
-    let mut runner = ScenarioRunner::with_queue(
+    let mut runner = ScenarioRunner::with_router(
         spec.clone(),
         gen::complete(n),
         Checkerboard::new(n),
         CostModel::Uniform,
         "checkerboard",
         queue,
+        ShardMode::Single,
+        RouterKind::Auto,
     );
     runner.set_trace(TraceConfig::with_rate(spec.seed, rate));
     runner.run_traced().1.expect("tracing was enabled")
 }
 
 fn live_trace(spec: &Workload, n: usize) -> TraceFile {
-    let mut runner = LiveScenarioRunner::new(spec.clone(), n, Checkerboard::new(n), "checkerboard");
+    let mut runner = ScenarioRunner::over(
+        spec.clone(),
+        LiveRuntime::new(n, Checkerboard::new(n)),
+        "checkerboard",
+    );
     runner.set_trace(TraceConfig::full(spec.seed));
     runner.run_traced().1.expect("tracing was enabled")
 }
