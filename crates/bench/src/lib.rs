@@ -1,7 +1,7 @@
 //! # mm-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the paper (see DESIGN.md §4 for
-//! the experiment index E1–E18). Each experiment prints paper-style
+//! Regenerates every table and figure of the paper (the experiment index
+//! E1–E18 is [`all_experiments`]). Each experiment prints paper-style
 //! tables and returns [`ExperimentRecord`]s comparing the paper's
 //! predicted value with the measured one.
 //!

@@ -210,6 +210,29 @@ pub const EXPERIMENTS: &[Experiment] = &[
         shards: 8,
         shard_threads: 4,
     },
+    Experiment {
+        id: "sustained",
+        description: "sustained-load count gate: 4 scenarios x {16384,65536}, queues must agree \
+                      (16 runs, 8 unique)",
+        // baseline load, Zipf spike, crash/restore churn, and the
+        // closed-loop saturation ramp, whose pool wake-ups step the engine
+        // in many short slices — a different event-queue access pattern
+        scenarios: &[
+            "steady-state",
+            "flash-crowd",
+            "rolling-churn",
+            "overload-ramp",
+        ],
+        ns: &[16_384, 65_536],
+        strategies: &["checkerboard"],
+        topologies: DEFAULT_TOPO,
+        costs: DEFAULT_COST,
+        queues: &[QueueKind::Calendar, QueueKind::BTree],
+        runtimes: &[RuntimeKind::Sim],
+        seeds: &[7],
+        shards: 0,
+        shard_threads: 1,
+    },
 ];
 
 /// Looks an experiment up by ID.

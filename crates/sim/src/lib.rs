@@ -279,23 +279,12 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `nodes.len() != graph.node_count()`.
     pub fn new(graph: Graph, nodes: Vec<N>, cost_model: CostModel) -> Self {
-        Self::with_queue(graph, nodes, cost_model, QueueKind::Calendar)
-    }
-
-    /// Creates a simulator with an explicit event-queue implementation.
-    /// [`QueueKind::BTree`] is the pre-calendar reference core, kept for
-    /// determinism cross-checks and queue-isolated benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != graph.node_count()`.
-    pub fn with_queue(graph: Graph, nodes: Vec<N>, cost_model: CostModel, kind: QueueKind) -> Self {
         Sim {
             core: Core::Single(SingleCore::with_queue(
                 graph,
                 nodes,
                 cost_model,
-                kind,
+                QueueKind::Calendar,
                 RouterKind::Auto,
             )),
         }
@@ -494,28 +483,14 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
 }
 
 impl<M: Clone + Send, N: Node<M> + Send> Sim<M, N> {
-    /// Creates a simulator on an explicit execution core. `Send` bounds
-    /// on the message and handler types are required here — the only
-    /// construction path for a core that may own a worker pool — which is
-    /// what makes the pool's type-erased job dispatch sound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != graph.node_count()`.
-    pub fn with_shards(
-        graph: Graph,
-        nodes: Vec<N>,
-        cost_model: CostModel,
-        kind: QueueKind,
-        mode: ShardMode,
-    ) -> Self {
-        Self::with_router(graph, nodes, cost_model, kind, mode, RouterKind::Auto)
-    }
-
     /// Creates a simulator with every backend choice explicit: event
-    /// queue, execution core, and routing backend. All three axes are
-    /// output-invariant; this is the constructor conformance suites use
-    /// to pit the analytic routers against the table oracle.
+    /// queue (the [`QueueKind::BTree`] reference is kept for determinism
+    /// cross-checks), execution core, and routing backend. All three axes
+    /// are output-invariant; this is the constructor conformance suites
+    /// use to pit the analytic routers against the table oracle. `Send`
+    /// bounds on the message and handler types are required here — the
+    /// only construction path for a core that may own a worker pool —
+    /// which is what makes the pool's type-erased job dispatch sound.
     ///
     /// # Panics
     ///
@@ -804,9 +779,14 @@ mod tests {
         let n = 36;
         let mut sim = match mode {
             None => Sim::new(g, recorders(n), CostModel::Hops),
-            Some(mode) => {
-                Sim::with_shards(g, recorders(n), CostModel::Hops, QueueKind::Calendar, mode)
-            }
+            Some(mode) => Sim::with_router(
+                g,
+                recorders(n),
+                CostModel::Hops,
+                QueueKind::Calendar,
+                mode,
+                RouterKind::Auto,
+            ),
         };
         sim.inject(nid(0), nid(35), Msg::Ping);
         sim.inject(nid(3), nid(30), Msg::Ping);
@@ -875,7 +855,7 @@ mod tests {
     #[test]
     fn shard_counts_report_clamping() {
         let g = gen::ring(8);
-        let sim: Sim<Msg, Recorder> = Sim::with_shards(
+        let sim: Sim<Msg, Recorder> = Sim::with_router(
             g,
             recorders(8),
             CostModel::Uniform,
@@ -884,6 +864,7 @@ mod tests {
                 shards: 64,
                 threads: 64,
             },
+            RouterKind::Auto,
         );
         assert!(sim.shard_count() <= 8);
         assert!(sim.shard_threads() <= sim.shard_count());
@@ -960,12 +941,13 @@ mod tests {
             let n = w * h;
             let mut single = Sim::new(gen::grid(w, h, false), recorders(n), CostModel::Hops);
             random_traffic(&mut single, n, seed);
-            let mut sharded = Sim::with_shards(
+            let mut sharded = Sim::with_router(
                 gen::grid(w, h, false),
                 recorders(n),
                 CostModel::Hops,
                 QueueKind::Calendar,
                 ShardMode::Sharded { shards, threads },
+                RouterKind::Auto,
             );
             random_traffic(&mut sharded, n, seed);
             prop_assert_eq!(sharded.metrics(), single.metrics());
@@ -985,9 +967,14 @@ mod tests {
             let g = gen::complete(12);
             let mut sim = match mode {
                 None => Sim::new(g, recorders(12), CostModel::Uniform),
-                Some(m) => {
-                    Sim::with_shards(g, recorders(12), CostModel::Uniform, QueueKind::Calendar, m)
-                }
+                Some(m) => Sim::with_router(
+                    g,
+                    recorders(12),
+                    CostModel::Uniform,
+                    QueueKind::Calendar,
+                    m,
+                    RouterKind::Auto,
+                ),
             };
             for v in 0..12u32 {
                 sim.inject(nid(v), nid((v + 5) % 12), Msg::Ping);

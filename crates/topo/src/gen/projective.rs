@@ -10,8 +10,8 @@
 //!
 //! Construction: points and lines are the 1- and 2-dimensional subspaces of
 //! `GF(k)³`, represented by normalized homogeneous coordinates; point `p`
-//! lies on line `l` iff `p · l = 0 (mod k)`. Prime `k` only (documented in
-//! DESIGN.md; prime orders suffice for the paper's sweeps).
+//! lies on line `l` iff `p · l = 0 (mod k)`. Prime `k` only ([`Gf`] is a
+//! prime field; prime orders suffice for the paper's sweeps).
 
 use crate::gf::Gf;
 use crate::graph::{Graph, NodeId, TopoError};

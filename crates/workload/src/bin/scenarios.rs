@@ -61,44 +61,22 @@
 //! the per-scenario stderr progress lines.
 
 use mm_obs::{TraceConfig, TraceFile};
-use mm_sim::{CostModel, QueueKind, RouterKind};
+use mm_sim::CostModel;
 use mm_workload::drive::{self, ObsOptions, RunConfig, RuntimeKind, LIVE_THREAD_LIMIT};
 use mm_workload::{scenarios, ClientModel, ScenarioReport, ThinkTime};
 use std::time::Instant;
 
 struct Args {
     ns: Vec<usize>,
-    seed: u64,
-    scenario: String,
-    strategy: String,
-    topology: String,
-    cost: CostModel,
-    queue: QueueKind,
-    runtime: RuntimeKind,
-    /// `--clients N` closed-loop override applied on top of the scenario.
-    clients: Option<usize>,
-    think: ThinkTime,
-    retries: u32,
-    backoff: u64,
-    window: u64,
-    /// `--replication F`: tolerated rendezvous faults; 0 = base strategy.
-    replication: u64,
-    /// `--shards S`: simulator shard count (0 = single-threaded core).
-    shards: usize,
-    /// `--shard-threads T`: worker threads driving shard rounds.
-    shard_threads: usize,
-    /// `--router auto|analytic|table`: routing backend under hop cost.
-    router: RouterKind,
-    pretty: bool,
-    records: bool,
+    /// What the flags select for every run of the sweep; its `scenario`
+    /// is the `--scenario` argument (`all` included) and its `n` is filled
+    /// in per run.
+    cfg: RunConfig,
+    obs: ObsOptions,
     /// `--trace FILE`: write the causal span trace as JSONL.
     trace: Option<String>,
-    /// `--trace-rate R`: deterministic head-sampling rate in `[0, 1]`.
-    trace_rate: f64,
-    /// `--obs`: per-phase metrics-registry snapshots in the JSON.
-    obs: bool,
-    /// `--throughput`: wall-clock events/sec per phase in the JSON.
-    throughput: bool,
+    pretty: bool,
+    records: bool,
     /// `--verbose`: per-scenario progress lines on stderr.
     verbose: bool,
 }
@@ -140,6 +118,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Maps an invalid invocation to the CLI's exit code for one.
+fn fail(e: String) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
 /// Parses a `--think` spec: `zero`, `fixed:T` or `exp:M`.
 fn parse_think(s: &str) -> Option<ThinkTime> {
     if s == "zero" {
@@ -158,130 +142,125 @@ fn parse_think(s: &str) -> Option<ThinkTime> {
     None
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        ns: vec![1024],
-        seed: 7,
-        scenario: "all".into(),
-        strategy: "checkerboard".into(),
-        topology: "complete".into(),
-        cost: CostModel::Uniform,
-        queue: QueueKind::Calendar,
-        runtime: RuntimeKind::Sim,
-        clients: None,
+/// Flags that only shape what another flag turns on: given without it
+/// they would be accepted and do nothing.
+const DEPENDENT_FLAGS: [(&[&str], &str); 3] = [
+    (
+        &["--think", "--retries", "--backoff", "--window"],
+        "--clients",
+    ),
+    (&["--shard-threads"], "--shards"),
+    (&["--trace-rate"], "--trace"),
+];
+
+/// The first of the `seen` flags that has no effect because the flag it
+/// depends on was not given, as the error to report.
+fn idle_flag(seen: &[&str]) -> Option<String> {
+    DEPENDENT_FLAGS.iter().find_map(|(dependents, needed)| {
+        let idle = dependents.iter().find(|d| seen.contains(d))?;
+        (!seen.contains(needed)).then(|| format!("{idle} has no effect without {needed}"))
+    })
+}
+
+fn parse_args(argv: &[String]) -> Args {
+    let mut ns = vec![1024];
+    let mut cfg = RunConfig::new("all", 0, 7);
+    let mut obs = ObsOptions::default();
+    // the pool `--clients` switches on, as the flags around it shape it
+    let mut pool = ClientModel {
+        clients: 0,
         think: ThinkTime::Fixed { ticks: 2 },
-        retries: 1,
-        backoff: 8,
+        retry_budget: 1,
+        retry_backoff: 8,
         window: 250,
-        replication: 0,
-        shards: 0,
-        shard_threads: 1,
-        router: RouterKind::Auto,
-        pretty: false,
-        records: false,
-        trace: None,
-        trace_rate: 1.0,
-        obs: false,
-        throughput: false,
-        verbose: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut trace = None;
+    let mut trace_rate = 1.0;
+    let (mut pretty, mut records, mut verbose) = (false, false, false);
+    let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
-    let value = |argv: &[String], i: &mut usize| -> String {
+    let value = |i: &mut usize| -> &str {
         *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
+        argv.get(*i).unwrap_or_else(|| usage())
     };
+    /// The flag's value as a number (or anything else that parses).
+    fn num<T: std::str::FromStr>(s: &str) -> T {
+        s.parse().unwrap_or_else(|_| usage())
+    }
     while i < argv.len() {
-        match argv[i].as_str() {
-            "--n" => {
-                args.ns = vec![value(&argv, &mut i).parse().unwrap_or_else(|_| usage())];
-            }
-            "--sweep" => {
-                args.ns = value(&argv, &mut i)
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--seed" => args.seed = value(&argv, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--scenario" => args.scenario = value(&argv, &mut i),
-            "--strategy" => args.strategy = value(&argv, &mut i),
-            "--topology" => args.topology = value(&argv, &mut i),
+        let flag = argv[i].as_str();
+        seen.push(flag);
+        match flag {
+            "--n" => ns = vec![num(value(&mut i))],
+            "--sweep" => ns = value(&mut i).split(',').map(|s| num(s.trim())).collect(),
+            "--seed" => cfg.seed = num(value(&mut i)),
+            "--scenario" => cfg.scenario = value(&mut i).to_string(),
+            "--strategy" => cfg.strategy = value(&mut i).to_string(),
+            "--topology" => cfg.topology = value(&mut i).to_string(),
             "--cost" => {
-                args.cost = match value(&argv, &mut i).as_str() {
+                cfg.cost = match value(&mut i) {
                     "uniform" => CostModel::Uniform,
                     "hops" => CostModel::Hops,
                     _ => usage(),
                 }
             }
-            "--queue" => {
-                args.queue = drive::parse_queue(&value(&argv, &mut i)).unwrap_or_else(|| usage())
-            }
+            "--queue" => cfg.queue = drive::parse_queue(value(&mut i)).unwrap_or_else(|| usage()),
             "--runtime" => {
-                args.runtime = RuntimeKind::parse(&value(&argv, &mut i)).unwrap_or_else(|| usage())
+                cfg.runtime = RuntimeKind::parse(value(&mut i)).unwrap_or_else(|| usage())
             }
-            "--clients" => {
-                args.clients = Some(value(&argv, &mut i).parse().unwrap_or_else(|_| usage()));
-            }
-            "--think" => {
-                args.think = parse_think(&value(&argv, &mut i)).unwrap_or_else(|| usage());
-            }
-            "--retries" => args.retries = value(&argv, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--backoff" => args.backoff = value(&argv, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--window" => args.window = value(&argv, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--replication" => {
-                args.replication = value(&argv, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--shards" => args.shards = value(&argv, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--shard-threads" => {
-                args.shard_threads = value(&argv, &mut i).parse().unwrap_or_else(|_| usage())
-            }
+            "--clients" => pool.clients = num(value(&mut i)),
+            "--think" => pool.think = parse_think(value(&mut i)).unwrap_or_else(|| usage()),
+            "--retries" => pool.retry_budget = num(value(&mut i)),
+            "--backoff" => pool.retry_backoff = num(value(&mut i)),
+            "--window" => pool.window = num(value(&mut i)),
+            "--replication" => cfg.replication = num(value(&mut i)),
+            "--shards" => cfg.shards = num(value(&mut i)),
+            "--shard-threads" => cfg.shard_threads = num(value(&mut i)),
             "--router" => {
-                args.router = drive::parse_router(&value(&argv, &mut i)).unwrap_or_else(|| usage())
+                cfg.router = drive::parse_router(value(&mut i)).unwrap_or_else(|| usage())
             }
-            "--pretty" => args.pretty = true,
-            "--records" => args.records = true,
-            "--trace" => args.trace = Some(value(&argv, &mut i)),
+            "--pretty" => pretty = true,
+            "--records" => records = true,
+            "--trace" => trace = Some(value(&mut i).to_string()),
             "--trace-rate" => {
-                args.trace_rate = value(&argv, &mut i)
-                    .parse()
-                    .ok()
-                    .filter(|r: &f64| (0.0..=1.0).contains(r))
-                    .unwrap_or_else(|| usage());
+                trace_rate = num(value(&mut i));
+                if !(0.0..=1.0).contains(&trace_rate) {
+                    usage();
+                }
             }
-            "--obs" => args.obs = true,
-            "--throughput" => args.throughput = true,
-            "--verbose" => args.verbose = true,
-            "--help" | "-h" => usage(),
+            "--obs" => obs.obs = true,
+            "--throughput" => obs.throughput = true,
+            "--verbose" => verbose = true,
             _ => usage(),
         }
         i += 1;
     }
-    if args.ns.is_empty() || args.ns.contains(&0) {
+    if ns.is_empty() || ns.contains(&0) {
         usage();
     }
-    // reject impossible live-runtime combinations before any scenario
-    // runs: a failed sweep should not burn minutes of completed work
-    // first and then discard it at the incompatible size
-    if args.runtime == RuntimeKind::Live {
-        if args.topology != "complete" || args.cost != CostModel::Uniform {
-            eprintln!("error: --runtime live is a complete network under uniform cost");
-            std::process::exit(2);
-        }
-        if let Some(&n) = args.ns.iter().find(|&&n| n > LIVE_THREAD_LIMIT) {
-            eprintln!(
-                "error: --runtime live spawns one thread per node; \
-                 --n {n} exceeds the limit {LIVE_THREAD_LIMIT}"
-            );
-            std::process::exit(2);
-        }
+    if let Some(e) = idle_flag(&seen) {
+        fail(e);
+    }
+    if seen.contains(&"--clients") {
+        cfg.clients = Some(pool);
     }
     // a trace file records ONE run: requiring a single scenario × size
     // keeps the header/footer unambiguous and the file analyzable
-    if args.trace.is_some() && (args.scenario == "all" || args.ns.len() != 1) {
-        eprintln!("error: --trace needs a single --scenario and a single --n");
-        std::process::exit(2);
+    if trace.is_some() {
+        if cfg.scenario == "all" || ns.len() != 1 {
+            fail("--trace needs a single --scenario and a single --n".into());
+        }
+        obs.trace = Some(TraceConfig::with_rate(cfg.seed, trace_rate));
     }
-    args
+    Args {
+        ns,
+        cfg,
+        obs,
+        trace,
+        pretty,
+        records,
+        verbose,
+    }
 }
 
 /// The `scenarios trace FILE` subcommand: parse, analyze, render; exit 1
@@ -304,49 +283,6 @@ fn trace_cmd(path: &str) -> ! {
     std::process::exit(0);
 }
 
-/// One scenario × size of the sweep as a [`drive::RunConfig`].
-fn to_config(args: &Args, name: &str, n: usize) -> RunConfig {
-    RunConfig {
-        scenario: name.to_string(),
-        n,
-        seed: args.seed,
-        strategy: args.strategy.clone(),
-        topology: args.topology.clone(),
-        cost: args.cost,
-        queue: args.queue,
-        runtime: args.runtime,
-        clients: args.clients.map(|clients| ClientModel {
-            clients,
-            think: args.think,
-            retry_budget: args.retries,
-            retry_backoff: args.backoff,
-            window: args.window,
-        }),
-        replication: args.replication,
-        shards: args.shards,
-        shard_threads: args.shard_threads,
-        router: args.router,
-    }
-}
-
-/// The observability switches the flags select.
-fn to_obs(args: &Args) -> ObsOptions {
-    ObsOptions {
-        trace: args
-            .trace
-            .as_ref()
-            .map(|_| TraceConfig::with_rate(args.seed, args.trace_rate)),
-        obs: args.obs,
-        throughput: args.throughput,
-    }
-}
-
-/// Maps a drive error to the CLI's invalid-invocation exit.
-fn fail(e: String) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(2);
-}
-
 fn main() {
     // `scenarios trace FILE` — the analysis subcommand
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -356,57 +292,58 @@ fn main() {
             _ => usage(),
         }
     }
-    let args = parse_args();
+    let args = parse_args(&argv);
     // "all" stays the open-loop five (their concatenated JSON is a
     // compatibility surface); the closed-loop library is addressed by name
-    let names: Vec<&str> = if args.scenario == "all" {
+    let names: Vec<&str> = if args.cfg.scenario == "all" {
         scenarios::ALL.to_vec()
     } else {
-        let known = args.scenario.as_str();
-        if !scenarios::ALL.contains(&known)
-            && !scenarios::CLOSED_LOOP.contains(&known)
-            && !scenarios::HOSTILE.contains(&known)
-        {
-            usage();
-        }
-        vec![known]
+        vec![args.cfg.scenario.as_str()]
     };
-    // fail fast on invalid flag × scenario combinations (e.g. --clients
-    // over a request_after_locate workload) before ANY scenario runs: a
-    // sweep must not complete half its work and then discard it mid-way
-    // (spec validity does not depend on n, so the first size suffices)
-    for name in &names {
-        let cfg = to_config(&args, name, args.ns[0]);
-        drive::build_spec(&cfg, args.ns[0]).unwrap_or_else(|e| fail(e));
+    let mut runs = Vec::new();
+    for &n in &args.ns {
+        for name in &names {
+            runs.push(RunConfig {
+                scenario: name.to_string(),
+                n,
+                ..args.cfg.clone()
+            });
+        }
     }
-    let obs = to_obs(&args);
+    // fail fast on anything that cannot run (an unknown scenario,
+    // --clients over a request_after_locate workload, a live network past
+    // its thread limit) before ANY scenario runs: a sweep must not
+    // complete half its work and then discard it mid-way
+    for cfg in &runs {
+        drive::build_spec(cfg, cfg.n).unwrap_or_else(|e| fail(e));
+    }
 
     let mut reports = Vec::new();
     let mut trace_out: Option<TraceFile> = None;
-    for &n in &args.ns {
-        for name in &names {
-            if args.verbose {
-                eprintln!("running {name} at n={n} (seed {}) ...", args.seed);
-            }
-            let cfg = to_config(&args, name, n);
-            let t0 = Instant::now();
-            let (report, trace) = drive::run_traced(&cfg, &obs).unwrap_or_else(|e| fail(e));
-            let wall = t0.elapsed().as_secs_f64();
-            if args.verbose {
-                // wall-clock throughput goes to stderr only: stdout JSON
-                // must stay byte-identical across equal-seed runs
-                let events = report.events_executed();
-                eprintln!(
-                    "  {events} events in {wall:.3}s ({:.0} events/sec), peak queue depth {}",
-                    events as f64 / wall.max(1e-9),
-                    report.peak_queue_depth(),
-                );
-            }
-            if trace.is_some() {
-                trace_out = trace;
-            }
-            reports.push(report);
+    for cfg in &runs {
+        if args.verbose {
+            eprintln!(
+                "running {} at n={} (seed {}) ...",
+                cfg.scenario, cfg.n, cfg.seed
+            );
         }
+        let t0 = Instant::now();
+        let (report, trace) = drive::run_traced(cfg, &args.obs).unwrap_or_else(|e| fail(e));
+        let wall = t0.elapsed().as_secs_f64();
+        if args.verbose {
+            // wall-clock throughput goes to stderr only: stdout JSON
+            // must stay byte-identical across equal-seed runs
+            let events = report.events_executed();
+            eprintln!(
+                "  {events} events in {wall:.3}s ({:.0} events/sec), peak queue depth {}",
+                events as f64 / wall.max(1e-9),
+                report.peak_queue_depth(),
+            );
+        }
+        if trace.is_some() {
+            trace_out = trace;
+        }
+        reports.push(report);
     }
     if let (Some(path), Some(file)) = (&args.trace, &trace_out) {
         if let Err(e) = std::fs::write(path, file.to_jsonl()) {
@@ -423,4 +360,39 @@ fn main() {
     }
 
     print!("{}", drive::reports_to_json(&reports, args.pretty));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::idle_flag;
+
+    /// Each of `dependents` is an error without `needed`, and fine with
+    /// it, wherever on the command line either stands.
+    fn needs(dependents: &[&str], needed: &str) {
+        for dependent in dependents {
+            let e = idle_flag(&["--n", dependent, "--seed"]).expect(dependent);
+            assert!(e.contains(dependent) && e.contains(needed), "{e}");
+            assert_eq!(idle_flag(&[dependent, "--n", needed]), None);
+            assert_eq!(idle_flag(&[needed, dependent]), None);
+        }
+        assert_eq!(idle_flag(&[needed]), None, "the switch alone is fine");
+    }
+
+    #[test]
+    fn pool_shaping_flags_need_clients() {
+        needs(
+            &["--think", "--retries", "--backoff", "--window"],
+            "--clients",
+        );
+    }
+
+    #[test]
+    fn shard_threads_need_shards() {
+        needs(&["--shard-threads"], "--shards");
+    }
+
+    #[test]
+    fn a_trace_rate_needs_a_trace() {
+        needs(&["--trace-rate"], "--trace");
+    }
 }

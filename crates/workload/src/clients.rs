@@ -19,50 +19,70 @@
 //! pause) is drawn inside [`ClientPool::service`] in slot-index order at
 //! canonical virtual times, so both runtimes consume the spec's RNG in
 //! exactly the same order — the same contract [`crate::timeline`]
-//! establishes for the open-loop path. Actually issuing a locate and
-//! producing its verdict hides behind [`OpDriver`]; the simulator reports
+//! establishes for the open-loop path. Actually issuing a locate, and
+//! settling and recording its verdict, hides behind [`OpDriver`] (the
+//! runner's one settlement path; the pool only decides what a verdict
+//! means for the slot: retry, or finish and think); the simulator reports
 //! the engine's real issue→verdict elapsed, the thread network the
 //! uniform-cost model's deterministic elapsed, and on churn-free
 //! scenarios the two are provably identical — which is
 //! what lets `tests/live_workload_equivalence.rs` assert byte-equal
 //! latency percentiles across the runtimes.
 
-use crate::report::{Acc, LocateRecord, LocateVerdict};
+use crate::report::{LocateRecord, LocateVerdict};
 use crate::spec::ClientModel;
 use crate::timeline::draw_arrival;
 use crate::traffic::{think_ticks, PopularitySampler};
+use mm_proto::LocateHandle;
 use mm_sim::SimTime;
 use mm_topo::NodeId;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 
-/// How one runtime executes a single locate for the pool.
+/// One locate attempt in flight: the facts fixed at dispatch. They ride
+/// with whoever waits for the verdict — an open-loop in-flight entry or a
+/// pool slot — back to the runner's settlement path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LocateOp {
+    pub handle: LocateHandle,
+    pub port_idx: usize,
+    /// Spec-relative tick the attempt was issued.
+    pub issued: SimTime,
+    /// Causal-trace id allocated at dispatch; `None` when tracing is off
+    /// or the attempt is an untraced stale-recovery retry.
+    pub trace: Option<u64>,
+    /// Position in the deterministic arrival sequence the verdict is
+    /// logged under. `None` for attempts that are not logged themselves:
+    /// stale-recovery retries (timing-dependent, so excluded from the
+    /// cross-runtime operation log) and pool attempts (the pool logs an
+    /// operation once, with its final verdict).
+    pub arrival: Option<u64>,
+}
+
+/// How the pool gets a single locate executed.
 ///
-/// `issue` starts the operation at virtual time `now` and returns a
-/// runtime-opaque token plus an optional wake-up hint (the earliest
-/// virtual time a verdict can be ready; `None` = poll every tick).
-/// `poll` reports the verdict once it is decided, with `completed_at` the
-/// exact virtual tick it landed (≤ `now`) — the pool uses that tick, not
-/// the discovery tick, for latency accounting, so coarse polling cannot
-/// skew percentiles.
+/// `issue` starts the operation at virtual time `now` and returns the
+/// attempt plus an optional wake-up hint (the earliest virtual time a
+/// verdict can be ready; `None` = poll every tick). `poll` reports the
+/// verdict once it is decided — address and the exact virtual tick it
+/// landed (≤ `now`) — and the pool uses that tick, not the discovery
+/// tick, for latency accounting, so coarse polling cannot skew
+/// percentiles. Each attempt's verdict is reported exactly once; counting
+/// and tracing it is the driver's business.
 pub(crate) trait OpDriver {
     /// Starts a locate from `client` for port `port_idx` at virtual `now`.
-    fn issue(&mut self, now: SimTime, client: NodeId, port_idx: usize) -> (u64, Option<SimTime>);
-    /// The verdict, once decided by virtual time `now`. `issued` is the
-    /// virtual tick this attempt was issued (for timeout classification
-    /// and exact completion-tick reconstruction); `port_idx` lets hostile
-    /// runs classify the answer against the port's ground truth (fresh /
-    /// stale / forged).
+    fn issue(
+        &mut self,
+        now: SimTime,
+        client: NodeId,
+        port_idx: usize,
+    ) -> (LocateOp, Option<SimTime>);
+    /// The verdict, once decided by virtual time `now`.
     fn poll(
         &mut self,
-        client: NodeId,
-        token: u64,
-        issued: SimTime,
+        op: &LocateOp,
         now: SimTime,
-        port_idx: usize,
     ) -> Option<(LocateVerdict, Option<NodeId>, SimTime)>;
-    /// The port's current true server address (stale-hit accounting).
-    fn home(&self, port_idx: usize) -> NodeId;
 }
 
 /// One offered operation's life, from offer to (maybe) final verdict.
@@ -90,6 +110,21 @@ pub(crate) struct ClientOpRecord {
     pub port_idx: Option<usize>,
 }
 
+impl ClientOpRecord {
+    /// The operation's op-log entry, once it has its final verdict: keyed
+    /// like the open-loop log, by arrival index and offered tick.
+    pub(crate) fn logged(&self) -> Option<LocateRecord> {
+        Some(LocateRecord {
+            arrival: self.arrival,
+            at: self.offered_at,
+            client: self.client?,
+            port_idx: self.port_idx?,
+            verdict: self.verdict?,
+            addr: self.addr,
+        })
+    }
+}
+
 /// A client slot's state machine.
 #[derive(Debug)]
 enum Slot {
@@ -98,8 +133,7 @@ enum Slot {
     /// An attempt is in flight; `wake` is the next tick worth polling.
     Busy {
         rec: usize,
-        token: u64,
-        issued: SimTime,
+        op: LocateOp,
         wake: SimTime,
         attempts: u32,
     },
@@ -194,7 +228,6 @@ impl ClientPool {
     /// thinking slots, and dispatches queued operations onto free slots.
     /// All RNG draws happen here, in slot-index order then queue order —
     /// the canonical order both runtimes share.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn service<D: OpDriver>(
         &mut self,
         now: SimTime,
@@ -202,8 +235,6 @@ impl ClientPool {
         rng: &mut StdRng,
         live: &[NodeId],
         sampler: &PopularitySampler,
-        acc: &mut Acc,
-        op_log: &mut Vec<LocateRecord>,
     ) {
         loop {
             let mut progress = false;
@@ -213,33 +244,17 @@ impl ClientPool {
                 match self.slots[si] {
                     Slot::Busy {
                         rec,
-                        token,
-                        issued,
+                        op,
                         wake,
                         attempts,
                     } if wake <= now => {
-                        let client = self.records[rec].client.expect("dispatched");
-                        let port_idx = self.records[rec].port_idx.expect("dispatched");
-                        match driver.poll(client, token, issued, now, port_idx) {
+                        match driver.poll(&op, now) {
                             Some((verdict, addr, done_at)) => {
                                 progress = true;
-                                acc.completed += 1;
-                                match verdict {
-                                    LocateVerdict::Hit => {
-                                        acc.hits += 1;
-                                        if addr != Some(driver.home(port_idx)) {
-                                            acc.stale_results += 1;
-                                        }
-                                    }
-                                    LocateVerdict::Miss => acc.misses += 1,
-                                    LocateVerdict::Unresolved => acc.unresolved += 1,
-                                    // Byzantine classifications are final:
-                                    // the retry budget is for unanswered
-                                    // queries, not for answers the client
-                                    // has (or hasn't) seen through
-                                    LocateVerdict::DetectedLie => acc.detected_lie += 1,
-                                    LocateVerdict::FalseMatch => acc.false_match += 1,
-                                }
+                                // Byzantine classifications are final: the
+                                // retry budget is for unanswered queries,
+                                // not for answers the client has (or
+                                // hasn't) seen through
                                 let retry = verdict == LocateVerdict::Unresolved
                                     && attempts <= self.model.retry_budget
                                     && !self.frozen;
@@ -254,7 +269,7 @@ impl ClientPool {
                                         last_done: done_at,
                                     };
                                 } else {
-                                    self.finish(rec, verdict, addr, done_at, op_log);
+                                    self.finish(rec, verdict, addr, done_at);
                                     let until = done_at + think_ticks(self.model.think, rng);
                                     self.slots[si] = Slot::Thinking { until };
                                 }
@@ -262,8 +277,7 @@ impl ClientPool {
                             None => {
                                 self.slots[si] = Slot::Busy {
                                     rec,
-                                    token,
-                                    issued,
+                                    op,
                                     wake: now + 1,
                                     attempts,
                                 };
@@ -280,18 +294,16 @@ impl ClientPool {
                         if self.frozen {
                             // the horizon arrived before the retry fired:
                             // the operation ends on its last verdict
-                            self.finish(rec, LocateVerdict::Unresolved, None, last_done, op_log);
+                            self.finish(rec, LocateVerdict::Unresolved, None, last_done);
                             self.slots[si] = Slot::Free;
                         } else {
                             let client = self.records[rec].client.expect("dispatched");
                             let port_idx = self.records[rec].port_idx.expect("dispatched");
-                            acc.issued += 1;
                             self.records[rec].attempts += 1;
-                            let (token, hint) = driver.issue(now, client, port_idx);
+                            let (op, hint) = driver.issue(now, client, port_idx);
                             self.slots[si] = Slot::Busy {
                                 rec,
-                                token,
-                                issued: now,
+                                op,
                                 wake: hint.unwrap_or(now),
                                 attempts: attempts + 1,
                             };
@@ -329,12 +341,10 @@ impl ClientPool {
                     r.client = Some(client);
                     r.port_idx = Some(port_idx);
                     r.attempts = 1;
-                    acc.issued += 1;
-                    let (token, hint) = driver.issue(now, client, port_idx);
+                    let (op, hint) = driver.issue(now, client, port_idx);
                     self.slots[si] = Slot::Busy {
                         rec,
-                        token,
-                        issued: now,
+                        op,
                         wake: hint.unwrap_or(now),
                         attempts: 1,
                     };
@@ -363,28 +373,18 @@ impl ClientPool {
         self.records
     }
 
-    /// Records an operation's final verdict (and its op-log entry, keyed
-    /// like the open-loop log: arrival index + offered tick).
+    /// Records an operation's final verdict.
     fn finish(
         &mut self,
         rec: usize,
         verdict: LocateVerdict,
         addr: Option<NodeId>,
         done_at: SimTime,
-        op_log: &mut Vec<LocateRecord>,
     ) {
         let r = &mut self.records[rec];
         r.verdict = Some(verdict);
         r.addr = addr;
         r.completed_at = Some(done_at);
-        op_log.push(LocateRecord {
-            arrival: r.arrival,
-            at: r.offered_at,
-            client: r.client.expect("dispatched"),
-            port_idx: r.port_idx.expect("dispatched"),
-            verdict,
-            addr,
-        });
     }
 }
 
@@ -400,8 +400,9 @@ mod tests {
         service: SimTime,
         script: Vec<LocateVerdict>,
         issued: Vec<(SimTime, NodeId, usize)>,
-        next: usize,
         outcomes: Vec<(LocateVerdict, SimTime)>,
+        /// Every verdict the pool has read, in poll order.
+        verdicts: Vec<LocateVerdict>,
     }
 
     impl MockDriver {
@@ -410,8 +411,8 @@ mod tests {
                 service,
                 script,
                 issued: Vec::new(),
-                next: 0,
                 outcomes: Vec::new(),
+                verdicts: Vec::new(),
             }
         }
     }
@@ -422,196 +423,157 @@ mod tests {
             now: SimTime,
             client: NodeId,
             port_idx: usize,
-        ) -> (u64, Option<SimTime>) {
-            let verdict = self.script[self.next % self.script.len()];
-            self.next += 1;
+        ) -> (LocateOp, Option<SimTime>) {
+            let id = self.outcomes.len();
+            let verdict = self.script[id % self.script.len()];
             self.issued.push((now, client, port_idx));
             let done = now + self.service;
-            let token = self.outcomes.len() as u64;
             self.outcomes.push((verdict, done));
-            (token, Some(done))
+            let op = LocateOp {
+                handle: LocateHandle {
+                    client,
+                    id: id as u64,
+                },
+                port_idx,
+                issued: now,
+                trace: None,
+                arrival: None,
+            };
+            (op, Some(done))
         }
 
         fn poll(
             &mut self,
-            _client: NodeId,
-            token: u64,
-            _issued: SimTime,
+            op: &LocateOp,
             now: SimTime,
-            _port_idx: usize,
         ) -> Option<(LocateVerdict, Option<NodeId>, SimTime)> {
-            let (verdict, done) = self.outcomes[token as usize];
-            if now >= done {
+            let (verdict, done) = self.outcomes[op.handle.id as usize];
+            (now >= done).then(|| {
+                self.verdicts.push(verdict);
                 let addr = (verdict == LocateVerdict::Hit).then(|| NodeId::new(0));
-                Some((verdict, addr, done))
-            } else {
-                None
-            }
-        }
-
-        fn home(&self, _port_idx: usize) -> NodeId {
-            NodeId::new(0)
+                (verdict, addr, done)
+            })
         }
     }
 
-    fn fixture(
-        clients: usize,
-        retry_budget: u32,
-    ) -> (ClientPool, StdRng, Vec<NodeId>, PopularitySampler) {
-        let model = ClientModel {
-            clients,
-            think: ThinkTime::Fixed { ticks: 2 },
-            retry_budget,
-            retry_backoff: 4,
-            window: 100,
-        };
-        let pool = ClientPool::new(model);
-        let rng = StdRng::seed_from_u64(1);
-        let live: Vec<NodeId> = (0..8usize).map(NodeId::from).collect();
-        let sampler = PopularitySampler::new(4, PortPopularity::Uniform);
-        (pool, rng, live, sampler)
+    /// A pool and everything a runner would service it with.
+    struct Fixture {
+        pool: ClientPool,
+        driver: MockDriver,
+        rng: StdRng,
+        live: Vec<NodeId>,
+        sampler: PopularitySampler,
     }
 
-    /// Drives the pool like a runner would: service at every wakeup.
-    #[allow(clippy::too_many_arguments)]
-    fn drive(
-        pool: &mut ClientPool,
-        driver: &mut MockDriver,
-        rng: &mut StdRng,
-        live: &[NodeId],
-        sampler: &PopularitySampler,
-        acc: &mut Acc,
-        log: &mut Vec<LocateRecord>,
-        until: SimTime,
-    ) {
-        while let Some(t) = pool.next_wakeup() {
-            if t > until {
-                break;
+    impl Fixture {
+        fn new(
+            clients: usize,
+            retry_budget: u32,
+            service: SimTime,
+            verdict: LocateVerdict,
+        ) -> Self {
+            let model = ClientModel {
+                clients,
+                think: ThinkTime::Fixed { ticks: 2 },
+                retry_budget,
+                retry_backoff: 4,
+                window: 100,
+            };
+            Fixture {
+                pool: ClientPool::new(model),
+                driver: MockDriver::new(service, vec![verdict]),
+                rng: StdRng::seed_from_u64(1),
+                live: (0..8usize).map(NodeId::from).collect(),
+                sampler: PopularitySampler::new(4, PortPopularity::Uniform),
             }
-            pool.service(t, driver, rng, live, sampler, acc, log);
+        }
+
+        fn service(&mut self, now: SimTime) {
+            self.pool.service(
+                now,
+                &mut self.driver,
+                &mut self.rng,
+                &self.live,
+                &self.sampler,
+            );
+        }
+
+        /// Drives the pool like a runner would: service at every wakeup
+        /// up to and including `until`.
+        fn drive(&mut self, until: SimTime) {
+            while let Some(t) = self.pool.next_wakeup().filter(|&t| t <= until) {
+                self.service(t);
+            }
+        }
+
+        /// The pool's records and the op log they yield.
+        fn finish(self) -> (Vec<ClientOpRecord>, Vec<LocateRecord>) {
+            let recs = self.pool.into_records();
+            let log = recs.iter().filter_map(ClientOpRecord::logged).collect();
+            (recs, log)
         }
     }
 
     #[test]
     fn single_client_serializes_and_queues() {
-        let (mut pool, mut rng, live, sampler) = fixture(1, 0);
-        let mut driver = MockDriver::new(2, vec![LocateVerdict::Hit]);
-        let mut acc = Acc::default();
-        let mut log = Vec::new();
+        let mut f = Fixture::new(1, 0, 2, LocateVerdict::Hit);
         // two offers in the same tick: the second must wait a full
         // service + think cycle
-        pool.offer(10, 0);
-        pool.offer(10, 1);
-        pool.service(
-            10,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-        );
-        drive(
-            &mut pool,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-            100,
-        );
-        let recs = pool.into_records();
+        f.pool.offer(10, 0);
+        f.pool.offer(10, 1);
+        f.service(10);
+        f.drive(100);
+        assert_eq!(f.driver.issued.len(), 2);
+        assert_eq!(f.driver.verdicts, vec![LocateVerdict::Hit; 2]);
+        let (recs, log) = f.finish();
         assert_eq!(recs[0].dispatched_at, Some(10));
         assert_eq!(recs[0].completed_at, Some(12));
         // verdict at 12, think 2 → free at 14, second dispatch at 14
         assert_eq!(recs[1].dispatched_at, Some(14));
         assert_eq!(recs[1].completed_at, Some(16));
-        assert_eq!(acc.issued, 2);
-        assert_eq!(acc.hits, 2);
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].at, 10, "op log keys on the offered tick");
     }
 
     #[test]
     fn retries_backoff_exponentially_then_give_up() {
-        let (mut pool, mut rng, live, sampler) = fixture(1, 2);
-        let mut driver = MockDriver::new(3, vec![LocateVerdict::Unresolved]);
-        let mut acc = Acc::default();
-        let mut log = Vec::new();
-        pool.offer(0, 0);
-        pool.service(
-            0,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-        );
-        drive(
-            &mut pool,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-            200,
-        );
+        let mut f = Fixture::new(1, 2, 3, LocateVerdict::Unresolved);
+        f.pool.offer(0, 0);
+        f.service(0);
+        f.drive(200);
         // attempt 1 at 0 (done 3), retry at 3+4=7 (done 10), retry at
         // 10+8=18 (done 21), budget exhausted → final verdict at 21
         assert_eq!(
-            driver.issued.iter().map(|&(t, _, _)| t).collect::<Vec<_>>(),
+            f.driver
+                .issued
+                .iter()
+                .map(|&(t, _, _)| t)
+                .collect::<Vec<_>>(),
             vec![0, 7, 18]
         );
-        let recs = pool.into_records();
+        assert_eq!(
+            f.driver.verdicts,
+            vec![LocateVerdict::Unresolved; 3],
+            "every attempt's verdict is read"
+        );
+        let (recs, log) = f.finish();
         assert_eq!(recs[0].attempts, 3);
         assert_eq!(recs[0].verdict, Some(LocateVerdict::Unresolved));
         assert_eq!(recs[0].completed_at, Some(21));
-        assert_eq!(acc.issued, 3);
-        assert_eq!(acc.unresolved, 3, "every attempt is classified");
         assert_eq!(log.len(), 1, "one op-log entry per offered operation");
     }
 
     #[test]
     fn freeze_abandons_the_queue_and_settles_backoffs() {
-        let (mut pool, mut rng, live, sampler) = fixture(1, 3);
-        let mut driver = MockDriver::new(2, vec![LocateVerdict::Unresolved]);
-        let mut acc = Acc::default();
-        let mut log = Vec::new();
-        pool.offer(0, 0);
-        pool.offer(0, 1);
-        pool.service(
-            0,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-        );
+        let mut f = Fixture::new(1, 3, 2, LocateVerdict::Unresolved);
+        f.pool.offer(0, 0);
+        f.pool.offer(0, 1);
+        f.service(0);
         // run to the first unresolved verdict (t=2), entering backoff
-        pool.service(
-            2,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-        );
-        pool.freeze();
-        pool.service(
-            3,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-        );
-        let recs = pool.into_records();
+        f.service(2);
+        f.pool.freeze();
+        f.service(3);
+        let (recs, log) = f.finish();
         assert_eq!(recs[0].verdict, Some(LocateVerdict::Unresolved));
         assert_eq!(recs[0].completed_at, Some(2), "last verdict tick kept");
         assert_eq!(recs[1].dispatched_at, None, "abandoned in the queue");
@@ -626,49 +588,17 @@ mod tests {
     /// verdict, not abandoned, no op-log entry).
     #[test]
     fn frozen_backoff_beyond_the_drain_window_still_settles() {
-        let (mut pool, mut rng, live, sampler) = fixture(1, 3);
         // service takes 3 ticks, backoff base 4 doubles per round
-        let mut driver = MockDriver::new(3, vec![LocateVerdict::Unresolved]);
-        let mut acc = Acc::default();
-        let mut log = Vec::new();
+        let mut f = Fixture::new(1, 3, 3, LocateVerdict::Unresolved);
         let horizon = 12;
-        pool.offer(0, 0);
-        pool.service(
-            0,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-        );
+        f.pool.offer(0, 0);
+        f.service(0);
         // attempt 1 done at 3, retry at 7, done at 10 → next backoff
         // resumes at 10 + 8 = 18, past the drain window [12, 12 + 4]
-        while let Some(t) = pool.next_wakeup().filter(|&t| t < horizon) {
-            pool.service(
-                t,
-                &mut driver,
-                &mut rng,
-                &live,
-                &sampler,
-                &mut acc,
-                &mut log,
-            );
-        }
-        pool.freeze();
-        let drain_end = horizon + 4;
-        while let Some(t) = pool.next_wakeup().filter(|&t| t <= drain_end) {
-            pool.service(
-                t,
-                &mut driver,
-                &mut rng,
-                &live,
-                &sampler,
-                &mut acc,
-                &mut log,
-            );
-        }
-        let recs = pool.into_records();
+        f.drive(horizon - 1);
+        f.pool.freeze();
+        f.drive(horizon + 4);
+        let (recs, log) = f.finish();
         assert_eq!(recs[0].verdict, Some(LocateVerdict::Unresolved));
         assert_eq!(recs[0].completed_at, Some(10), "last verdict tick kept");
         assert_eq!(log.len(), 1, "the operation must not vanish");
@@ -676,38 +606,19 @@ mod tests {
 
     #[test]
     fn total_outage_defers_dispatch_without_consuming_rng() {
-        let (mut pool, mut rng, _live, sampler) = fixture(2, 0);
-        let mut driver = MockDriver::new(2, vec![LocateVerdict::Hit]);
-        let mut acc = Acc::default();
-        let mut log = Vec::new();
-        pool.offer(5, 0);
-        let before = rng.clone();
-        pool.service(5, &mut driver, &mut rng, &[], &sampler, &mut acc, &mut log);
-        assert_eq!(rng, before, "no draw happened");
-        assert!(driver.issued.is_empty());
+        let mut f = Fixture::new(2, 0, 2, LocateVerdict::Hit);
+        let live = std::mem::take(&mut f.live);
+        f.pool.offer(5, 0);
+        let before = f.rng.clone();
+        f.service(5);
+        assert_eq!(f.rng, before, "no draw happened");
+        assert!(f.driver.issued.is_empty());
         // nodes come back: the queued operation dispatches late, and the
         // queueing delay records the outage
-        let live: Vec<NodeId> = (0..4usize).map(NodeId::from).collect();
-        pool.service(
-            40,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-        );
-        drive(
-            &mut pool,
-            &mut driver,
-            &mut rng,
-            &live,
-            &sampler,
-            &mut acc,
-            &mut log,
-            100,
-        );
-        let recs = pool.into_records();
+        f.live = live[..4].to_vec();
+        f.service(40);
+        f.drive(100);
+        let (recs, _) = f.finish();
         assert_eq!(recs[0].dispatched_at, Some(40));
         assert_eq!(recs[0].offered_at, 5);
     }

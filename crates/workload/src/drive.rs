@@ -312,8 +312,20 @@ pub fn build_graph(
 
 /// Resolves the library spec for a config at an explicit node count and
 /// applies its closed-loop override, surfacing the validator's
-/// explanation instead of panicking.
+/// explanation instead of panicking. This is also the one check that the
+/// config's runtime can host the run at all, so a caller about to start a
+/// sweep (the CLI) can rule every run in or out before the first starts.
 pub fn build_spec(cfg: &RunConfig, n: usize) -> Result<Workload, String> {
+    if cfg.runtime == RuntimeKind::Live {
+        if cfg.topology != "complete" || cfg.cost != CostModel::Uniform {
+            return Err("the live runtime is a complete network under uniform cost".into());
+        }
+        if n > LIVE_THREAD_LIMIT {
+            return Err(format!(
+                "the live runtime spawns one thread per node; n = {n} exceeds the limit {LIVE_THREAD_LIMIT}"
+            ));
+        }
+    }
     let mut spec = scenarios::by_name(&cfg.scenario, n, cfg.seed)
         .ok_or_else(|| format!("unknown scenario `{}`", cfg.scenario))?;
     if let Some(clients) = cfg.clients {
@@ -349,20 +361,10 @@ pub fn run_traced(
     obs: &ObsOptions,
 ) -> Result<(ScenarioReport, Option<TraceFile>), String> {
     // the simulator runs on a graph; the thread network is its own
+    // (`build_spec` below rules out what it cannot host)
     let graph = match cfg.runtime {
         RuntimeKind::Sim => Some(build_graph(&cfg.topology, cfg.n, cfg.cost, cfg.router)?),
-        RuntimeKind::Live => {
-            if cfg.topology != "complete" || cfg.cost != CostModel::Uniform {
-                return Err("the live runtime is a complete network under uniform cost".into());
-            }
-            if cfg.n > LIVE_THREAD_LIMIT {
-                return Err(format!(
-                    "the live runtime spawns one thread per node; n = {} exceeds the limit {LIVE_THREAD_LIMIT}",
-                    cfg.n
-                ));
-            }
-            None
-        }
+        RuntimeKind::Live => None,
     };
     // the grid topology may round n up; size the workload (churn widths
     // etc.) from the node count actually run, not the requested one

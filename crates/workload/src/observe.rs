@@ -9,7 +9,7 @@
 //! canonicalizes the order.
 
 use crate::report::LocateVerdict;
-use mm_obs::{Registry, SpanRecord, TraceFile, TraceHeader, Tracer, TRACE_VERSION};
+use mm_obs::{Registry, SpanRecord, Tracer};
 use mm_sim::{SimTime, TargetSet};
 use mm_topo::NodeId;
 
@@ -22,21 +22,6 @@ pub(crate) fn uniform_round_trip(targets: &TargetSet, client: NodeId) -> SimTime
         0
     } else {
         2
-    }
-}
-
-/// The uniform-cost virtual-elapsed law every trace is stamped with,
-/// whatever the runtime: [`uniform_round_trip`] for a decided locate, the
-/// full client timeout for an unresolved one.
-pub(crate) fn virtual_elapsed(
-    targets: &TargetSet,
-    client: NodeId,
-    verdict: LocateVerdict,
-    op_timeout: SimTime,
-) -> u64 {
-    match verdict {
-        LocateVerdict::Unresolved => op_timeout,
-        _ => uniform_round_trip(targets, client),
     }
 }
 
@@ -221,36 +206,4 @@ pub(crate) fn observe_locate(
     reg.observe("locate_elapsed_ticks", elapsed);
     reg.observe("locate_fanout", fanout as u64);
     reg.observe("locate_meets", meets as u64);
-}
-
-/// Seals a runner's tracer into a [`TraceFile`]. The header carries only
-/// runtime-agnostic identification; `sends`/`passes` are the run's
-/// cumulative [`mm_sim::Metrics`] totals for the conservation check.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_trace(
-    tracer: Option<Tracer>,
-    scenario: &str,
-    strategy: &str,
-    n: u64,
-    seed: u64,
-    ports: u64,
-    sample_rate: f64,
-    sends: u64,
-    passes: u64,
-) -> Option<TraceFile> {
-    tracer.map(|t| {
-        t.finish(
-            TraceHeader {
-                version: TRACE_VERSION,
-                scenario: scenario.to_string(),
-                strategy: strategy.to_string(),
-                n,
-                seed,
-                ports,
-                sample_rate,
-            },
-            sends,
-            passes,
-        )
-    })
 }

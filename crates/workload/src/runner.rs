@@ -1,5 +1,6 @@
 //! The scenario runner: compiles a [`Workload`] into operations against a
-//! [`Runtime`] and drives it open-loop to the horizon.
+//! [`Runtime`] and drives it to the horizon — open-loop, or through a
+//! closed-loop client pool when the spec carries a [`crate::ClientModel`].
 //!
 //! The runner is the layer between the protocols and the benchmarks: the
 //! paper (and the E1–E18 harness) measures one locate at a time on an
@@ -15,11 +16,19 @@
 //! ([`crate::runtime`]), and the runner never asks which: it consumes the
 //! spec's RNG, allocates trace ids and walks the timeline in one order,
 //! which is what makes the runtimes differential-testable.
+//!
+//! There is also one settlement path. The two loops are different client
+//! models — open-loop arrivals issue on the spot and chain the §1.3
+//! request / re-locate recovery; pool slots hold one operation at a time
+//! with a retry budget — but what a client makes of the answers to a
+//! locate is one policy: `Ops::settle` is the only reader of a
+//! [`LocateOutcome`] and `Ops::record` the only place a verdict is
+//! counted, traced and logged, whichever loop waited for it.
 
-use crate::clients::{ClientPool, OpDriver};
+use crate::clients::{ClientOpRecord, ClientPool, LocateOp, OpDriver};
 use crate::observe::{
-    emit_fault_span, emit_locate_spans, emit_post_spans, emit_request_span, finish_trace,
-    observe_locate, virtual_elapsed,
+    emit_fault_span, emit_locate_spans, emit_post_spans, emit_request_span, observe_locate,
+    uniform_round_trip,
 };
 use crate::report::{
     build_closed_loop, build_phase_report, classify_hit, predict_passes_per_locate, Acc,
@@ -31,170 +40,270 @@ use crate::timeline::{draw_arrival, resolve_churn, Event, ResolvedChurn, Timelin
 use crate::traffic::PopularitySampler;
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
-use mm_obs::{Registry, TraceConfig, TraceFile, Tracer, HIST_BUCKETS};
-use mm_proto::{FaultProfile, LocateHandle, LocateOutcome, RequestOutcome, ShotgunEngine};
+use mm_obs::{Registry, TraceConfig, TraceFile, TraceHeader, Tracer, HIST_BUCKETS, TRACE_VERSION};
+use mm_proto::{FaultProfile, LocateOutcome, RequestOutcome, ShotgunEngine};
 use mm_sim::{CostModel, Metrics, QueueKind, RouterKind, ShardMode, SimTime};
 use mm_topo::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::time::Instant;
 
 pub use crate::report::{LocateRecord, LocateVerdict, PhaseReport, ScenarioReport};
 
-/// An in-flight client operation awaiting its verdict.
+/// An in-flight open-loop operation awaiting its verdict. Ticks are
+/// spec-relative; `settled` means the runtime settled the operation at
+/// issue — an unresolved locate or an unanswered request is final then,
+/// not a reason to wait for the timeout.
 #[derive(Debug, Clone, Copy)]
-struct Op {
-    issued_at: SimTime,
-    /// The runtime settled it at issue: an unresolved locate or an
-    /// unanswered request is final, not a reason to wait for the timeout.
-    settled: bool,
-    kind: OpKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum OpKind {
+enum Op {
     Locate {
-        handle: LocateHandle,
-        port_idx: usize,
-        /// Position in the deterministic arrival sequence; `None` for
-        /// stale-recovery retries (which are timing-dependent and thus
-        /// excluded from the cross-runtime operation log).
-        arrival: Option<u64>,
+        op: LocateOp,
+        settled: bool,
         /// This locate is the retry after a stale request bounce.
         retry: bool,
-        /// Causal-trace id allocated at dispatch; `None` when tracing is
-        /// off or the operation is an untraced stale-recovery retry.
-        trace: Option<u64>,
     },
     Request {
         client: NodeId,
         request_id: u64,
         port_idx: usize,
+        issued: SimTime,
+        settled: bool,
         /// This request follows a stale-retry locate; don't retry again.
         after_retry: bool,
     },
 }
 
-/// The closed-loop pool's [`OpDriver`]: issues locates into the runtime
-/// and polls their outcomes, translating runtime time (offset by `t0`) to
-/// the spec's virtual clock. Outcomes carry the *exact* completion tick
-/// (`issued + elapsed`), so per-tick polling never skews latency
-/// accounting.
-struct Driver<'a, R: Runtime> {
-    rt: &'a mut R,
-    ports: &'a [Port],
-    homes: &'a [NodeId],
-    /// Byzantine ground truth: `liars[v]` iff node `v` forges addresses.
-    liars: &'a [bool],
+/// What a client makes of the answers to one locate.
+#[derive(Debug)]
+struct Settled {
+    verdict: LocateVerdict,
+    /// The address the client walks away with (decided or salvaged).
+    addr: Option<NodeId>,
+    /// The rendezvous nodes that answered with a hit, sorted.
+    meets: Vec<NodeId>,
+    /// The address is the best partial answer, taken when the client's
+    /// own timeout fired — not a decisive completion.
+    salvaged: bool,
+    /// Ticks from issue to the verdict: the runtime's measured round trip
+    /// for a decisive answer, the full timeout for one the client gave up
+    /// on.
+    elapsed: SimTime,
+}
+
+/// The half of the runner an operation touches: the runtime, the ground
+/// truth a verdict is judged against, and everything a verdict is
+/// recorded into. It is its own struct so the closed-loop pool can drive
+/// it as its [`OpDriver`] while the runner lends out its RNG, live set and
+/// sampler alongside.
+#[derive(Debug)]
+struct Ops<R: Runtime> {
+    rt: R,
+    /// Port handles, index-aligned with the spec's port space.
+    ports: Vec<Port>,
+    /// Current true server address per port.
+    homes: Vec<NodeId>,
+    /// Byzantine ground truth for verdict classification: `liars[v]` iff
+    /// the spec gives node `v` a forging fault profile.
+    liars: Vec<bool>,
     /// Hostile-world client policy: act on the best partial answer once
     /// the timeout fires instead of writing the operation off.
     salvage: bool,
+    /// The current phase's operation counters.
+    acc: Acc,
+    /// Per-operation verdict log for the cross-runtime conformance suite.
+    op_log: Vec<LocateRecord>,
+    /// Offset between spec-relative time and runtime time (setup posting
+    /// settles during the offset window).
     t0: SimTime,
+    /// Client timeout actually used: the spec's `op_timeout` as the
+    /// runtime stretches it (see [`Runtime::op_timeout`]).
     op_timeout: SimTime,
-    tracer: &'a mut Option<Tracer>,
-    registry: &'a mut Option<Registry>,
-    /// Observability side table, locate id → (trace id, port index). The
-    /// pool polls without the port, and the verdict is only read at poll
-    /// time, so dispatch-time facts ride here until the unique successful
-    /// poll emits the spans.
-    traced: &'a mut HashMap<u64, (Option<u64>, usize)>,
+    /// Deterministic causal tracer (`None` = tracing off, the default).
+    tracer: Option<Tracer>,
+    /// Metrics registry (`None` = observability off, the default).
+    registry: Option<Registry>,
 }
 
-impl<R: Runtime> OpDriver for Driver<'_, R> {
-    fn issue(&mut self, now: SimTime, client: NodeId, port_idx: usize) -> (u64, Option<SimTime>) {
+impl<R: Runtime> Ops<R> {
+    /// Lets virtual time pass up to spec tick `t`.
+    fn advance(&mut self, t: SimTime) {
+        self.rt.advance(self.t0 + t);
+    }
+
+    /// Issues a locate at spec tick `now`. Trace ids bind to dispatches in
+    /// the order the shared decision layers (timeline, pool) make them, so
+    /// every runtime allocates the identical id for the identical attempt.
+    /// Returns the attempt and whether the runtime settled it on the spot.
+    fn start(
+        &mut self,
+        now: SimTime,
+        client: NodeId,
+        port_idx: usize,
+        arrival: Option<u64>,
+        with_trace: bool,
+    ) -> (LocateOp, bool) {
         let Issued {
             token: handle,
             settled,
         } = self.rt.locate(client, self.ports[port_idx]);
-        if self.tracer.is_some() || self.registry.is_some() {
-            // allocated inside the shared pool code path, so every runtime
-            // allocates the identical id for the identical attempt
-            let trace = self.tracer.as_mut().map(Tracer::next_trace_id);
-            self.traced.insert(handle.id, (trace, port_idx));
-        }
-        // a settled operation's verdict tick is known now; otherwise it
-        // is only knowable by polling
-        let hint = settled.then(|| match self.rt.locate_outcome(handle) {
-            LocateOutcome::Found { elapsed, .. } | LocateOutcome::NotFound { elapsed } => {
-                now + elapsed
-            }
-            LocateOutcome::Unresolved { .. } => now + self.op_timeout,
-        });
-        (handle.id, hint)
+        self.acc.issued += 1;
+        let trace = self
+            .tracer
+            .as_mut()
+            .filter(|_| with_trace)
+            .map(Tracer::next_trace_id);
+        let op = LocateOp {
+            handle,
+            port_idx,
+            issued: now,
+            trace,
+            arrival,
+        };
+        (op, settled)
     }
 
-    fn poll(
-        &mut self,
-        client: NodeId,
-        token: u64,
-        issued: SimTime,
-        now: SimTime,
-        port_idx: usize,
-    ) -> Option<(LocateVerdict, Option<NodeId>, SimTime)> {
-        // idempotent: make sure every event due at `now` has executed
-        // (an operation issued this tick may complete this tick)
-        self.rt.advance(self.t0 + now);
-        let outcome = self.rt.locate_outcome(LocateHandle { client, id: token });
-        let (result, meets) = match outcome {
+    /// The client's reading of a locate's answers so far — the only place
+    /// a [`LocateOutcome`] is interpreted. `None` while the locate is
+    /// undecided and the client has not `gave_up` waiting.
+    fn settle(&self, op: &LocateOp, gave_up: bool) -> Option<Settled> {
+        let without_address = |verdict, elapsed| Settled {
+            verdict,
+            addr: None,
+            meets: Vec::new(),
+            salvaged: false,
+            elapsed,
+        };
+        let (addr, meets, dissent, salvaged, elapsed) = match self.rt.locate_outcome(op.handle) {
             LocateOutcome::Found {
                 addr,
                 elapsed,
                 meets,
                 dissent,
                 ..
-            } => {
-                let verdict = classify_hit(addr, self.homes[port_idx], dissent, self.liars);
-                (Some((verdict, Some(addr), issued + elapsed)), meets)
+            } => (addr, meets, dissent, false, elapsed),
+            LocateOutcome::NotFound { elapsed } => {
+                return Some(without_address(LocateVerdict::Miss, elapsed))
             }
-            LocateOutcome::NotFound { elapsed } => (
-                Some((LocateVerdict::Miss, None, issued + elapsed)),
-                Vec::new(),
-            ),
-            LocateOutcome::Unresolved { best, dissent, .. } => (
-                (now.saturating_sub(issued) >= self.op_timeout).then(|| {
-                    match best.filter(|_| self.salvage) {
-                        // hostile-world clients salvage the best partial
-                        // answer at timeout (and still run lie detection)
-                        Some((addr, _)) => (
-                            classify_hit(addr, self.homes[port_idx], dissent, self.liars),
-                            Some(addr),
-                            issued + self.op_timeout,
-                        ),
-                        None => (LocateVerdict::Unresolved, None, issued + self.op_timeout),
-                    }
-                }),
-                Vec::new(),
-            ),
+            LocateOutcome::Unresolved { .. } if !gave_up => return None,
+            // hostile-world clients salvage the best partial answer at
+            // timeout: a crashed rendezvous must not sever an alive pair
+            // that a surviving replica still serves (§2.4) — and the
+            // salvaged address still runs the lie detection
+            LocateOutcome::Unresolved { best, dissent, .. } => match best {
+                Some((addr, _)) if self.salvage => {
+                    (addr, Vec::new(), dissent, true, self.op_timeout)
+                }
+                _ => return Some(without_address(LocateVerdict::Unresolved, self.op_timeout)),
+            },
         };
-        if let Some((verdict, _, completed)) = result {
-            // the pool reads each verdict exactly once; emit here
-            if let Some((trace, port_idx)) = self.traced.remove(&token) {
-                let targets = self.rt.query_targets(client, self.ports[port_idx]);
-                // a salvaged verdict waited out the full timeout; the
-                // virtual law only knows decisive completions
-                let elapsed = if completed - issued >= self.op_timeout
-                    && verdict != LocateVerdict::Unresolved
-                {
-                    self.op_timeout
-                } else {
-                    virtual_elapsed(&targets, client, verdict, self.op_timeout)
-                };
-                if let Some(reg) = self.registry.as_mut() {
-                    observe_locate(reg, verdict, elapsed, targets.len(), meets.len());
-                }
-                if let (Some(tr), Some(trace)) = (self.tracer.as_mut(), trace) {
-                    emit_locate_spans(
-                        tr, trace, client, port_idx, &targets, &meets, verdict, elapsed, issued,
-                    );
-                }
-            }
-        }
-        result
+        Some(Settled {
+            verdict: classify_hit(addr, self.homes[op.port_idx], dissent, &self.liars),
+            addr: Some(addr),
+            meets,
+            salvaged,
+            elapsed,
+        })
     }
 
-    fn home(&self, port_idx: usize) -> NodeId {
-        self.homes[port_idx]
+    /// Records one settled locate — the only place a verdict is counted
+    /// into the phase tally, logged, and fed to the registry and tracer.
+    /// Spans are stamped with the virtual-timing law, never runtime
+    /// clocks: the trace must be byte-identical across runtimes. Returns
+    /// the stamped elapsed and the fan-out width, for the follow-up
+    /// request span.
+    fn record(&mut self, op: &LocateOp, s: &Settled) -> (u64, u32) {
+        let client = op.handle.client;
+        self.acc.completed += 1;
+        match s.verdict {
+            LocateVerdict::Hit => {
+                self.acc.hits += 1;
+                if s.addr != Some(self.homes[op.port_idx]) {
+                    self.acc.stale_results += 1;
+                }
+            }
+            LocateVerdict::Miss => self.acc.misses += 1,
+            LocateVerdict::Unresolved => self.acc.unresolved += 1,
+            // the dissenting honest answer exposed the forgery: the client
+            // discards the address and never calls it
+            LocateVerdict::DetectedLie => self.acc.detected_lie += 1,
+            // the forgery escaped; a follow-up call bounces off the
+            // non-serving liar and the §1.3 loop re-locates
+            LocateVerdict::FalseMatch => self.acc.false_match += 1,
+        }
+        if let Some(arrival) = op.arrival {
+            self.op_log.push(LocateRecord {
+                arrival,
+                at: op.issued,
+                client,
+                port_idx: op.port_idx,
+                verdict: s.verdict,
+                addr: s.addr,
+            });
+        }
+        if self.tracer.is_none() && self.registry.is_none() {
+            return (0, 0);
+        }
+        let targets = self.rt.query_targets(client, self.ports[op.port_idx]);
+        // the uniform-cost law every trace is stamped with, whatever the
+        // runtime: a verdict the client's own timeout decided (unresolved,
+        // or salvaged) took the full wait, a decisive one the round trip
+        let elapsed = if s.salvaged || s.verdict == LocateVerdict::Unresolved {
+            self.op_timeout
+        } else {
+            uniform_round_trip(&targets, client)
+        };
+        if let Some(reg) = self.registry.as_mut() {
+            observe_locate(reg, s.verdict, elapsed, targets.len(), s.meets.len());
+        }
+        if let (Some(tr), Some(trace)) = (self.tracer.as_mut(), op.trace) {
+            emit_locate_spans(
+                tr,
+                trace,
+                client,
+                op.port_idx,
+                &targets,
+                &s.meets,
+                s.verdict,
+                elapsed,
+                op.issued,
+            );
+        }
+        (elapsed, targets.len() as u32)
+    }
+}
+
+/// The closed-loop pool drives the same settlement path one slot at a
+/// time. Verdicts carry the *exact* completion tick (`issued + elapsed`),
+/// so per-tick polling never skews latency accounting.
+impl<R: Runtime> OpDriver for Ops<R> {
+    fn issue(
+        &mut self,
+        now: SimTime,
+        client: NodeId,
+        port_idx: usize,
+    ) -> (LocateOp, Option<SimTime>) {
+        let (op, settled) = self.start(now, client, port_idx, None, true);
+        // a settled operation's verdict tick is known now; otherwise it
+        // is only knowable by polling
+        let hint = if settled {
+            self.settle(&op, true).map(|s| now + s.elapsed)
+        } else {
+            None
+        };
+        (op, hint)
+    }
+
+    fn poll(
+        &mut self,
+        op: &LocateOp,
+        now: SimTime,
+    ) -> Option<(LocateVerdict, Option<NodeId>, SimTime)> {
+        // idempotent: make sure every event due at `now` has executed
+        // (an operation issued this tick may complete this tick)
+        self.advance(now);
+        let s = self.settle(op, now.saturating_sub(op.issued) >= self.op_timeout)?;
+        self.record(op, &s);
+        Some((s.verdict, s.addr, op.issued + s.elapsed))
     }
 }
 
@@ -207,24 +316,20 @@ struct PhaseStart {
     queue_depth: Option<[u64; HIST_BUCKETS]>,
 }
 
+/// The timeline's events, consumed in order by whichever loop runs.
+type Events = std::iter::Peekable<std::vec::IntoIter<(SimTime, Event)>>;
+
 /// Drives one [`Workload`] against one [`Runtime`] — a `topology ×
 /// strategy × cost model` instance on the simulator, or a network of
 /// threads — and produces a [`ScenarioReport`].
 #[derive(Debug)]
 pub struct ScenarioRunner<R: Runtime> {
-    rt: R,
+    ops: Ops<R>,
     spec: Workload,
     rng: StdRng,
     sampler: PopularitySampler,
-    /// Port handles, index-aligned with the spec's port space.
-    ports: Vec<Port>,
-    /// Current true server address per port.
-    homes: Vec<NodeId>,
     /// Runner-side crash view (mirrors the runtime's).
     crashed: Vec<bool>,
-    /// Byzantine ground truth for verdict classification: `liars[v]` iff
-    /// the spec gives node `v` a forging fault profile.
-    liars: Vec<bool>,
     /// Emit the §2.4 robustness block (auto-on for hostile specs).
     robust: bool,
     /// Replication factor echoed in the robustness block (1 = base).
@@ -234,28 +339,14 @@ pub struct ScenarioRunner<R: Runtime> {
     /// Currently-live nodes, ascending — kept incrementally in sync with
     /// `crashed` so the per-arrival client draw is O(log n), not O(n).
     live: Vec<NodeId>,
+    /// Open-loop operations awaiting their verdict.
     in_flight: Vec<Op>,
-    acc: Acc,
-    /// Per-operation verdict log for the cross-runtime conformance suite.
-    op_log: Vec<LocateRecord>,
     next_arrival: u64,
-    /// Offset between spec-relative time and runtime time (setup posting
-    /// settles during the offset window).
-    t0: SimTime,
-    /// Client timeout actually used: the spec's `op_timeout` as the
-    /// runtime stretches it (see [`Runtime::op_timeout`]).
-    op_timeout: SimTime,
     strategy: String,
-    /// Deterministic causal tracer (`None` = tracing off, the default).
-    tracer: Option<Tracer>,
-    /// Metrics registry (`None` = observability off, the default).
-    registry: Option<Registry>,
     /// Measure wall-clock events/sec per phase into the report.
     wallclock: bool,
     /// Echo of the trace config's sampling rate for the file header.
     sample_rate: f64,
-    /// Closed-loop observability side table (see [`Driver::traced`]).
-    traced: HashMap<u64, (Option<u64>, usize)>,
 }
 
 impl<PM: PortMapped> ScenarioRunner<ShotgunEngine<PM>> {
@@ -342,32 +433,34 @@ impl<R: Runtime> ScenarioRunner<R> {
         }
         let op_timeout = rt.op_timeout(spec.op_timeout);
         ScenarioRunner {
+            ops: Ops {
+                rt,
+                ports: (0..spec.ports)
+                    .map(|i| Port::from_name(&format!("svc-{i}")))
+                    .collect(),
+                homes: Vec::new(),
+                liars,
+                salvage: spec.hostile(),
+                acc: Acc::default(),
+                op_log: Vec::new(),
+                t0: op_timeout,
+                op_timeout,
+                tracer: None,
+                registry: None,
+            },
             rng: StdRng::seed_from_u64(spec.seed),
             sampler: PopularitySampler::new(spec.ports, spec.popularity),
-            ports: (0..spec.ports)
-                .map(|i| Port::from_name(&format!("svc-{i}")))
-                .collect(),
-            homes: Vec::new(),
             crashed: vec![false; n],
-            liars,
             robust: spec.hostile(),
             replication: 1,
             min_survival: 1.0,
             live: (0..n).map(NodeId::from).collect(),
             in_flight: Vec::new(),
-            acc: Acc::default(),
-            op_log: Vec::new(),
             next_arrival: 0,
-            t0: op_timeout,
-            op_timeout,
             strategy: strategy.to_string(),
-            tracer: None,
-            registry: None,
             wallclock: false,
             sample_rate: 1.0,
-            traced: HashMap::new(),
             spec,
-            rt,
         }
     }
 
@@ -376,13 +469,13 @@ impl<R: Runtime> ScenarioRunner<R> {
     /// Collect the sealed file with [`ScenarioRunner::run_traced`].
     pub fn set_trace(&mut self, cfg: TraceConfig) {
         self.sample_rate = cfg.sample_rate.clamp(0.0, 1.0);
-        self.tracer = Some(Tracer::new(cfg));
+        self.ops.tracer = Some(Tracer::new(cfg));
     }
 
     /// Enables the metrics registry: per-phase counter/histogram
     /// snapshots appear under the report's `obs` key.
     pub fn enable_obs(&mut self) {
-        self.registry = Some(Registry::new());
+        self.ops.registry = Some(Registry::new());
     }
 
     /// Enables wall-clock events/sec measurement per phase (host-speed
@@ -431,24 +524,26 @@ impl<R: Runtime> ScenarioRunner<R> {
     /// `fault` span per profile, then the setup-post trees (virtual tick
     /// 0). Returns the theory prediction and the timeline.
     fn setup(&mut self) -> (f64, Timeline) {
-        let predicted = predict_passes_per_locate(self.rt.resolver(), self.n(), &self.ports);
+        let n = self.n();
+        let ops = &mut self.ops;
+        let predicted = predict_passes_per_locate(ops.rt.resolver(), n, &ops.ports);
         for f in &self.spec.faults {
             let node = NodeId::from(f.node_index);
-            self.rt.set_fault(node, f.fault);
-            if let Some(tr) = self.tracer.as_mut() {
+            ops.rt.set_fault(node, f.fault);
+            if let Some(tr) = ops.tracer.as_mut() {
                 let trace = tr.next_trace_id();
                 emit_fault_span(tr, trace, node, f.fault.label());
             }
         }
         for i in 0..self.spec.ports {
-            let home = NodeId::from(self.rng.gen_range(0..self.n()));
-            self.homes.push(home);
-            self.rt.register_server(home, self.ports[i]);
+            let home = NodeId::from(self.rng.gen_range(0..n));
+            ops.homes.push(home);
+            ops.rt.register_server(home, ops.ports[i]);
         }
         for i in 0..self.spec.ports {
             self.trace_post(i, 0);
         }
-        self.rt.advance(self.t0);
+        self.ops.advance(0);
         // Arrival draws happen in phase order before the run so the RNG
         // consumption order is part of the spec's deterministic contract.
         (predicted, Timeline::compile(&self.spec, &mut self.rng))
@@ -457,23 +552,25 @@ impl<R: Runtime> ScenarioRunner<R> {
     /// Emits the causal tree of port `i`'s posting from its home at
     /// virtual tick `t` (no-op with tracing off).
     fn trace_post(&mut self, i: usize, t: SimTime) {
-        if let Some(tr) = self.tracer.as_mut() {
-            let home = self.homes[i];
-            let targets = self.rt.post_targets(home, self.ports[i]);
+        let ops = &mut self.ops;
+        if let Some(tr) = ops.tracer.as_mut() {
+            let home = ops.homes[i];
+            let targets = ops.rt.post_targets(home, ops.ports[i]);
             let trace = tr.next_trace_id();
             emit_post_spans(tr, trace, home, i, &targets, t);
         }
     }
 
     fn begin_phase(&mut self) -> PhaseStart {
-        self.acc = Acc::default();
+        self.ops.acc = Acc::default();
         PhaseStart {
-            before: self.rt.metrics(),
+            before: self.ops.rt.metrics(),
             wall: Instant::now(),
             queue_depth: self
+                .ops
                 .registry
                 .as_ref()
-                .and_then(|_| self.rt.queue_depth_buckets()),
+                .and_then(|_| self.ops.rt.queue_depth_buckets()),
         }
     }
 
@@ -488,9 +585,10 @@ impl<R: Runtime> ScenarioRunner<R> {
         end: SimTime,
         ps: PhaseStart,
     ) -> PhaseReport {
-        let delta = self.rt.metrics().delta(&ps.before);
+        let ops = &mut self.ops;
+        let delta = ops.rt.metrics().delta(&ps.before);
         let mut report =
-            build_phase_report(name, start, end, &self.acc, &delta, self.spec.hostile());
+            build_phase_report(name, start, end, &ops.acc, &delta, self.spec.hostile());
         if self.wallclock {
             let secs = ps.wall.elapsed().as_secs_f64();
             report.throughput = Some(if secs > 0.0 {
@@ -499,8 +597,8 @@ impl<R: Runtime> ScenarioRunner<R> {
                 0.0
             });
         }
-        if let Some(reg) = self.registry.as_mut() {
-            if let (Some(before), Some(now)) = (ps.queue_depth, self.rt.queue_depth_buckets()) {
+        if let Some(reg) = ops.registry.as_mut() {
+            if let (Some(before), Some(now)) = (ps.queue_depth, ops.rt.queue_depth_buckets()) {
                 let mut delta = [0u64; HIST_BUCKETS];
                 for (d, (a, b)) in delta.iter_mut().zip(now.iter().zip(before.iter())) {
                     *d = a - b;
@@ -513,186 +611,89 @@ impl<R: Runtime> ScenarioRunner<R> {
     }
 
     /// The single execution path behind [`ScenarioRunner::run`] /
-    /// [`ScenarioRunner::run_logged`] / [`ScenarioRunner::run_traced`].
+    /// [`ScenarioRunner::run_logged`] / [`ScenarioRunner::run_traced`],
+    /// and the one phase loop: what happens *inside* a phase is all the
+    /// open and the closed loop supply.
     fn run_all(mut self) -> (ScenarioReport, Vec<LocateRecord>, Option<TraceFile>) {
-        if self.spec.clients.is_some() {
-            return self.run_logged_closed();
-        }
         let (predicted, timeline) = self.setup();
-        let t0 = self.t0;
-
-        // --- drive the runtime phase by phase ---
-        let mut reports = Vec::with_capacity(timeline.phase_bounds.len());
-        let mut next = 0usize;
-        let last = timeline.phase_bounds.len() - 1;
-        for (pi, (start, end, name)) in timeline.phase_bounds.iter().enumerate() {
-            let ps = self.begin_phase();
-            while next < timeline.events.len() && timeline.events[next].0 < *end {
-                let (t, ev) = timeline.events[next].clone();
-                next += 1;
-                self.rt.advance(t0 + t);
-                self.drain(t0 + t, false);
-                self.apply(t, ev);
-            }
-            // close the phase; the final phase also absorbs the drain
-            // window so straggling operations get their verdict
-            let close = if pi == last {
-                t0 + end + self.op_timeout
-            } else {
-                t0 + end
-            };
-            self.rt.advance(close);
-            self.drain(close, pi == last);
-            reports.push(self.end_phase(name, *start, *end, ps));
-        }
-        self.finish(None, timeline.horizon, predicted, reports, None)
-    }
-
-    /// The closed-loop twin of the loop in [`run_all`](Self::run_all):
-    /// timeline arrivals are *offered* to a [`ClientPool`] instead of
-    /// being issued on the spot, and the event loop interleaves timeline
-    /// events with the pool's wake-ups (verdict polls, retry backoffs,
-    /// think-pause expiries) in virtual-time order. The pool makes every
-    /// random decision, so every runtime consumes the RNG in the same
-    /// order.
-    fn run_logged_closed(mut self) -> (ScenarioReport, Vec<LocateRecord>, Option<TraceFile>) {
-        let (predicted, timeline) = self.setup();
-        let t0 = self.t0;
-        let model = self.spec.clients.expect("closed-loop path");
-        let mut pool = ClientPool::new(model);
-        let horizon = timeline.horizon;
-
-        let mut reports = Vec::with_capacity(timeline.phase_bounds.len());
-        let mut next = 0usize;
-        let last = timeline.phase_bounds.len() - 1;
-        for (pi, (start, end, name)) in timeline.phase_bounds.iter().enumerate() {
-            let ps = self.begin_phase();
-            loop {
-                let ev_t = timeline.events.get(next).map(|e| e.0).filter(|t| t < end);
-                let pool_t = pool.next_wakeup().filter(|t| t < end);
-                let t = match (ev_t, pool_t) {
-                    (None, None) => break,
-                    (a, b) => a.into_iter().chain(b).min().expect("one is Some"),
-                };
-                self.rt.advance(t0 + t);
-                // verdicts are read before the world reshapes at the same
-                // tick (the drain-before-apply discipline of the open loop)
-                self.service_pool(&mut pool, t);
-                while next < timeline.events.len() && timeline.events[next].0 == t {
-                    let (_, ev) = timeline.events[next].clone();
-                    next += 1;
-                    match ev {
-                        Event::Arrival => {
-                            let arrival = self.next_arrival;
-                            self.next_arrival += 1;
-                            pool.offer(t, arrival);
-                        }
-                        Event::Refresh => self.refresh_all(t),
-                        Event::Churn(action) => self.apply_churn(t, action),
-                    }
-                }
-                // dispatch whatever this tick freed or offered
-                self.service_pool(&mut pool, t);
-            }
-            // run in-phase message chains to the boundary so the metrics
-            // snapshot charges them to this phase (passes are counted at
-            // send time, which is ≤ the boundary for in-phase issues)
-            self.rt.advance(t0 + *end);
-            if pi == last {
-                // horizon: stop dispatching and retrying, drain verdicts
-                pool.freeze();
-                let drain_end = horizon + self.op_timeout;
-                while let Some(t) = pool.next_wakeup().filter(|&t| t <= drain_end) {
-                    self.rt.advance(t0 + t);
-                    self.service_pool(&mut pool, t);
-                }
-                self.rt.advance(t0 + drain_end);
-            }
-            reports.push(self.end_phase(name, *start, *end, ps));
-        }
-
-        let records = pool.into_records();
-        let (phase_stats, windows) =
-            build_closed_loop(&records, &timeline.phase_bounds, horizon, model.window);
-        for (report, stats) in reports.iter_mut().zip(phase_stats) {
-            report.closed_loop = Some(stats);
-        }
-        self.finish(
-            Some(model.clients as u64),
+        let Timeline {
+            events,
+            phase_bounds,
             horizon,
-            predicted,
-            reports,
-            Some(windows),
-        )
-    }
+        } = timeline;
+        let mut events = events.into_iter().peekable();
+        let mut pool = self.spec.clients.map(ClientPool::new);
+        let mut reports = Vec::with_capacity(phase_bounds.len());
+        let last = phase_bounds.len() - 1;
+        for (pi, (start, end, name)) in phase_bounds.iter().enumerate() {
+            let ps = self.begin_phase();
+            match pool.as_mut() {
+                None => self.open_phase(&mut events, *end, pi == last),
+                Some(pool) => self.closed_phase(pool, &mut events, *end, pi == last),
+            }
+            reports.push(self.end_phase(name, *start, *end, ps));
+        }
 
-    /// One [`ClientPool::service`] call with this runner's runtime behind
-    /// the [`OpDriver`] seam.
-    fn service_pool(&mut self, pool: &mut ClientPool, now: SimTime) {
-        let mut driver = Driver {
-            rt: &mut self.rt,
-            ports: &self.ports,
-            homes: &self.homes,
-            liars: &self.liars,
-            salvage: self.spec.hostile(),
-            t0: self.t0,
-            op_timeout: self.op_timeout,
-            tracer: &mut self.tracer,
-            registry: &mut self.registry,
-            traced: &mut self.traced,
-        };
-        pool.service(
-            now,
-            &mut driver,
-            &mut self.rng,
-            &self.live,
-            &self.sampler,
-            &mut self.acc,
-            &mut self.op_log,
-        );
+        let mut windows = None;
+        if let (Some(model), Some(pool)) = (self.spec.clients, pool) {
+            let records = pool.into_records();
+            let (phase_stats, w) =
+                build_closed_loop(&records, &phase_bounds, horizon, model.window);
+            for (report, stats) in reports.iter_mut().zip(phase_stats) {
+                report.closed_loop = Some(stats);
+            }
+            windows = Some(w);
+            // the pool logs an operation once, with its final verdict
+            self.ops.op_log = records.iter().filter_map(ClientOpRecord::logged).collect();
+        }
+        self.finish(horizon, predicted, reports, windows)
     }
 
     /// Seals the trace with the run's cumulative metrics, assembles the
     /// scenario-level report envelope, and hands back the op log in
-    /// arrival order (a retried closed-loop operation can reach its final
-    /// verdict after later arrivals).
+    /// arrival order (an open-loop verdict can land before an earlier
+    /// arrival's).
     fn finish(
         mut self,
-        clients: Option<u64>,
         horizon: SimTime,
         predicted: f64,
         phases: Vec<PhaseReport>,
         windows: Option<Vec<WindowReport>>,
     ) -> (ScenarioReport, Vec<LocateRecord>, Option<TraceFile>) {
-        let totals = self.rt.metrics();
-        let trace = finish_trace(
-            self.tracer.take(),
-            &self.spec.name,
-            &self.strategy,
-            self.n() as u64,
-            self.spec.seed,
-            self.spec.ports as u64,
-            self.sample_rate,
-            totals.sends,
-            totals.message_passes,
-        );
+        let n = self.n() as u64;
+        let ops = &mut self.ops;
+        // the header carries only runtime-agnostic identification; the
+        // cumulative sends/passes are there for the conservation check
+        let totals = ops.rt.metrics();
+        let trace = ops.tracer.take().map(|tracer| {
+            let header = TraceHeader {
+                version: TRACE_VERSION,
+                scenario: self.spec.name.clone(),
+                strategy: self.strategy.clone(),
+                n,
+                seed: self.spec.seed,
+                ports: self.spec.ports as u64,
+                sample_rate: self.sample_rate,
+            };
+            tracer.finish(header, totals.sends, totals.message_passes)
+        });
         let report = ScenarioReport {
             scenario: self.spec.name.clone(),
             strategy: self.strategy.clone(),
-            cost_model: self.rt.cost_model().to_string(),
-            topology: self.rt.topology(),
-            n: self.n() as u64,
+            cost_model: ops.rt.cost_model().to_string(),
+            topology: ops.rt.topology(),
+            n,
             seed: self.spec.seed,
             ports: self.spec.ports as u64,
-            clients,
+            clients: self.spec.clients.map(|m| m.clients as u64),
             horizon,
             predicted_passes_per_locate: predicted,
             phases,
             windows,
             robustness: self.robust.then(|| RobustnessReport {
                 max_tolerated_faults: mm_core::robust::max_tolerated_faults_pm(
-                    self.rt.resolver(),
-                    &self.ports,
+                    ops.rt.resolver(),
+                    &ops.ports,
                     64,
                 ) as u64,
                 min_survival_fraction: self.min_survival,
@@ -700,60 +701,123 @@ impl<R: Runtime> ScenarioRunner<R> {
                 replication: self.replication,
             }),
         };
-        let mut log = std::mem::take(&mut self.op_log);
+        let mut log = std::mem::take(&mut ops.op_log);
         log.sort_by_key(|r| r.arrival);
         (report, log, trace)
     }
 
+    /// One phase of the open loop: every timeline event before `end` is
+    /// applied the tick it falls due — arrivals issue on the spot — with
+    /// finished operations classified first.
+    fn open_phase(&mut self, events: &mut Events, end: SimTime, last: bool) {
+        while let Some((t, ev)) = events.next_if(|e| e.0 < end) {
+            self.ops.advance(t);
+            self.drain(t, false);
+            self.apply(t, ev, None);
+        }
+        // close the phase; the final phase also absorbs the drain window
+        // so straggling operations get their verdict
+        let close = if last { end + self.ops.op_timeout } else { end };
+        self.ops.advance(close);
+        self.drain(close, last);
+    }
+
+    /// One phase of the closed loop: timeline arrivals are *offered* to
+    /// the [`ClientPool`] instead of being issued on the spot, and
+    /// timeline events interleave with the pool's wake-ups (verdict
+    /// polls, retry backoffs, think-pause expiries) in virtual-time
+    /// order. The pool makes every random decision, so every runtime
+    /// consumes the RNG in the same order.
+    fn closed_phase(
+        &mut self,
+        pool: &mut ClientPool,
+        events: &mut Events,
+        end: SimTime,
+        last: bool,
+    ) {
+        loop {
+            let ev_t = events.peek().map(|e| e.0).filter(|&t| t < end);
+            let pool_t = pool.next_wakeup().filter(|&t| t < end);
+            let Some(t) = ev_t.into_iter().chain(pool_t).min() else {
+                break;
+            };
+            self.ops.advance(t);
+            // verdicts are read before the world reshapes at the same
+            // tick (the drain-before-apply discipline of the open loop)
+            self.service_pool(pool, t);
+            while let Some((_, ev)) = events.next_if(|e| e.0 == t) {
+                self.apply(t, ev, Some(pool));
+            }
+            // dispatch whatever this tick freed or offered
+            self.service_pool(pool, t);
+        }
+        // run in-phase message chains to the boundary so the metrics
+        // snapshot charges them to this phase (passes are counted at
+        // send time, which is ≤ the boundary for in-phase issues)
+        self.ops.advance(end);
+        if last {
+            // horizon: stop dispatching and retrying, drain verdicts
+            pool.freeze();
+            let drain_end = end + self.ops.op_timeout;
+            while let Some(t) = pool.next_wakeup().filter(|&t| t <= drain_end) {
+                self.ops.advance(t);
+                self.service_pool(pool, t);
+            }
+            self.ops.advance(drain_end);
+        }
+    }
+
+    /// One [`ClientPool::service`] call with this runner's settlement
+    /// path behind the [`OpDriver`] seam.
+    fn service_pool(&mut self, pool: &mut ClientPool, now: SimTime) {
+        pool.service(now, &mut self.ops, &mut self.rng, &self.live, &self.sampler);
+    }
+
     /// Applies one timeline event at the current virtual time. All random
     /// draws go through the shared decision layer
-    /// ([`draw_arrival`]/[`resolve_churn`]), in timeline order.
-    fn apply(&mut self, t: SimTime, ev: Event) {
+    /// ([`draw_arrival`]/[`resolve_churn`]), in timeline order. An
+    /// arrival goes to the closed loop's `pool` if there is one, and is
+    /// issued on the spot otherwise.
+    fn apply(&mut self, t: SimTime, ev: Event, pool: Option<&mut ClientPool>) {
         match ev {
-            Event::Arrival => {
-                let Some((client, port_idx)) =
-                    draw_arrival(&mut self.rng, &self.live, &self.sampler)
-                else {
-                    return; // total outage: the open-loop client is dead too
-                };
-                let issued_at = self.rt.now();
-                let Issued {
-                    token: handle,
-                    settled,
-                } = self.rt.locate(client, self.ports[port_idx]);
-                let arrival = self.next_arrival;
-                self.next_arrival += 1;
-                // trace ids bind to spec-level arrivals at dispatch, in
-                // timeline order
-                let trace = self.tracer.as_mut().map(Tracer::next_trace_id);
-                self.in_flight.push(Op {
-                    issued_at,
-                    settled,
-                    kind: OpKind::Locate {
-                        handle,
-                        port_idx,
-                        arrival: Some(arrival),
-                        retry: false,
-                        trace,
-                    },
-                });
-                self.acc.issued += 1;
-                if settled {
-                    // nothing to wait for: classify it, and whatever
-                    // follow-ups that spawns, before the next event
-                    self.drain(issued_at, false);
+            Event::Arrival => match pool {
+                Some(pool) => {
+                    pool.offer(t, self.next_arrival);
+                    self.next_arrival += 1;
                 }
-            }
+                None => self.issue_arrival(t),
+            },
             Event::Refresh => self.refresh_all(t),
             Event::Churn(action) => self.apply_churn(t, action),
         }
     }
 
+    /// An open-loop arrival: the locate is issued the tick it arrives.
+    fn issue_arrival(&mut self, t: SimTime) {
+        let Some((client, port_idx)) = draw_arrival(&mut self.rng, &self.live, &self.sampler)
+        else {
+            return; // total outage: the open-loop client is dead too
+        };
+        let arrival = self.next_arrival;
+        self.next_arrival += 1;
+        let (op, settled) = self.ops.start(t, client, port_idx, Some(arrival), true);
+        self.in_flight.push(Op::Locate {
+            op,
+            settled,
+            retry: false,
+        });
+        if settled {
+            // nothing to wait for: classify it, and whatever follow-ups
+            // that spawns, before the next event
+            self.drain(t, false);
+        }
+    }
+
     fn refresh_all(&mut self, t: SimTime) {
-        for i in 0..self.homes.len() {
-            let home = self.homes[i];
+        for i in 0..self.ops.homes.len() {
+            let home = self.ops.homes[i];
             if !self.crashed[home.index()] {
-                self.rt.register_server(home, self.ports[i]);
+                self.ops.rt.register_server(home, self.ops.ports[i]);
                 self.trace_post(i, t);
             }
         }
@@ -765,7 +829,7 @@ impl<R: Runtime> ScenarioRunner<R> {
             &mut self.rng,
             &self.live,
             &self.crashed,
-            &self.homes,
+            &self.ops.homes,
         );
         let mut any_crash = false;
         for r in resolved {
@@ -777,7 +841,7 @@ impl<R: Runtime> ScenarioRunner<R> {
                     if let Ok(pos) = self.live.binary_search(&v) {
                         self.live.remove(pos);
                     }
-                    self.rt.crash(v);
+                    self.ops.rt.crash(v);
                 }
                 ResolvedChurn::Restore { node, clear_cache } => {
                     debug_assert!(self.crashed[node.index()]);
@@ -785,18 +849,20 @@ impl<R: Runtime> ScenarioRunner<R> {
                     if let Err(pos) = self.live.binary_search(&node) {
                         self.live.insert(pos, node);
                     }
-                    self.rt.restore(node);
+                    self.ops.rt.restore(node);
                     if clear_cache {
-                        self.rt.clear_cache(node);
+                        self.ops.rt.clear_cache(node);
                     }
                 }
                 ResolvedChurn::Migrate { port_idx, from, to } => {
-                    self.rt.migrate_server(self.ports[port_idx], from, to);
-                    self.homes[port_idx] = to;
+                    self.ops
+                        .rt
+                        .migrate_server(self.ops.ports[port_idx], from, to);
+                    self.ops.homes[port_idx] = to;
                 }
                 ResolvedChurn::ClearAllCaches => {
                     for vi in 0..self.n() {
-                        self.rt.clear_cache(NodeId::from(vi));
+                        self.ops.rt.clear_cache(NodeId::from(vi));
                     }
                 }
                 ResolvedChurn::RefreshAll => self.refresh_all(t),
@@ -806,8 +872,8 @@ impl<R: Runtime> ScenarioRunner<R> {
             // fold the crash pattern into the run's minimum sampled
             // survival fraction (robustness reporting only)
             let sf = mm_core::robust::survival_fraction_pm(
-                self.rt.resolver(),
-                &self.ports,
+                self.ops.rt.resolver(),
+                &self.ops.ports,
                 &self.crashed,
                 64,
             );
@@ -815,76 +881,18 @@ impl<R: Runtime> ScenarioRunner<R> {
         }
     }
 
-    /// Feeds one classified locate into the op log and the
-    /// tracer/registry. Spans use the virtual-timing law, never runtime
-    /// clocks — the trace must be byte-identical across runtimes. Returns
-    /// the virtual elapsed and fan-out width for the follow-up request
-    /// span.
-    #[allow(clippy::too_many_arguments)]
-    fn observe_locate_verdict(
-        &mut self,
-        arrival: Option<u64>,
-        trace: Option<u64>,
-        handle: LocateHandle,
-        port_idx: usize,
-        issued_at: SimTime,
-        verdict: LocateVerdict,
-        addr: Option<NodeId>,
-        meets: &[NodeId],
-        salvaged: bool,
-    ) -> (u64, u32) {
-        let client = handle.client;
-        let issued_spec = issued_at - self.t0;
-        if let Some(arrival) = arrival {
-            self.op_log.push(LocateRecord {
-                arrival,
-                at: issued_spec,
-                client,
-                port_idx,
-                verdict,
-                addr,
-            });
-        }
-        if self.tracer.is_none() && self.registry.is_none() {
-            return (0, 0);
-        }
-        let targets = self.rt.query_targets(client, self.ports[port_idx]);
-        // a salvaged verdict was decided by the client's own timeout, not
-        // by the slowest reply — its elapsed is the full wait
-        let elapsed = if salvaged {
-            self.op_timeout
-        } else {
-            virtual_elapsed(&targets, client, verdict, self.op_timeout)
-        };
-        if let Some(reg) = self.registry.as_mut() {
-            observe_locate(reg, verdict, elapsed, targets.len(), meets.len());
-        }
-        if let (Some(tr), Some(trace)) = (self.tracer.as_mut(), trace) {
-            emit_locate_spans(
-                tr,
-                trace,
-                client,
-                port_idx,
-                &targets,
-                meets,
-                verdict,
-                elapsed,
-                issued_spec,
-            );
-        }
-        (elapsed, targets.len() as u32)
-    }
-
-    /// Classifies finished in-flight operations; `force` settles
-    /// everything still pending (end of scenario). A pass whose
-    /// follow-ups the runtime settled on the spot has fresh verdicts to
-    /// read, so it goes again.
+    /// Classifies finished in-flight operations at spec tick `now`;
+    /// `force` settles everything still pending (end of scenario). A pass
+    /// whose follow-ups the runtime settled on the spot has fresh
+    /// verdicts to read, so it goes again.
     fn drain(&mut self, now: SimTime, force: bool) {
         while self.drain_pass(now, force) {}
     }
 
-    /// One classification pass over the in-flight operations; `true` if
-    /// it issued a follow-up that is already settled.
+    /// One classification pass over the in-flight operations — the open
+    /// loop's §1.3 chain: a located address is called, a bounced call
+    /// re-locates once. `true` if the pass issued a follow-up that is
+    /// already settled.
     fn drain_pass(&mut self, now: SimTime, force: bool) -> bool {
         /// A request to issue once the classification pass is done (so
         /// follow-ups enter the runtime in one canonical order).
@@ -897,131 +905,55 @@ impl<R: Runtime> ScenarioRunner<R> {
             /// parent locate was traced.
             trace_info: Option<(u64, SimTime, u32)>,
         }
+        let op_timeout = self.ops.op_timeout;
+        let gave_up = |issued: SimTime, settled: bool| {
+            force || settled || now.saturating_sub(issued) >= op_timeout
+        };
         let mut requests: Vec<Followup> = Vec::new();
         let mut relocates: Vec<(NodeId, usize)> = Vec::new();
         let ops = std::mem::take(&mut self.in_flight);
         let mut keep = Vec::with_capacity(ops.len());
-        for op in ops {
-            let Op {
-                issued_at,
-                settled,
-                kind,
-            } = op;
-            let gave_up = force || settled || now.saturating_sub(issued_at) >= self.op_timeout;
-            match kind {
-                OpKind::Locate {
-                    handle,
-                    port_idx,
-                    arrival,
-                    retry,
-                    trace,
-                } => {
-                    // an address to act on, or the address-less verdict
-                    let located = match self.rt.locate_outcome(handle) {
-                        LocateOutcome::Found {
-                            addr,
-                            meets,
-                            dissent,
-                            ..
-                        } => Ok((addr, meets, dissent, false)),
-                        LocateOutcome::NotFound { .. } => Err(LocateVerdict::Miss),
-                        LocateOutcome::Unresolved { .. } if !gave_up => {
-                            keep.push(op);
-                            continue;
-                        }
-                        // hostile-world clients salvage the best partial
-                        // answer at timeout: a crashed rendezvous must not
-                        // sever an alive pair that a surviving replica
-                        // still serves (§2.4) — and the salvaged address
-                        // still runs the lie detection
-                        LocateOutcome::Unresolved { best, dissent, .. } => {
-                            match best.filter(|_| self.spec.hostile()) {
-                                Some((addr, _)) => Ok((addr, Vec::new(), dissent, true)),
-                                None => Err(LocateVerdict::Unresolved),
-                            }
-                        }
+        for entry in ops {
+            match entry {
+                Op::Locate { op, settled, retry } => {
+                    let Some(s) = self.ops.settle(&op, gave_up(op.issued, settled)) else {
+                        keep.push(entry);
+                        continue;
                     };
-                    self.acc.completed += 1;
-                    let (addr, meets, dissent, salvaged) = match located {
-                        Ok(hit) => hit,
-                        Err(verdict) => {
-                            match verdict {
-                                LocateVerdict::Miss => self.acc.misses += 1,
-                                _ => self.acc.unresolved += 1,
-                            }
-                            self.observe_locate_verdict(
-                                arrival,
-                                trace,
-                                handle,
-                                port_idx,
-                                issued_at,
-                                verdict,
-                                None,
-                                &[],
-                                false,
-                            );
-                            continue;
-                        }
-                    };
-                    let fresh = addr == self.homes[port_idx];
-                    let verdict = classify_hit(addr, self.homes[port_idx], dissent, &self.liars);
-                    let (elapsed, fanout) = self.observe_locate_verdict(
-                        arrival,
-                        trace,
-                        handle,
-                        port_idx,
-                        issued_at,
-                        verdict,
-                        Some(addr),
-                        &meets,
-                        salvaged,
-                    );
-                    match verdict {
-                        LocateVerdict::Hit => {
-                            self.acc.hits += 1;
-                            if !fresh {
-                                self.acc.stale_results += 1;
-                            }
-                            if retry && fresh {
-                                self.acc.recoveries += 1;
-                            }
-                        }
-                        // the dissenting honest answer exposed the
-                        // forgery: the client discards the address and
-                        // never calls it
-                        LocateVerdict::DetectedLie => self.acc.detected_lie += 1,
-                        // the forgery escaped; the follow-up call below
-                        // bounces off the non-serving liar and the §1.3
-                        // loop re-locates
-                        LocateVerdict::FalseMatch => self.acc.false_match += 1,
-                        _ => unreachable!("classify_hit never yields {verdict:?}"),
+                    let (elapsed, fanout) = self.ops.record(&op, &s);
+                    let Some(addr) = s.addr else { continue };
+                    if retry && addr == self.ops.homes[op.port_idx] {
+                        self.ops.acc.recoveries += 1;
                     }
-                    if self.spec.request_after_locate && verdict != LocateVerdict::DetectedLie {
+                    // a detected forgery is discarded, never called
+                    if self.spec.request_after_locate && s.verdict != LocateVerdict::DetectedLie {
                         requests.push(Followup {
-                            client: handle.client,
+                            client: op.handle.client,
                             addr,
-                            port_idx,
+                            port_idx: op.port_idx,
                             after_retry: retry,
-                            trace_info: trace.map(|tr| (tr, issued_at - self.t0 + elapsed, fanout)),
+                            trace_info: op.trace.map(|tr| (tr, op.issued + elapsed, fanout)),
                         });
                     }
                 }
-                OpKind::Request {
+                Op::Request {
                     client,
                     request_id,
                     port_idx,
+                    issued,
+                    settled,
                     after_retry,
-                } => match self.rt.request_outcome(client, request_id) {
-                    Some(RequestOutcome::Replied { .. }) => self.acc.requests_ok += 1,
+                } => match self.ops.rt.request_outcome(client, request_id) {
+                    Some(RequestOutcome::Replied { .. }) => self.ops.acc.requests_ok += 1,
                     Some(RequestOutcome::StaleAddress) => {
-                        self.acc.stale_requests += 1;
+                        self.ops.acc.stale_requests += 1;
                         if !after_retry {
                             // §1.3 recovery: re-locate and try again
                             relocates.push((client, port_idx));
                         }
                     }
-                    None if gave_up => self.acc.request_timeouts += 1,
-                    None => keep.push(op),
+                    None if gave_up(issued, settled) => self.ops.acc.request_timeouts += 1,
+                    None => keep.push(entry),
                 },
             }
         }
@@ -1032,51 +964,40 @@ impl<R: Runtime> ScenarioRunner<R> {
         let mut any_settled = false;
         if !force {
             for f in requests {
-                let issued_at = self.rt.now();
                 let Issued {
                     token: request_id,
                     settled,
-                } = self.rt.request(f.client, f.addr, self.ports[f.port_idx], 1);
+                } = self
+                    .ops
+                    .rt
+                    .request(f.client, f.addr, self.ops.ports[f.port_idx], 1);
                 any_settled |= settled;
                 if let (Some((trace, tick, fanout)), Some(tr)) =
-                    (f.trace_info, self.tracer.as_mut())
+                    (f.trace_info, self.ops.tracer.as_mut())
                 {
                     emit_request_span(tr, trace, fanout + 1, f.client, f.addr, f.port_idx, tick);
                 }
-                keep.push(Op {
-                    issued_at,
+                keep.push(Op::Request {
+                    client: f.client,
+                    request_id,
+                    port_idx: f.port_idx,
+                    issued: now,
                     settled,
-                    kind: OpKind::Request {
-                        client: f.client,
-                        request_id,
-                        port_idx: f.port_idx,
-                        after_retry: f.after_retry,
-                    },
+                    after_retry: f.after_retry,
                 });
             }
             for (client, port_idx) in relocates {
-                let issued_at = self.rt.now();
-                let Issued {
-                    token: handle,
-                    settled,
-                } = self.rt.locate(client, self.ports[port_idx]);
+                // retries are locate operations too (counted as issued, so
+                // completed can never exceed issued within a phase), but
+                // timing-dependent: they stay out of the op log and the
+                // trace (conservation is only claimed on churn-free
+                // specs, which never retry)
+                let (op, settled) = self.ops.start(now, client, port_idx, None, false);
                 any_settled |= settled;
-                // retries are locate operations too: count them as issued
-                // so completed can never exceed issued within a phase
-                self.acc.issued += 1;
-                keep.push(Op {
-                    issued_at,
+                keep.push(Op::Locate {
+                    op,
                     settled,
-                    kind: OpKind::Locate {
-                        handle,
-                        port_idx,
-                        // stale-recovery retries are timing-dependent, so
-                        // they stay out of the trace (conservation is only
-                        // claimed on churn-free specs, which never retry)
-                        arrival: None,
-                        retry: true,
-                        trace: None,
-                    },
+                    retry: true,
                 });
             }
         }
@@ -1122,18 +1043,22 @@ mod tests {
         assert!(recs.iter().all(|rec| rec.within_factor(1.5)));
     }
 
-    /// Satellite requirement: two identical seeded workload runs produce
-    /// byte-identical metrics (full JSON report equality).
+    /// Two identical seeded workload runs produce byte-identical metrics
+    /// (full JSON report equality) on every open-loop library scenario —
+    /// what the CLI prints for a default sweep — and with no observability
+    /// switch on, no observability key may leak into that JSON.
     #[test]
     fn identical_seeds_are_byte_identical() {
-        let a = run_scenario("rolling-churn", 64, 42);
-        let b = run_scenario("rolling-churn", 64, 42);
-        let ja = serde_json::to_string(&a).unwrap();
-        let jb = serde_json::to_string(&b).unwrap();
-        assert_eq!(ja, jb, "same seed must reproduce byte-identical JSON");
-        let c = run_scenario("rolling-churn", 64, 43);
-        let jc = serde_json::to_string(&c).unwrap();
-        assert_ne!(ja, jc, "a different seed must actually change the run");
+        let json =
+            |name: &str, seed: u64| serde_json::to_string(&run_scenario(name, 64, seed)).unwrap();
+        for name in scenarios::ALL {
+            let a = json(name, 42);
+            assert_eq!(a, json(name, 42), "{name}: same seed, same bytes");
+            assert_ne!(a, json(name, 43), "{name}: a seed must change the run");
+            for key in ["\"obs\"", "\"throughput\""] {
+                assert!(!a.contains(key), "{name}: default JSON leaked {key}");
+            }
+        }
     }
 
     #[test]

@@ -2,17 +2,19 @@
 //! scripted in-memory network — no simulator event loop, no threads. What
 //! is asserted here is decided by `ScenarioRunner` alone (retry on a
 //! stale bounce, timeout classification, the forced final drain, the
-//! verdict partition) and was previously only observable through a full
-//! engine.
+//! verdict partition, and that the open and the closed loop settle and
+//! record a locate through one path) and was previously only observable
+//! through a full engine.
 
 use mm_core::strategies::Checkerboard;
 use mm_core::Port;
+use mm_obs::{TraceConfig, TraceFile};
 use mm_proto::{FaultProfile, LocateHandle, LocateOutcome, RequestOutcome};
 use mm_sim::{Metrics, SimTime, TargetSet};
 use mm_topo::NodeId;
 use mm_workload::{
-    ArrivalProcess, FaultSpec, Issued, LocateVerdict, Phase, PortPopularity, Runtime,
-    ScenarioReport, ScenarioRunner, Workload,
+    ArrivalProcess, ClientModel, FaultSpec, Issued, LocateRecord, LocateVerdict, Phase,
+    PortPopularity, Runtime, ScenarioReport, ScenarioRunner, ThinkTime, Workload,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -34,6 +36,9 @@ enum Answer {
     Unknown,
     /// Nobody ever answers.
     Silence,
+    /// One rendezvous answers with the true address, another never does:
+    /// the locate stays undecided with a best partial answer.
+    Partial,
     /// A forger's address, with this many honest answers dissenting.
     Lie { dissent: usize },
 }
@@ -55,7 +60,8 @@ struct Scripted {
     settled: bool,
     now: SimTime,
     homes: HashMap<Port, NodeId>,
-    locates: Vec<(SimTime, Option<LocateOutcome>)>,
+    /// Issue tick and scripted outcome; a decisive one shows once due.
+    locates: Vec<(SimTime, LocateOutcome)>,
     requests: Vec<(SimTime, RequestOutcome)>,
     issues: Rc<RefCell<Issues>>,
 }
@@ -75,6 +81,12 @@ impl Scripted {
             issues: Rc::clone(&issues),
         };
         (rt, issues)
+    }
+
+    /// Answers (to locates and requests) take `latency` ticks instead.
+    fn with_latency(mut self, latency: SimTime) -> Self {
+        self.latency = latency;
+        self
     }
 
     fn due(&self, issued: SimTime) -> bool {
@@ -110,23 +122,28 @@ impl Runtime for Scripted {
     fn locate(&mut self, client: NodeId, port: Port) -> Issued<LocateHandle> {
         let k = self.locates.len();
         let home = self.homes[&port];
-        let found = |addr: NodeId, dissent| {
-            Some(LocateOutcome::Found {
-                addr,
-                stamp: 1,
-                elapsed: self.latency,
-                meets: vec![addr],
-                dissent,
-            })
+        let found = |addr: NodeId, dissent| LocateOutcome::Found {
+            addr,
+            stamp: 1,
+            elapsed: self.latency,
+            meets: vec![addr],
+            dissent,
         };
         let liar = NodeId::new(LIARS[usize::from(home.raw() == LIARS[0])]);
         let outcome = match self.script[k.min(self.script.len() - 1)] {
             Answer::Home => found(home, 0),
             Answer::Elsewhere => found(NodeId::new((home.raw() + 7) % N as u32), 0),
-            Answer::Unknown => Some(LocateOutcome::NotFound {
+            Answer::Unknown => LocateOutcome::NotFound {
                 elapsed: self.latency,
-            }),
-            Answer::Silence => None,
+            },
+            Answer::Silence => LocateOutcome::unanswered(1),
+            Answer::Partial => LocateOutcome::Unresolved {
+                hits: 1,
+                misses: 0,
+                missing: 1,
+                best: Some((home, 1)),
+                dissent: 0,
+            },
             Answer::Lie { dissent } => found(liar, dissent),
         };
         self.locates.push((self.now, outcome));
@@ -142,10 +159,12 @@ impl Runtime for Scripted {
 
     fn locate_outcome(&self, h: LocateHandle) -> LocateOutcome {
         let (issued, outcome) = &self.locates[h.id as usize];
-        outcome
-            .clone()
-            .filter(|_| self.due(*issued))
-            .unwrap_or(LocateOutcome::unanswered(1))
+        let undecided = matches!(outcome, LocateOutcome::Unresolved { .. });
+        if undecided || self.due(*issued) {
+            outcome.clone()
+        } else {
+            LocateOutcome::unanswered(1)
+        }
     }
 
     fn request(&mut self, _client: NodeId, addr: NodeId, port: Port, body: u64) -> Issued<u64> {
@@ -206,6 +225,74 @@ fn spec(faults: Vec<FaultSpec>) -> Workload {
         clients: None,
         faults,
     }
+}
+
+/// Both scripted nodes forge addresses: the spec is hostile, so clients
+/// salvage partial answers and run lie detection.
+fn liar_faults() -> Vec<FaultSpec> {
+    LIARS
+        .iter()
+        .map(|&v| FaultSpec {
+            node_index: v as usize,
+            fault: FaultProfile::ForgedAddress,
+        })
+        .collect()
+}
+
+/// The same 20 arrivals without the follow-up call (a closed-loop spec
+/// cannot carry one), open-loop or through `pool`.
+fn locate_only_spec(faults: Vec<FaultSpec>, pool: Option<ClientModel>) -> Workload {
+    Workload {
+        request_after_locate: false,
+        clients: pool,
+        ..spec(faults)
+    }
+}
+
+/// A pool that adds nothing of its own to the open loop's behaviour: a
+/// free slot for every arrival, no think pause, no retry.
+fn transparent_pool() -> Option<ClientModel> {
+    Some(ClientModel {
+        clients: 4,
+        think: ThinkTime::Zero,
+        retry_budget: 0,
+        retry_backoff: 1,
+        window: 100,
+    })
+}
+
+/// Runs `script` (answers `latency` ticks after issue) through the open
+/// loop and through the transparent pool, tracing both.
+fn through_both_loops(
+    script: &[Answer],
+    latency: SimTime,
+    faults: Vec<FaultSpec>,
+) -> [(ScenarioReport, Vec<LocateRecord>, TraceFile); 2] {
+    [None, transparent_pool()].map(|pool| {
+        let run = |traced: bool| {
+            let (rt, _) = Scripted::new(script, false);
+            let spec = locate_only_spec(faults.clone(), pool);
+            let mut runner = ScenarioRunner::over(spec, rt.with_latency(latency), "scripted");
+            if traced {
+                runner.set_trace(TraceConfig::full(1));
+            }
+            runner
+        };
+        let (report, log) = run(false).run_logged();
+        let (traced_report, trace) = run(true).run_traced();
+        assert_eq!(report, traced_report, "tracing must not change the report");
+        (report, log, trace.expect("tracing was on"))
+    })
+}
+
+/// `(verdict, elapsed)` of every traced locate.
+fn locate_spans(trace: &TraceFile) -> Vec<(&str, u64)> {
+    trace
+        .spans
+        .iter()
+        .filter(|s| s.kind == "locate")
+        .map(|s| (s.verdict.as_deref().unwrap(), s.elapsed.unwrap()))
+        .collect()
 }
 
 fn total(r: &ScenarioReport, f: impl Fn(&mm_workload::PhaseReport) -> u64) -> u64 {
@@ -277,15 +364,8 @@ fn completed_locates_partition_into_the_five_verdicts_per_phase() {
         Answer::Lie { dissent: 0 },
     ];
     let script: Vec<Answer> = (0..64).map(|k| cycle[k % cycle.len()]).collect();
-    let faults = LIARS
-        .iter()
-        .map(|&v| FaultSpec {
-            node_index: v as usize,
-            fault: FaultProfile::ForgedAddress,
-        })
-        .collect();
     let (rt, _) = Scripted::new(&script, false);
-    let r = ScenarioRunner::over(spec(faults), rt, "scripted").run();
+    let r = ScenarioRunner::over(spec(liar_faults()), rt, "scripted").run();
     for p in &r.phases {
         let (lies, fooled) = (p.detected_lie.unwrap(), p.false_match.unwrap());
         assert_eq!(
@@ -305,4 +385,76 @@ fn completed_locates_partition_into_the_five_verdicts_per_phase() {
         total(&r, |p| p.stale_requests),
         total(&r, |p| p.false_match.unwrap()),
     );
+}
+
+#[test]
+fn the_open_and_the_closed_loop_settle_one_script_identically() {
+    let cycle = [
+        Answer::Home,
+        Answer::Elsewhere,
+        Answer::Unknown,
+        Answer::Silence,
+        Answer::Lie { dissent: 0 },
+        Answer::Lie { dissent: 1 },
+    ];
+    let script: Vec<Answer> = (0..20).map(|k| cycle[k % cycle.len()]).collect();
+    let [(open, open_log, open_trace), (closed, closed_log, closed_trace)] =
+        through_both_loops(&script, 2, liar_faults());
+    assert_eq!(closed.clients, Some(4), "the second run is closed-loop");
+    let partition = |r: &ScenarioReport| {
+        [
+            total(r, |p| p.locates_issued),
+            total(r, |p| p.locates_completed),
+            total(r, |p| p.hits),
+            total(r, |p| p.stale_results),
+            total(r, |p| p.misses),
+            total(r, |p| p.unresolved),
+            total(r, |p| p.detected_lie.unwrap()),
+            total(r, |p| p.false_match.unwrap()),
+        ]
+    };
+    assert_eq!(partition(&open), partition(&closed));
+    assert!(
+        partition(&open).iter().all(|&count| count > 0),
+        "every verdict occurs: {:?}",
+        partition(&open)
+    );
+    assert_eq!(open_log.len(), 20);
+    assert_eq!(open_log, closed_log, "same operations, same verdicts");
+    assert_eq!(locate_spans(&open_trace), locate_spans(&closed_trace));
+}
+
+/// The one case the two loops used to disagree on: a decisive answer that
+/// lands exactly when the client's timeout would fire (reachable on the
+/// engine under hop cost) is a completion, not a salvage — its span
+/// carries the round trip of the timing law, not the timeout.
+#[test]
+fn a_decisive_answer_on_the_timeout_tick_is_stamped_with_the_round_trip() {
+    let op_timeout = spec(vec![]).op_timeout;
+    for (report, _, trace) in through_both_loops(&[Answer::Home], op_timeout, liar_faults()) {
+        assert_eq!(total(&report, |p| p.hits), 20);
+        assert_eq!(
+            locate_spans(&trace),
+            vec![("hit", 2); 20],
+            "clients = {:?}",
+            report.clients
+        );
+    }
+}
+
+#[test]
+fn a_salvaged_answer_is_stamped_with_the_whole_timeout() {
+    let op_timeout = spec(vec![]).op_timeout;
+    // a hostile world: the best partial answer is acted on at timeout
+    for (report, log, trace) in through_both_loops(&[Answer::Partial], 2, liar_faults()) {
+        assert_eq!(total(&report, |p| p.hits), 20, "salvaged");
+        assert!(log.iter().all(|rec| rec.addr.is_some()));
+        assert_eq!(locate_spans(&trace), vec![("hit", op_timeout); 20]);
+    }
+    // a benign one: the same answers are written off
+    for (report, log, trace) in through_both_loops(&[Answer::Partial], 2, vec![]) {
+        assert_eq!(total(&report, |p| p.unresolved), 20);
+        assert!(log.iter().all(|rec| rec.addr.is_none()));
+        assert_eq!(locate_spans(&trace), vec![("unresolved", op_timeout); 20]);
+    }
 }

@@ -32,13 +32,19 @@ fn report_json(scenario: &str, n: usize, seed: u64, queue: QueueKind) -> String 
 
 #[test]
 fn calendar_and_btree_queues_produce_identical_reports() {
-    for seed in [1u64, 7, 42] {
-        let calendar = report_json("rolling-churn", 256, seed, QueueKind::Calendar);
-        let btree = report_json("rolling-churn", 256, seed, QueueKind::BTree);
+    // the whole open-loop library at one seed (what `scenarios --queue`
+    // sweeps by default), the churn-heavy scenario at two more
+    let cases = scenarios::ALL
+        .iter()
+        .map(|&scenario| (scenario, 7u64))
+        .chain([("rolling-churn", 1), ("rolling-churn", 42)]);
+    for (scenario, seed) in cases {
+        let calendar = report_json(scenario, 256, seed, QueueKind::Calendar);
+        let btree = report_json(scenario, 256, seed, QueueKind::BTree);
         assert_eq!(
             calendar, btree,
-            "seed {seed}: the calendar queue must reproduce the BTreeMap \
-             event ordering byte for byte"
+            "{scenario} seed {seed}: the calendar queue must reproduce the \
+             BTreeMap event ordering byte for byte"
         );
     }
 }
