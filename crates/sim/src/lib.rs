@@ -18,12 +18,19 @@
 //!   on their path, and the passes spent up to that point stay spent.
 //! * [`ShardMode`] — the execution core: `Single` is the original
 //!   one-queue event loop; `Sharded` partitions nodes across per-shard
-//!   calendar queues (keyed by the `√n` decomposition) and executes each
-//!   tick's events on a worker pool, with a canonical merge that replays
-//!   the single core's `(time, sequence)` order exactly. Output is
+//!   calendar queues (contiguous index bands) and executes each tick's
+//!   events on a worker pool, with a canonical merge that replays the
+//!   single core's `(time, sequence)` order exactly. Output is
 //!   byte-identical across shard and thread counts — the single core is
 //!   the oracle the sharded core is cross-checked against, exactly as
 //!   [`QueueKind::BTree`] is the oracle for the calendar queue.
+//!
+//! The paper's model has one network, and [`Sim`] holds one copy of it:
+//! the `World` — graph, routes, crash flags, cost model, clock, metrics
+//! and the queue-depth histogram. A *core* is only a scheduler: it owns
+//! the handlers and the queue(s) of pending [`Envelope`]s (the one event
+//! kind there is), decides what executes next, and charges everything it
+//! does to the world it is handed.
 //!
 //! Everything is deterministic: events execute in `(time, sequence)` order
 //! and the only randomness is whatever the embedded protocols draw from
@@ -69,6 +76,7 @@ pub use queue::QueueKind;
 pub use targets::TargetSet;
 
 use mm_topo::{AnyRouter, Graph, NodeId};
+use route::NetEnv;
 use shard::ShardedCore;
 use single::SingleCore;
 
@@ -146,14 +154,11 @@ pub struct Envelope<M> {
 
 /// Handler interface for a simulated processor.
 ///
-/// Handlers react to messages and timers through [`NodeApi`]; they never
-/// block. State lives in the implementing struct.
+/// Handlers react to messages through [`NodeApi`]; they never block.
+/// State lives in the implementing struct.
 pub trait Node<M> {
     /// A message arrived at this node.
     fn on_message(&mut self, env: Envelope<M>, api: &mut NodeApi<'_, M>);
-
-    /// A timer set via [`NodeApi::set_timer`] fired.
-    fn on_timer(&mut self, _tag: u64, _api: &mut NodeApi<'_, M>) {}
 }
 
 /// Buffered actions a handler can take; applied by the simulator after the
@@ -162,7 +167,6 @@ pub trait Node<M> {
 pub(crate) enum Op<M> {
     Send { to: NodeId, msg: M },
     Multicast { to: TargetSet, msg: M },
-    Timer { delay: SimTime, tag: u64 },
 }
 
 /// The per-invocation API handed to [`Node`] handlers.
@@ -203,11 +207,6 @@ impl<M> NodeApi<'_, M> {
         self.ops.push(Op::Multicast { to, msg });
     }
 
-    /// Schedules [`Node::on_timer`] with `tag` after `delay` ticks.
-    pub fn set_timer(&mut self, delay: SimTime, tag: u64) {
-        self.ops.push(Op::Timer { delay, tag });
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -216,24 +215,6 @@ impl<M> NodeApi<'_, M> {
     /// The node this handler runs on.
     pub fn me(&self) -> NodeId {
         self.me
-    }
-}
-
-/// A scheduled simulator event.
-#[derive(Debug)]
-pub(crate) enum Event<M> {
-    Deliver(Envelope<M>),
-    Timer { at: NodeId, tag: u64 },
-}
-
-impl<M> Event<M> {
-    /// The node this event executes on (delivery destination / timer
-    /// owner) — the sharded core's partition key.
-    pub(crate) fn target(&self) -> NodeId {
-        match self {
-            Event::Deliver(env) => env.to,
-            Event::Timer { at, .. } => *at,
-        }
     }
 }
 
@@ -250,12 +231,75 @@ pub const QUEUE_DEPTH_BUCKETS: usize = 65;
 pub enum ShardMode {
     /// One queue, one thread: the original exact event loop.
     Single,
-    /// Nodes partitioned over `shards` calendar queues (keyed by the `√n`
-    /// decomposition), ticks executed by `threads` pooled workers.
-    /// `shards` is clamped to `[1, n]`; `threads` is clamped to the
-    /// effective shard count, and `threads <= 1` runs the shard rounds
-    /// inline on the calling thread (still sharded, still identical).
+    /// Nodes partitioned over `shards` calendar queues (contiguous index
+    /// bands), ticks executed by `threads` pooled workers. `shards` is
+    /// clamped to `[1, n]`; `threads` is clamped to the effective shard
+    /// count, and `threads <= 1` runs the shard rounds inline on the
+    /// calling thread (still sharded, still identical).
     Sharded { shards: usize, threads: usize },
+}
+
+/// The one copy of the simulated network's state. Both cores read and
+/// charge this; neither keeps any of it.
+#[derive(Debug)]
+pub(crate) struct World {
+    graph: Graph,
+    /// Built only under [`CostModel::Hops`]; `Uniform` never routes.
+    routing: Option<AnyRouter>,
+    crashed: Vec<bool>,
+    /// Number of currently crashed nodes (lets routing skip hop walks
+    /// entirely while everyone is alive).
+    crashed_count: usize,
+    cost_model: CostModel,
+    now: SimTime,
+    metrics: Metrics,
+    /// Log₂ histogram of queue depth, sampled at every push: bucket 0
+    /// holds depth 0, bucket `k > 0` holds depths in `[2^(k-1), 2^k)`.
+    /// Identical across queue implementations and cores (same
+    /// pending-event set).
+    depth_buckets: [u64; QUEUE_DEPTH_BUCKETS],
+}
+
+impl World {
+    /// A fresh network at time 0 with everyone alive. This is the one
+    /// place the handler count is checked and the router is built.
+    fn new(graph: Graph, handlers: usize, cost_model: CostModel, router: RouterKind) -> Self {
+        let n = graph.node_count();
+        assert_eq!(handlers, n, "one handler per graph node required");
+        let routing = match cost_model {
+            CostModel::Hops => Some(router.build(&graph)),
+            CostModel::Uniform => None,
+        };
+        World {
+            graph,
+            routing,
+            crashed: vec![false; n],
+            crashed_count: 0,
+            cost_model,
+            now: 0,
+            metrics: Metrics::new(n),
+            depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
+        }
+    }
+
+    /// One queue-depth observation: `depth` events are pending right
+    /// after a push.
+    fn sample_depth(&mut self, depth: u64) {
+        if depth > self.metrics.peak_queue_depth {
+            self.metrics.peak_queue_depth = depth;
+        }
+        self.depth_buckets[(64 - depth.leading_zeros()) as usize] += 1;
+    }
+
+    /// The read-only view routing needs.
+    fn net_env(&self) -> NetEnv<'_> {
+        NetEnv {
+            routing: self.routing.as_ref(),
+            crashed: &self.crashed,
+            crashed_count: self.crashed_count,
+            cost_model: self.cost_model,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -268,6 +312,7 @@ enum Core<M, N> {
 /// event queue (or several, sharded), and exact message-pass metrics.
 #[derive(Debug)]
 pub struct Sim<M, N> {
+    world: World,
     core: Core<M, N>,
 }
 
@@ -280,66 +325,30 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// Panics if `nodes.len() != graph.node_count()`.
     pub fn new(graph: Graph, nodes: Vec<N>, cost_model: CostModel) -> Self {
         Sim {
-            core: Core::Single(SingleCore::with_queue(
-                graph,
-                nodes,
-                cost_model,
-                QueueKind::Calendar,
-                RouterKind::Auto,
-            )),
+            world: World::new(graph, nodes.len(), cost_model, RouterKind::Auto),
+            core: Core::Single(SingleCore::new(nodes, QueueKind::Calendar)),
         }
     }
 
     /// The simulated network graph.
     pub fn graph(&self) -> &Graph {
-        match &self.core {
-            Core::Single(c) => c.graph(),
-            Core::Sharded(c) => c.graph(),
-        }
+        &self.world.graph
     }
 
     /// The routing backend in use (`None` under [`CostModel::Uniform`],
     /// which never routes).
     pub fn routing(&self) -> Option<&AnyRouter> {
-        match &self.core {
-            Core::Single(c) => c.routing(),
-            Core::Sharded(c) => c.routing(),
-        }
+        self.world.routing.as_ref()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.core {
-            Core::Single(c) => c.now(),
-            Core::Sharded(c) => c.now(),
-        }
+        self.world.now
     }
 
     /// Accumulated metrics.
     pub fn metrics(&self) -> &Metrics {
-        match &self.core {
-            Core::Single(c) => c.metrics(),
-            Core::Sharded(c) => c.metrics(),
-        }
-    }
-
-    /// Per-shard metrics under [`ShardMode::Sharded`] (`None` on the
-    /// single core). Every global sample is attributed to exactly one
-    /// shard, so [`Sim::merged_shard_metrics`] equals [`Sim::metrics`].
-    pub fn shard_metrics(&self) -> Option<&[Metrics]> {
-        match &self.core {
-            Core::Single(_) => None,
-            Core::Sharded(c) => Some(c.shard_metrics()),
-        }
-    }
-
-    /// Folds the per-shard metrics back into one global `Metrics`
-    /// (`None` on the single core). Equals [`Sim::metrics`] exactly.
-    pub fn merged_shard_metrics(&self) -> Option<Metrics> {
-        match &self.core {
-            Core::Single(_) => None,
-            Core::Sharded(c) => Some(c.merged_shard_metrics()),
-        }
+        &self.world.metrics
     }
 
     /// Effective shard count (1 on the single core).
@@ -384,16 +393,18 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
         }
     }
 
-    /// Marks `v` crashed: it stops receiving, forwarding and firing timers.
+    /// Marks `v` crashed: it stops receiving and forwarding.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn crash(&mut self, v: NodeId) {
-        match &mut self.core {
-            Core::Single(c) => c.crash(v),
-            Core::Sharded(c) => c.crash(v),
+        let w = &mut self.world;
+        if !w.crashed[v.index()] {
+            w.crashed[v.index()] = true;
+            w.crashed_count += 1;
         }
+        w.metrics.crashes += 1;
     }
 
     /// Restores a crashed node (its state is as it was; protocols decide
@@ -403,9 +414,10 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `v` is out of range.
     pub fn restore(&mut self, v: NodeId) {
-        match &mut self.core {
-            Core::Single(c) => c.restore(v),
-            Core::Sharded(c) => c.restore(v),
+        let w = &mut self.world;
+        if w.crashed[v.index()] {
+            w.crashed[v.index()] = false;
+            w.crashed_count -= 1;
         }
     }
 
@@ -415,27 +427,22 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `v` is out of range.
     pub fn is_crashed(&self, v: NodeId) -> bool {
-        match &self.core {
-            Core::Single(c) => c.is_crashed(v),
-            Core::Sharded(c) => c.is_crashed(v),
-        }
+        self.world.crashed[v.index()]
     }
 
     /// Injects an external message to `at` (delivered at the current time,
     /// no message passes charged — models a local request arriving at a
     /// process, e.g. "locate port X").
     pub fn inject(&mut self, from: NodeId, at: NodeId, msg: M) {
+        let env = Envelope {
+            from,
+            to: at,
+            sent_at: self.world.now,
+            msg,
+        };
         match &mut self.core {
-            Core::Single(c) => c.inject(from, at, msg),
-            Core::Sharded(c) => c.inject(from, at, msg),
-        }
-    }
-
-    /// Schedules a timer externally (e.g. protocol drivers).
-    pub fn inject_timer(&mut self, at: NodeId, delay: SimTime, tag: u64) {
-        match &mut self.core {
-            Core::Single(c) => c.inject_timer(at, delay, tag),
-            Core::Sharded(c) => c.inject_timer(at, delay, tag),
+            Core::Single(c) => c.push(&mut self.world, env),
+            Core::Sharded(c) => c.push(&mut self.world, env),
         }
     }
 
@@ -444,18 +451,13 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// The sharded core samples the *conceptual global* depth at the
     /// canonical merge, so the histogram is identical across modes.
     pub fn queue_depth_buckets(&self) -> &[u64; QUEUE_DEPTH_BUCKETS] {
-        match &self.core {
-            Core::Single(c) => c.queue_depth_buckets(),
-            Core::Sharded(c) => c.queue_depth_buckets(),
-        }
+        &self.world.depth_buckets
     }
 
     /// Runs until the event queue drains; returns the final time.
     pub fn run(&mut self) -> SimTime {
-        match &mut self.core {
-            Core::Single(c) => c.run(),
-            Core::Sharded(c) => c.run(),
-        }
+        self.drain(SimTime::MAX);
+        self.world.now
     }
 
     /// Runs every event scheduled at or before `deadline`, then advances
@@ -464,20 +466,17 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// moves backwards: a `deadline` already in the past only drains
     /// events due now.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        match &mut self.core {
-            Core::Single(c) => c.run_until(deadline),
-            Core::Sharded(c) => c.run_until(deadline),
-        }
+        self.drain(deadline);
+        self.world.now = self.world.now.max(deadline);
+        self.world.now
     }
 
-    /// Executes the next unit of work; returns `false` when idle. On the
-    /// single core this is one event; on the sharded core it is one
-    /// *tick* (every event due at the next time, all shards). Callers
-    /// needing event-granular stepping use [`ShardMode::Single`].
-    pub fn step(&mut self) -> bool {
+    /// Executes every event due at or before `deadline`, leaving the
+    /// clock at the last one executed.
+    fn drain(&mut self, deadline: SimTime) {
         match &mut self.core {
-            Core::Single(c) => c.step(),
-            Core::Sharded(c) => c.step(),
+            Core::Single(c) => c.drain(&mut self.world, deadline),
+            Core::Sharded(c) => c.drain(&mut self.world, deadline),
         }
     }
 }
@@ -504,15 +503,14 @@ impl<M: Clone + Send, N: Node<M> + Send> Sim<M, N> {
         mode: ShardMode,
         router: RouterKind,
     ) -> Self {
+        let world = World::new(graph, nodes.len(), cost_model, router);
         let core = match mode {
-            ShardMode::Single => Core::Single(SingleCore::with_queue(
-                graph, nodes, cost_model, kind, router,
-            )),
-            ShardMode::Sharded { shards, threads } => Core::Sharded(ShardedCore::new(
-                graph, nodes, cost_model, kind, shards, threads, router,
-            )),
+            ShardMode::Single => Core::Single(SingleCore::new(nodes, kind)),
+            ShardMode::Sharded { shards, threads } => {
+                Core::Sharded(ShardedCore::new(nodes, kind, shards, threads))
+            }
         };
-        Sim { core }
+        Sim { world, core }
     }
 }
 
@@ -533,7 +531,6 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         got: Vec<(NodeId, Msg, SimTime)>,
-        timers: Vec<u64>,
     }
 
     impl Node<Msg> for Recorder {
@@ -544,9 +541,6 @@ mod tests {
                 Msg::Spread(targets) => api.multicast(&targets, Msg::Note),
                 _ => {}
             }
-        }
-        fn on_timer(&mut self, tag: u64, _api: &mut NodeApi<'_, Msg>) {
-            self.timers.push(tag);
         }
     }
 
@@ -655,31 +649,57 @@ mod tests {
         assert_eq!(sim.node(nid(4)).got.len(), 0);
     }
 
+    /// Both cores over a hop-cost path of `k + 1` nodes: a ping injected
+    /// at node 0 on behalf of node `k` is answered by a pong that spends
+    /// `k` ticks in flight — the way to schedule an event `k` ticks out.
+    fn path_sims(k: usize) -> [Sim<Msg, Recorder>; 2] {
+        [
+            ShardMode::Single,
+            ShardMode::Sharded {
+                shards: 4,
+                threads: 2,
+            },
+        ]
+        .map(|mode| {
+            Sim::with_router(
+                gen::path(k + 1),
+                recorders(k + 1),
+                CostModel::Hops,
+                QueueKind::Calendar,
+                mode,
+                RouterKind::Auto,
+            )
+        })
+    }
+
     #[test]
     fn run_until_advances_clock_through_idle_gaps() {
-        let g = gen::ring(3);
-        let mut sim = Sim::new(g, recorders(3), CostModel::Hops);
-        // nothing scheduled at all: the clock must still reach the deadline
-        assert_eq!(sim.run_until(100), 100);
-        assert_eq!(sim.now(), 100);
-        // a timer far in the future is not executed early, but the clock
-        // advances to the deadline between phases
-        sim.inject_timer(nid(0), 400, 9); // fires at t = 500
-        assert_eq!(sim.run_until(250), 250);
-        assert!(sim.node(nid(0)).timers.is_empty());
-        assert_eq!(sim.run_until(600), 600);
-        assert_eq!(sim.node(nid(0)).timers, vec![9]);
-        // the clock never moves backwards
-        assert_eq!(sim.run_until(10), 600);
+        // 1500 ticks out is past the calendar queue's initial window, so
+        // the pong also takes the overflow-heap route
+        let far = nid(1500);
+        for mut sim in path_sims(1500) {
+            // nothing scheduled at all: the clock must still reach the deadline
+            assert_eq!(sim.run_until(100), 100);
+            assert_eq!(sim.now(), 100);
+            // a delivery far in the future is not executed early, but the
+            // clock advances to the deadline between phases
+            sim.inject(far, nid(0), Msg::Ping); // pong lands at t = 1600
+            assert_eq!(sim.run_until(850), 850);
+            assert!(sim.node(far).got.is_empty());
+            assert_eq!(sim.run_until(2000), 2000);
+            assert_eq!(sim.node(far).got, vec![(nid(0), Msg::Pong, 1600)]);
+            // the clock never moves backwards
+            assert_eq!(sim.run_until(10), 2000);
+        }
     }
 
     #[test]
     fn run_until_executes_events_at_deadline_inclusive() {
-        let g = gen::ring(3);
-        let mut sim = Sim::new(g, recorders(3), CostModel::Hops);
-        sim.inject_timer(nid(1), 50, 1);
-        assert_eq!(sim.run_until(50), 50);
-        assert_eq!(sim.node(nid(1)).timers, vec![1]);
+        for mut sim in path_sims(50) {
+            sim.inject(nid(50), nid(0), Msg::Ping);
+            assert_eq!(sim.run_until(50), 50);
+            assert_eq!(sim.node(nid(50)).got, vec![(nid(0), Msg::Pong, 50)]);
+        }
     }
 
     #[test]
@@ -694,33 +714,6 @@ mod tests {
         sim.inject(nid(0), nid(1), Msg::Note);
         sim.run();
         assert_eq!(sim.node(nid(1)).got.len(), 1);
-    }
-
-    #[test]
-    fn timers_fire_in_order() {
-        struct TimerNode {
-            fired: Vec<(u64, SimTime)>,
-        }
-        impl Node<Msg> for TimerNode {
-            fn on_message(&mut self, _env: Envelope<Msg>, api: &mut NodeApi<'_, Msg>) {
-                api.set_timer(10, 1);
-                api.set_timer(5, 2);
-                api.set_timer(10, 3);
-            }
-            fn on_timer(&mut self, tag: u64, api: &mut NodeApi<'_, Msg>) {
-                self.fired.push((tag, api.now()));
-            }
-        }
-        let g = gen::ring(3);
-        let nodes = (0..3).map(|_| TimerNode { fired: vec![] }).collect();
-        let mut sim = Sim::new(g, nodes, CostModel::Hops);
-        sim.inject(nid(0), nid(0), Msg::Note);
-        sim.run();
-        let fired = &sim.node(nid(0)).fired;
-        assert_eq!(fired.len(), 3);
-        assert_eq!(fired[0], (2, 5));
-        assert_eq!(fired[1], (1, 10));
-        assert_eq!(fired[2], (3, 10), "same-time timers keep insertion order");
     }
 
     #[test]
@@ -771,9 +764,9 @@ mod tests {
 
     // ---- sharded core equivalence against the single-threaded oracle ----
 
-    /// Drives one busy scenario (pings, multicasts, timers, a crash +
-    /// restore, phased `run_until`) on the given core and returns every
-    /// observable output.
+    /// Drives one busy scenario (pings, multicasts, a crash + restore,
+    /// phased `run_until` with replies in flight across each deadline)
+    /// on the given core and returns every observable output.
     fn drive(mode: Option<ShardMode>) -> SimOutput {
         let g = gen::grid(6, 6, false);
         let n = 36;
@@ -791,7 +784,6 @@ mod tests {
         sim.inject(nid(0), nid(35), Msg::Ping);
         sim.inject(nid(3), nid(30), Msg::Ping);
         sim.inject(nid(5), nid(5), Msg::Spread(vec![nid(0), nid(17), nid(35)]));
-        sim.inject_timer(nid(9), 7, 42);
         sim.run_until(6);
         sim.crash(nid(14));
         sim.inject(nid(2), nid(14), Msg::Note);
@@ -803,26 +795,19 @@ mod tests {
         let logs = (0..n)
             .map(|v| sim.node(nid(v as u32)).got.clone())
             .collect();
-        let timers = (0..n)
-            .map(|v| sim.node(nid(v as u32)).timers.clone())
-            .collect();
         SimOutput {
             metrics: sim.metrics().clone(),
-            merged: sim.merged_shard_metrics(),
             buckets: *sim.queue_depth_buckets(),
             now: sim.now(),
             logs,
-            timers,
         }
     }
 
     struct SimOutput {
         metrics: Metrics,
-        merged: Option<Metrics>,
         buckets: [u64; QUEUE_DEPTH_BUCKETS],
         now: SimTime,
         logs: Vec<Vec<(NodeId, Msg, SimTime)>>,
-        timers: Vec<Vec<u64>>,
     }
 
     #[test]
@@ -834,12 +819,6 @@ mod tests {
             assert_eq!(got.buckets, oracle.buckets, "s={shards} t={threads}");
             assert_eq!(got.now, oracle.now, "s={shards} t={threads}");
             assert_eq!(got.logs, oracle.logs, "s={shards} t={threads}");
-            assert_eq!(got.timers, oracle.timers, "s={shards} t={threads}");
-            assert_eq!(
-                got.merged.as_ref(),
-                Some(&oracle.metrics),
-                "per-shard metrics must merge to the global view (s={shards} t={threads})"
-            );
         }
     }
 
@@ -849,7 +828,7 @@ mod tests {
         let got = drive(Some(ShardMode::Single));
         assert_eq!(got.metrics, oracle.metrics);
         assert_eq!(got.buckets, oracle.buckets);
-        assert!(got.merged.is_none());
+        assert_eq!(got.logs, oracle.logs);
     }
 
     #[test]
@@ -884,33 +863,31 @@ mod tests {
     }
 
     /// Drives a deterministic pseudo-random batch of pings, multicasts,
-    /// timers, phased `run_until`s and a crash/restore cycle.
+    /// phased `run_until`s and crash/restore toggles. A pong is in flight
+    /// for the hop distance it covers, so on a path its delay is anything
+    /// up to `n - 1` ticks — well across the 10–40 tick phase deadlines.
     fn random_traffic(sim: &mut Sim<Msg, Recorder>, n: usize, mut s: u64) {
         let node = |s: &mut u64| nid((mix(s) % n as u64) as u32);
         for phase in 0..4 {
             for _ in 0..6 {
                 match mix(&mut s) % 4 {
                     0 => {
-                        let (a, b) = (node(&mut s), node(&mut s));
-                        sim.inject(a, b, Msg::Ping);
-                    }
-                    1 => {
                         let from = node(&mut s);
                         let targets: Vec<NodeId> =
                             (0..1 + mix(&mut s) % 5).map(|_| node(&mut s)).collect();
                         sim.inject(from, from, Msg::Spread(targets));
                     }
-                    2 => {
-                        let at = node(&mut s);
-                        sim.inject_timer(at, 1 + mix(&mut s) % 40, mix(&mut s));
-                    }
-                    _ => {
+                    1 => {
                         let v = node(&mut s);
                         if sim.is_crashed(v) {
                             sim.restore(v);
                         } else {
                             sim.crash(v);
                         }
+                    }
+                    _ => {
+                        let (a, b) = (node(&mut s), node(&mut s));
+                        sim.inject(a, b, Msg::Ping);
                     }
                 }
             }
@@ -927,9 +904,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Random traffic, random shard/thread counts: the sharded core
-        /// reproduces the single-core metrics and depth histogram, and
-        /// the per-shard metrics merge to exactly the global `Metrics`.
+        /// Random traffic, random shard/thread counts, on a grid (analytic
+        /// router, short hops) or a path of the same size (table router,
+        /// long delays): the sharded core reproduces the single-core
+        /// metrics, depth histogram, clock and per-node delivery logs.
         #[test]
         fn random_traffic_is_core_invariant_and_shard_metrics_merge(
             seed in any::<u64>(),
@@ -937,12 +915,14 @@ mod tests {
             threads in 1usize..5,
             w in 3usize..7,
             h in 3usize..7,
+            long in any::<bool>(),
         ) {
             let n = w * h;
-            let mut single = Sim::new(gen::grid(w, h, false), recorders(n), CostModel::Hops);
+            let graph = || if long { gen::path(n) } else { gen::grid(w, h, false) };
+            let mut single = Sim::new(graph(), recorders(n), CostModel::Hops);
             random_traffic(&mut single, n, seed);
             let mut sharded = Sim::with_router(
-                gen::grid(w, h, false),
+                graph(),
                 recorders(n),
                 CostModel::Hops,
                 QueueKind::Calendar,
@@ -953,11 +933,9 @@ mod tests {
             prop_assert_eq!(sharded.metrics(), single.metrics());
             prop_assert_eq!(sharded.queue_depth_buckets(), single.queue_depth_buckets());
             prop_assert_eq!(sharded.now(), single.now());
-            prop_assert_eq!(
-                sharded.merged_shard_metrics().as_ref(),
-                Some(sharded.metrics()),
-                "per-shard metrics must merge to exactly the global view"
-            );
+            for v in (0..n as u32).map(nid) {
+                prop_assert_eq!(&sharded.node(v).got, &single.node(v).got);
+            }
         }
     }
 

@@ -16,8 +16,8 @@ pub struct Metrics {
     pub dropped: u64,
     /// Number of crash events injected.
     pub crashes: u64,
-    /// Events executed by the simulator loop (deliveries, timer firings
-    /// and drops at crashed nodes) — the denominator for events/sec.
+    /// Events executed by the simulator loop (deliveries and drops at
+    /// crashed nodes) — the denominator for events/sec.
     pub events_executed: u64,
     /// Highest number of simultaneously queued events observed — the
     /// event core's working-set size.
@@ -39,13 +39,6 @@ impl Metrics {
             peak_queue_depth: 0,
             node_load: vec![0; n],
         }
-    }
-
-    /// Resets all counters (e.g. after a warm-up phase) while keeping the
-    /// node count.
-    pub fn reset(&mut self) {
-        let n = self.node_load.len();
-        *self = Metrics::new(n);
     }
 
     /// Counter-wise difference `self - earlier`: what happened between two
@@ -79,25 +72,6 @@ impl Metrics {
                 .collect(),
         }
     }
-
-    /// The most-loaded node and its delivery count, if any deliveries
-    /// happened.
-    pub fn hottest_node(&self) -> Option<(usize, u64)> {
-        self.node_load
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by_key(|&(_, l)| l)
-            .filter(|&(_, l)| l > 0)
-    }
-
-    /// Mean deliveries per node.
-    pub fn mean_load(&self) -> f64 {
-        if self.node_load.is_empty() {
-            return 0.0;
-        }
-        self.node_load.iter().sum::<u64>() as f64 / self.node_load.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -109,16 +83,6 @@ mod tests {
         let m = Metrics::new(3);
         assert_eq!(m.message_passes, 0);
         assert_eq!(m.node_load, vec![0, 0, 0]);
-        assert_eq!(m.hottest_node(), None);
-        assert_eq!(m.mean_load(), 0.0);
-    }
-
-    #[test]
-    fn hottest_and_mean() {
-        let mut m = Metrics::new(4);
-        m.node_load = vec![1, 5, 0, 2];
-        assert_eq!(m.hottest_node(), Some((1, 5)));
-        assert_eq!(m.mean_load(), 2.0);
     }
 
     #[test]
@@ -138,14 +102,5 @@ mod tests {
         assert_eq!(d.delivered, 5);
         assert_eq!(d.node_load, vec![2, 3]);
         assert_eq!(d.peak_queue_depth, 11, "high-water mark, not a counter");
-    }
-
-    #[test]
-    fn reset_keeps_size() {
-        let mut m = Metrics::new(2);
-        m.message_passes = 10;
-        m.node_load[1] = 4;
-        m.reset();
-        assert_eq!(m, Metrics::new(2));
     }
 }

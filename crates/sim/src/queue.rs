@@ -6,13 +6,13 @@
 //! honor it:
 //!
 //! * [`CalendarQueue`] — the production queue. A ring of unit-time buckets
-//!   (all simulator delays are small integers: hop latencies and short
-//!   timers), with a binary-heap overflow for events beyond the current
-//!   bucket window and geometric window growth under overflow pressure.
+//!   (all simulator delays are small integers: hop latencies), with a
+//!   binary-heap overflow for events beyond the current bucket window
+//!   and geometric window growth under overflow pressure.
 //!   Push and pop are O(1) amortized, against `BTreeMap`'s O(log n) with
 //!   node churn on every operation.
 //! * [`BTreeQueue`] — the reference implementation (the simulator's
-//!   original `BTreeMap<(SimTime, u64), Event>` core), kept as the
+//!   original `BTreeMap<(SimTime, u64), Envelope>` core), kept as the
 //!   behavioral oracle: property tests drive both with identical op
 //!   sequences, and the determinism suite runs whole scenarios through
 //!   each and asserts byte-identical reports.

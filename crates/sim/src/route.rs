@@ -13,17 +13,17 @@
 //! is crashed, hop walks collapse to O(1) `distance` lookups — the walk
 //! exists only to find the first crashed intermediate.
 
-use crate::{CostModel, Envelope, Event, Op, SimTime, TargetSet};
+use crate::{CostModel, Envelope, Op, SimTime, TargetSet};
 use mm_topo::spanning::multicast_cost;
 use mm_topo::{AnyRouter, NodeId, Router};
 
-/// Read-only world view routing needs: routes and crash state.
+/// Read-only view of the world routing needs: routes and crash state
+/// (built by `World::net_env`).
 pub(crate) struct NetEnv<'a> {
-    /// Built only under [`CostModel::Hops`]; `Uniform` never routes.
     pub routing: Option<&'a AnyRouter>,
     pub crashed: &'a [bool],
-    /// Number of `true` entries in `crashed`; maintained by the cores so
-    /// the common all-alive case can skip hop walks entirely.
+    /// Number of `true` entries in `crashed`, so the common all-alive
+    /// case can skip hop walks entirely.
     pub crashed_count: usize,
     pub cost_model: CostModel,
 }
@@ -36,8 +36,8 @@ pub(crate) struct RouteCounters {
     pub dropped: u64,
 }
 
-/// Applies a handler's buffered ops: routes sends/multicasts, schedules
-/// timers. Every scheduled event is handed to `emit(at, event)` in a
+/// Applies a handler's buffered ops: routes sends and multicasts. Every
+/// envelope put in flight is handed to `emit(at, envelope)` in a
 /// deterministic order (op order, and within a multicast, target order).
 pub(crate) fn apply_ops<M: Clone>(
     env: &NetEnv<'_>,
@@ -45,13 +45,12 @@ pub(crate) fn apply_ops<M: Clone>(
     from: NodeId,
     ops: &mut Vec<Op<M>>,
     c: &mut RouteCounters,
-    emit: &mut impl FnMut(SimTime, Event<M>),
+    emit: &mut impl FnMut(SimTime, Envelope<M>),
 ) {
     for op in ops.drain(..) {
         match op {
             Op::Send { to, msg } => route(env, now, from, to, msg, c, emit),
             Op::Multicast { to, msg } => route_multicast(env, now, from, &to, msg, c, emit),
-            Op::Timer { delay, tag } => emit(now + delay, Event::Timer { at: from, tag }),
         }
     }
 }
@@ -143,7 +142,7 @@ pub(crate) fn route<M>(
     to: NodeId,
     msg: M,
     c: &mut RouteCounters,
-    emit: &mut impl FnMut(SimTime, Event<M>),
+    emit: &mut impl FnMut(SimTime, Envelope<M>),
 ) {
     c.sends += 1;
     if from == to {
@@ -154,7 +153,7 @@ pub(crate) fn route<M>(
             sent_at: now,
             msg,
         };
-        emit(now, Event::Deliver(env_msg));
+        emit(now, env_msg);
         return;
     }
     match env.cost_model {
@@ -166,7 +165,7 @@ pub(crate) fn route<M>(
                 sent_at: now,
                 msg,
             };
-            emit(now + 1, Event::Deliver(env_msg));
+            emit(now + 1, env_msg);
         }
         CostModel::Hops => {
             let routing = env.routing.expect("Hops model builds routing");
@@ -187,7 +186,7 @@ pub(crate) fn route<M>(
                 sent_at: now,
                 msg,
             };
-            emit(now + travelled, Event::Deliver(env_msg));
+            emit(now + travelled, env_msg);
         }
     }
 }
@@ -203,7 +202,7 @@ pub(crate) fn route_multicast<M: Clone>(
     targets: &TargetSet,
     msg: M,
     c: &mut RouteCounters,
-    emit: &mut impl FnMut(SimTime, Event<M>),
+    emit: &mut impl FnMut(SimTime, Envelope<M>),
 ) {
     match env.cost_model {
         CostModel::Uniform => {
@@ -215,7 +214,7 @@ pub(crate) fn route_multicast<M: Clone>(
                         sent_at: now,
                         msg: msg.clone(),
                     };
-                    emit(now, Event::Deliver(env_msg));
+                    emit(now, env_msg);
                     continue;
                 }
                 c.sends += 1;
@@ -226,7 +225,7 @@ pub(crate) fn route_multicast<M: Clone>(
                     sent_at: now,
                     msg: msg.clone(),
                 };
-                emit(now + 1, Event::Deliver(env_msg));
+                emit(now + 1, env_msg);
             }
         }
         CostModel::Hops => {
@@ -258,7 +257,7 @@ pub(crate) fn route_multicast<M: Clone>(
                         sent_at: now,
                         msg,
                     };
-                    emit(now, Event::Deliver(env_msg));
+                    emit(now, env_msg);
                 }
                 return;
             }
@@ -271,7 +270,7 @@ pub(crate) fn route_multicast<M: Clone>(
                         sent_at: now,
                         msg: msg.clone(),
                     };
-                    emit(now, Event::Deliver(env_msg));
+                    emit(now, env_msg);
                     continue;
                 }
                 // reachable (the Steiner cost above proved it); hop count
@@ -288,7 +287,7 @@ pub(crate) fn route_multicast<M: Clone>(
                     sent_at: now,
                     msg: msg.clone(),
                 };
-                emit(now + d, Event::Deliver(env_msg));
+                emit(now + d, env_msg);
             }
         }
     }

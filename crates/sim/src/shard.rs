@@ -1,13 +1,17 @@
 //! The sharded parallel executor core.
 //!
-//! Nodes are partitioned across a fixed number of shards (keyed by the
-//! `√n` decomposition via [`mm_topo::decompose::shard_map`]), each shard
-//! owning one calendar queue and its nodes' handler state. Execution is
-//! conservative parallel discrete-event simulation with a per-tick
-//! barrier: the minimum cross-shard hop cost is one tick (every remote
-//! send costs ≥ 1 tick under both cost models; zero-delay events are
-//! strictly node-local), so all shards can execute one tick's events
-//! concurrently without ever seeing a message from the "future".
+//! Nodes are partitioned across a fixed number of shards (balanced
+//! contiguous index bands — output is identical under any assignment, and
+//! the measured fabrics route over edgeless shells with no locality to
+//! key on), each shard owning one calendar queue and its nodes' handler
+//! state. The network itself — routes, crash flags, clock, metrics — is
+//! the [`World`] the core is handed, exactly as on the single core; what
+//! lives here is scheduling state only. Execution is conservative
+//! parallel discrete-event simulation with a per-tick barrier: the
+//! minimum cross-shard hop cost is one tick (every remote send costs
+//! ≥ 1 tick under both cost models; zero-delay events are strictly
+//! node-local), so all shards can execute one tick's events concurrently
+//! without ever seeing a message from the "future".
 //!
 //! # Determinism: exact replay of the single-core order
 //!
@@ -29,21 +33,18 @@
 //!   shard logs by ascending seq, replaying pops and pushes in exactly
 //!   the single core's order: it assigns fresh seqs to pushes from the
 //!   global counter, samples the queue-depth histogram at the same
-//!   depths, accumulates `Metrics` in the same order, and routes
-//!   future-tick events into the destination shard's inbox.
+//!   depths, accumulates the world's `Metrics` in the same order, and
+//!   routes future-tick events into the destination shard's inbox.
 //!
 //! The merge is sequential but cheap (tens of ns per event) compared to
 //! handler execution; Amdahl leaves near-linear scaling to a handful of
 //! worker threads.
 
-use crate::metrics::Metrics;
 use crate::pool::{Job, ShardPool};
 use crate::queue::{EventQueue, QueueKind};
 use crate::route::{self, NetEnv, RouteCounters};
-use crate::{
-    CostModel, Envelope, Event, Node, NodeApi, Op, RouterKind, SimTime, QUEUE_DEPTH_BUCKETS,
-};
-use mm_topo::{AnyRouter, Graph, NodeId};
+use crate::{Envelope, Node, NodeApi, Op, SimTime, World};
+use mm_topo::NodeId;
 use std::collections::VecDeque;
 
 /// Where an executed event came from, as recorded in a shard's log.
@@ -56,22 +57,14 @@ enum Source {
     Child,
 }
 
-/// How one event's execution ended (drives the merge's metric replay).
-#[derive(Debug, Clone, Copy)]
-enum Outcome {
-    Delivered,
-    DroppedAtCrashed,
-    TimerFired,
-    TimerSkipped,
-}
-
 /// One executed event in a shard's per-tick log.
 #[derive(Debug)]
 struct ExecRec {
     src: Source,
     /// The node the event targeted (for `node_load`).
     node: NodeId,
-    outcome: Outcome,
+    /// `false` when the target was crashed and the envelope dropped.
+    delivered: bool,
     sends: u64,
     passes: u64,
     route_dropped: u64,
@@ -84,11 +77,10 @@ struct ExecRec {
 #[derive(Debug)]
 struct PushRec<M> {
     at: SimTime,
-    dest: NodeId,
     /// `None` for zero-delay (same-node, hence same-shard) children:
     /// their payload went straight onto the shard's work deque and only
     /// the seq assignment happens at the coordinator.
-    ev: Option<Event<M>>,
+    env: Option<Envelope<M>>,
 }
 
 /// Per-shard state: handler slices, queue, inbox, and round buffers.
@@ -96,11 +88,9 @@ struct PushRec<M> {
 struct ShardState<M, N> {
     /// Handlers owned by this shard, in ascending global `NodeId` order.
     nodes: Vec<N>,
-    /// Local index → global id (inverse of the coordinator's `local_idx`).
-    local_ids: Vec<NodeId>,
-    queue: EventQueue<Event<M>>,
+    queue: EventQueue<Envelope<M>>,
     /// Cross-round mail from the coordinator, in ascending seq order.
-    inbox: Vec<(SimTime, u64, Event<M>)>,
+    inbox: Vec<(SimTime, u64, Envelope<M>)>,
     /// Earliest `at` currently in the inbox.
     inbox_min: Option<SimTime>,
     /// The queue's next event time as of the end of this shard's last
@@ -114,14 +104,14 @@ struct ShardState<M, N> {
     /// records have not been replayed yet (FIFO).
     pending: VecDeque<u64>,
     /// Reusable work deque for the tick-local breadth-first execution.
-    fifo: VecDeque<(Source, Event<M>)>,
+    fifo: VecDeque<(Source, Envelope<M>)>,
     /// Reusable handler-op buffer.
     scratch: Vec<Op<M>>,
 }
 
 impl<M, N> ShardState<M, N> {
-    fn push_inbox(&mut self, at: SimTime, seq: u64, ev: Event<M>) {
-        self.inbox.push((at, seq, ev));
+    fn push_inbox(&mut self, at: SimTime, seq: u64, env: Envelope<M>) {
+        self.inbox.push((at, seq, env));
         if self.inbox_min.is_none_or(|m| at < m) {
             self.inbox_min = Some(at);
         }
@@ -139,10 +129,7 @@ impl<M, N> ShardState<M, N> {
 /// Read-only world view shared by every shard during one round, plus the
 /// tick being executed. Non-generic so it erases to one pointer.
 struct RoundCtx<'a> {
-    routing: Option<&'a AnyRouter>,
-    crashed: &'a [bool],
-    crashed_count: usize,
-    cost_model: CostModel,
+    net: NetEnv<'a>,
     local_idx: &'a [u32],
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     shard_of: &'a [u32],
@@ -154,91 +141,68 @@ struct RoundCtx<'a> {
 /// cascade (zero-delay children execute inline, never entering the
 /// queue), and record the execution log for the coordinator's merge.
 fn run_shard_round<M: Clone, N: Node<M>>(st: &mut ShardState<M, N>, ctx: &RoundCtx<'_>) {
-    for (at, seq, ev) in st.inbox.drain(..) {
-        st.queue.push_seq(at, seq, ev);
+    for (at, seq, env) in st.inbox.drain(..) {
+        st.queue.push_seq(at, seq, env);
     }
     st.inbox_min = None;
     let t = ctx.tick;
     debug_assert!(st.log.is_empty() && st.pushes.is_empty());
     let mut fifo = std::mem::take(&mut st.fifo);
     debug_assert!(fifo.is_empty());
-    while let Some((at, seq, ev)) = st.queue.pop_seq_until(t) {
+    while let Some((at, seq, env)) = st.queue.pop_seq_until(t) {
         debug_assert_eq!(at, t, "rounds run at the global minimum event time");
-        fifo.push_back((Source::Queue(seq), ev));
+        fifo.push_back((Source::Queue(seq), env));
     }
-    let env = NetEnv {
-        routing: ctx.routing,
-        crashed: ctx.crashed,
-        crashed_count: ctx.crashed_count,
-        cost_model: ctx.cost_model,
-    };
-    let mut ops = std::mem::take(&mut st.scratch);
-    debug_assert!(ops.is_empty());
-    while let Some((src, ev)) = fifo.pop_front() {
-        let node = ev.target();
-        let crashed = ctx.crashed[node.index()];
+    while let Some((src, env)) = fifo.pop_front() {
+        let node = env.to;
+        let delivered = !ctx.net.crashed[node.index()];
         let mut c = RouteCounters::default();
         let pushes_before = st.pushes.len();
-        let outcome = match ev {
-            Event::Deliver(_) if crashed => Outcome::DroppedAtCrashed,
-            Event::Timer { .. } if crashed => Outcome::TimerSkipped,
-            ev => {
-                let mut api = NodeApi {
-                    ops: &mut ops,
-                    now: t,
-                    me: node,
-                };
-                let handler = &mut st.nodes[ctx.local_idx[node.index()] as usize];
-                let outcome = match ev {
-                    Event::Deliver(env_msg) => {
-                        handler.on_message(env_msg, &mut api);
-                        Outcome::Delivered
-                    }
-                    Event::Timer { tag, .. } => {
-                        handler.on_timer(tag, &mut api);
-                        Outcome::TimerFired
-                    }
-                };
-                let pushes = &mut st.pushes;
-                route::apply_ops(&env, t, node, &mut ops, &mut c, &mut |at, child| {
+        if delivered {
+            let mut api = NodeApi {
+                ops: &mut st.scratch,
+                now: t,
+                me: node,
+            };
+            st.nodes[ctx.local_idx[node.index()] as usize].on_message(env, &mut api);
+            let pushes = &mut st.pushes;
+            route::apply_ops(
+                &ctx.net,
+                t,
+                node,
+                &mut st.scratch,
+                &mut c,
+                &mut |at, child| {
                     if at == t {
                         // zero-delay events are node-local by the cost
                         // models' construction — this is the conservative
                         // lookahead the per-tick barrier relies on
                         debug_assert_eq!(
-                            ctx.shard_of[child.target().index()],
+                            ctx.shard_of[child.to.index()],
                             ctx.shard_of[node.index()],
                             "zero-delay events must be shard-local"
                         );
-                        pushes.push(PushRec {
-                            at,
-                            dest: child.target(),
-                            ev: None,
-                        });
+                        pushes.push(PushRec { at, env: None });
                         fifo.push_back((Source::Child, child));
                     } else {
-                        let dest = child.target();
                         pushes.push(PushRec {
                             at,
-                            dest,
-                            ev: Some(child),
+                            env: Some(child),
                         });
                     }
-                });
-                outcome
-            }
-        };
+                },
+            );
+        }
         st.log.push(ExecRec {
             src,
             node,
-            outcome,
+            delivered,
             sends: c.sends,
             passes: c.passes,
             route_dropped: c.dropped,
             push_count: (st.pushes.len() - pushes_before) as u32,
         });
     }
-    st.scratch = ops;
     st.fifo = fifo;
     st.cached_next = st.queue.peek_next_time();
 }
@@ -263,13 +227,6 @@ unsafe fn shard_job<M: Clone, N: Node<M>>(state: *mut (), ctx: *const ()) {
 /// merge that replays the single core's execution order exactly.
 #[derive(Debug)]
 pub(crate) struct ShardedCore<M, N> {
-    graph: Graph,
-    routing: Option<AnyRouter>,
-    crashed: Vec<bool>,
-    /// Number of currently crashed nodes (lets routing skip hop walks
-    /// entirely while everyone is alive).
-    crashed_count: usize,
-    cost_model: CostModel,
     /// Global node id → owning shard.
     shard_of: Vec<u32>,
     /// Global node id → index within its shard's `nodes`.
@@ -282,34 +239,18 @@ pub(crate) struct ShardedCore<M, N> {
     pool: Option<ShardPool>,
     /// Monomorphized erased round entry point (see [`shard_job`]).
     job: unsafe fn(*mut (), *const ()),
-    now: SimTime,
     /// The single global sequence counter (mirrors the single core's
     /// queue-internal counter exactly).
     next_seq: u64,
     /// Conceptual global queue depth (what the single core's queue `len`
     /// would be), maintained by the merge replay.
     global_depth: u64,
-    metrics: Metrics,
-    /// Per-shard metrics: every sample/count of the global `metrics` is
-    /// attributed to exactly one shard (the executing/pushing shard;
-    /// coordinator injects and crashes to the owning shard), so additive
-    /// fields sum — and peaks max — to the global values exactly.
-    shard_metrics: Vec<Metrics>,
-    depth_buckets: [u64; QUEUE_DEPTH_BUCKETS],
     /// Round scratch: indices of shards active at the current tick.
     active: Vec<usize>,
 }
 
 impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
-    pub(crate) fn new(
-        graph: Graph,
-        nodes: Vec<N>,
-        cost_model: CostModel,
-        kind: QueueKind,
-        shard_count: usize,
-        threads: usize,
-        router: RouterKind,
-    ) -> Self
+    pub(crate) fn new(nodes: Vec<N>, kind: QueueKind, shard_count: usize, threads: usize) -> Self
     where
         M: Send,
         N: Send,
@@ -317,21 +258,13 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
         // the erased-job contract additionally needs the shared world
         // view to be safely shareable across workers
         fn assert_sync<T: Sync>() {}
-        assert_sync::<Graph>();
-        assert_sync::<AnyRouter>();
+        assert_sync::<RoundCtx<'_>>();
 
-        assert_eq!(
-            nodes.len(),
-            graph.node_count(),
-            "one handler per graph node required"
-        );
-        let n = graph.node_count();
-        let routing = match cost_model {
-            CostModel::Hops => Some(router.build(&graph)),
-            CostModel::Uniform => None,
-        };
-        let shard_of = mm_topo::decompose::shard_map(&graph, shard_count);
-        let shard_count = shard_of.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
+        let n = nodes.len();
+        // balanced contiguous index bands; every shard is populated
+        // because the count is clamped to the node count
+        let shard_count = shard_count.clamp(1, n.max(1));
+        let shard_of: Vec<u32> = (0..n).map(|v| (v * shard_count / n) as u32).collect();
         let mut counts = vec![0u32; shard_count];
         let mut local_idx = vec![0u32; n];
         for v in 0..n {
@@ -344,7 +277,6 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
             .map(|&c| {
                 Box::new(ShardState {
                     nodes: Vec::with_capacity(c as usize),
-                    local_ids: Vec::with_capacity(c as usize),
                     queue: EventQueue::new(kind),
                     inbox: Vec::new(),
                     inbox_min: None,
@@ -358,48 +290,20 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
             })
             .collect();
         for (v, node) in nodes.into_iter().enumerate() {
-            let s = &mut shards[shard_of[v] as usize];
-            s.nodes.push(node);
-            s.local_ids.push(NodeId::new(v as u32));
+            shards[shard_of[v] as usize].nodes.push(node);
         }
-        let shard_metrics = counts.iter().map(|&c| Metrics::new(c as usize)).collect();
         let pool =
             (threads > 1 && shard_count > 1).then(|| ShardPool::new(threads.min(shard_count)));
         ShardedCore {
-            graph,
-            routing,
-            crashed: vec![false; n],
-            crashed_count: 0,
-            cost_model,
             shard_of,
             local_idx,
             shards,
             pool,
             job: shard_job::<M, N>,
-            now: 0,
             next_seq: 0,
             global_depth: 0,
-            metrics: Metrics::new(n),
-            shard_metrics,
-            depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
             active: Vec::new(),
         }
-    }
-
-    pub(crate) fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    pub(crate) fn routing(&self) -> Option<&AnyRouter> {
-        self.routing.as_ref()
-    }
-
-    pub(crate) fn now(&self) -> SimTime {
-        self.now
-    }
-
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     pub(crate) fn shard_count(&self) -> usize {
@@ -408,31 +312,6 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
 
     pub(crate) fn threads(&self) -> usize {
         self.pool.as_ref().map_or(1, ShardPool::threads)
-    }
-
-    pub(crate) fn shard_metrics(&self) -> &[Metrics] {
-        &self.shard_metrics
-    }
-
-    /// Folds the per-shard metrics back into one global view: additive
-    /// fields sum, peaks max, per-shard `node_load` scatters through the
-    /// local→global id map. Equals [`Self::metrics`] exactly (asserted by
-    /// the cross-shard determinism suite).
-    pub(crate) fn merged_shard_metrics(&self) -> Metrics {
-        let mut m = Metrics::new(self.graph.node_count());
-        for (i, sm) in self.shard_metrics.iter().enumerate() {
-            m.message_passes += sm.message_passes;
-            m.sends += sm.sends;
-            m.delivered += sm.delivered;
-            m.dropped += sm.dropped;
-            m.crashes += sm.crashes;
-            m.events_executed += sm.events_executed;
-            m.peak_queue_depth = m.peak_queue_depth.max(sm.peak_queue_depth);
-            for (li, &load) in sm.node_load.iter().enumerate() {
-                m.node_load[self.shards[i].local_ids[li].index()] += load;
-            }
-        }
-        m
     }
 
     pub(crate) fn node(&self, v: NodeId) -> &N {
@@ -445,67 +324,15 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
         &mut s.nodes[self.local_idx[v.index()] as usize]
     }
 
-    pub(crate) fn crash(&mut self, v: NodeId) {
-        if !self.crashed[v.index()] {
-            self.crashed[v.index()] = true;
-            self.crashed_count += 1;
-        }
-        self.metrics.crashes += 1;
-        self.shard_metrics[self.shard_of[v.index()] as usize].crashes += 1;
-    }
-
-    pub(crate) fn restore(&mut self, v: NodeId) {
-        if self.crashed[v.index()] {
-            self.crashed[v.index()] = false;
-            self.crashed_count -= 1;
-        }
-    }
-
-    pub(crate) fn is_crashed(&self, v: NodeId) -> bool {
-        self.crashed[v.index()]
-    }
-
-    pub(crate) fn inject(&mut self, from: NodeId, at: NodeId, msg: M) {
-        let env = Envelope {
-            from,
-            to: at,
-            sent_at: self.now,
-            msg,
-        };
-        self.push_external(self.now, Event::Deliver(env));
-    }
-
-    pub(crate) fn inject_timer(&mut self, at: NodeId, delay: SimTime, tag: u64) {
-        self.push_external(self.now + delay, Event::Timer { at, tag });
-    }
-
-    /// Coordinator-side push (injects between rounds): assigns the next
-    /// global seq, samples depth, and mails the owning shard.
-    fn push_external(&mut self, at: SimTime, ev: Event<M>) {
+    /// Coordinator-side push (injects between rounds) for delivery at the
+    /// current time: assigns the next global seq, samples depth, and
+    /// mails the owning shard.
+    pub(crate) fn push(&mut self, w: &mut World, env: Envelope<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.global_depth += 1;
-        let d = self.shard_of[ev.target().index()] as usize;
-        self.sample_depth(d);
-        self.shards[d].push_inbox(at, seq, ev);
-    }
-
-    /// One depth-histogram observation at the current conceptual global
-    /// depth, attributed to `shard`.
-    fn sample_depth(&mut self, shard: usize) {
-        let depth = self.global_depth;
-        if depth > self.metrics.peak_queue_depth {
-            self.metrics.peak_queue_depth = depth;
-        }
-        let sm = &mut self.shard_metrics[shard];
-        if depth > sm.peak_queue_depth {
-            sm.peak_queue_depth = depth;
-        }
-        self.depth_buckets[(64 - depth.leading_zeros()) as usize] += 1;
-    }
-
-    pub(crate) fn queue_depth_buckets(&self) -> &[u64; QUEUE_DEPTH_BUCKETS] {
-        &self.depth_buckets
+        w.sample_depth(self.global_depth);
+        self.shards[self.shard_of[env.to.index()] as usize].push_inbox(w.now, seq, env);
     }
 
     /// Earliest event time across every shard (queues and inboxes).
@@ -513,38 +340,19 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
         self.shards.iter().filter_map(|s| s.next_time()).min()
     }
 
-    pub(crate) fn run(&mut self) -> SimTime {
-        while self.step() {}
-        self.now
-    }
-
-    pub(crate) fn run_until(&mut self, deadline: SimTime) -> SimTime {
+    /// Executes every tick due at or before `deadline`, in time order.
+    pub(crate) fn drain(&mut self, w: &mut World, deadline: SimTime) {
         while let Some(t) = self.next_time() {
             if t > deadline {
                 break;
             }
-            self.now = t;
-            self.round(t);
+            w.now = t;
+            self.round(w, t);
         }
-        self.now = self.now.max(deadline);
-        self.now
-    }
-
-    /// Executes one *round* (every event due at the next tick, across all
-    /// shards). The single core's `step` runs one event; a sharded step
-    /// is one tick — callers that need event-granular stepping use
-    /// `ShardMode::Single`.
-    pub(crate) fn step(&mut self) -> bool {
-        let Some(t) = self.next_time() else {
-            return false;
-        };
-        self.now = t;
-        self.round(t);
-        true
     }
 
     /// Runs tick `t` on every shard that has work due, then merges.
-    fn round(&mut self, t: SimTime) {
+    fn round(&mut self, w: &mut World, t: SimTime) {
         let mut active = std::mem::take(&mut self.active);
         active.clear();
         for (i, s) in self.shards.iter().enumerate() {
@@ -555,10 +363,7 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
         debug_assert!(!active.is_empty(), "a round only runs at an event time");
         {
             let ctx = RoundCtx {
-                routing: self.routing.as_ref(),
-                crashed: &self.crashed,
-                crashed_count: self.crashed_count,
-                cost_model: self.cost_model,
+                net: w.net_env(),
                 local_idx: &self.local_idx,
                 shard_of: &self.shard_of,
                 tick: t,
@@ -587,7 +392,7 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
                 }
             }
         }
-        self.merge_round(t, &active);
+        self.merge_round(w, t, &active);
         self.active = active;
     }
 
@@ -595,7 +400,7 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
     /// single core's execution order at tick `t` — assigning push seqs,
     /// sampling queue depth, accumulating metrics, and mailing
     /// future-tick events to their destination shards.
-    fn merge_round(&mut self, t: SimTime, active: &[usize]) {
+    fn merge_round(&mut self, w: &mut World, t: SimTime, active: &[usize]) {
         struct Cursor<M> {
             shard: usize,
             log: Vec<ExecRec>,
@@ -622,11 +427,11 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
             // k-way pick: smallest next seq across shard logs (k is the
             // shard count, so a linear scan beats a heap by locality)
             let mut best: Option<(usize, u64)> = None;
-            for (k, w) in cursors.iter().enumerate() {
-                if w.r < w.log.len() {
-                    let seq = match w.log[w.r].src {
+            for (k, cur) in cursors.iter().enumerate() {
+                if cur.r < cur.log.len() {
+                    let seq = match cur.log[cur.r].src {
                         Source::Queue(s) => s,
-                        Source::Child => *w
+                        Source::Child => *cur
                             .pending
                             .front()
                             .expect("child seq assigned before its exec record"),
@@ -637,73 +442,56 @@ impl<M: Clone, N: Node<M>> ShardedCore<M, N> {
                 }
             }
             let Some((k, _)) = best else { break };
-            let w = &mut cursors[k];
-            let rec = &w.log[w.r];
-            w.r += 1;
+            let cur = &mut cursors[k];
+            let rec = &cur.log[cur.r];
+            cur.r += 1;
             if matches!(rec.src, Source::Child) {
-                w.pending.pop_front();
+                cur.pending.pop_front();
             }
             // the pop, in oracle order
             self.global_depth -= 1;
-            self.metrics.events_executed += 1;
-            let sm = &mut self.shard_metrics[w.shard];
-            sm.events_executed += 1;
-            match rec.outcome {
-                Outcome::Delivered => {
-                    self.metrics.delivered += 1;
-                    self.metrics.node_load[rec.node.index()] += 1;
-                    sm.delivered += 1;
-                    sm.node_load[self.local_idx[rec.node.index()] as usize] += 1;
-                }
-                Outcome::DroppedAtCrashed => {
-                    self.metrics.dropped += 1;
-                    sm.dropped += 1;
-                }
-                Outcome::TimerFired | Outcome::TimerSkipped => {}
+            w.metrics.events_executed += 1;
+            if rec.delivered {
+                w.metrics.delivered += 1;
+                w.metrics.node_load[rec.node.index()] += 1;
+            } else {
+                w.metrics.dropped += 1;
             }
-            sm.sends += rec.sends;
-            sm.message_passes += rec.passes;
-            sm.dropped += rec.route_dropped;
-            self.metrics.sends += rec.sends;
-            self.metrics.message_passes += rec.passes;
-            self.metrics.dropped += rec.route_dropped;
+            w.metrics.sends += rec.sends;
+            w.metrics.message_passes += rec.passes;
+            w.metrics.dropped += rec.route_dropped;
             // the pushes, in oracle order
-            let push_count = rec.push_count as usize;
-            let shard = w.shard;
-            let p0 = w.p;
-            w.p += push_count;
-            for j in 0..push_count {
-                let (at, dest, ev) = {
-                    let p = &mut cursors[k].pushes[p0 + j];
-                    (p.at, p.dest, p.ev.take())
-                };
+            let pushed = cur.p..cur.p + rec.push_count as usize;
+            cur.p = pushed.end;
+            for push in &mut cur.pushes[pushed] {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 self.global_depth += 1;
-                self.sample_depth(shard);
-                if at == t {
-                    debug_assert!(ev.is_none(), "zero-delay payloads stay shard-local");
-                    cursors[k].pending.push_back(seq);
+                w.sample_depth(self.global_depth);
+                let env = push.env.take();
+                if push.at == t {
+                    debug_assert!(env.is_none(), "zero-delay payloads stay shard-local");
+                    cur.pending.push_back(seq);
                 } else {
-                    let ev = ev.expect("future push carries its payload");
-                    let d = self.shard_of[dest.index()] as usize;
-                    self.shards[d].push_inbox(at, seq, ev);
+                    let env = env.expect("future push carries its payload");
+                    let d = self.shard_of[env.to.index()] as usize;
+                    self.shards[d].push_inbox(push.at, seq, env);
                 }
             }
         }
         // hand the (now empty) buffers back for reuse
-        for w in cursors {
+        for cur in cursors {
             debug_assert!(
-                w.pending.is_empty(),
+                cur.pending.is_empty(),
                 "zero-delay children all execute within their round"
             );
-            debug_assert_eq!(w.p, w.pushes.len(), "every recorded push replayed");
-            let s = &mut self.shards[w.shard];
-            s.log = w.log;
+            debug_assert_eq!(cur.p, cur.pushes.len(), "every recorded push replayed");
+            let s = &mut self.shards[cur.shard];
+            s.log = cur.log;
             s.log.clear();
-            s.pushes = w.pushes;
+            s.pushes = cur.pushes;
             s.pushes.clear();
-            s.pending = w.pending;
+            s.pending = cur.pending;
         }
     }
 }

@@ -1,87 +1,30 @@
-//! The single-threaded executor core: one event queue, strict global
+//! The single-threaded scheduler: one event queue, strict global
 //! `(time, sequence)` pop order. This is the original `Sim` event loop,
 //! kept as the byte-for-byte oracle the sharded core is checked against
 //! (exactly as `QueueKind::BTree` is the oracle for the calendar queue).
 
-use crate::metrics::Metrics;
 use crate::queue::{EventQueue, QueueKind};
-use crate::route::{self, NetEnv, RouteCounters};
-use crate::{
-    CostModel, Envelope, Event, Node, NodeApi, Op, RouterKind, SimTime, QUEUE_DEPTH_BUCKETS,
-};
-use mm_topo::{AnyRouter, Graph, NodeId};
+use crate::route::{self, RouteCounters};
+use crate::{Envelope, Node, NodeApi, Op, SimTime, World};
+use mm_topo::NodeId;
 
-/// Single-threaded core: a graph, one [`Node`] state machine per graph
-/// node, an event queue, and exact message-pass metrics.
+/// Single-threaded core: one [`Node`] state machine per graph node and
+/// the queue of envelopes in flight between them.
 #[derive(Debug)]
 pub(crate) struct SingleCore<M, N> {
-    graph: Graph,
-    /// Built only under [`CostModel::Hops`]; `Uniform` never routes.
-    routing: Option<AnyRouter>,
     nodes: Vec<N>,
-    crashed: Vec<bool>,
-    /// Number of currently crashed nodes (lets routing skip hop walks
-    /// entirely while everyone is alive).
-    crashed_count: usize,
-    queue: EventQueue<Event<M>>,
-    now: SimTime,
-    cost_model: CostModel,
-    metrics: Metrics,
-    /// Handler-op buffer reused across `step` calls (no per-event `Vec`).
+    queue: EventQueue<Envelope<M>>,
+    /// Handler-op buffer reused across events (no per-event `Vec`).
     scratch: Vec<Op<M>>,
-    /// Log₂ histogram of queue depth, sampled at every push: bucket 0
-    /// holds depth 0, bucket `k > 0` holds depths in `[2^(k-1), 2^k)`.
-    /// Identical across queue implementations (same pending-event set).
-    depth_buckets: [u64; QUEUE_DEPTH_BUCKETS],
 }
 
 impl<M: Clone, N: Node<M>> SingleCore<M, N> {
-    pub(crate) fn with_queue(
-        graph: Graph,
-        nodes: Vec<N>,
-        cost_model: CostModel,
-        kind: QueueKind,
-        router: RouterKind,
-    ) -> Self {
-        assert_eq!(
-            nodes.len(),
-            graph.node_count(),
-            "one handler per graph node required"
-        );
-        let routing = match cost_model {
-            CostModel::Hops => Some(router.build(&graph)),
-            CostModel::Uniform => None,
-        };
-        let n = graph.node_count();
+    pub(crate) fn new(nodes: Vec<N>, kind: QueueKind) -> Self {
         SingleCore {
-            graph,
-            routing,
             nodes,
-            crashed: vec![false; n],
-            crashed_count: 0,
             queue: EventQueue::new(kind),
-            now: 0,
-            cost_model,
-            metrics: Metrics::new(n),
             scratch: Vec::new(),
-            depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
         }
-    }
-
-    pub(crate) fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    pub(crate) fn routing(&self) -> Option<&AnyRouter> {
-        self.routing.as_ref()
-    }
-
-    pub(crate) fn now(&self) -> SimTime {
-        self.now
-    }
-
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     pub(crate) fn node(&self, v: NodeId) -> &N {
@@ -92,135 +35,50 @@ impl<M: Clone, N: Node<M>> SingleCore<M, N> {
         &mut self.nodes[v.index()]
     }
 
-    pub(crate) fn crash(&mut self, v: NodeId) {
-        if !self.crashed[v.index()] {
-            self.crashed[v.index()] = true;
-            self.crashed_count += 1;
-        }
-        self.metrics.crashes += 1;
+    /// Queues `env` for delivery at the current time.
+    pub(crate) fn push(&mut self, w: &mut World, env: Envelope<M>) {
+        self.queue.push(w.now, env);
+        w.sample_depth(self.queue.len() as u64);
     }
 
-    pub(crate) fn restore(&mut self, v: NodeId) {
-        if self.crashed[v.index()] {
-            self.crashed[v.index()] = false;
-            self.crashed_count -= 1;
-        }
-    }
-
-    pub(crate) fn is_crashed(&self, v: NodeId) -> bool {
-        self.crashed[v.index()]
-    }
-
-    pub(crate) fn inject(&mut self, from: NodeId, at: NodeId, msg: M) {
-        let env = Envelope {
-            from,
-            to: at,
-            sent_at: self.now,
-            msg,
-        };
-        self.push(self.now, Event::Deliver(env));
-    }
-
-    pub(crate) fn inject_timer(&mut self, at: NodeId, delay: SimTime, tag: u64) {
-        self.push(self.now + delay, Event::Timer { at, tag });
-    }
-
-    fn push(&mut self, at: SimTime, ev: Event<M>) {
-        self.queue.push(at, ev);
-        let depth = self.queue.len() as u64;
-        if depth > self.metrics.peak_queue_depth {
-            self.metrics.peak_queue_depth = depth;
-        }
-        self.depth_buckets[(64 - depth.leading_zeros()) as usize] += 1;
-    }
-
-    pub(crate) fn queue_depth_buckets(&self) -> &[u64; QUEUE_DEPTH_BUCKETS] {
-        &self.depth_buckets
-    }
-
-    pub(crate) fn run(&mut self) -> SimTime {
-        while self.step() {}
-        self.now
-    }
-
-    pub(crate) fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while self.step_until(deadline) {}
-        self.now = self.now.max(deadline);
-        self.now
-    }
-
-    pub(crate) fn step(&mut self) -> bool {
-        self.step_until(SimTime::MAX)
-    }
-
-    /// Executes the next event if it is due at or before `deadline`.
-    fn step_until(&mut self, deadline: SimTime) -> bool {
-        let Some((t, ev)) = self.queue.pop_next_until(deadline) else {
-            return false;
-        };
-        self.now = t;
-        self.metrics.events_executed += 1;
-        // reuse one ops buffer across events instead of allocating per
-        // handler invocation; apply_ops drains it back to empty
-        let mut ops = std::mem::take(&mut self.scratch);
-        debug_assert!(ops.is_empty());
-        match ev {
-            Event::Deliver(env) => {
-                let at = env.to;
-                if self.crashed[at.index()] {
-                    self.metrics.dropped += 1;
-                    self.scratch = ops;
-                    return true;
-                }
-                self.metrics.delivered += 1;
-                self.metrics.node_load[at.index()] += 1;
-                let mut api = NodeApi {
-                    ops: &mut ops,
-                    now: self.now,
-                    me: at,
-                };
-                self.nodes[at.index()].on_message(env, &mut api);
-                self.apply_ops(at, &mut ops);
+    /// Executes every event due at or before `deadline`, in queue order.
+    pub(crate) fn drain(&mut self, w: &mut World, deadline: SimTime) {
+        while let Some((t, env)) = self.queue.pop_next_until(deadline) {
+            w.now = t;
+            w.metrics.events_executed += 1;
+            let at = env.to;
+            if w.crashed[at.index()] {
+                w.metrics.dropped += 1;
+                continue;
             }
-            Event::Timer { at, tag } => {
-                if self.crashed[at.index()] {
-                    self.scratch = ops;
-                    return true;
-                }
-                let mut api = NodeApi {
-                    ops: &mut ops,
-                    now: self.now,
-                    me: at,
-                };
-                self.nodes[at.index()].on_timer(tag, &mut api);
-                self.apply_ops(at, &mut ops);
-            }
-        }
-        self.scratch = ops;
-        true
-    }
+            w.metrics.delivered += 1;
+            w.metrics.node_load[at.index()] += 1;
+            let mut api = NodeApi {
+                ops: &mut self.scratch,
+                now: t,
+                me: at,
+            };
+            self.nodes[at.index()].on_message(env, &mut api);
 
-    fn apply_ops(&mut self, from: NodeId, ops: &mut Vec<Op<M>>) {
-        let env = NetEnv {
-            routing: self.routing.as_ref(),
-            crashed: &self.crashed,
-            crashed_count: self.crashed_count,
-            cost_model: self.cost_model,
-        };
-        let mut c = RouteCounters::default();
-        let queue = &mut self.queue;
-        let metrics = &mut self.metrics;
-        let depth_buckets = &mut self.depth_buckets;
-        route::apply_ops(&env, self.now, from, ops, &mut c, &mut |at, ev| {
-            queue.push(at, ev);
-            let depth = queue.len() as u64;
-            if depth > metrics.peak_queue_depth {
-                metrics.peak_queue_depth = depth;
+            let mut c = RouteCounters::default();
+            let queued = self.queue.len();
+            let queue = &mut self.queue;
+            route::apply_ops(
+                &w.net_env(),
+                t,
+                at,
+                &mut self.scratch,
+                &mut c,
+                &mut |at, env| queue.push(at, env),
+            );
+            // nothing pops between one handler's pushes, so the depths
+            // they saw are the consecutive ones up to the depth now
+            for depth in queued + 1..=self.queue.len() {
+                w.sample_depth(depth as u64);
             }
-            depth_buckets[(64 - depth.leading_zeros()) as usize] += 1;
-        });
-        metrics.sends += c.sends;
-        metrics.message_passes += c.passes;
-        metrics.dropped += c.dropped;
+            w.metrics.sends += c.sends;
+            w.metrics.message_passes += c.passes;
+            w.metrics.dropped += c.dropped;
+        }
     }
 }

@@ -248,38 +248,6 @@ impl Decomposition {
     }
 }
 
-/// Maps every node to one of `shards` worker shards (the sharded
-/// simulator core's partition key).
-///
-/// When the graph is connected and the `√n` [`Decomposition`] yields at
-/// least `shards` parts, whole parts map to the same shard (contiguous
-/// part-index ranges), preserving the decomposition's locality: a part's
-/// intra-part protocol traffic — the dominant traffic of the paper's
-/// general-network algorithm — stays shard-local. For disconnected or
-/// edgeless graphs (e.g. the O(n) "complete shell" used under the uniform
-/// cost model, where no locality exists to exploit) and for shard counts
-/// finer than the decomposition, it falls back to balanced contiguous
-/// index bands.
-///
-/// The assignment is deterministic for a given `(graph, shards)`. The
-/// sharded executor's output is byte-identical under *any* assignment;
-/// this choice only affects parallel locality, never results.
-pub fn shard_map(g: &Graph, shards: usize) -> Vec<u32> {
-    let n = g.node_count();
-    let shards = shards.clamp(1, n.max(1));
-    if shards > 1 {
-        if let Ok(d) = Decomposition::new(g) {
-            let parts = d.part_count();
-            if parts >= shards {
-                return (0..n)
-                    .map(|v| (d.part_of(NodeId::new(v as u32)) * shards / parts) as u32)
-                    .collect();
-            }
-        }
-    }
-    (0..n).map(|v| (v * shards / n) as u32).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,42 +349,6 @@ mod tests {
             let l = d.canonical_label(v);
             assert!((l as usize) < d.t);
         }
-    }
-
-    #[test]
-    fn shard_map_covers_all_shards_and_respects_parts() {
-        let g = gen::grid(16, 16, false); // 256 nodes, t = 16, ~16 parts
-        let d = Decomposition::new(&g).unwrap();
-        let shards = 4;
-        let map = shard_map(&g, shards);
-        assert_eq!(map.len(), 256);
-        // every shard is populated
-        for s in 0..shards as u32 {
-            assert!(map.contains(&s), "shard {s} empty");
-        }
-        // nodes of one part never straddle shards
-        for v in g.nodes() {
-            for w in g.nodes() {
-                if d.part_of(v) == d.part_of(w) {
-                    assert_eq!(map[v.index()], map[w.index()]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shard_map_falls_back_to_index_bands() {
-        // edgeless graph: no decomposition possible
-        let g = Graph::new(10);
-        let map = shard_map(&g, 4);
-        assert_eq!(map.len(), 10);
-        assert!(map.windows(2).all(|w| w[0] <= w[1]), "contiguous bands");
-        for s in 0..4 {
-            assert!(map.contains(&s));
-        }
-        // more shards than nodes clamps; single shard maps everything to 0
-        assert!(shard_map(&g, 100).iter().all(|&m| (m as usize) < 10));
-        assert!(shard_map(&g, 1).iter().all(|&m| m == 0));
     }
 
     #[test]

@@ -468,15 +468,6 @@ impl AnyRouter {
     pub fn is_analytic(&self) -> bool {
         !matches!(self, AnyRouter::Table(_))
     }
-
-    /// Short label for reports/diagnostics: `"analytic"` or `"table"`.
-    pub fn kind_label(&self) -> &'static str {
-        if self.is_analytic() {
-            "analytic"
-        } else {
-            "table"
-        }
-    }
 }
 
 /// `"ring(8)"` with prefix `"ring"` → `Some(8)`.
@@ -677,7 +668,6 @@ mod tests {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
         let r = AnyRouter::for_graph(&g);
         assert!(!r.is_analytic());
-        assert_eq!(r.kind_label(), "table");
         assert_eq!(r.next_hop(n(0), n(3)), Some(n(1)));
     }
 

@@ -6,7 +6,7 @@
 //! exactly that: all-pairs hop distances plus first-hop (next-hop) entries,
 //! computed by `n` breadth-first searches. It also supports the
 //! *reverse-path* trick of §4 (Dalal–Metcalfe tables used "back-to-front")
-//! via [`Router::reverse_next_hops`](crate::router::Router::reverse_next_hops).
+//! via [`Router::reverse_next_hops`].
 //!
 //! The table is *canonical*: when several neighbors start a shortest path,
 //! the next hop is always the lowest-numbered one. That pins a unique path
@@ -14,6 +14,7 @@
 //! [`crate::router`] reproduce table-backed runs byte-for-byte.
 
 use crate::graph::{Graph, NodeId};
+use crate::router::Router;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Global count of [`RoutingTable::new`] invocations (process-wide).
@@ -167,9 +168,9 @@ impl RoutingTable {
     /// is the single node `[a]`.
     ///
     /// Allocates the whole path; hot paths that only need to *visit* the
-    /// hops (hop counting, crash checks) should use [`RoutingTable::hops`]
-    /// instead, which walks the same next-hop entries without materializing
-    /// a `Vec`.
+    /// hops (hop counting, crash checks) should use [`Router::hops`]
+    /// instead, which walks the same next-hop entries without
+    /// materializing a `Vec`.
     ///
     /// # Panics
     ///
@@ -182,25 +183,6 @@ impl RoutingTable {
         let mut path = vec![a];
         path.extend(self.hops(a, b));
         Some(path)
-    }
-
-    /// Walks the shortest path from `a` to `b` hop by hop, yielding each
-    /// node *after* `a` (so the final item is `b`). Allocation-free: each
-    /// step is one next-hop table lookup.
-    ///
-    /// The walk is empty when `a == b` and also when `b` is unreachable
-    /// from `a` — callers that need to distinguish the two should check
-    /// [`RoutingTable::distance`] first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` is out of range (on the first `next` call).
-    pub fn hops(&self, a: NodeId, b: NodeId) -> HopWalk<'_> {
-        HopWalk {
-            table: self,
-            cur: a,
-            dest: b,
-        }
     }
 
     /// Eccentricity of `v`: max distance to any reachable node.
@@ -223,33 +205,6 @@ impl RoutingTable {
             .map(|v| self.eccentricity(NodeId::new(v as u32)))
             .max()
             .unwrap_or(0)
-    }
-}
-
-/// Allocation-free shortest-path walk produced by [`RoutingTable::hops`].
-#[derive(Debug, Clone)]
-pub struct HopWalk<'a> {
-    table: &'a RoutingTable,
-    cur: NodeId,
-    dest: NodeId,
-}
-
-impl Iterator for HopWalk<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        if self.cur == self.dest {
-            return None;
-        }
-        self.cur = self.table.next_hop(self.cur, self.dest)?;
-        Some(self.cur)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self.table.distance(self.cur, self.dest) {
-            Some(d) => (d as usize, Some(d as usize)),
-            None => (0, Some(0)),
-        }
     }
 }
 
@@ -359,7 +314,6 @@ mod tests {
 
     #[test]
     fn reverse_next_hops_move_away_from_origin() {
-        use crate::router::Router;
         let g = gen::grid(5, 5, false);
         let rt = RoutingTable::new(&g);
         let origin = n(12); // center of the 5x5 grid

@@ -26,14 +26,6 @@ use mm_obs::{TraceConfig, TraceFile};
 use mm_sim::{CostModel, QueueKind, RouterKind, ShardMode};
 use mm_topo::{gen, Graph};
 
-/// Above this size a literal complete graph (O(n²) adjacency) stops being
-/// buildable; under the uniform cost model edges are never consulted, so
-/// runs substitute an edgeless graph with the same name and scale to 64k+
-/// nodes unchanged. Under hop cost the same holds for *every* structured
-/// topology once the analytic routers answer next hops — only the
-/// `--router table` oracle still materializes edges.
-pub const COMPLETE_MATERIALIZE_LIMIT: usize = 4096;
-
 /// Ceiling for `--router table` under hop cost: the O(n²) table at 4096
 /// nodes is ~134 MB, which is as far as the conformance oracle needs to
 /// go (the byte-identity suite proptests exactly this range).
@@ -71,16 +63,6 @@ impl RuntimeKind {
             "live" => Some(RuntimeKind::Live),
             _ => None,
         }
-    }
-}
-
-/// Canonical lower-case label of a router policy, as the CLI spells it
-/// (`auto` / `analytic` / `table`).
-pub fn router_label(router: RouterKind) -> &'static str {
-    match router {
-        RouterKind::Auto => "auto",
-        RouterKind::Analytic => "analytic",
-        RouterKind::Table => "table",
     }
 }
 
@@ -231,51 +213,36 @@ pub struct ObsOptions {
     pub throughput: bool,
 }
 
-/// Builds the graph for a topology name, mirroring the CLI's rules
-/// (edgeless stand-ins wherever routing never consults adjacency, grid
+/// Builds the graph for a topology name, mirroring the CLI's rules (grid
 /// and torus rounding to the closest `p × q ≥ n` rectangle, hypercube
 /// power-of-two requirement).
 ///
-/// Adjacency is materialized only when something will actually read it:
-/// under uniform cost only non-complete topologies build edges (they feed
-/// the sharded core's locality-aware `shard_map`), and under hop cost
-/// only the `--router table` oracle does. The analytic routers answer
-/// next hops from closed forms, so a hop-cost ring at n = 1,048,576 is an
-/// O(n)-memory run — no adjacency, no table.
+/// The result is an edgeless shell carrying the generator's name unless
+/// something will read adjacency, and the only thing that does is the
+/// `--router table` oracle's BFS under hop cost. Uniform cost never routes,
+/// the analytic routers answer next hops from the name alone, and the
+/// sharded core partitions by node index — so a hop-cost ring at
+/// n = 1,048,576, or a 64k-node complete network, is an O(n)-memory run:
+/// no adjacency, no table. The report's `topology` string is the same
+/// name either way.
 pub fn build_graph(
     topology: &str,
     n: usize,
     cost: CostModel,
     router: RouterKind,
 ) -> Result<Graph, String> {
-    // under hop cost the analytic backends route by name alone; only the
-    // table oracle (and its BFS build) needs real edges
-    let analytic = cost == CostModel::Hops && router != RouterKind::Table;
-    if cost == CostModel::Hops && router == RouterKind::Table && n > TABLE_ROUTER_LIMIT {
+    let edges = cost == CostModel::Hops && router == RouterKind::Table;
+    if edges && n > TABLE_ROUTER_LIMIT {
         return Err(format!(
             "router `table` materializes the O(n^2) routing table; \
              use n <= {TABLE_ROUTER_LIMIT} or `--router analytic`"
         ));
     }
     match topology {
-        "complete" => match cost {
-            // uniform never routes: an edgeless stand-in is behaviorally
-            // identical and O(n) instead of O(n²) to build
-            CostModel::Uniform => Ok(gen::complete_shell(n)),
-            CostModel::Hops if analytic => Ok(gen::complete_shell(n)),
-            CostModel::Hops if n <= COMPLETE_MATERIALIZE_LIMIT => Ok(gen::complete(n)),
-            CostModel::Hops => Err(format!(
-                "cost model `hops` with topology `complete` materializes O(n^2) edges; \
-                 use n <= {COMPLETE_MATERIALIZE_LIMIT} or a sparse topology"
-            )),
-        },
-        "ring" => {
-            if analytic {
-                Ok(Graph::with_name(n, format!("ring({n})")))
-            } else {
-                Ok(gen::ring(n))
-            }
-        }
+        "complete" if edges => Ok(gen::complete(n)),
+        "complete" => Ok(gen::complete_shell(n)),
+        "ring" if edges => Ok(gen::ring(n)),
+        "ring" => Ok(Graph::with_name(n, format!("ring({n})"))),
         "grid" | "torus" => {
             // the closest p x q >= n rectangle
             let p = (n as f64).sqrt().ceil() as usize;
@@ -283,14 +250,10 @@ pub fn build_graph(
             if p * q != n {
                 eprintln!("note: {topology} topology rounded n from {n} to {}", p * q);
             }
-            let wrap = topology == "torus";
-            let name = format!("{topology}({p}x{q})");
-            if analytic {
-                Ok(Graph::with_name(p * q, name))
+            if edges {
+                Ok(gen::grid(p, q, topology == "torus"))
             } else {
-                let mut g = gen::grid(p, q, wrap);
-                g.set_name(name);
-                Ok(g)
+                Ok(Graph::with_name(p * q, format!("{topology}({p}x{q})")))
             }
         }
         "hypercube" => {
@@ -300,10 +263,10 @@ pub fn build_graph(
                     "topology `hypercube` needs n to be a power of two (got {n})"
                 ));
             }
-            if analytic {
-                Ok(Graph::with_name(n, format!("hypercube({d})")))
-            } else {
+            if edges {
                 Ok(gen::hypercube(d))
+            } else {
+                Ok(Graph::with_name(n, format!("hypercube({d})")))
             }
         }
         other => Err(format!("unknown topology `{other}`")),

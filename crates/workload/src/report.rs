@@ -64,7 +64,7 @@ pub struct PhaseReport {
     /// Crash events injected during the phase.
     pub crashes: u64,
     /// Runtime events executed during the phase: simulator events
-    /// (deliveries, timers, drops) or live protocol messages processed —
+    /// (deliveries, drops) or live protocol messages processed —
     /// the numerator for wall-clock events/sec.
     pub events_executed: u64,
     /// Peak simultaneous event-queue depth observed up to the end of the

@@ -44,7 +44,7 @@ fn assert_shard_invariant(mut cfg: RunConfig) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random churn-free configurations (steady traffic, no crash/restore
     /// churn) across scenario × strategy × topology × cost × n × seed:
@@ -54,7 +54,7 @@ proptest! {
         seed in 0u64..10_000,
         scenario_idx in 0usize..3,
         strategy_idx in 0usize..3,
-        topo_idx in 0usize..3,
+        topo_idx in 0usize..6,
         n in 24usize..64,
     ) {
         // the churn-free members of the open-loop library
@@ -64,7 +64,12 @@ proptest! {
             ("complete", CostModel::Uniform),
             ("ring", CostModel::Hops),
             ("grid", CostModel::Hops),
+            ("ring", CostModel::Uniform),
+            ("grid", CostModel::Uniform),
+            ("hypercube", CostModel::Uniform),
         ][topo_idx];
+        // the hypercube needs a power of two
+        let n = if topology == "hypercube" { 32 } else { n };
         let mut cfg = RunConfig::new(scenario, n, seed);
         cfg.strategy = strategy.into();
         cfg.topology = topology.into();
