@@ -13,7 +13,7 @@ fn main() {
         Ok(records) => {
             println!("\n=== paper-vs-measured summary ===\n");
             println!("{}", to_markdown(&records));
-            let bad: Vec<_> = records.iter().filter(|r| !r.within_factor(6.0)).collect();
+            let bad = mm_bench::harness::outside_tolerance(&records);
             if bad.is_empty() {
                 println!(
                     "all {} records within expected factors of the paper's predictions",

@@ -135,6 +135,15 @@ pub fn run_by_name(names: &[String]) -> Result<Vec<ExperimentRecord>, String> {
     Ok(records)
 }
 
+/// The records whose measured value strays from the paper's prediction by
+/// more than the factor the reproduction allows: 6×, order-of-magnitude
+/// agreement, because measured hops differ from the paper's count of
+/// addressed nodes by routing overhead (the experiments' own tests hold
+/// their records to tighter factors where the paper's figure is exact).
+pub fn outside_tolerance(records: &[ExperimentRecord]) -> Vec<&ExperimentRecord> {
+    records.iter().filter(|r| !r.within_factor(6.0)).collect()
+}
+
 /// Measures a full match-making instance on the engine: returns
 /// `(post_passes, locate_passes, found)` — the server-side and
 /// client-side message-pass costs of one rendezvous.
@@ -204,6 +213,15 @@ mod tests {
     #[test]
     fn unknown_name_is_an_error() {
         assert!(run_by_name(&["e99".to_string()]).is_err());
+    }
+
+    #[test]
+    #[ignore = "release tier: all of E1-E18"]
+    fn every_experiment_reproduces_the_paper_within_tolerance() {
+        let records = run_by_name(&[]).unwrap();
+        assert_eq!(records.len(), 137, "an experiment lost or gained records");
+        let bad = outside_tolerance(&records);
+        assert!(bad.is_empty(), "{bad:#?}");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! tables and returns [`ExperimentRecord`]s comparing the paper's
 //! predicted value with the measured one.
 //!
-//! Run everything: `cargo run -p mm-bench --bin experiments`
-//! Run one:        `cargo run -p mm-bench --bin experiments -- e9`
+//! Run everything: `cargo run --release -p mm-bench --bin experiments`
+//! Run one:        `cargo run --release -p mm-bench --bin experiments -- e9`
+//! Gate on it:     `cargo test --release -p mm-bench -- --ignored`
 
 pub mod harness;
 pub mod protocols;

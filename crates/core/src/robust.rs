@@ -9,7 +9,7 @@
 //!   node from locating a service at a surviving node *in place*:
 //!   `#(P(i) ∩ Q(j)) ≥ f + 1` for all `i, j`.
 //!
-//! [`Replicated`] upgrades any strategy to the redundant criterion by
+//! [`Replicated`] upgrades any strategy to the redundant condition by
 //! superimposing `f+1` rotated copies; [`survives`] and
 //! [`max_tolerated_faults`] analyze concrete crash sets. *"Robustness is
 //! inefficient and has a price tag in number of message passes"* — the
@@ -113,7 +113,7 @@ pub fn survives(s: &impl Strategy, i: NodeId, j: NodeId, crashed: &[NodeId]) -> 
 }
 
 /// The redundancy level of a strategy: `min_{i,j} #(P(i) ∩ Q(j)) − 1`,
-/// the largest `f` for which the *redundant* criterion holds (adversarial
+/// the largest `f` for which the *redundant* condition holds (adversarial
 /// crashes of rendezvous nodes cannot sever any alive pair).
 pub fn max_tolerated_faults(s: &impl Strategy) -> usize {
     let n = s.node_count();

@@ -87,6 +87,13 @@ use single::SingleCore;
 /// so every variant produces identical simulations — they differ only in
 /// memory (O(1) vs O(n²)) and next-hop cost. Like [`QueueKind`] and
 /// [`ShardMode`], the non-default variants exist for conformance checks.
+///
+/// No binary selects `Table`: it is the oracle of
+/// `tests/router_identity.rs`, `tests/router_memory_guard.rs` and
+/// `crates/topo/tests/router_conformance.rs`. The policy stays a public
+/// parameter because `benchmark/layers` passes one through
+/// `RunConfig.router` and the `with_router` constructors; making `Table`
+/// test-only is a one-variant cut once that harness stops naming the type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouterKind {
     /// Closed-form router when the graph is a recognized structured

@@ -24,6 +24,12 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Which event-queue implementation a [`Sim`](crate::Sim) uses.
+///
+/// `BTree` is the oracle of `tests/queue_determinism.rs`, the queue
+/// proptests in this module and the `sustained` campaign (`BENCH_6.json`).
+/// It is still a CLI axis (`--queue btree`) only because `benchmark/e2e`
+/// names it; once that comparison moves into `benchmark/layers`, dropping
+/// the flag is the same one-arm cut the router flag got.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// Bucketed calendar queue (production default).

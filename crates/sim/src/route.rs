@@ -57,8 +57,8 @@ pub(crate) fn apply_ops<M: Clone>(
 
 /// Hops travelled toward `to` and whether a crashed intermediate blocked
 /// the delivery. `dist` is the known full distance; with nobody crashed
-/// the answer is immediate, otherwise the next-hop walk runs until the
-/// first crashed node (passes spent up to and into it stay spent).
+/// the answer is immediate, otherwise the router finds the first crashed
+/// node on the path (passes spent up to and into it stay spent).
 fn crash_truncated(
     env: &NetEnv<'_>,
     routing: &AnyRouter,
@@ -69,69 +69,8 @@ fn crash_truncated(
     if env.crashed_count == 0 {
         return (u64::from(dist), false);
     }
-    if matches!(routing, AnyRouter::Ring(_)) {
-        // Ring paths average n/4 hops; at n = 1M a crash window would
-        // pay ~260k `next_hop` steps per delivery even when the path
-        // never meets a crashed node. The canonical path is one
-        // contiguous arc, so scan the crash flags over that arc — the
-        // same first-crashed node, found at memory-scan speed.
-        return ring_crash_truncated(env.crashed, routing, from, to, dist);
-    }
-    let mut travelled = 0u64;
-    for hop in routing.hops(from, to) {
-        travelled += 1;
-        if env.crashed[hop.index()] {
-            return (travelled, true);
-        }
-    }
-    (travelled, false)
-}
-
-/// Arc-scan equivalent of the next-hop walk for [`AnyRouter::Ring`].
-///
-/// The first hop (which carries the canonical antipodal tie-break)
-/// fixes the direction; every later step provably continues the same
-/// way around, so the walked nodes are exactly one index arc of length
-/// `dist` ending at `to`. Returns the hop count into the first crashed
-/// node on that arc, or `(dist, false)` if the whole arc is alive.
-fn ring_crash_truncated(
-    crashed: &[bool],
-    routing: &AnyRouter,
-    from: NodeId,
-    to: NodeId,
-    dist: u32,
-) -> (u64, bool) {
-    let n = crashed.len();
-    let s = from.index();
-    let first = routing
-        .next_hop(from, to)
-        .expect("distinct ring nodes always have a next hop")
-        .index();
-    let d = dist as usize;
-    if first == (s + 1) % n {
-        // ascending: (s+1)%n, (s+2)%n, ..., (s+d)%n
-        let start = (s + 1) % n;
-        let len1 = (n - start).min(d);
-        if let Some(k) = crashed[start..start + len1].iter().position(|&c| c) {
-            return (k as u64 + 1, true);
-        }
-        let rem = d - len1;
-        if let Some(k) = crashed[..rem].iter().position(|&c| c) {
-            return ((len1 + k) as u64 + 1, true);
-        }
-    } else {
-        // descending: s-1, s-2, ..., s-d (all mod n); scan each slice
-        // segment from its high end to preserve walk order
-        let len1 = s.min(d);
-        if let Some(k) = crashed[s - len1..s].iter().rev().position(|&c| c) {
-            return (k as u64 + 1, true);
-        }
-        let rem = d - len1;
-        if let Some(k) = crashed[n - rem..].iter().rev().position(|&c| c) {
-            return ((len1 + k) as u64 + 1, true);
-        }
-    }
-    (u64::from(dist), false)
+    let (travelled, blocked) = routing.hops_until_flagged(from, to, env.crashed);
+    (u64::from(travelled), blocked)
 }
 
 /// Point-to-point routing with hop accounting and crash truncation.
@@ -288,58 +227,6 @@ pub(crate) fn route_multicast<M: Clone>(
                     msg: msg.clone(),
                 };
                 emit(now + d, env_msg);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The generic next-hop walk `ring_crash_truncated` replaces.
-    fn walk_truncated(
-        crashed: &[bool],
-        routing: &AnyRouter,
-        from: NodeId,
-        to: NodeId,
-    ) -> (u64, bool) {
-        let mut travelled = 0u64;
-        for hop in routing.hops(from, to) {
-            travelled += 1;
-            if crashed[hop.index()] {
-                return (travelled, true);
-            }
-        }
-        (travelled, false)
-    }
-
-    #[test]
-    fn ring_arc_scan_matches_the_next_hop_walk() {
-        // every (n, from, to) pair — odd and even rings, antipodal
-        // tie-breaks, wraparound in both directions — under crash
-        // patterns derived from a deterministic counter
-        for n in [2usize, 3, 5, 8, 9, 16] {
-            let routing =
-                AnyRouter::analytic_for(&format!("ring({n})"), n).expect("ring is analytic");
-            for pattern in 0u64..64 {
-                let crashed: Vec<bool> = (0..n)
-                    .map(|i| (pattern.wrapping_mul(0x9e37_79b9).rotate_left(i as u32)) & 1 == 1)
-                    .collect();
-                for s in 0..n {
-                    for t in 0..n {
-                        if s == t {
-                            continue;
-                        }
-                        let (a, b) = (NodeId::new(s as u32), NodeId::new(t as u32));
-                        let dist = routing.distance(a, b).expect("ring is connected");
-                        assert_eq!(
-                            ring_crash_truncated(&crashed, &routing, a, b, dist),
-                            walk_truncated(&crashed, &routing, a, b),
-                            "n={n} pattern={pattern} {s}->{t}"
-                        );
-                    }
-                }
             }
         }
     }

@@ -65,6 +65,24 @@ pub trait Router {
         }
     }
 
+    /// Walks the canonical path from `a` toward `b` until it steps into a
+    /// node `v` with `flagged[v]` set: `(hops into that node, true)`, or
+    /// `(distance, false)` when every node after `a` is clear. This is
+    /// how far a message gets before a crashed node swallows it.
+    fn hops_until_flagged(&self, a: NodeId, b: NodeId, flagged: &[bool]) -> (u32, bool)
+    where
+        Self: Sized,
+    {
+        let mut travelled = 0;
+        for hop in self.hops(a, b) {
+            travelled += 1;
+            if flagged[hop.index()] {
+                return (travelled, true);
+            }
+        }
+        (travelled, false)
+    }
+
     /// The §4 reverse-path trick (Dalal–Metcalfe tables "back-to-front"):
     /// the neighbors `u` of `v` whose canonical route to `origin` starts
     /// with `v`. Walking such edges moves strictly *away* from the origin,
@@ -229,6 +247,44 @@ impl Router for RingRouter {
             f(NodeId::new(succ.min(pred)));
             f(NodeId::new(succ.max(pred)));
         }
+    }
+
+    /// Ring paths average n/4 hops; at n = 1M the walk would pay ~260k
+    /// `next_hop` steps per call even when the path meets no flagged
+    /// node. The first hop (which carries the antipodal tie-break) fixes
+    /// the direction and every later step continues the same way around,
+    /// so the walked nodes are one index arc of length `distance` ending
+    /// at `b`: scan the flags over that arc — the same first flagged
+    /// node, found at memory-scan speed.
+    fn hops_until_flagged(&self, a: NodeId, b: NodeId, flagged: &[bool]) -> (u32, bool) {
+        let Some(first) = self.next_hop(a, b) else {
+            return (0, false);
+        };
+        let (n, s) = (self.n as usize, a.index());
+        let (fwd, bwd) = self.arcs(a.raw(), b.raw());
+        let d = fwd.min(bwd) as usize;
+        let start = (s + 1) % n;
+        if first.index() == start {
+            // ascending: (s+1)%n, (s+2)%n, ..., (s+d)%n
+            let len1 = (n - start).min(d);
+            if let Some(k) = flagged[start..start + len1].iter().position(|&c| c) {
+                return (k as u32 + 1, true);
+            }
+            if let Some(k) = flagged[..d - len1].iter().position(|&c| c) {
+                return ((len1 + k) as u32 + 1, true);
+            }
+        } else {
+            // descending: s-1, s-2, ..., s-d (all mod n); scan each slice
+            // segment from its high end to preserve walk order
+            let len1 = s.min(d);
+            if let Some(k) = flagged[s - len1..s].iter().rev().position(|&c| c) {
+                return (k as u32 + 1, true);
+            }
+            if let Some(k) = flagged[n - (d - len1)..n].iter().rev().position(|&c| c) {
+                return ((len1 + k) as u32 + 1, true);
+            }
+        }
+        (d as u32, false)
     }
 }
 
@@ -527,6 +583,16 @@ impl Router for AnyRouter {
             AnyRouter::Table(r) => Router::for_each_neighbor(r, v, f),
         }
     }
+
+    fn hops_until_flagged(&self, a: NodeId, b: NodeId, flagged: &[bool]) -> (u32, bool) {
+        match self {
+            AnyRouter::Complete(r) => r.hops_until_flagged(a, b, flagged),
+            AnyRouter::Ring(r) => r.hops_until_flagged(a, b, flagged),
+            AnyRouter::Grid(r) => r.hops_until_flagged(a, b, flagged),
+            AnyRouter::Hypercube(r) => r.hops_until_flagged(a, b, flagged),
+            AnyRouter::Table(r) => r.hops_until_flagged(a, b, flagged),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -643,6 +709,34 @@ mod tests {
                 let oracle: Vec<NodeId> = rt.hops(a, b).collect();
                 assert_eq!(walked, oracle);
                 assert_eq!(r.hops(a, b).size_hint().0, walked.len());
+            }
+        }
+    }
+
+    #[test]
+    fn ring_arc_scan_matches_the_next_hop_walk() {
+        // every (n, from, to) pair — odd and even rings, antipodal
+        // tie-breaks, wraparound in both directions — under crash
+        // patterns derived from a deterministic counter; the table router
+        // has no override, so it is the provided walk
+        for k in [2usize, 3, 5, 8, 9, 16] {
+            let g = gen::ring(k);
+            let ring = AnyRouter::for_graph(&g);
+            assert!(matches!(ring, AnyRouter::Ring(_)));
+            let walk = RoutingTable::new(&g);
+            for pattern in 0u64..64 {
+                let flagged: Vec<bool> = (0..k)
+                    .map(|i| (pattern.wrapping_mul(0x9e37_79b9).rotate_left(i as u32)) & 1 == 1)
+                    .collect();
+                for a in g.nodes() {
+                    for b in g.nodes() {
+                        assert_eq!(
+                            ring.hops_until_flagged(a, b, &flagged),
+                            walk.hops_until_flagged(a, b, &flagged),
+                            "n={k} pattern={pattern} {a:?}->{b:?}"
+                        );
+                    }
+                }
             }
         }
     }

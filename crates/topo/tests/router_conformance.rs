@@ -113,9 +113,10 @@ proptest! {
     }
 }
 
-/// The oracle's upper edge: every structured family at n = 4096 (the
-/// `--router table` ceiling), checked all-pairs. Everything larger is
-/// analytic-only, extrapolated from exactly this boundary.
+/// The oracle's upper edge: every structured family at n = 4096 (where
+/// the workload layer's `TABLE_ROUTER_LIMIT` caps the table), checked
+/// all-pairs. Everything larger is analytic-only, extrapolated from
+/// exactly this boundary.
 #[test]
 fn conformance_holds_at_the_table_ceiling() {
     assert_conformant(&gen::ring(4096));

@@ -25,7 +25,7 @@
 //! open-loop output stays byte-compatible with the historical schema.
 //!
 //! `--replication F` upgrades the strategy to the paper's §2.4 redundant
-//! criterion — `F+1` superimposed copies via
+//! condition — `F+1` superimposed copies via
 //! [`Replicated`](mm_core::robust::Replicated) (for `hash`, `F+1` hash
 //! replicas), tolerating `F` rendezvous crashes per pair — and forces the
 //! `robustness` block into the report so the overhead ("robustness …
@@ -86,8 +86,7 @@ fn usage() -> ! {
         "usage: scenarios [--n N | --sweep N1,N2,..] [--seed S] \
          [--scenario NAME|all] [--strategy checkerboard|hash|broadcast] \
          [--topology complete|grid|torus|ring|hypercube] [--cost uniform|hops] \
-         [--queue calendar|btree] [--router auto|analytic|table] \
-         [--runtime sim|live] \
+         [--queue calendar|btree] [--runtime sim|live] \
          [--clients N] [--think zero|fixed:T|exp:M] [--retries R] \
          [--backoff B] [--window W] [--replication F] \
          [--shards S] [--shard-threads T] [--pretty] [--records] \
@@ -106,10 +105,7 @@ fn usage() -> ! {
          robustness block with the measured overhead.\n\
          --shards S --shard-threads T executes the simulator on the \
          sharded parallel core\n(JSON stays byte-identical to the \
-         single-threaded default at any S and T).\n\
-         --router picks the hop-cost routing backend: auto (default) \
-         routes structured\ntopologies in O(1) memory, table forces the \
-         O(n^2) oracle (byte-identical output).\n\nopen-loop \
+         single-threaded default at any S and T).\n\nopen-loop \
          scenarios: {}\nclosed-loop scenarios: {}\nhostile scenarios: {}",
         scenarios::ALL.join(", "),
         scenarios::CLOSED_LOOP.join(", "),
@@ -216,9 +212,6 @@ fn parse_args(argv: &[String]) -> Args {
             "--replication" => cfg.replication = num(value(&mut i)),
             "--shards" => cfg.shards = num(value(&mut i)),
             "--shard-threads" => cfg.shard_threads = num(value(&mut i)),
-            "--router" => {
-                cfg.router = drive::parse_router(value(&mut i)).unwrap_or_else(|| usage())
-            }
             "--pretty" => pretty = true,
             "--records" => records = true,
             "--trace" => trace = Some(value(&mut i).to_string()),
@@ -330,6 +323,12 @@ fn main() {
         let t0 = Instant::now();
         let (report, trace) = drive::run_traced(cfg, &args.obs).unwrap_or_else(|e| fail(e));
         let wall = t0.elapsed().as_secs_f64();
+        if report.n != cfg.n as u64 {
+            eprintln!(
+                "note: {} topology rounded n from {} to {}",
+                cfg.topology, cfg.n, report.n
+            );
+        }
         if args.verbose {
             // wall-clock throughput goes to stderr only: stdout JSON
             // must stay byte-identical across equal-seed runs

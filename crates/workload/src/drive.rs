@@ -26,7 +26,7 @@ use mm_obs::{TraceConfig, TraceFile};
 use mm_sim::{CostModel, QueueKind, RouterKind, ShardMode};
 use mm_topo::{gen, Graph};
 
-/// Ceiling for `--router table` under hop cost: the O(n²) table at 4096
+/// Ceiling for [`RouterKind::Table`] under hop cost: the O(n²) table at 4096
 /// nodes is ~134 MB, which is as far as the conformance oracle needs to
 /// go (the byte-identity suite proptests exactly this range).
 pub const TABLE_ROUTER_LIMIT: usize = 4096;
@@ -63,16 +63,6 @@ impl RuntimeKind {
             "live" => Some(RuntimeKind::Live),
             _ => None,
         }
-    }
-}
-
-/// Parses the CLI spelling of a router policy.
-pub fn parse_router(s: &str) -> Option<RouterKind> {
-    match s {
-        "auto" => Some(RouterKind::Auto),
-        "analytic" => Some(RouterKind::Analytic),
-        "table" => Some(RouterKind::Table),
-        _ => None,
     }
 }
 
@@ -213,13 +203,13 @@ pub struct ObsOptions {
     pub throughput: bool,
 }
 
-/// Builds the graph for a topology name, mirroring the CLI's rules (grid
-/// and torus rounding to the closest `p × q ≥ n` rectangle, hypercube
-/// power-of-two requirement).
+/// Builds the graph for a topology name (grid and torus round `n` up to
+/// the closest `p × q` rectangle — the caller sees it as the graph's node
+/// count; a hypercube needs a power of two).
 ///
 /// The result is an edgeless shell carrying the generator's name unless
 /// something will read adjacency, and the only thing that does is the
-/// `--router table` oracle's BFS under hop cost. Uniform cost never routes,
+/// [`RouterKind::Table`] oracle's BFS under hop cost. Uniform cost never routes,
 /// the analytic routers answer next hops from the name alone, and the
 /// sharded core partitions by node index — so a hop-cost ring at
 /// n = 1,048,576, or a 64k-node complete network, is an O(n)-memory run:
@@ -231,11 +221,14 @@ pub fn build_graph(
     cost: CostModel,
     router: RouterKind,
 ) -> Result<Graph, String> {
+    if n == 0 {
+        return Err("a network needs at least one node (n = 0)".into());
+    }
     let edges = cost == CostModel::Hops && router == RouterKind::Table;
     if edges && n > TABLE_ROUTER_LIMIT {
         return Err(format!(
-            "router `table` materializes the O(n^2) routing table; \
-             use n <= {TABLE_ROUTER_LIMIT} or `--router analytic`"
+            "the table router materializes the O(n^2) routing table; \
+             use n <= {TABLE_ROUTER_LIMIT} or an analytic router"
         ));
     }
     match topology {
@@ -247,9 +240,6 @@ pub fn build_graph(
             // the closest p x q >= n rectangle
             let p = (n as f64).sqrt().ceil() as usize;
             let q = n.div_ceil(p);
-            if p * q != n {
-                eprintln!("note: {topology} topology rounded n from {n} to {}", p * q);
-            }
             if edges {
                 Ok(gen::grid(p, q, topology == "torus"))
             } else {
@@ -257,12 +247,12 @@ pub fn build_graph(
             }
         }
         "hypercube" => {
-            let d = (n as f64).log2().round() as u32;
-            if 1usize << d != n {
+            if !n.is_power_of_two() {
                 return Err(format!(
                     "topology `hypercube` needs n to be a power of two (got {n})"
                 ));
             }
+            let d = n.trailing_zeros();
             if edges {
                 Ok(gen::hypercube(d))
             } else {
@@ -457,6 +447,17 @@ mod tests {
         let mut cfg = RunConfig::new("steady-state", 60, 7);
         cfg.topology = "hypercube".into();
         assert!(run(&cfg).is_err(), "non-power-of-two hypercube");
+        // past 2^63 the nearest power of two does not fit a usize
+        cfg.n = usize::MAX;
+        assert!(
+            run(&cfg).is_err(),
+            "hypercube n beyond the last power of two"
+        );
+        for topology in ["complete", "ring", "grid", "torus", "hypercube"] {
+            let mut cfg = RunConfig::new("steady-state", 0, 7);
+            cfg.topology = topology.into();
+            assert!(run(&cfg).is_err(), "{topology} with n = 0");
+        }
         let mut cfg = RunConfig::new("steady-state", 64, 7);
         cfg.runtime = RuntimeKind::Live;
         cfg.topology = "ring".into();

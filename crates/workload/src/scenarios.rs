@@ -358,7 +358,7 @@ fn hostile_pool() -> ClientModel {
 /// Correlated crash of a service's *rendezvous row*: the grid row-band
 /// the first port's server posts to dies mid-run — sparing every server
 /// host, so both endpoints of every pair survive and only match-making is
-/// severed (the adversarial case §2.4's *redundant* criterion is about).
+/// severed (the adversarial case §2.4's *redundant* condition is about).
 /// It heals, then the *aligned pair* of bands — `r` and `r + w/2`,
 /// exactly the two bands a `Replicated(2)` checkerboard posts to — dies
 /// together. Base checkerboard cannot resolve the victim service during

@@ -103,3 +103,24 @@ fn replicated_reports_are_shard_invariant() {
 fn closed_loop_reports_are_shard_invariant() {
     assert_shard_invariant(RunConfig::new("overload-ramp", 48, 9));
 }
+
+/// The same invariance at n = 65,536, where shard bands are thousands of
+/// nodes wide and a round carries real traffic — on the uniform complete
+/// network with and without churn, and on the analytic routers under hop
+/// cost (a table at this size would need 32 GiB, so these runs exist only
+/// because none is built).
+#[test]
+#[ignore = "release tier: 40 runs at n = 65,536"]
+fn reports_are_shard_invariant_at_65536() {
+    for (scenario, topology, cost) in [
+        ("steady-state", "complete", CostModel::Uniform),
+        ("rolling-churn", "complete", CostModel::Uniform),
+        ("steady-state", "grid", CostModel::Hops),
+        ("steady-state", "hypercube", CostModel::Hops),
+    ] {
+        let mut cfg = RunConfig::new(scenario, 65_536, 7);
+        cfg.topology = topology.into();
+        cfg.cost = cost;
+        assert_shard_invariant(cfg);
+    }
+}

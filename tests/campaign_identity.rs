@@ -111,3 +111,39 @@ fn aggregation_is_order_independent_over_shuffled_run_files() {
     assert_eq!(fwd.bench_json(), mixed.bench_json());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Runs experiment `id` in full and holds it against its committed
+/// snapshot: every run dispatched and written, runs that differ only in an
+/// output-invariant axis byte-identical, deterministic counts equal.
+fn assert_campaign_reproduces(id: &str, committed: &str) {
+    let dir = scratch(id);
+    let jobs = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let report = mm_campaign::execute(&by_id(id).unwrap().expand(), &dir, jobs, false).unwrap();
+    assert!(report.all_ok(), "{id}: {:?}", report.failures);
+    assert!(report.skipped.is_empty(), "{id}: {:?}", report.skipped);
+    let agg = agg::load_dir(&dir).unwrap();
+    assert!(agg.violations.is_empty(), "{id}: {:?}", agg.violations);
+    agg.check(committed)
+        .unwrap_or_else(|drift| panic!("{id}: counts drifted from the snapshot:\n{drift}"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn ci_smoke_campaign_reproduces_bench_8() {
+    assert_campaign_reproduces("ci-smoke", include_str!("../BENCH_8.json"));
+}
+
+/// The campaigns too large for a debug build: both event queues at
+/// n = 16,384 and 65,536, the topology × cost matrix, and the sharded core
+/// with analytic routers up to n = 1,048,576.
+#[test]
+#[ignore = "release tier: 64 runs, n up to 1,048,576"]
+fn release_campaigns_reproduce_their_snapshots() {
+    for (id, committed) in [
+        ("sustained", include_str!("../BENCH_6.json")),
+        ("topology-matrix", include_str!("../BENCH_9.json")),
+        ("topology-scale", include_str!("../BENCH_10.json")),
+    ] {
+        assert_campaign_reproduces(id, committed);
+    }
+}
