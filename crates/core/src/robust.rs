@@ -179,21 +179,16 @@ pub fn max_tolerated_faults_pm(pm: &impl PortMapped, ports: &[Port], samples: us
 /// Port-mapped, sampled twin of [`survival_fraction`]: over a
 /// deterministic stride-`7919` sample of alive `(server, client, port)`
 /// triples, the fraction whose rendezvous overlap retains at least one
-/// alive node. `1.0` (vacuously) when nobody is alive.
+/// alive node. `1.0` (vacuously) when nobody is alive. `alive` is the
+/// ascending complement of the `crashed` flags (the caller keeps both).
 pub fn survival_fraction_pm(
     pm: &impl PortMapped,
     ports: &[Port],
     crashed: &[bool],
+    alive: &[NodeId],
     samples: usize,
 ) -> f64 {
-    let n = pm.node_count();
-    if n == 0 || ports.is_empty() {
-        return 1.0;
-    }
-    let alive: Vec<usize> = (0..n)
-        .filter(|&v| !crashed.get(v).copied().unwrap_or(false))
-        .collect();
-    if alive.is_empty() {
+    if ports.is_empty() || alive.is_empty() {
         return 1.0;
     }
     let m = alive.len();
@@ -203,8 +198,8 @@ pub fn survival_fraction_pm(
         let pair = k.wrapping_mul(7919) % (m * m);
         let (i, j) = (alive[pair / m], alive[pair % m]);
         let port = ports[k % ports.len()];
-        let p = pm.post_set_for(NodeId::from(i), port);
-        let q = pm.query_set_for(NodeId::from(j), port);
+        let p = pm.post_set_for(i, port);
+        let q = pm.query_set_for(j, port);
         if crate::strategy::intersect_sorted(&p, &q)
             .iter()
             .any(|r| !crashed[r.index()])
@@ -333,16 +328,17 @@ mod tests {
         let s = Checkerboard::new(16);
         let mut crashed = vec![false; 16];
         crashed[5] = true;
+        let alive: Vec<NodeId> = (0..16u32).filter(|&v| v != 5).map(NodeId::from).collect();
         let exact = survival_fraction(&s, &[NodeId::new(5)]);
-        let sampled = survival_fraction_pm(&s, &ports, &crashed, 16 * 16);
+        let sampled = survival_fraction_pm(&s, &ports, &crashed, &alive, 16 * 16);
         // the exact metric samples only alive pairs of a 15-node world;
         // the pm sampler covers all alive (i, j) — both see a small dent
         assert!(sampled < 1.0 && exact < 1.0);
         assert!((sampled - exact).abs() < 0.1, "{sampled} vs {exact}");
         let r = Replicated::new(Checkerboard::new(16), 2);
-        assert_eq!(survival_fraction_pm(&r, &ports, &crashed, 64), 1.0);
+        assert_eq!(survival_fraction_pm(&r, &ports, &crashed, &alive, 64), 1.0);
         assert_eq!(
-            survival_fraction_pm(&s, &ports, &[true; 16], 64),
+            survival_fraction_pm(&s, &ports, &[true; 16], &[], 64),
             1.0,
             "vacuous when everyone is down"
         );

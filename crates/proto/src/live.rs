@@ -337,6 +337,8 @@ pub struct LiveNet {
     handles: Mutex<Vec<JoinHandle<()>>>,
     counters: Arc<LiveCounters>,
     /// Driver-side crash view — who would never answer a query right now.
+    /// This is the runtime's truth; `mm-workload`'s runner keeps exactly
+    /// one view of its own (`timeline::Draws`), so don't add a third.
     crashed: Mutex<Vec<bool>>,
     clock: AtomicU64,
     next_locate: AtomicU64,

@@ -253,6 +253,9 @@ pub(crate) struct World {
     graph: Graph,
     /// Built only under [`CostModel::Hops`]; `Uniform` never routes.
     routing: Option<AnyRouter>,
+    /// The runtime's truth about who is down. `mm-workload`'s runner keeps
+    /// exactly one view of its own (`timeline::Draws`, which it draws
+    /// over); a third copy anywhere is a mirror to delete, not to sync.
     crashed: Vec<bool>,
     /// Number of currently crashed nodes (lets routing skip hop walks
     /// entirely while everyone is alive).

@@ -277,6 +277,11 @@ impl<T> CalendarQueue<T> {
                 }
                 self.cursor = t;
                 let (at, seq, ev) = b.pop_front().expect("front observed");
+                if b.is_empty() {
+                    // give the drained bucket's buffer back: a kept one
+                    // pins every bucket at the largest tick it ever held
+                    *b = VecDeque::new();
+                }
                 self.bucketed -= 1;
                 return Some((at, seq, ev));
             }
@@ -498,6 +503,27 @@ mod tests {
             assert!(last.is_none_or(|l| l <= t));
             last = Some(t);
         }
+    }
+
+    /// Regression: a bucket drained by `pop_seq_until` kept its buffer, so
+    /// after one lap of the window every bucket held the largest tick it
+    /// had ever seen (735 MiB vs the btree queue's 97 on `overload-ramp`
+    /// at n = 262,144).
+    #[test]
+    fn drained_buckets_give_their_buffers_back() {
+        let mut q = CalendarQueue::default();
+        for t in 0..2 * INITIAL_SPAN {
+            for i in 0..300u32 {
+                q.push(t, i);
+            }
+            let burst: Vec<u32> = std::iter::from_fn(|| q.pop_next_until(t))
+                .map(|(_, i)| i)
+                .collect();
+            assert_eq!(burst, (0..300).collect::<Vec<_>>(), "tick {t}");
+        }
+        assert!(q.is_empty());
+        let held: usize = q.buckets.iter().map(VecDeque::capacity).sum();
+        assert_eq!(held, 0, "an empty queue holds no event storage");
     }
 
     #[test]

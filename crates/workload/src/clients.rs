@@ -14,29 +14,27 @@
 //!
 //! # Determinism contract
 //!
-//! The pool is the *single* decision layer for closed-loop runs, whatever
-//! runtime executes them. All randomness (the dispatched operation's client node and port, the think
-//! pause) is drawn inside [`ClientPool::service`] in slot-index order at
-//! canonical virtual times, so both runtimes consume the spec's RNG in
-//! exactly the same order — the same contract [`crate::timeline`]
-//! establishes for the open-loop path. Actually issuing a locate, and
-//! settling and recording its verdict, hides behind [`OpDriver`] (the
-//! runner's one settlement path; the pool only decides what a verdict
-//! means for the slot: retry, or finish and think); the simulator reports
-//! the engine's real issue→verdict elapsed, the thread network the
-//! uniform-cost model's deterministic elapsed, and on churn-free
-//! scenarios the two are provably identical — which is
-//! what lets `tests/live_workload_equivalence.rs` assert byte-equal
-//! latency percentiles across the runtimes.
+//! The pool decides *when* a closed-loop run draws, whatever runtime
+//! executes it: the dispatched operation's client node and port and the
+//! think pause are asked of the runner's [`Draws`] inside
+//! [`ClientPool::service`], in slot-index order at canonical virtual
+//! times, so every runtime consumes the spec's RNG in exactly the same
+//! order — the contract [`crate::timeline`] states. Actually issuing a
+//! locate, and settling and recording its verdict, hides behind
+//! [`OpDriver`] (the runner's one settlement path; the pool only decides
+//! what a verdict means for the slot: retry, or finish and think); the
+//! simulator reports the engine's real issue→verdict elapsed, the thread
+//! network the uniform-cost model's deterministic elapsed, and on
+//! churn-free scenarios the two are provably identical — which is what
+//! lets `tests/live_workload_equivalence.rs` assert byte-equal latency
+//! percentiles across the runtimes.
 
 use crate::report::{LocateRecord, LocateVerdict};
 use crate::spec::ClientModel;
-use crate::timeline::draw_arrival;
-use crate::traffic::{think_ticks, PopularitySampler};
+use crate::timeline::Draws;
 use mm_proto::LocateHandle;
 use mm_sim::SimTime;
 use mm_topo::NodeId;
-use rand::rngs::StdRng;
 use std::collections::VecDeque;
 
 /// One locate attempt in flight: the facts fixed at dispatch. They ride
@@ -150,9 +148,9 @@ enum Slot {
     Thinking { until: SimTime },
 }
 
-/// The pool itself. The runners own one per closed-loop run and drive it
+/// The pool itself. The runner owns one per closed-loop run and drives it
 /// with [`offer`](ClientPool::offer) / [`service`](ClientPool::service) /
-/// [`next_wakeup`](ClientPool::next_wakeup) from their event loops.
+/// [`next_wakeup`](ClientPool::next_wakeup) from its event loop.
 #[derive(Debug)]
 pub(crate) struct ClientPool {
     model: ClientModel,
@@ -226,16 +224,9 @@ impl ClientPool {
     /// Processes everything due at virtual time `now`, to a fixpoint:
     /// reads verdicts, schedules retries, starts think pauses, frees
     /// thinking slots, and dispatches queued operations onto free slots.
-    /// All RNG draws happen here, in slot-index order then queue order —
-    /// the canonical order both runtimes share.
-    pub(crate) fn service<D: OpDriver>(
-        &mut self,
-        now: SimTime,
-        driver: &mut D,
-        rng: &mut StdRng,
-        live: &[NodeId],
-        sampler: &PopularitySampler,
-    ) {
+    /// All draws happen here, in slot-index order then queue order — the
+    /// canonical order every runtime shares.
+    pub(crate) fn service<D: OpDriver>(&mut self, now: SimTime, driver: &mut D, draws: &mut Draws) {
         loop {
             let mut progress = false;
 
@@ -270,7 +261,7 @@ impl ClientPool {
                                     };
                                 } else {
                                     self.finish(rec, verdict, addr, done_at);
-                                    let until = done_at + think_ticks(self.model.think, rng);
+                                    let until = done_at + draws.think(self.model.think);
                                     self.slots[si] = Slot::Thinking { until };
                                 }
                             }
@@ -330,9 +321,8 @@ impl ClientPool {
                         break;
                     };
                     // total outage: nobody can issue; the queue waits for
-                    // a restore (the RNG is *not* consumed, identically in
-                    // both runtimes)
-                    let Some((client, port_idx)) = draw_arrival(rng, live, sampler) else {
+                    // a restore (the RNG is *not* consumed)
+                    let Some((client, port_idx)) = draws.arrival() else {
                         break;
                     };
                     let rec = self.queue.pop_front().expect("nonempty");
@@ -391,8 +381,7 @@ impl ClientPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{PortPopularity, ThinkTime};
-    use rand::SeedableRng;
+    use crate::spec::{ChurnAction, PortPopularity, ThinkTime};
 
     /// A deterministic mock runtime: every locate takes `service` ticks
     /// and yields the scripted verdict (round-robin).
@@ -460,9 +449,8 @@ mod tests {
     struct Fixture {
         pool: ClientPool,
         driver: MockDriver,
-        rng: StdRng,
-        live: Vec<NodeId>,
-        sampler: PopularitySampler,
+        /// Seed 1, eight live nodes, four uniform ports.
+        draws: Draws,
     }
 
     impl Fixture {
@@ -482,20 +470,12 @@ mod tests {
             Fixture {
                 pool: ClientPool::new(model),
                 driver: MockDriver::new(service, vec![verdict]),
-                rng: StdRng::seed_from_u64(1),
-                live: (0..8usize).map(NodeId::from).collect(),
-                sampler: PopularitySampler::new(4, PortPopularity::Uniform),
+                draws: Draws::new(1, 8, 4, PortPopularity::Uniform),
             }
         }
 
         fn service(&mut self, now: SimTime) {
-            self.pool.service(
-                now,
-                &mut self.driver,
-                &mut self.rng,
-                &self.live,
-                &self.sampler,
-            );
+            self.pool.service(now, &mut self.driver, &mut self.draws);
         }
 
         /// Drives the pool like a runner would: service at every wakeup
@@ -607,15 +587,21 @@ mod tests {
     #[test]
     fn total_outage_defers_dispatch_without_consuming_rng() {
         let mut f = Fixture::new(2, 0, 2, LocateVerdict::Hit);
-        let live = std::mem::take(&mut f.live);
+        let everyone = ChurnAction::CrashGroup {
+            nodes: (0..8).collect(),
+        };
+        f.draws.churn(&everyone, &[]);
         f.pool.offer(5, 0);
-        let before = f.rng.clone();
+        let before = f.draws.rng().clone();
         f.service(5);
-        assert_eq!(f.rng, before, "no draw happened");
+        assert_eq!(f.draws.rng(), &before, "no draw happened");
         assert!(f.driver.issued.is_empty());
         // nodes come back: the queued operation dispatches late, and the
         // queueing delay records the outage
-        f.live = live[..4].to_vec();
+        let restore = ChurnAction::RestoreAll {
+            clear_caches: false,
+        };
+        f.draws.churn(&restore, &[]);
         f.service(40);
         f.drive(100);
         let (recs, _) = f.finish();

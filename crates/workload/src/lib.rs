@@ -16,8 +16,13 @@
 //!   carries a [`ClientModel`], offered arrivals queue for a fixed pool
 //!   of client slots (think time, retry budget, exponential backoff) and
 //!   the reports grow latency/queueing-delay percentiles plus fixed-width
-//!   time-series windows. The pool is the single decision layer for both
-//!   runtimes, which is what keeps closed-loop runs differential-testable.
+//!   time-series windows.
+//! * `timeline` — spec → event timeline, and `Draws` (both private): the
+//!   one type that owns the spec's RNG and the runner's view of who is
+//!   alive. Every random decision of a run — homes, arrivals, think
+//!   pauses, churn victims — is a method on it, in one order, which is
+//!   what keeps open- and closed-loop runs differential-testable across
+//!   runtimes.
 //! * [`runner`] — [`ScenarioRunner`]: compiles a spec into operations
 //!   against a [`Runtime`], drives it to the horizon, and emits per-phase
 //!   [`PhaseReport`]s (throughput, passes per locate, hit rate, p50/p99

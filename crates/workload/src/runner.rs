@@ -13,9 +13,10 @@
 //!
 //! There is one runner. What executes the protocol — the `mm-sim` event
 //! queue or a network of OS threads — sits behind the [`Runtime`] seam
-//! ([`crate::runtime`]), and the runner never asks which: it consumes the
-//! spec's RNG, allocates trace ids and walks the timeline in one order,
-//! which is what makes the runtimes differential-testable.
+//! ([`crate::runtime`]), and the runner never asks which: every random
+//! decision and the runner's one view of who is alive live in one `Draws`
+//! ([`crate::timeline`]), and trace ids and the timeline walk follow one
+//! order, which is what makes the runtimes differential-testable.
 //!
 //! There is also one settlement path. The two loops are different client
 //! models — open-loop arrivals issue on the spot and chain the §1.3
@@ -36,16 +37,13 @@ use crate::report::{
 };
 use crate::runtime::{Issued, Runtime};
 use crate::spec::{ChurnAction, Workload};
-use crate::timeline::{draw_arrival, resolve_churn, Event, ResolvedChurn, Timeline};
-use crate::traffic::PopularitySampler;
+use crate::timeline::{Draws, Event, ResolvedChurn, Timeline};
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
 use mm_obs::{Registry, TraceConfig, TraceFile, TraceHeader, Tracer, HIST_BUCKETS, TRACE_VERSION};
 use mm_proto::{FaultProfile, LocateOutcome, RequestOutcome, ShotgunEngine};
 use mm_sim::{CostModel, Metrics, QueueKind, RouterKind, ShardMode, SimTime};
 use mm_topo::{Graph, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 pub use crate::report::{LocateRecord, LocateVerdict, PhaseReport, ScenarioReport};
@@ -93,8 +91,8 @@ struct Settled {
 /// The half of the runner an operation touches: the runtime, the ground
 /// truth a verdict is judged against, and everything a verdict is
 /// recorded into. It is its own struct so the closed-loop pool can drive
-/// it as its [`OpDriver`] while the runner lends out its RNG, live set and
-/// sampler alongside.
+/// it as its [`OpDriver`] while the runner lends out its [`Draws`]
+/// alongside.
 #[derive(Debug)]
 struct Ops<R: Runtime> {
     rt: R,
@@ -326,19 +324,14 @@ type Events = std::iter::Peekable<std::vec::IntoIter<(SimTime, Event)>>;
 pub struct ScenarioRunner<R: Runtime> {
     ops: Ops<R>,
     spec: Workload,
-    rng: StdRng,
-    sampler: PopularitySampler,
-    /// Runner-side crash view (mirrors the runtime's).
-    crashed: Vec<bool>,
+    /// Every random decision, and who is alive to be drawn.
+    draws: Draws,
     /// Emit the §2.4 robustness block (auto-on for hostile specs).
     robust: bool,
     /// Replication factor echoed in the robustness block (1 = base).
     replication: u64,
     /// Lowest sampled alive-pair survival fraction seen after any crash.
     min_survival: f64,
-    /// Currently-live nodes, ascending — kept incrementally in sync with
-    /// `crashed` so the per-arrival client draw is O(log n), not O(n).
-    live: Vec<NodeId>,
     /// Open-loop operations awaiting their verdict.
     in_flight: Vec<Op>,
     next_arrival: u64,
@@ -448,13 +441,10 @@ impl<R: Runtime> ScenarioRunner<R> {
                 tracer: None,
                 registry: None,
             },
-            rng: StdRng::seed_from_u64(spec.seed),
-            sampler: PopularitySampler::new(spec.ports, spec.popularity),
-            crashed: vec![false; n],
+            draws: Draws::new(spec.seed, n, spec.ports, spec.popularity),
             robust: spec.hostile(),
             replication: 1,
             min_survival: 1.0,
-            live: (0..n).map(NodeId::from).collect(),
             in_flight: Vec::new(),
             next_arrival: 0,
             strategy: strategy.to_string(),
@@ -513,7 +503,7 @@ impl<R: Runtime> ScenarioRunner<R> {
     }
 
     fn n(&self) -> usize {
-        self.crashed.len()
+        self.draws.crashed().len()
     }
 
     /// Everything before the first timeline event: install the spec's
@@ -536,7 +526,7 @@ impl<R: Runtime> ScenarioRunner<R> {
             }
         }
         for i in 0..self.spec.ports {
-            let home = NodeId::from(self.rng.gen_range(0..n));
+            let home = self.draws.home();
             ops.homes.push(home);
             ops.rt.register_server(home, ops.ports[i]);
         }
@@ -546,7 +536,7 @@ impl<R: Runtime> ScenarioRunner<R> {
         self.ops.advance(0);
         // Arrival draws happen in phase order before the run so the RNG
         // consumption order is part of the spec's deterministic contract.
-        (predicted, Timeline::compile(&self.spec, &mut self.rng))
+        (predicted, self.draws.compile(&self.spec))
     }
 
     /// Emits the causal tree of port `i`'s posting from its home at
@@ -726,8 +716,8 @@ impl<R: Runtime> ScenarioRunner<R> {
     /// the [`ClientPool`] instead of being issued on the spot, and
     /// timeline events interleave with the pool's wake-ups (verdict
     /// polls, retry backoffs, think-pause expiries) in virtual-time
-    /// order. The pool makes every random decision, so every runtime
-    /// consumes the RNG in the same order.
+    /// order. The pool times every draw, so every runtime consumes the
+    /// RNG in the same order.
     fn closed_phase(
         &mut self,
         pool: &mut ClientPool,
@@ -770,14 +760,13 @@ impl<R: Runtime> ScenarioRunner<R> {
     /// One [`ClientPool::service`] call with this runner's settlement
     /// path behind the [`OpDriver`] seam.
     fn service_pool(&mut self, pool: &mut ClientPool, now: SimTime) {
-        pool.service(now, &mut self.ops, &mut self.rng, &self.live, &self.sampler);
+        pool.service(now, &mut self.ops, &mut self.draws);
     }
 
     /// Applies one timeline event at the current virtual time. All random
-    /// draws go through the shared decision layer
-    /// ([`draw_arrival`]/[`resolve_churn`]), in timeline order. An
-    /// arrival goes to the closed loop's `pool` if there is one, and is
-    /// issued on the spot otherwise.
+    /// draws are [`Draws`]', in timeline order. An arrival goes to the
+    /// closed loop's `pool` if there is one, and is issued on the spot
+    /// otherwise.
     fn apply(&mut self, t: SimTime, ev: Event, pool: Option<&mut ClientPool>) {
         match ev {
             Event::Arrival => match pool {
@@ -788,14 +777,13 @@ impl<R: Runtime> ScenarioRunner<R> {
                 None => self.issue_arrival(t),
             },
             Event::Refresh => self.refresh_all(t),
-            Event::Churn(action) => self.apply_churn(t, action),
+            Event::Churn(action) => self.apply_churn(&action),
         }
     }
 
     /// An open-loop arrival: the locate is issued the tick it arrives.
     fn issue_arrival(&mut self, t: SimTime) {
-        let Some((client, port_idx)) = draw_arrival(&mut self.rng, &self.live, &self.sampler)
-        else {
+        let Some((client, port_idx)) = self.draws.arrival() else {
             return; // total outage: the open-loop client is dead too
         };
         let arrival = self.next_arrival;
@@ -816,65 +804,51 @@ impl<R: Runtime> ScenarioRunner<R> {
     fn refresh_all(&mut self, t: SimTime) {
         for i in 0..self.ops.homes.len() {
             let home = self.ops.homes[i];
-            if !self.crashed[home.index()] {
+            if !self.draws.is_crashed(home) {
                 self.ops.rt.register_server(home, self.ops.ports[i]);
                 self.trace_post(i, t);
             }
         }
     }
 
-    fn apply_churn(&mut self, t: SimTime, action: ChurnAction) {
-        let resolved = resolve_churn(
-            &action,
-            &mut self.rng,
-            &self.live,
-            &self.crashed,
-            &self.ops.homes,
-        );
+    /// Executes one churn event's decisions on the runtime; who crashes,
+    /// restores or migrates — and the runner's liveness view — is
+    /// [`Draws::churn`]'s business.
+    fn apply_churn(&mut self, action: &ChurnAction) {
+        let n = self.n();
+        let ops = &mut self.ops;
         let mut any_crash = false;
-        for r in resolved {
+        for r in self.draws.churn(action, &ops.homes) {
             match r {
                 ResolvedChurn::Crash(v) => {
                     any_crash = true;
-                    debug_assert!(!self.crashed[v.index()]);
-                    self.crashed[v.index()] = true;
-                    if let Ok(pos) = self.live.binary_search(&v) {
-                        self.live.remove(pos);
-                    }
-                    self.ops.rt.crash(v);
+                    ops.rt.crash(v);
                 }
                 ResolvedChurn::Restore { node, clear_cache } => {
-                    debug_assert!(self.crashed[node.index()]);
-                    self.crashed[node.index()] = false;
-                    if let Err(pos) = self.live.binary_search(&node) {
-                        self.live.insert(pos, node);
-                    }
-                    self.ops.rt.restore(node);
+                    ops.rt.restore(node);
                     if clear_cache {
-                        self.ops.rt.clear_cache(node);
+                        ops.rt.clear_cache(node);
                     }
                 }
                 ResolvedChurn::Migrate { port_idx, from, to } => {
-                    self.ops
-                        .rt
-                        .migrate_server(self.ops.ports[port_idx], from, to);
-                    self.ops.homes[port_idx] = to;
+                    ops.rt.migrate_server(ops.ports[port_idx], from, to);
+                    ops.homes[port_idx] = to;
                 }
                 ResolvedChurn::ClearAllCaches => {
-                    for vi in 0..self.n() {
-                        self.ops.rt.clear_cache(NodeId::from(vi));
+                    for vi in 0..n {
+                        ops.rt.clear_cache(NodeId::from(vi));
                     }
                 }
-                ResolvedChurn::RefreshAll => self.refresh_all(t),
             }
         }
         if any_crash && self.robust {
             // fold the crash pattern into the run's minimum sampled
             // survival fraction (robustness reporting only)
             let sf = mm_core::robust::survival_fraction_pm(
-                self.ops.rt.resolver(),
-                &self.ops.ports,
-                &self.crashed,
+                ops.rt.resolver(),
+                &ops.ports,
+                self.draws.crashed(),
+                self.draws.live(),
                 64,
             );
             self.min_survival = self.min_survival.min(sf);

@@ -169,9 +169,6 @@ pub enum ChurnAction {
     },
     /// Empties every node's rendezvous cache (cold-cache experiments).
     ClearAllCaches,
-    /// Immediately re-posts every service at its current address
-    /// (operator-triggered refresh, complementing the periodic cadence).
-    RefreshAll,
     /// Crashes an explicit set of nodes atomically (same tick, one event):
     /// a correlated failure — a rack, a grid row, a decomposition part —
     /// rather than independent random deaths. Node indices are resolved

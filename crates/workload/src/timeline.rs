@@ -1,20 +1,21 @@
-//! Spec → event-timeline compilation, shared by both runtimes.
+//! Spec → event-timeline compilation, and the seed's decision layer.
 //!
-//! The compiled timeline *is* the deterministic contract between the
-//! simulator runner and the live threaded runner: arrival draws happen in
-//! phase order before the run, churn and refresh events are merged in,
-//! and same-tick events are ordered churn → refresh → arrival (the world
-//! reshapes before traffic observes it). Both runners consume the
-//! spec's RNG in exactly this order, so operation `k` names the same
-//! (tick, kind) in both runtimes — the precondition for differential
+//! The compiled timeline *is* the deterministic contract between a spec
+//! and whatever runtime executes it: arrival draws happen in phase order
+//! before the run, churn and refresh events are merged in, and same-tick
+//! events are ordered churn → refresh → arrival (the world reshapes
+//! before traffic observes it). Every random decision of a run is a
+//! method on [`Draws`], which owns the spec's one RNG together with the
+//! liveness it draws over — so operation `k` names the same (tick, kind,
+//! client, port) on every runtime, the precondition for differential
 //! testing them against each other.
 
-use crate::spec::{ChurnAction, Workload};
-use crate::traffic::{arrival_times, pick, PopularitySampler};
+use crate::spec::{ChurnAction, PortPopularity, ThinkTime, Workload};
+use crate::traffic::{arrival_times, pick, think_ticks, PopularitySampler};
 use mm_sim::SimTime;
 use mm_topo::NodeId;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// Runner events in time order; the discriminant doubles as the same-tick
 /// priority (churn reshapes the world before traffic observes it).
@@ -47,18 +48,77 @@ pub(crate) struct Timeline {
     pub horizon: SimTime,
 }
 
-impl Timeline {
+/// A churn action with every random draw already made: concrete nodes to
+/// crash/restore, a concrete migration target — ready to execute on any
+/// runtime.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ResolvedChurn {
+    Crash(NodeId),
+    Restore {
+        node: NodeId,
+        clear_cache: bool,
+    },
+    Migrate {
+        port_idx: usize,
+        from: NodeId,
+        to: NodeId,
+    },
+    ClearAllCaches,
+}
+
+/// The seed's decision layer: the spec's one RNG and the runner's one view
+/// of who is alive (the runtime keeps its own truth). Who arrives where,
+/// who crashes, restores or migrates is decided here in one canonical draw
+/// order — homes, [`compile`](Draws::compile), then arrivals, think pauses
+/// and churn as the timeline reaches them; the runner merely executes the
+/// decisions on its [`crate::Runtime`].
+#[derive(Debug)]
+pub(crate) struct Draws {
+    rng: StdRng,
+    sampler: PopularitySampler,
+    crashed: Vec<bool>,
+    /// The ascending complement of `crashed`, rebuilt once per churn event
+    /// so the per-arrival client draw is one index.
+    live: Vec<NodeId>,
+}
+
+impl Draws {
+    pub fn new(seed: u64, n: usize, ports: usize, popularity: PortPopularity) -> Self {
+        Draws {
+            rng: StdRng::seed_from_u64(seed),
+            sampler: PopularitySampler::new(ports, popularity),
+            crashed: vec![false; n],
+            live: (0..n).map(NodeId::from).collect(),
+        }
+    }
+
+    pub fn crashed(&self) -> &[bool] {
+        &self.crashed
+    }
+
+    pub fn is_crashed(&self, v: NodeId) -> bool {
+        self.crashed[v.index()]
+    }
+
+    /// Currently-live nodes, ascending.
+    pub fn live(&self) -> &[NodeId] {
+        &self.live
+    }
+
+    /// Where a port's server starts out: any node of the network.
+    pub fn home(&mut self) -> NodeId {
+        NodeId::from(self.rng.gen_range(0..self.crashed.len()))
+    }
+
     /// Compiles `spec` into a sorted timeline, drawing every arrival gap
-    /// from `rng` in phase order (part of the seed's deterministic
-    /// contract — both runtimes must call this with the RNG in the same
-    /// state).
-    pub fn compile(spec: &Workload, rng: &mut StdRng) -> Self {
+    /// in phase order before the run.
+    pub fn compile(&mut self, spec: &Workload) -> Timeline {
         let mut events: Vec<(SimTime, Event)> = Vec::new();
         let mut phase_bounds: Vec<PhaseBounds> = Vec::new();
         let mut cursor: SimTime = 0;
         for phase in &spec.phases {
             let (start, end) = (cursor, cursor + phase.duration);
-            for t in arrival_times(phase.arrivals, start, end, rng) {
+            for t in arrival_times(phase.arrivals, start, end, &mut self.rng) {
                 events.push((t, Event::Arrival));
             }
             phase_bounds.push((start, end, phase.name.clone()));
@@ -82,119 +142,103 @@ impl Timeline {
             horizon,
         }
     }
-}
 
-/// One arrival's random choices: `(client, port index)`. `None` when the
-/// whole network is down (the open-loop client is dead too — and crucially
-/// the RNG is *not* consumed, identically in both runtimes).
-pub(crate) fn draw_arrival(
-    rng: &mut StdRng,
-    live: &[NodeId],
-    sampler: &PopularitySampler,
-) -> Option<(NodeId, usize)> {
-    if live.is_empty() {
-        return None;
+    /// One arrival's random choices: `(client, port index)`. `None` when
+    /// the whole network is down (the open-loop client is dead too — and
+    /// crucially the RNG is *not* consumed).
+    pub fn arrival(&mut self) -> Option<(NodeId, usize)> {
+        if self.live.is_empty() {
+            return None;
+        }
+        let client = pick(&self.live, &mut self.rng);
+        Some((client, self.sampler.sample(&mut self.rng)))
     }
-    let client = pick(live, rng);
-    let port_idx = sampler.sample(rng);
-    Some((client, port_idx))
-}
 
-/// A churn action with every random draw already made: concrete nodes to
-/// crash/restore, a concrete migration target — ready to execute on
-/// either runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ResolvedChurn {
-    Crash(NodeId),
-    Restore {
-        node: NodeId,
-        clear_cache: bool,
-    },
-    Migrate {
-        port_idx: usize,
-        from: NodeId,
-        to: NodeId,
-    },
-    ClearAllCaches,
-    RefreshAll,
-}
+    /// One think pause in ticks.
+    pub fn think(&mut self, think: ThinkTime) -> SimTime {
+        think_ticks(think, &mut self.rng)
+    }
 
-/// Resolves a spec-level [`ChurnAction`] against the current world state,
-/// consuming the RNG in the one canonical order. Both runtimes call this
-/// with identical `(rng, live, crashed, homes)` state, so who crashes,
-/// who restores and where services migrate is decided *once*, here — the
-/// runners merely execute the decisions. This is the other half of the
-/// deterministic contract established by [`Timeline::compile`].
-pub(crate) fn resolve_churn(
-    action: &ChurnAction,
-    rng: &mut StdRng,
-    live: &[NodeId],
-    crashed: &[bool],
-    homes: &[NodeId],
-) -> Vec<ResolvedChurn> {
-    match *action {
-        ChurnAction::CrashRandom {
-            count,
-            spare_servers,
-        } => {
-            let mut pool: Vec<NodeId> = live
-                .iter()
-                .copied()
-                .filter(|v| !spare_servers || !homes.contains(v))
-                .collect();
-            let mut out = Vec::new();
-            for _ in 0..count.min(pool.len()) {
-                let k = rng.gen_range(0..pool.len());
-                out.push(ResolvedChurn::Crash(pool.swap_remove(k)));
+    /// Resolves a spec-level [`ChurnAction`] against the current liveness
+    /// and `homes`, and takes the resulting crashes and restores into its
+    /// own view; the caller executes the list on the runtime.
+    pub fn churn(&mut self, action: &ChurnAction, homes: &[NodeId]) -> Vec<ResolvedChurn> {
+        let out = match *action {
+            ChurnAction::CrashRandom {
+                count,
+                spare_servers,
+            } => {
+                let mut pool: Vec<NodeId> = self
+                    .live
+                    .iter()
+                    .copied()
+                    .filter(|v| !spare_servers || !homes.contains(v))
+                    .collect();
+                let mut out = Vec::new();
+                for _ in 0..count.min(pool.len()) {
+                    let k = self.rng.gen_range(0..pool.len());
+                    out.push(ResolvedChurn::Crash(pool.swap_remove(k)));
+                }
+                out
             }
-            out
-        }
-        ChurnAction::CrashServer { port_index } => {
-            let v = homes[port_index];
-            if crashed[v.index()] {
-                Vec::new()
-            } else {
-                vec![ResolvedChurn::Crash(v)]
+            ChurnAction::CrashServer { port_index } => {
+                let v = homes[port_index];
+                if self.crashed[v.index()] {
+                    Vec::new()
+                } else {
+                    vec![ResolvedChurn::Crash(v)]
+                }
+            }
+            ChurnAction::RestoreAll { clear_caches } => (0..self.crashed.len())
+                .filter(|&vi| self.crashed[vi])
+                .map(|vi| ResolvedChurn::Restore {
+                    node: NodeId::from(vi),
+                    clear_cache: clear_caches,
+                })
+                .collect(),
+            ChurnAction::MigrateRandom { port_index } => {
+                let from = homes[port_index];
+                let pool: Vec<NodeId> = self.live.iter().copied().filter(|&v| v != from).collect();
+                if pool.is_empty() {
+                    return Vec::new();
+                }
+                let to = pick(&pool, &mut self.rng);
+                vec![ResolvedChurn::Migrate {
+                    port_idx: port_index,
+                    from,
+                    to,
+                }]
+            }
+            ChurnAction::ClearAllCaches => vec![ResolvedChurn::ClearAllCaches],
+            ChurnAction::CrashGroup { ref nodes } => {
+                // correlated failure: the spec already names the victims, so
+                // nothing is drawn — members already down are skipped, and the
+                // ascending order makes the execution sequence canonical
+                let mut victims: Vec<usize> = nodes
+                    .iter()
+                    .copied()
+                    .filter(|&vi| vi < self.crashed.len() && !self.crashed[vi])
+                    .collect();
+                victims.sort_unstable();
+                victims.dedup();
+                victims
+                    .into_iter()
+                    .map(|vi| ResolvedChurn::Crash(NodeId::from(vi)))
+                    .collect()
+            }
+        };
+        for r in &out {
+            match *r {
+                ResolvedChurn::Crash(v) => self.crashed[v.index()] = true,
+                ResolvedChurn::Restore { node, .. } => self.crashed[node.index()] = false,
+                ResolvedChurn::Migrate { .. } | ResolvedChurn::ClearAllCaches => {}
             }
         }
-        ChurnAction::RestoreAll { clear_caches } => (0..crashed.len())
-            .filter(|&vi| crashed[vi])
-            .map(|vi| ResolvedChurn::Restore {
-                node: NodeId::from(vi),
-                clear_cache: clear_caches,
-            })
-            .collect(),
-        ChurnAction::MigrateRandom { port_index } => {
-            let from = homes[port_index];
-            let pool: Vec<NodeId> = live.iter().copied().filter(|&v| v != from).collect();
-            if pool.is_empty() {
-                return Vec::new();
-            }
-            let to = pick(&pool, rng);
-            vec![ResolvedChurn::Migrate {
-                port_idx: port_index,
-                from,
-                to,
-            }]
-        }
-        ChurnAction::ClearAllCaches => vec![ResolvedChurn::ClearAllCaches],
-        ChurnAction::RefreshAll => vec![ResolvedChurn::RefreshAll],
-        ChurnAction::CrashGroup { ref nodes } => {
-            // correlated failure: the spec already names the victims, so
-            // nothing is drawn — members already down are skipped, and the
-            // ascending order makes the execution sequence canonical
-            let mut victims: Vec<usize> = nodes
-                .iter()
-                .copied()
-                .filter(|&vi| vi < crashed.len() && !crashed[vi])
-                .collect();
-            victims.sort_unstable();
-            victims.dedup();
-            victims
-                .into_iter()
-                .map(|vi| ResolvedChurn::Crash(NodeId::from(vi)))
-                .collect()
-        }
+        // one O(n) pass per churn event, whatever the size of the wave
+        self.live.clear();
+        let alive = (0..self.crashed.len()).filter(|&vi| !self.crashed[vi]);
+        self.live.extend(alive.map(NodeId::from));
+        out
     }
 }
 
@@ -202,15 +246,29 @@ pub(crate) fn resolve_churn(
 mod tests {
     use super::*;
     use crate::scenarios;
-    use rand::SeedableRng;
+
+    impl Draws {
+        /// The generator's state, for "nothing was drawn" assertions here
+        /// and in `clients::tests`.
+        pub(crate) fn rng(&self) -> &StdRng {
+            &self.rng
+        }
+    }
+
+    /// `n` live nodes and one uniform port space, seeded.
+    fn draws(seed: u64, n: usize) -> Draws {
+        Draws::new(seed, n, 4, PortPopularity::Uniform)
+    }
+
+    fn compiled(spec: &Workload) -> Timeline {
+        draws(spec.seed, 64).compile(spec)
+    }
 
     #[test]
     fn compile_is_deterministic_and_ordered() {
         let spec = scenarios::rolling_churn(64, 9);
-        let mut a = StdRng::seed_from_u64(spec.seed);
-        let mut b = StdRng::seed_from_u64(spec.seed);
-        let ta = Timeline::compile(&spec, &mut a);
-        let tb = Timeline::compile(&spec, &mut b);
+        let ta = compiled(&spec);
+        let tb = compiled(&spec);
         assert_eq!(ta.events, tb.events);
         assert_eq!(ta.horizon, spec.horizon());
         assert_eq!(ta.phase_bounds.len(), spec.phases.len());
@@ -222,18 +280,13 @@ mod tests {
 
     #[test]
     fn resolve_churn_spares_servers_and_respects_pools() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let live: Vec<NodeId> = (0..8usize).map(NodeId::from).collect();
-        let crashed = vec![false; 8];
+        let mut d = draws(3, 8);
         let homes = vec![NodeId::new(2), NodeId::new(5)];
-        let out = resolve_churn(
+        let out = d.churn(
             &ChurnAction::CrashRandom {
                 count: 6,
                 spare_servers: true,
             },
-            &mut rng,
-            &live,
-            &crashed,
             &homes,
         );
         assert_eq!(out.len(), 6, "everyone but the two servers dies");
@@ -243,14 +296,9 @@ mod tests {
             };
             assert!(!homes.contains(v), "servers are spared");
         }
+        assert_eq!(d.live(), homes.as_slice());
         // migration never targets the current home
-        let out = resolve_churn(
-            &ChurnAction::MigrateRandom { port_index: 0 },
-            &mut rng,
-            &live,
-            &crashed,
-            &homes,
-        );
+        let out = d.churn(&ChurnAction::MigrateRandom { port_index: 0 }, &homes);
         let [ResolvedChurn::Migrate { from, to, .. }] = out.as_slice() else {
             panic!("one migration expected")
         };
@@ -260,22 +308,17 @@ mod tests {
 
     #[test]
     fn crash_group_is_rng_free_and_skips_the_dead() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let live: Vec<NodeId> = (0..8usize).map(NodeId::from).collect();
-        let mut crashed = vec![false; 8];
-        crashed[5] = true;
+        let mut d = draws(11, 8);
         let homes = vec![NodeId::new(2)];
-        let before = rng.clone();
-        let out = resolve_churn(
+        d.churn(&ChurnAction::CrashGroup { nodes: vec![5] }, &homes);
+        let before = d.rng().clone();
+        let out = d.churn(
             &ChurnAction::CrashGroup {
                 nodes: vec![6, 5, 4, 6],
             },
-            &mut rng,
-            &live,
-            &crashed,
             &homes,
         );
-        assert_eq!(rng, before, "correlated kills draw nothing");
+        assert_eq!(d.rng(), &before, "correlated kills draw nothing");
         assert_eq!(
             out,
             vec![
@@ -286,11 +329,77 @@ mod tests {
         );
     }
 
+    /// `Draws` against the naive model: whatever mix of churn it resolves,
+    /// `live()` is the ascending complement of the flags, every resolved
+    /// crash hits a live node and every restore a dead one, a group kill
+    /// draws nothing, and nobody arrives while nobody is alive.
+    #[test]
+    fn draws_keep_live_the_complement_of_the_flags() {
+        let n = 24;
+        let mut outages = 0;
+        for seed in 0..40u64 {
+            let mut d = draws(seed, n);
+            let mut dice = StdRng::seed_from_u64(!seed);
+            let homes: Vec<NodeId> = (0..3).map(|_| d.home()).collect();
+            let mut model = vec![false; n];
+            for _ in 0..60 {
+                let action = match dice.gen_range(0..6) {
+                    0 | 1 => ChurnAction::CrashRandom {
+                        count: dice.gen_range(0..=n),
+                        spare_servers: dice.gen_range(0..2) == 0,
+                    },
+                    2 => ChurnAction::CrashServer {
+                        port_index: dice.gen_range(0..homes.len()),
+                    },
+                    3 => ChurnAction::CrashGroup {
+                        // duplicates, out-of-range and already-dead members
+                        nodes: (0..8).map(|_| dice.gen_range(0..n + 4)).collect(),
+                    },
+                    4 => ChurnAction::RestoreAll {
+                        clear_caches: false,
+                    },
+                    _ => ChurnAction::MigrateRandom { port_index: 0 },
+                };
+                let before = d.rng().clone();
+                let out = d.churn(&action, &homes);
+                if matches!(action, ChurnAction::CrashGroup { .. }) {
+                    assert_eq!(d.rng(), &before, "seed {seed}: {action:?} drew");
+                }
+                for r in &out {
+                    match *r {
+                        ResolvedChurn::Crash(v) => {
+                            assert!(!std::mem::replace(&mut model[v.index()], true));
+                        }
+                        ResolvedChurn::Restore { node, .. } => {
+                            assert!(std::mem::replace(&mut model[node.index()], false));
+                        }
+                        ResolvedChurn::Migrate { from, to, .. } => {
+                            assert!(to != from && !model[to.index()], "seed {seed}");
+                        }
+                        ResolvedChurn::ClearAllCaches => unreachable!(),
+                    }
+                }
+                assert_eq!(d.crashed(), model.as_slice(), "seed {seed}: {action:?}");
+                let alive: Vec<NodeId> = (0..n).filter(|&v| !model[v]).map(NodeId::from).collect();
+                assert_eq!(d.live(), alive.as_slice(), "seed {seed}: {action:?}");
+                let before = d.rng().clone();
+                match d.arrival() {
+                    Some((client, _)) => assert!(!model[client.index()]),
+                    None => {
+                        outages += 1;
+                        assert!(alive.is_empty());
+                        assert_eq!(d.rng(), &before, "a dead network draws nothing");
+                    }
+                }
+            }
+        }
+        assert!(outages > 0, "the mix must reach a total outage");
+    }
+
     #[test]
     fn same_tick_churn_precedes_arrivals() {
         let spec = scenarios::cold_vs_warm_cache(7);
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-        let t = Timeline::compile(&spec, &mut rng);
+        let t = compiled(&spec);
         let wipe_pos = t
             .events
             .iter()
