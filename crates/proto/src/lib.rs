@@ -4,7 +4,7 @@
 //! `P` and `Q`, this crate provides the *processes* that use them.
 //!
 //! * [`messages`] — the wire protocol: `Post`, `Query`, `Hit`, `Miss`,
-//!   `Request`, `Reply`, with a compact binary encoding.
+//!   `Request`, `Reply`.
 //! * [`cache`] — per-node `(port, address, timestamp)` caches: *"Entries
 //!   are made or updated whenever a message is received from a server
 //!   process with its address. We can timestamp the messages to determine

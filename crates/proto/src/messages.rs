@@ -2,12 +2,8 @@
 //!
 //! Messages carry a logical timestamp (`stamp`) so rendezvous caches can
 //! resolve conflicts — *"we can timestamp the messages to determine which
-//! addresses are out of date in case of a conflict"* (§2.1). The binary
-//! encoding exists so message sizes are honest (the paper counts message
-//! *passes*, but a real Amoeba-style system also cares that posts fit in a
-//! small datagram).
+//! addresses are out of date in case of a conflict"* (§2.1).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mm_core::Port;
 use mm_sim::TargetSet;
 use mm_topo::NodeId;
@@ -136,370 +132,4 @@ pub enum ProtoMsg {
         /// Echoed correlation id.
         request_id: u64,
     },
-}
-
-impl ProtoMsg {
-    fn tag(&self) -> u8 {
-        match self {
-            ProtoMsg::DoPost { .. } => 0,
-            ProtoMsg::DoUnpost { .. } => 1,
-            ProtoMsg::DoLocate { .. } => 2,
-            ProtoMsg::DoRequest { .. } => 11,
-            ProtoMsg::Post { .. } => 3,
-            ProtoMsg::Unpost { .. } => 4,
-            ProtoMsg::Query { .. } => 5,
-            ProtoMsg::Hit { .. } => 6,
-            ProtoMsg::Miss { .. } => 7,
-            ProtoMsg::Request { .. } => 8,
-            ProtoMsg::Reply { .. } => 9,
-            ProtoMsg::NotHere { .. } => 10,
-        }
-    }
-
-    /// Encodes the message into a compact binary frame.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(64);
-        b.put_u8(self.tag());
-        match self {
-            ProtoMsg::DoPost {
-                port,
-                addr,
-                stamp,
-                targets,
-            }
-            | ProtoMsg::DoUnpost {
-                port,
-                addr,
-                stamp,
-                targets,
-            } => {
-                b.put_u128(port.raw());
-                b.put_u32(addr.raw());
-                b.put_u64(*stamp);
-                b.put_u32(targets.len() as u32);
-                for t in targets.iter() {
-                    b.put_u32(t.raw());
-                }
-            }
-            ProtoMsg::DoLocate {
-                port,
-                locate_id,
-                targets,
-            } => {
-                b.put_u128(port.raw());
-                b.put_u64(*locate_id);
-                b.put_u32(targets.len() as u32);
-                for t in targets.iter() {
-                    b.put_u32(t.raw());
-                }
-            }
-            ProtoMsg::Post { port, addr, stamp } | ProtoMsg::Unpost { port, addr, stamp } => {
-                b.put_u128(port.raw());
-                b.put_u32(addr.raw());
-                b.put_u64(*stamp);
-            }
-            ProtoMsg::Query {
-                port,
-                reply_to,
-                locate_id,
-            } => {
-                b.put_u128(port.raw());
-                b.put_u32(reply_to.raw());
-                b.put_u64(*locate_id);
-            }
-            ProtoMsg::Hit {
-                port,
-                addr,
-                stamp,
-                locate_id,
-                at,
-            } => {
-                b.put_u128(port.raw());
-                b.put_u32(addr.raw());
-                b.put_u64(*stamp);
-                b.put_u64(*locate_id);
-                b.put_u32(at.raw());
-            }
-            ProtoMsg::Miss { port, locate_id } => {
-                b.put_u128(port.raw());
-                b.put_u64(*locate_id);
-            }
-            ProtoMsg::Request {
-                port,
-                reply_to,
-                body,
-                request_id,
-            } => {
-                b.put_u128(port.raw());
-                b.put_u32(reply_to.raw());
-                b.put_u64(*body);
-                b.put_u64(*request_id);
-            }
-            ProtoMsg::Reply {
-                port,
-                body,
-                request_id,
-            } => {
-                b.put_u128(port.raw());
-                b.put_u64(*body);
-                b.put_u64(*request_id);
-            }
-            ProtoMsg::NotHere { port, request_id } => {
-                b.put_u128(port.raw());
-                b.put_u64(*request_id);
-            }
-            ProtoMsg::DoRequest {
-                port,
-                addr,
-                body,
-                request_id,
-            } => {
-                b.put_u128(port.raw());
-                b.put_u32(addr.raw());
-                b.put_u64(*body);
-                b.put_u64(*request_id);
-            }
-        }
-        b.freeze()
-    }
-
-    /// Decodes a frame produced by [`ProtoMsg::encode`].
-    ///
-    /// Returns `None` on truncated or unknown frames.
-    pub fn decode(mut buf: Bytes) -> Option<Self> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let tag = buf.get_u8();
-        let need = |buf: &Bytes, n: usize| buf.remaining() >= n;
-        match tag {
-            0 | 1 => {
-                if !need(&buf, 16 + 4 + 8 + 4) {
-                    return None;
-                }
-                let port = Port::new(buf.get_u128());
-                let addr = NodeId::new(buf.get_u32());
-                let stamp = buf.get_u64();
-                let len = buf.get_u32() as usize;
-                if !need(&buf, len * 4) {
-                    return None;
-                }
-                let targets =
-                    TargetSet::from_vec((0..len).map(|_| NodeId::new(buf.get_u32())).collect());
-                Some(if tag == 0 {
-                    ProtoMsg::DoPost {
-                        port,
-                        addr,
-                        stamp,
-                        targets,
-                    }
-                } else {
-                    ProtoMsg::DoUnpost {
-                        port,
-                        addr,
-                        stamp,
-                        targets,
-                    }
-                })
-            }
-            2 => {
-                if !need(&buf, 16 + 8 + 4) {
-                    return None;
-                }
-                let port = Port::new(buf.get_u128());
-                let locate_id = buf.get_u64();
-                let len = buf.get_u32() as usize;
-                if !need(&buf, len * 4) {
-                    return None;
-                }
-                let targets =
-                    TargetSet::from_vec((0..len).map(|_| NodeId::new(buf.get_u32())).collect());
-                Some(ProtoMsg::DoLocate {
-                    port,
-                    locate_id,
-                    targets,
-                })
-            }
-            3 | 4 => {
-                if !need(&buf, 16 + 4 + 8) {
-                    return None;
-                }
-                let port = Port::new(buf.get_u128());
-                let addr = NodeId::new(buf.get_u32());
-                let stamp = buf.get_u64();
-                Some(if tag == 3 {
-                    ProtoMsg::Post { port, addr, stamp }
-                } else {
-                    ProtoMsg::Unpost { port, addr, stamp }
-                })
-            }
-            5 => {
-                if !need(&buf, 16 + 4 + 8) {
-                    return None;
-                }
-                Some(ProtoMsg::Query {
-                    port: Port::new(buf.get_u128()),
-                    reply_to: NodeId::new(buf.get_u32()),
-                    locate_id: buf.get_u64(),
-                })
-            }
-            6 => {
-                if !need(&buf, 16 + 4 + 8 + 8 + 4) {
-                    return None;
-                }
-                Some(ProtoMsg::Hit {
-                    port: Port::new(buf.get_u128()),
-                    addr: NodeId::new(buf.get_u32()),
-                    stamp: buf.get_u64(),
-                    locate_id: buf.get_u64(),
-                    at: NodeId::new(buf.get_u32()),
-                })
-            }
-            7 => {
-                if !need(&buf, 16 + 8) {
-                    return None;
-                }
-                Some(ProtoMsg::Miss {
-                    port: Port::new(buf.get_u128()),
-                    locate_id: buf.get_u64(),
-                })
-            }
-            8 => {
-                if !need(&buf, 16 + 4 + 8 + 8) {
-                    return None;
-                }
-                Some(ProtoMsg::Request {
-                    port: Port::new(buf.get_u128()),
-                    reply_to: NodeId::new(buf.get_u32()),
-                    body: buf.get_u64(),
-                    request_id: buf.get_u64(),
-                })
-            }
-            9 => {
-                if !need(&buf, 16 + 8 + 8) {
-                    return None;
-                }
-                Some(ProtoMsg::Reply {
-                    port: Port::new(buf.get_u128()),
-                    body: buf.get_u64(),
-                    request_id: buf.get_u64(),
-                })
-            }
-            10 => {
-                if !need(&buf, 16 + 8) {
-                    return None;
-                }
-                Some(ProtoMsg::NotHere {
-                    port: Port::new(buf.get_u128()),
-                    request_id: buf.get_u64(),
-                })
-            }
-            11 => {
-                if !need(&buf, 16 + 4 + 8 + 8) {
-                    return None;
-                }
-                Some(ProtoMsg::DoRequest {
-                    port: Port::new(buf.get_u128()),
-                    addr: NodeId::new(buf.get_u32()),
-                    body: buf.get_u64(),
-                    request_id: buf.get_u64(),
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn roundtrip(m: ProtoMsg) {
-        let enc = m.encode();
-        let dec = ProtoMsg::decode(enc).expect("decodes");
-        assert_eq!(m, dec);
-    }
-
-    #[test]
-    fn encode_decode_all_variants() {
-        let port = Port::from_name("svc");
-        roundtrip(ProtoMsg::DoPost {
-            port,
-            addr: NodeId::new(3),
-            stamp: 7,
-            targets: TargetSet::new(&[NodeId::new(1), NodeId::new(2)]),
-        });
-        roundtrip(ProtoMsg::DoUnpost {
-            port,
-            addr: NodeId::new(3),
-            stamp: 7,
-            targets: TargetSet::empty(),
-        });
-        roundtrip(ProtoMsg::DoLocate {
-            port,
-            locate_id: 42,
-            targets: TargetSet::new(&[NodeId::new(9)]),
-        });
-        roundtrip(ProtoMsg::Post {
-            port,
-            addr: NodeId::new(5),
-            stamp: 1,
-        });
-        roundtrip(ProtoMsg::Unpost {
-            port,
-            addr: NodeId::new(5),
-            stamp: 2,
-        });
-        roundtrip(ProtoMsg::Query {
-            port,
-            reply_to: NodeId::new(0),
-            locate_id: 8,
-        });
-        roundtrip(ProtoMsg::Hit {
-            port,
-            addr: NodeId::new(2),
-            stamp: 3,
-            locate_id: 8,
-            at: NodeId::new(6),
-        });
-        roundtrip(ProtoMsg::Miss { port, locate_id: 8 });
-        roundtrip(ProtoMsg::Request {
-            port,
-            reply_to: NodeId::new(1),
-            body: 1234,
-            request_id: 5,
-        });
-        roundtrip(ProtoMsg::Reply {
-            port,
-            body: 4321,
-            request_id: 5,
-        });
-        roundtrip(ProtoMsg::NotHere {
-            port,
-            request_id: 5,
-        });
-        roundtrip(ProtoMsg::DoRequest {
-            port,
-            addr: NodeId::new(4),
-            body: 9,
-            request_id: 6,
-        });
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(ProtoMsg::decode(Bytes::new()), None);
-        assert_eq!(ProtoMsg::decode(Bytes::from_static(&[99])), None);
-        assert_eq!(ProtoMsg::decode(Bytes::from_static(&[3, 1, 2])), None);
-    }
-
-    #[test]
-    fn posts_fit_in_a_small_datagram() {
-        let m = ProtoMsg::Post {
-            port: Port::from_name("file server"),
-            addr: NodeId::new(77),
-            stamp: u64::MAX,
-        };
-        assert!(m.encode().len() <= 32, "post frame stays tiny");
-    }
 }

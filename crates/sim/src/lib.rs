@@ -16,21 +16,21 @@
 //! * fault injection — [`Sim::crash`]/[`Sim::restore`]: crashed processors
 //!   neither receive nor forward; messages die at the first crashed node
 //!   on their path, and the passes spent up to that point stay spent.
-//! * [`ShardMode`] — the execution core: `Single` is the original
-//!   one-queue event loop; `Sharded` partitions nodes across per-shard
-//!   calendar queues (contiguous index bands) and executes each tick's
-//!   events on a worker pool, with a canonical merge that replays the
-//!   single core's `(time, sequence)` order exactly. Output is
-//!   byte-identical across shard and thread counts — the single core is
-//!   the oracle the sharded core is cross-checked against, exactly as
-//!   [`QueueKind::BTree`] is the oracle for the calendar queue.
+//! * [`ShardMode`] — the execution core: `Single` executes one event at
+//!   a time off the queue; `Sharded` pops everything due at one tick,
+//!   runs those handlers in parallel by contiguous index band on a worker
+//!   pool, and pushes what they emitted in the popped order. Both keep
+//!   one queue, so output is byte-identical across shard and thread
+//!   counts — the single core is the oracle the sharded core is
+//!   cross-checked against, exactly as [`QueueKind::BTree`] is the oracle
+//!   for the calendar queue.
 //!
 //! The paper's model has one network, and [`Sim`] holds one copy of it:
-//! the `World` — graph, routes, crash flags, cost model, clock, metrics
-//! and the queue-depth histogram. A *core* is only a scheduler: it owns
-//! the handlers and the queue(s) of pending [`Envelope`]s (the one event
-//! kind there is), decides what executes next, and charges everything it
-//! does to the world it is handed.
+//! the `World` — graph, routes, crash flags, clock, metrics and the
+//! queue-depth histogram. A *core* is only a scheduler: it owns the
+//! handlers and the queue of pending [`Envelope`]s (the one event kind
+//! there is), decides what executes next, and charges everything it does
+//! to the world it is handed.
 //!
 //! Everything is deterministic: events execute in `(time, sequence)` order
 //! and the only randomness is whatever the embedded protocols draw from
@@ -231,18 +231,18 @@ pub const QUEUE_DEPTH_BUCKETS: usize = 65;
 /// Which execution core drives the event loop.
 ///
 /// Output (metrics, depth histogram, handler-observable delivery order) is
-/// byte-identical across every mode — `Sharded` reconstructs the single
-/// core's global `(time, sequence)` execution order at each tick boundary.
-/// `Single` remains the oracle for conformance checks.
+/// byte-identical across every mode: both cores pop one queue in its
+/// `(time, sequence)` order and push into it in execution order.
+/// `Single` is the oracle for conformance checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
-    /// One queue, one thread: the original exact event loop.
+    /// One queue, one thread, one event at a time.
     Single,
-    /// Nodes partitioned over `shards` calendar queues (contiguous index
-    /// bands), ticks executed by `threads` pooled workers. `shards` is
-    /// clamped to `[1, n]`; `threads` is clamped to the effective shard
-    /// count, and `threads <= 1` runs the shard rounds inline on the
-    /// calling thread (still sharded, still identical).
+    /// One queue; the handlers of each tick's events run in parallel,
+    /// grouped into `shards` contiguous index bands, on `threads` pooled
+    /// workers. `shards` is clamped to `[1, n]`; `threads` is clamped to
+    /// the effective shard count, and `threads <= 1` runs every band
+    /// inline on the calling thread (still banded, still identical).
     Sharded { shards: usize, threads: usize },
 }
 
@@ -260,7 +260,6 @@ pub(crate) struct World {
     /// Number of currently crashed nodes (lets routing skip hop walks
     /// entirely while everyone is alive).
     crashed_count: usize,
-    cost_model: CostModel,
     now: SimTime,
     metrics: Metrics,
     /// Log₂ histogram of queue depth, sampled at every push: bucket 0
@@ -285,7 +284,6 @@ impl World {
             routing,
             crashed: vec![false; n],
             crashed_count: 0,
-            cost_model,
             now: 0,
             metrics: Metrics::new(n),
             depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
@@ -307,7 +305,6 @@ impl World {
             routing: self.routing.as_ref(),
             crashed: &self.crashed,
             crashed_count: self.crashed_count,
-            cost_model: self.cost_model,
         }
     }
 }
@@ -319,7 +316,7 @@ enum Core<M, N> {
 }
 
 /// The simulator: a graph, one [`Node`] state machine per graph node, an
-/// event queue (or several, sharded), and exact message-pass metrics.
+/// event queue, and exact message-pass metrics.
 #[derive(Debug)]
 pub struct Sim<M, N> {
     world: World,
@@ -369,8 +366,8 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
         }
     }
 
-    /// Worker threads executing shard rounds (1 on the single core and
-    /// for inline sharded execution).
+    /// Worker threads running shard bands (1 on the single core and for
+    /// inline sharded execution).
     pub fn shard_threads(&self) -> usize {
         match &self.core {
             Core::Single(_) => 1,
@@ -458,8 +455,8 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
 
     /// Cumulative queue-depth histogram (one observation per event
     /// push). Snapshot and subtract to attribute pressure to a phase.
-    /// The sharded core samples the *conceptual global* depth at the
-    /// canonical merge, so the histogram is identical across modes.
+    /// The sharded core counts the events of a tick it has popped but
+    /// not yet applied, so the histogram is identical across modes.
     pub fn queue_depth_buckets(&self) -> &[u64; QUEUE_DEPTH_BUCKETS] {
         &self.world.depth_buckets
     }
@@ -536,6 +533,9 @@ mod tests {
         Pong,
         Spread(Vec<NodeId>),
         Note,
+        /// Re-sent to oneself, one shorter, until it reaches 0: a chain
+        /// of zero-delay events inside one tick.
+        Chain(u8),
     }
 
     #[derive(Default)]
@@ -549,6 +549,7 @@ mod tests {
             match env.msg {
                 Msg::Ping => api.send(env.from, Msg::Pong),
                 Msg::Spread(targets) => api.multicast(&targets, Msg::Note),
+                Msg::Chain(k) if k > 0 => api.send(api.me(), Msg::Chain(k - 1)),
                 _ => {}
             }
         }
@@ -945,6 +946,91 @@ mod tests {
             prop_assert_eq!(sharded.now(), single.now());
             for v in (0..n as u32).map(nid) {
                 prop_assert_eq!(&sharded.node(v).got, &single.node(v).got);
+            }
+        }
+    }
+
+    /// The cases the band scheduler could get wrong, on a ring wide
+    /// enough that a reply from the far side outlasts the calendar
+    /// queue's bucket window: same-tick chains of self-sends next to
+    /// multicasts that include their sender (zero-delay children of
+    /// several bands in one tick), one-tick slices with nothing due,
+    /// crashes and restores between slices, and an event parked in the
+    /// overflow heap meanwhile.
+    fn band_edge_traffic(sim: &mut Sim<Msg, Recorder>, n: u32) {
+        let hosts = [0, 1, n / 3, n / 2, n - 1];
+        for v in hosts {
+            sim.inject(nid(v), nid(v), Msg::Chain(4));
+            let set = vec![nid(v), nid((v + 1) % n), nid((v + 7) % n), nid(n - 1 - v)];
+            sim.inject(nid(v), nid(v), Msg::Spread(set));
+        }
+        // the pong crosses half the ring: under hop cost it lands n / 2
+        // ticks out, past the 1,024-tick window
+        sim.inject(nid(n / 2), nid(0), Msg::Ping);
+        for _ in 0..12 {
+            sim.run_until(sim.now() + 1);
+        }
+        sim.crash(nid(1));
+        sim.crash(nid(n / 3));
+        sim.inject(nid(2), nid(1), Msg::Chain(3)); // dropped at the pop
+        sim.inject(
+            nid(0),
+            nid(0),
+            Msg::Spread(vec![nid(0), nid(1), nid(2), nid(3)]),
+        );
+        for v in hosts {
+            sim.inject(nid(v), nid((v + 2) % n), Msg::Ping);
+        }
+        for _ in 0..5 {
+            sim.run_until(sim.now() + 1);
+        }
+        sim.restore(nid(1));
+        sim.inject(nid(1), nid(1), Msg::Chain(5));
+        sim.inject(nid(1), nid(1), Msg::Spread(hosts.map(nid).to_vec()));
+        sim.run_until(sim.now() + 40);
+        sim.restore(nid(n / 3));
+        sim.inject(nid(n / 3), nid(n / 3), Msg::Chain(3));
+        sim.run();
+    }
+
+    #[test]
+    fn band_edges_match_single_core_at_every_geometry() {
+        let n = 2200;
+        for cost in [CostModel::Hops, CostModel::Uniform] {
+            for kind in [QueueKind::Calendar, QueueKind::BTree] {
+                let build = |mode| {
+                    let mut sim = Sim::with_router(
+                        gen::ring(n),
+                        recorders(n),
+                        cost,
+                        kind,
+                        mode,
+                        RouterKind::Auto,
+                    );
+                    band_edge_traffic(&mut sim, n as u32);
+                    sim
+                };
+                let single = build(ShardMode::Single);
+                if cost == CostModel::Hops {
+                    let far = &single.node(nid(n as u32 / 2)).got;
+                    assert!(far.contains(&(nid(0), Msg::Pong, n as u64 / 2)));
+                }
+                for shards in [1, 2, 3, 16, n] {
+                    for threads in [1, 2, 4] {
+                        let at = format!("{cost:?} {kind:?} s={shards} t={threads}");
+                        let sharded = build(ShardMode::Sharded { shards, threads });
+                        assert_eq!(sharded.metrics(), single.metrics(), "{at}");
+                        assert_eq!(
+                            sharded.queue_depth_buckets(),
+                            single.queue_depth_buckets(),
+                            "{at}"
+                        );
+                        assert_eq!(sharded.now(), single.now(), "{at}");
+                        for v in (0..n as u32).map(nid) {
+                            assert_eq!(sharded.node(v).got, single.node(v).got, "{at} {v:?}");
+                        }
+                    }
+                }
             }
         }
     }

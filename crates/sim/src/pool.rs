@@ -1,10 +1,9 @@
 //! Persistent worker pool for the sharded executor.
 //!
-//! One OS thread per worker, each with its own job channel so a shard is
-//! always executed by the same worker (`shard k → worker k % threads`,
-//! keeping shard state cache-warm across rounds). Jobs are type-erased
-//! function-pointer calls over raw state pointers; the coordinator blocks
-//! until every job of a round completes (a `parking_lot` mutex + condvar
+//! One OS thread per worker, each with its own job channel (job `k` of a
+//! batch goes to worker `k % threads`). Jobs are type-erased
+//! function-pointer calls over raw state pointers; the caller blocks
+//! until every job of a batch completes (a `parking_lot` mutex + condvar
 //! countdown), which is what makes the lifetime erasure sound: no job
 //! pointer outlives the `run` call that lent it out.
 
@@ -13,26 +12,26 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// A type-erased unit of round work: `run(state, ctx)`.
+/// A type-erased unit of batch work: `run(state, ctx)`.
 #[derive(Debug)]
 pub(crate) struct Job {
-    /// Monomorphized shard entry point (created where the concrete
-    /// `M`/`N` types — and their `Send` obligations — are known).
+    /// Monomorphized lane entry point (`shard::lane_job::<M, N>`).
     pub run: unsafe fn(*mut (), *const ()),
-    /// Exclusive pointer to that shard's `ShardState<M, N>`.
+    /// Exclusive pointer to one lane's `Task<M, N>`.
     pub state: *mut (),
-    /// Shared pointer to the round's `RoundCtx`.
+    /// Shared pointer to the batch's `TickCtx`.
     pub ctx: *const (),
 }
 
 // SAFETY: a Job is only constructed by the sharded core, which (a) requires
-// `M: Send, N: Send` at construction time for any core that owns a pool,
-// (b) hands each shard's state pointer to exactly one job per round, and
-// (c) blocks on the countdown until every job returns, so the pointed-to
-// state and ctx strictly outlive the worker's use of them.
+// `M: Send, N: Send` at construction time for any core that owns a pool
+// and checks there that `Task<M, N>: Send` and `TickCtx: Sync`, (b) hands
+// each task's pointer to exactly one job per batch, and (c) blocks on the
+// countdown until every job returns, so the pointed-to task and ctx
+// strictly outlive the worker's use of them.
 unsafe impl Send for Job {}
 
-/// Countdown the coordinator parks on while a round is in flight.
+/// Countdown the caller parks on while a batch is in flight.
 type DoneGate = Arc<(Mutex<usize>, Condvar)>;
 
 /// Fixed set of persistent workers executing [`Job`]s.

@@ -11,13 +11,15 @@
 //!   and geometric window growth under overflow pressure.
 //!   Push and pop are O(1) amortized, against `BTreeMap`'s O(log n) with
 //!   node churn on every operation.
-//! * [`BTreeQueue`] — the reference implementation (the simulator's
-//!   original `BTreeMap<(SimTime, u64), Envelope>` core), kept as the
-//!   behavioral oracle: property tests drive both with identical op
-//!   sequences, and the determinism suite runs whole scenarios through
-//!   each and asserts byte-identical reports.
+//! * [`BTreeQueue`] — the reference implementation, a
+//!   `BTreeMap<(SimTime, u64), T>`, kept as the behavioral oracle:
+//!   property tests drive both with identical op sequences, and the
+//!   determinism suite runs whole scenarios through each and asserts
+//!   byte-identical reports.
 //!
-//! [`QueueKind`] selects between them at `Sim` construction time.
+//! [`QueueKind`] selects between them at `Sim` construction time. The
+//! sequence numbers never leave a queue: both cores push and pop through
+//! `push` / `pop_next_until` alone.
 
 use crate::SimTime;
 use std::cmp::Ordering;
@@ -35,8 +37,8 @@ pub enum QueueKind {
     /// Bucketed calendar queue (production default).
     #[default]
     Calendar,
-    /// `BTreeMap` reference queue — the pre-calendar event core, kept as
-    /// the ordering oracle for determinism cross-checks.
+    /// `BTreeMap` reference queue — the ordering oracle for determinism
+    /// cross-checks.
     BTree,
 }
 
@@ -147,16 +149,12 @@ impl<T> CalendarQueue<T> {
     pub fn push(&mut self, at: SimTime, ev: T) {
         let seq = self.seq;
         self.seq += 1;
-        self.push_seq(at, seq, ev);
+        self.insert(at, seq, ev);
     }
 
-    /// Schedules `ev` at `at` under an externally assigned sequence
-    /// number. The sharded executor owns one global sequence space at the
-    /// coordinator and feeds each shard queue slices of it; within any
-    /// timestamp, successive pushes must carry strictly increasing `seq`
-    /// (the coordinator's merge emits them in ascending order, so the
-    /// per-bucket FIFO invariant is preserved by construction).
-    pub fn push_seq(&mut self, at: SimTime, seq: u64, ev: T) {
+    /// Queues an event under its sequence number: into its bucket, or
+    /// into the overflow heap when it lies beyond the window.
+    fn insert(&mut self, at: SimTime, seq: u64, ev: T) {
         debug_assert!(
             at >= self.cursor,
             "push into the past: {at} < {}",
@@ -243,13 +241,14 @@ impl<T> CalendarQueue<T> {
     /// though the internal scan cursor may advance up to the earliest
     /// event time).
     pub fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        self.pop_seq_until(deadline).map(|(at, _seq, ev)| (at, ev))
+        self.pop_entry(deadline).map(|(at, _, ev)| (at, ev))
     }
 
-    /// [`pop_next_until`](Self::pop_next_until), additionally exposing the
-    /// event's sequence number — the sharded executor's merge needs it to
-    /// reconstruct the global execution order.
-    pub fn pop_seq_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
+    /// [`pop_next_until`](Self::pop_next_until) handing the bucket entry
+    /// over as it is stored. Re-packing it inside this function instead
+    /// costs one more copy of the event per pop — a tenth of the single
+    /// core's wall time on the benchmark's `closed-uniform`.
+    fn pop_entry(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
         if self.is_empty() {
             return None;
         }
@@ -293,41 +292,13 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// The timestamp of the earliest queued event without removing it.
-    ///
-    /// `&mut` because due overflow events migrate into buckets first (an
-    /// order-preserving internal reshuffle); the scan itself leaves the
-    /// cursor untouched, so a subsequent push at any time `>=` the last
-    /// popped event remains legal.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        if self.is_empty() {
-            return None;
-        }
-        self.migrate_due();
-        if self.bucketed == 0 {
-            return Some(self.overflow.peek().expect("len > 0").at);
-        }
-        let mut t = self.cursor;
-        loop {
-            if let Some(&(at, _, _)) = self.buckets[(t & self.mask) as usize].front() {
-                debug_assert_eq!(at, t, "one timestamp per bucket inside the window");
-                return Some(t);
-            }
-            t += 1;
-            debug_assert!(
-                t - self.cursor <= self.span(),
-                "bucketed > 0 guarantees a hit within one window"
-            );
-        }
-    }
-
     /// Pops the earliest event unconditionally.
     pub fn pop_next(&mut self) -> Option<(SimTime, T)> {
         self.pop_next_until(SimTime::MAX)
     }
 }
 
-/// Reference queue: the original `BTreeMap` event core.
+/// Reference queue: a `BTreeMap` keyed by `(time, sequence)`.
 #[derive(Debug)]
 pub struct BTreeQueue<T> {
     map: BTreeMap<(SimTime, u64), T>,
@@ -360,31 +331,14 @@ impl<T> BTreeQueue<T> {
         self.seq += 1;
     }
 
-    /// Schedules `ev` at `at` under an externally assigned sequence
-    /// number (see [`CalendarQueue::push_seq`]).
-    pub fn push_seq(&mut self, at: SimTime, seq: u64, ev: T) {
-        self.map.insert((at, seq), ev);
-    }
-
     /// Pops the earliest event if its time is `<= deadline`.
     pub fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        self.pop_seq_until(deadline).map(|(at, _seq, ev)| (at, ev))
-    }
-
-    /// [`pop_next_until`](Self::pop_next_until) with the sequence number.
-    pub fn pop_seq_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
         let (&(t, _), _) = self.map.iter().next()?;
         if t > deadline {
             return None;
         }
-        let ((t, seq), ev) = self.map.pop_first().expect("nonempty");
-        Some((t, seq, ev))
-    }
-
-    /// The timestamp of the earliest queued event without removing it
-    /// (`&mut` only for signature parity with [`CalendarQueue`]).
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        self.map.keys().next().map(|&(t, _)| t)
+        let ((t, _), ev) = self.map.pop_first().expect("nonempty");
+        Some((t, ev))
     }
 
     /// Pops the earliest event unconditionally.
@@ -422,31 +376,10 @@ impl<T> EventQueue<T> {
         }
     }
 
-    pub(crate) fn push_seq(&mut self, at: SimTime, seq: u64, ev: T) {
-        match self {
-            EventQueue::Calendar(q) => q.push_seq(at, seq, ev),
-            EventQueue::BTree(q) => q.push_seq(at, seq, ev),
-        }
-    }
-
     pub(crate) fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
         match self {
             EventQueue::Calendar(q) => q.pop_next_until(deadline),
             EventQueue::BTree(q) => q.pop_next_until(deadline),
-        }
-    }
-
-    pub(crate) fn pop_seq_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
-        match self {
-            EventQueue::Calendar(q) => q.pop_seq_until(deadline),
-            EventQueue::BTree(q) => q.pop_seq_until(deadline),
-        }
-    }
-
-    pub(crate) fn peek_next_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Calendar(q) => q.peek_next_time(),
-            EventQueue::BTree(q) => q.peek_next_time(),
         }
     }
 }
@@ -505,7 +438,7 @@ mod tests {
         }
     }
 
-    /// Regression: a bucket drained by `pop_seq_until` kept its buffer, so
+    /// Regression: a bucket drained by `pop_next_until` kept its buffer, so
     /// after one lap of the window every bucket held the largest tick it
     /// had ever seen (735 MiB vs the btree queue's 97 on `overload-ramp`
     /// at n = 262,144).
@@ -592,48 +525,6 @@ mod tests {
         }
         fn do_pop(&mut self, deadline: SimTime) -> Option<(SimTime, u32)> {
             self.pop_next_until(deadline)
-        }
-    }
-
-    /// Explicit-sequence pushes (the sharded executor's path) must honor
-    /// the externally assigned order, and `peek_next_time` must report the
-    /// earliest event without disturbing pop order or legal push times.
-    #[test]
-    fn explicit_seq_push_and_peek() {
-        let mut cal = CalendarQueue::with_span(4);
-        let mut bt = BTreeQueue::default();
-        // coordinator-assigned seqs: ascending per timestamp, but sparse
-        for (at, seq) in [(7u64, 10u64), (7, 42), (3, 5), (900, 17)] {
-            cal.push_seq(at, seq, seq);
-            bt.push_seq(at, seq, seq);
-        }
-        assert_eq!(cal.peek_next_time(), Some(3));
-        assert_eq!(bt.peek_next_time(), Some(3));
-        for q in [&mut cal as &mut dyn FnPopSeq, &mut bt as &mut dyn FnPopSeq] {
-            assert_eq!(q.do_pop_seq(u64::MAX), Some((3, 5, 5)));
-            assert_eq!(q.do_pop_seq(u64::MAX), Some((7, 10, 10)));
-            assert_eq!(q.do_pop_seq(u64::MAX), Some((7, 42, 42)));
-        }
-        // peek after pops sees the overflow-parked event; a later push at
-        // a nearer time is still legal (the peek scan left the cursor put)
-        assert_eq!(cal.peek_next_time(), Some(900));
-        cal.push_seq(8, 50, 50);
-        assert_eq!(cal.pop_seq_until(u64::MAX), Some((8, 50, 50)));
-        assert_eq!(cal.pop_seq_until(u64::MAX), Some((900, 17, 17)));
-        assert_eq!(cal.peek_next_time(), None);
-    }
-
-    trait FnPopSeq {
-        fn do_pop_seq(&mut self, deadline: SimTime) -> Option<(SimTime, u64, u64)>;
-    }
-    impl FnPopSeq for CalendarQueue<u64> {
-        fn do_pop_seq(&mut self, deadline: SimTime) -> Option<(SimTime, u64, u64)> {
-            self.pop_seq_until(deadline)
-        }
-    }
-    impl FnPopSeq for BTreeQueue<u64> {
-        fn do_pop_seq(&mut self, deadline: SimTime) -> Option<(SimTime, u64, u64)> {
-            self.pop_seq_until(deadline)
         }
     }
 

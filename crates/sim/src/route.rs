@@ -1,11 +1,11 @@
 //! Routing shared by the single-threaded and sharded executor cores.
 //!
-//! This is the old `Sim::route`/`Sim::route_multicast` logic, extracted
-//! so both cores charge message passes identically by construction: the
-//! single core feeds `emit` straight into its event queue, while a shard
-//! records the emissions for the coordinator's canonical merge. Counter
-//! deltas accumulate in [`RouteCounters`] (additive, so the caller may
-//! fold them into its `Metrics` in any order without affecting output).
+//! Both cores charge message passes through these functions, so they
+//! agree by construction: the single core feeds `emit` straight into its
+//! event queue, while a shard lane records the emissions for the calling
+//! thread to push in batch order. Counter deltas accumulate in
+//! [`RouteCounters`] (additive, so the caller may fold them into its
+//! `Metrics` in any order without affecting output).
 //!
 //! Routing goes through [`AnyRouter`], never through graph adjacency:
 //! under an analytic backend a structured topology needs no edges at all,
@@ -13,19 +13,20 @@
 //! is crashed, hop walks collapse to O(1) `distance` lookups — the walk
 //! exists only to find the first crashed intermediate.
 
-use crate::{CostModel, Envelope, Op, SimTime, TargetSet};
+use crate::{Envelope, Op, SimTime, TargetSet};
 use mm_topo::spanning::multicast_cost;
 use mm_topo::{AnyRouter, NodeId, Router};
 
 /// Read-only view of the world routing needs: routes and crash state
 /// (built by `World::net_env`).
 pub(crate) struct NetEnv<'a> {
+    /// `Some` under `CostModel::Hops`; `None` is `CostModel::Uniform`,
+    /// which charges one pass per destination and never routes.
     pub routing: Option<&'a AnyRouter>,
     pub crashed: &'a [bool],
     /// Number of `true` entries in `crashed`, so the common all-alive
     /// case can skip hop walks entirely.
     pub crashed_count: usize,
-    pub cost_model: CostModel,
 }
 
 /// Additive metric deltas produced while routing one batch of ops.
@@ -95,8 +96,8 @@ pub(crate) fn route<M>(
         emit(now, env_msg);
         return;
     }
-    match env.cost_model {
-        CostModel::Uniform => {
+    match env.routing {
+        None => {
             c.passes += 1;
             let env_msg = Envelope {
                 from,
@@ -106,8 +107,7 @@ pub(crate) fn route<M>(
             };
             emit(now + 1, env_msg);
         }
-        CostModel::Hops => {
-            let routing = env.routing.expect("Hops model builds routing");
+        Some(routing) => {
             let Some(dist) = routing.distance(from, to) else {
                 c.dropped += 1;
                 return;
@@ -143,8 +143,8 @@ pub(crate) fn route_multicast<M: Clone>(
     c: &mut RouteCounters,
     emit: &mut impl FnMut(SimTime, Envelope<M>),
 ) {
-    match env.cost_model {
-        CostModel::Uniform => {
+    match env.routing {
+        None => {
             for t in targets.iter() {
                 if t == from {
                     let env_msg = Envelope {
@@ -167,12 +167,11 @@ pub(crate) fn route_multicast<M: Clone>(
                 emit(now + 1, env_msg);
             }
         }
-        CostModel::Hops => {
+        Some(routing) => {
             // charge the Steiner-tree cost once; deliver along
             // shortest paths, truncated at crashed nodes. The remote
             // slice is the target set itself unless the sender is a
             // member (the only case that still copies).
-            let routing = env.routing.expect("Hops model builds routing");
             let self_in_set = targets.contains(from);
             let filtered: Vec<NodeId>;
             let remote: &[NodeId] = if self_in_set {

@@ -999,6 +999,41 @@ mod tests {
         .run()
     }
 
+    /// `scenarios::rack_failure` names its victims before the run by
+    /// replaying the home draws: the band it kills first must be the band
+    /// of the home this runner registers for port 0.
+    #[test]
+    fn rack_failure_kills_the_band_the_runner_homes_port_0_in() {
+        for seed in [7, 11, 13] {
+            for n in [64usize, 1000, 4096] {
+                let spec = scenarios::rack_failure(n, seed, false);
+                let first_kill = spec
+                    .churn
+                    .iter()
+                    .find_map(|ev| match &ev.action {
+                        ChurnAction::CrashGroup { nodes } => Some(nodes.clone()),
+                        _ => None,
+                    })
+                    .expect("rack-failure crashes a group");
+                let mut runner = ScenarioRunner::new(
+                    spec,
+                    gen::complete_shell(n),
+                    Checkerboard::new(n),
+                    CostModel::Uniform,
+                    "checkerboard",
+                );
+                runner.setup();
+                let home = runner.ops.homes[0].index();
+                let w = (n as f64).sqrt().ceil() as usize;
+                let band = scenarios::grid_row(n, home * w / n);
+                assert!(
+                    first_kill.iter().all(|v| band.contains(v)),
+                    "seed {seed} n {n}: victims {first_kill:?} outside port 0's band {band:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn steady_state_matches_theory_under_load() {
         let r = run_scenario("steady-state", 64, 7);

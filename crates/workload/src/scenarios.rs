@@ -31,6 +31,7 @@ use crate::spec::{
     ArrivalProcess, ChurnAction, ChurnEvent, ClientModel, FaultSpec, Phase, PortPopularity,
     ThinkTime, Workload,
 };
+use crate::timeline::replay_homes;
 use mm_proto::FaultProfile;
 
 /// Default client timeout used by the library scenarios. This is the
@@ -366,16 +367,11 @@ fn hostile_pool() -> ClientModel {
 /// shifted copy and fails only when both aligned copies are taken out,
 /// which is the §2.4 tolerance bound made visible as phase hit-rates.
 ///
-/// The builder replays the runner's seeded home draws (one `gen_range`
-/// per port off `StdRng::seed_from_u64(seed)`) to know the victims ahead
-/// of time, keeping the kill lists explicit in the spec — the runner
-/// draws nothing extra.
+/// The builder replays the runner's seeded home draws (`timeline::replay_homes`)
+/// to know the victims ahead of time, keeping the kill lists explicit in
+/// the spec — the runner draws nothing extra.
 pub fn rack_failure(n: usize, seed: u64, closed: bool) -> Workload {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let ports = 8usize;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let homes: Vec<usize> = (0..ports).map(|_| rng.gen_range(0..n)).collect();
+    let homes: Vec<usize> = replay_homes(seed, n, 8).iter().map(|v| v.index()).collect();
     let w = ((n as f64).sqrt().ceil() as usize).max(1);
     let r0 = homes[0] * w / n; // the victim service's row band
     let aligned = (r0 + w / 2) % w;
@@ -567,8 +563,6 @@ mod tests {
 
     #[test]
     fn rack_failure_kills_aligned_band_pairs_but_spares_hosts() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let w = rack_failure(64, 11, false);
         let groups: Vec<&Vec<usize>> = w
             .churn
@@ -579,9 +573,8 @@ mod tests {
             })
             .collect();
         assert_eq!(groups.len(), 2, "one-rack then two-racks");
-        // replay the runner's home draws exactly as the builder does
-        let mut rng = StdRng::seed_from_u64(11);
-        let homes: Vec<usize> = (0..8).map(|_| rng.gen_range(0..64usize)).collect();
+        // the runner's home draws, replayed exactly as the builder does
+        let homes: Vec<usize> = replay_homes(11, 64, 8).iter().map(|v| v.index()).collect();
         let victim_band = homes[0] / 8;
         // every killed node sits in the victim band or its Replicated(2)
         // shifted copy (stride n/2 = 4 rows on), and no server host dies:

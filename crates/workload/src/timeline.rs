@@ -66,6 +66,19 @@ pub(crate) enum ResolvedChurn {
     ClearAllCaches,
 }
 
+/// Where a port's server starts out: any of the `n` nodes.
+fn draw_home(rng: &mut StdRng, n: usize) -> NodeId {
+    NodeId::from(rng.gen_range(0..n))
+}
+
+/// The homes a runner seeded `seed` will register for its `ports` ports:
+/// [`Draws::home`] is the first thing drawn off a seed. For a spec builder
+/// that must name nodes relative to them (`scenarios::rack_failure`).
+pub(crate) fn replay_homes(seed: u64, n: usize, ports: usize) -> Vec<NodeId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..ports).map(|_| draw_home(&mut rng, n)).collect()
+}
+
 /// The seed's decision layer: the spec's one RNG and the runner's one view
 /// of who is alive (the runtime keeps its own truth). Who arrives where,
 /// who crashes, restores or migrates is decided here in one canonical draw
@@ -107,7 +120,7 @@ impl Draws {
 
     /// Where a port's server starts out: any node of the network.
     pub fn home(&mut self) -> NodeId {
-        NodeId::from(self.rng.gen_range(0..self.crashed.len()))
+        draw_home(&mut self.rng, self.crashed.len())
     }
 
     /// Compiles `spec` into a sorted timeline, drawing every arrival gap
