@@ -168,27 +168,17 @@ pub(crate) fn route_multicast<M: Clone>(
             }
         }
         Some(routing) => {
-            // charge the Steiner-tree cost once; deliver along
-            // shortest paths, truncated at crashed nodes. The remote
-            // slice is the target set itself unless the sender is a
-            // member (the only case that still copies).
-            let self_in_set = targets.contains(from);
-            let filtered: Vec<NodeId>;
-            let remote: &[NodeId] = if self_in_set {
-                filtered = targets.iter().filter(|&t| t != from).collect();
-                &filtered
-            } else {
-                targets.as_slice()
-            };
-            if let Some(cost) = multicast_cost(routing, from, remote) {
-                c.passes += cost;
-            } else {
-                // unreachable targets: fall back to per-target routing
-                for &t in remote {
+            // charge the Steiner-tree cost once (the accounting skips the
+            // sender, which under checkerboard is always a member of its
+            // own set); deliver along shortest paths, truncated at crashed
+            // nodes.
+            let Some(cost) = multicast_cost(routing, from, targets.as_slice()) else {
+                // unreachable targets: fall back to per-target routing,
+                // plus the local copy if requested
+                for t in targets.iter().filter(|&t| t != from) {
                     route(env, now, from, t, msg.clone(), c, emit);
                 }
-                // plus local copy if requested
-                if self_in_set {
+                if targets.contains(from) {
                     let env_msg = Envelope {
                         from,
                         to: from,
@@ -198,8 +188,8 @@ pub(crate) fn route_multicast<M: Clone>(
                     emit(now, env_msg);
                 }
                 return;
-            }
-            c.sends += remote.len() as u64;
+            };
+            c.passes += cost;
             for t in targets.iter() {
                 if t == from {
                     let env_msg = Envelope {
@@ -211,9 +201,16 @@ pub(crate) fn route_multicast<M: Clone>(
                     emit(now, env_msg);
                     continue;
                 }
-                // reachable (the Steiner cost above proved it); hop count
-                // plus first-crashed-intermediate check, no path `Vec`
-                let dist = routing.distance(from, t).expect("target reachable");
+                // the Steiner cost above found every target reachable;
+                // should a router ever disagree with itself, `route`
+                // counts the send and the drop
+                let Some(dist) = routing.distance(from, t) else {
+                    route(env, now, from, t, msg.clone(), c, emit);
+                    continue;
+                };
+                c.sends += 1;
+                // hop count plus first-crashed-intermediate check, no
+                // path `Vec`
                 let (d, blocked) = crash_truncated(env, routing, from, t, dist);
                 if blocked {
                     c.dropped += 1;
@@ -228,5 +225,31 @@ pub(crate) fn route_multicast<M: Clone>(
                 emit(now + d, env_msg);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mm_topo::Graph;
+
+    #[test]
+    fn unreachable_multicast_target_is_a_counted_drop() {
+        // two components, 0-1-2 and 3-4: no Steiner tree from 0 spans
+        // {0, 2, 4}, so each target is routed on its own
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
+        let routing = AnyRouter::for_graph(&g);
+        let env = NetEnv {
+            routing: Some(&routing),
+            crashed: &[false; 5],
+            crashed_count: 0,
+        };
+        let targets = TargetSet::new(&[0, 2, 4].map(NodeId::new));
+        let (mut c, mut sent) = (RouteCounters::default(), Vec::new());
+        let mut emit = |at, e: Envelope<()>| sent.push((e.to.raw(), at));
+        route_multicast(&env, 10, NodeId::new(0), &targets, (), &mut c, &mut emit);
+        // 2 is two hops away, 4 is dropped, the local copy is free
+        assert_eq!(sent, [(2, 12), (0, 10)]);
+        assert_eq!((c.sends, c.passes, c.dropped), (2, 2, 1));
     }
 }

@@ -26,6 +26,7 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::routing::RoutingTable;
+use crate::spanning::greedy_cost;
 
 /// Shortest-path next-hop routing over a fixed node universe.
 ///
@@ -81,6 +82,24 @@ pub trait Router {
             }
         }
         (travelled, false)
+    }
+
+    /// Message passes to multicast from `src` to `sorted` (strictly
+    /// ascending; `src` itself, if present, is skipped): the number the
+    /// nearest-anchor greedy of [`multicast_cost`] arrives at, first-scanned
+    /// tie rule included. The provided body *is* that greedy — full anchor
+    /// scan, walked paths — which is what the table backend runs; the
+    /// analytic routers override it with forms that return the same number
+    /// without the scan or the walk. Callers go through [`multicast_cost`],
+    /// which canonicalizes its input and cross-checks overrides in debug
+    /// builds.
+    ///
+    /// [`multicast_cost`]: crate::spanning::multicast_cost
+    fn multicast_cost_sorted(&self, src: NodeId, sorted: &[NodeId]) -> Option<u64>
+    where
+        Self: Sized,
+    {
+        greedy_cost(self, src, sorted, false)
     }
 
     /// The §4 reverse-path trick (Dalal–Metcalfe tables "back-to-front"):
@@ -184,6 +203,12 @@ impl Router for CompleteRouter {
             }
         }
     }
+
+    /// Every target hangs off `src` by its own edge.
+    fn multicast_cost_sorted(&self, src: NodeId, sorted: &[NodeId]) -> Option<u64> {
+        let own = sorted.binary_search(&src).is_ok();
+        Some((sorted.len() - usize::from(own)) as u64)
+    }
 }
 
 /// Cycle C_n (`ring(n)`): route the strictly shorter way around; on the
@@ -247,6 +272,49 @@ impl Router for RingRouter {
             f(NodeId::new(succ.min(pred)));
             f(NodeId::new(succ.max(pred)));
         }
+    }
+
+    /// The greedy in closed form, O(|sorted|) with no path walked.
+    ///
+    /// A path from a nearest anchor passes over no other anchor, so it
+    /// lies inside the *gap* (arc between cyclically adjacent anchors)
+    /// holding its target and runs from one end of the gap to the target:
+    /// every gap is covered entirely or not at all. Targets arrive
+    /// ascending, so the next one always lies in the gap just above the
+    /// highest anchor below it — one flag, `ahead` — except on the first
+    /// target above `src`, which enters the gap from `src` up and around
+    /// to the lowest anchor, whose flag (`wrap`) the very first path set.
+    /// In a covered gap a target is free; otherwise it costs the distance
+    /// to the nearer gap end, a tie going to `src`, else to the
+    /// lower-numbered end. Only the first path, from the lone anchor
+    /// `src`, can be antipodal and needs `next_hop` to pick its side.
+    fn multicast_cost_sorted(&self, src: NodeId, sorted: &[NodeId]) -> Option<u64> {
+        let s = src.raw();
+        let mut targets = sorted.iter().map(|t| t.raw()).filter(|&t| t != s);
+        let Some(first) = targets.next() else {
+            return Some(0);
+        };
+        let (fwd, bwd) = self.arcs(s, first);
+        let up = self.next_hop(src, NodeId::new(first)) == Some(NodeId::new((s + 1) % self.n));
+        let mut cost = u64::from(fwd.min(bwd));
+        // the upward path from `src` covers the gap below `first`
+        let (wrap, mut ahead) = (up, !up);
+        let lowest = first.min(s);
+        let mut pred = first;
+        for t in targets {
+            if pred < s && s < t {
+                (pred, ahead) = (s, wrap);
+            }
+            let succ = if t < s { s } else { lowest };
+            if !ahead {
+                let (dp, dq) = (t - pred, self.arcs(t, succ).0);
+                cost += u64::from(dp.min(dq));
+                // attaching from above covers the gap the next target is in
+                ahead = dq < dp || (dq == dp && (succ == s || (pred != s && succ < pred)));
+            }
+            pred = t;
+        }
+        Some(cost)
     }
 
     /// Ring paths average n/4 hops; at n = 1M the walk would pay ~260k
@@ -394,6 +462,12 @@ impl Router for GridRouter {
             }
         }
     }
+
+    /// The greedy with the adjacent-anchor shortcut: a checkerboard row or
+    /// column sweep connects every target but the first by one edge.
+    fn multicast_cost_sorted(&self, src: NodeId, sorted: &[NodeId]) -> Option<u64> {
+        greedy_cost(self, src, sorted, true)
+    }
 }
 
 /// d-cube (`hypercube(d)`): distance is Hamming. The canonical next hop
@@ -455,6 +529,11 @@ impl Router for HypercubeRouter {
                 f(NodeId::new(v.raw() ^ (1 << i)));
             }
         }
+    }
+
+    /// The greedy with the adjacent-anchor shortcut (d neighbors a node).
+    fn multicast_cost_sorted(&self, src: NodeId, sorted: &[NodeId]) -> Option<u64> {
+        greedy_cost(self, src, sorted, true)
     }
 }
 
@@ -581,6 +660,16 @@ impl Router for AnyRouter {
             AnyRouter::Grid(r) => r.for_each_neighbor(v, f),
             AnyRouter::Hypercube(r) => r.for_each_neighbor(v, f),
             AnyRouter::Table(r) => Router::for_each_neighbor(r, v, f),
+        }
+    }
+
+    fn multicast_cost_sorted(&self, src: NodeId, sorted: &[NodeId]) -> Option<u64> {
+        match self {
+            AnyRouter::Complete(r) => r.multicast_cost_sorted(src, sorted),
+            AnyRouter::Ring(r) => r.multicast_cost_sorted(src, sorted),
+            AnyRouter::Grid(r) => r.multicast_cost_sorted(src, sorted),
+            AnyRouter::Hypercube(r) => r.multicast_cost_sorted(src, sorted),
+            AnyRouter::Table(r) => r.multicast_cost_sorted(src, sorted),
         }
     }
 

@@ -19,11 +19,15 @@
 //!
 //! Cost accounting is generic over [`Router`], so it works equally on the
 //! O(n²) table oracle and on the closed-form analytic routers — no
-//! materialized graph or table is required.
+//! materialized graph or table is required. Every backend charges the
+//! same number; the structured ones reach it without the greedy's anchor
+//! scan and path walks ([`Router::multicast_cost_sorted`]), which remain
+//! the implementation for unstructured graphs and the test reference.
 
 use crate::graph::{Graph, NodeId};
 use crate::router::Router;
 use crate::routing::bfs;
+use std::collections::HashSet;
 
 /// A rooted spanning tree of (the reachable part of) a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,13 +88,23 @@ impl SpanningTree {
 /// *anchor* — the source or an earlier-connected target, first-scanned wins
 /// a distance tie — and each edge reaching a not-yet-covered node counts as
 /// one message pass. Shared path prefixes are charged once. Duplicate
-/// targets and `src` itself are ignored.
+/// targets and `src` itself are ignored; input that is already strictly
+/// ascending (a sim `TargetSet`) is used in place, anything else is
+/// sorted and de-duplicated first.
 ///
-/// The accounting uses only [`Router::distance`] and [`Router::hops`], so
-/// the cost of computing the cost is O(|targets|² + Σ path lengths) —
-/// independent of which backend routes, and never O(n·|targets|²) like a
-/// tree-membership scan would be. That is what keeps hop-cost multicast
-/// feasible at n = 1,048,576.
+/// The number is the greedy's, not the optimal Steiner tree's, and every
+/// backend returns exactly it; what differs is the cost of computing it
+/// ([`Router::multicast_cost_sorted`]): O(|targets|) on the ring and the
+/// complete network (closed forms, no path is walked), O(|targets| log
+/// |targets|) on grid, torus and hypercube whenever each target has an
+/// already-connected neighbor (every checkerboard row or column sweep),
+/// and the full greedy — O(|targets|² + Σ path lengths) — otherwise and
+/// on the table backend. Nothing is sized by n: that is what keeps
+/// hop-cost multicast feasible at n = 1,048,576.
+///
+/// Debug builds re-derive small instances (n ≤ 4096, ≤ 64 targets) with
+/// the full greedy and assert equality, so every debug test that runs hop
+/// cost checks the fast paths for free.
 ///
 /// Returns `None` if some target is unreachable from `src`.
 ///
@@ -111,24 +125,71 @@ impl SpanningTree {
 /// assert_eq!(cost, 4);
 /// ```
 pub fn multicast_cost<R: Router>(rt: &R, src: NodeId, targets: &[NodeId]) -> Option<u64> {
+    let mut resorted = Vec::new();
+    let sorted = if targets.windows(2).all(|w| w[0] < w[1]) {
+        targets
+    } else {
+        resorted.extend_from_slice(targets);
+        resorted.sort_unstable();
+        resorted.dedup();
+        &resorted
+    };
     let n = rt.node_count();
-    let mut covered = vec![false; n];
-    covered[src.index()] = true;
-    let sorted: Vec<NodeId> = targets
-        .iter()
-        .copied()
-        .filter(|&t| t != src)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let mut anchors: Vec<NodeId> = Vec::with_capacity(sorted.len() + 1);
-    anchors.push(src);
-    let mut cost = 0u64;
+    assert!(
+        src.index() < n && sorted.last().is_none_or(|t| t.index() < n),
+        "multicast endpoint out of range (n = {n})"
+    );
+    let cost = rt.multicast_cost_sorted(src, sorted);
+    debug_assert!(
+        n > 4096 || sorted.len() > 64 || cost == greedy_cost(rt, src, sorted, false),
+        "fast multicast accounting left the greedy: {src:?} -> {sorted:?}"
+    );
+    cost
+}
 
-    for &t in &sorted {
+/// The nearest-anchor greedy behind [`multicast_cost`], over any router:
+/// the implementation for unstructured graphs and the reference the
+/// closed forms are tested against.
+///
+/// `sorted` is strictly ascending and may contain `src` (skipped). The
+/// anchors of `sorted[i]` are `src` and `sorted[..i]`, so anchor
+/// membership is a binary search, and the covered set holds only nodes a
+/// path has reached — nothing here is sized by n.
+///
+/// With `cheap_neighbors` (routers whose `for_each_neighbor` is O(degree),
+/// not the table's O(n) row scan) the anchor scan is skipped when a
+/// neighbor of the target is already an anchor: distance 1 cannot be
+/// beaten, and whichever adjacent anchor wins the tie, the path is the
+/// single edge into the target.
+pub(crate) fn greedy_cost<R: Router>(
+    rt: &R,
+    src: NodeId,
+    sorted: &[NodeId],
+    cheap_neighbors: bool,
+) -> Option<u64> {
+    let mut covered: HashSet<NodeId> = HashSet::with_capacity(sorted.len() + 1);
+    covered.insert(src);
+    let mut cost = 0u64;
+    for (i, &t) in sorted.iter().enumerate() {
+        if t == src {
+            continue;
+        }
+        let earlier = &sorted[..i];
+        if cheap_neighbors {
+            // every earlier target is below `t`, so a higher neighbor can
+            // only be the source
+            let mut adjacent = false;
+            rt.for_each_neighbor(t, &mut |u| {
+                adjacent |= u == src || (u < t && earlier.binary_search(&u).is_ok());
+            });
+            if adjacent {
+                cost += u64::from(covered.insert(t));
+                continue;
+            }
+        }
         // nearest anchor; on ties the earliest-connected anchor wins.
         let mut best: Option<(u32, NodeId)> = None;
-        for &a in &anchors {
+        for a in std::iter::once(src).chain(earlier.iter().copied()) {
             if let Some(d) = rt.distance(a, t) {
                 if best.is_none_or(|(bd, _)| d < bd) {
                     best = Some((d, a));
@@ -139,12 +200,10 @@ pub fn multicast_cost<R: Router>(rt: &R, src: NodeId, targets: &[NodeId]) -> Opt
         // walk the canonical shortest path without materializing it; each
         // edge reaching a new node is one message pass.
         for hop in rt.hops(attach, t) {
-            if !covered[hop.index()] {
-                covered[hop.index()] = true;
+            if covered.insert(hop) {
                 cost += 1;
             }
         }
-        anchors.push(t);
     }
     Some(cost)
 }
