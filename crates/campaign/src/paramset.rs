@@ -45,12 +45,6 @@ pub struct Experiment {
     pub runtimes: &'static [RuntimeKind],
     /// Seed axis (independent trials per cell).
     pub seeds: &'static [u64],
-    /// Simulator shard count for every run (0 = single-threaded core).
-    /// Output-invariant — sharding never changes bytes — so it is a
-    /// scalar, not an axis: it only buys wall-clock at large `ns`.
-    pub shards: usize,
-    /// Worker threads driving shard rounds (relevant when `shards > 0`).
-    pub shard_threads: usize,
 }
 
 impl Experiment {
@@ -92,8 +86,6 @@ impl Experiment {
                                     cfg.cost = cost;
                                     cfg.queue = queue;
                                     cfg.runtime = runtime;
-                                    cfg.shards = self.shards;
-                                    cfg.shard_threads = self.shard_threads;
                                     out.push(cfg);
                                 }
                             }
@@ -124,8 +116,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         queues: &[QueueKind::Calendar],
         runtimes: &[RuntimeKind::Sim],
         seeds: &[7, 11],
-        shards: 0,
-        shard_threads: 1,
     },
     Experiment {
         id: "ci-smoke",
@@ -138,8 +128,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         queues: &[QueueKind::Calendar],
         runtimes: &[RuntimeKind::Sim],
         seeds: &[7, 11],
-        shards: 0,
-        shard_threads: 1,
     },
     Experiment {
         id: "conformance",
@@ -152,8 +140,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         queues: &[QueueKind::Calendar, QueueKind::BTree],
         runtimes: &[RuntimeKind::Sim, RuntimeKind::Live],
         seeds: &[7],
-        shards: 0,
-        shard_threads: 1,
     },
     Experiment {
         id: "strategy-scaling",
@@ -166,8 +152,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         queues: &[QueueKind::Calendar],
         runtimes: &[RuntimeKind::Sim],
         seeds: &[7],
-        shards: 0,
-        shard_threads: 1,
     },
     Experiment {
         id: "topology-matrix",
@@ -187,13 +171,11 @@ pub const EXPERIMENTS: &[Experiment] = &[
         queues: &[QueueKind::Calendar],
         runtimes: &[RuntimeKind::Sim],
         seeds: &[7],
-        shards: 0,
-        shard_threads: 1,
     },
     Experiment {
         id: "topology-scale",
         description: "O(1)-memory routing at scale: steady-state x {65536,1048576} x \
-                      {grid,torus,hypercube,ring}/hops, sharded core (8 runs)",
+                      {grid,torus,hypercube,ring}/hops (8 runs)",
         scenarios: &["steady-state"],
         ns: &[65_536, 1_048_576],
         strategies: &["checkerboard"],
@@ -207,8 +189,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         queues: &[QueueKind::Calendar],
         runtimes: &[RuntimeKind::Sim],
         seeds: &[7],
-        shards: 8,
-        shard_threads: 4,
     },
     Experiment {
         id: "sustained",
@@ -230,8 +210,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         queues: &[QueueKind::Calendar, QueueKind::BTree],
         runtimes: &[RuntimeKind::Sim],
         seeds: &[7],
-        shards: 0,
-        shard_threads: 1,
     },
 ];
 
@@ -309,13 +287,11 @@ mod tests {
         assert_eq!(runs.len(), 8);
         for cfg in &runs {
             assert_eq!(cfg.cost, mm_sim::CostModel::Hops);
-            assert_eq!(cfg.shards, 8, "scale cells run the sharded core");
-            assert_eq!(cfg.shard_threads, 4);
             // the default Auto router resolves these analytically: the
             // million-node cells would be unbuildable through the table
             assert_eq!(cfg.router, mm_sim::RouterKind::Auto);
             // sharding and the router are output-invariant: labels must
-            // not mention them, so files stay comparable to single-core
+            // not mention them, so files stay comparable to sharded or
             // table-backed runs of the same cell
             assert!(!cfg.label().contains("shard"));
         }

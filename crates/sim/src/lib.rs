@@ -32,9 +32,9 @@
 //! there is), decides what executes next, and charges everything it does
 //! to the world it is handed.
 //!
-//! Everything is deterministic: events execute in `(time, sequence)` order
-//! and the only randomness is whatever the embedded protocols draw from
-//! their own seeded generators.
+//! Everything is deterministic: events execute in time order, FIFO within
+//! a timestamp, and the only randomness is whatever the embedded
+//! protocols draw from their own seeded generators.
 //!
 //! # Example
 //!
@@ -232,7 +232,8 @@ pub const QUEUE_DEPTH_BUCKETS: usize = 65;
 ///
 /// Output (metrics, depth histogram, handler-observable delivery order) is
 /// byte-identical across every mode: both cores pop one queue in its
-/// `(time, sequence)` order and push into it in execution order.
+/// order (by time, FIFO within a timestamp) and push into it in
+/// execution order.
 /// `Single` is the oracle for conformance checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
@@ -686,7 +687,7 @@ mod tests {
     #[test]
     fn run_until_advances_clock_through_idle_gaps() {
         // 1500 ticks out is past the calendar queue's initial window, so
-        // the pong also takes the overflow-heap route
+        // the pong also takes the far-map route
         let far = nid(1500);
         for mut sim in path_sims(1500) {
             // nothing scheduled at all: the clock must still reach the deadline
@@ -956,7 +957,7 @@ mod tests {
     /// multicasts that include their sender (zero-delay children of
     /// several bands in one tick), one-tick slices with nothing due,
     /// crashes and restores between slices, and an event parked in the
-    /// overflow heap meanwhile.
+    /// queue's far map meanwhile.
     fn band_edge_traffic(sim: &mut Sim<Msg, Recorder>, n: u32) {
         let hosts = [0, 1, n / 3, n / 2, n - 1];
         for v in hosts {

@@ -1,29 +1,29 @@
 //! Event-queue implementations for the simulator core.
 //!
-//! The simulator's contract is strict: events execute in ascending
-//! `(time, sequence)` order, where the sequence number is assigned at push
-//! time — same-timestamp events run in FIFO order. Two implementations
-//! honor it:
+//! The simulator's contract is strict: events execute in ascending time
+//! order, and same-timestamp events run in the order they were pushed
+//! (FIFO). Two implementations honor it:
 //!
-//! * [`CalendarQueue`] — the production queue. A ring of unit-time buckets
-//!   (all simulator delays are small integers: hop latencies), with a
-//!   binary-heap overflow for events beyond the current bucket window
-//!   and geometric window growth under overflow pressure.
-//!   Push and pop are O(1) amortized, against `BTreeMap`'s O(log n) with
-//!   node churn on every operation.
+//! * [`CalendarQueue`] — the production queue. One FIFO run of bare
+//!   events per timestamp, placed by time: a ring of unit-time slots for
+//!   the current window (all simulator delays are small integers: hop
+//!   latencies), a `BTreeMap` of runs for the timestamps beyond it, and
+//!   geometric window growth under far-push pressure. The slot position
+//!   is the event's time and the position in the run is its push order,
+//!   so nothing is stamped on the event. Push and pop are O(1)
+//!   amortized, against the reference queue's O(log n) with node churn
+//!   on every operation.
 //! * [`BTreeQueue`] — the reference implementation, a
-//!   `BTreeMap<(SimTime, u64), T>`, kept as the behavioral oracle:
-//!   property tests drive both with identical op sequences, and the
-//!   determinism suite runs whole scenarios through each and asserts
-//!   byte-identical reports.
+//!   `BTreeMap<(SimTime, u64), T>` keyed by time and a push counter, kept
+//!   as the behavioral oracle: property tests drive both with identical
+//!   op sequences, and the determinism suite runs whole scenarios
+//!   through each and asserts byte-identical reports.
 //!
-//! [`QueueKind`] selects between them at `Sim` construction time. The
-//! sequence numbers never leave a queue: both cores push and pop through
-//! `push` / `pop_next_until` alone.
+//! [`QueueKind`] selects between them at `Sim` construction time. Both
+//! cores push and pop through `push` / `pop_next_until` alone.
 
 use crate::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Which event-queue implementation a [`Sim`](crate::Sim) uses.
 ///
@@ -42,66 +42,41 @@ pub enum QueueKind {
     BTree,
 }
 
-/// Initial bucket-window width (must be a power of two). Typical delays
-/// are a handful of ticks, so almost everything lands in the window.
+/// Initial window width (must be a power of two). Typical delays are a
+/// handful of ticks, so almost everything lands in the window.
 const INITIAL_SPAN: u64 = 1024;
 
-/// Bucket windows stop doubling here; overflow beyond this span stays in
-/// the heap (bounded memory for pathological far-future schedules).
+/// Windows stop doubling here; runs beyond this span stay in the far map
+/// (bounded memory for pathological far-future schedules).
 const MAX_SPAN: u64 = 1 << 22;
 
-/// An event parked in the overflow heap, ordered by `(at, seq)` only.
-#[derive(Debug)]
-struct Parked<T> {
-    at: SimTime,
-    seq: u64,
-    ev: T,
-}
-
-impl<T> PartialEq for Parked<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl<T> Eq for Parked<T> {}
-impl<T> PartialOrd for Parked<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Parked<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // reversed: BinaryHeap is a max-heap, we want the earliest first
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Bucketed calendar queue with unit-time buckets and an overflow heap.
+/// Calendar queue: one FIFO run per timestamp, in a ring of unit-time
+/// slots for the window `[cursor, cursor + span)` and a far map beyond.
 ///
 /// Invariants:
-/// * every bucketed event has `at` in the window `[cursor, cursor + span)`,
-///   so each bucket holds at most one distinct timestamp at any moment and
-///   per-bucket FIFO order is global `(at, seq)` order;
-/// * `cursor` never exceeds the earliest queued event's time, and never
-///   moves backwards;
-/// * overflow events migrate into buckets (in `(at, seq)` order, which
-///   preserves FIFO because their sequence numbers predate any bucketed
-///   event they join) before any push or pop that could observe them.
+/// * one timestamp per slot: the window is no wider than the ring, so the
+///   run in slot `t & mask` holds exactly the events scheduled at window
+///   tick `t`, in push order;
+/// * a timestamp's events are all in the ring or all in `far`, never
+///   split: a far run moves into its (therefore empty) slot whole, before
+///   any push or pop that could observe that its tick entered the window,
+///   and the cursor never moves backwards, so no later push at that
+///   timestamp can go anywhere but behind it;
+/// * `cursor` never exceeds the earliest queued event's time.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// `buckets[t & mask]` holds the events scheduled at time `t` for the
-    /// window times; entries are `(at, seq, event)` in push order.
-    buckets: Vec<VecDeque<(SimTime, u64, T)>>,
-    /// `buckets.len() - 1`; the length is a power of two.
+    /// `ring[t & mask]` is the run of window tick `t`.
+    ring: Vec<VecDeque<T>>,
+    /// `ring.len() - 1`; the length is a power of two.
     mask: u64,
     /// Scan position: a lower bound on the earliest queued event time.
     cursor: SimTime,
-    /// Number of events currently in buckets.
-    bucketed: usize,
-    /// Events at or beyond `cursor + span`.
-    overflow: BinaryHeap<Parked<T>>,
-    /// Next sequence number (FIFO tiebreak for equal timestamps).
-    seq: u64,
+    /// Number of events currently in the ring.
+    ringed: usize,
+    /// The runs at or beyond `cursor + span`, none empty.
+    far: BTreeMap<SimTime, VecDeque<T>>,
+    /// Number of events currently in `far`.
+    parked: usize,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -117,22 +92,22 @@ impl<T> CalendarQueue<T> {
     pub fn with_span(span: u64) -> Self {
         let span = span.next_power_of_two().max(2);
         CalendarQueue {
-            buckets: (0..span).map(|_| VecDeque::new()).collect(),
+            ring: (0..span).map(|_| VecDeque::new()).collect(),
             mask: span - 1,
             cursor: 0,
-            bucketed: 0,
-            overflow: BinaryHeap::new(),
-            seq: 0,
+            ringed: 0,
+            far: BTreeMap::new(),
+            parked: 0,
         }
     }
 
     fn span(&self) -> u64 {
-        self.buckets.len() as u64
+        self.ring.len() as u64
     }
 
     /// Total queued events.
     pub fn len(&self) -> usize {
-        self.bucketed + self.overflow.len()
+        self.ringed + self.parked
     }
 
     /// `true` when nothing is queued.
@@ -145,93 +120,72 @@ impl<T> CalendarQueue<T> {
     ///
     /// `at` must not precede an already-popped event (the simulator never
     /// schedules into the past); pushing earlier than the last popped time
-    /// would violate the bucket-window invariant.
+    /// would violate the window invariant.
     pub fn push(&mut self, at: SimTime, ev: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.insert(at, seq, ev);
-    }
-
-    /// Queues an event under its sequence number: into its bucket, or
-    /// into the overflow heap when it lies beyond the window.
-    fn insert(&mut self, at: SimTime, seq: u64, ev: T) {
         debug_assert!(
             at >= self.cursor,
             "push into the past: {at} < {}",
             self.cursor
         );
         if at.saturating_sub(self.cursor) >= self.span() {
-            self.overflow.push(Parked { at, seq, ev });
-            if self.overflow.len() > self.buckets.len() && self.span() < MAX_SPAN {
+            self.far.entry(at).or_default().push_back(ev);
+            self.parked += 1;
+            if self.parked > self.ring.len() && self.span() < MAX_SPAN {
                 self.grow();
             }
         } else {
-            // keep FIFO: older (smaller-seq) overflow twins of this
-            // timestamp must enter the bucket first
+            // keep FIFO: a run parked at this timestamp while it lay
+            // beyond the window must enter the slot first
             self.migrate_due();
-            self.bucket_insert(at, seq, ev);
+            self.ring[(at & self.mask) as usize].push_back(ev);
+            self.ringed += 1;
         }
     }
 
-    fn bucket_insert(&mut self, at: SimTime, seq: u64, ev: T) {
-        let b = &mut self.buckets[(at & self.mask) as usize];
-        debug_assert!(b.back().is_none_or(|&(t, s, _)| (t, s) < (at, seq)));
-        b.push_back((at, seq, ev));
-        self.bucketed += 1;
-    }
-
-    /// Moves every overflow event that now fits the window into its bucket.
+    /// Moves every far run whose tick the window now covers into its slot.
     ///
     /// The window is `[cursor, cursor + span)`. Near the top of the time
     /// domain `cursor + span` overflows `u64`; a saturating add would pin
     /// the horizon at `u64::MAX` and the strict `<` comparison would then
-    /// refuse to migrate an event scheduled *at* `u64::MAX` forever — the
-    /// queue would report itself nonempty while the pop scan finds no
-    /// bucketed event and runs off the end of time. `checked_add`
+    /// refuse to migrate a run scheduled *at* `u64::MAX` forever — the
+    /// queue would report itself nonempty while the pop scan finds the
+    /// ring empty and runs off the end of time. `checked_add`
     /// distinguishes the two cases: `None` means the window already
     /// covers everything up to and including `u64::MAX` (its true size,
     /// `u64::MAX − cursor + 1`, is ≤ span exactly when the add overflows,
-    /// so the one-timestamp-per-bucket invariant still holds).
+    /// so the one-timestamp-per-slot invariant still holds).
     fn migrate_due(&mut self) {
         let horizon = self.cursor.checked_add(self.span());
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|p| horizon.is_none_or(|h| p.at < h))
-        {
-            let Parked { at, seq, ev } = self.overflow.pop().expect("peeked");
-            self.bucket_insert(at, seq, ev);
+        while let Some(first) = self.far.first_entry() {
+            if horizon.is_some_and(|h| *first.key() >= h) {
+                break;
+            }
+            let (at, run) = first.remove_entry();
+            self.parked -= run.len();
+            self.ringed += run.len();
+            let slot = &mut self.ring[(at & self.mask) as usize];
+            debug_assert!(slot.is_empty(), "a timestamp is never split");
+            *slot = run;
         }
     }
 
-    /// Doubles the bucket window and re-homes everything.
+    /// Doubles the window: every run keeps its tick and moves to that
+    /// tick's slot in the wider ring, then the far runs the wider window
+    /// covers follow.
     fn grow(&mut self) {
         let new_span = (self.span() * 2).min(MAX_SPAN);
-        let mut all: Vec<(SimTime, u64, T)> = Vec::with_capacity(self.len());
-        for b in &mut self.buckets {
-            all.extend(b.drain(..));
+        let new_mask = new_span - 1;
+        let mut wider: Vec<VecDeque<T>> = (0..new_span).map(|_| VecDeque::new()).collect();
+        for offset in 0..self.span() {
+            // the add wraps only for ticks past the end of time, whose
+            // slots are empty
+            let t = self.cursor.wrapping_add(offset);
+            wider[(t & new_mask) as usize] =
+                std::mem::take(&mut self.ring[(t & self.mask) as usize]);
         }
-        all.extend(
-            std::mem::take(&mut self.overflow)
-                .into_iter()
-                .map(|p| (p.at, p.seq, p.ev)),
-        );
-        all.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        self.buckets = (0..new_span).map(|_| VecDeque::new()).collect();
-        self.mask = new_span - 1;
-        self.bucketed = 0;
-        // same overflow-aware horizon as `migrate_due`: a `None` means the
-        // widened window reaches the end of the time domain, so nothing
-        // may be parked back into overflow (an event at u64::MAX would
-        // otherwise bounce between grow() and a migrate that never fires)
-        let horizon = self.cursor.checked_add(new_span);
-        for (at, seq, ev) in all {
-            if horizon.is_some_and(|h| at >= h) {
-                self.overflow.push(Parked { at, seq, ev });
-            } else {
-                self.bucket_insert(at, seq, ev);
-            }
-        }
+        self.ring = wider;
+        self.mask = new_mask;
+        self.migrate_due();
     }
 
     /// Pops the earliest event if its time is `<= deadline`.
@@ -241,53 +195,44 @@ impl<T> CalendarQueue<T> {
     /// though the internal scan cursor may advance up to the earliest
     /// event time).
     pub fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        self.pop_entry(deadline).map(|(at, _, ev)| (at, ev))
-    }
-
-    /// [`pop_next_until`](Self::pop_next_until) handing the bucket entry
-    /// over as it is stored. Re-packing it inside this function instead
-    /// costs one more copy of the event per pop — a tenth of the single
-    /// core's wall time on the benchmark's `closed-uniform`.
-    fn pop_entry(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
         if self.is_empty() {
             return None;
         }
         self.migrate_due();
-        if self.bucketed == 0 {
+        if self.ringed == 0 {
             // everything lives beyond the window: jump straight there
-            let t = self.overflow.peek().expect("len > 0").at;
+            let (&t, _) = self.far.first_key_value().expect("len > 0");
             if t > deadline {
                 return None;
             }
             self.cursor = t;
             self.migrate_due();
         }
-        // scan unit buckets from the cursor; bounded by the window width
-        // because at least one bucketed event exists. The cursor only
+        // scan unit slots from the cursor; bounded by the window width
+        // because the ring holds at least one event. The cursor only
         // advances on an actual pop: a deadline miss must leave every
         // time >= the last popped event legal for future pushes.
         let mut t = self.cursor;
         loop {
-            let b = &mut self.buckets[(t & self.mask) as usize];
-            if let Some(&(at, _, _)) = b.front() {
-                debug_assert_eq!(at, t, "one timestamp per bucket inside the window");
+            let run = &mut self.ring[(t & self.mask) as usize];
+            if !run.is_empty() {
                 if t > deadline {
                     return None;
                 }
                 self.cursor = t;
-                let (at, seq, ev) = b.pop_front().expect("front observed");
-                if b.is_empty() {
-                    // give the drained bucket's buffer back: a kept one
-                    // pins every bucket at the largest tick it ever held
-                    *b = VecDeque::new();
+                let ev = run.pop_front().expect("nonempty run");
+                if run.is_empty() {
+                    // give the drained run's buffer back: a kept one
+                    // pins every slot at the largest tick it ever held
+                    *run = VecDeque::new();
                 }
-                self.bucketed -= 1;
-                return Some((at, seq, ev));
+                self.ringed -= 1;
+                return Some((t, ev));
             }
             t += 1;
             debug_assert!(
                 t - self.cursor <= self.span(),
-                "bucketed > 0 guarantees a hit within one window"
+                "ringed > 0 guarantees a hit within one window"
             );
         }
     }
@@ -455,7 +400,7 @@ mod tests {
             assert_eq!(burst, (0..300).collect::<Vec<_>>(), "tick {t}");
         }
         assert!(q.is_empty());
-        let held: usize = q.buckets.iter().map(VecDeque::capacity).sum();
+        let held: usize = q.ring.iter().map(VecDeque::capacity).sum();
         assert_eq!(held, 0, "an empty queue holds no event storage");
     }
 
@@ -579,68 +524,153 @@ mod tests {
         assert_eq!(q.pop_next(), None);
     }
 
+    /// Pushes one event, numbered by the oracle's push counter, into the
+    /// queue under test and the oracle.
+    fn push_both(cal: &mut CalendarQueue<u64>, oracle: &mut BTreeQueue<u64>, at: SimTime) {
+        let nth = oracle.seq;
+        cal.push(at, nth);
+        oracle.push(at, nth);
+    }
+
+    /// Growth moves runs by slot arithmetic, not by sorting stamped
+    /// events: with the cursor mid-ring the window straddles slot 0, so
+    /// the runs on either side of the seam land in different halves of
+    /// the wider ring, and the far run the wider window now covers must
+    /// come in with them.
+    #[test]
+    fn growth_rehomes_runs_across_the_ring_seam() {
+        let mut cal = CalendarQueue::with_span(8);
+        let mut oracle = BTreeQueue::default();
+        push_both(&mut cal, &mut oracle, 5);
+        assert_eq!(cal.pop_next(), oracle.pop_next()); // cursor 5: window [5, 13)
+        for at in [6, 7, 7, 8, 9, 9, 12, 6, 8] {
+            push_both(&mut cal, &mut oracle, at); // slots 6, 7 | 0, 1, 4
+        }
+        for at in [14, 14, 14, 30, 21, 30, 40, 55] {
+            push_both(&mut cal, &mut oracle, at); // 8 parked: one short of growth
+        }
+        assert_eq!((cal.span(), cal.ringed, cal.parked), (8, 9, 8));
+        push_both(&mut cal, &mut oracle, 20);
+        // window [5, 21): the run at 14 and the event at 20 came in
+        assert_eq!((cal.span(), cal.ringed, cal.parked), (16, 13, 5));
+        push_both(&mut cal, &mut oracle, 14);
+        push_both(&mut cal, &mut oracle, 9);
+        while let Some(expected) = oracle.pop_next() {
+            assert_eq!(cal.pop_next(), Some(expected));
+        }
+        assert_eq!(cal.pop_next(), None);
+    }
+
+    #[test]
+    fn a_far_run_migrates_whole_and_later_pushes_queue_behind_it() {
+        let mut q = CalendarQueue::with_span(4);
+        for name in ["a", "b", "c"] {
+            q.push(9, name); // 9 - 0 >= span: one far run of three
+        }
+        q.push(3, "near");
+        q.push(7, "edge");
+        assert_eq!((q.ringed, q.parked), (1, 4));
+        assert_eq!(q.pop_next(), Some((3, "near")));
+        // the ring is empty, so the cursor jumps to 7 and the window
+        // [7, 11) takes the run at 9 in one move
+        assert_eq!(q.pop_next(), Some((7, "edge")));
+        assert_eq!((q.ringed, q.parked), (3, 0));
+        q.push(9, "d");
+        q.push(9, "e");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_next()).collect();
+        assert_eq!(order, [(9, "a"), (9, "b"), (9, "c"), (9, "d"), (9, "e")]);
+    }
+
+    /// One proptest case: `ops` applied to a calendar queue of initial
+    /// width `span` and to the oracle, every pop compared.
+    fn check_against_oracle(ops: &[(u8, u64)], span: u64) {
+        let mut cal = CalendarQueue::with_span(span);
+        let mut oracle = BTreeQueue::default();
+        let mut now = 0u64;
+        let mut far_used: Vec<u64> = Vec::new();
+        for &(kind, x) in ops {
+            match kind {
+                0 => {
+                    // near-future push
+                    push_both(&mut cal, &mut oracle, now + x % 16);
+                }
+                1 => {
+                    // mid-range push, crosses windows
+                    push_both(&mut cal, &mut oracle, now + x % 5000);
+                }
+                2 => {
+                    // far-future push: far map + window growth
+                    let at = now + 1_000 + x % (1 << 30);
+                    far_used.push(at);
+                    push_both(&mut cal, &mut oracle, at);
+                }
+                3 => {
+                    // a far timestamp again (unless time has passed it):
+                    // multi-event runs, parked or already in the ring
+                    let at = match far_used.len() {
+                        0 => now + 1_000,
+                        len => far_used[x as usize % len].max(now),
+                    };
+                    push_both(&mut cal, &mut oracle, at);
+                }
+                4 => {
+                    // drain up to a bounded deadline
+                    let deadline = now + x % 64;
+                    loop {
+                        let a = cal.pop_next_until(deadline);
+                        let b = oracle.pop_next_until(deadline);
+                        prop_assert_eq!(a, b);
+                        match a {
+                            Some((t, _)) => now = t,
+                            None => break,
+                        }
+                    }
+                }
+                _ => {
+                    // single pop
+                    let a = cal.pop_next();
+                    let b = oracle.pop_next();
+                    prop_assert_eq!(a, b);
+                    if let Some((t, _)) = a {
+                        now = t;
+                    }
+                }
+            }
+            prop_assert_eq!(cal.len(), oracle.len());
+        }
+        // full drain must agree event by event
+        loop {
+            let a = cal.pop_next();
+            let b = oracle.pop_next();
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn calendar_matches_btreemap_oracle(
-            ops in prop::collection::vec((0u8..5, any::<u64>()), 1..200),
+            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
-            let mut cal = CalendarQueue::with_span(span);
-            let mut oracle = BTreeQueue::default();
-            let mut now = 0u64;
-            let mut val = 0u64;
-            for &(kind, x) in &ops {
-                match kind {
-                    0 => { // near-future push
-                        cal.push(now + x % 16, val);
-                        oracle.push(now + x % 16, val);
-                        val += 1;
-                    }
-                    1 => { // mid-range push, crosses windows
-                        cal.push(now + x % 5000, val);
-                        oracle.push(now + x % 5000, val);
-                        val += 1;
-                    }
-                    2 => { // far-future push: overflow + window growth
-                        let at = now + 1_000 + x % (1 << 30);
-                        cal.push(at, val);
-                        oracle.push(at, val);
-                        val += 1;
-                    }
-                    3 => { // drain up to a bounded deadline
-                        let deadline = now + x % 64;
-                        loop {
-                            let a = cal.pop_next_until(deadline);
-                            let b = oracle.pop_next_until(deadline);
-                            prop_assert_eq!(a, b);
-                            match a {
-                                Some((t, _)) => now = t,
-                                None => break,
-                            }
-                        }
-                    }
-                    _ => { // single pop
-                        let a = cal.pop_next();
-                        let b = oracle.pop_next();
-                        prop_assert_eq!(a, b);
-                        if let Some((t, _)) = a {
-                            now = t;
-                        }
-                    }
-                }
-                prop_assert_eq!(cal.len(), oracle.len());
-            }
-            // full drain must agree event by event
-            loop {
-                let a = cal.pop_next();
-                let b = oracle.pop_next();
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
+            check_against_oracle(&ops, span);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8192))]
+
+        #[test]
+        #[ignore = "release tier: 8,192 cases"]
+        fn calendar_matches_btreemap_oracle_at_scale(
+            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
+            span in 1u64..64,
+        ) {
+            check_against_oracle(&ops, span);
         }
     }
 }

@@ -33,9 +33,9 @@
 //!   own node's state and its lane's buffers, and reads the [`World`]
 //!   (routes, crash flags) that no one writes during a drain. Two events
 //!   for one node share a lane and keep their order.
-//! * *One thread pushes, in batch order*, so the queue assigns the same
-//!   sequence numbers it would have on the single core; no sequence
-//!   number exists outside the queue.
+//! * *One thread pushes, in batch order*, so every timestamp's FIFO run
+//!   fills in the order it would have on the single core; push order is
+//!   the only tiebreak there is.
 //! * *Depth is counted, not reconstructed.* When the single core pushes
 //!   while executing the batch's `k`-th event, its queue holds what this
 //!   one holds plus the batch events after `k`: the sampled depth is

@@ -1,7 +1,7 @@
 //! The single-threaded scheduler: one event queue, one event at a time,
-//! in the queue's `(time, sequence)` order. It is the default core and
-//! the byte-for-byte oracle the sharded core is checked against (as
-//! `QueueKind::BTree` is the oracle for the calendar queue).
+//! in the queue's order (by time, FIFO within a tick). It is the default
+//! core and the byte-for-byte oracle the sharded core is checked against
+//! (as `QueueKind::BTree` is the oracle for the calendar queue).
 
 use crate::queue::{EventQueue, QueueKind};
 use crate::route::{self, RouteCounters};

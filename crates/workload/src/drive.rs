@@ -224,6 +224,7 @@ pub fn build_graph(
     if n == 0 {
         return Err("a network needs at least one node (n = 0)".into());
     }
+    node_count_fits(n)?;
     let edges = cost == CostModel::Hops && router == RouterKind::Table;
     if edges && n > TABLE_ROUTER_LIMIT {
         return Err(format!(
@@ -240,6 +241,8 @@ pub fn build_graph(
             // the closest p x q >= n rectangle
             let p = (n as f64).sqrt().ceil() as usize;
             let q = n.div_ceil(p);
+            node_count_fits(p * q)
+                .map_err(|e| format!("`{topology}` rounds n = {n} up to {p}x{q}: {e}"))?;
             if edges {
                 Ok(gen::grid(p, q, topology == "torus"))
             } else {
@@ -261,6 +264,16 @@ pub fn build_graph(
         }
         other => Err(format!("unknown topology `{other}`")),
     }
+}
+
+/// `NodeId` is a `u32`, so that is the largest network a run can address.
+fn node_count_fits(nodes: usize) -> Result<(), String> {
+    u32::try_from(nodes).map(drop).map_err(|_| {
+        format!(
+            "node ids are 32-bit: {nodes} nodes exceed the limit {}",
+            u32::MAX
+        )
+    })
 }
 
 /// Resolves the library spec for a config at an explicit node count and
@@ -457,6 +470,20 @@ mod tests {
             let mut cfg = RunConfig::new("steady-state", 0, 7);
             cfg.topology = topology.into();
             assert!(run(&cfg).is_err(), "{topology} with n = 0");
+        }
+        // `NodeId` is a `u32`: larger networks are refused, not allocated
+        for (topology, n) in [
+            ("complete", 5_000_000_000),
+            ("ring", usize::MAX),
+            ("hypercube", 1 << 32),
+            ("grid", u32::MAX as usize + 1),
+            // fits as asked, but rounds up to 65,536 x 65,536 = 2^32
+            ("torus", u32::MAX as usize),
+        ] {
+            let mut cfg = RunConfig::new("steady-state", n, 7);
+            cfg.topology = topology.into();
+            let err = run(&cfg).expect_err(topology);
+            assert!(err.contains("node ids are 32-bit"), "{topology}: {err}");
         }
         let mut cfg = RunConfig::new("steady-state", 64, 7);
         cfg.runtime = RuntimeKind::Live;
