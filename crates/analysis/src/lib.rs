@@ -6,6 +6,8 @@
 //! ASCII tables in the style of the paper's figures ([`table`]), and
 //! serializable experiment records ([`record`]).
 
+#![forbid(unsafe_code)]
+
 pub mod fit;
 pub mod record;
 pub mod stats;

@@ -9,6 +9,8 @@
 //! Run one:        `cargo run --release -p mm-bench --bin experiments -- e9`
 //! Gate on it:     `cargo test --release -p mm-bench -- --ignored`
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod protocols;
 pub mod theory;

@@ -27,6 +27,8 @@
 //! Determinism is inherited, not re-implemented: a campaign is just many
 //! single runs, and single runs are already byte-reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod agg;
 pub mod exec;
 pub mod paramset;

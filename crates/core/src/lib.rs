@@ -43,6 +43,8 @@
 //! assert!(m >= bounds::prop2_lower_bound(&k, n) - 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod lift;
 pub mod matrix;

@@ -30,6 +30,8 @@
 //! sampling decides per *trace* via a seeded hash — so a sampled trace
 //! file is always an exact subset of the full one at the same seed.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod registry;
 pub mod trace;

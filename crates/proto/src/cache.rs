@@ -22,13 +22,17 @@ pub struct CacheEntry {
 }
 
 /// A `(port → (address, stamp))` cache with optional capacity.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     entries: HashMap<Port, CacheEntry>,
-    capacity: Option<usize>,
-    /// High-water mark of live entries — the cache size the paper's
-    /// per-topology analyses bound (e.g. `√n` for Manhattan grids).
-    peak: usize,
+    /// Most entries kept; `usize::MAX` is unbounded.
+    capacity: usize,
+}
+
+impl Default for Cache {
+    fn default() -> Self {
+        Cache::with_capacity(usize::MAX)
+    }
 }
 
 impl Cache {
@@ -42,8 +46,7 @@ impl Cache {
     pub fn with_capacity(capacity: usize) -> Self {
         Cache {
             entries: HashMap::new(),
-            capacity: Some(capacity),
-            peak: 0,
+            capacity,
         }
     }
 
@@ -54,18 +57,15 @@ impl Cache {
             Some(e) if e.stamp >= stamp => false,
             _ => {
                 self.entries.insert(port, CacheEntry { addr, stamp });
-                if let Some(cap) = self.capacity {
-                    while self.entries.len() > cap {
-                        let oldest = self
-                            .entries
-                            .iter()
-                            .min_by_key(|(p, e)| (e.stamp, p.raw()))
-                            .map(|(p, _)| *p)
-                            .expect("nonempty while over capacity");
-                        self.entries.remove(&oldest);
-                    }
+                while self.entries.len() > self.capacity {
+                    let oldest = self
+                        .entries
+                        .iter()
+                        .min_by_key(|(p, e)| (e.stamp, p.raw()))
+                        .map(|(p, _)| *p)
+                        .expect("nonempty while over capacity");
+                    self.entries.remove(&oldest);
                 }
-                self.peak = self.peak.max(self.entries.len());
                 true
             }
         }
@@ -89,10 +89,10 @@ impl Cache {
         self.entries.get(&port).copied()
     }
 
-    /// Drops every entry whose stamp is older than `min_stamp` — trail
-    /// expiry for Lighthouse Locate.
-    pub fn expire_older_than(&mut self, min_stamp: u64) {
-        self.entries.retain(|_, e| e.stamp >= min_stamp);
+    /// Drops every entry and keeps the capacity (a restored node's lost
+    /// volatile memory).
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 
     /// Number of live entries.
@@ -103,11 +103,6 @@ impl Cache {
     /// `true` if no entries are cached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// High-water mark of live entries over the cache's lifetime.
-    pub fn peak(&self) -> usize {
-        self.peak
     }
 }
 
@@ -177,27 +172,21 @@ mod tests {
         assert_eq!(c.lookup(port("a")), None, "oldest evicted");
         assert!(c.lookup(port("b")).is_some());
         assert!(c.lookup(port("c")).is_some());
-        assert_eq!(c.peak(), 2);
     }
 
+    /// Regression: both hosts cleared a node's cache by assigning
+    /// `Cache::new()`, which turned a bounded cache into an unbounded one.
     #[test]
-    fn expiry_drops_old_trails() {
-        let mut c = Cache::new();
-        c.insert(port("a"), NodeId::new(1), 5);
-        c.insert(port("b"), NodeId::new(2), 9);
-        c.expire_older_than(6);
-        assert_eq!(c.lookup(port("a")), None);
-        assert!(c.lookup(port("b")).is_some());
-    }
-
-    #[test]
-    fn peak_tracks_high_water() {
-        let mut c = Cache::new();
-        for i in 0..10u64 {
-            c.insert(Port::new(i as u128), NodeId::new(0), i);
-        }
-        c.expire_older_than(100);
+    fn clear_keeps_the_capacity() {
+        let mut c = Cache::with_capacity(2);
+        c.insert(port("a"), NodeId::new(1), 1);
+        c.insert(port("b"), NodeId::new(2), 2);
+        c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.peak(), 10);
+        for (i, name) in ["c", "d", "e"].into_iter().enumerate() {
+            c.insert(port(name), NodeId::new(3), 3 + i as u64);
+        }
+        assert_eq!(c.len(), 2, "still bounded after a clear");
+        assert_eq!(c.lookup(port("c")), None, "oldest evicted");
     }
 }

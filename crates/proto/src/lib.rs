@@ -33,6 +33,8 @@
 //!   metrics so whole workloads can be differential-tested against
 //!   [`shotgun`].
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod fault;
 pub mod hash_locate;

@@ -42,7 +42,6 @@
 //! processed) and then tells the client to give up, playing the role of
 //! the simulator's client timeout without wall-clock flakiness.
 
-use crate::cache::Cache;
 use crate::fault::FaultProfile;
 use crate::messages::ProtoMsg;
 use crate::node::{NodeMachine, Outbox, RequestOutcome, Settled};
@@ -210,15 +209,11 @@ impl NodeThread {
                 LiveMsg::Shutdown => break,
                 LiveMsg::Control { change, ack } => {
                     match change {
-                        Change::Serve { port, on: true } => {
-                            self.machine.served.insert(port);
-                        }
-                        Change::Serve { port, on: false } => {
-                            self.machine.served.remove(&port);
-                        }
+                        Change::Serve { port, on: true } => self.machine.serve(port),
+                        Change::Serve { port, on: false } => self.machine.unserve(port),
                         Change::Crash => self.crashed = true,
                         Change::Restore => self.crashed = false,
-                        Change::ClearCache => self.machine.cache = Cache::new(),
+                        Change::ClearCache => self.machine.cache.clear(),
                         Change::SetFault(profile) => self.machine.fault = profile,
                         Change::Barrier => {}
                     }

@@ -194,27 +194,57 @@ pub enum Settled {
     Request(u64),
 }
 
-/// Per-node protocol state and rules: the rendezvous cache, locally
-/// served ports, the fault profile, and client-side operation
-/// bookkeeping.
+/// What the processes on a node keep: the ports they serve and the
+/// operations they have open. Only a node that serves or issues has any.
 #[derive(Debug, Default)]
-pub struct NodeMachine {
-    /// The rendezvous cache.
-    pub cache: Cache,
+struct Local {
     /// Ports served by a process on this node.
-    pub served: BTreeSet<Port>,
-    /// Adversarial behavior profile (default: honest).
-    pub fault: FaultProfile,
+    served: BTreeSet<Port>,
     pending: HashMap<u64, Pending>,
     requests: HashMap<u64, (SimTime, Option<RequestOutcome>)>,
 }
 
+/// Per-node protocol state and rules: the rendezvous cache, the fault
+/// profile, and — behind one lazily allocated box — locally served ports
+/// and client-side operation bookkeeping.
+///
+/// A locate touches `2·√n` distinct nodes once each, so the rendezvous
+/// path (`Post`/`Unpost`/`Query`) is one cold read of this struct per
+/// message: what that path reads stays inline and small, everything else
+/// is out of line.
+#[derive(Debug, Default)]
+pub struct NodeMachine {
+    /// The rendezvous cache.
+    pub cache: Cache,
+    /// Adversarial behavior profile (default: honest).
+    pub fault: FaultProfile,
+    local: Option<Box<Local>>,
+}
+
+const _: () = assert!(std::mem::size_of::<NodeMachine>() <= 72);
+
 impl NodeMachine {
+    fn local_mut(&mut self) -> &mut Local {
+        self.local.get_or_insert_with(Box::default)
+    }
+
+    /// A process on this node starts serving `port`.
+    pub fn serve(&mut self, port: Port) {
+        self.local_mut().served.insert(port);
+    }
+
+    /// No process on this node serves `port` any longer.
+    pub fn unserve(&mut self, port: Port) {
+        if let Some(local) = &mut self.local {
+            local.served.remove(&port);
+        }
+    }
+
     /// Opens the client-side record of a locate that queries `expected`
     /// nodes. An empty query set has nothing to wait for: the locate is
     /// complete (as `NotFound`) on the spot.
     pub fn begin_locate(&mut self, id: u64, expected: usize, now: SimTime) {
-        self.pending.insert(
+        self.local_mut().pending.insert(
             id,
             Pending {
                 expected,
@@ -227,28 +257,29 @@ impl NodeMachine {
 
     /// Opens the client-side record of an application request.
     pub fn begin_request(&mut self, id: u64, now: SimTime) {
-        self.requests.insert(id, (now, None));
+        self.local_mut().requests.insert(id, (now, None));
     }
 
     /// The current state of locate `id` (`None` for an id never begun).
     pub fn locate_outcome(&self, id: u64) -> Option<LocateOutcome> {
-        self.pending.get(&id).map(Pending::outcome)
+        self.local.as_ref()?.pending.get(&id).map(Pending::outcome)
     }
 
     /// Closes locate `id`, returning its state at this moment — partial
     /// if the host gave up on it early.
     pub fn end_locate(&mut self, id: u64) -> Option<LocateOutcome> {
-        self.pending.remove(&id).map(|p| p.outcome())
+        let closed = self.local.as_mut()?.pending.remove(&id);
+        closed.map(|p| p.outcome())
     }
 
     /// The answer to request `id`, if it arrived.
     pub fn request_outcome(&self, id: u64) -> Option<RequestOutcome> {
-        self.requests.get(&id).and_then(|(_, o)| *o)
+        self.local.as_ref()?.requests.get(&id)?.1
     }
 
     /// Closes request `id`, returning its answer if one arrived.
     pub fn end_request(&mut self, id: u64) -> Option<RequestOutcome> {
-        self.requests.remove(&id).and_then(|(_, o)| o)
+        self.local.as_mut()?.requests.remove(&id)?.1
     }
 
     /// Handles one protocol message delivered to node `me` at `now`,
@@ -356,12 +387,12 @@ impl NodeMachine {
                 at,
                 ..
             } => {
-                let p = self.pending.get_mut(&locate_id)?;
+                let p = self.local.as_mut()?.pending.get_mut(&locate_id)?;
                 p.answers.push((at, addr, stamp));
                 return p.answered(now).then_some(Settled::Locate(locate_id));
             }
             ProtoMsg::Miss { locate_id, .. } => {
-                let p = self.pending.get_mut(&locate_id)?;
+                let p = self.local.as_mut()?.pending.get_mut(&locate_id)?;
                 p.misses += 1;
                 return p.answered(now).then_some(Settled::Locate(locate_id));
             }
@@ -372,7 +403,11 @@ impl NodeMachine {
                 request_id,
             } => out.send(
                 reply_to,
-                if self.served.contains(&port) {
+                if self
+                    .local
+                    .as_ref()
+                    .is_some_and(|l| l.served.contains(&port))
+                {
                     ProtoMsg::Reply {
                         port,
                         // a trivially checkable service: echo body + 1
@@ -386,7 +421,7 @@ impl NodeMachine {
             ProtoMsg::Reply {
                 body, request_id, ..
             } => {
-                let (issued, slot) = self.requests.get_mut(&request_id)?;
+                let (issued, slot) = self.local.as_mut()?.requests.get_mut(&request_id)?;
                 *slot = Some(RequestOutcome::Replied {
                     body,
                     elapsed: now - *issued,
@@ -394,7 +429,7 @@ impl NodeMachine {
                 return Some(Settled::Request(request_id));
             }
             ProtoMsg::NotHere { request_id, .. } => {
-                let (_, slot) = self.requests.get_mut(&request_id)?;
+                let (_, slot) = self.local.as_mut()?.requests.get_mut(&request_id)?;
                 *slot = Some(RequestOutcome::StaleAddress);
                 return Some(Settled::Request(request_id));
             }
@@ -631,10 +666,52 @@ mod tests {
         );
     }
 
+    /// The rendezvous path is the hot one (2·√n nodes per locate): it
+    /// must stay inside the inline fields.
+    #[test]
+    fn a_rendezvous_only_machine_never_allocates_its_local_side() {
+        let mut m = NodeMachine::default();
+        let mut out = Sent::default();
+        let query = ProtoMsg::Query {
+            port: port(),
+            reply_to: CLIENT,
+            locate_id: 7,
+        };
+        for msg in [post(1, 10), query.clone(), unpost(1, 11), query] {
+            m.handle(ME, msg, 0, &mut out);
+        }
+        m.unserve(port());
+        assert!(m.local.is_none());
+        assert_eq!(out.0.len(), 2, "both queries were answered");
+    }
+
+    #[test]
+    fn answers_for_an_id_never_begun_are_ignored() {
+        let mut m = NodeMachine::default();
+        let mut out = Sent::default();
+        let reply = ProtoMsg::Reply {
+            port: port(),
+            body: 1,
+            request_id: 7,
+        };
+        let not_here = ProtoMsg::NotHere {
+            port: port(),
+            request_id: 7,
+        };
+        for msg in [hit(1, 10), miss(), reply, not_here] {
+            assert_eq!(m.handle(CLIENT, msg, 3, &mut out), None);
+        }
+        assert!(m.local.is_none() && out.0.is_empty());
+        assert_eq!(m.locate_outcome(7), None);
+        assert_eq!(m.end_locate(7), None);
+        assert_eq!(m.request_outcome(7), None);
+        assert_eq!(m.end_request(7), None);
+    }
+
     #[test]
     fn requests_are_served_bounced_and_timed() {
         let mut server = NodeMachine::default();
-        server.served.insert(port());
+        server.serve(port());
         let mut out = Sent::default();
         let ask = |p: Port| ProtoMsg::Request {
             port: p,

@@ -19,7 +19,6 @@
 //! return the *current* address even right after a migration (the server's
 //! fresh posting necessarily intersects the client's query set).
 
-use crate::cache::Cache;
 use crate::fault::FaultProfile;
 use crate::intern::TargetInterner;
 use crate::messages::ProtoMsg;
@@ -168,7 +167,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     /// `P(at, port)`. Returns the posting timestamp.
     pub fn register_server(&mut self, at: NodeId, port: Port) -> u64 {
         let stamp = self.next_stamp();
-        self.sim.node_mut(at).served.insert(port);
+        self.sim.node_mut(at).serve(port);
         let targets = self.interner.post_set(&self.resolver, at, port);
         self.sim.inject(
             at,
@@ -204,7 +203,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     /// Deregisters the server and withdraws its postings.
     pub fn deregister_server(&mut self, at: NodeId, port: Port) {
         let stamp = self.next_stamp();
-        self.sim.node_mut(at).served.remove(&port);
+        self.sim.node_mut(at).unserve(port);
         let targets = self.interner.post_set(&self.resolver, at, port);
         self.sim.inject(
             at,
@@ -222,7 +221,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     /// mobile-process scenario. The new posting carries a newer stamp, so
     /// caches and clients converge on the new address.
     pub fn migrate_server(&mut self, port: Port, from: NodeId, to: NodeId) -> u64 {
-        self.sim.node_mut(from).served.remove(&port);
+        self.sim.node_mut(from).unserve(port);
         self.register_server(to, port)
     }
 
@@ -332,7 +331,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     /// Empties a node's rendezvous cache (e.g. after restoring a crash to
     /// model lost volatile memory).
     pub fn clear_cache(&mut self, v: NodeId) {
-        self.sim.node_mut(v).cache = Cache::new();
+        self.sim.node_mut(v).cache.clear();
     }
 
     /// Assigns an adversarial behavior profile to a node (see

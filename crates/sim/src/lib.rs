@@ -774,6 +774,45 @@ mod tests {
         assert_eq!(buckets[1], 2, "both pushes saw depth 1");
     }
 
+    /// The single core prefetches for the event `upcoming` names; the
+    /// `BTree` queue never names one, so calendar ≡ btree is also
+    /// prefetch ≡ no prefetch. Same-tick chains are the case to watch: a
+    /// lone chain empties its run at every pop and refills it from the
+    /// handler (the hint has nothing to say), thirty at once keep the run
+    /// deeper than the lookahead while it is appended to mid-drain (the
+    /// hint names events pushed after the pop that reads it), and a
+    /// hinted target may be crashed by the time it is popped.
+    #[test]
+    fn same_tick_chains_run_the_same_with_and_without_the_hint() {
+        let n = 64;
+        let run = |kind| {
+            let mut sim = Sim::with_router(
+                gen::ring(n),
+                recorders(n),
+                CostModel::Uniform,
+                kind,
+                ShardMode::Single,
+                RouterKind::Auto,
+            );
+            sim.inject(nid(0), nid(0), Msg::Chain(40));
+            sim.run();
+            for v in 0..30 {
+                sim.inject(nid(v), nid(v), Msg::Chain(3));
+                sim.inject(nid(v), nid(63 - v), Msg::Ping);
+            }
+            sim.crash(nid(40));
+            sim.run();
+            let logs: Vec<_> = (0..n as u32)
+                .map(|v| sim.node(nid(v)).got.clone())
+                .collect();
+            (sim.metrics().clone(), *sim.queue_depth_buckets(), logs)
+        };
+        let hinted = run(QueueKind::Calendar);
+        assert_eq!(hinted.2[0].len(), 41 + 4 + 1, "chains and the pong");
+        assert_eq!(hinted.0.dropped, 1, "the ping to the crashed node");
+        assert_eq!(hinted, run(QueueKind::BTree));
+    }
+
     // ---- sharded core equivalence against the single-threaded oracle ----
 
     /// Drives one busy scenario (pings, multicasts, a crash + restore,

@@ -20,7 +20,12 @@
 //!   through each and asserts byte-identical reports.
 //!
 //! [`QueueKind`] selects between them at `Sim` construction time. Both
-//! cores push and pop through `push` / `pop_next_until` alone.
+//! cores push and pop through `push` / `pop_next_until` alone. The single
+//! core also reads `upcoming`, a hint at what the next pops will return,
+//! to prefetch the state those events touch. It takes `&self`, so it
+//! cannot reorder anything, and `None` is always a legal answer — the
+//! only one the reference queue gives — so whatever holds with the hint
+//! ignored holds with it.
 
 use crate::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -241,6 +246,17 @@ impl<T> CalendarQueue<T> {
     pub fn pop_next(&mut self) -> Option<(SimTime, T)> {
         self.pop_next_until(SimTime::MAX)
     }
+
+    /// A hint at the event `k` places behind the front of the queue:
+    /// `Some(e)` is what the `(k + 1)`-th pop from now returns, whatever
+    /// is pushed meanwhile. Only the run last popped from is looked at,
+    /// so `None` means "not known", not "fewer than `k + 1` events".
+    pub fn upcoming(&self, k: usize) -> Option<&T> {
+        // the cursor is the last popped time and nothing may be pushed
+        // before it, so what is left of its run is the front of the queue
+        // and later pushes only go behind it
+        self.ring[(self.cursor & self.mask) as usize].get(k)
+    }
 }
 
 /// Reference queue: a `BTreeMap` keyed by `(time, sequence)`.
@@ -325,6 +341,14 @@ impl<T> EventQueue<T> {
         match self {
             EventQueue::Calendar(q) => q.pop_next_until(deadline),
             EventQueue::BTree(q) => q.pop_next_until(deadline),
+        }
+    }
+
+    /// See [`CalendarQueue::upcoming`]; the reference queue never knows.
+    pub(crate) fn upcoming(&self, k: usize) -> Option<&T> {
+        match self {
+            EventQueue::Calendar(q) => q.upcoming(k),
+            EventQueue::BTree(_) => None,
         }
     }
 }
@@ -581,28 +605,89 @@ mod tests {
         assert_eq!(order, [(9, "a"), (9, "b"), (9, "c"), (9, "d"), (9, "e")]);
     }
 
+    #[test]
+    fn upcoming_names_the_next_pops_of_the_run_at_the_cursor() {
+        let mut q = CalendarQueue::with_span(4);
+        for name in ["a", "b", "c"] {
+            q.push(2, name);
+        }
+        q.push(3, "next tick");
+        assert_eq!(q.upcoming(0), None, "nothing popped yet, nothing at 0");
+        assert_eq!(q.pop_next(), Some((2, "a")));
+        assert_eq!(q.upcoming(0), Some(&"b"));
+        assert_eq!(q.upcoming(1), Some(&"c"));
+        assert_eq!(q.upcoming(2), None, "the hint stops at the run's end");
+        q.push(2, "d"); // a same-tick send queues behind the run
+        assert_eq!(q.upcoming(2), Some(&"d"));
+        assert_eq!(q.len(), 4);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_next()).collect();
+        assert_eq!(order, [(2, "b"), (2, "c"), (2, "d"), (3, "next tick")]);
+        assert_eq!(q.upcoming(0), None);
+    }
+
+    /// The two queues of one proptest case, and what `upcoming` has
+    /// promised about pops still to come.
+    struct Pair {
+        cal: CalendarQueue<u64>,
+        oracle: BTreeQueue<u64>,
+        pops: usize,
+        /// Pop number → the event a hint said it returns.
+        promised: std::collections::HashMap<usize, u64>,
+    }
+
+    impl Pair {
+        /// Pops both queues, which must agree with each other and with
+        /// every hint given about this pop.
+        fn pop_until(&mut self, deadline: SimTime) -> Option<SimTime> {
+            let a = self.cal.pop_next_until(deadline);
+            prop_assert_eq!(a, self.oracle.pop_next_until(deadline));
+            let (t, ev) = a?;
+            if let Some(hinted) = self.promised.remove(&self.pops) {
+                prop_assert_eq!(hinted, ev, "pop {} broke a hint", self.pops);
+            }
+            self.pops += 1;
+            Some(t)
+        }
+
+        /// Asks for a hint and holds the queue to it.
+        fn probe(&mut self, k: usize) {
+            if let Some(&ev) = self.cal.upcoming(k) {
+                prop_assert_eq!(self.oracle.map.values().nth(k), Some(&ev));
+                let earlier = self.promised.insert(self.pops + k, ev);
+                prop_assert!(earlier.is_none_or(|e| e == ev), "two hints disagree");
+            }
+            prop_assert_eq!(self.cal.len(), self.oracle.len(), "a hint is read-only");
+        }
+    }
+
     /// One proptest case: `ops` applied to a calendar queue of initial
-    /// width `span` and to the oracle, every pop compared.
+    /// width `span` and to the oracle, every pop compared — with each
+    /// other and with what `upcoming`, probed after every op, said they
+    /// would be.
     fn check_against_oracle(ops: &[(u8, u64)], span: u64) {
-        let mut cal = CalendarQueue::with_span(span);
-        let mut oracle = BTreeQueue::default();
+        let mut q = Pair {
+            cal: CalendarQueue::with_span(span),
+            oracle: BTreeQueue::default(),
+            pops: 0,
+            promised: Default::default(),
+        };
         let mut now = 0u64;
         let mut far_used: Vec<u64> = Vec::new();
         for &(kind, x) in ops {
             match kind {
                 0 => {
                     // near-future push
-                    push_both(&mut cal, &mut oracle, now + x % 16);
+                    push_both(&mut q.cal, &mut q.oracle, now + x % 16);
                 }
                 1 => {
                     // mid-range push, crosses windows
-                    push_both(&mut cal, &mut oracle, now + x % 5000);
+                    push_both(&mut q.cal, &mut q.oracle, now + x % 5000);
                 }
                 2 => {
                     // far-future push: far map + window growth
                     let at = now + 1_000 + x % (1 << 30);
                     far_used.push(at);
-                    push_both(&mut cal, &mut oracle, at);
+                    push_both(&mut q.cal, &mut q.oracle, at);
                 }
                 3 => {
                     // a far timestamp again (unless time has passed it):
@@ -611,42 +696,32 @@ mod tests {
                         0 => now + 1_000,
                         len => far_used[x as usize % len].max(now),
                     };
-                    push_both(&mut cal, &mut oracle, at);
+                    push_both(&mut q.cal, &mut q.oracle, at);
                 }
                 4 => {
                     // drain up to a bounded deadline
-                    let deadline = now + x % 64;
-                    loop {
-                        let a = cal.pop_next_until(deadline);
-                        let b = oracle.pop_next_until(deadline);
-                        prop_assert_eq!(a, b);
-                        match a {
-                            Some((t, _)) => now = t,
-                            None => break,
-                        }
-                    }
-                }
-                _ => {
-                    // single pop
-                    let a = cal.pop_next();
-                    let b = oracle.pop_next();
-                    prop_assert_eq!(a, b);
-                    if let Some((t, _)) = a {
+                    while let Some(t) = q.pop_until(now + x % 64) {
                         now = t;
                     }
                 }
+                5 => {
+                    // single pop
+                    if let Some(t) = q.pop_until(SimTime::MAX) {
+                        now = t;
+                    }
+                }
+                _ => {
+                    // same-tick sends: a burst behind the run being popped
+                    for _ in 0..1 + x % 8 {
+                        push_both(&mut q.cal, &mut q.oracle, now);
+                    }
+                }
             }
-            prop_assert_eq!(cal.len(), oracle.len());
+            q.probe((x >> 32) as usize % 8);
         }
         // full drain must agree event by event
-        loop {
-            let a = cal.pop_next();
-            let b = oracle.pop_next();
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        while q.pop_until(SimTime::MAX).is_some() {}
+        prop_assert!(q.promised.is_empty(), "every hinted pop happened");
     }
 
     proptest! {
@@ -655,6 +730,17 @@ mod tests {
         #[test]
         fn calendar_matches_btreemap_oracle(
             ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
+            span in 1u64..64,
+        ) {
+            check_against_oracle(&ops, span);
+        }
+
+        /// The same check on a mix where every other op is a same-tick
+        /// burst (kind 6 and up), so the run at the cursor is usually
+        /// deep enough for `upcoming` to answer.
+        #[test]
+        fn upcoming_is_the_following_pops_under_same_tick_sends(
+            ops in prop::collection::vec((0u8..12, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
             check_against_oracle(&ops, span);

@@ -35,6 +35,8 @@
 //! assert_eq!(rt.distance(0u32.into(), 15u32.into()), Some(4));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod decompose;
 pub mod gen;
 pub mod gf;

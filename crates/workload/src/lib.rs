@@ -73,6 +73,8 @@
 //! assert!(report.hit_rate() > 0.9, "steady state mostly hits");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod clients;
 pub mod drive;
 mod observe;

@@ -40,6 +40,8 @@
 //! assert_eq!(net.call(NodeId::new(60), "file-server", 1).unwrap(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mm_analysis as analysis;
 pub use mm_core as core;
 pub use mm_proto as proto;
