@@ -281,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn topology_scale_runs_sharded_with_analytic_memory_footprint() {
+    fn topology_scale_runs_with_analytic_memory_footprint() {
         let e = by_id("topology-scale").unwrap();
         let runs = e.expand();
         assert_eq!(runs.len(), 8);
@@ -290,9 +290,9 @@ mod tests {
             // the default Auto router resolves these analytically: the
             // million-node cells would be unbuildable through the table
             assert_eq!(cfg.router, mm_sim::RouterKind::Auto);
-            // sharding and the router are output-invariant: labels must
-            // not mention them, so files stay comparable to sharded or
-            // table-backed runs of the same cell
+            // the router is output-invariant and the shard fields are
+            // inert: labels must not mention either, so files stay
+            // comparable to table-backed runs of the same cell
             assert!(!cfg.label().contains("shard"));
         }
         assert!(runs.iter().any(|c| c.n == 1_048_576));

@@ -25,17 +25,17 @@ const DEFAULT_ID_BUDGET: usize = 4 << 20;
 
 /// Memoizes `P(i, π)` / `Q(j, π)` resolver calls as shared [`TargetSet`]s.
 ///
-/// # Concurrency (sharded executor audit)
+/// # Concurrency (live host audit)
 ///
-/// The interner lives on the engine *coordinator* side and is only ever
-/// touched through `&mut self` between simulator rounds — shard worker
-/// threads never see it; they only hold the `TargetSet` clones already
-/// embedded in in-flight messages (safe: atomically refcounted, immutable
-/// contents). No interior mutability is involved anywhere on this path,
-/// so the sharded core introduced no new synchronization requirement
-/// here. The assertion below pins the types as `Send + Sync` so any
-/// future cell/`Rc`-based "optimization" of the cache is caught at
-/// compile time rather than as a data race.
+/// The interner lives on the *coordinator* side — the simulator engine,
+/// or the thread driving a `LiveNet` — and is only ever touched through
+/// `&mut self`. The live host's node threads never see it; they only
+/// hold the `TargetSet` clones already embedded in in-flight messages
+/// (safe: atomically refcounted, immutable contents). No interior
+/// mutability is involved anywhere on this path. The assertion below pins
+/// the types as `Send + Sync` so any future cell/`Rc`-based
+/// "optimization" of the cache is caught at compile time rather than as
+/// a data race.
 #[derive(Debug)]
 pub struct TargetInterner {
     post: HashMap<(NodeId, Port), TargetSet>,

@@ -94,11 +94,10 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     }
 
     /// Builds an engine with every execution axis explicit: the event
-    /// queue ([`QueueKind`]), the core ([`ShardMode`] — `ProtoMsg` and
-    /// `NsNode` are `Send`, so protocol state may migrate to the sharded
-    /// core's worker threads) and the routing backend ([`RouterKind`]).
-    /// All three are output-invariant; the determinism and conformance
-    /// suites use this to pit each optimized path against its oracle.
+    /// queue ([`QueueKind`]) and the routing backend ([`RouterKind`]).
+    /// Both are output-invariant; the determinism and conformance suites
+    /// use this to pit each optimized path against its oracle. `mode` is
+    /// a compatibility alias that selects nothing (see [`ShardMode`]).
     ///
     /// # Panics
     ///

@@ -16,21 +16,17 @@
 //! * fault injection — [`Sim::crash`]/[`Sim::restore`]: crashed processors
 //!   neither receive nor forward; messages die at the first crashed node
 //!   on their path, and the passes spent up to that point stay spent.
-//! * [`ShardMode`] — the execution core: `Single` executes one event at
-//!   a time off the queue; `Sharded` pops everything due at one tick,
-//!   runs those handlers in parallel by contiguous index band on a worker
-//!   pool, and pushes what they emitted in the popped order. Both keep
-//!   one queue, so output is byte-identical across shard and thread
-//!   counts — the single core is the oracle the sharded core is
-//!   cross-checked against, exactly as [`QueueKind::BTree`] is the oracle
-//!   for the calendar queue.
+//! * [`ShardMode`] — a compatibility name that selects nothing: there
+//!   is one execution core, and every value runs it.
 //!
 //! The paper's model has one network, and [`Sim`] holds one copy of it:
 //! the `World` — graph, routes, crash flags, clock, metrics and the
-//! queue-depth histogram. A *core* is only a scheduler: it owns the
+//! queue-depth histogram. Beside it sits the one scheduler: it owns the
 //! handlers and the queue of pending [`Envelope`]s (the one event kind
-//! there is), decides what executes next, and charges everything it does
-//! to the world it is handed.
+//! there is), executes them one at a time in queue order, and charges
+//! everything it does to the world it is handed. A parallel per-tick
+//! scheduler was built, measured behind this one at every setting, and
+//! deleted in PR 24 (README "Sharded execution").
 //!
 //! Everything is deterministic: events execute in time order, FIFO within
 //! a timestamp, and the only randomness is whatever the embedded
@@ -64,10 +60,8 @@
 //! ```
 
 pub mod metrics;
-mod pool;
 pub mod queue;
 mod route;
-mod shard;
 mod single;
 pub mod targets;
 
@@ -77,7 +71,6 @@ pub use targets::TargetSet;
 
 use mm_topo::{AnyRouter, Graph, NodeId};
 use route::NetEnv;
-use shard::ShardedCore;
 use single::SingleCore;
 
 /// Which routing backend a hop-cost simulation uses.
@@ -85,8 +78,8 @@ use single::SingleCore;
 /// Output-invariant by construction: the analytic routers are
 /// byte-conformant to the [`mm_topo::RoutingTable`] oracle,
 /// so every variant produces identical simulations — they differ only in
-/// memory (O(1) vs O(n²)) and next-hop cost. Like [`QueueKind`] and
-/// [`ShardMode`], the non-default variants exist for conformance checks.
+/// memory (O(1) vs O(n²)) and next-hop cost. Like [`QueueKind`]'s, the
+/// non-default variants exist for conformance checks.
 ///
 /// No binary selects `Table`: it is the oracle of
 /// `tests/router_identity.rs`, `tests/router_memory_guard.rs` and
@@ -228,27 +221,23 @@ impl<M> NodeApi<'_, M> {
 /// Number of log₂ queue-depth buckets tracked by [`Sim`].
 pub const QUEUE_DEPTH_BUCKETS: usize = 65;
 
-/// Which execution core drives the event loop.
+/// Compatibility alias: every value runs the one execution core.
 ///
-/// Output (metrics, depth histogram, handler-observable delivery order) is
-/// byte-identical across every mode: both cores pop one queue in its
-/// order (by time, FIFO within a timestamp) and push into it in
-/// execution order.
-/// `Single` is the oracle for conformance checks.
+/// `Sharded` used to select a per-tick parallel scheduler; it never beat
+/// the single core (README "Sharded execution") and was deleted in PR 24.
+/// The enum and the `mode` parameter of the `with_router` constructors
+/// stay only because `benchmark/layers` names them, and are removed with
+/// ROADMAP item 1(b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
-    /// One queue, one thread, one event at a time.
+    /// The one core.
     Single,
-    /// One queue; the handlers of each tick's events run in parallel,
-    /// grouped into `shards` contiguous index bands, on `threads` pooled
-    /// workers. `shards` is clamped to `[1, n]`; `threads` is clamped to
-    /// the effective shard count, and `threads <= 1` runs every band
-    /// inline on the calling thread (still banded, still identical).
+    /// Also the one core; both fields are ignored.
     Sharded { shards: usize, threads: usize },
 }
 
-/// The one copy of the simulated network's state. Both cores read and
-/// charge this; neither keeps any of it.
+/// The one copy of the simulated network's state. The scheduler reads
+/// and charges this; it keeps none of it.
 #[derive(Debug)]
 pub(crate) struct World {
     graph: Graph,
@@ -265,8 +254,7 @@ pub(crate) struct World {
     metrics: Metrics,
     /// Log₂ histogram of queue depth, sampled at every push: bucket 0
     /// holds depth 0, bucket `k > 0` holds depths in `[2^(k-1), 2^k)`.
-    /// Identical across queue implementations and cores (same
-    /// pending-event set).
+    /// Identical across queue implementations (same pending-event set).
     depth_buckets: [u64; QUEUE_DEPTH_BUCKETS],
 }
 
@@ -310,31 +298,54 @@ impl World {
     }
 }
 
-#[derive(Debug)]
-enum Core<M, N> {
-    Single(SingleCore<M, N>),
-    Sharded(ShardedCore<M, N>),
-}
-
 /// The simulator: a graph, one [`Node`] state machine per graph node, an
 /// event queue, and exact message-pass metrics.
 #[derive(Debug)]
 pub struct Sim<M, N> {
     world: World,
-    core: Core<M, N>,
+    core: SingleCore<M, N>,
 }
 
 impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// Creates a simulator over `graph` with one handler per node, using
-    /// the production calendar event queue on the single-threaded core.
+    /// the production calendar event queue and the default router policy.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len() != graph.node_count()`.
     pub fn new(graph: Graph, nodes: Vec<N>, cost_model: CostModel) -> Self {
+        Self::with_router(
+            graph,
+            nodes,
+            cost_model,
+            QueueKind::Calendar,
+            ShardMode::Single,
+            RouterKind::Auto,
+        )
+    }
+
+    /// Creates a simulator with every backend choice explicit: event
+    /// queue (the [`QueueKind::BTree`] reference is kept for determinism
+    /// cross-checks) and routing backend. Both axes are output-invariant;
+    /// this is the constructor conformance suites use to pit the analytic
+    /// routers against the table oracle. `mode` is ignored (see
+    /// [`ShardMode`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len() != graph.node_count()`, or if `router` is
+    /// [`RouterKind::Analytic`] and the graph is not a structured family.
+    pub fn with_router(
+        graph: Graph,
+        nodes: Vec<N>,
+        cost_model: CostModel,
+        kind: QueueKind,
+        _mode: ShardMode,
+        router: RouterKind,
+    ) -> Self {
         Sim {
-            world: World::new(graph, nodes.len(), cost_model, RouterKind::Auto),
-            core: Core::Single(SingleCore::new(nodes, QueueKind::Calendar)),
+            world: World::new(graph, nodes.len(), cost_model, router),
+            core: SingleCore::new(nodes, kind),
         }
     }
 
@@ -359,33 +370,13 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
         &self.world.metrics
     }
 
-    /// Effective shard count (1 on the single core).
-    pub fn shard_count(&self) -> usize {
-        match &self.core {
-            Core::Single(_) => 1,
-            Core::Sharded(c) => c.shard_count(),
-        }
-    }
-
-    /// Worker threads running shard bands (1 on the single core and for
-    /// inline sharded execution).
-    pub fn shard_threads(&self) -> usize {
-        match &self.core {
-            Core::Single(_) => 1,
-            Core::Sharded(c) => c.threads(),
-        }
-    }
-
     /// Immutable access to a node's state.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn node(&self, v: NodeId) -> &N {
-        match &self.core {
-            Core::Single(c) => c.node(v),
-            Core::Sharded(c) => c.node(v),
-        }
+        self.core.node(v)
     }
 
     /// Mutable access to a node's state (for test setup and inspection —
@@ -395,10 +386,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `v` is out of range.
     pub fn node_mut(&mut self, v: NodeId) -> &mut N {
-        match &mut self.core {
-            Core::Single(c) => c.node_mut(v),
-            Core::Sharded(c) => c.node_mut(v),
-        }
+        self.core.node_mut(v)
     }
 
     /// Marks `v` crashed: it stops receiving and forwarding.
@@ -448,23 +436,18 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
             sent_at: self.world.now,
             msg,
         };
-        match &mut self.core {
-            Core::Single(c) => c.push(&mut self.world, env),
-            Core::Sharded(c) => c.push(&mut self.world, env),
-        }
+        self.core.push(&mut self.world, env);
     }
 
     /// Cumulative queue-depth histogram (one observation per event
     /// push). Snapshot and subtract to attribute pressure to a phase.
-    /// The sharded core counts the events of a tick it has popped but
-    /// not yet applied, so the histogram is identical across modes.
     pub fn queue_depth_buckets(&self) -> &[u64; QUEUE_DEPTH_BUCKETS] {
         &self.world.depth_buckets
     }
 
     /// Runs until the event queue drains; returns the final time.
     pub fn run(&mut self) -> SimTime {
-        self.drain(SimTime::MAX);
+        self.core.drain(&mut self.world, SimTime::MAX);
         self.world.now
     }
 
@@ -474,51 +457,10 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// moves backwards: a `deadline` already in the past only drains
     /// events due now.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        self.drain(deadline);
-        self.world.now = self.world.now.max(deadline);
-        self.world.now
-    }
-
-    /// Executes every event due at or before `deadline`, leaving the
-    /// clock at the last one executed.
-    fn drain(&mut self, deadline: SimTime) {
-        match &mut self.core {
-            Core::Single(c) => c.drain(&mut self.world, deadline),
-            Core::Sharded(c) => c.drain(&mut self.world, deadline),
-        }
-    }
-}
-
-impl<M: Clone + Send, N: Node<M> + Send> Sim<M, N> {
-    /// Creates a simulator with every backend choice explicit: event
-    /// queue (the [`QueueKind::BTree`] reference is kept for determinism
-    /// cross-checks), execution core, and routing backend. All three axes
-    /// are output-invariant; this is the constructor conformance suites
-    /// use to pit the analytic routers against the table oracle. `Send`
-    /// bounds on the message and handler types are required here — the
-    /// only construction path for a core that may own a worker pool —
-    /// which is what makes the pool's type-erased job dispatch sound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != graph.node_count()`, or if `router` is
-    /// [`RouterKind::Analytic`] and the graph is not a structured family.
-    pub fn with_router(
-        graph: Graph,
-        nodes: Vec<N>,
-        cost_model: CostModel,
-        kind: QueueKind,
-        mode: ShardMode,
-        router: RouterKind,
-    ) -> Self {
-        let world = World::new(graph, nodes.len(), cost_model, router);
-        let core = match mode {
-            ShardMode::Single => Core::Single(SingleCore::new(nodes, kind)),
-            ShardMode::Sharded { shards, threads } => {
-                Core::Sharded(ShardedCore::new(nodes, kind, shards, threads))
-            }
-        };
-        Sim { world, core }
+        let deadline = deadline.max(self.world.now);
+        self.core.drain(&mut self.world, deadline);
+        self.world.now = deadline;
+        deadline
     }
 }
 
@@ -661,24 +603,18 @@ mod tests {
         assert_eq!(sim.node(nid(4)).got.len(), 0);
     }
 
-    /// Both cores over a hop-cost path of `k + 1` nodes: a ping injected
-    /// at node 0 on behalf of node `k` is answered by a pong that spends
-    /// `k` ticks in flight — the way to schedule an event `k` ticks out.
+    /// Both queue kinds over a hop-cost path of `k + 1` nodes: a ping
+    /// injected at node 0 on behalf of node `k` is answered by a pong that
+    /// spends `k` ticks in flight — the way to schedule an event `k` ticks
+    /// out.
     fn path_sims(k: usize) -> [Sim<Msg, Recorder>; 2] {
-        [
-            ShardMode::Single,
-            ShardMode::Sharded {
-                shards: 4,
-                threads: 2,
-            },
-        ]
-        .map(|mode| {
+        [QueueKind::Calendar, QueueKind::BTree].map(|kind| {
             Sim::with_router(
                 gen::path(k + 1),
                 recorders(k + 1),
                 CostModel::Hops,
-                QueueKind::Calendar,
-                mode,
+                kind,
+                ShardMode::Single,
                 RouterKind::Auto,
             )
         })
@@ -702,6 +638,18 @@ mod tests {
             assert_eq!(sim.node(far).got, vec![(nid(0), Msg::Pong, 1600)]);
             // the clock never moves backwards
             assert_eq!(sim.run_until(10), 2000);
+        }
+    }
+
+    /// A deadline already behind the clock still drains what is due now
+    /// (it used to leave an event injected at `now` queued).
+    #[test]
+    fn run_until_with_a_past_deadline_drains_events_due_now() {
+        for mut sim in path_sims(1) {
+            assert_eq!(sim.run_until(100), 100);
+            sim.inject(nid(1), nid(0), Msg::Note);
+            assert_eq!(sim.run_until(10), 100);
+            assert_eq!(sim.node(nid(0)).got, vec![(nid(1), Msg::Note, 100)]);
         }
     }
 
@@ -813,25 +761,32 @@ mod tests {
         assert_eq!(hinted, run(QueueKind::BTree));
     }
 
-    // ---- sharded core equivalence against the single-threaded oracle ----
+    // ---- `ShardMode` is an alias: every value runs the one core ----
+    //
+    // These suites were the sharded core's conformance checks. The core is
+    // gone; they stay, one setting each, so that a `Sharded` value that
+    // starts selecting something again fails here before `benchmark/layers`
+    // (which still passes one) reads different numbers. They go with the
+    // enum (ROADMAP 1(b)).
+
+    const ALIAS: ShardMode = ShardMode::Sharded {
+        shards: 16,
+        threads: 2,
+    };
 
     /// Drives one busy scenario (pings, multicasts, a crash + restore,
     /// phased `run_until` with replies in flight across each deadline)
-    /// on the given core and returns every observable output.
-    fn drive(mode: Option<ShardMode>) -> SimOutput {
-        let g = gen::grid(6, 6, false);
+    /// and returns every observable output.
+    fn drive(mode: ShardMode) -> SimOutput {
         let n = 36;
-        let mut sim = match mode {
-            None => Sim::new(g, recorders(n), CostModel::Hops),
-            Some(mode) => Sim::with_router(
-                g,
-                recorders(n),
-                CostModel::Hops,
-                QueueKind::Calendar,
-                mode,
-                RouterKind::Auto,
-            ),
-        };
+        let mut sim = Sim::with_router(
+            gen::grid(6, 6, false),
+            recorders(n),
+            CostModel::Hops,
+            QueueKind::Calendar,
+            mode,
+            RouterKind::Auto,
+        );
         sim.inject(nid(0), nid(35), Msg::Ping);
         sim.inject(nid(3), nid(30), Msg::Ping);
         sim.inject(nid(5), nid(5), Msg::Spread(vec![nid(0), nid(17), nid(35)]));
@@ -854,6 +809,7 @@ mod tests {
         }
     }
 
+    #[derive(Debug, PartialEq)]
     struct SimOutput {
         metrics: Metrics,
         buckets: [u64; QUEUE_DEPTH_BUCKETS],
@@ -863,44 +819,7 @@ mod tests {
 
     #[test]
     fn sharded_core_matches_single_oracle() {
-        let oracle = drive(None);
-        for (shards, threads) in [(1, 1), (4, 1), (4, 2), (16, 4), (36, 3)] {
-            let got = drive(Some(ShardMode::Sharded { shards, threads }));
-            assert_eq!(got.metrics, oracle.metrics, "s={shards} t={threads}");
-            assert_eq!(got.buckets, oracle.buckets, "s={shards} t={threads}");
-            assert_eq!(got.now, oracle.now, "s={shards} t={threads}");
-            assert_eq!(got.logs, oracle.logs, "s={shards} t={threads}");
-        }
-    }
-
-    #[test]
-    fn shard_mode_single_is_the_plain_core() {
-        let oracle = drive(None);
-        let got = drive(Some(ShardMode::Single));
-        assert_eq!(got.metrics, oracle.metrics);
-        assert_eq!(got.buckets, oracle.buckets);
-        assert_eq!(got.logs, oracle.logs);
-    }
-
-    #[test]
-    fn shard_counts_report_clamping() {
-        let g = gen::ring(8);
-        let sim: Sim<Msg, Recorder> = Sim::with_router(
-            g,
-            recorders(8),
-            CostModel::Uniform,
-            QueueKind::Calendar,
-            ShardMode::Sharded {
-                shards: 64,
-                threads: 64,
-            },
-            RouterKind::Auto,
-        );
-        assert!(sim.shard_count() <= 8);
-        assert!(sim.shard_threads() <= sim.shard_count());
-        let single: Sim<Msg, Recorder> = Sim::new(gen::ring(3), recorders(3), CostModel::Uniform);
-        assert_eq!(single.shard_count(), 1);
-        assert_eq!(single.shard_threads(), 1);
+        assert_eq!(drive(ALIAS), drive(ShardMode::Single));
     }
 
     /// splitmix64 — deterministic traffic generator for the property
@@ -955,48 +874,46 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Random traffic, random shard/thread counts, on a grid (analytic
-        /// router, short hops) or a path of the same size (table router,
-        /// long delays): the sharded core reproduces the single-core
-        /// metrics, depth histogram, clock and per-node delivery logs.
+        /// Random traffic on a grid (analytic router, short hops) or a
+        /// path of the same size (table router, long delays): the
+        /// `BTree` queue (no prefetch hint) under the `Sharded` alias
+        /// reproduces the default simulator's metrics, depth histogram,
+        /// clock and per-node delivery logs.
         #[test]
         fn random_traffic_is_core_invariant_and_shard_metrics_merge(
             seed in any::<u64>(),
-            shards in 1usize..24,
-            threads in 1usize..5,
             w in 3usize..7,
             h in 3usize..7,
             long in any::<bool>(),
         ) {
             let n = w * h;
             let graph = || if long { gen::path(n) } else { gen::grid(w, h, false) };
-            let mut single = Sim::new(graph(), recorders(n), CostModel::Hops);
-            random_traffic(&mut single, n, seed);
-            let mut sharded = Sim::with_router(
+            let mut plain = Sim::new(graph(), recorders(n), CostModel::Hops);
+            random_traffic(&mut plain, n, seed);
+            let mut other = Sim::with_router(
                 graph(),
                 recorders(n),
                 CostModel::Hops,
-                QueueKind::Calendar,
-                ShardMode::Sharded { shards, threads },
+                QueueKind::BTree,
+                ALIAS,
                 RouterKind::Auto,
             );
-            random_traffic(&mut sharded, n, seed);
-            prop_assert_eq!(sharded.metrics(), single.metrics());
-            prop_assert_eq!(sharded.queue_depth_buckets(), single.queue_depth_buckets());
-            prop_assert_eq!(sharded.now(), single.now());
+            random_traffic(&mut other, n, seed);
+            prop_assert_eq!(other.metrics(), plain.metrics());
+            prop_assert_eq!(other.queue_depth_buckets(), plain.queue_depth_buckets());
+            prop_assert_eq!(other.now(), plain.now());
             for v in (0..n as u32).map(nid) {
-                prop_assert_eq!(&sharded.node(v).got, &single.node(v).got);
+                prop_assert_eq!(&other.node(v).got, &plain.node(v).got);
             }
         }
     }
 
-    /// The cases the band scheduler could get wrong, on a ring wide
-    /// enough that a reply from the far side outlasts the calendar
-    /// queue's bucket window: same-tick chains of self-sends next to
-    /// multicasts that include their sender (zero-delay children of
-    /// several bands in one tick), one-tick slices with nothing due,
-    /// crashes and restores between slices, and an event parked in the
-    /// queue's far map meanwhile.
+    /// The cases a scheduler could get wrong, on a ring wide enough that
+    /// a reply from the far side outlasts the calendar queue's bucket
+    /// window: same-tick chains of self-sends next to multicasts that
+    /// include their sender (zero-delay children in one tick), one-tick
+    /// slices with nothing due, crashes and restores between slices, and
+    /// an event parked in the queue's far map meanwhile.
     fn band_edge_traffic(sim: &mut Sim<Msg, Recorder>, n: u32) {
         let hosts = [0, 1, n / 3, n / 2, n - 1];
         for v in hosts {
@@ -1037,39 +954,38 @@ mod tests {
     fn band_edges_match_single_core_at_every_geometry() {
         let n = 2200;
         for cost in [CostModel::Hops, CostModel::Uniform] {
-            for kind in [QueueKind::Calendar, QueueKind::BTree] {
-                let build = |mode| {
-                    let mut sim = Sim::with_router(
-                        gen::ring(n),
-                        recorders(n),
-                        cost,
-                        kind,
-                        mode,
-                        RouterKind::Auto,
-                    );
-                    band_edge_traffic(&mut sim, n as u32);
-                    sim
-                };
-                let single = build(ShardMode::Single);
-                if cost == CostModel::Hops {
-                    let far = &single.node(nid(n as u32 / 2)).got;
-                    assert!(far.contains(&(nid(0), Msg::Pong, n as u64 / 2)));
-                }
-                for shards in [1, 2, 3, 16, n] {
-                    for threads in [1, 2, 4] {
-                        let at = format!("{cost:?} {kind:?} s={shards} t={threads}");
-                        let sharded = build(ShardMode::Sharded { shards, threads });
-                        assert_eq!(sharded.metrics(), single.metrics(), "{at}");
-                        assert_eq!(
-                            sharded.queue_depth_buckets(),
-                            single.queue_depth_buckets(),
-                            "{at}"
-                        );
-                        assert_eq!(sharded.now(), single.now(), "{at}");
-                        for v in (0..n as u32).map(nid) {
-                            assert_eq!(sharded.node(v).got, single.node(v).got, "{at} {v:?}");
-                        }
-                    }
+            let build = |kind, mode| {
+                let mut sim = Sim::with_router(
+                    gen::ring(n),
+                    recorders(n),
+                    cost,
+                    kind,
+                    mode,
+                    RouterKind::Auto,
+                );
+                band_edge_traffic(&mut sim, n as u32);
+                sim
+            };
+            let single = build(QueueKind::Calendar, ShardMode::Single);
+            if cost == CostModel::Hops {
+                let far = &single.node(nid(n as u32 / 2)).got;
+                assert!(far.contains(&(nid(0), Msg::Pong, n as u64 / 2)));
+            }
+            for (kind, mode) in [
+                (QueueKind::BTree, ShardMode::Single),
+                (QueueKind::Calendar, ALIAS),
+            ] {
+                let at = format!("{cost:?} {kind:?} {mode:?}");
+                let other = build(kind, mode);
+                assert_eq!(other.metrics(), single.metrics(), "{at}");
+                assert_eq!(
+                    other.queue_depth_buckets(),
+                    single.queue_depth_buckets(),
+                    "{at}"
+                );
+                assert_eq!(other.now(), single.now(), "{at}");
+                for v in (0..n as u32).map(nid) {
+                    assert_eq!(other.node(v).got, single.node(v).got, "{at} {v:?}");
                 }
             }
         }
@@ -1077,19 +993,15 @@ mod tests {
 
     #[test]
     fn sharded_uniform_model_matches_oracle() {
-        let run = |mode: Option<ShardMode>| {
-            let g = gen::complete(12);
-            let mut sim = match mode {
-                None => Sim::new(g, recorders(12), CostModel::Uniform),
-                Some(m) => Sim::with_router(
-                    g,
-                    recorders(12),
-                    CostModel::Uniform,
-                    QueueKind::Calendar,
-                    m,
-                    RouterKind::Auto,
-                ),
-            };
+        let run = |mode| {
+            let mut sim = Sim::with_router(
+                gen::complete(12),
+                recorders(12),
+                CostModel::Uniform,
+                QueueKind::Calendar,
+                mode,
+                RouterKind::Auto,
+            );
             for v in 0..12u32 {
                 sim.inject(nid(v), nid((v + 5) % 12), Msg::Ping);
             }
@@ -1097,13 +1009,6 @@ mod tests {
             sim.run();
             (sim.metrics().clone(), *sim.queue_depth_buckets())
         };
-        let oracle = run(None);
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                run(Some(ShardMode::Sharded { shards: 4, threads })),
-                oracle,
-                "t={threads}"
-            );
-        }
+        assert_eq!(run(ALIAS), run(ShardMode::Single));
     }
 }

@@ -19,9 +19,9 @@
 //!   op sequences, and the determinism suite runs whole scenarios
 //!   through each and asserts byte-identical reports.
 //!
-//! [`QueueKind`] selects between them at `Sim` construction time. Both
-//! cores push and pop through `push` / `pop_next_until` alone. The single
-//! core also reads `upcoming`, a hint at what the next pops will return,
+//! [`QueueKind`] selects between them at `Sim` construction time. The
+//! scheduler pushes and pops through `push` / `pop_next_until` alone. It
+//! also reads `upcoming`, a hint at what the next pops will return,
 //! to prefetch the state those events touch. It takes `&self`, so it
 //! cannot reorder anything, and `None` is always a legal answer — the
 //! only one the reference queue gives — so whatever holds with the hint

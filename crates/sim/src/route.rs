@@ -1,11 +1,9 @@
-//! Routing shared by the single-threaded and sharded executor cores.
+//! Routing: what a handler's sends cost and when they arrive.
 //!
-//! Both cores charge message passes through these functions, so they
-//! agree by construction: the single core feeds `emit` straight into its
-//! event queue, while a shard lane records the emissions for the calling
-//! thread to push in batch order. Counter deltas accumulate in
-//! [`RouteCounters`] (additive, so the caller may fold them into its
-//! `Metrics` in any order without affecting output).
+//! The scheduler charges message passes through these functions, feeding
+//! `emit` straight into its event queue. Counter deltas accumulate in
+//! [`RouteCounters`], which the caller folds into its `Metrics` once per
+//! event.
 //!
 //! Routing goes through [`AnyRouter`], never through graph adjacency:
 //! under an analytic backend a structured topology needs no edges at all,

@@ -30,12 +30,13 @@ pub struct TargetSet {
     ids: Arc<[NodeId]>,
 }
 
-// Concurrency audit (sharded executor): `TargetSet` rides inside messages
-// that cross shard — and therefore worker-thread — boundaries. The share
-// is an `Arc` (atomic refcount, not `Rc`) over an immutable slice, so
-// clones/drops from concurrent shard rounds are sound and the contents
-// can never be observed mid-mutation. Pinned here so a future swap to a
-// non-atomic smart pointer fails to compile instead of racing.
+// Concurrency audit (live host): the simulator is single-threaded, but
+// `mm-proto`'s `LiveNet` runs one OS thread per node and `TargetSet`
+// rides inside the messages they exchange. The share is an `Arc` (atomic
+// refcount, not `Rc`) over an immutable slice, so clones/drops from
+// concurrent node threads are sound and the contents can never be
+// observed mid-mutation. Pinned here so a future swap to a non-atomic
+// smart pointer fails to compile instead of racing.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TargetSet>();

@@ -110,16 +110,15 @@ pub struct RunConfig {
     /// superimposes `F + 1` strategy copies (§2.4) and reports the
     /// robustness block.
     pub replication: u64,
-    /// Simulator shard count; 0 selects the single-threaded core. Any
-    /// value produces byte-identical reports (the sharded executor
-    /// replays the single core's event order exactly), so this axis —
-    /// like `queue` — only affects wall clock, never output.
+    /// Compatibility alias that selects nothing: there is one execution
+    /// core and every value runs it (see [`ShardMode`]). Kept, with
+    /// `shard_threads` and [`RunConfig::shard_mode`], because
+    /// `benchmark/layers` names them; removed with ROADMAP 1(b).
     pub shards: usize,
-    /// Worker threads driving shard rounds (relevant when `shards > 0`;
-    /// clamped to the effective shard count).
+    /// Compatibility alias that selects nothing, like `shards`.
     pub shard_threads: usize,
-    /// Routing backend under hop cost. Output-invariant like `queue` and
-    /// `shards` (the analytic routers are byte-conformant to the table
+    /// Routing backend under hop cost. Output-invariant like `queue`
+    /// (the analytic routers are byte-conformant to the table
     /// oracle), so it never appears in [`RunConfig::label`]; it decides
     /// only memory — `Table` materializes the O(n²) §3 tables, the
     /// default `Auto` routes structured topologies in O(1) space.
@@ -148,7 +147,8 @@ impl RunConfig {
         }
     }
 
-    /// The execution core this config selects (see [`ShardMode`]).
+    /// `shards` / `shard_threads` as the [`ShardMode`] the `with_router`
+    /// constructors still take — an alias like them.
     pub fn shard_mode(&self) -> ShardMode {
         if self.shards == 0 {
             ShardMode::Single
@@ -209,11 +209,10 @@ pub struct ObsOptions {
 ///
 /// The result is an edgeless shell carrying the generator's name unless
 /// something will read adjacency, and the only thing that does is the
-/// [`RouterKind::Table`] oracle's BFS under hop cost. Uniform cost never routes,
-/// the analytic routers answer next hops from the name alone, and the
-/// sharded core partitions by node index — so a hop-cost ring at
-/// n = 1,048,576, or a 64k-node complete network, is an O(n)-memory run:
-/// no adjacency, no table. The report's `topology` string is the same
+/// [`RouterKind::Table`] oracle's BFS under hop cost. Uniform cost never
+/// routes and the analytic routers answer next hops from the name alone —
+/// so a hop-cost ring at n = 1,048,576, or a 64k-node complete network,
+/// is an O(n)-memory run: no adjacency, no table. The report's `topology` string is the same
 /// name either way.
 pub fn build_graph(
     topology: &str,

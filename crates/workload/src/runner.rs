@@ -371,11 +371,11 @@ impl<PM: PortMapped> ScenarioRunner<ShotgunEngine<PM>> {
     }
 
     /// Like [`ScenarioRunner::new`] with every simulator execution axis
-    /// explicit: the event queue (calendar vs the `BTreeMap` reference),
-    /// the core (single vs sharded across worker threads) and the routing
-    /// backend (analytic closed forms vs the O(n²) table oracle). Reports
-    /// are byte-identical at every combination — the queue, shard and
-    /// router determinism suites enforce it.
+    /// explicit: the event queue (calendar vs the `BTreeMap` reference)
+    /// and the routing backend (analytic closed forms vs the O(n²) table
+    /// oracle). Reports are byte-identical at every combination — the
+    /// queue and router determinism suites enforce it. `mode` is a
+    /// compatibility alias that selects nothing (see [`ShardMode`]).
     ///
     /// # Panics
     ///

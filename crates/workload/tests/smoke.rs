@@ -81,3 +81,24 @@ fn unknown_flags_exit_2_with_usage() {
     assert!(!usage.contains("router"), "{usage}");
     assert!(out.stdout.is_empty());
 }
+
+/// `--shards` / `--shard-threads` are off the usage text but still
+/// parsed, because the benchmark's `closed-sharded` workload passes them:
+/// they select nothing, and say so.
+#[test]
+fn shard_flags_are_accepted_and_inert() {
+    let base = ["--n", "64", "--seed", "7", "--scenario", "overload-ramp"];
+    let default = scenarios_bin(&base);
+    let aliased = scenarios_bin(&[&base[..], &["--shards", "16", "--shard-threads", "2"]].concat());
+    assert_eq!(aliased.status.code(), Some(0), "{aliased:?}");
+    assert!(!default.stdout.is_empty());
+    assert_eq!(aliased.stdout, default.stdout);
+    let note = String::from_utf8_lossy(&aliased.stderr);
+    assert!(
+        note.contains("note: --shards and --shard-threads"),
+        "{note}"
+    );
+    assert!(!String::from_utf8_lossy(&default.stderr).contains("note:"));
+    // the values are still validated as numbers
+    assert_eq!(scenarios_bin(&["--shards", "many"]).status.code(), Some(2));
+}

@@ -134,8 +134,8 @@ fn ci_smoke_campaign_reproduces_bench_8() {
 }
 
 /// The campaigns too large for a debug build: both event queues at
-/// n = 16,384 and 65,536, the topology × cost matrix, and the sharded core
-/// with analytic routers up to n = 1,048,576.
+/// n = 16,384 and 65,536, the topology × cost matrix, and the analytic
+/// routers up to n = 1,048,576.
 #[test]
 #[ignore = "release tier: 64 runs, n up to 1,048,576"]
 fn release_campaigns_reproduce_their_snapshots() {

@@ -12,6 +12,7 @@
 use mm_core::strategies::Checkerboard;
 use mm_sim::{CostModel, QueueKind, RouterKind, ShardMode};
 use mm_topo::gen;
+use mm_workload::drive::{self, RunConfig};
 use mm_workload::{scenarios, ScenarioRunner};
 
 fn report_json(scenario: &str, n: usize, seed: u64, queue: QueueKind) -> String {
@@ -94,4 +95,20 @@ fn different_seeds_still_differ() {
     let a = report_json("rolling-churn", 256, 1, QueueKind::Calendar);
     let b = report_json("rolling-churn", 256, 2, QueueKind::Calendar);
     assert_ne!(a, b);
+}
+
+/// `RunConfig::{shards, shard_threads}` select nothing: the sharded core
+/// is deleted and the fields stay only until the benchmark stops passing
+/// them, so a run with them set must be the default run, byte for byte.
+#[test]
+fn shard_fields_are_inert_aliases() {
+    let json = |cfg: &RunConfig| {
+        let report = drive::run(cfg).unwrap_or_else(|e| panic!("{}: {e}", cfg.label()));
+        drive::reports_to_json(&[report], false)
+    };
+    let mut cfg = RunConfig::new("overload-ramp", 256, 7);
+    let default = json(&cfg);
+    cfg.shards = 16;
+    cfg.shard_threads = 2;
+    assert_eq!(json(&cfg), default);
 }
