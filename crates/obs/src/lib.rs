@@ -19,7 +19,7 @@
 //!   report behind the same schema-compat seam the closed-loop stats
 //!   use (`skip_serializing_if`), so reports without observability stay
 //!   byte-identical.
-//! * [`analyze`] — joins a flushed trace back into per-strategy tables:
+//! * [`mod@analyze`] — joins a flushed trace back into per-strategy tables:
 //!   measured `m(P,Q)` per locate, hop latency attribution (transit vs.
 //!   wait), and a conservation check that span costs exactly reproduce
 //!   the run's `Metrics` message counters.

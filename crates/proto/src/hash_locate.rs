@@ -119,7 +119,8 @@ impl HashLocateRuntime {
 
     /// Server-side polling: each registered server checks its rendezvous
     /// nodes; for any crashed one it posts its address at the rehash
-    /// backup. Returns the number of repairs performed.
+    /// backup — one post per repair, the live primaries keep the posting
+    /// they have. Returns the number of repairs performed.
     pub fn poll_and_repair(&mut self) -> usize {
         let mut repairs = 0usize;
         let servers = self.servers.clone();
@@ -137,13 +138,7 @@ impl HashLocateRuntime {
             for attempt in 0..dead.len() as u32 {
                 if let Some(backup) = self.hasher.rehash(port, attempt, &exclude) {
                     if !self.engine.sim().is_crashed(backup) {
-                        // post directly at the backup node
-                        let handle_targets = vec![backup];
-                        let stamp_source = self.engine.register_server(home, port);
-                        let _ = stamp_source;
-                        // register_server posts at the primaries again; the
-                        // backup needs an explicit post
-                        self.engine.post_at(home, port, handle_targets);
+                        self.engine.post_at(home, port, vec![backup]);
                         repairs += 1;
                     }
                     exclude.push(backup);
@@ -215,6 +210,38 @@ mod tests {
             "recovered: {res:?}"
         );
         assert!(res.attempts >= 2, "needed at least one rehash");
+    }
+
+    /// §5's repair is one post at each backup: with the home node off
+    /// every backup, that is one pass per repair and nothing dropped (the
+    /// dead primaries are not posted to again).
+    #[test]
+    fn each_repair_is_one_post_at_its_backup() {
+        for (n, r, dead) in [(32, 1, 1), (64, 3, 1), (64, 3, 2)] {
+            let mut rt = HashLocateRuntime::new(gen::complete(n), r, CostModel::Uniform);
+            let p = port("db");
+            let primaries = rt.hasher.rendezvous_nodes(p);
+            let mut taken = primaries.clone();
+            for attempt in 0..dead as u32 {
+                let backup = rt.hasher.rehash(p, attempt, &taken).unwrap();
+                taken.push(backup);
+            }
+            let home = (0..n as u32)
+                .map(NodeId::new)
+                .find(|v| !taken.contains(v))
+                .unwrap();
+            rt.register_server(home, p);
+            for &v in &primaries[..dead] {
+                rt.engine_mut().crash(v);
+            }
+            let before = rt.engine().metrics().clone();
+            let repairs = rt.poll_and_repair();
+            let m = rt.engine().metrics().delta(&before);
+            let at = format!("n = {n}, r = {r}, {dead} dead");
+            assert_eq!(repairs, dead, "{at}");
+            assert_eq!(m.message_passes, repairs as u64, "{at}");
+            assert_eq!(m.dropped, 0, "{at}");
+        }
     }
 
     #[test]

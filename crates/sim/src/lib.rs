@@ -19,14 +19,14 @@
 //! * [`ShardMode`] — a compatibility name that selects nothing: there
 //!   is one execution core, and every value runs it.
 //!
-//! The paper's model has one network, and [`Sim`] holds one copy of it:
-//! the `World` — graph, routes, crash flags, clock, metrics and the
-//! queue-depth histogram. Beside it sits the one scheduler: it owns the
-//! handlers and the queue of pending [`Envelope`]s (the one event kind
-//! there is), executes them one at a time in queue order, and charges
-//! everything it does to the world it is handed. A parallel per-tick
-//! scheduler was built, measured behind this one at every setting, and
-//! deleted in PR 24 (README "Sharded execution").
+//! The paper's model has one network, and [`Sim`] is the handlers plus
+//! one copy of it: graph, routes, crash flags, clock, metrics, the
+//! queue-depth histogram and the queue of pending [`Envelope`]s (the one
+//! event kind there is). The loop pops one envelope at a time in queue
+//! order and hands its handler a [`NodeApi`] over that network, so a send
+//! is routed, charged and queued while the handler runs. A parallel
+//! per-tick scheduler was built, measured behind this loop at every
+//! setting, and deleted (README "Sharded execution").
 //!
 //! Everything is deterministic: events execute in time order, FIFO within
 //! a timestamp, and the only randomness is whatever the embedded
@@ -70,8 +70,7 @@ pub use queue::QueueKind;
 pub use targets::TargetSet;
 
 use mm_topo::{AnyRouter, Graph, NodeId};
-use route::NetEnv;
-use single::SingleCore;
+use queue::EventQueue;
 
 /// Which routing backend a hop-cost simulation uses.
 ///
@@ -161,26 +160,21 @@ pub trait Node<M> {
     fn on_message(&mut self, env: Envelope<M>, api: &mut NodeApi<'_, M>);
 }
 
-/// Buffered actions a handler can take; applied by the simulator after the
-/// handler returns (so handlers can't observe in-flight state).
-#[derive(Debug)]
-pub(crate) enum Op<M> {
-    Send { to: NodeId, msg: M },
-    Multicast { to: TargetSet, msg: M },
-}
-
 /// The per-invocation API handed to [`Node`] handlers.
+///
+/// A send is routed, charged and queued when it is made, in call order.
+/// The handler sees only [`now`](NodeApi::now) and [`me`](NodeApi::me),
+/// never the network it is sending into.
 #[derive(Debug)]
 pub struct NodeApi<'a, M> {
-    pub(crate) ops: &'a mut Vec<Op<M>>,
-    pub(crate) now: SimTime,
-    pub(crate) me: NodeId,
+    net: &'a mut Net<M>,
+    me: NodeId,
 }
 
 impl<M> NodeApi<'_, M> {
     /// Sends `msg` to `to` (point-to-point).
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.ops.push(Op::Send { to, msg });
+        self.net.route(self.me, to, msg);
     }
 
     /// Sends `msg` to every node in `to`, sharing path prefixes under
@@ -190,10 +184,7 @@ impl<M> NodeApi<'_, M> {
     where
         M: Clone,
     {
-        self.ops.push(Op::Multicast {
-            to: TargetSet::new(to),
-            msg,
-        });
+        self.net.route_multicast(self.me, &TargetSet::new(to), msg);
     }
 
     /// Sends `msg` to an interned target set without copying it — the
@@ -204,12 +195,12 @@ impl<M> NodeApi<'_, M> {
     where
         M: Clone,
     {
-        self.ops.push(Op::Multicast { to, msg });
+        self.net.route_multicast(self.me, &to, msg);
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.net.now
     }
 
     /// The node this handler runs on.
@@ -236,10 +227,10 @@ pub enum ShardMode {
     Sharded { shards: usize, threads: usize },
 }
 
-/// The one copy of the simulated network's state. The scheduler reads
-/// and charges this; it keeps none of it.
+/// The simulated network: everything in a [`Sim`] but the handlers. A
+/// handler's [`NodeApi`] borrows it for the one event it runs.
 #[derive(Debug)]
-pub(crate) struct World {
+struct Net<M> {
     graph: Graph,
     /// Built only under [`CostModel::Hops`]; `Uniform` never routes.
     routing: Option<AnyRouter>,
@@ -256,54 +247,16 @@ pub(crate) struct World {
     /// holds depth 0, bucket `k > 0` holds depths in `[2^(k-1), 2^k)`.
     /// Identical across queue implementations (same pending-event set).
     depth_buckets: [u64; QUEUE_DEPTH_BUCKETS],
-}
-
-impl World {
-    /// A fresh network at time 0 with everyone alive. This is the one
-    /// place the handler count is checked and the router is built.
-    fn new(graph: Graph, handlers: usize, cost_model: CostModel, router: RouterKind) -> Self {
-        let n = graph.node_count();
-        assert_eq!(handlers, n, "one handler per graph node required");
-        let routing = match cost_model {
-            CostModel::Hops => Some(router.build(&graph)),
-            CostModel::Uniform => None,
-        };
-        World {
-            graph,
-            routing,
-            crashed: vec![false; n],
-            crashed_count: 0,
-            now: 0,
-            metrics: Metrics::new(n),
-            depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
-        }
-    }
-
-    /// One queue-depth observation: `depth` events are pending right
-    /// after a push.
-    fn sample_depth(&mut self, depth: u64) {
-        if depth > self.metrics.peak_queue_depth {
-            self.metrics.peak_queue_depth = depth;
-        }
-        self.depth_buckets[(64 - depth.leading_zeros()) as usize] += 1;
-    }
-
-    /// The read-only view routing needs.
-    fn net_env(&self) -> NetEnv<'_> {
-        NetEnv {
-            routing: self.routing.as_ref(),
-            crashed: &self.crashed,
-            crashed_count: self.crashed_count,
-        }
-    }
+    /// Envelopes in flight, keyed by arrival tick.
+    queue: EventQueue<Envelope<M>>,
 }
 
 /// The simulator: a graph, one [`Node`] state machine per graph node, an
 /// event queue, and exact message-pass metrics.
 #[derive(Debug)]
 pub struct Sim<M, N> {
-    world: World,
-    core: SingleCore<M, N>,
+    nodes: Vec<N>,
+    net: Net<M>,
 }
 
 impl<M: Clone, N: Node<M>> Sim<M, N> {
@@ -343,31 +296,44 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
         _mode: ShardMode,
         router: RouterKind,
     ) -> Self {
-        Sim {
-            world: World::new(graph, nodes.len(), cost_model, router),
-            core: SingleCore::new(nodes, kind),
-        }
+        let n = graph.node_count();
+        assert_eq!(nodes.len(), n, "one handler per graph node required");
+        let routing = match cost_model {
+            CostModel::Hops => Some(router.build(&graph)),
+            CostModel::Uniform => None,
+        };
+        let net = Net {
+            graph,
+            routing,
+            crashed: vec![false; n],
+            crashed_count: 0,
+            now: 0,
+            metrics: Metrics::new(n),
+            depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
+            queue: EventQueue::new(kind),
+        };
+        Sim { nodes, net }
     }
 
     /// The simulated network graph.
     pub fn graph(&self) -> &Graph {
-        &self.world.graph
+        &self.net.graph
     }
 
     /// The routing backend in use (`None` under [`CostModel::Uniform`],
     /// which never routes).
     pub fn routing(&self) -> Option<&AnyRouter> {
-        self.world.routing.as_ref()
+        self.net.routing.as_ref()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.world.now
+        self.net.now
     }
 
     /// Accumulated metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.world.metrics
+        &self.net.metrics
     }
 
     /// Immutable access to a node's state.
@@ -376,7 +342,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `v` is out of range.
     pub fn node(&self, v: NodeId) -> &N {
-        self.core.node(v)
+        &self.nodes[v.index()]
     }
 
     /// Mutable access to a node's state (for test setup and inspection —
@@ -386,7 +352,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `v` is out of range.
     pub fn node_mut(&mut self, v: NodeId) -> &mut N {
-        self.core.node_mut(v)
+        &mut self.nodes[v.index()]
     }
 
     /// Marks `v` crashed: it stops receiving and forwarding.
@@ -395,12 +361,12 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `v` is out of range.
     pub fn crash(&mut self, v: NodeId) {
-        let w = &mut self.world;
-        if !w.crashed[v.index()] {
-            w.crashed[v.index()] = true;
-            w.crashed_count += 1;
+        let net = &mut self.net;
+        if !net.crashed[v.index()] {
+            net.crashed[v.index()] = true;
+            net.crashed_count += 1;
         }
-        w.metrics.crashes += 1;
+        net.metrics.crashes += 1;
     }
 
     /// Restores a crashed node (its state is as it was; protocols decide
@@ -410,10 +376,10 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `v` is out of range.
     pub fn restore(&mut self, v: NodeId) {
-        let w = &mut self.world;
-        if w.crashed[v.index()] {
-            w.crashed[v.index()] = false;
-            w.crashed_count -= 1;
+        let net = &mut self.net;
+        if net.crashed[v.index()] {
+            net.crashed[v.index()] = false;
+            net.crashed_count -= 1;
         }
     }
 
@@ -423,32 +389,26 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `v` is out of range.
     pub fn is_crashed(&self, v: NodeId) -> bool {
-        self.world.crashed[v.index()]
+        self.net.crashed[v.index()]
     }
 
     /// Injects an external message to `at` (delivered at the current time,
     /// no message passes charged — models a local request arriving at a
     /// process, e.g. "locate port X").
     pub fn inject(&mut self, from: NodeId, at: NodeId, msg: M) {
-        let env = Envelope {
-            from,
-            to: at,
-            sent_at: self.world.now,
-            msg,
-        };
-        self.core.push(&mut self.world, env);
+        self.net.deliver(from, at, 0, msg);
     }
 
     /// Cumulative queue-depth histogram (one observation per event
     /// push). Snapshot and subtract to attribute pressure to a phase.
     pub fn queue_depth_buckets(&self) -> &[u64; QUEUE_DEPTH_BUCKETS] {
-        &self.world.depth_buckets
+        &self.net.depth_buckets
     }
 
     /// Runs until the event queue drains; returns the final time.
     pub fn run(&mut self) -> SimTime {
-        self.core.drain(&mut self.world, SimTime::MAX);
-        self.world.now
+        self.drain(SimTime::MAX);
+        self.net.now
     }
 
     /// Runs every event scheduled at or before `deadline`, then advances
@@ -457,9 +417,9 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// moves backwards: a `deadline` already in the past only drains
     /// events due now.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        let deadline = deadline.max(self.world.now);
-        self.core.drain(&mut self.world, deadline);
-        self.world.now = deadline;
+        let deadline = deadline.max(self.net.now);
+        self.drain(deadline);
+        self.net.now = deadline;
         deadline
     }
 }
@@ -722,7 +682,50 @@ mod tests {
         assert_eq!(buckets[1], 2, "both pushes saw depth 1");
     }
 
-    /// The single core prefetches for the event `upcoming` names; the
+    #[test]
+    fn unreachable_multicast_target_is_a_counted_drop() {
+        // two components, 0-1-2 and 3-4: no Steiner tree from 0 spans
+        // {0, 2, 4}, so each target is routed on its own
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
+        let mut sim = Sim::new(g, recorders(5), CostModel::Hops);
+        sim.run_until(10);
+        sim.inject(nid(0), nid(0), Msg::Spread(vec![nid(0), nid(2), nid(4)]));
+        sim.run();
+        let m = sim.metrics();
+        // 2 is two hops away, 4 is dropped, the local copy is free
+        assert_eq!((m.sends, m.message_passes, m.dropped), (2, 2, 1));
+        assert_eq!(sim.node(nid(2)).got, [(nid(0), Msg::Note, 12)]);
+        assert_eq!(sim.node(nid(0)).got[1], (nid(0), Msg::Note, 10));
+        assert!(sim.node(nid(4)).got.is_empty());
+    }
+
+    #[test]
+    fn uniform_multicast_charges_each_remote_target_once() {
+        let mut sim = Sim::new(gen::complete(6), recorders(6), CostModel::Uniform);
+        sim.run_until(5);
+        let spread = Msg::Spread([0, 2, 3, 5].map(nid).to_vec());
+        sim.inject(nid(0), nid(0), spread.clone());
+        sim.run();
+        let m = sim.metrics();
+        assert_eq!((m.sends, m.message_passes, m.dropped), (3, 3, 0));
+        assert_eq!(
+            sim.node(nid(0)).got,
+            [(nid(0), spread, 5), (nid(0), Msg::Note, 5)],
+            "the self copy lands at now"
+        );
+        for v in [2, 3, 5] {
+            assert_eq!(sim.node(nid(v)).got, [(nid(0), Msg::Note, 6)]);
+        }
+        for v in [1, 4] {
+            assert!(sim.node(nid(v)).got.is_empty());
+        }
+        // the inject at depth 1, then the four copies at depths 1-4
+        let buckets = sim.queue_depth_buckets();
+        assert_eq!(buckets.iter().sum::<u64>(), 5, "one sample per push");
+        assert_eq!(&buckets[..4], &[0, 2, 2, 1]);
+    }
+
+    /// The event loop prefetches for the event `upcoming` names; the
     /// `BTree` queue never names one, so calendar ≡ btree is also
     /// prefetch ≡ no prefetch. Same-tick chains are the case to watch: a
     /// lone chain empties its run at every pop and refills it from the

@@ -19,8 +19,8 @@
 //!   op sequences, and the determinism suite runs whole scenarios
 //!   through each and asserts byte-identical reports.
 //!
-//! [`QueueKind`] selects between them at `Sim` construction time. The
-//! scheduler pushes and pops through `push` / `pop_next_until` alone. It
+//! [`QueueKind`] selects between them at `Sim` construction time. `Sim`
+//! pushes and pops through `push` / `pop_next_until` alone. Its loop
 //! also reads `upcoming`, a hint at what the next pops will return,
 //! to prefetch the state those events touch. It takes `&self`, so it
 //! cannot reorder anything, and `None` is always a legal answer — the

@@ -1,253 +1,128 @@
-//! Routing: what a handler's sends cost and when they arrive.
+//! Routing: what a send costs and when it arrives.
 //!
-//! The scheduler charges message passes through these functions, feeding
-//! `emit` straight into its event queue. Counter deltas accumulate in
-//! [`RouteCounters`], which the caller folds into its `Metrics` once per
-//! event.
+//! A handler's [`NodeApi`](crate::NodeApi) calls `Net::route` and
+//! `Net::route_multicast` while the handler runs; they charge the send to
+//! the network's `Metrics` and hand each copy that survives to
+//! `Net::deliver`, the one place an [`Envelope`] is built and queued.
+//! Under `CostModel::Uniform` there is no router: every remote
+//! destination is one pass and one tick away, and nothing is truncated.
 //!
-//! Routing goes through [`AnyRouter`], never through graph adjacency:
+//! Routing goes through [`AnyRouter`](mm_topo::AnyRouter), never through graph adjacency:
 //! under an analytic backend a structured topology needs no edges at all,
 //! which is what lets hop-cost runs scale to n = 1,048,576. When no node
 //! is crashed, hop walks collapse to O(1) `distance` lookups — the walk
 //! exists only to find the first crashed intermediate.
 
-use crate::{Envelope, Op, SimTime, TargetSet};
+use crate::{Envelope, Net, TargetSet};
 use mm_topo::spanning::multicast_cost;
-use mm_topo::{AnyRouter, NodeId, Router};
+use mm_topo::{NodeId, Router};
 
-/// Read-only view of the world routing needs: routes and crash state
-/// (built by `World::net_env`).
-pub(crate) struct NetEnv<'a> {
-    /// `Some` under `CostModel::Hops`; `None` is `CostModel::Uniform`,
-    /// which charges one pass per destination and never routes.
-    pub routing: Option<&'a AnyRouter>,
-    pub crashed: &'a [bool],
-    /// Number of `true` entries in `crashed`, so the common all-alive
-    /// case can skip hop walks entirely.
-    pub crashed_count: usize,
-}
-
-/// Additive metric deltas produced while routing one batch of ops.
-#[derive(Debug, Default)]
-pub(crate) struct RouteCounters {
-    pub sends: u64,
-    pub passes: u64,
-    pub dropped: u64,
-}
-
-/// Applies a handler's buffered ops: routes sends and multicasts. Every
-/// envelope put in flight is handed to `emit(at, envelope)` in a
-/// deterministic order (op order, and within a multicast, target order).
-pub(crate) fn apply_ops<M: Clone>(
-    env: &NetEnv<'_>,
-    now: SimTime,
-    from: NodeId,
-    ops: &mut Vec<Op<M>>,
-    c: &mut RouteCounters,
-    emit: &mut impl FnMut(SimTime, Envelope<M>),
-) {
-    for op in ops.drain(..) {
-        match op {
-            Op::Send { to, msg } => route(env, now, from, to, msg, c, emit),
-            Op::Multicast { to, msg } => route_multicast(env, now, from, &to, msg, c, emit),
-        }
-    }
-}
-
-/// Hops travelled toward `to` and whether a crashed intermediate blocked
-/// the delivery. `dist` is the known full distance; with nobody crashed
-/// the answer is immediate, otherwise the router finds the first crashed
-/// node on the path (passes spent up to and into it stay spent).
-fn crash_truncated(
-    env: &NetEnv<'_>,
-    routing: &AnyRouter,
-    from: NodeId,
-    to: NodeId,
-    dist: u32,
-) -> (u64, bool) {
-    if env.crashed_count == 0 {
-        return (u64::from(dist), false);
-    }
-    let (travelled, blocked) = routing.hops_until_flagged(from, to, env.crashed);
-    (u64::from(travelled), blocked)
-}
-
-/// Point-to-point routing with hop accounting and crash truncation.
-pub(crate) fn route<M>(
-    env: &NetEnv<'_>,
-    now: SimTime,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-    c: &mut RouteCounters,
-    emit: &mut impl FnMut(SimTime, Envelope<M>),
-) {
-    c.sends += 1;
-    if from == to {
-        // local delivery is free (intra-host communication)
-        let env_msg = Envelope {
+impl<M> Net<M> {
+    /// Queues `msg` from `from` to `to`, arriving `delay` ticks from now,
+    /// and samples the queue depth right after the push.
+    pub(crate) fn deliver(&mut self, from: NodeId, to: NodeId, delay: u64, msg: M) {
+        let env = Envelope {
             from,
             to,
-            sent_at: now,
+            sent_at: self.now,
             msg,
         };
-        emit(now, env_msg);
-        return;
+        self.queue.push(self.now + delay, env);
+        let depth = self.queue.len() as u64;
+        self.metrics.peak_queue_depth = self.metrics.peak_queue_depth.max(depth);
+        self.depth_buckets[(64 - depth.leading_zeros()) as usize] += 1;
     }
-    match env.routing {
-        None => {
-            c.passes += 1;
-            let env_msg = Envelope {
-                from,
-                to,
-                sent_at: now,
-                msg,
-            };
-            emit(now + 1, env_msg);
-        }
-        Some(routing) => {
-            let Some(dist) = routing.distance(from, to) else {
-                c.dropped += 1;
-                return;
-            };
-            let (travelled, blocked) = crash_truncated(env, routing, from, to, dist);
-            // passes spent up to (and into) a crash point stay spent
-            c.passes += travelled;
-            if blocked {
-                c.dropped += 1;
-                return;
+
+    /// Hops from `from` to `to` (1 under uniform cost), `None` if no path
+    /// exists.
+    fn distance(&self, from: NodeId, to: NodeId) -> Option<u32> {
+        self.routing
+            .as_ref()
+            .map_or(Some(1), |r| r.distance(from, to))
+    }
+
+    /// Hops a message covers on its `dist`-hop way to `to`, and whether a
+    /// crashed node stopped it. With nobody crashed the answer is
+    /// immediate; otherwise the router finds the first crashed node on
+    /// the path (passes spent up to and into it stay spent).
+    fn travel(&self, from: NodeId, to: NodeId, dist: u32) -> (u64, bool) {
+        match &self.routing {
+            Some(r) if self.crashed_count > 0 => {
+                let (travelled, blocked) = r.hops_until_flagged(from, to, &self.crashed);
+                (u64::from(travelled), blocked)
             }
-            let env_msg = Envelope {
-                from,
-                to,
-                sent_at: now,
-                msg,
-            };
-            emit(now + travelled, env_msg);
+            _ => (u64::from(dist), false),
         }
     }
-}
 
-/// Multicast with shared-prefix (spanning/Steiner tree) accounting.
-///
-/// `targets` is already sorted and duplicate-free ([`TargetSet`]'s
-/// construction invariant), so no per-operation sort/dedup happens here.
-pub(crate) fn route_multicast<M: Clone>(
-    env: &NetEnv<'_>,
-    now: SimTime,
-    from: NodeId,
-    targets: &TargetSet,
-    msg: M,
-    c: &mut RouteCounters,
-    emit: &mut impl FnMut(SimTime, Envelope<M>),
-) {
-    match env.routing {
-        None => {
-            for t in targets.iter() {
-                if t == from {
-                    let env_msg = Envelope {
-                        from,
-                        to: t,
-                        sent_at: now,
-                        msg: msg.clone(),
-                    };
-                    emit(now, env_msg);
-                    continue;
-                }
-                c.sends += 1;
-                c.passes += 1;
-                let env_msg = Envelope {
-                    from,
-                    to: t,
-                    sent_at: now,
-                    msg: msg.clone(),
-                };
-                emit(now + 1, env_msg);
-            }
+    /// Point-to-point routing with hop accounting and crash truncation.
+    /// A send to oneself is local delivery: counted, but free.
+    pub(crate) fn route(&mut self, from: NodeId, to: NodeId, msg: M) {
+        self.metrics.sends += 1;
+        if from == to {
+            self.deliver(from, to, 0, msg);
+            return;
         }
-        Some(routing) => {
-            // charge the Steiner-tree cost once (the accounting skips the
-            // sender, which under checkerboard is always a member of its
-            // own set); deliver along shortest paths, truncated at crashed
-            // nodes.
-            let Some(cost) = multicast_cost(routing, from, targets.as_slice()) else {
-                // unreachable targets: fall back to per-target routing,
-                // plus the local copy if requested
-                for t in targets.iter().filter(|&t| t != from) {
-                    route(env, now, from, t, msg.clone(), c, emit);
-                }
-                if targets.contains(from) {
-                    let env_msg = Envelope {
-                        from,
-                        to: from,
-                        sent_at: now,
-                        msg,
-                    };
-                    emit(now, env_msg);
-                }
-                return;
-            };
-            c.passes += cost;
-            for t in targets.iter() {
-                if t == from {
-                    let env_msg = Envelope {
-                        from,
-                        to: t,
-                        sent_at: now,
-                        msg: msg.clone(),
-                    };
-                    emit(now, env_msg);
-                    continue;
-                }
-                // the Steiner cost above found every target reachable;
-                // should a router ever disagree with itself, `route`
-                // counts the send and the drop
-                let Some(dist) = routing.distance(from, t) else {
-                    route(env, now, from, t, msg.clone(), c, emit);
-                    continue;
-                };
-                c.sends += 1;
-                // hop count plus first-crashed-intermediate check, no
-                // path `Vec`
-                let (d, blocked) = crash_truncated(env, routing, from, t, dist);
-                if blocked {
-                    c.dropped += 1;
-                    continue;
-                }
-                let env_msg = Envelope {
-                    from,
-                    to: t,
-                    sent_at: now,
-                    msg: msg.clone(),
-                };
-                emit(now + d, env_msg);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mm_topo::Graph;
-
-    #[test]
-    fn unreachable_multicast_target_is_a_counted_drop() {
-        // two components, 0-1-2 and 3-4: no Steiner tree from 0 spans
-        // {0, 2, 4}, so each target is routed on its own
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
-        let routing = AnyRouter::for_graph(&g);
-        let env = NetEnv {
-            routing: Some(&routing),
-            crashed: &[false; 5],
-            crashed_count: 0,
+        let Some(dist) = self.distance(from, to) else {
+            self.metrics.dropped += 1;
+            return;
         };
-        let targets = TargetSet::new(&[0, 2, 4].map(NodeId::new));
-        let (mut c, mut sent) = (RouteCounters::default(), Vec::new());
-        let mut emit = |at, e: Envelope<()>| sent.push((e.to.raw(), at));
-        route_multicast(&env, 10, NodeId::new(0), &targets, (), &mut c, &mut emit);
-        // 2 is two hops away, 4 is dropped, the local copy is free
-        assert_eq!(sent, [(2, 12), (0, 10)]);
-        assert_eq!((c.sends, c.passes, c.dropped), (2, 2, 1));
+        let (travelled, blocked) = self.travel(from, to, dist);
+        self.metrics.message_passes += travelled;
+        if blocked {
+            self.metrics.dropped += 1;
+        } else {
+            self.deliver(from, to, travelled, msg);
+        }
+    }
+
+    /// Multicast with shared-prefix (spanning/Steiner tree) accounting:
+    /// the tree is charged once, then each remote target gets a copy along
+    /// its shortest path, truncated at crashed nodes. The sender's own copy
+    /// (if it is a target) is local and free.
+    ///
+    /// `targets` is already sorted and duplicate-free ([`TargetSet`]'s
+    /// construction invariant), so no per-operation sort/dedup happens here.
+    pub(crate) fn route_multicast(&mut self, from: NodeId, targets: &TargetSet, msg: M)
+    where
+        M: Clone,
+    {
+        // the accounting skips the sender, which under checkerboard is
+        // always a member of its own set
+        let tree = match &self.routing {
+            None => Some((targets.len() - usize::from(targets.contains(from))) as u64),
+            Some(r) => multicast_cost(r, from, targets.as_slice()),
+        };
+        let Some(cost) = tree else {
+            // unreachable targets: per-target routing, then the local copy
+            for t in targets.iter().filter(|&t| t != from) {
+                self.route(from, t, msg.clone());
+            }
+            if targets.contains(from) {
+                self.deliver(from, from, 0, msg);
+            }
+            return;
+        };
+        self.metrics.message_passes += cost;
+        for t in targets.iter() {
+            if t == from {
+                self.deliver(from, t, 0, msg.clone());
+                continue;
+            }
+            // the tree cost above found every target reachable; should a
+            // router ever disagree with itself, `route` counts the send
+            // and the drop
+            let Some(dist) = self.distance(from, t) else {
+                self.route(from, t, msg.clone());
+                continue;
+            };
+            self.metrics.sends += 1;
+            let (travelled, blocked) = self.travel(from, t, dist);
+            if blocked {
+                self.metrics.dropped += 1;
+            } else {
+                self.deliver(from, t, travelled, msg.clone());
+            }
+        }
     }
 }

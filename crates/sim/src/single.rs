@@ -1,21 +1,21 @@
-//! The scheduler: one event queue, one event at a time, in the queue's
-//! order (by time, FIFO within a tick), on the calling thread. It is the
-//! only execution core `Sim` has.
+//! The event loop: one event queue, one event at a time, in the queue's
+//! order (by time, FIFO within a tick), on the calling thread.
+//!
+//! Each popped envelope is charged to its destination and handed to that
+//! node's handler together with a [`NodeApi`] over the network, through
+//! which the handler's sends go straight into the same queue.
 //!
 //! A protocol event's cost is mostly its first touch of per-node state:
 //! a locate visits `2·√n` distinct nodes once each, so at large `n` the
 //! handler struct, the load counter and the crash flag of the target are
 //! all cache misses. The queue knows the targets of the next events
-//! before they run ([`EventQueue::upcoming`]), so the loop prefetches
+//! before they run (`EventQueue::upcoming`), so the loop prefetches
 //! those three for the event [`LOOKAHEAD`] places ahead. A prefetch
 //! changes no architectural state and the hint is read-only, so order,
 //! counters and reports are what they are without it — which is what the
 //! `BTree` queue, whose hint is always `None`, runs.
 
-use crate::queue::{EventQueue, QueueKind};
-use crate::route::{self, RouteCounters};
-use crate::{Envelope, Node, NodeApi, Op, SimTime, World};
-use mm_topo::NodeId;
+use crate::{Node, NodeApi, Sim, SimTime};
 
 /// How many events ahead of the one executing the loop prefetches: far
 /// enough to cover a memory round trip at a few tens of nanoseconds per
@@ -60,90 +60,27 @@ fn prefetch_at<T>(v: &[T], i: usize) {
     }
 }
 
-/// Single-threaded core: one [`Node`] state machine per graph node and
-/// the queue of envelopes in flight between them.
-#[derive(Debug)]
-pub(crate) struct SingleCore<M, N> {
-    nodes: Vec<N>,
-    queue: EventQueue<Envelope<M>>,
-    /// Handler-op buffer reused across events (no per-event `Vec`).
-    scratch: Vec<Op<M>>,
-}
-
-impl<M: Clone, N: Node<M>> SingleCore<M, N> {
-    pub(crate) fn new(nodes: Vec<N>, kind: QueueKind) -> Self {
-        SingleCore {
-            nodes,
-            queue: EventQueue::new(kind),
-            scratch: Vec::new(),
-        }
-    }
-
-    pub(crate) fn node(&self, v: NodeId) -> &N {
-        &self.nodes[v.index()]
-    }
-
-    pub(crate) fn node_mut(&mut self, v: NodeId) -> &mut N {
-        &mut self.nodes[v.index()]
-    }
-
-    /// Queues `env` for delivery at the current time.
-    pub(crate) fn push(&mut self, w: &mut World, env: Envelope<M>) {
-        self.queue.push(w.now, env);
-        w.sample_depth(self.queue.len() as u64);
-    }
-
+impl<M, N: Node<M>> Sim<M, N> {
     /// Executes every event due at or before `deadline`, in queue order.
-    ///
-    /// Kept out of line on measurement: left to the inliner it is folded
-    /// into `Sim::run_until` and on into the workload runner, and
-    /// `overload-ramp` at n = 262,144 read 1.03 s against 0.95 s pinned
-    /// (0 of 10 alternating pairs won against the parent's out-of-line
-    /// loop; `#[inline(always)]` read the same 1.03 s).
-    #[inline(never)]
-    pub(crate) fn drain(&mut self, w: &mut World, deadline: SimTime) {
-        while let Some((t, env)) = self.queue.pop_next_until(deadline) {
-            if let Some(next) = self.queue.upcoming(LOOKAHEAD) {
+    pub(crate) fn drain(&mut self, deadline: SimTime) {
+        let net = &mut self.net;
+        while let Some((t, env)) = net.queue.pop_next_until(deadline) {
+            if let Some(next) = net.queue.upcoming(LOOKAHEAD) {
                 let to = next.to.index();
                 prefetch_at(&self.nodes, to);
-                prefetch_at(&w.metrics.node_load, to);
-                prefetch_at(&w.crashed, to);
+                prefetch_at(&net.metrics.node_load, to);
+                prefetch_at(&net.crashed, to);
             }
-            w.now = t;
-            w.metrics.events_executed += 1;
-            let at = env.to;
-            if w.crashed[at.index()] {
-                w.metrics.dropped += 1;
+            net.now = t;
+            net.metrics.events_executed += 1;
+            let me = env.to;
+            if net.crashed[me.index()] {
+                net.metrics.dropped += 1;
                 continue;
             }
-            w.metrics.delivered += 1;
-            w.metrics.node_load[at.index()] += 1;
-            let mut api = NodeApi {
-                ops: &mut self.scratch,
-                now: t,
-                me: at,
-            };
-            self.nodes[at.index()].on_message(env, &mut api);
-
-            let mut c = RouteCounters::default();
-            let queued = self.queue.len();
-            let queue = &mut self.queue;
-            route::apply_ops(
-                &w.net_env(),
-                t,
-                at,
-                &mut self.scratch,
-                &mut c,
-                &mut |at, env| queue.push(at, env),
-            );
-            // nothing pops between one handler's pushes, so the depths
-            // they saw are the consecutive ones up to the depth now
-            for depth in queued + 1..=self.queue.len() {
-                w.sample_depth(depth as u64);
-            }
-            w.metrics.sends += c.sends;
-            w.metrics.message_passes += c.passes;
-            w.metrics.dropped += c.dropped;
+            net.metrics.delivered += 1;
+            net.metrics.node_load[me.index()] += 1;
+            self.nodes[me.index()].on_message(env, &mut NodeApi { net, me });
         }
     }
 }

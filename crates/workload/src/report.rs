@@ -2,7 +2,7 @@
 //!
 //! [`crate::runner::ScenarioRunner`] emits one JSON schema whatever
 //! [`crate::Runtime`] it drives: per-phase [`PhaseReport`]s built by
-//! [`build_phase_report`] out of an operation-accumulator ([`Acc`]) and
+//! `build_phase_report` out of an operation-accumulator (`Acc`) and
 //! an [`mm_sim::Metrics`] delta — so any field that diverges between the
 //! simulator and the thread network reflects the runtimes, not the
 //! serializers.

@@ -15,7 +15,7 @@
 //! queue or a network of OS threads — sits behind the [`Runtime`] seam
 //! ([`crate::runtime`]), and the runner never asks which: every random
 //! decision and the runner's one view of who is alive live in one `Draws`
-//! ([`crate::timeline`]), and trace ids and the timeline walk follow one
+//! (`timeline.rs`), and trace ids and the timeline walk follow one
 //! order, which is what makes the runtimes differential-testable.
 //!
 //! There is also one settlement path. The two loops are different client
