@@ -75,45 +75,41 @@ impl HashLocateRuntime {
     ///
     /// For a backup to answer, the server must have repaired its postings
     /// (see [`HashLocateRuntime::poll_and_repair`]) — exactly the paper's
-    /// polling requirement.
+    /// polling requirement. The client walks the same backup sequence the
+    /// server does: every node already tried, primaries and backups, is
+    /// excluded from the next rehash.
     pub fn locate_with_rehash(
         &mut self,
         client: NodeId,
         port: Port,
         max_attempts: u32,
     ) -> RehashResult {
-        let mut excluded: Vec<NodeId> = Vec::new();
+        let mut excluded = self.hasher.rendezvous_nodes(port);
         let mut last: Option<LocateOutcome> = None;
+        let mut attempts = 0;
         for attempt in 0..max_attempts {
             let handle: LocateHandle = if attempt == 0 {
                 self.engine.locate(client, port)
             } else {
                 match self.hasher.rehash(port, attempt - 1, &excluded) {
-                    Some(backup) => self.engine.locate_at(client, port, vec![backup]),
+                    Some(backup) => {
+                        excluded.push(backup);
+                        self.engine.locate_at(client, port, vec![backup])
+                    }
                     None => break,
                 }
             };
+            attempts = attempt + 1;
             self.engine.run();
             let outcome = self.engine.outcome(handle);
-            match &outcome {
-                LocateOutcome::Found { .. } => {
-                    return RehashResult {
-                        outcome,
-                        attempts: attempt + 1,
-                    }
-                }
-                LocateOutcome::NotFound { .. } | LocateOutcome::Unresolved { .. } => {
-                    // remember dead/unhelpful rendezvous nodes and rehash
-                    if attempt == 0 {
-                        excluded.extend(self.hasher.rendezvous_nodes(port));
-                    }
-                    last = Some(outcome);
-                }
+            if matches!(outcome, LocateOutcome::Found { .. }) {
+                return RehashResult { outcome, attempts };
             }
+            last = Some(outcome);
         }
         RehashResult {
             outcome: last.unwrap_or(LocateOutcome::NotFound { elapsed: 0 }),
-            attempts: max_attempts,
+            attempts,
         }
     }
 
@@ -242,6 +238,54 @@ mod tests {
             assert_eq!(m.message_passes, repairs as u64, "{at}");
             assert_eq!(m.dropped, 0, "{at}");
         }
+    }
+
+    /// The client rehashes onto the backup the server repaired onto: with
+    /// both primaries and the first backup down, the server posts at the
+    /// second backup, and the client must not ask the dead first one
+    /// again. And when rehashing runs out, the attempts reported are the
+    /// ones made.
+    #[test]
+    fn the_client_walks_the_servers_backup_sequence() {
+        let n = 16;
+        for name in ["svc-27", "svc-34", "svc-61"] {
+            let mut rt = HashLocateRuntime::new(gen::complete(n), 2, CostModel::Uniform);
+            let p = port(name);
+            let primaries = rt.hasher.rendezvous_nodes(p);
+            let mut taken = primaries.clone();
+            for attempt in 0..2 {
+                let backup = rt.hasher.rehash(p, attempt, &taken).unwrap();
+                taken.push(backup);
+            }
+            let mut free = (0..n as u32)
+                .map(NodeId::new)
+                .filter(|v| !taken.contains(v));
+            let (home, client) = (free.next().unwrap(), free.next_back().unwrap());
+            rt.register_server(home, p);
+            for &v in &taken[..3] {
+                rt.engine_mut().crash(v);
+            }
+            assert_eq!(
+                rt.poll_and_repair(),
+                1,
+                "{name}: posted at the second backup"
+            );
+            let res = rt.locate_with_rehash(client, p, 3);
+            assert!(
+                matches!(res.outcome, LocateOutcome::Found { addr, .. } if addr == home),
+                "{name}: {res:?}"
+            );
+            assert_eq!(res.attempts, 3, "{name}");
+        }
+
+        // n = r = 2: the primaries are every node, so there is no backup
+        let mut rt = HashLocateRuntime::new(gen::complete(2), 2, CostModel::Uniform);
+        let p = port("svc");
+        rt.register_server(NodeId::new(0), p);
+        rt.engine_mut().crash(NodeId::new(1));
+        let res = rt.locate_with_rehash(NodeId::new(0), p, 5);
+        assert!(!matches!(res.outcome, LocateOutcome::Found { .. }));
+        assert_eq!(res.attempts, 1, "one attempt made, then rehash ran out");
     }
 
     #[test]

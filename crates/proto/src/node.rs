@@ -16,6 +16,7 @@ use mm_core::Port;
 use mm_sim::{SimTime, TargetSet};
 use mm_topo::NodeId;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Where a [`NodeMachine`] puts the messages it wants sent; the host
 /// decides what sending means (and what it costs).
@@ -194,14 +195,40 @@ pub enum Settled {
     Request(u64),
 }
 
+/// Hashes the engine's own operation ids: a golden-ratio multiply, no
+/// SipHash. The ids are counters the host issues, never external input,
+/// so there is nothing to randomize against; and neither map keyed by
+/// them is ever iterated, so the table order cannot reach any output.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+/// A map keyed by engine-issued operation ids.
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
 /// What the processes on a node keep: the ports they serve and the
 /// operations they have open. Only a node that serves or issues has any.
 #[derive(Debug, Default)]
 struct Local {
     /// Ports served by a process on this node.
     served: BTreeSet<Port>,
-    pending: HashMap<u64, Pending>,
-    requests: HashMap<u64, (SimTime, Option<RequestOutcome>)>,
+    pending: IdMap<Pending>,
+    requests: IdMap<(SimTime, Option<RequestOutcome>)>,
 }
 
 /// Per-node protocol state and rules: the rendezvous cache, the fault

@@ -21,12 +21,19 @@
 //!
 //! The paper's model has one network, and [`Sim`] is the handlers plus
 //! one copy of it: graph, routes, crash flags, clock, metrics, the
-//! queue-depth histogram and the queue of pending [`Envelope`]s (the one
-//! event kind there is). The loop pops one envelope at a time in queue
-//! order and hands its handler a [`NodeApi`] over that network, so a send
-//! is routed, charged and queued while the handler runs. A parallel
-//! per-tick scheduler was built, measured behind this loop at every
-//! setting, and deleted (README "Sharded execution").
+//! queue-depth histogram and the queue of pending deliveries. A queue
+//! entry is one [`Envelope`] — or, for a multicast under
+//! [`CostModel::Uniform`], one *fan*: every remote copy lands on the next
+//! tick (§2.1), so the copies share a single entry that holds the
+//! [`TargetSet`] and the payload once. The loop pops one entry at a time
+//! in queue order, runs each delivery it stands for — a fan's in target
+//! order, each counted, charged and dropped exactly as an envelope of its
+//! own would be — and hands the handler a [`NodeApi`] over that network,
+//! so a send is routed, charged and queued while the handler runs. Queue
+//! depth is the number of pending deliveries, not of entries, so every
+//! report reads the same as with one entry per copy. A parallel per-tick
+//! scheduler was built, measured behind this loop at every setting, and
+//! deleted (README "Sharded execution").
 //!
 //! Everything is deterministic: events execute in time order, FIFO within
 //! a timestamp, and the only randomness is whatever the embedded
@@ -184,7 +191,7 @@ impl<M> NodeApi<'_, M> {
     where
         M: Clone,
     {
-        self.net.route_multicast(self.me, &TargetSet::new(to), msg);
+        self.net.route_multicast(self.me, TargetSet::new(to), msg);
     }
 
     /// Sends `msg` to an interned target set without copying it — the
@@ -195,7 +202,7 @@ impl<M> NodeApi<'_, M> {
     where
         M: Clone,
     {
-        self.net.route_multicast(self.me, &to, msg);
+        self.net.route_multicast(self.me, to, msg);
     }
 
     /// Current simulated time.
@@ -243,12 +250,50 @@ struct Net<M> {
     crashed_count: usize,
     now: SimTime,
     metrics: Metrics,
-    /// Log₂ histogram of queue depth, sampled at every push: bucket 0
-    /// holds depth 0, bucket `k > 0` holds depths in `[2^(k-1), 2^k)`.
-    /// Identical across queue implementations (same pending-event set).
+    /// Log₂ histogram of queue depth, sampled once per queued delivery:
+    /// bucket 0 holds depth 0, bucket `k > 0` holds depths in
+    /// `[2^(k-1), 2^k)`. Identical across queue implementations (same
+    /// pending-delivery set).
     depth_buckets: [u64; QUEUE_DEPTH_BUCKETS],
-    /// Envelopes in flight, keyed by arrival tick.
-    queue: EventQueue<Envelope<M>>,
+    /// Deliveries queued and not yet popped — the queue depth. A fan
+    /// entry counts once per copy it stands for.
+    pending: u64,
+    /// Deliveries in flight, keyed by arrival tick.
+    queue: EventQueue<Queued<M>>,
+}
+
+/// One queue entry: a single delivery, or every remote copy of one
+/// uniform-cost multicast.
+///
+/// A fan is boxed so the enum can keep its tag in the payload's niche: an
+/// entry is then no larger than an envelope (64 B for `mm-proto`'s
+/// messages, against 80 B unboxed).
+#[derive(Debug)]
+enum Queued<M> {
+    One(Envelope<M>),
+    Fan(Box<Fan<M>>),
+}
+
+/// The remote copies of one uniform-cost multicast, all due on the same
+/// tick: one delivery of `msg` to each member of `targets` but `from`.
+#[derive(Debug)]
+struct Fan<M> {
+    from: NodeId,
+    sent_at: SimTime,
+    targets: TargetSet,
+    msg: M,
+}
+
+impl<M: Clone> Fan<M> {
+    /// The copy `to` receives, as its own envelope would carry it.
+    fn copy_to(&self, to: NodeId) -> Envelope<M> {
+        Envelope {
+            from: self.from,
+            to,
+            sent_at: self.sent_at,
+            msg: self.msg.clone(),
+        }
+    }
 }
 
 /// The simulator: a graph, one [`Node`] state machine per graph node, an
@@ -310,6 +355,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
             now: 0,
             metrics: Metrics::new(n),
             depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
+            pending: 0,
             queue: EventQueue::new(kind),
         };
         Sim { nodes, net }
@@ -399,8 +445,9 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
         self.net.deliver(from, at, 0, msg);
     }
 
-    /// Cumulative queue-depth histogram (one observation per event
-    /// push). Snapshot and subtract to attribute pressure to a phase.
+    /// Cumulative queue-depth histogram (one observation per queued
+    /// delivery, taken as it is queued). Snapshot and subtract to
+    /// attribute pressure to a phase.
     pub fn queue_depth_buckets(&self) -> &[u64; QUEUE_DEPTH_BUCKETS] {
         &self.net.depth_buckets
     }
@@ -435,6 +482,9 @@ mod tests {
         Ping,
         Pong,
         Spread(Vec<NodeId>),
+        /// Multicasts a `Ping`: the pongs come back to the sender in the
+        /// order the copies ran.
+        Ask(Vec<NodeId>),
         Note,
         /// Re-sent to oneself, one shorter, until it reaches 0: a chain
         /// of zero-delay events inside one tick.
@@ -452,6 +502,7 @@ mod tests {
             match env.msg {
                 Msg::Ping => api.send(env.from, Msg::Pong),
                 Msg::Spread(targets) => api.multicast(&targets, Msg::Note),
+                Msg::Ask(targets) => api.multicast(&targets, Msg::Ping),
                 Msg::Chain(k) if k > 0 => api.send(api.me(), Msg::Chain(k - 1)),
                 _ => {}
             }
@@ -725,6 +776,112 @@ mod tests {
         assert_eq!(&buckets[..4], &[0, 2, 2, 1]);
     }
 
+    /// A fan's copies meet the crash flags at the pop, as envelopes do: a
+    /// copy to a node that went down after the send is an event and a
+    /// drop, a copy to a node that came back before the pop is delivered.
+    #[test]
+    fn fan_copies_check_the_crash_flag_when_popped() {
+        let mut sim = Sim::new(gen::complete(5), recorders(5), CostModel::Uniform);
+        sim.crash(nid(3));
+        let spread = Msg::Spread([0, 1, 2, 3].map(nid).to_vec());
+        sim.inject(nid(0), nid(0), spread);
+        sim.run_until(0); // the spread ran, its fan waits on tick 1
+        sim.crash(nid(1));
+        sim.restore(nid(3));
+        sim.run();
+        let m = sim.metrics();
+        assert_eq!((m.sends, m.message_passes), (3, 3));
+        assert_eq!((m.events_executed, m.delivered, m.dropped), (5, 4, 1));
+        assert!(sim.node(nid(1)).got.is_empty());
+        for v in [2, 3] {
+            assert_eq!(sim.node(nid(v)).got, [(nid(0), Msg::Note, 1)]);
+        }
+        assert_eq!(m.node_load, [2, 0, 1, 1, 0]);
+    }
+
+    /// The fan reuses the payload's niche for its tag, so a queue entry is
+    /// no larger than an envelope.
+    #[test]
+    fn a_queue_entry_is_the_size_of_an_envelope() {
+        /// Shaped like `mm-proto`'s messages: an explicit tag, a 16-byte
+        /// port, and an interned target set in some variants.
+        #[allow(dead_code)]
+        enum Wire {
+            Fan { port: u128, targets: TargetSet },
+            Answer { port: u128, stamp: u64, id: u64 },
+            Bare(u32),
+        }
+        assert_eq!(size_of::<Queued<Msg>>(), size_of::<Envelope<Msg>>());
+        assert_eq!(size_of::<Queued<Wire>>(), size_of::<Envelope<Wire>>());
+    }
+
+    /// Crash-free traffic on `complete(n)`: pings, multicasts that may
+    /// include their sender — of notes, and of pings whose pongs make the
+    /// order of a fan's copies visible — same-tick chains and phased
+    /// `run_until`s.
+    fn fan_traffic(sim: &mut Sim<Msg, Recorder>, n: usize, mut s: u64) {
+        let node = |s: &mut u64| nid((mix(s) % n as u64) as u32);
+        for phase in 0..5 {
+            for _ in 0..8 {
+                match mix(&mut s) % 4 {
+                    0 | 1 => {
+                        let from = node(&mut s);
+                        let mut targets: Vec<NodeId> =
+                            (0..mix(&mut s) % 7).map(|_| node(&mut s)).collect();
+                        if mix(&mut s) & 1 == 0 {
+                            targets.push(from);
+                        }
+                        let msg = if mix(&mut s) & 1 == 0 {
+                            Msg::Spread(targets)
+                        } else {
+                            Msg::Ask(targets)
+                        };
+                        sim.inject(from, from, msg);
+                    }
+                    2 => {
+                        let v = node(&mut s);
+                        sim.inject(v, v, Msg::Chain((mix(&mut s) % 5) as u8));
+                    }
+                    _ => {
+                        let (a, b) = (node(&mut s), node(&mut s));
+                        sim.inject(a, b, Msg::Ping);
+                    }
+                }
+            }
+            let deadline = sim.now() + mix(&mut s) % 3;
+            sim.run_until(deadline);
+            if phase == 3 {
+                sim.run();
+            }
+        }
+        sim.run();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The fan against the per-copy path as its oracle: on a complete
+        /// graph, hop cost charges every remote copy one pass and one
+        /// tick (`CompleteRouter`'s distance 1, a tree of |T| − self) and
+        /// queues each copy on its own, while uniform cost queues one fan.
+        /// Every observable output must agree.
+        #[test]
+        fn a_fan_runs_as_its_copies_would(seed in any::<u64>(), n in 1usize..24) {
+            let run = |cost| {
+                let mut sim = Sim::new(gen::complete(n), recorders(n), cost);
+                fan_traffic(&mut sim, n, seed);
+                sim
+            };
+            let (fan, copies) = (run(CostModel::Uniform), run(CostModel::Hops));
+            prop_assert_eq!(fan.metrics(), copies.metrics());
+            prop_assert_eq!(fan.queue_depth_buckets(), copies.queue_depth_buckets());
+            prop_assert_eq!(fan.now(), copies.now());
+            for v in (0..n as u32).map(nid) {
+                prop_assert_eq!(&fan.node(v).got, &copies.node(v).got);
+            }
+        }
+    }
+
     /// The event loop prefetches for the event `upcoming` names; the
     /// `BTree` queue never names one, so calendar ≡ btree is also
     /// prefetch ≡ no prefetch. Same-tick chains are the case to watch: a
@@ -902,6 +1059,9 @@ mod tests {
                 RouterKind::Auto,
             );
             random_traffic(&mut other, n, seed);
+            // each queued delivery is sampled once and popped once
+            let sampled: u64 = plain.queue_depth_buckets().iter().sum();
+            prop_assert_eq!(sampled, plain.metrics().events_executed);
             prop_assert_eq!(other.metrics(), plain.metrics());
             prop_assert_eq!(other.queue_depth_buckets(), plain.queue_depth_buckets());
             prop_assert_eq!(other.now(), plain.now());
@@ -970,6 +1130,9 @@ mod tests {
                 sim
             };
             let single = build(QueueKind::Calendar, ShardMode::Single);
+            // each queued delivery is sampled once and popped once
+            let sampled: u64 = single.queue_depth_buckets().iter().sum();
+            assert_eq!(sampled, single.metrics().events_executed, "{cost:?}");
             if cost == CostModel::Hops {
                 let far = &single.node(nid(n as u32 / 2)).got;
                 assert!(far.contains(&(nid(0), Msg::Pong, n as u64 / 2)));

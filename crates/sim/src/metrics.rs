@@ -19,8 +19,9 @@ pub struct Metrics {
     /// Events executed by the simulator loop (deliveries and drops at
     /// crashed nodes) — the denominator for events/sec.
     pub events_executed: u64,
-    /// Highest number of simultaneously queued events observed — the
-    /// event core's working-set size.
+    /// Highest number of simultaneously pending deliveries observed — the
+    /// event core's working-set size. A uniform-cost multicast queues its
+    /// remote copies as one entry, which counts once per copy here.
     pub peak_queue_depth: u64,
     /// Deliveries per node — cache pressure / rendezvous load.
     pub node_load: Vec<u64>,

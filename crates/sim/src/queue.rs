@@ -20,12 +20,15 @@
 //!   through each and asserts byte-identical reports.
 //!
 //! [`QueueKind`] selects between them at `Sim` construction time. `Sim`
-//! pushes and pops through `push` / `pop_next_until` alone. Its loop
-//! also reads `upcoming`, a hint at what the next pops will return,
-//! to prefetch the state those events touch. It takes `&self`, so it
-//! cannot reorder anything, and `None` is always a legal answer — the
-//! only one the reference queue gives — so whatever holds with the hint
-//! ignored holds with it.
+//! pushes and pops through `push` / `pop_next_until` alone. An event here
+//! is one queue entry, which for `Sim` may stand for many deliveries (a
+//! uniform-cost multicast's fan), so the queue does not know the
+//! simulator's queue depth and does not report one: `Sim` counts pending
+//! deliveries itself. Its loop also reads `upcoming`, a hint at what the
+//! next pops will return, to prefetch the state those events touch. It
+//! takes `&self`, so it cannot reorder anything, and `None` is always a
+//! legal answer — the only one the reference queue gives — so whatever
+//! holds with the hint ignored holds with it.
 
 use crate::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -320,13 +323,6 @@ impl<T> EventQueue<T> {
         match kind {
             QueueKind::Calendar => EventQueue::Calendar(CalendarQueue::default()),
             QueueKind::BTree => EventQueue::BTree(BTreeQueue::default()),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(q) => q.len(),
-            EventQueue::BTree(q) => q.len(),
         }
     }
 

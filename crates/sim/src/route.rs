@@ -2,10 +2,12 @@
 //!
 //! A handler's [`NodeApi`](crate::NodeApi) calls `Net::route` and
 //! `Net::route_multicast` while the handler runs; they charge the send to
-//! the network's `Metrics` and hand each copy that survives to
-//! `Net::deliver`, the one place an [`Envelope`] is built and queued.
-//! Under `CostModel::Uniform` there is no router: every remote
-//! destination is one pass and one tick away, and nothing is truncated.
+//! the network's `Metrics` and queue each copy that survives — one at a
+//! time through `Net::deliver`, the one place an [`Envelope`] is built
+//! and queued, or, for a uniform-cost multicast, all remote copies at
+//! once as one fan entry. Under `CostModel::Uniform` there is no router:
+//! every remote destination is one pass and one tick away, and nothing is
+//! truncated.
 //!
 //! Routing goes through [`AnyRouter`](mm_topo::AnyRouter), never through graph adjacency:
 //! under an analytic backend a structured topology needs no edges at all,
@@ -13,13 +15,29 @@
 //! is crashed, hop walks collapse to O(1) `distance` lookups — the walk
 //! exists only to find the first crashed intermediate.
 
-use crate::{Envelope, Net, TargetSet};
+use crate::{Envelope, Fan, Net, Queued, TargetSet};
 use mm_topo::spanning::multicast_cost;
 use mm_topo::{NodeId, Router};
 
 impl<M> Net<M> {
-    /// Queues `msg` from `from` to `to`, arriving `delay` ticks from now,
-    /// and samples the queue depth right after the push.
+    /// Counts `k` more pending deliveries, sampling the depth each one
+    /// brings the queue to — `L + 1, …, L + k` from depth `L`, one
+    /// range-add per log₂ bucket.
+    fn queued(&mut self, k: u64) {
+        let mut depth = self.pending + 1;
+        self.pending += k;
+        let last = self.pending;
+        self.metrics.peak_queue_depth = self.metrics.peak_queue_depth.max(last);
+        while depth <= last {
+            // bucket `b` holds the depths up to `2^b - 1`
+            let zeros = depth.leading_zeros();
+            let top = (u64::MAX >> zeros).min(last);
+            self.depth_buckets[(64 - zeros) as usize] += top - depth + 1;
+            depth = top + 1;
+        }
+    }
+
+    /// Queues `msg` from `from` to `to`, arriving `delay` ticks from now.
     pub(crate) fn deliver(&mut self, from: NodeId, to: NodeId, delay: u64, msg: M) {
         let env = Envelope {
             from,
@@ -27,10 +45,8 @@ impl<M> Net<M> {
             sent_at: self.now,
             msg,
         };
-        self.queue.push(self.now + delay, env);
-        let depth = self.queue.len() as u64;
-        self.metrics.peak_queue_depth = self.metrics.peak_queue_depth.max(depth);
-        self.depth_buckets[(64 - depth.leading_zeros()) as usize] += 1;
+        self.queue.push(self.now + delay, Queued::One(env));
+        self.queued(1);
     }
 
     /// Hops from `from` to `to` (1 under uniform cost), `None` if no path
@@ -81,19 +97,39 @@ impl<M> Net<M> {
     /// its shortest path, truncated at crashed nodes. The sender's own copy
     /// (if it is a target) is local and free.
     ///
+    /// Under uniform cost every remote copy is one pass, one send and one
+    /// tick, and a crash can only stop a copy at its destination — which
+    /// the loop checks at the pop — so the copies are queued as one fan.
+    ///
     /// `targets` is already sorted and duplicate-free ([`TargetSet`]'s
     /// construction invariant), so no per-operation sort/dedup happens here.
-    pub(crate) fn route_multicast(&mut self, from: NodeId, targets: &TargetSet, msg: M)
+    pub(crate) fn route_multicast(&mut self, from: NodeId, targets: TargetSet, msg: M)
     where
         M: Clone,
     {
         // the accounting skips the sender, which under checkerboard is
         // always a member of its own set
-        let tree = match &self.routing {
-            None => Some((targets.len() - usize::from(targets.contains(from))) as u64),
-            Some(r) => multicast_cost(r, from, targets.as_slice()),
+        let Some(r) = &self.routing else {
+            let local = targets.contains(from);
+            let remote = (targets.len() - usize::from(local)) as u64;
+            self.metrics.message_passes += remote;
+            self.metrics.sends += remote;
+            if local {
+                self.deliver(from, from, 0, msg.clone());
+            }
+            if remote > 0 {
+                let fan = Fan {
+                    from,
+                    sent_at: self.now,
+                    targets,
+                    msg,
+                };
+                self.queue.push(self.now + 1, Queued::Fan(Box::new(fan)));
+                self.queued(remote);
+            }
+            return;
         };
-        let Some(cost) = tree else {
+        let Some(cost) = multicast_cost(r, from, targets.as_slice()) else {
             // unreachable targets: per-target routing, then the local copy
             for t in targets.iter().filter(|&t| t != from) {
                 self.route(from, t, msg.clone());

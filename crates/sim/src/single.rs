@@ -1,21 +1,29 @@
-//! The event loop: one event queue, one event at a time, in the queue's
+//! The event loop: one event queue, one entry at a time, in the queue's
 //! order (by time, FIFO within a tick), on the calling thread.
 //!
-//! Each popped envelope is charged to its destination and handed to that
-//! node's handler together with a [`NodeApi`] over the network, through
-//! which the handler's sends go straight into the same queue.
+//! Each delivery a popped entry stands for is charged to its destination
+//! and handed to that node's handler together with a [`NodeApi`] over the
+//! network, through which the handler's sends go straight into the same
+//! queue. An envelope is one delivery; a fan (the remote copies of one
+//! uniform-cost multicast) is one per target but the sender, run back to
+//! back in target order. That is the order one envelope per copy would
+//! pop in: the copies were queued together, so on their tick nothing sits
+//! between them, and whatever their handlers queue for the same tick goes
+//! behind the last of them.
 //!
 //! A protocol event's cost is mostly its first touch of per-node state:
 //! a locate visits `2·√n` distinct nodes once each, so at large `n` the
 //! handler struct, the load counter and the crash flag of the target are
-//! all cache misses. The queue knows the targets of the next events
-//! before they run (`EventQueue::upcoming`), so the loop prefetches
-//! those three for the event [`LOOKAHEAD`] places ahead. A prefetch
+//! all cache misses. The loop knows the targets of the next deliveries
+//! before they run — the rest of a fan's target list, and the entries
+//! behind the one popped (`EventQueue::upcoming`) — so it prefetches
+//! those three for the delivery [`LOOKAHEAD`] places ahead. A prefetch
 //! changes no architectural state and the hint is read-only, so order,
 //! counters and reports are what they are without it — which is what the
 //! `BTree` queue, whose hint is always `None`, runs.
 
-use crate::{Node, NodeApi, Sim, SimTime};
+use crate::{Envelope, Net, Node, NodeApi, Queued, Sim, SimTime};
+use mm_topo::NodeId;
 
 /// How many events ahead of the one executing the loop prefetches: far
 /// enough to cover a memory round trip at a few tens of nanoseconds per
@@ -60,27 +68,56 @@ fn prefetch_at<T>(v: &[T], i: usize) {
     }
 }
 
-impl<M, N: Node<M>> Sim<M, N> {
-    /// Executes every event due at or before `deadline`, in queue order.
+/// Prefetches what delivering to `to` touches first: its handler, its
+/// load counter and its crash flag.
+#[inline(always)]
+fn prefetch_node<M, N>(nodes: &[N], net: &Net<M>, to: NodeId) {
+    let to = to.index();
+    prefetch_at(nodes, to);
+    prefetch_at(&net.metrics.node_load, to);
+    prefetch_at(&net.crashed, to);
+}
+
+/// Runs one delivery: counted as an event, then dropped at a crashed
+/// destination or charged to it and handed to its handler.
+#[inline(always)]
+fn execute<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: Envelope<M>) {
+    net.pending -= 1;
+    net.metrics.events_executed += 1;
+    let me = env.to;
+    if net.crashed[me.index()] {
+        net.metrics.dropped += 1;
+        return;
+    }
+    net.metrics.delivered += 1;
+    net.metrics.node_load[me.index()] += 1;
+    nodes[me.index()].on_message(env, &mut NodeApi { net, me });
+}
+
+impl<M: Clone, N: Node<M>> Sim<M, N> {
+    /// Executes every delivery due at or before `deadline`, in queue order.
     pub(crate) fn drain(&mut self, deadline: SimTime) {
-        let net = &mut self.net;
-        while let Some((t, env)) = net.queue.pop_next_until(deadline) {
-            if let Some(next) = net.queue.upcoming(LOOKAHEAD) {
-                let to = next.to.index();
-                prefetch_at(&self.nodes, to);
-                prefetch_at(&net.metrics.node_load, to);
-                prefetch_at(&net.crashed, to);
+        let (nodes, net) = (&mut self.nodes, &mut self.net);
+        while let Some((t, entry)) = net.queue.pop_next_until(deadline) {
+            match net.queue.upcoming(LOOKAHEAD) {
+                Some(Queued::One(env)) => prefetch_node(nodes, net, env.to),
+                Some(Queued::Fan(fan)) => prefetch_node(nodes, net, fan.targets[0]),
+                None => {}
             }
             net.now = t;
-            net.metrics.events_executed += 1;
-            let me = env.to;
-            if net.crashed[me.index()] {
-                net.metrics.dropped += 1;
-                continue;
+            match entry {
+                Queued::One(env) => execute(nodes, net, env),
+                Queued::Fan(fan) => {
+                    for (i, to) in fan.targets.iter().enumerate() {
+                        if let Some(&ahead) = fan.targets.get(i + LOOKAHEAD) {
+                            prefetch_node(nodes, net, ahead);
+                        }
+                        if to != fan.from {
+                            execute(nodes, net, fan.copy_to(to));
+                        }
+                    }
+                }
             }
-            net.metrics.delivered += 1;
-            net.metrics.node_load[me.index()] += 1;
-            self.nodes[me.index()].on_message(env, &mut NodeApi { net, me });
         }
     }
 }
