@@ -25,11 +25,13 @@
 //! entry is one [`Envelope`] — or, for a multicast under
 //! [`CostModel::Uniform`], one *fan*: every remote copy lands on the next
 //! tick (§2.1), so the copies share a single entry that holds the
-//! [`TargetSet`] and the payload once. The loop pops one entry at a time
-//! in queue order, runs each delivery it stands for — a fan's in target
-//! order, each counted, charged and dropped exactly as an envelope of its
-//! own would be — and hands the handler a [`NodeApi`] over that network,
-//! so a send is routed, charged and queued while the handler runs. Queue
+//! [`TargetSet`] and the payload once. The loop takes one tick's whole
+//! FIFO run off the queue at a time, runs each delivery its entries stand
+//! for in run order — a fan's in target order, each counted, charged and
+//! dropped exactly as an envelope of its own would be — and hands the
+//! handler a [`NodeApi`] over that network, so a send is routed, charged
+//! and queued while the handler runs; a send for the same tick queues
+//! behind the whole run, as it would behind the rest of the tick. Queue
 //! depth is the number of pending deliveries, not of entries, so every
 //! report reads the same as with one entry per copy. A parallel per-tick
 //! scheduler was built, measured behind this loop at every setting, and
@@ -882,16 +884,16 @@ mod tests {
         }
     }
 
-    /// The event loop prefetches for the event `upcoming` names; the
-    /// `BTree` queue never names one, so calendar ≡ btree is also
-    /// prefetch ≡ no prefetch. Same-tick chains are the case to watch: a
-    /// lone chain empties its run at every pop and refills it from the
-    /// handler (the hint has nothing to say), thirty at once keep the run
-    /// deeper than the lookahead while it is appended to mid-drain (the
-    /// hint names events pushed after the pop that reads it), and a
-    /// hinted target may be crashed by the time it is popped.
+    /// The event loop takes a tick's whole run off the queue, and a
+    /// same-tick send refills the slot the run left; the `BTree` queue
+    /// builds its runs by per-event pops, so calendar ≡ btree checks the
+    /// refill against the oracle's order. Same-tick chains are the case to
+    /// watch: a lone chain refills the taken slot at every event (each
+    /// run is one entry long), thirty at once keep the run deeper than the
+    /// lookahead while its slot refills mid-run, and a target may be
+    /// crashed between the send and its run.
     #[test]
-    fn same_tick_chains_run_the_same_with_and_without_the_hint() {
+    fn same_tick_chains_refilling_a_taken_slot_match_the_oracle() {
         let n = 64;
         let run = |kind| {
             let mut sim = Sim::with_router(
@@ -915,10 +917,10 @@ mod tests {
                 .collect();
             (sim.metrics().clone(), *sim.queue_depth_buckets(), logs)
         };
-        let hinted = run(QueueKind::Calendar);
-        assert_eq!(hinted.2[0].len(), 41 + 4 + 1, "chains and the pong");
-        assert_eq!(hinted.0.dropped, 1, "the ping to the crashed node");
-        assert_eq!(hinted, run(QueueKind::BTree));
+        let calendar = run(QueueKind::Calendar);
+        assert_eq!(calendar.2[0].len(), 41 + 4 + 1, "chains and the pong");
+        assert_eq!(calendar.0.dropped, 1, "the ping to the crashed node");
+        assert_eq!(calendar, run(QueueKind::BTree));
     }
 
     // ---- `ShardMode` is an alias: every value runs the one core ----
@@ -1036,7 +1038,7 @@ mod tests {
 
         /// Random traffic on a grid (analytic router, short hops) or a
         /// path of the same size (table router, long delays): the
-        /// `BTree` queue (no prefetch hint) under the `Sharded` alias
+        /// `BTree` queue under the `Sharded` alias
         /// reproduces the default simulator's metrics, depth histogram,
         /// clock and per-node delivery logs.
         #[test]

@@ -20,15 +20,17 @@
 //!   through each and asserts byte-identical reports.
 //!
 //! [`QueueKind`] selects between them at `Sim` construction time. `Sim`
-//! pushes and pops through `push` / `pop_next_until` alone. An event here
-//! is one queue entry, which for `Sim` may stand for many deliveries (a
-//! uniform-cost multicast's fan), so the queue does not know the
+//! pushes through `push` and pops through `pop_run_until` alone: one call
+//! hands over every event of the earliest due tick, in push order, and
+//! leaves that tick's slot empty. A push at the same tick while the run is
+//! out starts the tick's next run, which is where a per-event pop would
+//! have put it too — behind everything the taken run still holds. The
+//! per-event `pop_next_until` / `pop_next` stay on the two queues as the
+//! oracle's view and for callers that want one event at a time. An event
+//! here is one queue entry, which for `Sim` may stand for many deliveries
+//! (a uniform-cost multicast's fan), so the queue does not know the
 //! simulator's queue depth and does not report one: `Sim` counts pending
-//! deliveries itself. Its loop also reads `upcoming`, a hint at what the
-//! next pops will return, to prefetch the state those events touch. It
-//! takes `&self`, so it cannot reorder anything, and `None` is always a
-//! legal answer — the only one the reference queue gives — so whatever
-//! holds with the hint ignored holds with it.
+//! deliveries itself.
 
 use crate::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -196,13 +198,14 @@ impl<T> CalendarQueue<T> {
         self.migrate_due();
     }
 
-    /// Pops the earliest event if its time is `<= deadline`.
+    /// Moves the cursor to the earliest queued tick if that tick is
+    /// `<= deadline` and returns it; its whole run is then in its slot.
     ///
-    /// Returns `None` when the queue is empty or the next event lies
-    /// beyond the deadline (the queue is left untouched in both cases,
-    /// though the internal scan cursor may advance up to the earliest
-    /// event time).
-    pub fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
+    /// Returns `None` when the queue is empty or the earliest tick lies
+    /// beyond the deadline. The cursor only moves to a tick that is
+    /// popped: a deadline miss must leave every time >= the last popped
+    /// event legal for future pushes.
+    fn seek_front(&mut self, deadline: SimTime) -> Option<SimTime> {
         if self.is_empty() {
             return None;
         }
@@ -217,25 +220,15 @@ impl<T> CalendarQueue<T> {
             self.migrate_due();
         }
         // scan unit slots from the cursor; bounded by the window width
-        // because the ring holds at least one event. The cursor only
-        // advances on an actual pop: a deadline miss must leave every
-        // time >= the last popped event legal for future pushes.
+        // because the ring holds at least one event
         let mut t = self.cursor;
         loop {
-            let run = &mut self.ring[(t & self.mask) as usize];
-            if !run.is_empty() {
+            if !self.ring[(t & self.mask) as usize].is_empty() {
                 if t > deadline {
                     return None;
                 }
                 self.cursor = t;
-                let ev = run.pop_front().expect("nonempty run");
-                if run.is_empty() {
-                    // give the drained run's buffer back: a kept one
-                    // pins every slot at the largest tick it ever held
-                    *run = VecDeque::new();
-                }
-                self.ringed -= 1;
-                return Some((t, ev));
+                return Some(t);
             }
             t += 1;
             debug_assert!(
@@ -245,20 +238,42 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// Pops the earliest event if its time is `<= deadline`.
+    ///
+    /// Returns `None` when the queue is empty or the next event lies
+    /// beyond the deadline (the queue is left untouched in both cases,
+    /// though the internal scan cursor may advance up to the earliest
+    /// event time).
+    pub fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
+        let t = self.seek_front(deadline)?;
+        let run = &mut self.ring[(t & self.mask) as usize];
+        let ev = run.pop_front().expect("nonempty run");
+        if run.is_empty() {
+            // give the drained run's buffer back: a kept one pins every
+            // slot at the largest tick it ever held
+            *run = VecDeque::new();
+        }
+        self.ringed -= 1;
+        Some((t, ev))
+    }
+
     /// Pops the earliest event unconditionally.
     pub fn pop_next(&mut self) -> Option<(SimTime, T)> {
         self.pop_next_until(SimTime::MAX)
     }
 
-    /// A hint at the event `k` places behind the front of the queue:
-    /// `Some(e)` is what the `(k + 1)`-th pop from now returns, whatever
-    /// is pushed meanwhile. Only the run last popped from is looked at,
-    /// so `None` means "not known", not "fewer than `k + 1` events".
-    pub fn upcoming(&self, k: usize) -> Option<&T> {
-        // the cursor is the last popped time and nothing may be pushed
-        // before it, so what is left of its run is the front of the queue
-        // and later pushes only go behind it
-        self.ring[(self.cursor & self.mask) as usize].get(k)
+    /// Pops every event of the earliest tick if that tick is
+    /// `<= deadline`: the tick and its run, in push order — what that
+    /// many [`pop_next_until`](Self::pop_next_until) calls would return.
+    ///
+    /// The slot is left holding no buffer. A push at the same tick while
+    /// the run is out starts the tick's next run, behind the whole of this
+    /// one; `None` under the same conditions as `pop_next_until`.
+    pub fn pop_run_until(&mut self, deadline: SimTime) -> Option<(SimTime, VecDeque<T>)> {
+        let t = self.seek_front(deadline)?;
+        let run = std::mem::take(&mut self.ring[(t & self.mask) as usize]);
+        self.ringed -= run.len();
+        Some((t, run))
     }
 }
 
@@ -309,6 +324,23 @@ impl<T> BTreeQueue<T> {
     pub fn pop_next(&mut self) -> Option<(SimTime, T)> {
         self.pop_next_until(SimTime::MAX)
     }
+
+    /// Pops every event of the earliest tick if that tick is
+    /// `<= deadline`, in push order.
+    pub fn pop_run_until(&mut self, deadline: SimTime) -> Option<(SimTime, VecDeque<T>)> {
+        let (&(t, _), _) = self.map.first_key_value()?;
+        if t > deadline {
+            return None;
+        }
+        let mut run = VecDeque::new();
+        while let Some(first) = self.map.first_entry() {
+            if first.key().0 != t {
+                break;
+            }
+            run.push_back(first.remove());
+        }
+        Some((t, run))
+    }
 }
 
 /// Runtime-selected queue implementation used by `Sim`.
@@ -333,18 +365,10 @@ impl<T> EventQueue<T> {
         }
     }
 
-    pub(crate) fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
+    pub(crate) fn pop_run_until(&mut self, deadline: SimTime) -> Option<(SimTime, VecDeque<T>)> {
         match self {
-            EventQueue::Calendar(q) => q.pop_next_until(deadline),
-            EventQueue::BTree(q) => q.pop_next_until(deadline),
-        }
-    }
-
-    /// See [`CalendarQueue::upcoming`]; the reference queue never knows.
-    pub(crate) fn upcoming(&self, k: usize) -> Option<&T> {
-        match self {
-            EventQueue::Calendar(q) => q.upcoming(k),
-            EventQueue::BTree(_) => None,
+            EventQueue::Calendar(q) => q.pop_run_until(deadline),
+            EventQueue::BTree(q) => q.pop_run_until(deadline),
         }
     }
 }
@@ -601,89 +625,158 @@ mod tests {
         assert_eq!(order, [(9, "a"), (9, "b"), (9, "c"), (9, "d"), (9, "e")]);
     }
 
+    /// Pops one run off a queue as `Sim` does, as `(tick, entries)`.
+    fn take_run<T>(q: &mut CalendarQueue<T>, deadline: SimTime) -> Option<(SimTime, Vec<T>)> {
+        q.pop_run_until(deadline)
+            .map(|(t, run)| (t, Vec::from(run)))
+    }
+
     #[test]
-    fn upcoming_names_the_next_pops_of_the_run_at_the_cursor() {
+    fn a_run_holds_exactly_its_ticks_entries_in_push_order() {
         let mut q = CalendarQueue::with_span(4);
         for name in ["a", "b", "c"] {
             q.push(2, name);
         }
         q.push(3, "next tick");
-        assert_eq!(q.upcoming(0), None, "nothing popped yet, nothing at 0");
-        assert_eq!(q.pop_next(), Some((2, "a")));
-        assert_eq!(q.upcoming(0), Some(&"b"));
-        assert_eq!(q.upcoming(1), Some(&"c"));
-        assert_eq!(q.upcoming(2), None, "the hint stops at the run's end");
-        q.push(2, "d"); // a same-tick send queues behind the run
-        assert_eq!(q.upcoming(2), Some(&"d"));
-        assert_eq!(q.len(), 4);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop_next()).collect();
-        assert_eq!(order, [(2, "b"), (2, "c"), (2, "d"), (3, "next tick")]);
-        assert_eq!(q.upcoming(0), None);
+        q.push(2, "d");
+        assert_eq!(take_run(&mut q, 1), None, "nothing is due by tick 1");
+        assert_eq!(take_run(&mut q, 3), Some((2, vec!["a", "b", "c", "d"])));
+        assert_eq!(q.len(), 1, "the run is off the queue");
+        assert_eq!(take_run(&mut q, 2), None, "tick 3 is past the deadline");
+        assert_eq!(take_run(&mut q, 3), Some((3, vec!["next tick"])));
+        assert_eq!(take_run(&mut q, SimTime::MAX), None);
+        assert!(q.is_empty());
     }
 
-    /// The two queues of one proptest case, and what `upcoming` has
-    /// promised about pops still to come.
-    struct Pair {
-        cal: CalendarQueue<u64>,
-        oracle: BTreeQueue<u64>,
-        pops: usize,
-        /// Pop number → the event a hint said it returns.
-        promised: std::collections::HashMap<usize, u64>,
+    /// A far run is taken whole once due, and a deadline that misses it
+    /// leaves the cursor where it was, so an earlier push stays legal.
+    #[test]
+    fn a_far_run_comes_back_as_one_run_after_a_missed_deadline() {
+        let mut q = CalendarQueue::with_span(4);
+        for name in ["a", "b", "c"] {
+            q.push(9, name); // 9 - 0 >= span: one far run of three
+        }
+        q.push(3, "near");
+        assert_eq!(take_run(&mut q, 3), Some((3, vec!["near"])));
+        q.push(9, "d"); // still beyond the window [3, 7): joins the far run
+        assert_eq!(take_run(&mut q, 8), None, "the far run is not due");
+        assert_eq!(q.cursor, 3, "a miss does not move the cursor");
+        q.push(4, "late");
+        assert_eq!(take_run(&mut q, 8), Some((4, vec!["late"])));
+        assert_eq!(take_run(&mut q, 9), Some((9, vec!["a", "b", "c", "d"])));
+        assert!(q.is_empty());
     }
 
-    impl Pair {
-        /// Pops both queues, which must agree with each other and with
-        /// every hint given about this pop.
-        fn pop_until(&mut self, deadline: SimTime) -> Option<SimTime> {
-            let a = self.cal.pop_next_until(deadline);
-            prop_assert_eq!(a, self.oracle.pop_next_until(deadline));
-            let (t, ev) = a?;
-            if let Some(hinted) = self.promised.remove(&self.pops) {
-                prop_assert_eq!(hinted, ev, "pop {} broke a hint", self.pops);
-            }
-            self.pops += 1;
-            Some(t)
+    /// The window may double while a run is out (a handler's far sends
+    /// overflow the far map): the taken tick's slot moves with the rest,
+    /// and a same-tick send made after the growth still comes back as the
+    /// tick's next run.
+    #[test]
+    fn a_run_out_while_the_window_grows_keeps_its_tick() {
+        let mut q = CalendarQueue::with_span(2);
+        q.push(5, "a");
+        q.push(5, "b");
+        let (t, run) = take_run(&mut q, 5).expect("tick 5 is due");
+        for (i, at) in [10, 20, 30].into_iter().enumerate() {
+            q.push(at, run[i % 2]); // the third far push grows the window
         }
+        assert!(q.span() > 2, "far pressure must widen the window");
+        q.push(t, "c");
+        assert_eq!(take_run(&mut q, 5), Some((5, vec!["c"])));
+        let rest: Vec<_> = std::iter::from_fn(|| take_run(&mut q, SimTime::MAX)).collect();
+        assert_eq!(rest, [(10, vec!["a"]), (20, vec!["b"]), (30, vec!["a"])]);
+    }
 
-        /// Asks for a hint and holds the queue to it.
-        fn probe(&mut self, k: usize) {
-            if let Some(&ev) = self.cal.upcoming(k) {
-                prop_assert_eq!(self.oracle.map.values().nth(k), Some(&ev));
-                let earlier = self.promised.insert(self.pops + k, ev);
-                prop_assert!(earlier.is_none_or(|e| e == ev), "two hints disagree");
+    /// `drained_buckets_give_their_buffers_back` on the run path: the
+    /// taken buffer leaves with the run, so the slot holds none even when
+    /// a same-tick send refills it while the run is out.
+    #[test]
+    fn taken_runs_leave_no_buffer_behind() {
+        let mut q = CalendarQueue::default();
+        for t in 0..2 * INITIAL_SPAN {
+            for i in 0..300u32 {
+                q.push(t, i);
             }
-            prop_assert_eq!(self.cal.len(), self.oracle.len(), "a hint is read-only");
+            let (at, run) = take_run(&mut q, t).expect("tick t is due");
+            assert_eq!((at, run), (t, (0..300).collect()), "tick {t}");
+            q.push(t, 300);
+            assert_eq!(take_run(&mut q, t), Some((t, vec![300])));
         }
+        assert!(q.is_empty());
+        let held: usize = q.ring.iter().map(VecDeque::capacity).sum();
+        assert_eq!(held, 0, "an empty queue holds no event storage");
+    }
+
+    /// Pops the calendar queue once — one event, or with `by_runs` one
+    /// run — checks what it got against the oracle's per-event pops, and
+    /// returns the tick popped at. While a run is out, each of its events
+    /// spends three bits of `sends` on what its "handler" pushes: nothing,
+    /// a same-tick send (the tick's next run), a near one, or a far one
+    /// (which may grow the window under the run). Once `sends` is spent
+    /// nothing more is pushed, so a drain always ends.
+    fn pop_checked(
+        cal: &mut CalendarQueue<u64>,
+        oracle: &mut BTreeQueue<u64>,
+        deadline: SimTime,
+        by_runs: bool,
+        sends: &mut u64,
+    ) -> Option<SimTime> {
+        if !by_runs {
+            let popped = cal.pop_next_until(deadline);
+            prop_assert_eq!(popped, oracle.pop_next_until(deadline));
+            return popped.map(|(t, _)| t);
+        }
+        let Some((t, run)) = cal.pop_run_until(deadline) else {
+            prop_assert_eq!(oracle.pop_next_until(deadline), None, "both miss");
+            return None;
+        };
+        prop_assert!(!run.is_empty(), "a run holds at least one event");
+        let mut refills = 0;
+        for ev in run {
+            prop_assert_eq!(oracle.pop_next_until(deadline), Some((t, ev)));
+            let (what, at) = (*sends & 7, *sends >> 3);
+            *sends >>= 3;
+            let to = match what {
+                4 | 5 => t,
+                6 => t + at % 16,
+                7 => t + 1_000 + at % (1 << 30),
+                _ => continue,
+            };
+            push_both(cal, oracle, to);
+            refills += usize::from(to == t);
+        }
+        let left_at_t = oracle.map.range((t, 0)..=(t, u64::MAX)).count();
+        prop_assert_eq!(left_at_t, refills, "the run was all of its tick");
+        Some(t)
     }
 
     /// One proptest case: `ops` applied to a calendar queue of initial
-    /// width `span` and to the oracle, every pop compared — with each
-    /// other and with what `upcoming`, probed after every op, said they
-    /// would be.
-    fn check_against_oracle(ops: &[(u8, u64)], span: u64) {
-        let mut q = Pair {
-            cal: CalendarQueue::with_span(span),
-            oracle: BTreeQueue::default(),
-            pops: 0,
-            promised: Default::default(),
-        };
+    /// width `span` and to the oracle, every pop — per event, or with
+    /// `by_runs` per run — compared event by event.
+    fn check_against_oracle(ops: &[(u8, u64)], span: u64, by_runs: bool) {
+        let mut cal = CalendarQueue::with_span(span);
+        let mut oracle = BTreeQueue::default();
         let mut now = 0u64;
         let mut far_used: Vec<u64> = Vec::new();
         for &(kind, x) in ops {
+            let mut sends = x.rotate_left(17);
+            let mut pop = |cal: &mut _, oracle: &mut _, deadline| {
+                pop_checked(cal, oracle, deadline, by_runs, &mut sends)
+            };
             match kind {
                 0 => {
                     // near-future push
-                    push_both(&mut q.cal, &mut q.oracle, now + x % 16);
+                    push_both(&mut cal, &mut oracle, now + x % 16);
                 }
                 1 => {
                     // mid-range push, crosses windows
-                    push_both(&mut q.cal, &mut q.oracle, now + x % 5000);
+                    push_both(&mut cal, &mut oracle, now + x % 5000);
                 }
                 2 => {
                     // far-future push: far map + window growth
                     let at = now + 1_000 + x % (1 << 30);
                     far_used.push(at);
-                    push_both(&mut q.cal, &mut q.oracle, at);
+                    push_both(&mut cal, &mut oracle, at);
                 }
                 3 => {
                     // a far timestamp again (unless time has passed it):
@@ -692,32 +785,32 @@ mod tests {
                         0 => now + 1_000,
                         len => far_used[x as usize % len].max(now),
                     };
-                    push_both(&mut q.cal, &mut q.oracle, at);
+                    push_both(&mut cal, &mut oracle, at);
                 }
                 4 => {
                     // drain up to a bounded deadline
-                    while let Some(t) = q.pop_until(now + x % 64) {
+                    while let Some(t) = pop(&mut cal, &mut oracle, now + x % 64) {
                         now = t;
                     }
                 }
                 5 => {
                     // single pop
-                    if let Some(t) = q.pop_until(SimTime::MAX) {
+                    if let Some(t) = pop(&mut cal, &mut oracle, SimTime::MAX) {
                         now = t;
                     }
                 }
                 _ => {
                     // same-tick sends: a burst behind the run being popped
                     for _ in 0..1 + x % 8 {
-                        push_both(&mut q.cal, &mut q.oracle, now);
+                        push_both(&mut cal, &mut oracle, now);
                     }
                 }
             }
-            q.probe((x >> 32) as usize % 8);
         }
         // full drain must agree event by event
-        while q.pop_until(SimTime::MAX).is_some() {}
-        prop_assert!(q.promised.is_empty(), "every hinted pop happened");
+        let mut sends = 0;
+        while pop_checked(&mut cal, &mut oracle, SimTime::MAX, by_runs, &mut sends).is_some() {}
+        prop_assert!(cal.is_empty() && oracle.is_empty());
     }
 
     proptest! {
@@ -728,18 +821,28 @@ mod tests {
             ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
-            check_against_oracle(&ops, span);
+            check_against_oracle(&ops, span, false);
         }
 
-        /// The same check on a mix where every other op is a same-tick
-        /// burst (kind 6 and up), so the run at the cursor is usually
-        /// deep enough for `upcoming` to answer.
+        /// Popping by runs, with sends made while a run is out, reads the
+        /// oracle's per-event pops in order.
         #[test]
-        fn upcoming_is_the_following_pops_under_same_tick_sends(
+        fn calendar_runs_match_btreemap_oracle(
+            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
+            span in 1u64..64,
+        ) {
+            check_against_oracle(&ops, span, true);
+        }
+
+        /// The run check on a mix where every other op is a same-tick
+        /// burst (kind 6 and up), so runs are deep and same-tick pushes
+        /// keep refilling the slot a run was taken from.
+        #[test]
+        fn same_tick_pushes_come_back_as_the_next_run(
             ops in prop::collection::vec((0u8..12, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
-            check_against_oracle(&ops, span);
+            check_against_oracle(&ops, span, true);
         }
     }
 
@@ -752,7 +855,16 @@ mod tests {
             ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
-            check_against_oracle(&ops, span);
+            check_against_oracle(&ops, span, false);
+        }
+
+        #[test]
+        #[ignore = "release tier: 8,192 cases"]
+        fn calendar_runs_match_btreemap_oracle_at_scale(
+            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
+            span in 1u64..64,
+        ) {
+            check_against_oracle(&ops, span, true);
         }
     }
 }

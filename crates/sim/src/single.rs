@@ -1,8 +1,14 @@
-//! The event loop: one event queue, one entry at a time, in the queue's
-//! order (by time, FIFO within a tick), on the calling thread.
+//! The event loop: one event queue, one run of a tick at a time, in the
+//! queue's order (by time, FIFO within a tick), on the calling thread.
 //!
-//! Each delivery a popped entry stands for is charged to its destination
-//! and handed to that node's handler together with a [`NodeApi`] over the
+//! Each pop takes the whole FIFO run of the earliest due tick off the
+//! queue, and the loop executes its entries by value, in order. Sends a
+//! handler makes for that same tick land in the slot the run just left,
+//! so they come back as the tick's next run — behind everything the taken
+//! run still holds, which is where one pop per entry would have put them.
+//!
+//! Each delivery an entry stands for is charged to its destination and
+//! handed to that node's handler together with a [`NodeApi`] over the
 //! network, through which the handler's sends go straight into the same
 //! queue. An envelope is one delivery; a fan (the remote copies of one
 //! uniform-cost multicast) is one per target but the sender, run back to
@@ -14,13 +20,11 @@
 //! A protocol event's cost is mostly its first touch of per-node state:
 //! a locate visits `2·√n` distinct nodes once each, so at large `n` the
 //! handler struct, the load counter and the crash flag of the target are
-//! all cache misses. The loop knows the targets of the next deliveries
-//! before they run — the rest of a fan's target list, and the entries
-//! behind the one popped (`EventQueue::upcoming`) — so it prefetches
-//! those three for the delivery [`LOOKAHEAD`] places ahead. A prefetch
-//! changes no architectural state and the hint is read-only, so order,
-//! counters and reports are what they are without it — which is what the
-//! `BTree` queue, whose hint is always `None`, runs.
+//! all cache misses. The loop holds the targets of the next deliveries
+//! before they run — the rest of a fan's target list, and the rest of the
+//! run — so it prefetches those three for the delivery [`LOOKAHEAD`]
+//! places ahead. A prefetch changes no architectural state, so order,
+//! counters and reports are what they are without it.
 
 use crate::{Envelope, Net, Node, NodeApi, Queued, Sim, SimTime};
 use mm_topo::NodeId;
@@ -98,22 +102,27 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// Executes every delivery due at or before `deadline`, in queue order.
     pub(crate) fn drain(&mut self, deadline: SimTime) {
         let (nodes, net) = (&mut self.nodes, &mut self.net);
-        while let Some((t, entry)) = net.queue.pop_next_until(deadline) {
-            match net.queue.upcoming(LOOKAHEAD) {
-                Some(Queued::One(env)) => prefetch_node(nodes, net, env.to),
-                Some(Queued::Fan(fan)) => prefetch_node(nodes, net, fan.targets[0]),
-                None => {}
-            }
+        while let Some((t, run)) = net.queue.pop_run_until(deadline) {
             net.now = t;
-            match entry {
-                Queued::One(env) => execute(nodes, net, env),
-                Queued::Fan(fan) => {
-                    for (i, to) in fan.targets.iter().enumerate() {
-                        if let Some(&ahead) = fan.targets.get(i + LOOKAHEAD) {
-                            prefetch_node(nodes, net, ahead);
-                        }
-                        if to != fan.from {
-                            execute(nodes, net, fan.copy_to(to));
+            // O(1): a run is only ever pushed to, so it starts at the
+            // front of its buffer
+            let mut entries = Vec::from(run).into_iter();
+            while let Some(entry) = entries.next() {
+                match entries.as_slice().get(LOOKAHEAD - 1) {
+                    Some(Queued::One(env)) => prefetch_node(nodes, net, env.to),
+                    Some(Queued::Fan(fan)) => prefetch_node(nodes, net, fan.targets[0]),
+                    None => {}
+                }
+                match entry {
+                    Queued::One(env) => execute(nodes, net, env),
+                    Queued::Fan(fan) => {
+                        for (i, to) in fan.targets.iter().enumerate() {
+                            if let Some(&ahead) = fan.targets.get(i + LOOKAHEAD) {
+                                prefetch_node(nodes, net, ahead);
+                            }
+                            if to != fan.from {
+                                execute(nodes, net, fan.copy_to(to));
+                            }
                         }
                     }
                 }

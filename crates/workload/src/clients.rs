@@ -250,18 +250,21 @@ impl ClientPool {
                                     && attempts <= self.model.retry_budget
                                     && !self.frozen;
                                 if retry {
-                                    // double per retry round, saturating
+                                    // double per retry round, saturating —
+                                    // and a wake-up past the end of time
+                                    // stays there instead of wrapping
                                     let shift = (attempts - 1).min(16);
                                     let delay = self.model.retry_backoff.saturating_mul(1 << shift);
                                     self.slots[si] = Slot::Backoff {
                                         rec,
-                                        resume_at: done_at + delay,
+                                        resume_at: done_at.saturating_add(delay),
                                         attempts,
                                         last_done: done_at,
                                     };
                                 } else {
                                     self.finish(rec, verdict, addr, done_at);
-                                    let until = done_at + draws.think(self.model.think);
+                                    let until =
+                                        done_at.saturating_add(draws.think(self.model.think));
                                     self.slots[si] = Slot::Thinking { until };
                                 }
                             }

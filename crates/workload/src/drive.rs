@@ -439,6 +439,7 @@ fn run_on<R: Runtime>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ThinkTime;
 
     #[test]
     fn defaults_match_the_cli() {
@@ -498,5 +499,37 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.ends_with('\n'));
         assert!(a.starts_with('['), "the CLI prints an array");
+    }
+
+    /// Regression: a client's wake-up tick was an unchecked add, so a
+    /// `--backoff` or `--think fixed:` of `u64::MAX` wrapped and fired at
+    /// once instead of never (and panicked in debug builds). Neither delay
+    /// below can expire before the horizon, so each pair must read the
+    /// same.
+    #[test]
+    fn a_wakeup_past_the_end_of_time_never_fires() {
+        let report = |scenario: &str, retry_backoff, think| {
+            let mut cfg = RunConfig::new(scenario, 64, 7);
+            cfg.clients = Some(ClientModel {
+                clients: 8,
+                think,
+                retry_budget: 3,
+                retry_backoff,
+                window: 250,
+            });
+            reports_to_json(&[run(&cfg).unwrap()], false)
+        };
+        let far = 1_000_000_000_000_000;
+        let think = ThinkTime::Fixed { ticks: 2 };
+        assert_eq!(
+            report("rack-failure-closed", u64::MAX, think),
+            report("rack-failure-closed", far, think),
+            "--backoff"
+        );
+        assert_eq!(
+            report("overload-ramp", 8, ThinkTime::Fixed { ticks: u64::MAX }),
+            report("overload-ramp", 8, ThinkTime::Fixed { ticks: far }),
+            "--think fixed:"
+        );
     }
 }
