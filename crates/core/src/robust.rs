@@ -129,36 +129,14 @@ pub fn max_tolerated_faults(s: &impl Strategy) -> usize {
     min_overlap.saturating_sub(1)
 }
 
-/// Sampled variant of [`max_tolerated_faults`] for large universes: the
-/// minimum overlap over at most `samples` deterministically-strided
-/// `(i, j)` pairs (stride `7919`, the same discipline the workload layer
-/// uses for its cost predictor). Exact whenever `samples ≥ n²`; for the
-/// homogeneous strategies in this repository the per-pair overlap is
-/// uniform, so even small sample counts reproduce the exact value.
-pub fn max_tolerated_faults_sampled(s: &impl Strategy, samples: usize) -> usize {
-    let n = s.node_count();
-    if n == 0 {
-        return 0;
-    }
-    if samples >= n * n {
-        return max_tolerated_faults(s);
-    }
-    let mut min_overlap = usize::MAX;
-    for k in 0..samples.max(1) {
-        let pair = k.wrapping_mul(7919) % (n * n);
-        let (i, j) = (pair / n, pair % n);
-        let p = s.post_set(NodeId::from(i));
-        let q = s.query_set(NodeId::from(j));
-        min_overlap = min_overlap.min(crate::strategy::intersect_sorted(&p, &q).len());
-    }
-    min_overlap.saturating_sub(1)
-}
-
-/// Port-mapped twin of [`max_tolerated_faults_sampled`], usable by the
-/// workload runners (generic over [`PortMapped`], which covers §5's Hash
-/// Locate as well as every node-based strategy through the blanket impl):
-/// the minimum `#(post ∩ query) − 1` over a deterministic stride-`7919`
-/// sample of `(server, client, port)` triples.
+/// Sampled, port-mapped variant of [`max_tolerated_faults`] for large
+/// universes, usable by the workload runners (generic over
+/// [`PortMapped`], which covers §5's Hash Locate as well as every
+/// node-based strategy through the blanket impl): the minimum
+/// `#(post ∩ query) − 1` over a deterministic stride-`7919` sample of
+/// `(server, client, port)` triples. For the homogeneous strategies in
+/// this repository the per-pair overlap is uniform, so even small sample
+/// counts reproduce the exact value.
 pub fn max_tolerated_faults_pm(pm: &impl PortMapped, ports: &[Port], samples: usize) -> usize {
     let n = pm.node_count();
     if n == 0 || ports.is_empty() {
@@ -314,7 +292,6 @@ mod tests {
         for r in 1..=3usize {
             let s = Replicated::new(Checkerboard::new(36), r);
             let exact = max_tolerated_faults(&s);
-            assert_eq!(max_tolerated_faults_sampled(&s, 48), exact, "r={r}");
             assert_eq!(max_tolerated_faults_pm(&s, &ports, 48), exact, "r={r}");
         }
         // Hash Locate with r replicas tolerates r − 1 rendezvous crashes

@@ -3,10 +3,9 @@
 //! Paper §2.1 assumption 3: *"all nodes have a cache which is large enough
 //! to store all (port, address) pairs associated with addresses `i` such
 //! that `j ∈ P(i)` … caches are large enough … that they never have to
-//! discard one for a server that is still active."* [`Cache`] defaults to
-//! unbounded accordingly; a capacity can be set to model Lighthouse-style
-//! small caches where *"too-small caches can discard (port, address)
-//! pairs"* — eviction is oldest-stamp-first.
+//! discard one for a server that is still active."* [`Cache`] is therefore
+//! unbounded: an entry leaves only when a withdrawal or a newer stamp
+//! replaces it, or when the node loses its memory.
 
 use mm_core::Port;
 use mm_topo::NodeId;
@@ -21,33 +20,16 @@ pub struct CacheEntry {
     pub stamp: u64,
 }
 
-/// A `(port → (address, stamp))` cache with optional capacity.
-#[derive(Debug, Clone)]
+/// A `(port → (address, stamp))` cache.
+#[derive(Debug, Clone, Default)]
 pub struct Cache {
     entries: HashMap<Port, CacheEntry>,
-    /// Most entries kept; `usize::MAX` is unbounded.
-    capacity: usize,
-}
-
-impl Default for Cache {
-    fn default() -> Self {
-        Cache::with_capacity(usize::MAX)
-    }
 }
 
 impl Cache {
-    /// Unbounded cache (the Shotgun Locate assumption).
+    /// An empty cache.
     pub fn new() -> Self {
         Cache::default()
-    }
-
-    /// Cache that evicts its oldest entry beyond `capacity` (Lighthouse
-    /// Locate's small caches).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Cache {
-            entries: HashMap::new(),
-            capacity,
-        }
     }
 
     /// Inserts or refreshes an advertisement. Older stamps never overwrite
@@ -57,15 +39,6 @@ impl Cache {
             Some(e) if e.stamp >= stamp => false,
             _ => {
                 self.entries.insert(port, CacheEntry { addr, stamp });
-                while self.entries.len() > self.capacity {
-                    let oldest = self
-                        .entries
-                        .iter()
-                        .min_by_key(|(p, e)| (e.stamp, p.raw()))
-                        .map(|(p, _)| *p)
-                        .expect("nonempty while over capacity");
-                    self.entries.remove(&oldest);
-                }
                 true
             }
         }
@@ -89,8 +62,7 @@ impl Cache {
         self.entries.get(&port).copied()
     }
 
-    /// Drops every entry and keeps the capacity (a restored node's lost
-    /// volatile memory).
+    /// Drops every entry (a restored node's lost volatile memory).
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -163,30 +135,19 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_oldest() {
-        let mut c = Cache::with_capacity(2);
-        c.insert(port("a"), NodeId::new(1), 1);
-        c.insert(port("b"), NodeId::new(2), 2);
-        c.insert(port("c"), NodeId::new(3), 3);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(port("a")), None, "oldest evicted");
-        assert!(c.lookup(port("b")).is_some());
-        assert!(c.lookup(port("c")).is_some());
-    }
-
-    /// Regression: both hosts cleared a node's cache by assigning
-    /// `Cache::new()`, which turned a bounded cache into an unbounded one.
-    #[test]
-    fn clear_keeps_the_capacity() {
-        let mut c = Cache::with_capacity(2);
+    fn clear_empties_and_inserts_work_after() {
+        let mut c = Cache::new();
         c.insert(port("a"), NodeId::new(1), 1);
         c.insert(port("b"), NodeId::new(2), 2);
         c.clear();
         assert!(c.is_empty());
-        for (i, name) in ["c", "d", "e"].into_iter().enumerate() {
-            c.insert(port(name), NodeId::new(3), 3 + i as u64);
-        }
-        assert_eq!(c.len(), 2, "still bounded after a clear");
-        assert_eq!(c.lookup(port("c")), None, "oldest evicted");
+        assert_eq!(c.lookup(port("a")), None);
+        assert!(
+            c.insert(port("a"), NodeId::new(3), 1),
+            "old stamps are forgotten"
+        );
+        assert!(c.insert(port("c"), NodeId::new(4), 3));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.lookup(port("a")).unwrap().addr, NodeId::new(3));
     }
 }

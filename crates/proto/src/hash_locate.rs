@@ -31,7 +31,6 @@ pub struct RehashResult {
 #[derive(Debug)]
 pub struct HashLocateRuntime {
     engine: ShotgunEngine<HashLocate>,
-    hasher: HashLocate,
     /// Registered servers: (port, home node), needed for repair posting.
     servers: Vec<(Port, NodeId)>,
 }
@@ -43,11 +42,9 @@ impl HashLocateRuntime {
     ///
     /// Panics if `replication` is not in `1..=n`.
     pub fn new(graph: Graph, replication: usize, cost_model: CostModel) -> Self {
-        let n = graph.node_count();
-        let hasher = HashLocate::new(n, replication);
+        let hasher = HashLocate::new(graph.node_count(), replication);
         HashLocateRuntime {
             engine: ShotgunEngine::new(graph, hasher, cost_model),
-            hasher,
             servers: Vec::new(),
         }
     }
@@ -84,14 +81,15 @@ impl HashLocateRuntime {
         port: Port,
         max_attempts: u32,
     ) -> RehashResult {
-        let mut excluded = self.hasher.rendezvous_nodes(port);
+        let hasher = *self.engine.resolver();
+        let mut excluded = hasher.rendezvous_nodes(port);
         let mut last: Option<LocateOutcome> = None;
         let mut attempts = 0;
         for attempt in 0..max_attempts {
             let handle: LocateHandle = if attempt == 0 {
                 self.engine.locate(client, port)
             } else {
-                match self.hasher.rehash(port, attempt - 1, &excluded) {
+                match hasher.rehash(port, attempt - 1, &excluded) {
                     Some(backup) => {
                         excluded.push(backup);
                         self.engine.locate_at(client, port, vec![backup])
@@ -118,10 +116,11 @@ impl HashLocateRuntime {
     /// backup — one post per repair, the live primaries keep the posting
     /// they have. Returns the number of repairs performed.
     pub fn poll_and_repair(&mut self) -> usize {
+        let hasher = *self.engine.resolver();
         let mut repairs = 0usize;
         let servers = self.servers.clone();
         for (port, home) in servers {
-            let primaries = self.hasher.rendezvous_nodes(port);
+            let primaries = hasher.rendezvous_nodes(port);
             let dead: Vec<NodeId> = primaries
                 .iter()
                 .copied()
@@ -132,7 +131,7 @@ impl HashLocateRuntime {
             }
             let mut exclude = primaries.clone();
             for attempt in 0..dead.len() as u32 {
-                if let Some(backup) = self.hasher.rehash(port, attempt, &exclude) {
+                if let Some(backup) = hasher.rehash(port, attempt, &exclude) {
                     if !self.engine.sim().is_crashed(backup) {
                         self.engine.post_at(home, port, vec![backup]);
                         repairs += 1;
@@ -174,7 +173,7 @@ mod tests {
         let mut rt = HashLocateRuntime::new(gen::complete(n), 2, CostModel::Uniform);
         let p = port("db");
         rt.register_server(NodeId::new(0), p);
-        for v in rt.hasher.rendezvous_nodes(p) {
+        for v in rt.engine().resolver().rendezvous_nodes(p) {
             rt.engine_mut().crash(v);
         }
         let res = rt.locate_with_rehash(NodeId::new(9), p, 1);
@@ -191,7 +190,7 @@ mod tests {
         let p = port("db");
         rt.register_server(NodeId::new(0), p);
         // crash the only rendezvous node
-        let primary = rt.hasher.rendezvous_nodes(p)[0];
+        let primary = rt.engine().resolver().rendezvous_nodes(p)[0];
         rt.engine_mut().crash(primary);
         // without repair: locate fails even with rehash (backup is empty)
         let res = rt.locate_with_rehash(NodeId::new(9), p, 3);
@@ -216,10 +215,10 @@ mod tests {
         for (n, r, dead) in [(32, 1, 1), (64, 3, 1), (64, 3, 2)] {
             let mut rt = HashLocateRuntime::new(gen::complete(n), r, CostModel::Uniform);
             let p = port("db");
-            let primaries = rt.hasher.rendezvous_nodes(p);
+            let primaries = rt.engine().resolver().rendezvous_nodes(p);
             let mut taken = primaries.clone();
             for attempt in 0..dead as u32 {
-                let backup = rt.hasher.rehash(p, attempt, &taken).unwrap();
+                let backup = rt.engine().resolver().rehash(p, attempt, &taken).unwrap();
                 taken.push(backup);
             }
             let home = (0..n as u32)
@@ -251,10 +250,10 @@ mod tests {
         for name in ["svc-27", "svc-34", "svc-61"] {
             let mut rt = HashLocateRuntime::new(gen::complete(n), 2, CostModel::Uniform);
             let p = port(name);
-            let primaries = rt.hasher.rendezvous_nodes(p);
+            let primaries = rt.engine().resolver().rendezvous_nodes(p);
             let mut taken = primaries.clone();
             for attempt in 0..2 {
-                let backup = rt.hasher.rehash(p, attempt, &taken).unwrap();
+                let backup = rt.engine().resolver().rehash(p, attempt, &taken).unwrap();
                 taken.push(backup);
             }
             let mut free = (0..n as u32)
@@ -294,7 +293,7 @@ mod tests {
         let mut rt = HashLocateRuntime::new(gen::complete(n), 3, CostModel::Uniform);
         let p = port("svc");
         rt.register_server(NodeId::new(5), p);
-        let replicas = rt.hasher.rendezvous_nodes(p);
+        let replicas = rt.engine().resolver().rendezvous_nodes(p);
         rt.engine_mut().crash(replicas[0]);
         let res = rt.locate_with_rehash(NodeId::new(20), p, 1);
         // outcome is Unresolved (one replica silent) but the best answer

@@ -41,6 +41,17 @@
 //! channels make a barrier ack prove everything enqueued earlier was
 //! processed) and then tells the client to give up, playing the role of
 //! the simulator's client timeout without wall-clock flakiness.
+//!
+//! # Driver commands and completion
+//!
+//! A post or withdrawal is the machine's own `DoPost`/`DoUnpost` command,
+//! mailed to the server's node like any protocol message; a barrier there
+//! proves its fan-out was enqueued and a barrier at the targets that it
+//! was processed. A locate or request carries the channel its caller
+//! waits on. The machine says when an operation is decided by returning
+//! [`Settled`]; the driver's forced give-up is the same value mailed as
+//! `Finish`, so both close the operation and answer the waiter through
+//! one `report`.
 
 use crate::fault::FaultProfile;
 use crate::messages::ProtoMsg;
@@ -76,15 +87,10 @@ const RACE_RECHECK: Duration = Duration::from_millis(50);
 /// What travels through a node's mailbox.
 #[derive(Debug)]
 enum LiveMsg {
-    /// Protocol traffic between nodes (counted like simulator traffic).
+    /// Protocol traffic between nodes (counted like simulator traffic),
+    /// and the driver's `DoPost`/`DoUnpost` commands.
     Proto(ProtoMsg),
-    // --- driver commands (free injections, like `Sim::inject`) ---
-    /// A `DoPost`/`DoUnpost` command; `done` fires once the fan-out is
-    /// enqueued.
-    Post {
-        cmd: ProtoMsg,
-        done: Sender<()>,
-    },
+    // --- driver commands whose caller waits for the verdict ---
     Locate {
         port: Port,
         locate_id: u64,
@@ -103,15 +109,10 @@ enum LiveMsg {
         change: Change,
         ack: Sender<()>,
     },
-    /// Force-completes a pending locate with its partial state — the
-    /// driver-side stand-in for the simulator's client timeout.
-    FinishLocate {
-        locate_id: u64,
-    },
-    /// Force-completes a pending request with `None` (no reply).
-    FinishRequest {
-        request_id: u64,
-    },
+    /// Force-completes a pending operation — a locate with its partial
+    /// state, a request with `None` (no reply): the driver-side stand-in
+    /// for the simulator's client timeout.
+    Finish(Settled),
     Shutdown,
 }
 
@@ -219,26 +220,29 @@ impl NodeThread {
                     }
                     let _ = ack.send(());
                 }
-                LiveMsg::FinishLocate { locate_id } => self.report_locate(locate_id),
-                LiveMsg::FinishRequest { request_id } => self.report_request(request_id),
+                LiveMsg::Finish(settled) => self.report(settled),
                 other => self.on_message(other),
             }
         }
     }
 
-    /// Closes locate `id` and tells its waiter how it stands — complete,
-    /// or partial when the driver gave up on it.
-    fn report_locate(&mut self, id: u64) {
-        if let (Some(done), Some(outcome)) = (self.locates.remove(&id), self.machine.end_locate(id))
-        {
-            let _ = done.send(outcome);
-        }
-    }
-
-    /// Closes request `id`; `None` tells the waiter no reply ever came.
-    fn report_request(&mut self, id: u64) {
-        if let Some(done) = self.requests.remove(&id) {
-            let _ = done.send(self.machine.end_request(id));
+    /// Closes the operation and tells its waiter how it stands: a locate
+    /// complete, or partial when the driver gave up on it; a request's
+    /// answer, or `None` when no reply ever came.
+    fn report(&mut self, settled: Settled) {
+        match settled {
+            Settled::Locate(id) => {
+                if let (Some(done), Some(outcome)) =
+                    (self.locates.remove(&id), self.machine.end_locate(id))
+                {
+                    let _ = done.send(outcome);
+                }
+            }
+            Settled::Request(id) => {
+                if let Some(done) = self.requests.remove(&id) {
+                    let _ = done.send(self.machine.end_request(id));
+                }
+            }
         }
     }
 
@@ -250,9 +254,6 @@ impl NodeThread {
             // must never block on a dead node's answer
             counters.dropped.fetch_add(1, Ordering::Relaxed);
             match msg {
-                LiveMsg::Post { done, .. } => {
-                    let _ = done.send(());
-                }
                 LiveMsg::Locate { targets, done, .. } => {
                     let _ = done.send(LiveLocateOutcome::unanswered(targets.len()));
                 }
@@ -269,13 +270,6 @@ impl NodeThread {
         let me = self.net.me;
         let settled = match msg {
             LiveMsg::Proto(m) => self.machine.handle(me, m, 0, &mut self.net),
-            LiveMsg::Post { cmd, done } => {
-                self.machine.handle(me, cmd, 0, &mut self.net);
-                // acked only after the fan-out is enqueued: a barrier on
-                // the targets afterwards proves the posts were processed
-                let _ = done.send(());
-                None
-            }
             LiveMsg::Locate {
                 port,
                 locate_id,
@@ -308,15 +302,12 @@ impl NodeThread {
                 };
                 self.machine.handle(me, cmd, 0, &mut self.net)
             }
-            LiveMsg::Control { .. }
-            | LiveMsg::FinishLocate { .. }
-            | LiveMsg::FinishRequest { .. }
-            | LiveMsg::Shutdown => unreachable!("control messages are handled in run()"),
+            LiveMsg::Control { .. } | LiveMsg::Finish(_) | LiveMsg::Shutdown => {
+                unreachable!("control messages are handled in run()")
+            }
         };
-        match settled {
-            Some(Settled::Locate(id)) => self.report_locate(id),
-            Some(Settled::Request(id)) => self.report_request(id),
-            None => {}
+        if let Some(s) = settled {
+            self.report(s)
         }
     }
 }
@@ -452,28 +443,12 @@ impl LiveNet {
     fn advertise(&self, at: NodeId, port: Port, targets: TargetSet, on: bool) -> u64 {
         let stamp = self.next_stamp();
         self.control(at, Change::Serve { port, on });
-        let (done_tx, done_rx) = bounded(1);
-        let cmd = if on {
-            ProtoMsg::DoPost {
-                port,
-                addr: at,
-                stamp,
-                targets: targets.clone(),
-            }
-        } else {
-            ProtoMsg::DoUnpost {
-                port,
-                addr: at,
-                stamp,
-                targets: targets.clone(),
-            }
-        };
-        let _ = self.senders[at.index()].send(LiveMsg::Post { cmd, done: done_tx });
-        done_rx
-            .recv_timeout(WEDGE_TIMEOUT)
-            .expect("live fan-out ack: runtime wedged");
-        // the fan-out is enqueued everywhere; the barrier makes it
-        // *processed* everywhere before the driver moves on
+        let cmd = ProtoMsg::advertise(on, port, at, stamp, targets.clone());
+        let _ = self.senders[at.index()].send(LiveMsg::Proto(cmd));
+        // the first barrier proves the fan-out enqueued everywhere, the
+        // second that it was *processed* everywhere before the driver
+        // moves on
+        self.barrier([at]);
         self.barrier(targets.iter());
         stamp
     }
@@ -595,7 +570,7 @@ impl LiveNet {
         self.barrier([client]); // queries fanned out
         self.barrier(targets.iter().filter(|t| !crashed_now.contains(t))); // answers sent
         self.barrier([client]); // answers absorbed
-        let _ = self.senders[client.index()].send(LiveMsg::FinishLocate { locate_id: id });
+        let _ = self.senders[client.index()].send(LiveMsg::Finish(Settled::Locate(id)));
         done_rx
             .recv_timeout(WEDGE_TIMEOUT)
             .expect("live locate finish: runtime wedged")
@@ -640,7 +615,7 @@ impl LiveNet {
         }
         self.barrier([client]); // request sent
         self.barrier([addr]); // request dropped at the crashed host
-        let _ = self.senders[client.index()].send(LiveMsg::FinishRequest { request_id: id });
+        let _ = self.senders[client.index()].send(LiveMsg::Finish(Settled::Request(id)));
         done_rx
             .recv_timeout(WEDGE_TIMEOUT)
             .expect("live request finish: runtime wedged")
@@ -900,6 +875,26 @@ mod tests {
         assert_eq!(m.node_load.iter().sum::<u64>(), m.delivered);
         assert_eq!(m.events_executed, m.delivered);
         assert_eq!(m.peak_queue_depth, 0, "not sampled in the live runtime");
+    }
+
+    /// A post issued at a crashed host dies there like any message — one
+    /// event, one drop, nothing sent — and the driver still returns.
+    #[test]
+    fn registering_at_a_crashed_host_is_one_dropped_event() {
+        let n = 9;
+        let strat = Checkerboard::new(n);
+        let net = LiveNet::new(n);
+        let server = NodeId::new(4);
+        net.crash(server);
+        let before = net.metrics();
+        net.register_server(server, Port::from_name("svc"), strat.post_set(server));
+        let m = net.metrics().delta(&before);
+        assert_eq!(m.events_executed, 1);
+        assert_eq!(m.dropped, 1);
+        assert_eq!(m.delivered, 0);
+        assert_eq!(m.sends, 0);
+        assert_eq!(m.message_passes, 0);
+        net.shutdown();
     }
 
     /// The machine completes a locate that asks nobody at issue, and a

@@ -133,3 +133,31 @@ pub enum ProtoMsg {
         request_id: u64,
     },
 }
+
+impl ProtoMsg {
+    /// The driver command that posts (`on`) or withdraws `(port, addr)` at
+    /// `targets` under `stamp` — what either host sends to advertise.
+    pub(crate) fn advertise(
+        on: bool,
+        port: Port,
+        addr: NodeId,
+        stamp: u64,
+        targets: TargetSet,
+    ) -> Self {
+        if on {
+            ProtoMsg::DoPost {
+                port,
+                addr,
+                stamp,
+                targets,
+            }
+        } else {
+            ProtoMsg::DoUnpost {
+                port,
+                addr,
+                stamp,
+                targets,
+            }
+        }
+    }
+}

@@ -42,10 +42,8 @@ pub struct LocateHandle {
     pub id: u64,
 }
 
-/// The simulator's host of the node machine: messages come off the event
+/// The simulator hosts the node machine: messages come off the event
 /// queue, effects go back onto it through [`NodeApi`].
-pub type NsNode = NodeMachine;
-
 impl Outbox for NodeApi<'_, ProtoMsg> {
     fn send(&mut self, to: NodeId, msg: ProtoMsg) {
         NodeApi::send(self, to, msg);
@@ -56,17 +54,17 @@ impl Outbox for NodeApi<'_, ProtoMsg> {
     }
 }
 
-impl Node<ProtoMsg> for NsNode {
+impl Node<ProtoMsg> for NodeMachine {
     fn on_message(&mut self, env: Envelope<ProtoMsg>, api: &mut NodeApi<'_, ProtoMsg>) {
         self.handle(api.me(), env.msg, api.now(), api);
     }
 }
 
-/// The engine: a simulator full of [`NsNode`]s plus the `P`/`Q` resolver
+/// The engine: a simulator full of [`NodeMachine`]s plus the `P`/`Q` resolver
 /// and operation bookkeeping.
 #[derive(Debug)]
 pub struct ShotgunEngine<PM> {
-    sim: Sim<ProtoMsg, NsNode>,
+    sim: Sim<ProtoMsg, NodeMachine>,
     resolver: PM,
     /// Memoized `P`/`Q` sets: operations reuse shared target sets
     /// instead of cloning fresh `Vec`s out of the resolver.
@@ -101,8 +99,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     ///
     /// # Panics
     ///
-    /// Panics if the resolver's universe size differs from the graph's,
-    /// or if `router` is `RouterKind::Analytic` on a non-structured graph.
+    /// Panics if the resolver's universe size differs from the graph's.
     pub fn with_router(
         graph: Graph,
         resolver: PM,
@@ -117,7 +114,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
             "resolver universe must match the graph"
         );
         let n = graph.node_count();
-        let nodes = (0..n).map(|_| NsNode::default()).collect();
+        let nodes = (0..n).map(|_| NodeMachine::default()).collect();
         ShotgunEngine {
             sim: Sim::with_router(graph, nodes, cost_model, kind, mode, router),
             resolver,
@@ -129,7 +126,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     }
 
     /// The underlying simulator (for inspection).
-    pub fn sim(&self) -> &Sim<ProtoMsg, NsNode> {
+    pub fn sim(&self) -> &Sim<ProtoMsg, NodeMachine> {
         &self.sim
     }
 
@@ -162,58 +159,40 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
         self.clock
     }
 
-    /// Registers a server for `port` at node `at` and posts its address at
-    /// `P(at, port)`. Returns the posting timestamp.
-    pub fn register_server(&mut self, at: NodeId, port: Port) -> u64 {
+    /// Starts (`on`) or stops serving `port` at `at` and posts or
+    /// withdraws `(port, at)` at `targets` under a fresh stamp, which it
+    /// returns.
+    fn advertise(&mut self, at: NodeId, port: Port, targets: TargetSet, on: bool) -> u64 {
         let stamp = self.next_stamp();
-        self.sim.node_mut(at).serve(port);
-        let targets = self.interner.post_set(&self.resolver, at, port);
-        self.sim.inject(
-            at,
-            at,
-            ProtoMsg::DoPost {
-                port,
-                addr: at,
-                stamp,
-                targets,
-            },
-        );
+        let node = self.sim.node_mut(at);
+        if on {
+            node.serve(port);
+        } else {
+            node.unserve(port);
+        }
+        let cmd = ProtoMsg::advertise(on, port, at, stamp, targets);
+        self.sim.inject(at, at, cmd);
         stamp
     }
 
-    /// Posts `(port, at)` at an explicit target set (Hash Locate repair
-    /// posting to rehash backups). Returns the posting timestamp.
+    /// Registers a server for `port` at node `at` and posts its address at
+    /// `P(at, port)`. Returns the posting timestamp.
+    pub fn register_server(&mut self, at: NodeId, port: Port) -> u64 {
+        let targets = self.interner.post_set(&self.resolver, at, port);
+        self.advertise(at, port, targets, true)
+    }
+
+    /// Posts `(port, at)` for the server at `at` at an explicit target set
+    /// (Hash Locate repair posting to rehash backups). Returns the posting
+    /// timestamp.
     pub fn post_at(&mut self, at: NodeId, port: Port, targets: Vec<NodeId>) -> u64 {
-        let targets = TargetSet::from_vec(targets);
-        let stamp = self.next_stamp();
-        self.sim.inject(
-            at,
-            at,
-            ProtoMsg::DoPost {
-                port,
-                addr: at,
-                stamp,
-                targets,
-            },
-        );
-        stamp
+        self.advertise(at, port, TargetSet::from_vec(targets), true)
     }
 
     /// Deregisters the server and withdraws its postings.
     pub fn deregister_server(&mut self, at: NodeId, port: Port) {
-        let stamp = self.next_stamp();
-        self.sim.node_mut(at).unserve(port);
         let targets = self.interner.post_set(&self.resolver, at, port);
-        self.sim.inject(
-            at,
-            at,
-            ProtoMsg::DoUnpost {
-                port,
-                addr: at,
-                stamp,
-                targets,
-            },
-        );
+        self.advertise(at, port, targets, false);
     }
 
     /// Migrates the server for `port` from `from` to `to`: the paper's

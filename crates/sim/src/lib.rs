@@ -87,7 +87,7 @@ use queue::EventQueue;
 /// byte-conformant to the [`mm_topo::RoutingTable`] oracle,
 /// so every variant produces identical simulations — they differ only in
 /// memory (O(1) vs O(n²)) and next-hop cost. Like [`QueueKind`]'s, the
-/// non-default variants exist for conformance checks.
+/// non-default variant exists for conformance checks.
 ///
 /// No binary selects `Table`: it is the oracle of
 /// `tests/router_identity.rs`, `tests/router_memory_guard.rs` and
@@ -101,32 +101,15 @@ pub enum RouterKind {
     /// family (by generator name), BFS table otherwise. The default.
     #[default]
     Auto,
-    /// Closed-form router, or panic if the graph is not a recognized
-    /// structured family — the guard for shell graphs, where a silent
-    /// table fallback would BFS an edgeless graph and break routing.
-    Analytic,
     /// Always the O(n²) BFS [`mm_topo::RoutingTable`] oracle of §3.
     Table,
 }
 
 impl RouterKind {
     /// Builds the routing backend for `g` under this policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is [`RouterKind::Analytic`] and `g` is not a
-    /// recognized structured family.
     pub fn build(self, g: &Graph) -> AnyRouter {
         match self {
             RouterKind::Auto => AnyRouter::for_graph(g),
-            RouterKind::Analytic => AnyRouter::analytic_for(g.name(), g.node_count())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "no analytic router for graph {:?} (n = {})",
-                        g.name(),
-                        g.node_count()
-                    )
-                }),
             RouterKind::Table => AnyRouter::table_for(g),
         }
     }
@@ -333,8 +316,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len() != graph.node_count()`, or if `router` is
-    /// [`RouterKind::Analytic`] and the graph is not a structured family.
+    /// Panics if `nodes.len() != graph.node_count()`.
     pub fn with_router(
         graph: Graph,
         nodes: Vec<N>,

@@ -361,27 +361,6 @@ impl Graph {
         }
         Ok((g, keep.to_vec()))
     }
-
-    /// Removes a node's incident edges (the node stays, isolated), modelling
-    /// a processor crash in the fault-injection machinery.
-    ///
-    /// Returns the number of edges removed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopoError::NodeOutOfRange`] if `v` is invalid.
-    pub fn isolate_node(&mut self, v: NodeId) -> Result<usize, TopoError> {
-        self.check_node(v)?;
-        let nbrs = std::mem::take(&mut self.adj[v.index()]);
-        for &u in &nbrs {
-            let pos = self.adj[u as usize]
-                .binary_search(&v.raw())
-                .expect("adjacency lists out of sync");
-            self.adj[u as usize].remove(pos);
-        }
-        self.edge_count -= nbrs.len();
-        Ok(nbrs.len())
-    }
 }
 
 impl fmt::Display for Graph {
@@ -492,19 +471,6 @@ mod tests {
         assert!(sub.has_edge(n(1), n(2)));
         assert!(!sub.has_edge(n(0), n(2)));
         assert_eq!(map, vec![n(1), n(2), n(3)]);
-    }
-
-    #[test]
-    fn isolate_node_models_crash() {
-        let mut g = Graph::new(4);
-        for (a, b) in [(0, 1), (0, 2), (0, 3), (1, 2)] {
-            g.add_edge(n(a), n(b)).unwrap();
-        }
-        let removed = g.isolate_node(n(0)).unwrap();
-        assert_eq!(removed, 3);
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.degree(n(0)), 0);
-        assert!(g.has_edge(n(1), n(2)));
     }
 
     #[test]

@@ -303,11 +303,11 @@ pub fn build_spec(cfg: &RunConfig, n: usize) -> Result<Workload, String> {
 
 /// The strategy copies `replication = F` superimposes (`F + 1`; 1 = base).
 fn replication_factor(cfg: &RunConfig, n: usize) -> Result<usize, String> {
-    let r = cfg.replication as usize + 1;
-    if r > n {
-        return Err(format!("replication {} needs n >= {r}", cfg.replication));
+    let f = cfg.replication;
+    match usize::try_from(f).ok().and_then(|f| f.checked_add(1)) {
+        Some(r) if r <= n => Ok(r),
+        _ => Err(format!("replication {f} needs n >= {}", u128::from(f) + 1)),
     }
-    Ok(r)
 }
 
 /// Runs one configuration to its report, optionally recording a trace.
@@ -489,6 +489,23 @@ mod tests {
         cfg.runtime = RuntimeKind::Live;
         cfg.topology = "ring".into();
         assert!(run(&cfg).is_err(), "live is complete+uniform only");
+        // F + 1 copies must fit the network, even where F + 1 overflows
+        for (strategy, f, needs) in [
+            ("checkerboard", 64, "65"),
+            ("checkerboard", u64::MAX, "18446744073709551616"),
+            ("hash", u64::MAX, "18446744073709551616"),
+            ("broadcast", u64::MAX, "18446744073709551616"),
+        ] {
+            let mut cfg = RunConfig::new("steady-state", 64, 7);
+            cfg.strategy = strategy.into();
+            cfg.replication = f;
+            let err = run(&cfg).expect_err(strategy);
+            assert_eq!(
+                err,
+                format!("replication {f} needs n >= {needs}"),
+                "{strategy}"
+            );
+        }
     }
 
     #[test]

@@ -379,9 +379,8 @@ impl<PM: PortMapped> ScenarioRunner<ShotgunEngine<PM>> {
     ///
     /// # Panics
     ///
-    /// Panics if the spec fails [`Workload::validate`], the resolver
-    /// universe differs from the graph size, or `router` is
-    /// `RouterKind::Analytic` on a non-structured graph.
+    /// Panics if the spec fails [`Workload::validate`] or the resolver
+    /// universe differs from the graph size.
     #[allow(clippy::too_many_arguments)]
     pub fn with_router(
         spec: Workload,

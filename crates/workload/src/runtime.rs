@@ -8,7 +8,7 @@
 //! outcomes as the runner advances the clock. [`LiveRuntime`] (one OS
 //! thread per node) executes each operation synchronously — lock-step —
 //! so everything it issues is already *settled* when the call returns;
-//! its clock is purely virtual. The runner never asks which of the two it
+//! it keeps no clock at all. The runner never asks which of the two it
 //! is driving: the difference reaches it only as [`Issued::settled`].
 //!
 //! Lock-step execution has two knowable consequences, both tolerated
@@ -88,11 +88,12 @@ pub trait Runtime {
     fn migrate_server(&mut self, port: Port, from: NodeId, to: NodeId);
     /// Starts a locate for `port` from `client`.
     fn locate(&mut self, client: NodeId, port: Port) -> Issued<LocateHandle>;
-    /// The locate's state as of [`now`](Runtime::now).
+    /// The locate's state as of the last [`advance`](Runtime::advance).
     fn locate_outcome(&self, h: LocateHandle) -> LocateOutcome;
     /// Starts an application request from `client` to `addr`.
     fn request(&mut self, client: NodeId, addr: NodeId, port: Port, body: u64) -> Issued<u64>;
-    /// The request's answer, if one has arrived by [`now`](Runtime::now).
+    /// The request's answer, if one has arrived by the last
+    /// [`advance`](Runtime::advance).
     fn request_outcome(&self, client: NodeId, id: u64) -> Option<RequestOutcome>;
 
     /// Crashes a node: it handles nothing until restored.
@@ -106,8 +107,6 @@ pub trait Runtime {
 
     /// Lets virtual time pass up to (and including) `deadline`.
     fn advance(&mut self, deadline: SimTime);
-    /// Current virtual time.
-    fn now(&self) -> SimTime;
     /// Cumulative message accounting so far.
     fn metrics(&self) -> Metrics;
     /// Cumulative event-queue depth histogram, for runtimes that have a
@@ -220,10 +219,6 @@ impl<PM: PortMapped> Runtime for ShotgunEngine<PM> {
         self.run_until(deadline);
     }
 
-    fn now(&self) -> SimTime {
-        ShotgunEngine::now(self)
-    }
-
     fn metrics(&self) -> Metrics {
         ShotgunEngine::metrics(self).clone()
     }
@@ -236,10 +231,10 @@ impl<PM: PortMapped> Runtime for ShotgunEngine<PM> {
 /// The thread-network adapter: a [`LiveNet`] of `n` node threads plus the
 /// strategy that resolves its `P`/`Q` sets. [`LiveNet`]'s driver calls
 /// are synchronous, so every operation is settled when issued and its
-/// outcome is banked here for the runner to read; the clock only records
-/// how far the runner has advanced it. The network is inherently complete
-/// under the uniform cost model (every thread can message every thread in
-/// one pass), which is also the timing law stamped on the outcomes
+/// outcome is banked here for the runner to read; advancing time has
+/// nothing left to do. The network is inherently complete under the
+/// uniform cost model (every thread can message every thread in one
+/// pass), which is also the timing law stamped on the outcomes
 /// (`observe::uniform_round_trip`: 0 ticks for a purely local query set,
 /// 2 otherwise) — on churn-free scenarios exactly the simulator's
 /// measured elapsed, which is what lets closed-loop latency percentiles
@@ -249,7 +244,6 @@ pub struct LiveRuntime<PM> {
     net: LiveNet,
     resolver: PM,
     interner: TargetInterner,
-    now: SimTime,
     /// Settled outcomes, indexed by the handle/request id handed out.
     locates: Vec<LocateOutcome>,
     requests: Vec<Option<RequestOutcome>>,
@@ -272,7 +266,6 @@ impl<PM: PortMapped> LiveRuntime<PM> {
             net: LiveNet::new(n),
             resolver,
             interner: TargetInterner::default(),
-            now: 0,
             locates: Vec::new(),
             requests: Vec::new(),
         }
@@ -364,13 +357,8 @@ impl<PM: PortMapped> Runtime for LiveRuntime<PM> {
         self.net.set_fault(v, profile);
     }
 
-    fn advance(&mut self, deadline: SimTime) {
-        self.now = self.now.max(deadline);
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
+    /// Every operation settled when it was issued.
+    fn advance(&mut self, _deadline: SimTime) {}
 
     fn metrics(&self) -> Metrics {
         self.net.metrics()

@@ -197,9 +197,6 @@ impl Runtime for Scripted {
     fn advance(&mut self, deadline: SimTime) {
         self.now = self.now.max(deadline);
     }
-    fn now(&self) -> SimTime {
-        self.now
-    }
     fn metrics(&self) -> Metrics {
         Metrics::new(N)
     }

@@ -200,20 +200,20 @@ proptest! {
         DecomposedStrategy::new(Arc::new(d)).validate().unwrap();
     }
 
-    /// Caches: the newest stamp always wins, and capacity is never
-    /// exceeded.
+    /// Caches: the newest stamp always wins, and nothing inserted is ever
+    /// discarded (§2.1 assumption 3).
     #[test]
-    fn cache_newest_wins(ops in prop::collection::vec((0u128..8, 0u32..16, 0u64..100), 1..60),
-                         cap in 1usize..10) {
-        let mut cache = Cache::with_capacity(cap);
+    fn cache_newest_wins(ops in prop::collection::vec((0u128..8, 0u32..16, 0u64..100), 1..60)) {
+        let mut cache = Cache::new();
         let mut newest: std::collections::HashMap<u128, u64> = Default::default();
         for (port, addr, stamp) in ops {
             cache.insert(Port::new(port), NodeId::new(addr), stamp);
-            prop_assert!(cache.len() <= cap);
             let e = newest.entry(port).or_insert(0);
             *e = (*e).max(stamp);
-            if let Some(entry) = cache.lookup(Port::new(port)) {
-                prop_assert_eq!(entry.stamp, *e, "cache must hold the newest stamp");
+            prop_assert_eq!(cache.len(), newest.len());
+            for (&p, &s) in &newest {
+                let entry = cache.lookup(Port::new(p)).expect("an inserted port stays cached");
+                prop_assert_eq!(entry.stamp, s, "cache must hold the newest stamp");
             }
         }
     }

@@ -1,9 +1,11 @@
-//! Full-scenario byte-identity across routing backends (ISSUE 10,
-//! satellite 1): a workload driven through the O(1)-memory analytic
-//! routers must produce the *same JSON bytes* as the same workload
-//! driven through the O(n²) table oracle — crash phases, multicast
-//! accounting, timeouts and all. The router axis, like the event queue
-//! and the shard geometry, buys resources, never behavior.
+//! Full-scenario byte-identity across routing backends: a workload
+//! driven through the default policy — which resolves every named
+//! structured shell to its O(1)-memory analytic router
+//! (`tests/router_memory_guard.rs` pins that no table is built) — must
+//! produce the *same JSON bytes* as the same workload driven through the
+//! O(n²) table oracle: crash phases, multicast accounting, timeouts and
+//! all. The router axis, like the event queue, buys resources, never
+//! behavior.
 
 use mm_sim::RouterKind;
 use mm_workload::drive::{self, RunConfig};
@@ -25,7 +27,7 @@ fn analytic_and_table_backends_emit_identical_bytes() {
     // steady-state the crash-free fast path (pure distance lookups)
     for topology in ["grid", "torus", "ring", "hypercube"] {
         for scenario in ["steady-state", "rolling-churn"] {
-            let analytic = run_json(scenario, topology, 64, RouterKind::Analytic);
+            let analytic = run_json(scenario, topology, 64, RouterKind::Auto);
             let table = run_json(scenario, topology, 64, RouterKind::Table);
             assert_eq!(
                 analytic, table,
@@ -36,15 +38,6 @@ fn analytic_and_table_backends_emit_identical_bytes() {
 }
 
 #[test]
-fn auto_resolves_structured_topologies_to_the_analytic_backend() {
-    // Auto (the default) must pick the analytic form where one exists:
-    // same bytes as forcing it explicitly
-    let auto = run_json("steady-state", "hypercube", 64, RouterKind::Auto);
-    let analytic = run_json("steady-state", "hypercube", 64, RouterKind::Analytic);
-    assert_eq!(auto, analytic);
-}
-
-#[test]
 fn hostile_scenarios_agree_across_backends() {
     // fault injection (rack kills, skew, crash-and-restore under a
     // closed-loop crowd) stresses crashed-intermediate truncation where
@@ -52,7 +45,7 @@ fn hostile_scenarios_agree_across_backends() {
     // flash-crowd-recovery, locates lost to a client's own same-tick
     // crash, which both backends must classify identically
     for scenario in ["rack-failure", "rendezvous-skew", "flash-crowd-recovery"] {
-        let analytic = run_json(scenario, "grid", 64, RouterKind::Analytic);
+        let analytic = run_json(scenario, "grid", 64, RouterKind::Auto);
         let table = run_json(scenario, "grid", 64, RouterKind::Table);
         assert_eq!(analytic, table, "{scenario}: router backends diverged");
     }
