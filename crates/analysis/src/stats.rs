@@ -87,16 +87,22 @@ impl Summary {
 ///
 /// Panics if `sorted` is empty or `q` is outside `[0,1]`.
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "empty sample set");
+    interpolate(sorted.len(), q, |i| sorted[i])
+}
+
+/// The one interpolation: the `q`-quantile of `len` ascending samples,
+/// the `i`-th read through `at`.
+fn interpolate(len: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+    assert!(len > 0, "empty sample set");
     assert!((0.0..=1.0).contains(&q), "quantile out of range");
-    if sorted.len() == 1 {
-        return sorted[0];
+    if len == 1 {
+        return at(0);
     }
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (len - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    at(lo) * (1.0 - frac) + at(hi) * frac
 }
 
 /// [`percentile_sorted`] with the empty case mapped to `0.0` instead of a
@@ -109,6 +115,19 @@ pub fn percentile_or_zero(sorted: &[f64], q: f64) -> f64 {
         0.0
     } else {
         percentile_sorted(sorted, q)
+    }
+}
+
+/// [`percentile_or_zero`] over ascending integer samples, converting
+/// only the two it reads: a per-node load vector is sorted as `u64` in
+/// place instead of being copied into a `Vec<f64>` first. The conversion
+/// is monotone, so the result is bit-identical to converting the whole
+/// slice and calling [`percentile_or_zero`].
+pub fn percentile_or_zero_u64(sorted: &[u64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        0.0
+    } else {
+        interpolate(sorted.len(), q, |i| sorted[i] as f64)
     }
 }
 
@@ -179,6 +198,20 @@ mod tests {
                 percentile_sorted(&sorted, q)
             );
         }
+    }
+
+    #[test]
+    fn percentile_or_zero_u64_matches_the_f64_path() {
+        assert_eq!(percentile_or_zero_u64(&[], 0.99), 0.0);
+        let ints = [0u64, 0, 3, 7, 7, u64::from(u32::MAX)];
+        let floats: Vec<f64> = ints.iter().map(|&x| x as f64).collect();
+        for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(
+                percentile_or_zero_u64(&ints, q).to_bits(),
+                percentile_or_zero(&floats, q).to_bits()
+            );
+        }
+        assert_eq!(percentile_or_zero_u64(&[9], 0.5), 9.0);
     }
 
     #[test]

@@ -231,7 +231,7 @@ mod tests {
             }
             let before = rt.engine().metrics().clone();
             let repairs = rt.poll_and_repair();
-            let m = rt.engine().metrics().delta(&before);
+            let m = rt.engine().metrics().clone().delta(&before);
             let at = format!("n = {n}, r = {r}, {dead} dead");
             assert_eq!(repairs, dead, "{at}");
             assert_eq!(m.message_passes, repairs as u64, "{at}");

@@ -1,18 +1,18 @@
-//! Interning of resolver target sets.
+//! Interning of resolver target sets — kept only for the layers probe.
 //!
-//! Post and query sets are pure functions of `(node, port)` — servers
-//! re-post the same `P(i)` on every refresh, and clients at the same node
-//! re-query the same `Q(j)` for every locate. [`TargetInterner`] memoizes
-//! the resolver's answers as shared [`TargetSet`]s, so the engine hands
-//! the simulator a reference-counted pointer instead of a freshly
-//! allocated (and then repeatedly cloned) `Vec<NodeId>` per operation.
+//! Post and query sets are pure functions of `(node, port)`.
+//! [`TargetInterner`] memoizes the resolver's answers as shared
+//! [`TargetSet`]s, bounded by a budget of retained node ids. No host uses
+//! it: [`ShotgunEngine`](crate::ShotgunEngine) and the live runtime build
+//! each operation's set from the resolver, because a client wants its
+//! `Q(j)` about once per locate, so the memo only ever retained memory
+//! (at n = 262,144 its query half sat full at 4 Mi ids, ≈ 16 MiB, for 25
+//! hits in 11,937 lookups). It stays, with its API unchanged, because the
+//! benchmark's `proto.intern_*` probes name it; ROADMAP item 1(e) deletes
+//! it together with them.
 //!
-//! The cache is bounded: once the configured number of cached node ids is
-//! reached, further sets are still converted to [`TargetSet`] (one
-//! allocation, no clones downstream) but not retained — at 64k nodes a
-//! full per-client query-set cache would dwarf the simulation itself.
 //! Caching is invisible to behavior: hit or miss, the same canonical set
-//! is produced, so seeded runs stay byte-identical.
+//! is produced.
 
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
@@ -27,8 +27,8 @@ const DEFAULT_ID_BUDGET: usize = 4 << 20;
 ///
 /// # Concurrency (live host audit)
 ///
-/// The interner lives on the *coordinator* side — the simulator engine,
-/// or the thread driving a `LiveNet` — and is only ever touched through
+/// An interner lives on the *coordinator* side — whatever thread drives
+/// a simulator or a `LiveNet` — and is only ever touched through
 /// `&mut self`. The live host's node threads never see it; they only
 /// hold the `TargetSet` clones already embedded in in-flight messages
 /// (safe: atomically refcounted, immutable contents). No interior

@@ -20,7 +20,7 @@ pub enum ProtoMsg {
         addr: NodeId,
         /// Logical timestamp for staleness resolution.
         stamp: u64,
-        /// The posting set (interned: clones are refcount bumps).
+        /// The posting set (shared: clones are refcount bumps).
         targets: TargetSet,
     },
     /// Driver command: remove `(port, addr)` from `targets` (graceful
@@ -32,7 +32,7 @@ pub enum ProtoMsg {
         addr: NodeId,
         /// Timestamp; only entries at least this old are withdrawn.
         stamp: u64,
-        /// The set posted to previously (interned).
+        /// The set posted to previously (shared).
         targets: TargetSet,
     },
     /// Driver command: query each node in `targets` (the client's `Q(j)`)
@@ -42,7 +42,7 @@ pub enum ProtoMsg {
         port: Port,
         /// Locate-operation id (unique per engine).
         locate_id: u64,
-        /// The query set (interned).
+        /// The query set (shared).
         targets: TargetSet,
     },
     /// Driver command: send an application request from this node to a

@@ -20,7 +20,6 @@
 //! fresh posting necessarily intersects the client's query set).
 
 use crate::fault::FaultProfile;
-use crate::intern::TargetInterner;
 use crate::messages::ProtoMsg;
 use crate::node::{NodeMachine, Outbox};
 use mm_core::strategies::PortMapped;
@@ -66,9 +65,6 @@ impl Node<ProtoMsg> for NodeMachine {
 pub struct ShotgunEngine<PM> {
     sim: Sim<ProtoMsg, NodeMachine>,
     resolver: PM,
-    /// Memoized `P`/`Q` sets: operations reuse shared target sets
-    /// instead of cloning fresh `Vec`s out of the resolver.
-    interner: TargetInterner,
     next_locate: u64,
     next_request: u64,
     clock: u64,
@@ -118,7 +114,6 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
         ShotgunEngine {
             sim: Sim::with_router(graph, nodes, cost_model, kind, mode, router),
             resolver,
-            interner: TargetInterner::default(),
             next_locate: 0,
             next_request: 0,
             clock: 0,
@@ -140,18 +135,17 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
         self.sim.metrics()
     }
 
-    /// The memoized query set `Q(client, port)` this engine would use for
-    /// a locate — exposed so tracing layers can enumerate the fan-out
-    /// without duplicating the interner.
-    pub fn query_targets(&mut self, client: NodeId, port: Port) -> TargetSet {
-        self.interner.query_set(&self.resolver, client, port)
+    /// The query set `Q(client, port)` a locate from `client` uses, built
+    /// fresh from the resolver — exposed so tracing layers can enumerate
+    /// the fan-out.
+    pub fn query_targets(&self, client: NodeId, port: Port) -> TargetSet {
+        TargetSet::from_vec(self.resolver.query_set_for(client, port))
     }
 
-    /// The memoized post set `P(at, port)` this engine would use for a
-    /// registration — the tracing-layer counterpart of
-    /// [`ShotgunEngine::query_targets`].
-    pub fn post_targets(&mut self, at: NodeId, port: Port) -> TargetSet {
-        self.interner.post_set(&self.resolver, at, port)
+    /// The post set `P(at, port)` a registration at `at` uses — the
+    /// tracing-layer counterpart of [`ShotgunEngine::query_targets`].
+    pub fn post_targets(&self, at: NodeId, port: Port) -> TargetSet {
+        TargetSet::from_vec(self.resolver.post_set_for(at, port))
     }
 
     fn next_stamp(&mut self) -> u64 {
@@ -178,7 +172,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     /// Registers a server for `port` at node `at` and posts its address at
     /// `P(at, port)`. Returns the posting timestamp.
     pub fn register_server(&mut self, at: NodeId, port: Port) -> u64 {
-        let targets = self.interner.post_set(&self.resolver, at, port);
+        let targets = self.post_targets(at, port);
         self.advertise(at, port, targets, true)
     }
 
@@ -191,7 +185,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
 
     /// Deregisters the server and withdraws its postings.
     pub fn deregister_server(&mut self, at: NodeId, port: Port) {
-        let targets = self.interner.post_set(&self.resolver, at, port);
+        let targets = self.post_targets(at, port);
         self.advertise(at, port, targets, false);
     }
 
@@ -206,7 +200,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     /// Issues a locate for `port` from `client`; run the engine, then read
     /// the result with [`ShotgunEngine::outcome`].
     pub fn locate(&mut self, client: NodeId, port: Port) -> LocateHandle {
-        let targets = self.interner.query_set(&self.resolver, client, port);
+        let targets = self.query_targets(client, port);
         self.issue_locate(client, port, targets)
     }
 

@@ -179,10 +179,10 @@ impl<M> NodeApi<'_, M> {
         self.net.route_multicast(self.me, TargetSet::new(to), msg);
     }
 
-    /// Sends `msg` to an interned target set without copying it — the
-    /// zero-allocation path for resolvers that reuse `P`/`Q` sets across
-    /// operations. The sender itself (if a member) is delivered locally
-    /// for free.
+    /// Sends `msg` to a shared target set without copying it — the path
+    /// for a set that is already a [`TargetSet`], such as the `P`/`Q` set
+    /// an operation carries. The sender itself (if a member) is delivered
+    /// locally for free.
     pub fn multicast_set(&mut self, to: TargetSet, msg: M)
     where
         M: Clone,
@@ -788,7 +788,7 @@ mod tests {
     #[test]
     fn a_queue_entry_is_the_size_of_an_envelope() {
         /// Shaped like `mm-proto`'s messages: an explicit tag, a 16-byte
-        /// port, and an interned target set in some variants.
+        /// port, and a shared target set in some variants.
         #[allow(dead_code)]
         enum Wire {
             Fan { port: u128, targets: TargetSet },

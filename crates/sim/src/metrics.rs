@@ -46,32 +46,29 @@ impl Metrics {
     /// snapshots. Used by the workload runners (simulator *and* live) to
     /// attribute traffic to phases from the same report-building code.
     /// `peak_queue_depth` is a high-water mark, not a counter, so the
-    /// later snapshot's value is kept as-is.
+    /// later snapshot's value is kept as-is. The later snapshot is
+    /// consumed and subtracted in place, so the difference costs no
+    /// second per-node vector.
     ///
     /// # Panics
     ///
     /// Panics if the snapshots disagree on the node count.
-    pub fn delta(&self, earlier: &Metrics) -> Metrics {
+    pub fn delta(mut self, earlier: &Metrics) -> Metrics {
         assert_eq!(
             self.node_load.len(),
             earlier.node_load.len(),
             "snapshots must come from the same network"
         );
-        Metrics {
-            message_passes: self.message_passes - earlier.message_passes,
-            sends: self.sends - earlier.sends,
-            delivered: self.delivered - earlier.delivered,
-            dropped: self.dropped - earlier.dropped,
-            crashes: self.crashes - earlier.crashes,
-            events_executed: self.events_executed - earlier.events_executed,
-            peak_queue_depth: self.peak_queue_depth,
-            node_load: self
-                .node_load
-                .iter()
-                .zip(&earlier.node_load)
-                .map(|(a, b)| a - b)
-                .collect(),
+        self.message_passes -= earlier.message_passes;
+        self.sends -= earlier.sends;
+        self.delivered -= earlier.delivered;
+        self.dropped -= earlier.dropped;
+        self.crashes -= earlier.crashes;
+        self.events_executed -= earlier.events_executed;
+        for (a, b) in self.node_load.iter_mut().zip(&earlier.node_load) {
+            *a -= b;
         }
+        self
     }
 }
 

@@ -1,8 +1,9 @@
-//! Interned multicast target sets.
+//! Shared multicast target sets.
 //!
-//! Post and query sets (`P(i)`, `Q(j)`) are computed per `(node, port)`
-//! and then reused for every operation that node issues; cloning a
-//! `Vec<NodeId>` per multicast was one of the simulator's dominant
+//! A post or query set (`P(i)`, `Q(j)`) is built once per operation from
+//! the resolver and then travels through the simulator — queue entry,
+//! fan expansion, handler — without being copied again; cloning a
+//! `Vec<NodeId>` per multicast hop was one of the simulator's dominant
 //! allocation costs. [`TargetSet`] is a shared, canonically sorted,
 //! deduplicated `Arc<[NodeId]>`: cloning is a reference-count bump, and
 //! the simulator's multicast path can skip its own sort/dedup because the

@@ -14,11 +14,12 @@ use mm_sim::{SimTime, TargetSet};
 use mm_topo::NodeId;
 
 /// Ticks a fully answered locate takes under uniform cost: a query set
-/// containing only the client itself costs 0 (free local delivery), any
-/// remote fan-out completes when the slowest reply lands at issue + 2
-/// (query tick + reply tick).
+/// with no remote target costs 0 (the client itself is a free local
+/// delivery, and an empty set settles at issue), any remote fan-out
+/// completes when the slowest reply lands at issue + 2 (query tick +
+/// reply tick).
 pub(crate) fn uniform_round_trip(targets: &TargetSet, client: NodeId) -> SimTime {
-    if targets.len() == 1 && targets.contains(client) {
+    if targets.iter().all(|v| v == client) {
         0
     } else {
         2
@@ -206,4 +207,19 @@ pub(crate) fn observe_locate(
     reg.observe("locate_elapsed_ticks", elapsed);
     reg.observe("locate_fanout", fanout as u64);
     reg.observe("locate_meets", meets as u64);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_remote_target_costs_a_round_trip() {
+        let c = NodeId::new(3);
+        let x = NodeId::new(5);
+        assert_eq!(uniform_round_trip(&TargetSet::empty(), c), 0);
+        assert_eq!(uniform_round_trip(&TargetSet::new(&[c]), c), 0);
+        assert_eq!(uniform_round_trip(&TargetSet::new(&[c, x]), c), 2);
+        assert_eq!(uniform_round_trip(&TargetSet::new(&[x]), c), 2);
+    }
 }

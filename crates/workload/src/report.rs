@@ -15,7 +15,7 @@
 
 use crate::clients::ClientOpRecord;
 use crate::timeline::PhaseBounds;
-use mm_analysis::stats::percentile_or_zero;
+use mm_analysis::stats::{percentile_or_zero, percentile_or_zero_u64};
 use mm_analysis::ExperimentRecord;
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
@@ -349,19 +349,20 @@ pub(crate) struct Acc {
 /// runtime metrics delta — the single code path for both runtimes. Rate
 /// denominators use the scheduled phase duration `[start, end)`; the
 /// final phase's drain grace is deliberately excluded (see
-/// [`PhaseReport::throughput_per_kilotick`]).
+/// [`PhaseReport::throughput_per_kilotick`]). The delta is consumed: its
+/// per-node loads are sorted in place, the report's only per-node copy.
 pub(crate) fn build_phase_report(
     name: &str,
     start: SimTime,
     end: SimTime,
     acc: &Acc,
-    delta: &Metrics,
+    mut delta: Metrics,
     hostile: bool,
 ) -> PhaseReport {
     let completed = acc.completed;
-    let load_max = delta.node_load.iter().copied().max().unwrap_or(0);
-    let mut loads: Vec<f64> = delta.node_load.iter().map(|&d| d as f64).collect();
-    loads.sort_by(|a, b| a.partial_cmp(b).expect("loads are finite"));
+    let loads = &mut delta.node_load;
+    loads.sort_unstable();
+    let load_max = loads.last().copied().unwrap_or(0);
     let window = (end - start).max(1);
     PhaseReport {
         name: name.to_string(),
@@ -395,13 +396,14 @@ pub(crate) fn build_phase_report(
         } else {
             acc.hits as f64 / completed as f64
         },
-        load_p50: percentile_or_zero(&loads, 0.5),
-        load_p99: percentile_or_zero(&loads, 0.99),
+        load_p50: percentile_or_zero_u64(loads, 0.5),
+        load_p99: percentile_or_zero_u64(loads, 0.99),
         load_max,
+        // summed as f64 in ascending order: the mean's low bits depend on it
         load_mean: if loads.is_empty() {
             0.0
         } else {
-            loads.iter().sum::<f64>() / loads.len() as f64
+            loads.iter().map(|&d| d as f64).sum::<f64>() / loads.len() as f64
         },
         detected_lie: hostile.then_some(acc.detected_lie),
         false_match: hostile.then_some(acc.false_match),
@@ -649,8 +651,7 @@ mod tests {
     #[test]
     fn empty_node_load_yields_zeroed_stats() {
         let acc = Acc::default();
-        let delta = Metrics::new(0);
-        let p = build_phase_report("empty", 0, 100, &acc, &delta, false);
+        let p = build_phase_report("empty", 0, 100, &acc, Metrics::new(0), false);
         assert_eq!(p.load_p50, 0.0);
         assert_eq!(p.load_p99, 0.0);
         assert_eq!(p.load_max, 0);
@@ -659,6 +660,63 @@ mod tests {
         assert_eq!(p.closed_loop, None);
         assert_eq!(p.detected_lie, None, "benign schema stays untouched");
         assert_eq!(p.false_match, None);
+    }
+
+    /// The load statistics as the report used to compute them: a separate
+    /// delta vector, then an `f64` copy stable-sorted by `partial_cmp`.
+    fn copying_load_stats(before: &[u64], after: &[u64]) -> (f64, f64, u64, f64) {
+        let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        let load_max = delta.iter().copied().max().unwrap_or(0);
+        let mut loads: Vec<f64> = delta.iter().map(|&d| d as f64).collect();
+        loads.sort_by(|a, b| a.partial_cmp(b).expect("loads are finite"));
+        let mean = if loads.is_empty() {
+            0.0
+        } else {
+            loads.iter().sum::<f64>() / loads.len() as f64
+        };
+        (
+            percentile_or_zero(&loads, 0.5),
+            percentile_or_zero(&loads, 0.99),
+            load_max,
+            mean,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Subtracting in place and sorting the `u64` loads reads the same
+        /// four statistics, bit for bit, as the copying computation — on
+        /// lengths 0, 1, 2 and random, zero-heavy phases, loads up to
+        /// `u32::MAX`, and a phase-start snapshot that is not zero.
+        #[test]
+        fn in_place_load_stats_match_the_copying_computation(
+            len_class in 0usize..4,
+            zero_heavy in proptest::any::<bool>(),
+            cells in proptest::collection::vec(
+                (0..=u64::from(u32::MAX), 0..=u64::from(u32::MAX), 0u8..4),
+                3..300,
+            ),
+        ) {
+            let len = if len_class < 3 { len_class } else { cells.len() };
+            let (before, after): (Vec<u64>, Vec<u64>) = cells[..len]
+                .iter()
+                .map(|&(start, load, die)| {
+                    let load = if zero_heavy && die != 0 { 0 } else { load };
+                    (start, start + load)
+                })
+                .unzip();
+            let (p50, p99, max, mean) = copying_load_stats(&before, &after);
+            let mut snapshot = Metrics::new(len);
+            snapshot.node_load = before;
+            let mut now = Metrics::new(len);
+            now.node_load = after;
+            let p = build_phase_report("p", 0, 100, &Acc::default(), now.delta(&snapshot), false);
+            proptest::prop_assert_eq!(p.load_p50.to_bits(), p50.to_bits());
+            proptest::prop_assert_eq!(p.load_p99.to_bits(), p99.to_bits());
+            proptest::prop_assert_eq!(p.load_max, max);
+            proptest::prop_assert_eq!(p.load_mean.to_bits(), mean.to_bits());
+        }
     }
 
     /// Hostile runs surface the Byzantine counters; the fresh/liar/dissent
@@ -691,7 +749,7 @@ mod tests {
             false_match: 1,
             ..Acc::default()
         };
-        let p = build_phase_report("assault", 0, 100, &acc, &Metrics::new(4), true);
+        let p = build_phase_report("assault", 0, 100, &acc, Metrics::new(4), true);
         assert_eq!(p.detected_lie, Some(2));
         assert_eq!(p.false_match, Some(1));
     }

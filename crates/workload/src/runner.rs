@@ -575,19 +575,27 @@ impl<R: Runtime> ScenarioRunner<R> {
         ps: PhaseStart,
     ) -> PhaseReport {
         let ops = &mut self.ops;
-        let delta = ops.rt.metrics().delta(&ps.before);
-        let mut report =
-            build_phase_report(name, start, end, &ops.acc, &delta, self.spec.hostile());
+        let PhaseStart {
+            before,
+            wall,
+            queue_depth,
+        } = ps;
+        // one per-node copy at a time: the fresh snapshot becomes the
+        // delta in place, and the phase-start one goes before the report
+        // sorts the delta's loads
+        let delta = ops.rt.metrics().delta(&before);
+        drop(before);
+        let mut report = build_phase_report(name, start, end, &ops.acc, delta, self.spec.hostile());
         if self.wallclock {
-            let secs = ps.wall.elapsed().as_secs_f64();
+            let secs = wall.elapsed().as_secs_f64();
             report.throughput = Some(if secs > 0.0 {
-                delta.events_executed as f64 / secs
+                report.events_executed as f64 / secs
             } else {
                 0.0
             });
         }
         if let Some(reg) = ops.registry.as_mut() {
-            if let (Some(before), Some(now)) = (ps.queue_depth, ops.rt.queue_depth_buckets()) {
+            if let (Some(before), Some(now)) = (queue_depth, ops.rt.queue_depth_buckets()) {
                 let mut delta = [0u64; HIST_BUCKETS];
                 for (d, (a, b)) in delta.iter_mut().zip(now.iter().zip(before.iter())) {
                     *d = a - b;

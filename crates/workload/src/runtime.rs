@@ -34,10 +34,7 @@ use crate::observe::uniform_round_trip;
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
 use mm_obs::HIST_BUCKETS;
-use mm_proto::{
-    FaultProfile, LiveNet, LocateHandle, LocateOutcome, RequestOutcome, ShotgunEngine,
-    TargetInterner,
-};
+use mm_proto::{FaultProfile, LiveNet, LocateHandle, LocateOutcome, RequestOutcome, ShotgunEngine};
 use mm_sim::{Metrics, SimTime, TargetSet};
 use mm_topo::{NodeId, Router as _};
 
@@ -77,10 +74,16 @@ pub trait Runtime {
         spec_timeout
     }
 
-    /// The post set `P(at, port)` a registration uses.
-    fn post_targets(&mut self, at: NodeId, port: Port) -> TargetSet;
-    /// The query set `Q(client, port)` a locate uses.
-    fn query_targets(&mut self, client: NodeId, port: Port) -> TargetSet;
+    /// The post set `P(at, port)` a registration uses, built fresh from
+    /// the resolver: a host keeps no memo of it.
+    fn post_targets(&self, at: NodeId, port: Port) -> TargetSet {
+        TargetSet::from_vec(self.resolver().post_set_for(at, port))
+    }
+    /// The query set `Q(client, port)` a locate uses, built fresh from
+    /// the resolver.
+    fn query_targets(&self, client: NodeId, port: Port) -> TargetSet {
+        TargetSet::from_vec(self.resolver().query_set_for(client, port))
+    }
 
     /// Starts serving `port` at `at` and posts the address at `P(at, port)`.
     fn register_server(&mut self, at: NodeId, port: Port);
@@ -161,14 +164,6 @@ impl<PM: PortMapped> Runtime for ShotgunEngine<PM> {
         2 * diameter as SimTime + spec_timeout
     }
 
-    fn post_targets(&mut self, at: NodeId, port: Port) -> TargetSet {
-        ShotgunEngine::post_targets(self, at, port)
-    }
-
-    fn query_targets(&mut self, client: NodeId, port: Port) -> TargetSet {
-        ShotgunEngine::query_targets(self, client, port)
-    }
-
     fn register_server(&mut self, at: NodeId, port: Port) {
         ShotgunEngine::register_server(self, at, port);
     }
@@ -235,7 +230,7 @@ impl<PM: PortMapped> Runtime for ShotgunEngine<PM> {
 /// nothing left to do. The network is inherently complete under the
 /// uniform cost model (every thread can message every thread in one
 /// pass), which is also the timing law stamped on the outcomes
-/// (`observe::uniform_round_trip`: 0 ticks for a purely local query set,
+/// (`observe::uniform_round_trip`: 0 ticks when no target is remote,
 /// 2 otherwise) — on churn-free scenarios exactly the simulator's
 /// measured elapsed, which is what lets closed-loop latency percentiles
 /// match byte-for-byte across the runtimes.
@@ -243,7 +238,6 @@ impl<PM: PortMapped> Runtime for ShotgunEngine<PM> {
 pub struct LiveRuntime<PM> {
     net: LiveNet,
     resolver: PM,
-    interner: TargetInterner,
     /// Settled outcomes, indexed by the handle/request id handed out.
     locates: Vec<LocateOutcome>,
     requests: Vec<Option<RequestOutcome>>,
@@ -265,7 +259,6 @@ impl<PM: PortMapped> LiveRuntime<PM> {
         LiveRuntime {
             net: LiveNet::new(n),
             resolver,
-            interner: TargetInterner::default(),
             locates: Vec::new(),
             requests: Vec::new(),
         }
@@ -285,14 +278,6 @@ impl<PM: PortMapped> Runtime for LiveRuntime<PM> {
 
     fn cost_model(&self) -> &'static str {
         "uniform"
-    }
-
-    fn post_targets(&mut self, at: NodeId, port: Port) -> TargetSet {
-        self.interner.post_set(&self.resolver, at, port)
-    }
-
-    fn query_targets(&mut self, client: NodeId, port: Port) -> TargetSet {
-        self.interner.query_set(&self.resolver, client, port)
     }
 
     fn register_server(&mut self, at: NodeId, port: Port) {
@@ -362,5 +347,79 @@ impl<PM: PortMapped> Runtime for LiveRuntime<PM> {
 
     fn metrics(&self) -> Metrics {
         self.net.metrics()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mm_core::strategies::Checkerboard;
+    use mm_sim::CostModel;
+    use mm_topo::gen;
+
+    /// Checkerboard, except that one client's `Q` is empty.
+    struct EmptyQueryAt {
+        inner: Checkerboard,
+        client: NodeId,
+    }
+
+    impl PortMapped for EmptyQueryAt {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+        fn post_set_for(&self, i: NodeId, port: Port) -> Vec<NodeId> {
+            self.inner.post_set_for(i, port)
+        }
+        fn query_set_for(&self, j: NodeId, port: Port) -> Vec<NodeId> {
+            if j == self.client {
+                Vec::new()
+            } else {
+                self.inner.query_set_for(j, port)
+            }
+        }
+    }
+
+    fn locate_by<R: Runtime>(
+        rt: &mut R,
+        client: NodeId,
+        port: Port,
+        deadline: u64,
+    ) -> LocateOutcome {
+        let issued = rt.locate(client, port);
+        rt.advance(deadline);
+        rt.locate_outcome(issued.token)
+    }
+
+    /// Regression (drift between the hosts): the machine settles a locate
+    /// over an empty query set at issue, so both hosts must report it 0
+    /// ticks long, not the 2-tick round trip of a remote fan-out.
+    #[test]
+    fn an_empty_query_set_takes_no_ticks_on_either_host() {
+        let n = 9;
+        let lonely = NodeId::new(4);
+        let resolver = || EmptyQueryAt {
+            inner: Checkerboard::new(n),
+            client: lonely,
+        };
+        let port = Port::from_name("svc");
+        let server = NodeId::new(1);
+        let mut sim = ShotgunEngine::new(gen::complete(n), resolver(), CostModel::Uniform);
+        let mut live = LiveRuntime::new(n, resolver());
+        Runtime::register_server(&mut sim, server, port);
+        sim.advance(8);
+        live.register_server(server, port);
+        let lonely_sim = locate_by(&mut sim, lonely, port, 16);
+        let lonely_live = locate_by(&mut live, lonely, port, 16);
+        assert_eq!(lonely_sim, LocateOutcome::NotFound { elapsed: 0 });
+        assert_eq!(lonely_live, lonely_sim);
+        for outcome in [
+            locate_by(&mut sim, NodeId::new(7), port, 32),
+            locate_by(&mut live, NodeId::new(7), port, 32),
+        ] {
+            assert!(
+                matches!(outcome, LocateOutcome::Found { addr, elapsed: 2, .. } if addr == server),
+                "{outcome:?}"
+            );
+        }
     }
 }

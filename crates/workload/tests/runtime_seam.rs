@@ -10,7 +10,7 @@ use mm_core::strategies::Checkerboard;
 use mm_core::Port;
 use mm_obs::{TraceConfig, TraceFile};
 use mm_proto::{FaultProfile, LocateHandle, LocateOutcome, RequestOutcome};
-use mm_sim::{Metrics, SimTime, TargetSet};
+use mm_sim::{Metrics, SimTime};
 use mm_topo::NodeId;
 use mm_workload::{
     ArrivalProcess, ClientModel, FaultSpec, Issued, LocateRecord, LocateVerdict, Phase,
@@ -105,12 +105,6 @@ impl Runtime for Scripted {
     }
     fn cost_model(&self) -> &'static str {
         "uniform"
-    }
-    fn post_targets(&mut self, at: NodeId, _port: Port) -> TargetSet {
-        TargetSet::from_vec(mm_core::Strategy::post_set(&self.resolver, at))
-    }
-    fn query_targets(&mut self, client: NodeId, _port: Port) -> TargetSet {
-        TargetSet::from_vec(mm_core::Strategy::query_set(&self.resolver, client))
     }
     fn register_server(&mut self, at: NodeId, port: Port) {
         self.homes.insert(port, at);
