@@ -52,5 +52,5 @@ pub use fault::{FaultProfile, FORGED_STAMP};
 pub use intern::TargetInterner;
 pub use live::{LiveLocateOutcome, LiveNet};
 pub use messages::ProtoMsg;
-pub use node::{LocateOutcome, NodeMachine, Outbox, RequestOutcome};
+pub use node::{LocateOutcome, NodeMachine, Outbox, RequestOutcome, Settled};
 pub use shotgun::{LocateHandle, ShotgunEngine};

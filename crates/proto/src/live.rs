@@ -277,13 +277,13 @@ impl NodeThread {
                 done,
             } => {
                 self.locates.insert(locate_id, done);
-                self.machine.begin_locate(locate_id, targets.len(), 0);
+                let vacuous = self.machine.begin_locate(locate_id, targets.len(), 0);
                 let cmd = ProtoMsg::DoLocate {
                     port,
                     locate_id,
                     targets,
                 };
-                self.machine.handle(me, cmd, 0, &mut self.net)
+                self.machine.handle(me, cmd, 0, &mut self.net).or(vacuous)
             }
             LiveMsg::Request {
                 port,

@@ -192,7 +192,7 @@ pub enum RequestOutcome {
 
 /// A client operation the message just handled brought to its verdict —
 /// what a host that reports completions (instead of being polled) needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Settled {
     /// The locate with this id has every answer it awaited.
     Locate(u64),
@@ -277,17 +277,21 @@ impl NodeMachine {
 
     /// Opens the client-side record of a locate that queries `expected`
     /// nodes. An empty query set has nothing to wait for: the locate is
-    /// complete (as `NotFound`) on the spot.
-    pub fn begin_locate(&mut self, id: u64, expected: usize, now: SimTime) {
+    /// complete (as `NotFound`) on the spot, and its verdict comes back
+    /// here for the host to report — its `DoLocate` sends nothing and
+    /// settles nothing, and a crashed client never runs it at all.
+    pub fn begin_locate(&mut self, id: u64, expected: usize, now: SimTime) -> Option<Settled> {
+        let vacuous = expected == 0;
         self.local_mut().pending.insert(
             id,
             Pending {
                 expected,
                 issued_at: now,
-                completed_at: (expected == 0).then_some(now),
+                completed_at: vacuous.then_some(now),
                 ..Pending::default()
             },
         );
+        vacuous.then_some(Settled::Locate(id))
     }
 
     /// Opens the client-side record of an application request.
@@ -343,18 +347,14 @@ impl NodeMachine {
                 port,
                 locate_id,
                 targets,
-            } => {
-                let vacuous = targets.is_empty();
-                out.multicast(
-                    targets,
-                    ProtoMsg::Query {
-                        port,
-                        reply_to: me,
-                        locate_id,
-                    },
-                );
-                return vacuous.then_some(Settled::Locate(locate_id));
-            }
+            } => out.multicast(
+                targets,
+                ProtoMsg::Query {
+                    port,
+                    reply_to: me,
+                    locate_id,
+                },
+            ),
             ProtoMsg::DoRequest {
                 port,
                 addr,
@@ -662,7 +662,7 @@ mod tests {
     fn partial_and_vacuous_locates() {
         let mut m = NodeMachine::default();
         let mut out = Sent::default();
-        m.begin_locate(7, 3, 0);
+        assert_eq!(m.begin_locate(7, 3, 0), None, "three answers to wait for");
         assert_eq!(m.locate_outcome(7), Some(LocateOutcome::unanswered(3)));
         m.handle(CLIENT, hit(1, 10), 1, &mut out);
         assert_eq!(
@@ -683,8 +683,9 @@ mod tests {
         );
         assert_eq!(m.locate_outcome(7), None);
 
-        // an empty query set has nobody to wait for
-        m.begin_locate(8, 0, 5);
+        // an empty query set has nobody to wait for: the host learns it
+        // at issue, from the record's opening
+        assert_eq!(m.begin_locate(8, 0, 5), Some(Settled::Locate(8)));
         assert_eq!(
             m.locate_outcome(8),
             Some(LocateOutcome::NotFound { elapsed: 0 })
@@ -696,9 +697,10 @@ mod tests {
         };
         assert_eq!(
             m.handle(CLIENT, fan_out, 5, &mut out),
-            Some(Settled::Locate(8)),
-            "a reporting host learns it at issue"
+            None,
+            "already reported"
         );
+        assert!(out.0.iter().all(|(to, _)| to.is_empty()), "asks nobody");
     }
 
     /// The rendezvous path is the hot one (2·√n nodes per locate): it

@@ -18,10 +18,15 @@
 //! prefers the answer with the newest timestamp, which makes locates
 //! return the *current* address even right after a migration (the server's
 //! fresh posting necessarily intersects the client's query set).
+//!
+//! The engine reports completions instead of waiting to be polled: the
+//! machine's [`Settled`] verdict travels from the handler to the engine as
+//! a simulator report, and [`ShotgunEngine::drain_settled`] hands out what
+//! settled since it was last asked.
 
 use crate::fault::FaultProfile;
 use crate::messages::ProtoMsg;
-use crate::node::{NodeMachine, Outbox};
+use crate::node::{NodeMachine, Outbox, Settled};
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
 use mm_sim::{
@@ -53,9 +58,31 @@ impl Outbox for NodeApi<'_, ProtoMsg> {
     }
 }
 
+/// Hands the machine's verdicts to the engine as simulator reports.
 impl Node<ProtoMsg> for NodeMachine {
     fn on_message(&mut self, env: Envelope<ProtoMsg>, api: &mut NodeApi<'_, ProtoMsg>) {
-        self.handle(api.me(), env.msg, api.now(), api);
+        if let Some(settled) = self.handle(api.me(), env.msg, api.now(), api) {
+            api.report(token(settled));
+        }
+    }
+}
+
+/// A verdict as a simulator report token: the id, with the kind in the
+/// low bit (engine ids are counters, far below 2⁶³).
+fn token(settled: Settled) -> u64 {
+    match settled {
+        Settled::Locate(id) => id << 1,
+        Settled::Request(id) => id << 1 | 1,
+    }
+}
+
+/// The verdict a [`token`] stands for.
+fn settled(token: u64) -> Settled {
+    let id = token >> 1;
+    if token & 1 == 0 {
+        Settled::Locate(id)
+    } else {
+        Settled::Request(id)
     }
 }
 
@@ -68,6 +95,8 @@ pub struct ShotgunEngine<PM> {
     next_locate: u64,
     next_request: u64,
     clock: u64,
+    /// Locates complete at issue (an empty query set), not yet handed out.
+    vacuous: Vec<Settled>,
 }
 
 impl<PM: PortMapped> ShotgunEngine<PM> {
@@ -117,6 +146,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
             next_locate: 0,
             next_request: 0,
             clock: 0,
+            vacuous: Vec::new(),
         }
     }
 
@@ -212,14 +242,17 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
 
     /// The client's record opens here, at issue, so that a locate whose
     /// fan-out command is lost (the client crashed this very tick) still
-    /// reports what it asked for and never heard back.
+    /// reports what it asked for and never heard back — and a locate with
+    /// nobody to ask is complete, and reported, on the spot.
     fn issue_locate(&mut self, client: NodeId, port: Port, targets: TargetSet) -> LocateHandle {
         let id = self.next_locate;
         self.next_locate += 1;
         let now = self.sim.now();
-        self.sim
+        let begun = self
+            .sim
             .node_mut(client)
             .begin_locate(id, targets.len(), now);
+        self.vacuous.extend(begun);
         self.sim.inject(
             client,
             client,
@@ -270,6 +303,17 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
+    }
+
+    /// The locates and requests that reached their verdict since the last
+    /// call: every answer of a locate is in (or it asked nobody), or a
+    /// request was answered. A locate still waiting on a crashed node is
+    /// never here; its caller's timeout decides it. Read the verdict itself
+    /// with [`ShotgunEngine::outcome`] / [`ShotgunEngine::request_outcome`].
+    pub fn drain_settled(&mut self) -> impl Iterator<Item = Settled> + '_ {
+        self.vacuous
+            .drain(..)
+            .chain(self.sim.reports().map(settled))
     }
 
     /// The current state of a locate operation. A locate whose client
@@ -585,5 +629,70 @@ mod tests {
         let h = eng.locate(client, p);
         eng.run();
         assert_eq!(eng.outcome(h), LocateOutcome::unanswered(q));
+    }
+
+    /// The engine reports each verdict once, as it lands: a vacuous locate
+    /// at issue — at a crashed client too, whose `DoLocate` is dropped (a
+    /// retry or relocate can reuse a client that has since crashed) — and
+    /// a request once its `Reply` or `NotHere` arrives. A locate waiting on
+    /// a crashed rendezvous is never reported; its caller's timeout decides
+    /// it.
+    #[test]
+    fn the_engine_reports_every_verdict_once_when_it_lands() {
+        let n = 16;
+        let mut eng = ShotgunEngine::new(gen::complete(n), Broadcast::new(n), CostModel::Uniform);
+        let p = port("svc");
+        let (server, client) = (NodeId::new(6), NodeId::new(9));
+        eng.register_server(server, p);
+        eng.run();
+        assert_eq!(eng.drain_settled().count(), 0, "posting settles nothing");
+
+        let vacuous = eng.locate_at(client, p, vec![]);
+        let reported = |eng: &mut ShotgunEngine<Broadcast>| eng.drain_settled().collect::<Vec<_>>();
+        assert_eq!(
+            reported(&mut eng),
+            [Settled::Locate(vacuous.id)],
+            "at issue"
+        );
+        eng.run();
+        assert_eq!(reported(&mut eng), [], "its DoLocate reports nothing more");
+
+        eng.crash(client);
+        let lost = eng.locate_at(client, p, vec![]);
+        let unasked = eng.locate(client, p);
+        eng.run();
+        assert_eq!(reported(&mut eng), [Settled::Locate(lost.id)]);
+        assert_eq!(eng.outcome(lost), LocateOutcome::NotFound { elapsed: 0 });
+        assert!(!eng.outcome(unasked).is_complete());
+
+        eng.restore(client);
+        let found = eng.locate(client, p);
+        let replied = eng.request(client, server, p, 1);
+        let bounced = eng.request(client, NodeId::new(7), p, 1);
+        eng.run();
+        let got = reported(&mut eng);
+        assert_eq!(got.len(), 3, "{got:?}");
+        for settled in [
+            Settled::Locate(found.id),
+            Settled::Request(replied),
+            Settled::Request(bounced),
+        ] {
+            assert!(got.contains(&settled), "{settled:?} missing from {got:?}");
+        }
+        assert!(eng.outcome(found).is_complete());
+        assert!(matches!(
+            eng.request_outcome(client, replied),
+            Some(RequestOutcome::Replied { .. })
+        ));
+        assert_eq!(
+            eng.request_outcome(client, bounced),
+            Some(RequestOutcome::StaleAddress)
+        );
+
+        eng.crash(NodeId::new(8));
+        let stuck = eng.locate(client, p);
+        eng.run();
+        assert_eq!(reported(&mut eng), [], "one rendezvous never answers");
+        assert!(!eng.outcome(stuck).is_complete());
     }
 }

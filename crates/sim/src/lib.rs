@@ -16,6 +16,10 @@
 //! * fault injection — [`Sim::crash`]/[`Sim::restore`]: crashed processors
 //!   neither receive nor forward; messages die at the first crashed node
 //!   on their path, and the passes spent up to that point stay spent.
+//! * reports — a handler can tell its host that a delivery finished
+//!   something ([`NodeApi::report`], one `u64` token); the host takes the
+//!   tokens with [`Sim::reports`] after [`Sim::run_until`], so it learns
+//!   what completed without polling every operation it has open.
 //! * [`ShardMode`] — a compatibility name that selects nothing: there
 //!   is one execution core, and every value runs it.
 //!
@@ -199,6 +203,13 @@ impl<M> NodeApi<'_, M> {
     pub fn me(&self) -> NodeId {
         self.me
     }
+
+    /// Tells the host that this delivery finished something it waits on:
+    /// `token` (its meaning is the host's) joins the list
+    /// [`Sim::reports`] hands over.
+    pub fn report(&mut self, token: u64) {
+        self.net.reports.push(token);
+    }
 }
 
 /// Number of log₂ queue-depth buckets tracked by [`Sim`].
@@ -245,6 +256,8 @@ struct Net<M> {
     pending: u64,
     /// Deliveries in flight, keyed by arrival tick.
     queue: EventQueue<Queued<M>>,
+    /// Tokens handlers reported and the host has not taken yet.
+    reports: Vec<u64>,
 }
 
 /// One queue entry: a single delivery, or every remote copy of one
@@ -341,6 +354,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
             depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
             pending: 0,
             queue: EventQueue::new(kind),
+            reports: Vec::new(),
         };
         Sim { nodes, net }
     }
@@ -436,6 +450,13 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
         &self.net.depth_buckets
     }
 
+    /// The tokens handlers have [reported](NodeApi::report) since the last
+    /// call, in the order they were reported. A host that never asks keeps
+    /// them all, one word per report.
+    pub fn reports(&mut self) -> std::vec::Drain<'_, u64> {
+        self.net.reports.drain(..)
+    }
+
     /// Runs until the event queue drains; returns the final time.
     pub fn run(&mut self) -> SimTime {
         self.drain(SimTime::MAX);
@@ -488,6 +509,8 @@ mod tests {
                 Msg::Spread(targets) => api.multicast(&targets, Msg::Note),
                 Msg::Ask(targets) => api.multicast(&targets, Msg::Ping),
                 Msg::Chain(k) if k > 0 => api.send(api.me(), Msg::Chain(k - 1)),
+                // a pong finishes its ping: tell the host who got it
+                Msg::Pong => api.report(u64::from(api.me().raw())),
                 _ => {}
             }
         }
@@ -514,6 +537,22 @@ mod tests {
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].1, Msg::Pong);
         assert_eq!(back[0].2, 4, "pong arrives at t=4");
+    }
+
+    /// Reports reach the host in the order handlers made them, once each,
+    /// and only what ran by the deadline has reported.
+    #[test]
+    fn handler_reports_reach_the_host_once_in_report_order() {
+        let mut sim = Sim::new(gen::path(5), recorders(5), CostModel::Hops);
+        // pongs land at 4 (4 hops back), 1 and 2
+        sim.inject(nid(0), nid(4), Msg::Ping);
+        sim.inject(nid(3), nid(2), Msg::Ping);
+        sim.inject(nid(1), nid(3), Msg::Ping);
+        sim.run_until(2);
+        assert_eq!(sim.reports().collect::<Vec<_>>(), [3, 1]);
+        assert_eq!(sim.reports().count(), 0, "taken once");
+        sim.run();
+        assert_eq!(sim.reports().collect::<Vec<_>>(), [0]);
     }
 
     #[test]

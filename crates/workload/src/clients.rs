@@ -60,12 +60,14 @@ pub(crate) struct LocateOp {
 /// How the pool gets a single locate executed.
 ///
 /// `issue` starts the operation at virtual time `now` and returns the
-/// attempt plus an optional wake-up hint (the earliest virtual time a
-/// verdict can be ready; `None` = poll every tick). `poll` reports the
-/// verdict once it is decided — address and the exact virtual tick it
-/// landed (≤ `now`) — and the pool uses that tick, not the discovery
-/// tick, for latency accounting, so coarse polling cannot skew
-/// percentiles. Each attempt's verdict is reported exactly once; counting
+/// attempt plus an optional wake-up hint (the virtual time its verdict is
+/// known to be ready; `None` = ask again every tick until it is). `poll`
+/// reports the verdict once it is final — address and the exact virtual
+/// tick it landed (≤ `now`) — and the pool uses that tick, not the
+/// discovery tick, for latency accounting, so the tick a slot asks on
+/// cannot skew percentiles. Asking about an attempt that is not final
+/// reads nothing: the driver knows which attempts its runtime has
+/// reported. Each attempt's verdict is reported exactly once; counting
 /// and tracing it is the driver's business.
 pub(crate) trait OpDriver {
     /// Starts a locate from `client` for port `port_idx` at virtual `now`.
@@ -135,9 +137,12 @@ enum Slot {
         wake: SimTime,
         attempts: u32,
     },
-    /// The last attempt was unresolved; retry fires at `resume_at`.
+    /// The last attempt was unresolved; retry fires at `resume_at`, from
+    /// the same client for the same port.
     Backoff {
         rec: usize,
+        client: NodeId,
+        port_idx: usize,
         resume_at: SimTime,
         attempts: u32,
         /// When the unresolved verdict landed (final-verdict tick if the
@@ -257,6 +262,8 @@ impl ClientPool {
                                     let delay = self.model.retry_backoff.saturating_mul(1 << shift);
                                     self.slots[si] = Slot::Backoff {
                                         rec,
+                                        client: op.handle.client,
+                                        port_idx: op.port_idx,
                                         resume_at: done_at.saturating_add(delay),
                                         attempts,
                                         last_done: done_at,
@@ -280,6 +287,8 @@ impl ClientPool {
                     }
                     Slot::Backoff {
                         rec,
+                        client,
+                        port_idx,
                         resume_at,
                         attempts,
                         last_done,
@@ -291,8 +300,6 @@ impl ClientPool {
                             self.finish(rec, LocateVerdict::Unresolved, None, last_done);
                             self.slots[si] = Slot::Free;
                         } else {
-                            let client = self.records[rec].client.expect("dispatched");
-                            let port_idx = self.records[rec].port_idx.expect("dispatched");
                             self.records[rec].attempts += 1;
                             let (op, hint) = driver.issue(now, client, port_idx);
                             self.slots[si] = Slot::Busy {
@@ -319,7 +326,7 @@ impl ClientPool {
 
             // 3. dispatch queued operations onto free slots, FIFO
             if !self.frozen {
-                while !self.queue.is_empty() {
+                while let Some(&rec) = self.queue.front() {
                     let Some(si) = self.slots.iter().position(|s| matches!(s, Slot::Free)) else {
                         break;
                     };
@@ -328,7 +335,7 @@ impl ClientPool {
                     let Some((client, port_idx)) = draws.arrival() else {
                         break;
                     };
-                    let rec = self.queue.pop_front().expect("nonempty");
+                    self.queue.pop_front();
                     let r = &mut self.records[rec];
                     r.dispatched_at = Some(now);
                     r.client = Some(client);

@@ -25,6 +25,12 @@
 //! locate is one policy: `Ops::settle` is the only reader of a
 //! [`LocateOutcome`] and `Ops::record` the only place a verdict is
 //! counted, traced and logged, whichever loop waited for it.
+//!
+//! Neither loop polls. An operation is final when the runtime settled it
+//! at issue, when the runtime reports it ([`Runtime::drain_settled`]), or
+//! when the client's timeout passes; a loop reads its outcome then, once.
+//! On a hop-cost ring every locate of a run is in flight at once, so
+//! re-reading them all at every arrival would cost arrivals² reads.
 
 use crate::clients::{ClientOpRecord, ClientPool, LocateOp, OpDriver};
 use crate::observe::{
@@ -41,22 +47,20 @@ use crate::timeline::{Draws, Event, ResolvedChurn, Timeline};
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
 use mm_obs::{Registry, TraceConfig, TraceFile, TraceHeader, Tracer, HIST_BUCKETS, TRACE_VERSION};
-use mm_proto::{FaultProfile, LocateOutcome, RequestOutcome, ShotgunEngine};
+use mm_proto::{FaultProfile, LocateOutcome, RequestOutcome, Settled, ShotgunEngine};
 use mm_sim::{CostModel, Metrics, QueueKind, RouterKind, ShardMode, SimTime};
 use mm_topo::{Graph, NodeId};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 pub use crate::report::{LocateRecord, LocateVerdict, PhaseReport, ScenarioReport};
 
 /// An in-flight open-loop operation awaiting its verdict. Ticks are
-/// spec-relative; `settled` means the runtime settled the operation at
-/// issue — an unresolved locate or an unanswered request is final then,
-/// not a reason to wait for the timeout.
+/// spec-relative.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Locate {
         op: LocateOp,
-        settled: bool,
         /// This locate is the retry after a stale request bounce.
         retry: bool,
     },
@@ -65,15 +69,31 @@ enum Op {
         request_id: u64,
         port_idx: usize,
         issued: SimTime,
-        settled: bool,
         /// This request follows a stale-retry locate; don't retry again.
         after_retry: bool,
     },
 }
 
+impl Op {
+    fn issued(&self) -> SimTime {
+        match *self {
+            Op::Locate { op, .. } => op.issued,
+            Op::Request { issued, .. } => issued,
+        }
+    }
+
+    /// The runtime's name for the operation in its reports.
+    fn token(&self) -> Settled {
+        match *self {
+            Op::Locate { op, .. } => Settled::Locate(op.handle.id),
+            Op::Request { request_id, .. } => Settled::Request(request_id),
+        }
+    }
+}
+
 /// What a client makes of the answers to one locate.
 #[derive(Debug)]
-struct Settled {
+struct Reading {
     verdict: LocateVerdict,
     /// The address the client walks away with (decided or salvaged).
     addr: Option<NodeId>,
@@ -120,6 +140,14 @@ struct Ops<R: Runtime> {
     tracer: Option<Tracer>,
     /// Metrics registry (`None` = observability off, the default).
     registry: Option<Registry>,
+    /// Issue sequence number of the next operation.
+    next_seq: u64,
+    /// The operations a loop waits on that the runtime will report when
+    /// final, by the runtime's name for them, with their issue sequence.
+    awaited: HashMap<Settled, u64>,
+    /// Operations the runtime settled at issue, since the last
+    /// [`collect`](Ops::collect).
+    at_issue: Vec<u64>,
 }
 
 impl<R: Runtime> Ops<R> {
@@ -128,10 +156,43 @@ impl<R: Runtime> Ops<R> {
         self.rt.advance(self.t0 + t);
     }
 
+    /// Numbers an operation the runtime just issued and starts waiting
+    /// for it to be final: at once if the runtime settled it at issue,
+    /// else when the runtime reports `token`. Returns its issue sequence.
+    fn track(&mut self, token: Settled, settled: bool) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if settled {
+            self.at_issue.push(seq);
+        } else {
+            self.awaited.insert(token, seq);
+        }
+        seq
+    }
+
+    /// Calls `is_final` with the issue sequence of every operation that
+    /// became final since the last call: settled at issue, or reported by
+    /// the runtime. A report for an operation the client already gave up
+    /// on is ignored.
+    fn collect(&mut self, mut is_final: impl FnMut(u64)) {
+        self.at_issue.drain(..).for_each(&mut is_final);
+        for token in self.rt.drain_settled() {
+            if let Some(seq) = self.awaited.remove(&token) {
+                is_final(seq);
+            }
+        }
+    }
+
+    /// Stops waiting for `token`'s report: the operation was settled.
+    fn forget(&mut self, token: Settled) {
+        self.awaited.remove(&token);
+    }
+
     /// Issues a locate at spec tick `now`. Trace ids bind to dispatches in
     /// the order the shared decision layers (timeline, pool) make them, so
     /// every runtime allocates the identical id for the identical attempt.
-    /// Returns the attempt and whether the runtime settled it on the spot.
+    /// Returns the attempt, and its issue sequence with whether the
+    /// runtime settled it on the spot.
     fn start(
         &mut self,
         now: SimTime,
@@ -139,11 +200,12 @@ impl<R: Runtime> Ops<R> {
         port_idx: usize,
         arrival: Option<u64>,
         with_trace: bool,
-    ) -> (LocateOp, bool) {
+    ) -> (LocateOp, Issued<u64>) {
         let Issued {
             token: handle,
             settled,
         } = self.rt.locate(client, self.ports[port_idx]);
+        let seq = self.track(Settled::Locate(handle.id), settled);
         self.acc.issued += 1;
         let trace = self
             .tracer
@@ -157,14 +219,21 @@ impl<R: Runtime> Ops<R> {
             trace,
             arrival,
         };
-        (op, settled)
+        (
+            op,
+            Issued {
+                token: seq,
+                settled,
+            },
+        )
     }
 
-    /// The client's reading of a locate's answers so far — the only place
-    /// a [`LocateOutcome`] is interpreted. `None` while the locate is
-    /// undecided and the client has not `gave_up` waiting.
-    fn settle(&self, op: &LocateOp, gave_up: bool) -> Option<Settled> {
-        let without_address = |verdict, elapsed| Settled {
+    /// The client's reading of a final locate's answers — the only place a
+    /// [`LocateOutcome`] is interpreted. Final means every answer is in,
+    /// or the client stopped waiting: a locate still undecided is read as
+    /// given up on.
+    fn settle(&self, op: &LocateOp) -> Reading {
+        let without_address = |verdict, elapsed| Reading {
             verdict,
             addr: None,
             meets: Vec::new(),
@@ -180,9 +249,8 @@ impl<R: Runtime> Ops<R> {
                 ..
             } => (addr, meets, dissent, false, elapsed),
             LocateOutcome::NotFound { elapsed } => {
-                return Some(without_address(LocateVerdict::Miss, elapsed))
+                return without_address(LocateVerdict::Miss, elapsed)
             }
-            LocateOutcome::Unresolved { .. } if !gave_up => return None,
             // hostile-world clients salvage the best partial answer at
             // timeout: a crashed rendezvous must not sever an alive pair
             // that a surviving replica still serves (§2.4) — and the
@@ -191,16 +259,16 @@ impl<R: Runtime> Ops<R> {
                 Some((addr, _)) if self.salvage => {
                     (addr, Vec::new(), dissent, true, self.op_timeout)
                 }
-                _ => return Some(without_address(LocateVerdict::Unresolved, self.op_timeout)),
+                _ => return without_address(LocateVerdict::Unresolved, self.op_timeout),
             },
         };
-        Some(Settled {
+        Reading {
             verdict: classify_hit(addr, self.homes[op.port_idx], dissent, &self.liars),
             addr: Some(addr),
             meets,
             salvaged,
             elapsed,
-        })
+        }
     }
 
     /// Records one settled locate — the only place a verdict is counted
@@ -209,7 +277,7 @@ impl<R: Runtime> Ops<R> {
     /// clocks: the trace must be byte-identical across runtimes. Returns
     /// the stamped elapsed and the fan-out width, for the follow-up
     /// request span.
-    fn record(&mut self, op: &LocateOp, s: &Settled) -> (u64, u32) {
+    fn record(&mut self, op: &LocateOp, s: &Reading) -> (u64, u32) {
         let client = op.handle.client;
         self.acc.completed += 1;
         match s.verdict {
@@ -272,7 +340,7 @@ impl<R: Runtime> Ops<R> {
 
 /// The closed-loop pool drives the same settlement path one slot at a
 /// time. Verdicts carry the *exact* completion tick (`issued + elapsed`),
-/// so per-tick polling never skews latency accounting.
+/// so the tick a slot happens to ask on never skews latency accounting.
 impl<R: Runtime> OpDriver for Ops<R> {
     fn issue(
         &mut self,
@@ -280,14 +348,10 @@ impl<R: Runtime> OpDriver for Ops<R> {
         client: NodeId,
         port_idx: usize,
     ) -> (LocateOp, Option<SimTime>) {
-        let (op, settled) = self.start(now, client, port_idx, None, true);
-        // a settled operation's verdict tick is known now; otherwise it
-        // is only knowable by polling
-        let hint = if settled {
-            self.settle(&op, true).map(|s| now + s.elapsed)
-        } else {
-            None
-        };
+        let (op, issued) = self.start(now, client, port_idx, None, true);
+        // a settled operation's verdict tick is known now (an undecided
+        // one's is its timeout); otherwise the runtime reports it
+        let hint = issued.settled.then(|| now + self.settle(&op).elapsed);
         (op, hint)
     }
 
@@ -299,7 +363,15 @@ impl<R: Runtime> OpDriver for Ops<R> {
         // idempotent: make sure every event due at `now` has executed
         // (an operation issued this tick may complete this tick)
         self.advance(now);
-        let s = self.settle(op, now.saturating_sub(op.issued) >= self.op_timeout)?;
+        // the pool asks slot by slot: an operation no longer awaited was
+        // reported or settled at issue, so it is final
+        self.collect(|_| {});
+        let token = Settled::Locate(op.handle.id);
+        if now.saturating_sub(op.issued) < self.op_timeout && self.awaited.contains_key(&token) {
+            return None;
+        }
+        self.forget(token);
+        let s = self.settle(op);
         self.record(op, &s);
         Some((s.verdict, s.addr, op.issued + s.elapsed))
     }
@@ -332,8 +404,8 @@ pub struct ScenarioRunner<R: Runtime> {
     replication: u64,
     /// Lowest sampled alive-pair survival fraction seen after any crash.
     min_survival: f64,
-    /// Open-loop operations awaiting their verdict.
-    in_flight: Vec<Op>,
+    /// Open-loop operations awaiting their verdict, by issue sequence.
+    in_flight: BTreeMap<u64, Op>,
     next_arrival: u64,
     strategy: String,
     /// Measure wall-clock events/sec per phase into the report.
@@ -439,12 +511,15 @@ impl<R: Runtime> ScenarioRunner<R> {
                 op_timeout,
                 tracer: None,
                 registry: None,
+                next_seq: 0,
+                awaited: HashMap::new(),
+                at_issue: Vec::new(),
             },
             draws: Draws::new(spec.seed, n, spec.ports, spec.popularity),
             robust: spec.hostile(),
             replication: 1,
             min_survival: 1.0,
-            in_flight: Vec::new(),
+            in_flight: BTreeMap::new(),
             next_arrival: 0,
             strategy: strategy.to_string(),
             wallclock: false,
@@ -795,13 +870,10 @@ impl<R: Runtime> ScenarioRunner<R> {
         };
         let arrival = self.next_arrival;
         self.next_arrival += 1;
-        let (op, settled) = self.ops.start(t, client, port_idx, Some(arrival), true);
-        self.in_flight.push(Op::Locate {
-            op,
-            settled,
-            retry: false,
-        });
-        if settled {
+        let (op, issued) = self.ops.start(t, client, port_idx, Some(arrival), true);
+        self.in_flight
+            .insert(issued.token, Op::Locate { op, retry: false });
+        if issued.settled {
             // nothing to wait for: classify it, and whatever follow-ups
             // that spawns, before the next event
             self.drain(t, false);
@@ -870,10 +942,12 @@ impl<R: Runtime> ScenarioRunner<R> {
         while self.drain_pass(now, force) {}
     }
 
-    /// One classification pass over the in-flight operations — the open
-    /// loop's §1.3 chain: a located address is called, a bounced call
-    /// re-locates once. `true` if the pass issued a follow-up that is
-    /// already settled.
+    /// One classification pass — the open loop's §1.3 chain: a located
+    /// address is called, a bounced call re-locates once. It settles
+    /// exactly the in-flight operations that are final — settled at issue,
+    /// reported by the runtime, or past the client's timeout (with
+    /// `force`, all of them) — in issue order, reading each outcome once.
+    /// `true` if the pass issued a follow-up that is already settled.
     fn drain_pass(&mut self, now: SimTime, force: bool) -> bool {
         /// A request to issue once the classification pass is done (so
         /// follow-ups enter the runtime in one canonical order).
@@ -886,21 +960,29 @@ impl<R: Runtime> ScenarioRunner<R> {
             /// parent locate was traced.
             trace_info: Option<(u64, SimTime, u32)>,
         }
+        let mut due = Vec::new();
+        self.ops.collect(|seq| due.push(seq));
+        // issue ticks never decrease along the sequence, so the operations
+        // the client has given up on are a prefix of it
         let op_timeout = self.ops.op_timeout;
-        let gave_up = |issued: SimTime, settled: bool| {
-            force || settled || now.saturating_sub(issued) >= op_timeout
-        };
+        let expired = self
+            .in_flight
+            .iter()
+            .take_while(|(_, op)| force || now.saturating_sub(op.issued()) >= op_timeout);
+        due.extend(expired.map(|(&seq, _)| seq));
+        due.sort_unstable();
+        due.dedup();
         let mut requests: Vec<Followup> = Vec::new();
         let mut relocates: Vec<(NodeId, usize)> = Vec::new();
-        let ops = std::mem::take(&mut self.in_flight);
-        let mut keep = Vec::with_capacity(ops.len());
-        for entry in ops {
+        for entry in due
+            .into_iter()
+            .filter_map(|seq| self.in_flight.remove(&seq))
+        {
+            // a timed-out operation's late report is ignored
+            self.ops.forget(entry.token());
             match entry {
-                Op::Locate { op, settled, retry } => {
-                    let Some(s) = self.ops.settle(&op, gave_up(op.issued, settled)) else {
-                        keep.push(entry);
-                        continue;
-                    };
+                Op::Locate { op, retry } => {
+                    let s = self.ops.settle(&op);
                     let (elapsed, fanout) = self.ops.record(&op, &s);
                     let Some(addr) = s.addr else { continue };
                     if retry && addr == self.ops.homes[op.port_idx] {
@@ -921,9 +1003,8 @@ impl<R: Runtime> ScenarioRunner<R> {
                     client,
                     request_id,
                     port_idx,
-                    issued,
-                    settled,
                     after_retry,
+                    ..
                 } => match self.ops.rt.request_outcome(client, request_id) {
                     Some(RequestOutcome::Replied { .. }) => self.ops.acc.requests_ok += 1,
                     Some(RequestOutcome::StaleAddress) => {
@@ -933,8 +1014,7 @@ impl<R: Runtime> ScenarioRunner<R> {
                             relocates.push((client, port_idx));
                         }
                     }
-                    None if gave_up(issued, settled) => self.ops.acc.request_timeouts += 1,
-                    None => keep.push(entry),
+                    None => self.ops.acc.request_timeouts += 1,
                 },
             }
         }
@@ -953,19 +1033,20 @@ impl<R: Runtime> ScenarioRunner<R> {
                     .rt
                     .request(f.client, f.addr, self.ops.ports[f.port_idx], 1);
                 any_settled |= settled;
+                let seq = self.ops.track(Settled::Request(request_id), settled);
                 if let (Some((trace, tick, fanout)), Some(tr)) =
                     (f.trace_info, self.ops.tracer.as_mut())
                 {
                     emit_request_span(tr, trace, fanout + 1, f.client, f.addr, f.port_idx, tick);
                 }
-                keep.push(Op::Request {
+                let request = Op::Request {
                     client: f.client,
                     request_id,
                     port_idx: f.port_idx,
                     issued: now,
-                    settled,
                     after_retry: f.after_retry,
-                });
+                };
+                self.in_flight.insert(seq, request);
             }
             for (client, port_idx) in relocates {
                 // retries are locate operations too (counted as issued, so
@@ -973,16 +1054,12 @@ impl<R: Runtime> ScenarioRunner<R> {
                 // timing-dependent: they stay out of the op log and the
                 // trace (conservation is only claimed on churn-free
                 // specs, which never retry)
-                let (op, settled) = self.ops.start(now, client, port_idx, None, false);
-                any_settled |= settled;
-                keep.push(Op::Locate {
-                    op,
-                    settled,
-                    retry: true,
-                });
+                let (op, issued) = self.ops.start(now, client, port_idx, None, false);
+                any_settled |= issued.settled;
+                self.in_flight
+                    .insert(issued.token, Op::Locate { op, retry: true });
             }
         }
-        self.in_flight = keep;
         any_settled
     }
 }

@@ -4,12 +4,14 @@
 //! scheduled.
 //!
 //! Two adapters live here. [`ShotgunEngine`] (the `mm-sim` event queue)
-//! issues operations into simulated time and is polled for their
-//! outcomes as the runner advances the clock. [`LiveRuntime`] (one OS
-//! thread per node) executes each operation synchronously — lock-step —
-//! so everything it issues is already *settled* when the call returns;
-//! it keeps no clock at all. The runner never asks which of the two it
-//! is driving: the difference reaches it only as [`Issued::settled`].
+//! issues operations into simulated time and reports each one as it
+//! settles, through [`Runtime::drain_settled`], while the runner advances
+//! the clock. [`LiveRuntime`] (one OS thread per node) executes each
+//! operation synchronously — lock-step — so everything it issues is
+//! already *settled* when the call returns; it keeps no clock at all. The
+//! runner never asks which of the two it is driving: the difference
+//! reaches it only as [`Issued::settled`] or a report, and either way it
+//! reads an operation's outcome once, when it is final.
 //!
 //! Lock-step execution has two knowable consequences, both tolerated
 //! (with documented bounds) by `tests/live_workload_equivalence.rs`:
@@ -34,7 +36,9 @@ use crate::observe::uniform_round_trip;
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
 use mm_obs::HIST_BUCKETS;
-use mm_proto::{FaultProfile, LiveNet, LocateHandle, LocateOutcome, RequestOutcome, ShotgunEngine};
+use mm_proto::{
+    FaultProfile, LiveNet, LocateHandle, LocateOutcome, RequestOutcome, Settled, ShotgunEngine,
+};
 use mm_sim::{Metrics, SimTime, TargetSet};
 use mm_topo::{NodeId, Router as _};
 
@@ -55,8 +59,10 @@ pub struct Issued<T> {
 /// [`advance`](Runtime::advance) and reads outcomes in between. An
 /// adapter for a new transport provides the operations below over its own
 /// notion of delivery; whether an operation takes simulated ticks or is
-/// done when the call returns is its own business, reported per operation
-/// through [`Issued::settled`].
+/// done when the call returns is its own business. Either way the runtime
+/// says when an operation is final — at issue through [`Issued::settled`],
+/// or later through [`drain_settled`](Runtime::drain_settled) — and the
+/// runner reads its outcome then, once, not while it is still running.
 pub trait Runtime {
     /// The match-making strategy resolving `P`/`Q`.
     type Resolver: PortMapped;
@@ -98,6 +104,13 @@ pub trait Runtime {
     /// The request's answer, if one has arrived by the last
     /// [`advance`](Runtime::advance).
     fn request_outcome(&self, client: NodeId, id: u64) -> Option<RequestOutcome>;
+    /// Every operation that became final since the last call and was not
+    /// [`Issued::settled`]: a locate with every answer in (or nobody to
+    /// ask), as `Settled::Locate(handle.id)`, and an answered request, as
+    /// `Settled::Request(id)`. Each is reported once. An operation that
+    /// never completes (a crashed rendezvous, a lost request) is never
+    /// reported; the runner's timeout decides it.
+    fn drain_settled(&mut self) -> Vec<Settled>;
 
     /// Crashes a node: it handles nothing until restored.
     fn crash(&mut self, v: NodeId);
@@ -119,8 +132,8 @@ pub trait Runtime {
     }
 }
 
-/// The simulator adapter: operations enter simulated time unsettled and
-/// the runner polls them as it advances the event queue.
+/// The simulator adapter: operations enter simulated time unsettled, and
+/// the engine reports each one as the node machine settles it.
 impl<PM: PortMapped> Runtime for ShotgunEngine<PM> {
     type Resolver = PM;
 
@@ -192,6 +205,10 @@ impl<PM: PortMapped> Runtime for ShotgunEngine<PM> {
 
     fn request_outcome(&self, client: NodeId, id: u64) -> Option<RequestOutcome> {
         ShotgunEngine::request_outcome(self, client, id)
+    }
+
+    fn drain_settled(&mut self) -> Vec<Settled> {
+        ShotgunEngine::drain_settled(self).collect()
     }
 
     fn crash(&mut self, v: NodeId) {
@@ -324,6 +341,12 @@ impl<PM: PortMapped> Runtime for LiveRuntime<PM> {
 
     fn request_outcome(&self, _client: NodeId, id: u64) -> Option<RequestOutcome> {
         self.requests[id as usize]
+    }
+
+    /// Every operation settled when it was issued: there is nothing left
+    /// to report.
+    fn drain_settled(&mut self) -> Vec<Settled> {
+        Vec::new()
     }
 
     fn crash(&mut self, v: NodeId) {

@@ -9,7 +9,7 @@
 use mm_core::strategies::Checkerboard;
 use mm_core::Port;
 use mm_obs::{TraceConfig, TraceFile};
-use mm_proto::{FaultProfile, LocateHandle, LocateOutcome, RequestOutcome};
+use mm_proto::{FaultProfile, LocateHandle, LocateOutcome, RequestOutcome, Settled};
 use mm_sim::{Metrics, SimTime};
 use mm_topo::NodeId;
 use mm_workload::{
@@ -48,49 +48,76 @@ enum Answer {
 struct Issues {
     locates: usize,
     requests: usize,
+    /// `locate_outcome` and `request_outcome` calls.
+    reads: usize,
 }
 
 /// A network that answers the `k`-th locate with `script[k]` (the last
-/// entry repeating), `latency` ticks after issue — or on the spot, when
-/// `settled`. Requests are served only at a port's registered home.
+/// entry repeating), `latencies[k]` ticks after issue (cycling) — or on
+/// the spot, when `settled` — and reports each decisive answer as it falls
+/// due. Requests are served only at a port's registered home, `latency`
+/// ticks after issue.
 struct Scripted {
     resolver: Checkerboard,
     script: Vec<Answer>,
     latency: SimTime,
+    latencies: Vec<SimTime>,
     settled: bool,
     now: SimTime,
     homes: HashMap<Port, NodeId>,
-    /// Issue tick and scripted outcome; a decisive one shows once due.
+    /// Due tick and scripted outcome; a decisive one shows once due.
     locates: Vec<(SimTime, LocateOutcome)>,
     requests: Vec<(SimTime, RequestOutcome)>,
+    /// Decisive answers not reported yet, with their due tick.
+    unreported: Vec<(SimTime, Settled)>,
     issues: Rc<RefCell<Issues>>,
 }
 
 impl Scripted {
     fn new(script: &[Answer], settled: bool) -> (Self, Rc<RefCell<Issues>>) {
         let issues = Rc::new(RefCell::new(Issues::default()));
+        let latency = if settled { 0 } else { 2 };
         let rt = Scripted {
             resolver: Checkerboard::new(N),
             script: script.to_vec(),
-            latency: if settled { 0 } else { 2 },
+            latency,
+            latencies: vec![latency],
             settled,
             now: 0,
             homes: HashMap::new(),
             locates: Vec::new(),
             requests: Vec::new(),
+            unreported: Vec::new(),
             issues: Rc::clone(&issues),
         };
         (rt, issues)
     }
 
     /// Answers (to locates and requests) take `latency` ticks instead.
-    fn with_latency(mut self, latency: SimTime) -> Self {
-        self.latency = latency;
+    fn with_latency(self, latency: SimTime) -> Self {
+        Scripted {
+            latency,
+            ..self.with_locate_latencies(&[latency])
+        }
+    }
+
+    /// The `k`-th locate's answers take `latencies[k]` ticks (cycling), so
+    /// they can land out of issue order.
+    fn with_locate_latencies(mut self, latencies: &[SimTime]) -> Self {
+        self.latencies = latencies.to_vec();
         self
     }
 
-    fn due(&self, issued: SimTime) -> bool {
-        self.now >= issued + self.latency
+    fn read(&self) {
+        self.issues.borrow_mut().reads += 1;
+    }
+
+    /// Remembers to report `settled` once `due`, unless it was settled at
+    /// issue.
+    fn answer_at(&mut self, due: SimTime, settled: Settled) {
+        if !self.settled {
+            self.unreported.push((due, settled));
+        }
     }
 }
 
@@ -116,10 +143,11 @@ impl Runtime for Scripted {
     fn locate(&mut self, client: NodeId, port: Port) -> Issued<LocateHandle> {
         let k = self.locates.len();
         let home = self.homes[&port];
+        let latency = self.latencies[k % self.latencies.len()];
         let found = |addr: NodeId, dissent| LocateOutcome::Found {
             addr,
             stamp: 1,
-            elapsed: self.latency,
+            elapsed: latency,
             meets: vec![addr],
             dissent,
         };
@@ -127,9 +155,7 @@ impl Runtime for Scripted {
         let outcome = match self.script[k.min(self.script.len() - 1)] {
             Answer::Home => found(home, 0),
             Answer::Elsewhere => found(NodeId::new((home.raw() + 7) % N as u32), 0),
-            Answer::Unknown => LocateOutcome::NotFound {
-                elapsed: self.latency,
-            },
+            Answer::Unknown => LocateOutcome::NotFound { elapsed: latency },
             Answer::Silence => LocateOutcome::unanswered(1),
             Answer::Partial => LocateOutcome::Unresolved {
                 hits: 1,
@@ -140,7 +166,11 @@ impl Runtime for Scripted {
             },
             Answer::Lie { dissent } => found(liar, dissent),
         };
-        self.locates.push((self.now, outcome));
+        let due = self.now + latency;
+        if outcome.is_complete() {
+            self.answer_at(due, Settled::Locate(k as u64));
+        }
+        self.locates.push((due, outcome));
         self.issues.borrow_mut().locates += 1;
         Issued {
             token: LocateHandle {
@@ -152,9 +182,9 @@ impl Runtime for Scripted {
     }
 
     fn locate_outcome(&self, h: LocateHandle) -> LocateOutcome {
-        let (issued, outcome) = &self.locates[h.id as usize];
-        let undecided = matches!(outcome, LocateOutcome::Unresolved { .. });
-        if undecided || self.due(*issued) {
+        self.read();
+        let (due, outcome) = &self.locates[h.id as usize];
+        if !outcome.is_complete() || self.now >= *due {
             outcome.clone()
         } else {
             LocateOutcome::unanswered(1)
@@ -170,17 +200,32 @@ impl Runtime for Scripted {
         } else {
             RequestOutcome::StaleAddress
         };
-        self.requests.push((self.now, outcome));
+        let (id, due) = (self.requests.len() as u64, self.now + self.latency);
+        self.answer_at(due, Settled::Request(id));
+        self.requests.push((due, outcome));
         self.issues.borrow_mut().requests += 1;
         Issued {
-            token: self.requests.len() as u64 - 1,
+            token: id,
             settled: self.settled,
         }
     }
 
     fn request_outcome(&self, _client: NodeId, id: u64) -> Option<RequestOutcome> {
-        let (issued, outcome) = self.requests[id as usize];
-        self.due(issued).then_some(outcome)
+        self.read();
+        let (due, outcome) = self.requests[id as usize];
+        (self.now >= due).then_some(outcome)
+    }
+
+    fn drain_settled(&mut self) -> Vec<Settled> {
+        let now = self.now;
+        let mut answered = Vec::new();
+        self.unreported.retain(|&(due, settled)| {
+            if due <= now {
+                answered.push(settled);
+            }
+            due > now
+        });
+        answered
     }
 
     fn crash(&mut self, _v: NodeId) {}
@@ -252,18 +297,20 @@ fn transparent_pool() -> Option<ClientModel> {
     })
 }
 
-/// Runs `script` (answers `latency` ticks after issue) through the open
-/// loop and through the transparent pool, tracing both.
+/// Runs `script` (the `k`-th locate answered `latencies[k]` ticks after
+/// issue, cycling) through the open loop and through the transparent
+/// pool, tracing both.
 fn through_both_loops(
     script: &[Answer],
-    latency: SimTime,
+    latencies: &[SimTime],
     faults: Vec<FaultSpec>,
 ) -> [(ScenarioReport, Vec<LocateRecord>, TraceFile); 2] {
     [None, transparent_pool()].map(|pool| {
         let run = |traced: bool| {
             let (rt, _) = Scripted::new(script, false);
             let spec = locate_only_spec(faults.clone(), pool);
-            let mut runner = ScenarioRunner::over(spec, rt.with_latency(latency), "scripted");
+            let rt = rt.with_locate_latencies(latencies);
+            let mut runner = ScenarioRunner::over(spec, rt, "scripted");
             if traced {
                 runner.set_trace(TraceConfig::full(1));
             }
@@ -389,30 +436,78 @@ fn the_open_and_the_closed_loop_settle_one_script_identically() {
         Answer::Lie { dissent: 1 },
     ];
     let script: Vec<Answer> = (0..20).map(|k| cycle[k % cycle.len()]).collect();
-    let [(open, open_log, open_trace), (closed, closed_log, closed_trace)] =
-        through_both_loops(&script, 2, liar_faults());
-    assert_eq!(closed.clients, Some(4), "the second run is closed-loop");
-    let partition = |r: &ScenarioReport| {
-        [
-            total(r, |p| p.locates_issued),
-            total(r, |p| p.locates_completed),
-            total(r, |p| p.hits),
-            total(r, |p| p.stale_results),
-            total(r, |p| p.misses),
-            total(r, |p| p.unresolved),
-            total(r, |p| p.detected_lie.unwrap()),
-            total(r, |p| p.false_match.unwrap()),
-        ]
+    // one latency for all, and latencies that land answers out of issue
+    // order (the locate at 0 answers at 14, the one at 10 at 12)
+    for latencies in [&[2][..], &[14, 2, 9]] {
+        let [(open, open_log, open_trace), (closed, closed_log, closed_trace)] =
+            through_both_loops(&script, latencies, liar_faults());
+        assert_eq!(closed.clients, Some(4), "the second run is closed-loop");
+        let partition = |r: &ScenarioReport| {
+            [
+                total(r, |p| p.locates_issued),
+                total(r, |p| p.locates_completed),
+                total(r, |p| p.hits),
+                total(r, |p| p.stale_results),
+                total(r, |p| p.misses),
+                total(r, |p| p.unresolved),
+                total(r, |p| p.detected_lie.unwrap()),
+                total(r, |p| p.false_match.unwrap()),
+            ]
+        };
+        assert_eq!(partition(&open), partition(&closed), "{latencies:?}");
+        assert!(
+            partition(&open).iter().all(|&count| count > 0),
+            "every verdict occurs: {:?}",
+            partition(&open)
+        );
+        assert_eq!(open_log.len(), 20);
+        assert_eq!(open_log, closed_log, "same operations, same verdicts");
+        assert_eq!(locate_spans(&open_trace), locate_spans(&closed_trace));
+    }
+}
+
+/// The runner reads an operation's outcome when it is final, not while
+/// it is in flight. Answers here take 400 ticks against one arrival every
+/// 2, so all 200 locates are in flight together, and re-reading them at
+/// every arrival would be ≈ 100 reads per operation.
+#[test]
+fn each_outcome_is_read_when_final_not_while_in_flight() {
+    let spec = Workload {
+        phases: vec![
+            Phase::new("arrivals", 400, ArrivalProcess::FixedRate { interval: 2 }),
+            Phase::new("answers", 500, ArrivalProcess::Idle),
+            Phase::new("calls", 500, ArrivalProcess::Idle),
+        ],
+        op_timeout: 1000,
+        ..spec(vec![])
     };
-    assert_eq!(partition(&open), partition(&closed));
+    let (rt, issues) = Scripted::new(&[Answer::Home], false);
+    let r = ScenarioRunner::over(spec, rt.with_latency(400), "scripted").run();
+    assert_eq!(total(&r, |p| p.hits), 200);
+    assert_eq!(total(&r, |p| p.requests_ok), 200, "every call answered");
+    let issues = issues.borrow();
+    let ops = issues.locates + issues.requests;
+    assert_eq!(ops, 400);
     assert!(
-        partition(&open).iter().all(|&count| count > 0),
-        "every verdict occurs: {:?}",
-        partition(&open)
+        issues.reads <= 2 * ops,
+        "{} outcome reads for {ops} operations",
+        issues.reads
     );
-    assert_eq!(open_log.len(), 20);
-    assert_eq!(open_log, closed_log, "same operations, same verdicts");
-    assert_eq!(locate_spans(&open_trace), locate_spans(&closed_trace));
+}
+
+/// An answer the runtime reports after the client's timeout is ignored:
+/// the locate was settled once, as unresolved, when the timeout fired.
+#[test]
+fn a_report_after_the_timeout_is_not_counted_again() {
+    let (rt, issues) = Scripted::new(&[Answer::Home], false);
+    // every answer lands 40 ticks out, 24 past the 16-tick timeout
+    let (r, log) = ScenarioRunner::over(spec(vec![]), rt.with_latency(40), "scripted").run_logged();
+    assert_eq!(total(&r, |p| p.locates_completed), 20);
+    assert_eq!(total(&r, |p| p.unresolved), 20);
+    assert_eq!(total(&r, |p| p.hits), 0);
+    assert_eq!(log.len(), 20);
+    let issues = issues.borrow();
+    assert_eq!((issues.locates, issues.requests, issues.reads), (20, 0, 20));
 }
 
 /// The one case the two loops used to disagree on: a decisive answer that
@@ -422,7 +517,7 @@ fn the_open_and_the_closed_loop_settle_one_script_identically() {
 #[test]
 fn a_decisive_answer_on_the_timeout_tick_is_stamped_with_the_round_trip() {
     let op_timeout = spec(vec![]).op_timeout;
-    for (report, _, trace) in through_both_loops(&[Answer::Home], op_timeout, liar_faults()) {
+    for (report, _, trace) in through_both_loops(&[Answer::Home], &[op_timeout], liar_faults()) {
         assert_eq!(total(&report, |p| p.hits), 20);
         assert_eq!(
             locate_spans(&trace),
@@ -437,13 +532,13 @@ fn a_decisive_answer_on_the_timeout_tick_is_stamped_with_the_round_trip() {
 fn a_salvaged_answer_is_stamped_with_the_whole_timeout() {
     let op_timeout = spec(vec![]).op_timeout;
     // a hostile world: the best partial answer is acted on at timeout
-    for (report, log, trace) in through_both_loops(&[Answer::Partial], 2, liar_faults()) {
+    for (report, log, trace) in through_both_loops(&[Answer::Partial], &[2], liar_faults()) {
         assert_eq!(total(&report, |p| p.hits), 20, "salvaged");
         assert!(log.iter().all(|rec| rec.addr.is_some()));
         assert_eq!(locate_spans(&trace), vec![("hit", op_timeout); 20]);
     }
     // a benign one: the same answers are written off
-    for (report, log, trace) in through_both_loops(&[Answer::Partial], 2, vec![]) {
+    for (report, log, trace) in through_both_loops(&[Answer::Partial], &[2], vec![]) {
         assert_eq!(total(&report, |p| p.unresolved), 20);
         assert!(log.iter().all(|rec| rec.addr.is_none()));
         assert_eq!(locate_spans(&trace), vec![("unresolved", op_timeout); 20]);
