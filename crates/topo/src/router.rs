@@ -87,11 +87,13 @@ pub trait Router {
     /// ascending; `src` itself, if present, is skipped): the number the
     /// nearest-anchor greedy of [`multicast_cost`] arrives at, first-scanned
     /// tie rule included. The provided body *is* that greedy — full anchor
-    /// scan, walked paths — which is what the table backend runs; the
+    /// scan, walked paths — which is what the table backend runs. The
     /// analytic routers override it with forms that return the same number
-    /// without the scan or the walk. Callers go through [`multicast_cost`],
-    /// which canonicalizes its input and cross-checks overrides in debug
-    /// builds.
+    /// for less: closed forms on the ring and the complete network, index
+    /// arithmetic and a division-free walk on grid and torus, an
+    /// adjacent-anchor shortcut on the hypercube. Callers go through
+    /// [`multicast_cost`], which canonicalizes its input and cross-checks
+    /// overrides in debug builds.
     ///
     /// [`multicast_cost`]: crate::spanning::multicast_cost
     fn multicast_cost_sorted(&self, src: NodeId, sorted: &[NodeId]) -> Option<u64>
@@ -360,9 +362,12 @@ impl Router for RingRouter {
 /// Node (r, c) is index `r·q + c`. Distance is per-axis: plain |Δ| on an
 /// open axis, cyclic min(|Δ|, len−|Δ|) on a wrapped one. Wrap is
 /// *suppressed per axis* for sides < 3, mirroring the generator (a length-2
-/// cycle would duplicate the edge). The next hop scans the ≤ 4 closed-form
-/// neighbors and keeps the lowest-numbered distance-decreaser — the
-/// canonical rule by construction.
+/// cycle would duplicate the edge). Routing is one division-free step on
+/// (row, col): the lowest-numbered neighbor that decreases the distance,
+/// found per axis — the canonical rule by construction. Multicast
+/// accounting takes each target's neighbors from its index and walks with
+/// that step, so it never scans a neighborhood through `dyn` nor divides
+/// per hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridRouter {
     p: u32,
@@ -380,6 +385,15 @@ impl GridRouter {
         }
     }
 
+    /// Whether the row and the column axis wrap (sides < 3 never do).
+    fn wraps(&self) -> (bool, bool) {
+        (self.wrap && self.p >= 3, self.wrap && self.q >= 3)
+    }
+
+    fn coords(&self, v: u32) -> (u32, u32) {
+        (v / self.q, v % self.q)
+    }
+
     fn axis_dist(x1: u32, x2: u32, len: u32, wrapped: bool) -> u32 {
         let d = x1.abs_diff(x2);
         if wrapped {
@@ -389,30 +403,83 @@ impl GridRouter {
         }
     }
 
-    fn dist_to(&self, r: u32, c: u32, r2: u32, c2: u32) -> u32 {
-        Self::axis_dist(r, r2, self.p, self.wrap && self.p >= 3)
-            + Self::axis_dist(c, c2, self.q, self.wrap && self.q >= 3)
+    fn dist_to(&self, (r, c): (u32, u32), (r2, c2): (u32, u32)) -> u32 {
+        let (wp, wq) = self.wraps();
+        Self::axis_dist(r, r2, self.p, wp) + Self::axis_dist(c, c2, self.q, wq)
     }
 
-    /// The ≤ 4 neighbors of (r, c) as (row, col) pairs, unordered.
-    fn neighbors_of(&self, r: u32, c: u32) -> [Option<(u32, u32)>; 4] {
-        let mut out = [None; 4];
-        let (wp, wq) = (self.wrap && self.p >= 3, self.wrap && self.q >= 3);
-        if wp {
-            out[0] = Some(((r + self.p - 1) % self.p, c));
-            out[1] = Some(((r + 1) % self.p, c));
-        } else {
-            out[0] = (r > 0).then(|| (r - 1, c));
-            out[1] = (r + 1 < self.p).then(|| (r + 1, c));
+    /// The lower of the ≤ 2 coordinates one move from `x` that bring it
+    /// closer to `to` along an axis of `len`, or `None` at `to`. Only an
+    /// antipodal position on a wrapped axis has two.
+    fn axis_step(x: u32, to: u32, len: u32, wrapped: bool) -> Option<u32> {
+        if x == to {
+            return None;
         }
-        if wq {
-            out[2] = Some((r, (c + self.q - 1) % self.q));
-            out[3] = Some((r, (c + 1) % self.q));
-        } else {
-            out[2] = (c > 0).then(|| (r, c - 1));
-            out[3] = (c + 1 < self.q).then(|| (r, c + 1));
+        if !wrapped {
+            return Some(if to < x { x - 1 } else { x + 1 });
         }
-        out
+        let fwd = if to > x { to - x } else { to + len - x };
+        let up = if x + 1 == len { 0 } else { x + 1 };
+        let down = if x == 0 { len - 1 } else { x - 1 };
+        Some(match fwd.cmp(&(len - fwd)) {
+            std::cmp::Ordering::Less => up,
+            std::cmp::Ordering::Greater => down,
+            std::cmp::Ordering::Equal => up.min(down),
+        })
+    }
+
+    /// The canonical next hop from (r, c) toward (r2, c2), without
+    /// division: the lowest-numbered neighbor that lowers the distance, or
+    /// `None` at (r2, c2). A neighbor in a lower row is numbered below every neighbor in
+    /// row `r`, which are ordered by column, and a neighbor in a higher row
+    /// above them all — so a row move wins only when it goes to a lower
+    /// row, and otherwise loses to any column move.
+    fn step(&self, (r, c): (u32, u32), (r2, c2): (u32, u32)) -> Option<(u32, u32)> {
+        let (wp, wq) = self.wraps();
+        let row = Self::axis_step(r, r2, self.p, wp);
+        if let Some(nr) = row.filter(|&nr| nr < r) {
+            return Some((nr, c));
+        }
+        match Self::axis_step(c, c2, self.q, wq) {
+            Some(nc) => Some((r, nc)),
+            None => row.map(|nr| (nr, c)),
+        }
+    }
+
+    /// The left, right, up and down neighbors of `v` = (r, c), `u32::MAX`
+    /// where the side has none.
+    fn neighbor_ids(&self, v: u32, (r, c): (u32, u32)) -> [u32; 4] {
+        let (p, q) = (self.p, self.q);
+        let (wp, wq) = self.wraps();
+        let left = if c > 0 {
+            v - 1
+        } else if wq {
+            v + q - 1
+        } else {
+            u32::MAX
+        };
+        let right = if c + 1 < q {
+            v + 1
+        } else if wq {
+            v + 1 - q
+        } else {
+            u32::MAX
+        };
+        let up = if r > 0 {
+            v - q
+        } else if wp {
+            v + (p - 1) * q
+        } else {
+            u32::MAX
+        };
+        let down = if r + 1 < p {
+            v + q
+        } else if wp {
+            c
+        } else {
+            u32::MAX
+        };
+        [left, right, up, down]
     }
 }
 
@@ -423,37 +490,17 @@ impl Router for GridRouter {
 
     fn distance(&self, a: NodeId, b: NodeId) -> Option<u32> {
         debug_assert!(a.raw() < self.p * self.q && b.raw() < self.p * self.q);
-        let (r1, c1) = (a.raw() / self.q, a.raw() % self.q);
-        let (r2, c2) = (b.raw() / self.q, b.raw() % self.q);
-        Some(self.dist_to(r1, c1, r2, c2))
+        Some(self.dist_to(self.coords(a.raw()), self.coords(b.raw())))
     }
 
     fn next_hop(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
-        if a == b {
-            return None;
-        }
-        let d = self.distance(a, b)?;
-        let (r1, c1) = (a.raw() / self.q, a.raw() % self.q);
-        let (r2, c2) = (b.raw() / self.q, b.raw() % self.q);
-        let mut best = u32::MAX;
-        for (r, c) in self.neighbors_of(r1, c1).into_iter().flatten() {
-            if self.dist_to(r, c, r2, c2) + 1 == d {
-                best = best.min(r * self.q + c);
-            }
-        }
-        debug_assert_ne!(best, u32::MAX, "a neighbor must decrease distance");
-        Some(NodeId::new(best))
+        debug_assert!(a.raw() < self.p * self.q && b.raw() < self.p * self.q);
+        let (r, c) = self.step(self.coords(a.raw()), self.coords(b.raw()))?;
+        Some(NodeId::new(r * self.q + c))
     }
 
     fn for_each_neighbor(&self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
-        let (r, c) = (v.raw() / self.q, v.raw() % self.q);
-        let mut ids = [u32::MAX; 4];
-        for (slot, (nr, nc)) in ids
-            .iter_mut()
-            .zip(self.neighbors_of(r, c).into_iter().flatten())
-        {
-            *slot = nr * self.q + nc;
-        }
+        let mut ids = self.neighbor_ids(v.raw(), self.coords(v.raw()));
         ids.sort_unstable();
         for id in ids {
             if id != u32::MAX {
@@ -462,10 +509,74 @@ impl Router for GridRouter {
         }
     }
 
-    /// The greedy with the adjacent-anchor shortcut: a checkerboard row or
-    /// column sweep connects every target but the first by one edge.
+    /// The greedy by index arithmetic: a checkerboard row or column sweep
+    /// walks once, to its first target, and answers every later target in
+    /// O(1); no walk divides per hop.
+    ///
+    /// The covered set is `src`, the earlier targets and the nodes walked
+    /// so far. A target with an anchor (`src` or an earlier target) among
+    /// its neighbors costs the one edge in unless a walk already covered
+    /// it. Its neighbors come straight from its index, and an earlier
+    /// target among them is nearly always the previous one (a row or
+    /// column sweep), so the binary search runs only when that misses.
+    /// Any other target pays the full anchor scan and walks from the
+    /// nearest anchor with `step`. A walk passes over no anchor — one
+    /// would be nearer — so only the walked nodes are checked on the way.
+    /// They are kept sorted, and since targets ascend, a cursor into them
+    /// answers an adjacent target without a search.
     fn multicast_cost_sorted(&self, src: NodeId, sorted: &[NodeId]) -> Option<u64> {
-        greedy_cost(self, src, sorted, true)
+        let s = src.raw();
+        let mut walked: Vec<u32> = Vec::new();
+        // the first walked node not below the current target
+        let mut cursor = 0;
+        let mut cost = 0u64;
+        for (i, &t) in sorted.iter().enumerate() {
+            let t = t.raw();
+            if t == s {
+                continue;
+            }
+            let earlier = &sorted[..i];
+            let to = self.coords(t);
+            let prev = earlier.last().map_or(s, |u| u.raw());
+            let near = self.neighbor_ids(t, to);
+            // every earlier target is below `t`, so a higher neighbor can
+            // only be the source
+            let adjacent = near.iter().any(|&u| u == s || u == prev)
+                || near
+                    .iter()
+                    .any(|&u| u < t && earlier.binary_search(&NodeId::new(u)).is_ok());
+            if adjacent {
+                while walked.get(cursor).is_some_and(|&w| w < t) {
+                    cursor += 1;
+                }
+                cost += u64::from(walked.get(cursor) != Some(&t));
+                continue;
+            }
+            // nearest anchor; on ties the earliest-connected anchor wins
+            let mut at = self.coords(s);
+            let mut best = self.dist_to(at, to);
+            for a in earlier {
+                let from = self.coords(a.raw());
+                let d = self.dist_to(from, to);
+                if d < best {
+                    (best, at) = (d, from);
+                }
+            }
+            let before = walked.len();
+            while let Some(next) = self.step(at, to) {
+                at = next;
+                let hop = at.0 * self.q + at.1;
+                if walked[..before].binary_search(&hop).is_err() {
+                    cost += 1;
+                    walked.push(hop);
+                }
+            }
+            // the old nodes and the new path are a few sorted runs, which
+            // the stable sort merges
+            walked.sort();
+            cursor = walked.partition_point(|&w| w < t);
+        }
+        Some(cost)
     }
 }
 

@@ -20,9 +20,12 @@
 //! Cost accounting is generic over [`Router`], so it works equally on the
 //! O(n²) table oracle and on the closed-form analytic routers — no
 //! materialized graph or table is required. Every backend charges the
-//! same number; the structured ones reach it without the greedy's anchor
-//! scan and path walks ([`Router::multicast_cost_sorted`]), which remain
-//! the implementation for unstructured graphs and the test reference.
+//! same number; the structured ones reach it with less work
+//! ([`Router::multicast_cost_sorted`]) — closed forms on the ring and the
+//! complete network, index arithmetic on grid and torus, an
+//! adjacent-anchor shortcut on the hypercube — while the greedy's full
+//! anchor scan and path walks remain the implementation for unstructured
+//! graphs and the test reference.
 
 use crate::graph::{Graph, NodeId};
 use crate::router::Router;
@@ -95,12 +98,14 @@ impl SpanningTree {
 /// The number is the greedy's, not the optimal Steiner tree's, and every
 /// backend returns exactly it; what differs is the cost of computing it
 /// ([`Router::multicast_cost_sorted`]): O(|targets|) on the ring and the
-/// complete network (closed forms, no path is walked), O(|targets| log
-/// |targets|) on grid, torus and hypercube whenever each target has an
-/// already-connected neighbor (every checkerboard row or column sweep),
-/// and the full greedy — O(|targets|² + Σ path lengths) — otherwise and
-/// on the table backend. Nothing is sized by n: that is what keeps
-/// hop-cost multicast feasible at n = 1,048,576.
+/// complete network (closed forms, no path is walked); on grid and torus
+/// O(1) for each target with an already-connected neighbor, found from
+/// its index, plus the walk to the first target of a checkerboard row or
+/// column sweep, stepped on (row, col) without a division per hop;
+/// O(log |targets|) per such target on the hypercube; and the anchor scan
+/// and walk of the full greedy — O(|targets|² + Σ path lengths) — for any
+/// other target and on the table backend. Nothing is sized by n: that is
+/// what keeps hop-cost multicast feasible at n = 1,048,576.
 ///
 /// Debug builds re-derive small instances (n ≤ 4096, ≤ 64 targets) with
 /// the full greedy and assert equality, so every debug test that runs hop
@@ -157,7 +162,8 @@ pub fn multicast_cost<R: Router>(rt: &R, src: NodeId, targets: &[NodeId]) -> Opt
 /// path has reached — nothing here is sized by n.
 ///
 /// With `cheap_neighbors` (routers whose `for_each_neighbor` is O(degree),
-/// not the table's O(n) row scan) the anchor scan is skipped when a
+/// not the table's O(n) row scan; the hypercube is the one caller, grid
+/// and torus have their own sweep) the anchor scan is skipped when a
 /// neighbor of the target is already an anchor: distance 1 cannot be
 /// beaten, and whichever adjacent anchor wins the tie, the path is the
 /// single edge into the target.
@@ -304,7 +310,7 @@ mod tests {
     #[test]
     fn multicast_and_unicast_pin_on_all_generators() {
         use crate::router::AnyRouter;
-        let cases: [(Graph, u32, Vec<u32>, u64); 5] = [
+        let cases: [(Graph, u32, Vec<u32>, u64); 8] = [
             // complete: every target one hop → #targets
             (gen::complete(8), 0, (1..6).collect(), 5),
             // ring(12): targets 3,6,9 from 0 — 0→3 (3), 3→6 (3), 9 via
@@ -315,6 +321,19 @@ mod tests {
             (gen::grid(3, 4, false), 5, vec![4, 6, 7, 11], 4),
             // torus(4x4): opposite corner is 2 hops with wrap
             (gen::grid(4, 4, true), 0, vec![15], 2),
+            // grid(4x6): row 1 but its end 11 is the source; the walk to 6
+            // (5 passes) covers 7..=10, which the sweep then reaches free;
+            // 20, adjacent to no anchor, hangs two hops below 8: 7 total
+            (gen::grid(4, 6, false), 11, vec![6, 7, 8, 9, 10, 20], 7),
+            // torus(5x5): the walk from 12 to 10 takes the short way, over
+            // 11 (2 passes, 11 free), 13 and 14 hang off 12 and 13 (2);
+            // 20 is two rows down from 10, its nearest anchor (2): 6 total
+            (gen::grid(5, 5, true), 12, vec![10, 11, 13, 14, 20], 6),
+            // torus(6x6): 3 is antipodal to 21 along column 3, 3 hops
+            // either way; the step takes the lower-numbered neighbor 15
+            // and walks 15, 9, 3 (3 passes, 9 and 15 free), 27 hangs off
+            // the source (1): 4 total — the other way round would cost 5
+            (gen::grid(6, 6, true), 21, vec![3, 9, 15, 27], 4),
             // hypercube(4): antipode + two of its neighbors share a prefix
             (gen::hypercube(4), 0, vec![15, 14, 7], 6),
         ];

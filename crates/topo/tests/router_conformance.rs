@@ -331,3 +331,82 @@ fn million_node_routers_answer_in_constant_space() {
         20
     );
 }
+
+/// A checkerboard locate multicasts to a row or a column: every row and
+/// column, full and with every fifth node missing, from a member in the
+/// middle of the line, from a node the line's first target is antipodal
+/// to (on a wrapped axis of even length), and from an arbitrary node — on
+/// square and non-square grids and tori up to the table ceiling, sides
+/// < 3 (no wrap) included. The open 64×64 grid is left out: it has no
+/// antipodes, and a table at the ceiling is the slowest part of a debug
+/// run.
+#[test]
+fn checkerboard_sweeps_match_the_greedy_up_to_the_table_ceiling() {
+    let shapes = [
+        (64, 64, true),
+        (64, 63, false),
+        (64, 63, true),
+        (32, 32, false),
+    ];
+    let small = [(3, 40), (40, 3), (2, 33)];
+    let small = small
+        .into_iter()
+        .flat_map(|(p, q)| [(p, q, false), (p, q, true)]);
+    for (p, q, wrap) in shapes.into_iter().chain(small) {
+        let g = gen::grid(p, q, wrap);
+        let (analytic, table) = (AnyRouter::for_graph(&g), AnyRouter::table_for(&g));
+        let n = (p * q) as u32;
+        let (p, q) = (p as u32, q as u32);
+        let rows = (0..p).map(|r| (0..q).map(|c| r * q + c).collect::<Vec<_>>());
+        let cols = (0..q).map(|c| (0..p).map(|r| r * q + c).collect::<Vec<_>>());
+        for (k, line) in rows.chain(cols).enumerate() {
+            let k = k as u32;
+            let holed: Vec<u32> = line
+                .iter()
+                .zip(k..)
+                .filter(|&(_, at)| at % 5 != 0)
+                .map(|(&v, _)| v)
+                .collect();
+            let sources = [
+                line[line.len() / 2],
+                (line[0] + n / 2) % n,
+                k.wrapping_mul(2_654_435_761) % n,
+            ];
+            for set in [&line, &holed] {
+                let set: Vec<NodeId> = set.iter().copied().map(NodeId::new).collect();
+                for src in sources {
+                    assert_multicast_agrees(&g, &analytic, &table, NodeId::new(src), &set);
+                }
+            }
+        }
+    }
+}
+
+/// Past the table: the checkerboard's post set (the source's row) and
+/// query set (column `row(src)`) on the 512×512 torus the `hops-torus`
+/// benchmark runs, 512 targets each — eight times the 64 the debug
+/// cross-check in `multicast_cost` stops at — for 64 seeded sources,
+/// against the reference greedy on the analytic router.
+#[test]
+fn checkerboard_sets_on_a_512_torus_match_the_reference() {
+    let torus = AnyRouter::analytic_for("torus(512x512)", 512 * 512).unwrap();
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    for _ in 0..64 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let src = (state % (512 * 512)) as u32;
+        let row: Vec<NodeId> = (0..512).map(|c| NodeId::new(src / 512 * 512 + c)).collect();
+        let col: Vec<NodeId> = (0..512).map(|r| NodeId::new(r * 512 + src / 512)).collect();
+        for set in [row, col] {
+            let src = NodeId::new(src);
+            assert_eq!(
+                multicast_cost(&torus, src, &set),
+                reference_greedy(&torus, src, &set),
+                "{src} -> {} targets from {}",
+                set.len(),
+                set[0]
+            );
+        }
+    }
+}
