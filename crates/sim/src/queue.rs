@@ -4,13 +4,20 @@
 //! order, and same-timestamp events run in the order they were pushed
 //! (FIFO). Two implementations honor it:
 //!
-//! * [`CalendarQueue`] — the production queue. One FIFO run of bare
-//!   events per timestamp, placed by time: a ring of unit-time slots for
-//!   the current window (all simulator delays are small integers: hop
-//!   latencies), a `BTreeMap` of runs for the timestamps beyond it, and
-//!   geometric window growth under far-push pressure. The slot position
-//!   is the event's time and the position in the run is its push order,
-//!   so nothing is stamped on the event. Push and pop are O(1)
+//! * [`CalendarQueue`] — the production queue, in three tiers by how far
+//!   ahead an event is due (all simulator delays are integers: hop
+//!   latencies). A fixed ring of 1,024 unit-time slots holds one FIFO run
+//!   of bare events per tick near the cursor; the slot position is the
+//!   event's time and the position in the run its push order, so nothing
+//!   is stamped on the event. Past it, a ring of coarse buckets, one per
+//!   64-tick block, each a FIFO list of 16-event chunks from a pooled
+//!   free list, with a `u8` tick offset per event. Past the buckets'
+//!   horizon, a `BTreeMap` of runs. A block is distributed into the unit
+//!   slots, in push order and in one pass, once the window covers it
+//!   whole; far runs move into buckets whole as the horizon advances, and
+//!   far pressure doubles the bucket ring, never the unit window. Each
+//!   move keeps a tick's events together and in order, which is why FIFO
+//!   per tick holds (see the type's docs). Push and pop are O(1)
 //!   amortized, against the reference queue's O(log n) with node churn
 //!   on every operation.
 //! * [`BTreeQueue`] — the reference implementation, a
@@ -52,38 +59,142 @@ pub enum QueueKind {
     BTree,
 }
 
-/// Initial window width (must be a power of two). Typical delays are a
-/// handful of ticks, so almost everything lands in the window.
-const INITIAL_SPAN: u64 = 1024;
+/// Unit window width (a power of two): the ticks from the cursor that the
+/// slot ring covers. Fixed: every tick beyond it waits in a coarse bucket
+/// or the far map instead of widening the ring.
+const UNIT_SPAN: u64 = 1024;
 
-/// Windows stop doubling here; runs beyond this span stay in the far map
-/// (bounded memory for pathological far-future schedules).
-const MAX_SPAN: u64 = 1 << 22;
+/// Widest coarse block, in ticks (a power of two, at most 256 so that an
+/// event's offset in its block fits a `u8`).
+const MAX_BLOCK: u64 = 64;
 
-/// Calendar queue: one FIFO run per timestamp, in a ring of unit-time
-/// slots for the window `[cursor, cursor + span)` and a far map beyond.
+/// Events per chunk of a coarse bucket.
+const CHUNK: usize = 16;
+
+/// End of a chunk list.
+const NIL: u32 = u32::MAX;
+
+/// Up to [`CHUNK`] coarse events of one block, in push order, each with
+/// its tick's offset in the block; `next` links the bucket's list, or the
+/// pool's free list while the chunk is unused.
+#[derive(Debug)]
+struct Chunk<T> {
+    /// Allocated once at [`CHUNK`] capacity and kept across trips through
+    /// the free list.
+    events: Vec<T>,
+    offsets: [u8; CHUNK],
+    next: u32,
+}
+
+/// A coarse block's events: a FIFO list of chunks, `NIL` when empty.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
+/// The chunks of every bucket, with a LIFO free list threaded through
+/// `next`: a chunk freed by a distributed block is the next one taken, so
+/// the pool holds no more chunks than the coarse tier's peak needed.
+#[derive(Debug)]
+struct ChunkPool<T> {
+    chunks: Vec<Chunk<T>>,
+    free: u32,
+}
+
+impl<T> ChunkPool<T> {
+    fn take(&mut self) -> u32 {
+        if self.free == NIL {
+            // the cast cannot truncate: 2^32 chunks would hold 2^36
+            // events, more than any run keeps in memory
+            self.chunks.push(Chunk {
+                events: Vec::with_capacity(CHUNK),
+                offsets: [0; CHUNK],
+                next: NIL,
+            });
+            return (self.chunks.len() - 1) as u32;
+        }
+        let c = self.free;
+        let chunk = &mut self.chunks[c as usize];
+        self.free = std::mem::replace(&mut chunk.next, NIL);
+        c
+    }
+
+    fn give(&mut self, c: u32) {
+        let chunk = &mut self.chunks[c as usize];
+        debug_assert!(chunk.events.is_empty(), "a freed chunk is drained");
+        chunk.next = self.free;
+        self.free = c;
+    }
+}
+
+/// Calendar queue: one FIFO run per timestamp, kept in three tiers by how
+/// far ahead of the cursor it is due.
+///
+/// * **Unit slots** — a ring of `span` slots (1,024 by default, fixed for
+///   the queue's life), one per tick, holding the ticks of every
+///   *distributed* block. The slot position is the
+///   event's tick and the position in the run its push order.
+/// * **Coarse buckets** — a ring of buckets, one per block (64 ticks by
+///   default), for the blocks after the distributed ones. A
+///   bucket is a FIFO list of chunks drawn from a queue-owned pool, each
+///   event stored with its tick's offset in the block. A push appends to
+///   its block's tail, so a long-haul send lands on one of a few hundred
+///   hot tails, not in a cold per-tick slot.
+/// * **Far map** — a `BTreeMap` of runs for the ticks past the coarse
+///   horizon.
+///
+/// Once a whole block lies inside the window `[cursor, cursor + span)`,
+/// its bucket is distributed into the unit slots, in push order and in
+/// one pass, before any push or pop can observe those ticks (right after
+/// the cursor moves); its bucket is then reused for the block one ring
+/// further on, and the far runs of that block move into it whole and in
+/// tick order. Far pressure (more far events than buckets) doubles the
+/// bucket ring, which pulls the horizon out.
+///
+/// FIFO per tick holds because a tick's events are in exactly one tier at
+/// a time and every move keeps their order: a tick leaves the far map for
+/// an empty bucket before any push can reach that bucket, and leaves the
+/// bucket for an empty slot before any push can reach that slot. A push
+/// goes to the tier its tick is in *now*, so it lands behind everything
+/// its tick holds, and the tiers only ever move ticks nearer.
 ///
 /// Invariants:
-/// * one timestamp per slot: the window is no wider than the ring, so the
-///   run in slot `t & mask` holds exactly the events scheduled at window
-///   tick `t`, in push order;
-/// * a timestamp's events are all in the ring or all in `far`, never
-///   split: a far run moves into its (therefore empty) slot whole, before
-///   any push or pop that could observe that its tick entered the window,
-///   and the cursor never moves backwards, so no later push at that
-///   timestamp can go anywhere but behind it;
-/// * `cursor` never exceeds the earliest queued event's time.
+/// * the unit slots hold ticks in `[cursor, next_block · block)`, and
+///   `next_block · block ≤ cursor + span`: one tick per slot;
+/// * bucket `b & bucket_mask` holds block `b` for
+///   `b ∈ [next_block, next_block + buckets.len())`; the far map holds
+///   blocks at or beyond that horizon;
+/// * `cursor` never exceeds the earliest queued event's time, and every
+///   block it has brought wholly inside the window is distributed.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// `ring[t & mask]` is the run of window tick `t`.
+    /// `ring[t & mask]` is the run of unit tick `t`.
     ring: Vec<VecDeque<T>>,
     /// `ring.len() - 1`; the length is a power of two.
     mask: u64,
     /// Scan position: a lower bound on the earliest queued event time.
     cursor: SimTime,
-    /// Number of events currently in the ring.
+    /// Number of events currently in the unit slots.
     ringed: usize,
-    /// The runs at or beyond `cursor + span`, none empty.
+    /// A block is `1 << block_bits` ticks wide, at most half the window.
+    block_bits: u32,
+    /// The first block not yet distributed. A block is at least 2 ticks
+    /// wide, so this stays at most 2^63 even past the end of time.
+    next_block: u64,
+    /// `buckets[b & bucket_mask]` is coarse block `b`'s chunk list.
+    buckets: Vec<Bucket>,
+    /// `buckets.len() - 1`; the length is a power of two.
+    bucket_mask: u64,
+    pool: ChunkPool<T>,
+    /// Number of events currently in the buckets.
+    coarse: usize,
+    /// The runs at or beyond the coarse horizon, none empty.
     far: BTreeMap<SimTime, VecDeque<T>>,
     /// Number of events currently in `far`.
     parked: usize,
@@ -91,24 +202,39 @@ pub struct CalendarQueue<T> {
 
 impl<T> Default for CalendarQueue<T> {
     fn default() -> Self {
-        Self::with_span(INITIAL_SPAN)
+        Self::with_span(UNIT_SPAN)
     }
 }
 
 impl<T> CalendarQueue<T> {
-    /// A queue with an explicit initial window width (rounded up to a
-    /// power of two). Mainly for tests that want to exercise window
-    /// growth; production code uses `Default`.
+    /// A queue with an explicit unit window width (rounded up to a power
+    /// of two, at least 2). Blocks are half the window wide, at least 2
+    /// and at most 64 ticks, and the bucket ring starts out as wide as the
+    /// window. For tests that want narrow tiers; production code uses
+    /// `Default`.
     pub fn with_span(span: u64) -> Self {
         let span = span.next_power_of_two().max(2);
-        CalendarQueue {
+        let block = (span / 2).clamp(2, MAX_BLOCK);
+        let blocks = span / block;
+        let mut q = CalendarQueue {
             ring: (0..span).map(|_| VecDeque::new()).collect(),
             mask: span - 1,
             cursor: 0,
             ringed: 0,
+            block_bits: block.trailing_zeros(),
+            next_block: 0,
+            buckets: vec![EMPTY; blocks as usize],
+            bucket_mask: blocks - 1,
+            pool: ChunkPool {
+                chunks: Vec::new(),
+                free: NIL,
+            },
+            coarse: 0,
             far: BTreeMap::new(),
             parked: 0,
-        }
+        };
+        q.next_block = q.distributable_end();
+        q
     }
 
     fn span(&self) -> u64 {
@@ -117,7 +243,7 @@ impl<T> CalendarQueue<T> {
 
     /// Total queued events.
     pub fn len(&self) -> usize {
-        self.ringed + self.parked
+        self.ringed + self.coarse + self.parked
     }
 
     /// `true` when nothing is queued.
@@ -137,65 +263,180 @@ impl<T> CalendarQueue<T> {
             "push into the past: {at} < {}",
             self.cursor
         );
-        if at.saturating_sub(self.cursor) >= self.span() {
-            self.far.entry(at).or_default().push_back(ev);
-            self.parked += 1;
-            if self.parked > self.ring.len() && self.span() < MAX_SPAN {
-                self.grow();
-            }
-        } else {
-            // keep FIFO: a run parked at this timestamp while it lay
-            // beyond the window must enter the slot first
-            self.migrate_due();
+        let block = at >> self.block_bits;
+        if block < self.next_block {
+            debug_assert!(at - self.cursor < self.span(), "one tick per slot");
             self.ring[(at & self.mask) as usize].push_back(ev);
             self.ringed += 1;
+        } else if block - self.next_block <= self.bucket_mask {
+            self.append(at, ev);
+        } else {
+            self.far.entry(at).or_default().push_back(ev);
+            self.parked += 1;
+            if self.parked > self.buckets.len() {
+                self.double_buckets();
+            }
         }
     }
 
-    /// Moves every far run whose tick the window now covers into its slot.
+    /// Appends `ev` to the tail of its (coarse) block's bucket.
+    fn append(&mut self, at: SimTime, ev: T) {
+        let bucket = &mut self.buckets[((at >> self.block_bits) & self.bucket_mask) as usize];
+        let tail = match bucket.tail {
+            NIL => {
+                let c = self.pool.take();
+                bucket.head = c;
+                c
+            }
+            tail if self.pool.chunks[tail as usize].events.len() == CHUNK => {
+                let c = self.pool.take();
+                self.pool.chunks[tail as usize].next = c;
+                c
+            }
+            tail => tail,
+        };
+        bucket.tail = tail;
+        let chunk = &mut self.pool.chunks[tail as usize];
+        chunk.offsets[chunk.events.len()] = (at & ((1 << self.block_bits) - 1)) as u8;
+        chunk.events.push(ev);
+        self.coarse += 1;
+    }
+
+    /// One past the last block that lies wholly inside the window.
     ///
-    /// The window is `[cursor, cursor + span)`. Near the top of the time
-    /// domain `cursor + span` overflows `u64`; a saturating add would pin
-    /// the horizon at `u64::MAX` and the strict `<` comparison would then
-    /// refuse to migrate a run scheduled *at* `u64::MAX` forever — the
-    /// queue would report itself nonempty while the pop scan finds the
-    /// ring empty and runs off the end of time. `checked_add`
-    /// distinguishes the two cases: `None` means the window already
-    /// covers everything up to and including `u64::MAX` (its true size,
-    /// `u64::MAX − cursor + 1`, is ≤ span exactly when the add overflows,
-    /// so the one-timestamp-per-slot invariant still holds).
-    fn migrate_due(&mut self) {
-        let horizon = self.cursor.checked_add(self.span());
+    /// Block `b` ends at `(b + 1) · block`, inside the window when that is
+    /// at most `cursor + span`. Near the end of time `cursor + span`
+    /// overflows `u64`, and then every block is inside: the saturated
+    /// add still yields the last block, `u64::MAX >> block_bits`, and the
+    /// `+ 1` cannot overflow because a block is at least 2 ticks wide.
+    fn distributable_end(&self) -> u64 {
+        let block = 1 << self.block_bits;
+        (self.cursor.saturating_add(self.span() - block) >> self.block_bits) + 1
+    }
+
+    /// Distributes every block the window now covers whole, in block
+    /// order, moving the coarse horizon along and the far runs it passes
+    /// into their buckets. Called whenever the cursor moves.
+    fn advance(&mut self) {
+        let end = self.distributable_end();
+        while self.next_block < end {
+            if self.coarse == 0 {
+                // every bucket is empty: skip to the first block whose
+                // bucket a far run would enter
+                let far_from = self.far.first_key_value().map_or(end, |(&t, _)| {
+                    (t >> self.block_bits) - self.buckets.len() as u64
+                });
+                if far_from > self.next_block {
+                    self.next_block = far_from.min(end);
+                    continue;
+                }
+            }
+            self.distribute(self.next_block);
+            self.next_block += 1;
+            self.migrate_far();
+        }
+    }
+
+    /// Moves block `block`'s bucket into the unit slots, in push order,
+    /// and gives its chunks back to the pool.
+    fn distribute(&mut self, block: u64) {
+        let bucket = std::mem::replace(
+            &mut self.buckets[(block & self.bucket_mask) as usize],
+            EMPTY,
+        );
+        let base = block << self.block_bits;
+        // size each tick's slot buffer once, from the block's own counts
+        let mut counts = [0usize; MAX_BLOCK as usize];
+        let mut c = bucket.head;
+        while c != NIL {
+            let chunk = &self.pool.chunks[c as usize];
+            for &offset in &chunk.offsets[..chunk.events.len()] {
+                counts[usize::from(offset)] += 1;
+            }
+            c = chunk.next;
+        }
+        for (offset, &count) in counts.iter().enumerate() {
+            if count > 0 {
+                self.ring[((base + offset as u64) & self.mask) as usize].reserve_exact(count);
+            }
+        }
+        let mut c = bucket.head;
+        while c != NIL {
+            let chunk = &mut self.pool.chunks[c as usize];
+            self.coarse -= chunk.events.len();
+            self.ringed += chunk.events.len();
+            for (ev, &offset) in chunk.events.drain(..).zip(&chunk.offsets) {
+                let at = base + u64::from(offset);
+                debug_assert!(at - self.cursor <= self.mask, "one tick per slot");
+                self.ring[(at & self.mask) as usize].push_back(ev);
+            }
+            let next = chunk.next;
+            self.pool.give(c);
+            c = next;
+        }
+    }
+
+    /// Moves every far run the coarse horizon now covers into its bucket:
+    /// whole, in tick order, into a bucket no push has reached yet.
+    fn migrate_far(&mut self) {
+        let horizon = self.next_block + self.buckets.len() as u64;
         while let Some(first) = self.far.first_entry() {
-            if horizon.is_some_and(|h| *first.key() >= h) {
+            if *first.key() >> self.block_bits >= horizon {
                 break;
             }
             let (at, run) = first.remove_entry();
+            debug_assert!(
+                self.last_coarse_offset(at)
+                    .is_none_or(|o| u64::from(o) < at & ((1 << self.block_bits) - 1)),
+                "a far run enters a bucket holding only earlier far runs"
+            );
             self.parked -= run.len();
-            self.ringed += run.len();
-            let slot = &mut self.ring[(at & self.mask) as usize];
-            debug_assert!(slot.is_empty(), "a timestamp is never split");
-            *slot = run;
+            for ev in run {
+                self.append(at, ev);
+            }
         }
     }
 
-    /// Doubles the window: every run keeps its tick and moves to that
-    /// tick's slot in the wider ring, then the far runs the wider window
-    /// covers follow.
-    fn grow(&mut self) {
-        let new_span = (self.span() * 2).min(MAX_SPAN);
-        let new_mask = new_span - 1;
-        let mut wider: Vec<VecDeque<T>> = (0..new_span).map(|_| VecDeque::new()).collect();
-        for offset in 0..self.span() {
-            // the add wraps only for ticks past the end of time, whose
-            // slots are empty
-            let t = self.cursor.wrapping_add(offset);
-            wider[(t & new_mask) as usize] =
-                std::mem::take(&mut self.ring[(t & self.mask) as usize]);
+    /// The offset of the last event in `at`'s bucket, if it has one.
+    fn last_coarse_offset(&self, at: SimTime) -> Option<u8> {
+        let bucket = self.buckets[((at >> self.block_bits) & self.bucket_mask) as usize];
+        let chunk = self.pool.chunks.get(bucket.tail as usize)?;
+        chunk.events.len().checked_sub(1).map(|i| chunk.offsets[i])
+    }
+
+    /// Doubles the bucket ring: every bucket keeps its block and moves to
+    /// that block's index in the wider ring, then the far runs the wider
+    /// horizon covers follow.
+    fn double_buckets(&mut self) {
+        let blocks = self.buckets.len() as u64;
+        let mask = 2 * blocks - 1;
+        let mut wider = vec![EMPTY; 2 * blocks as usize];
+        for b in self.next_block..self.next_block + blocks {
+            wider[(b & mask) as usize] = self.buckets[(b & self.bucket_mask) as usize];
         }
-        self.ring = wider;
-        self.mask = new_mask;
-        self.migrate_due();
+        self.buckets = wider;
+        self.bucket_mask = mask;
+        self.migrate_far();
+    }
+
+    /// The earliest coarse tick: the least offset in the first nonempty
+    /// bucket. Needs `coarse > 0`.
+    fn first_coarse(&self) -> SimTime {
+        let mut block = self.next_block;
+        loop {
+            let mut c = self.buckets[(block & self.bucket_mask) as usize].head;
+            if c != NIL {
+                let mut least = u8::MAX;
+                while c != NIL {
+                    let chunk = &self.pool.chunks[c as usize];
+                    let offsets = &chunk.offsets[..chunk.events.len()];
+                    least = offsets.iter().fold(least, |l, &o| l.min(o));
+                    c = chunk.next;
+                }
+                return (block << self.block_bits) + u64::from(least);
+            }
+            block += 1;
+        }
     }
 
     /// Moves the cursor to the earliest queued tick if that tick is
@@ -206,36 +447,36 @@ impl<T> CalendarQueue<T> {
     /// popped: a deadline miss must leave every time >= the last popped
     /// event legal for future pushes.
     fn seek_front(&mut self, deadline: SimTime) -> Option<SimTime> {
-        if self.is_empty() {
+        let t = if self.ringed > 0 {
+            // scan unit slots from the cursor; bounded by the window width
+            // because the slots hold at least one event
+            let mut t = self.cursor;
+            while self.ring[(t & self.mask) as usize].is_empty() {
+                t += 1;
+                debug_assert!(
+                    t - self.cursor < self.span(),
+                    "ringed > 0 guarantees a hit within one window"
+                );
+            }
+            t
+        } else if self.coarse > 0 {
+            // the window is empty: jump to the earliest coarse tick
+            self.first_coarse()
+        } else {
+            *self.far.first_key_value()?.0
+        };
+        if t > deadline {
             return None;
         }
-        self.migrate_due();
-        if self.ringed == 0 {
-            // everything lives beyond the window: jump straight there
-            let (&t, _) = self.far.first_key_value().expect("len > 0");
-            if t > deadline {
-                return None;
-            }
+        if t != self.cursor {
             self.cursor = t;
-            self.migrate_due();
+            self.advance();
         }
-        // scan unit slots from the cursor; bounded by the window width
-        // because the ring holds at least one event
-        let mut t = self.cursor;
-        loop {
-            if !self.ring[(t & self.mask) as usize].is_empty() {
-                if t > deadline {
-                    return None;
-                }
-                self.cursor = t;
-                return Some(t);
-            }
-            t += 1;
-            debug_assert!(
-                t - self.cursor <= self.span(),
-                "ringed > 0 guarantees a hit within one window"
-            );
-        }
+        debug_assert!(
+            !self.ring[(t & self.mask) as usize].is_empty(),
+            "the front tick's block is distributed"
+        );
+        Some(t)
     }
 
     /// Pops the earliest event if its time is `<= deadline`.
@@ -413,28 +654,55 @@ mod tests {
         assert_eq!(q.pop_next(), None);
     }
 
+    /// Far pressure widens the coarse tier, never the unit window: more far
+    /// events than buckets doubles the bucket ring until its horizon takes
+    /// them in.
     #[test]
-    fn overflow_pressure_grows_the_window() {
+    fn far_pressure_doubles_the_bucket_ring() {
         let mut q = CalendarQueue::with_span(2);
         for i in 0..64u64 {
             q.push(10 + i * 7, i);
         }
-        assert!(q.span() > 2, "overflow pressure must widen the window");
-        let mut last = None;
-        while let Some((t, _)) = q.pop_next() {
-            assert!(last.is_none_or(|l| l <= t));
-            last = Some(t);
+        assert!(
+            q.buckets.len() > 1,
+            "far pressure must widen the bucket ring"
+        );
+        assert_eq!(q.span(), 2, "the unit window never grows");
+        assert!(q.parked <= q.buckets.len(), "the horizon took the pressure");
+        for i in 0..64u64 {
+            assert_eq!(q.pop_next(), Some((10 + i * 7, i)));
         }
+        assert_eq!(q.pop_next(), None);
+    }
+
+    /// The chunks a bucket's list needs for the events it holds.
+    fn chunks_needed<T>(q: &CalendarQueue<T>) -> usize {
+        q.buckets
+            .iter()
+            .map(|bucket| {
+                let mut events = 0;
+                let mut c = bucket.head;
+                while c != NIL {
+                    let chunk = &q.pool.chunks[c as usize];
+                    events += chunk.events.len();
+                    c = chunk.next;
+                }
+                events.div_ceil(CHUNK)
+            })
+            .sum()
     }
 
     /// Regression: a bucket drained by `pop_next_until` kept its buffer, so
     /// after one lap of the window every bucket held the largest tick it
     /// had ever seen (735 MiB vs the btree queue's 97 on `overload-ramp`
-    /// at n = 262,144).
+    /// at n = 262,144). The coarse tier's chunks go back to the pool when
+    /// their block is distributed, and the pool reuses them: after a
+    /// far-heavy burst it holds no more chunks than the peak coarse
+    /// occupancy needed.
     #[test]
     fn drained_buckets_give_their_buffers_back() {
         let mut q = CalendarQueue::default();
-        for t in 0..2 * INITIAL_SPAN {
+        for t in 0..2 * UNIT_SPAN {
             for i in 0..300u32 {
                 q.push(t, i);
             }
@@ -446,21 +714,55 @@ mod tests {
         assert!(q.is_empty());
         let held: usize = q.ring.iter().map(VecDeque::capacity).sum();
         assert_eq!(held, 0, "an empty queue holds no event storage");
+
+        // every tick sends eight events 2,000–10,000 ticks ahead, past the
+        // coarse horizon the queue starts with, so the bucket ring doubles
+        // and far runs keep moving into buckets as blocks are distributed
+        let mut peak = 0;
+        let start = q.cursor;
+        for t in start..start + 4 * UNIT_SPAN {
+            // one event due now moves the cursor every tick, so each pop
+            // distributes at most one block and `peak` sees every high
+            q.push(t, 8);
+            for i in 0..8u32 {
+                q.push(t + 2_000 + (u64::from(i) * 977 + t * 31) % 8_000, i);
+            }
+            peak = peak.max(chunks_needed(&q));
+            while q.pop_next_until(t).is_some() {
+                peak = peak.max(chunks_needed(&q));
+            }
+        }
+        while q.pop_next().is_some() {
+            peak = peak.max(chunks_needed(&q));
+        }
+        assert!(q.is_empty());
+        assert!(
+            q.buckets.len() > UNIT_SPAN as usize / 64,
+            "the burst doubled the ring"
+        );
+        assert!(
+            q.pool.chunks.len() <= peak,
+            "{} chunks pooled, the peak needed {peak}",
+            q.pool.chunks.len()
+        );
+        let held: usize = q.ring.iter().map(VecDeque::capacity).sum();
+        assert_eq!(held, 0, "drained slots hold no buffer");
     }
 
     #[test]
     fn interleaved_pushes_at_a_migrated_timestamp_stay_fifo() {
-        // regression for the overflow/bucket FIFO race: an event parked in
-        // overflow for time T must still pop before a later push at T.
-        // With span 4 and cursor 0, t=5 parks in overflow; popping t=2
-        // advances the cursor to 2 (window now [2, 6)) WITHOUT migrating
-        // the parked event — the next push at t=5 takes the bucket path
-        // and must migrate the older overflow twin first.
-        let mut q = CalendarQueue::with_span(4);
-        q.push(5, "early-seq"); // 5 - 0 >= span: parked in overflow
+        // regression for the far/slot FIFO race: an event parked in the
+        // far map for time T must still pop before a later push at T.
+        // With span 2 (2-tick blocks, one bucket) and cursor 0, t=5 parks
+        // in the far map; popping t=2 advances the cursor to 2, which moves
+        // the horizon over block 2 — the parked event enters its bucket
+        // before the next push at t=5 can append there.
+        let mut q = CalendarQueue::with_span(2);
+        q.push(5, "early-seq"); // past the coarse horizon: far map
         q.push(2, "near");
+        assert_eq!(q.parked, 1);
         assert_eq!(q.pop_next(), Some((2, "near"))); // cursor -> 2
-        q.push(5, "late-seq"); // 5 - 2 < span: bucket insert at a due time
+        q.push(5, "late-seq"); // a bucket push behind its far twin
         assert_eq!(q.pop_next(), Some((5, "early-seq")));
         assert_eq!(q.pop_next(), Some((5, "late-seq")));
     }
@@ -547,21 +849,24 @@ mod tests {
         assert_eq!(q.pop_next(), None);
     }
 
-    /// Window growth with the cursor near the top of the time domain:
-    /// `grow()`'s re-homing horizon overflows `u64`, and everything —
-    /// including events at `u64::MAX` — must land in buckets, not bounce
-    /// back into overflow forever.
+    /// Bucket-ring doubling with the cursor near the top of the time
+    /// domain: the coarse horizon passes the last block, and everything —
+    /// including events at `u64::MAX` — must land in buckets and slots,
+    /// not bounce back into the far map forever.
     #[test]
-    fn window_growth_at_the_boundary_rehomes_everything() {
+    fn bucket_growth_at_the_boundary_rehomes_everything() {
         let mut q = CalendarQueue::with_span(2);
         let base = u64::MAX - 64;
         q.push(base, 0u64);
         assert_eq!(q.pop_next(), Some((base, 0)), "advance cursor near MAX");
-        // flood the overflow heap to force grow() while cursor ~ MAX
+        // flood the far map to force doubling while cursor ~ MAX
         for i in 1..=64u64 {
             q.push(base + i, i);
         }
-        assert!(q.span() > 2, "overflow pressure must widen the window");
+        assert!(
+            q.buckets.len() > 1,
+            "far pressure must widen the bucket ring"
+        );
         for i in 1..=64u64 {
             assert_eq!(q.pop_next(), Some((base + i, i)));
         }
@@ -576,29 +881,30 @@ mod tests {
         oracle.push(at, nth);
     }
 
-    /// Growth moves runs by slot arithmetic, not by sorting stamped
-    /// events: with the cursor mid-ring the window straddles slot 0, so
-    /// the runs on either side of the seam land in different halves of
-    /// the wider ring, and the far run the wider window now covers must
-    /// come in with them.
+    /// Doubling moves buckets by block arithmetic, not by sorting stamped
+    /// events: with the cursor at tick 5 the coarse blocks 3 and 4 sit in
+    /// buckets 1 and 0, straddling the ring's seam, so they land in
+    /// different halves of the wider ring, and the far runs the wider
+    /// horizon now covers must come in with them.
     #[test]
     fn growth_rehomes_runs_across_the_ring_seam() {
+        // window 8, blocks of 4 ticks, two buckets
         let mut cal = CalendarQueue::with_span(8);
         let mut oracle = BTreeQueue::default();
         push_both(&mut cal, &mut oracle, 5);
-        assert_eq!(cal.pop_next(), oracle.pop_next()); // cursor 5: window [5, 13)
-        for at in [6, 7, 7, 8, 9, 9, 12, 6, 8] {
-            push_both(&mut cal, &mut oracle, at); // slots 6, 7 | 0, 1, 4
+        assert_eq!(cal.pop_next(), oracle.pop_next()); // cursor 5
+        assert_eq!(cal.next_block, 3, "slots [5, 12), buckets [12, 20)");
+        for at in [6, 7, 7, 8, 9, 9, 11, 12, 19, 13, 16, 12, 30, 21] {
+            push_both(&mut cal, &mut oracle, at); // 2 far: not yet pressure
         }
-        for at in [14, 14, 14, 30, 21, 30, 40, 55] {
-            push_both(&mut cal, &mut oracle, at); // 8 parked: one short of growth
+        let tiers = |q: &CalendarQueue<u64>| (q.buckets.len(), q.ringed, q.coarse, q.parked);
+        assert_eq!(tiers(&cal), (2, 7, 5, 2));
+        push_both(&mut cal, &mut oracle, 22);
+        // horizon 28: the events at 21 and 22 came in, 30 stays far
+        assert_eq!(tiers(&cal), (4, 7, 7, 1));
+        for at in [12, 21, 9, 30] {
+            push_both(&mut cal, &mut oracle, at);
         }
-        assert_eq!((cal.span(), cal.ringed, cal.parked), (8, 9, 8));
-        push_both(&mut cal, &mut oracle, 20);
-        // window [5, 21): the run at 14 and the event at 20 came in
-        assert_eq!((cal.span(), cal.ringed, cal.parked), (16, 13, 5));
-        push_both(&mut cal, &mut oracle, 14);
-        push_both(&mut cal, &mut oracle, 9);
         while let Some(expected) = oracle.pop_next() {
             assert_eq!(cal.pop_next(), Some(expected));
         }
@@ -607,18 +913,25 @@ mod tests {
 
     #[test]
     fn a_far_run_migrates_whole_and_later_pushes_queue_behind_it() {
+        // window 4, blocks of 2 ticks, two buckets: slots [0, 4), buckets
+        // [4, 8), the far map beyond
         let mut q = CalendarQueue::with_span(4);
-        for name in ["a", "b", "c"] {
-            q.push(9, name); // 9 - 0 >= span: one far run of three
+        for name in ["a", "b"] {
+            q.push(9, name); // one far run of two
         }
         q.push(3, "near");
         q.push(7, "edge");
-        assert_eq!((q.ringed, q.parked), (1, 4));
+        let tiers = |q: &CalendarQueue<_>| (q.ringed, q.coarse, q.parked);
+        assert_eq!(tiers(&q), (1, 1, 2));
         assert_eq!(q.pop_next(), Some((3, "near")));
-        // the ring is empty, so the cursor jumps to 7 and the window
-        // [7, 11) takes the run at 9 in one move
+        // cursor 3: block 2 is distributed and the horizon passes tick 9,
+        // whose run enters its bucket in one move
+        assert_eq!(tiers(&q), (0, 3, 0));
+        q.push(9, "c"); // behind the run, in the same bucket
+                        // the slots are empty, so the cursor jumps to 7 and both blocks
+                        // are distributed
         assert_eq!(q.pop_next(), Some((7, "edge")));
-        assert_eq!((q.ringed, q.parked), (3, 0));
+        assert_eq!(tiers(&q), (3, 0, 0));
         q.push(9, "d");
         q.push(9, "e");
         let order: Vec<_> = std::iter::from_fn(|| q.pop_next()).collect();
@@ -648,18 +961,26 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// A far run is taken whole once due, and a deadline that misses it
-    /// leaves the cursor where it was, so an earlier push stays legal.
+    /// A far run is taken whole once due, and a deadline that stops short
+    /// of its bucket while the slots are empty leaves the cursor where it
+    /// was, so an earlier push stays legal.
     #[test]
     fn a_far_run_comes_back_as_one_run_after_a_missed_deadline() {
         let mut q = CalendarQueue::with_span(4);
         for name in ["a", "b", "c"] {
-            q.push(9, name); // 9 - 0 >= span: one far run of three
+            // past the horizon: the third far push doubles the bucket
+            // ring, which takes the run of three into its bucket whole
+            q.push(9, name);
         }
         q.push(3, "near");
         assert_eq!(take_run(&mut q, 3), Some((3, vec!["near"])));
-        q.push(9, "d"); // still beyond the window [3, 7): joins the far run
-        assert_eq!(take_run(&mut q, 8), None, "the far run is not due");
+        q.push(9, "d"); // a bucket push, behind the run
+        assert_eq!((q.ringed, q.coarse), (0, 4), "only the bucket holds events");
+        assert_eq!(
+            take_run(&mut q, 8),
+            None,
+            "the bucket's first tick is not due"
+        );
         assert_eq!(q.cursor, 3, "a miss does not move the cursor");
         q.push(4, "late");
         assert_eq!(take_run(&mut q, 8), Some((4, vec!["late"])));
@@ -667,20 +988,24 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// The window may double while a run is out (a handler's far sends
-    /// overflow the far map): the taken tick's slot moves with the rest,
-    /// and a same-tick send made after the growth still comes back as the
-    /// tick's next run.
+    /// The bucket ring may double while a run is out (a handler's far
+    /// sends overflow the far map): the unit slots do not move, and a
+    /// same-tick send made after the growth still comes back as the tick's
+    /// next run.
     #[test]
-    fn a_run_out_while_the_window_grows_keeps_its_tick() {
+    fn a_run_out_while_the_bucket_ring_grows_keeps_its_tick() {
         let mut q = CalendarQueue::with_span(2);
         q.push(5, "a");
         q.push(5, "b");
         let (t, run) = take_run(&mut q, 5).expect("tick 5 is due");
+        let before = q.buckets.len();
         for (i, at) in [10, 20, 30].into_iter().enumerate() {
-            q.push(at, run[i % 2]); // the third far push grows the window
+            q.push(at, run[i % 2]); // the third far push doubles the ring
         }
-        assert!(q.span() > 2, "far pressure must widen the window");
+        assert!(
+            q.buckets.len() > before,
+            "far pressure must widen the bucket ring"
+        );
         q.push(t, "c");
         assert_eq!(take_run(&mut q, 5), Some((5, vec!["c"])));
         let rest: Vec<_> = std::iter::from_fn(|| take_run(&mut q, SimTime::MAX)).collect();
@@ -693,7 +1018,7 @@ mod tests {
     #[test]
     fn taken_runs_leave_no_buffer_behind() {
         let mut q = CalendarQueue::default();
-        for t in 0..2 * INITIAL_SPAN {
+        for t in 0..2 * UNIT_SPAN {
             for i in 0..300u32 {
                 q.push(t, i);
             }
@@ -712,7 +1037,7 @@ mod tests {
     /// returns the tick popped at. While a run is out, each of its events
     /// spends three bits of `sends` on what its "handler" pushes: nothing,
     /// a same-tick send (the tick's next run), a near one, or a far one
-    /// (which may grow the window under the run). Once `sends` is spent
+    /// (which may double the bucket ring under the run). Once `sends` is spent
     /// nothing more is pushed, so a drain always ends.
     fn pop_checked(
         cal: &mut CalendarQueue<u64>,
@@ -750,9 +1075,16 @@ mod tests {
         Some(t)
     }
 
-    /// One proptest case: `ops` applied to a calendar queue of initial
+    /// One proptest case: `ops` applied to a calendar queue of window
     /// width `span` and to the oracle, every pop — per event, or with
     /// `by_runs` per run — compared event by event.
+    ///
+    /// Kinds 0–5 push near, mid-range and far, drain and pop; 6–9 aim at
+    /// the tier boundaries: the edge of the unit slots and of the window,
+    /// block boundaries, the coarse tier's inside and just past its
+    /// horizon (which forces the bucket ring to double); 10 pops with a
+    /// deadline one tick short of the front, which must miss without
+    /// moving the cursor; 11 and up push same-tick bursts.
     fn check_against_oracle(ops: &[(u8, u64)], span: u64, by_runs: bool) {
         let mut cal = CalendarQueue::with_span(span);
         let mut oracle = BTreeQueue::default();
@@ -763,6 +1095,9 @@ mod tests {
             let mut pop = |cal: &mut _, oracle: &mut _, deadline| {
                 pop_checked(cal, oracle, deadline, by_runs, &mut sends)
             };
+            let bits = cal.block_bits;
+            let slots_end = cal.next_block << bits;
+            let horizon = (cal.next_block + cal.buckets.len() as u64) << bits;
             match kind {
                 0 => {
                     // near-future push
@@ -773,14 +1108,14 @@ mod tests {
                     push_both(&mut cal, &mut oracle, now + x % 5000);
                 }
                 2 => {
-                    // far-future push: far map + window growth
+                    // far-future push: far map + bucket-ring doubling
                     let at = now + 1_000 + x % (1 << 30);
                     far_used.push(at);
                     push_both(&mut cal, &mut oracle, at);
                 }
                 3 => {
                     // a far timestamp again (unless time has passed it):
-                    // multi-event runs, parked or already in the ring
+                    // multi-event runs, in any tier
                     let at = match far_used.len() {
                         0 => now + 1_000,
                         len => far_used[x as usize % len].max(now),
@@ -797,6 +1132,45 @@ mod tests {
                     // single pop
                     if let Some(t) = pop(&mut cal, &mut oracle, SimTime::MAX) {
                         now = t;
+                    }
+                }
+                6 => {
+                    // the last slot tick or the first bucket tick, or the
+                    // same around the window's own edge
+                    let edge = if x & 1 == 0 {
+                        slots_end
+                    } else {
+                        now + cal.span()
+                    };
+                    push_both(
+                        &mut cal,
+                        &mut oracle,
+                        (edge + (x >> 1) % 3).max(now + 1) - 1,
+                    );
+                }
+                7 => {
+                    // either side of a block boundary a few blocks ahead
+                    let boundary = ((now >> bits) + 1 + x % 8) << bits;
+                    push_both(&mut cal, &mut oracle, boundary - (x >> 3) % 2);
+                }
+                8 => {
+                    // anywhere in the coarse tier
+                    let at = slots_end + x % (horizon - slots_end);
+                    push_both(&mut cal, &mut oracle, at);
+                }
+                9 => {
+                    // just past the coarse horizon
+                    push_both(&mut cal, &mut oracle, horizon + x % (horizon - slots_end));
+                }
+                10 => {
+                    // a deadline one tick short of the front misses and
+                    // leaves the cursor alone, whichever tier the front is in
+                    if let Some((&(front, _), _)) = oracle.map.first_key_value() {
+                        let cursor = cal.cursor;
+                        if front > cursor {
+                            prop_assert_eq!(pop(&mut cal, &mut oracle, front - 1), None);
+                            prop_assert_eq!(cal.cursor, cursor, "a miss moved the cursor");
+                        }
                     }
                 }
                 _ => {
@@ -818,7 +1192,7 @@ mod tests {
 
         #[test]
         fn calendar_matches_btreemap_oracle(
-            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
+            ops in prop::collection::vec((0u8..11, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
             check_against_oracle(&ops, span, false);
@@ -828,18 +1202,18 @@ mod tests {
         /// oracle's per-event pops in order.
         #[test]
         fn calendar_runs_match_btreemap_oracle(
-            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
+            ops in prop::collection::vec((0u8..11, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
             check_against_oracle(&ops, span, true);
         }
 
         /// The run check on a mix where every other op is a same-tick
-        /// burst (kind 6 and up), so runs are deep and same-tick pushes
+        /// burst (kind 11 and up), so runs are deep and same-tick pushes
         /// keep refilling the slot a run was taken from.
         #[test]
         fn same_tick_pushes_come_back_as_the_next_run(
-            ops in prop::collection::vec((0u8..12, any::<u64>()), 1..200),
+            ops in prop::collection::vec((0u8..22, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
             check_against_oracle(&ops, span, true);
@@ -852,7 +1226,7 @@ mod tests {
         #[test]
         #[ignore = "release tier: 8,192 cases"]
         fn calendar_matches_btreemap_oracle_at_scale(
-            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
+            ops in prop::collection::vec((0u8..11, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
             check_against_oracle(&ops, span, false);
@@ -861,7 +1235,7 @@ mod tests {
         #[test]
         #[ignore = "release tier: 8,192 cases"]
         fn calendar_runs_match_btreemap_oracle_at_scale(
-            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..200),
+            ops in prop::collection::vec((0u8..11, any::<u64>()), 1..200),
             span in 1u64..64,
         ) {
             check_against_oracle(&ops, span, true);

@@ -27,24 +27,22 @@ pub fn grid(p: usize, q: usize, wrap: bool) -> Graph {
     for r in 0..p {
         for c in 0..q {
             if c + 1 < q {
-                g.add_edge(id(r, c), id(r, c + 1)).expect("grid row edge");
+                g.add_edge_unchecked(id(r, c), id(r, c + 1));
             }
             if r + 1 < p {
-                g.add_edge(id(r, c), id(r + 1, c))
-                    .expect("grid column edge");
+                g.add_edge_unchecked(id(r, c), id(r + 1, c));
             }
         }
     }
     if wrap {
         if q >= 3 {
             for r in 0..p {
-                g.add_edge(id(r, q - 1), id(r, 0)).expect("torus row wrap");
+                g.add_edge_unchecked(id(r, q - 1), id(r, 0));
             }
         }
         if p >= 3 {
             for c in 0..q {
-                g.add_edge(id(p - 1, c), id(0, c))
-                    .expect("torus column wrap");
+                g.add_edge_unchecked(id(p - 1, c), id(0, c));
             }
         }
     }
@@ -89,12 +87,10 @@ pub fn mesh(sides: &[usize], wrap: bool) -> Result<Graph, TopoError> {
         for (d, &side) in sides.iter().enumerate() {
             let coord = (v / stride[d]) % side;
             if coord + 1 < side {
-                g.add_edge(NodeId::from(v), NodeId::from(v + stride[d]))
-                    .expect("mesh edge");
+                g.add_edge_unchecked(NodeId::from(v), NodeId::from(v + stride[d]));
             } else if wrap && side >= 3 {
                 let wrapped = v - coord * stride[d];
-                g.add_edge(NodeId::from(v), NodeId::from(wrapped))
-                    .expect("mesh wrap edge");
+                g.add_edge_unchecked(NodeId::from(v), NodeId::from(wrapped));
             }
         }
     }

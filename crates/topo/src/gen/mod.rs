@@ -34,8 +34,7 @@ pub fn complete(n: usize) -> Graph {
     let mut g = Graph::with_name(n, format!("complete({n})"));
     for a in 0..n {
         for b in (a + 1)..n {
-            g.add_edge(NodeId::from(a), NodeId::from(b))
-                .expect("complete-graph edges are valid");
+            g.add_edge_unchecked(NodeId::from(a), NodeId::from(b));
         }
     }
     g
@@ -61,12 +60,10 @@ pub fn ring(n: usize) -> Graph {
     let mut g = Graph::with_name(n, format!("ring({n})"));
     if n >= 2 {
         for a in 0..n - 1 {
-            g.add_edge(NodeId::from(a), NodeId::from(a + 1))
-                .expect("ring edges are valid");
+            g.add_edge_unchecked(NodeId::from(a), NodeId::from(a + 1));
         }
         if n >= 3 {
-            g.add_edge(NodeId::from(n - 1), NodeId::from(0usize))
-                .expect("ring closing edge is valid");
+            g.add_edge_unchecked(NodeId::from(n - 1), NodeId::from(0usize));
         }
     }
     g
@@ -76,8 +73,7 @@ pub fn ring(n: usize) -> Graph {
 pub fn path(n: usize) -> Graph {
     let mut g = Graph::with_name(n, format!("path({n})"));
     for a in 1..n {
-        g.add_edge(NodeId::from(a - 1), NodeId::from(a))
-            .expect("path edges are valid");
+        g.add_edge_unchecked(NodeId::from(a - 1), NodeId::from(a));
     }
     g
 }
@@ -88,8 +84,7 @@ pub fn path(n: usize) -> Graph {
 pub fn star(leaves: usize) -> Graph {
     let mut g = Graph::with_name(leaves + 1, format!("star({leaves})"));
     for leaf in 1..=leaves {
-        g.add_edge(NodeId::from(0usize), NodeId::from(leaf))
-            .expect("star edges are valid");
+        g.add_edge_unchecked(NodeId::from(0usize), NodeId::from(leaf));
     }
     g
 }

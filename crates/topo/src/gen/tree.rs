@@ -159,8 +159,7 @@ pub fn profile_tree(branching: &[usize]) -> Result<TreeInfo, TopoError> {
                 next_id += 1;
                 parent[c as usize] = p;
                 depth[c as usize] = (lvl + 1) as u32;
-                g.add_edge(NodeId::new(p), NodeId::new(c))
-                    .expect("tree edge");
+                g.add_edge_unchecked(NodeId::new(p), NodeId::new(c));
                 next_frontier.push(c);
             }
         }

@@ -264,8 +264,20 @@ impl Graph {
         if a == b {
             return Err(TopoError::SelfLoop { node: a.raw() });
         }
+        Ok(self.add_edge_unchecked(a, b))
+    }
+
+    /// [`add_edge`](Self::add_edge) for a generator whose edges are valid
+    /// by construction: both endpoints in range and distinct. The checks
+    /// run in debug builds only.
+    pub(crate) fn add_edge_unchecked(&mut self, a: NodeId, b: NodeId) -> bool {
+        debug_assert!(
+            self.check_node(a).is_ok() && self.check_node(b).is_ok() && a != b,
+            "generated edge {{{a}, {b}}} is invalid on {} nodes",
+            self.adj.len()
+        );
         match self.adj[a.index()].binary_search(&b.raw()) {
-            Ok(_) => Ok(false),
+            Ok(_) => false,
             Err(pos_a) => {
                 self.adj[a.index()].insert(pos_a, b.raw());
                 let pos_b = self.adj[b.index()]
@@ -273,7 +285,7 @@ impl Graph {
                     .expect_err("adjacency lists out of sync");
                 self.adj[b.index()].insert(pos_b, a.raw());
                 self.edge_count += 1;
-                Ok(true)
+                true
             }
         }
     }
@@ -354,8 +366,7 @@ impl Graph {
             for &old_b in &self.adj[old_a.index()] {
                 let new_b = old_to_new[old_b as usize];
                 if new_b != u32::MAX && (new_a as u32) < new_b {
-                    g.add_edge(NodeId::new(new_a as u32), NodeId::new(new_b))
-                        .expect("induced edge endpoints are valid by construction");
+                    g.add_edge_unchecked(NodeId::new(new_a as u32), NodeId::new(new_b));
                 }
             }
         }
