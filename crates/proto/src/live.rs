@@ -214,8 +214,8 @@ impl NodeThread {
                         Change::Serve { port, on: false } => self.machine.unserve(port),
                         Change::Crash => self.crashed = true,
                         Change::Restore => self.crashed = false,
-                        Change::ClearCache => self.machine.cache.clear(),
-                        Change::SetFault(profile) => self.machine.fault = profile,
+                        Change::ClearCache => self.machine.clear_cache(),
+                        Change::SetFault(profile) => self.machine.set_fault(profile),
                         Change::Barrier => {}
                     }
                     let _ = ack.send(());

@@ -9,12 +9,14 @@
 //! caching, every [`FaultProfile`] arm, best-stamp selection and the
 //! client-side operation bookkeeping live here and nowhere else.
 //!
-//! A machine's state is split hot/cold: what a rendezvous delivery reads
-//! (the cache and the fault profile) is inline, and the rest sits behind
-//! one lazily allocated box, so a [`NodeMachine`] is exactly one 64-byte
-//! cache line.
+//! A machine holds state only where the protocol gives it some. Its
+//! rendezvous side (the cache and the fault profile) and its local side
+//! (served ports and open operations) each sit behind a box that is
+//! allocated on first use, so a [`NodeMachine`] that never stored a post,
+//! turned hostile, served or issued is two null pointers — 16 bytes — and
+//! a query to it answers `Miss` from that alone.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheEntry};
 use crate::fault::{FaultProfile, FORGED_STAMP};
 use crate::messages::ProtoMsg;
 use mm_core::Port;
@@ -236,31 +238,74 @@ struct Local {
     requests: IdMap<(SimTime, Option<RequestOutcome>)>,
 }
 
-/// Per-node protocol state and rules: the rendezvous cache, the fault
-/// profile, and — behind one lazily allocated box — locally served ports
-/// and client-side operation bookkeeping.
-///
-/// A locate touches `2·√n` distinct nodes once each, so the rendezvous
-/// path (`Post`/`Unpost`/`Query`) is one cold read of this struct per
-/// message: what that path reads stays inline, everything else is out of
-/// line, and the whole struct is one aligned 64-byte cache line — one
-/// miss, and one prefetch ahead of it.
+/// What a node keeps as a rendezvous: the posts it stores and how it
+/// treats them. Only a node that was posted to, or made hostile, has any.
 #[derive(Debug, Default)]
-#[repr(align(64))]
+struct Rendezvous {
+    cache: Cache,
+    fault: FaultProfile,
+}
+
+/// Per-node protocol state and rules, in two lazily allocated boxes: the
+/// rendezvous side (cache and fault profile), allocated by the first
+/// `Post` or by a [`set_fault`](Self::set_fault) to a profile other than
+/// honest; and the local side (served ports and client-side operation
+/// bookkeeping), allocated by the first `serve`, `begin_locate` or
+/// `begin_request`.
+///
+/// The paper's storage cost is the posts servers leave, Σ|P(s)| cache
+/// entries, not a record per node, and at scale few nodes hold either
+/// side: a checkerboard run stores posts on one node in `√n`'s worth of
+/// columns and has a client at a few percent of the nodes. So a bare
+/// node is two null pointers, and everything else is paid for by the
+/// nodes that use it. The cache and the fault profile share a box apart
+/// from the local side because a rendezvous delivery (`Post`, `Unpost`,
+/// `Query`) reads both and nothing else: a query to a client's node must
+/// not dereference its client bookkeeping to learn that it is honest.
+#[derive(Debug, Default)]
 pub struct NodeMachine {
-    /// The rendezvous cache.
-    pub cache: Cache,
-    /// Adversarial behavior profile (default: honest).
-    pub fault: FaultProfile,
+    rendezvous: Option<Box<Rendezvous>>,
     local: Option<Box<Local>>,
 }
 
-const _: () = assert!(std::mem::size_of::<NodeMachine>() == 64);
-const _: () = assert!(std::mem::align_of::<NodeMachine>() == 64);
+const _: () = assert!(std::mem::size_of::<NodeMachine>() == 16);
 
 impl NodeMachine {
     fn local_mut(&mut self) -> &mut Local {
         self.local.get_or_insert_with(Box::default)
+    }
+
+    fn rendezvous_mut(&mut self) -> &mut Rendezvous {
+        self.rendezvous.get_or_insert_with(Box::default)
+    }
+
+    /// This node's adversarial behavior profile (honest unless set).
+    pub fn fault(&self) -> FaultProfile {
+        self.rendezvous
+            .as_ref()
+            .map_or(FaultProfile::Honest, |r| r.fault)
+    }
+
+    /// Assigns an adversarial behavior profile (see [`FaultProfile`]); it
+    /// governs every message the node handles from now on. Healing a node
+    /// that was never hostile allocates nothing.
+    pub fn set_fault(&mut self, profile: FaultProfile) {
+        if self.rendezvous.is_some() || !profile.is_honest() {
+            self.rendezvous_mut().fault = profile;
+        }
+    }
+
+    /// Empties the rendezvous cache (a restored node's lost volatile
+    /// memory); the fault profile stays.
+    pub fn clear_cache(&mut self) {
+        if let Some(r) = &mut self.rendezvous {
+            r.cache.clear();
+        }
+    }
+
+    /// The advertisement this node has cached for `port`, if any.
+    pub fn cached(&self, port: Port) -> Option<CacheEntry> {
+        self.rendezvous.as_ref()?.cache.lookup(port)
     }
 
     /// A process on this node starts serving `port`.
@@ -369,25 +414,30 @@ impl NodeMachine {
                     request_id,
                 },
             ),
-            ProtoMsg::Post { port, addr, stamp } => match self.fault {
-                // broken storage: the posting is silently lost
-                FaultProfile::DropPosts => {}
-                // pin the first posting; later (fresher) posts are ignored
-                FaultProfile::StaleAddress => {
-                    if self.cache.lookup(port).is_none() {
-                        self.cache.insert(port, addr, stamp);
+            ProtoMsg::Post { port, addr, stamp } => {
+                let r = self.rendezvous_mut();
+                match r.fault {
+                    // broken storage: the posting is silently lost
+                    FaultProfile::DropPosts => {}
+                    // pin the first posting; later (fresher) posts are ignored
+                    FaultProfile::StaleAddress => {
+                        if r.cache.lookup(port).is_none() {
+                            r.cache.insert(port, addr, stamp);
+                        }
+                    }
+                    _ => {
+                        r.cache.insert(port, addr, stamp);
                     }
                 }
-                _ => {
-                    self.cache.insert(port, addr, stamp);
-                }
-            },
+            }
             ProtoMsg::Unpost { port, stamp, .. } => {
-                if !matches!(
-                    self.fault,
-                    FaultProfile::DropPosts | FaultProfile::StaleAddress
-                ) {
-                    self.cache.remove(port, stamp);
+                if let Some(r) = &mut self.rendezvous {
+                    if !matches!(
+                        r.fault,
+                        FaultProfile::DropPosts | FaultProfile::StaleAddress
+                    ) {
+                        r.cache.remove(port, stamp);
+                    }
                 }
             }
             ProtoMsg::Query {
@@ -395,12 +445,14 @@ impl NodeMachine {
                 reply_to,
                 locate_id,
             } => {
-                let answer = match self.fault {
+                // a node nobody posted to and nobody made hostile is an
+                // honest empty cache: it misses
+                let answer = self.rendezvous.as_ref().and_then(|r| match r.fault {
                     // forge a hit for every port, stamped to out-bid honesty
                     FaultProfile::ForgedAddress => Some((me, FORGED_STAMP)),
                     FaultProfile::RefuseMatch => None,
-                    _ => self.cache.lookup(port).map(|e| (e.addr, e.stamp)),
-                };
+                    _ => r.cache.lookup(port).map(|e| (e.addr, e.stamp)),
+                });
                 out.send(
                     reply_to,
                     match answer {
@@ -504,10 +556,8 @@ mod tests {
 
     /// Runs `msgs` through a machine with `fault`, then queries it.
     fn answer_after(fault: FaultProfile, msgs: Vec<ProtoMsg>) -> ProtoMsg {
-        let mut m = NodeMachine {
-            fault,
-            ..NodeMachine::default()
-        };
+        let mut m = NodeMachine::default();
+        m.set_fault(fault);
         let mut out = Sent::default();
         for msg in msgs {
             assert_eq!(m.handle(ME, msg, 0, &mut out), None);
@@ -585,12 +635,10 @@ mod tests {
             );
         }
         // refuse-match still *stores* posts: healing the node heals the pair
-        let mut m = NodeMachine {
-            fault: RefuseMatch,
-            ..NodeMachine::default()
-        };
+        let mut m = NodeMachine::default();
+        m.set_fault(RefuseMatch);
         m.handle(ME, post(1, 10), 0, &mut Sent::default());
-        assert_eq!(m.cache.lookup(port()).map(|e| e.addr), Some(node(1)));
+        assert_eq!(m.cached(port()).map(|e| e.addr), Some(node(1)));
     }
 
     /// Feeds a three-target locate the given `(answering node, addr,
@@ -704,7 +752,7 @@ mod tests {
     }
 
     /// The rendezvous path is the hot one (2·√n nodes per locate): it
-    /// must stay inside the inline fields.
+    /// must never reach into the client's box.
     #[test]
     fn a_rendezvous_only_machine_never_allocates_its_local_side() {
         let mut m = NodeMachine::default();
@@ -720,6 +768,62 @@ mod tests {
         m.unserve(port());
         assert!(m.local.is_none());
         assert_eq!(out.0.len(), 2, "both queries were answered");
+    }
+
+    fn query() -> ProtoMsg {
+        ProtoMsg::Query {
+            port: port(),
+            reply_to: CLIENT,
+            locate_id: 7,
+        }
+    }
+
+    /// What every node of a large run does that was never posted to:
+    /// answer, be withdrawn from, be healed and be restored — on two null
+    /// pointers.
+    #[test]
+    fn a_bare_machine_answers_and_heals_without_allocating() {
+        let mut m = NodeMachine::default();
+        let mut out = Sent::default();
+        let bare = |m: &NodeMachine| m.rendezvous.is_none() && m.local.is_none();
+        m.handle(ME, query(), 0, &mut out);
+        assert!(bare(&m), "a query");
+        m.handle(ME, unpost(1, 11), 0, &mut out);
+        assert!(bare(&m), "an unpost");
+        m.set_fault(FaultProfile::Honest);
+        assert!(bare(&m), "healing");
+        m.clear_cache();
+        assert!(bare(&m), "a restore");
+        assert_eq!(m.fault(), FaultProfile::Honest);
+        assert_eq!(out.0.pop().map(|(_, reply)| reply), Some(miss()));
+    }
+
+    #[test]
+    fn a_post_allocates_only_the_rendezvous_side_and_a_locate_only_the_local_side() {
+        let mut rendezvous = NodeMachine::default();
+        rendezvous.handle(ME, post(1, 10), 0, &mut Sent::default());
+        assert!(rendezvous.rendezvous.is_some() && rendezvous.local.is_none());
+
+        let mut client = NodeMachine::default();
+        client.begin_locate(7, 3, 0);
+        assert!(client.rendezvous.is_none() && client.local.is_some());
+
+        let mut hostile = NodeMachine::default();
+        hostile.set_fault(FaultProfile::RefuseMatch);
+        assert!(hostile.rendezvous.is_some() && hostile.local.is_none());
+    }
+
+    #[test]
+    fn clearing_the_cache_keeps_a_hostile_profile() {
+        let mut m = NodeMachine::default();
+        m.set_fault(FaultProfile::StaleAddress);
+        m.handle(ME, post(1, 10), 0, &mut Sent::default());
+        m.clear_cache();
+        assert_eq!(m.fault(), FaultProfile::StaleAddress);
+        assert_eq!(m.cached(port()), None);
+        // the pin is gone with the cache, so the next post pins afresh
+        m.handle(ME, post(2, 20), 0, &mut Sent::default());
+        assert_eq!(m.cached(port()).map(|e| e.addr), Some(node(2)));
     }
 
     #[test]

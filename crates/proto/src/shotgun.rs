@@ -347,14 +347,14 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     /// Empties a node's rendezvous cache (e.g. after restoring a crash to
     /// model lost volatile memory).
     pub fn clear_cache(&mut self, v: NodeId) {
-        self.sim.node_mut(v).cache.clear();
+        self.sim.node_mut(v).clear_cache();
     }
 
     /// Assigns an adversarial behavior profile to a node (see
     /// [`FaultProfile`]). Takes effect for all messages the node handles
     /// from now on; pass [`FaultProfile::Honest`] to heal it.
     pub fn set_fault(&mut self, v: NodeId, profile: FaultProfile) {
-        self.sim.node_mut(v).fault = profile;
+        self.sim.node_mut(v).set_fault(profile);
     }
 }
 

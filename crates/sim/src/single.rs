@@ -23,8 +23,11 @@
 //! all cache misses. The loop holds the targets of the next deliveries
 //! before they run — the rest of a fan's target list, and the rest of the
 //! run — so it prefetches those three for the delivery [`LOOKAHEAD`]
-//! places ahead. A prefetch changes no architectural state, so order,
-//! counters and reports are what they are without it.
+//! places ahead. Only the handler's own slot is prefetched, not what it
+//! points to: the protocol's node machine is two box pointers, and at
+//! scale most targets of a locate have neither box, so the slot is all
+//! a delivery to them reads. A prefetch changes no architectural state,
+//! so order, counters and reports are what they are without it.
 
 use crate::{Envelope, Net, Node, NodeApi, Queued, Sim, SimTime};
 use mm_topo::NodeId;

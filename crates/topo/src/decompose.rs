@@ -227,10 +227,8 @@ impl Decomposition {
         if let Some(&l) = self.labels_of[v.index()].first() {
             return l;
         }
-        let part = &self.parts[self.part_of(v)];
-        let pos = part
-            .binary_search(&v)
-            .expect("node must be in its own part");
+        // a part is sorted and holds `v`, so `v` is at its insertion point
+        let pos = self.parts[self.part_of(v)].partition_point(|&u| u < v);
         (pos % self.t) as u32
     }
 

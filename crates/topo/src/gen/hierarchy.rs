@@ -44,17 +44,17 @@ impl Hierarchy {
                 reason: "hierarchy needs >=1 level with branching factors >= 2".into(),
             });
         }
+        let mut n = 1usize;
         let mut stride = Vec::with_capacity(branching.len() + 1);
-        stride.push(1usize);
+        stride.push(n);
         for &b in branching {
-            let next = stride.last().unwrap().checked_mul(b).ok_or_else(|| {
-                TopoError::InvalidParameter {
+            n = n
+                .checked_mul(b)
+                .ok_or_else(|| TopoError::InvalidParameter {
                     reason: "hierarchy too large".into(),
-                }
-            })?;
-            stride.push(next);
+                })?;
+            stride.push(n);
         }
-        let n = *stride.last().unwrap();
         Ok(Hierarchy {
             branching: branching.to_vec(),
             stride,

@@ -119,14 +119,17 @@ fn sample_degree<R: Rng + ?Sized>(rng: &mut R) -> u32 {
         .filter(|b| b.degree > 0)
         .map(|b| b.sites)
         .sum();
-    let mut pick = rng.gen_range(0..total);
+    let pick = rng.gen_range(0..total);
+    // the row whose run of sites holds `pick`: the last to start at or
+    // before it (an empty row starts where the next one does)
+    let (mut start, mut degree) = (0, 0);
     for b in UUCP_DEGREE_TABLE.iter().filter(|b| b.degree > 0) {
-        if pick < b.sites {
-            return b.degree;
+        if start > pick {
+            break;
         }
-        pick -= b.sites;
+        (start, degree) = (start + b.sites, b.degree);
     }
-    unreachable!("sample index within total")
+    degree
 }
 
 /// Generates a connected UUCP-like network of `n ≥ 1` nodes.
@@ -185,11 +188,11 @@ pub fn uucp_like<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
         let mut cur = u;
         let steps = rng.gen_range(2..=3);
         for _ in 0..steps {
-            let nbrs = g.neighbors(cur);
-            if nbrs.is_empty() {
+            // an isolated node draws nothing and ends the walk
+            let Some(&next) = g.neighbors(cur).choose(rng) else {
                 break;
-            }
-            cur = NodeId::new(*nbrs.choose(rng).expect("nonempty neighbors"));
+            };
+            cur = NodeId::new(next);
         }
         if cur != u && !g.has_edge(u, cur) {
             g.add_edge_unchecked(u, cur);

@@ -134,8 +134,11 @@ impl std::error::Error for TopoError {}
 
 /// An undirected simple graph over nodes `0..n`.
 ///
-/// Stored as per-node sorted adjacency lists. Edge insertion is idempotent:
-/// inserting an existing edge is a no-op that reports `false`.
+/// Stored as per-node sorted adjacency lists, allocated with the first
+/// edge: a graph that never had one (the shell an analytic router stands
+/// in for) holds its node count and nothing per node. Edge insertion is
+/// idempotent: inserting an existing edge is a no-op that reports `false`.
+/// Two graphs are equal when their names, node counts and edge sets are.
 ///
 /// # Example
 ///
@@ -150,28 +153,37 @@ impl std::error::Error for TopoError {}
 /// assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
 /// assert!(!g.has_edge(NodeId::new(0), NodeId::new(2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Graph {
+    n: usize,
+    /// One list per node once any edge was added, empty before.
     adj: Vec<Vec<u32>>,
     edge_count: usize,
     name: String,
 }
 
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.edge_count == other.edge_count
+            && self.name == other.name
+            // with no edges on either side, one may hold empty lists
+            && (self.edge_count == 0 || self.adj == other.adj)
+    }
+}
+
 impl Graph {
     /// Creates a graph with `n` isolated nodes.
     pub fn new(n: usize) -> Self {
-        Graph {
-            adj: vec![Vec::new(); n],
-            edge_count: 0,
-            name: String::from("graph"),
-        }
+        Graph::with_name(n, "graph")
     }
 
     /// Creates a named graph with `n` isolated nodes. The name is reported
     /// by experiment harnesses and `Display`.
     pub fn with_name(n: usize, name: impl Into<String>) -> Self {
         Graph {
-            adj: vec![Vec::new(); n],
+            n,
+            adj: Vec::new(),
             edge_count: 0,
             name: name.into(),
         }
@@ -206,7 +218,7 @@ impl Graph {
 
     /// Number of nodes `n = #U`.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.n
     }
 
     /// Number of edges `#E`.
@@ -216,12 +228,12 @@ impl Graph {
 
     /// Returns `true` if the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.n == 0
     }
 
     /// Iterates over all node identifiers `0..n`.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        (0..self.adj.len() as u32).map(NodeId::new)
+        (0..self.n as u32).map(NodeId::new)
     }
 
     /// Iterates over all edges as `(a, b)` with `a < b`.
@@ -239,12 +251,12 @@ impl Graph {
     ///
     /// Returns [`TopoError::NodeOutOfRange`] otherwise.
     pub fn check_node(&self, v: NodeId) -> Result<(), TopoError> {
-        if v.index() < self.adj.len() {
+        if v.index() < self.n {
             Ok(())
         } else {
             Err(TopoError::NodeOutOfRange {
                 node: v.raw(),
-                node_count: self.adj.len(),
+                node_count: self.n,
             })
         }
     }
@@ -274,20 +286,32 @@ impl Graph {
         debug_assert!(
             self.check_node(a).is_ok() && self.check_node(b).is_ok() && a != b,
             "generated edge {{{a}, {b}}} is invalid on {} nodes",
-            self.adj.len()
+            self.n
         );
-        match self.adj[a.index()].binary_search(&b.raw()) {
-            Ok(_) => false,
-            Err(pos_a) => {
-                self.adj[a.index()].insert(pos_a, b.raw());
-                let pos_b = self.adj[b.index()]
-                    .binary_search(&a.raw())
-                    .expect_err("adjacency lists out of sync");
-                self.adj[b.index()].insert(pos_b, a.raw());
-                self.edge_count += 1;
-                true
-            }
+        if self.adj.is_empty() {
+            self.adj = vec![Vec::new(); self.n];
         }
+        let added = self.link(a, b, true);
+        if added {
+            let mirrored = self.link(b, a, true);
+            debug_assert!(mirrored, "adjacency lists out of sync");
+            self.edge_count += 1;
+        }
+        added
+    }
+
+    /// Puts `to` into `from`'s sorted list, or takes it out; reports
+    /// whether the list changed. Only for a graph whose lists exist.
+    fn link(&mut self, from: NodeId, to: NodeId, present: bool) -> bool {
+        let list = &mut self.adj[from.index()];
+        match (list.binary_search(&to.raw()), present) {
+            (Err(pos), true) => list.insert(pos, to.raw()),
+            (Ok(pos), false) => {
+                list.remove(pos);
+            }
+            _ => return false,
+        }
+        true
     }
 
     /// Removes the undirected edge `{a, b}` if present; reports whether an
@@ -299,18 +323,13 @@ impl Graph {
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool, TopoError> {
         self.check_node(a)?;
         self.check_node(b)?;
-        match self.adj[a.index()].binary_search(&b.raw()) {
-            Err(_) => Ok(false),
-            Ok(pos_a) => {
-                self.adj[a.index()].remove(pos_a);
-                let pos_b = self.adj[b.index()]
-                    .binary_search(&a.raw())
-                    .expect("adjacency lists out of sync");
-                self.adj[b.index()].remove(pos_b);
-                self.edge_count -= 1;
-                Ok(true)
-            }
+        let removed = !self.adj.is_empty() && self.link(a, b, false);
+        if removed {
+            let mirrored = self.link(b, a, false);
+            debug_assert!(mirrored, "adjacency lists out of sync");
+            self.edge_count -= 1;
         }
+        Ok(removed)
     }
 
     /// Returns `true` if the undirected edge `{a, b}` exists.
@@ -326,6 +345,14 @@ impl Graph {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: NodeId) -> &[u32] {
+        if self.adj.is_empty() {
+            assert!(
+                v.index() < self.n,
+                "node {v} out of range for graph with {} nodes",
+                self.n
+            );
+            return &[];
+        }
         &self.adj[v.index()]
     }
 
@@ -335,7 +362,7 @@ impl Graph {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbor_ids(&self, v: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.adj[v.index()].iter().map(|&u| NodeId::new(u))
+        self.neighbors(v).iter().map(|&u| NodeId::new(u))
     }
 
     /// Degree of node `v`.
@@ -344,7 +371,7 @@ impl Graph {
     ///
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.adj[v.index()].len()
+        self.neighbors(v).len()
     }
 
     /// Returns the subgraph induced by `keep` (nodes renumbered `0..k` in
@@ -357,13 +384,13 @@ impl Graph {
         for &v in keep {
             self.check_node(v)?;
         }
-        let mut old_to_new = vec![u32::MAX; self.adj.len()];
+        let mut old_to_new = vec![u32::MAX; self.n];
         for (new, &old) in keep.iter().enumerate() {
             old_to_new[old.index()] = new as u32;
         }
         let mut g = Graph::with_name(keep.len(), format!("{}[induced]", self.name));
         for (new_a, &old_a) in keep.iter().enumerate() {
-            for &old_b in &self.adj[old_a.index()] {
+            for &old_b in self.neighbors(old_a) {
                 let new_b = old_to_new[old_b as usize];
                 if new_b != u32::MAX && (new_a as u32) < new_b {
                     g.add_edge_unchecked(NodeId::new(new_a as u32), NodeId::new(new_b));
@@ -482,6 +509,52 @@ mod tests {
         assert!(sub.has_edge(n(1), n(2)));
         assert!(!sub.has_edge(n(0), n(2)));
         assert_eq!(map, vec![n(1), n(2), n(3)]);
+    }
+
+    #[test]
+    fn an_edgeless_graph_equals_one_whose_edges_were_removed() {
+        let fresh = Graph::new(3);
+        let mut emptied = Graph::new(3);
+        emptied.add_edge(n(0), n(2)).unwrap();
+        assert_ne!(fresh, emptied);
+        emptied.remove_edge(n(2), n(0)).unwrap();
+        assert_eq!(fresh, emptied);
+        assert_eq!(emptied.neighbors(n(0)), &[] as &[u32]);
+        assert_ne!(fresh, Graph::new(4), "node counts differ");
+        assert_ne!(fresh, Graph::with_name(3, "other"), "names differ");
+        let mut other_edge = Graph::new(3);
+        other_edge.add_edge(n(0), n(1)).unwrap();
+        emptied.add_edge(n(1), n(2)).unwrap();
+        assert_ne!(emptied, other_edge, "same counts, different edges");
+    }
+
+    #[test]
+    fn an_edgeless_shell_has_nodes_but_no_neighbors() {
+        let mut g = Graph::new(4);
+        assert_eq!(
+            (g.node_count(), g.degree(n(3)), g.edges().count()),
+            (4, 0, 0)
+        );
+        assert_eq!(g.neighbor_ids(n(2)).len(), 0);
+        assert!(!g.has_edge(n(0), n(1)));
+        assert_eq!(g.remove_edge(n(0), n(1)), Ok(false));
+        assert!(g.remove_edge(n(0), n(4)).is_err());
+        let (sub, map) = g.induced_subgraph(&[n(3), n(1)]).unwrap();
+        assert_eq!(sub, Graph::with_name(2, "graph[induced]"));
+        assert_eq!(map, vec![n(3), n(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn neighbors_of_a_node_out_of_range_panics_on_a_shell() {
+        Graph::new(2).neighbors(n(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn neighbors_of_a_node_out_of_range_panics_on_a_graph_with_edges() {
+        let g = Graph::from_edges(2, [(0, 1)]).unwrap();
+        g.neighbors(n(2));
     }
 
     #[test]
