@@ -67,9 +67,13 @@ impl Pending {
         }
     }
 
-    /// Records one answer; `true` when it was the last one awaited.
-    fn answered(&mut self, now: SimTime) -> bool {
-        let complete = self.answers.len() + self.misses == self.expected;
+    /// Closes the books on `k` answers just recorded: `true` when the
+    /// count of answers crossed `expected` inside those `k` — when one of
+    /// `k` answers recorded one at a time would have been the last one
+    /// awaited.
+    fn answered(&mut self, k: usize, now: SimTime) -> bool {
+        let after = self.answers.len() + self.misses;
+        let complete = after - k < self.expected && self.expected <= after;
         if complete {
             self.completed_at = Some(now);
         }
@@ -366,6 +370,17 @@ impl NodeMachine {
         self.local.as_mut()?.requests.remove(&id)?.1
     }
 
+    /// The `Miss` rule, written once for one answer (a `Miss` handled on
+    /// its own) and for `k` (a fan-in of equal `Miss` answers): one lookup
+    /// of locate `locate_id`, `k` more misses, and its verdict if one of
+    /// `k` single misses would have settled it. An id never begun, or
+    /// already closed, is ignored.
+    pub(crate) fn missed(&mut self, locate_id: u64, k: usize, now: SimTime) -> Option<Settled> {
+        let p = self.local.as_mut()?.pending.get_mut(&locate_id)?;
+        p.misses += k;
+        p.answered(k, now).then_some(Settled::Locate(locate_id))
+    }
+
     /// Handles one protocol message delivered to node `me` at `now`,
     /// putting any messages it causes into `out`.
     pub fn handle<O: Outbox>(
@@ -476,13 +491,9 @@ impl NodeMachine {
             } => {
                 let p = self.local.as_mut()?.pending.get_mut(&locate_id)?;
                 p.answers.push((at, addr, stamp));
-                return p.answered(now).then_some(Settled::Locate(locate_id));
+                return p.answered(1, now).then_some(Settled::Locate(locate_id));
             }
-            ProtoMsg::Miss { locate_id, .. } => {
-                let p = self.local.as_mut()?.pending.get_mut(&locate_id)?;
-                p.misses += 1;
-                return p.answered(now).then_some(Settled::Locate(locate_id));
-            }
+            ProtoMsg::Miss { locate_id, .. } => return self.missed(locate_id, 1, now),
             ProtoMsg::Request {
                 port,
                 reply_to,
@@ -824,6 +835,49 @@ mod tests {
         // the pin is gone with the cache, so the next post pins afresh
         m.handle(ME, post(2, 20), 0, &mut Sent::default());
         assert_eq!(m.cached(port()).map(|e| e.addr), Some(node(2)));
+    }
+
+    /// The `Miss` rule for `k` answers at once against `k` single `Miss`
+    /// handles, over every locate of up to 6 expected answers, any prior
+    /// hits and misses (a locate that already settled included), and
+    /// `k ≤ 6`: the same verdict, and the same outcome — `completed_at`
+    /// included — after.
+    #[test]
+    fn k_misses_at_once_settle_exactly_when_k_single_misses_would() {
+        let prior = |expected: usize, hits: usize, misses: usize| {
+            let mut m = NodeMachine::default();
+            let mut out = Sent::default();
+            m.begin_locate(7, expected, 0);
+            for _ in 0..hits {
+                m.handle(CLIENT, hit(1, 10), 1, &mut out);
+            }
+            for _ in 0..misses {
+                m.handle(CLIENT, miss(), 2, &mut out);
+            }
+            m
+        };
+        for expected in 0..=6 {
+            for hits in 0..=6 {
+                for misses in 0..=6 {
+                    for k in 1..=6 {
+                        let at = (expected, hits, misses, k);
+                        let mut once = prior(expected, hits, misses);
+                        let mut single = prior(expected, hits, misses);
+                        let settled = once.missed(7, k, 5);
+                        let singles: Vec<Settled> = (0..k)
+                            .filter_map(|_| single.handle(CLIENT, miss(), 5, &mut Sent::default()))
+                            .collect();
+                        assert!(singles.len() <= 1, "{at:?}");
+                        assert_eq!(settled, singles.first().copied(), "{at:?}");
+                        assert_eq!(once.locate_outcome(7), single.locate_outcome(7), "{at:?}");
+                    }
+                }
+            }
+        }
+        // an id never begun allocates nothing and settles nothing
+        let mut m = NodeMachine::default();
+        assert_eq!(m.missed(8, 3, 5), None);
+        assert!(m.local.is_none());
     }
 
     #[test]

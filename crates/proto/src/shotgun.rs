@@ -30,8 +30,8 @@ use crate::node::{NodeMachine, Outbox, Settled};
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
 use mm_sim::{
-    CostModel, Envelope, Metrics, Node, NodeApi, QueueKind, RouterKind, ShardMode, Sim, SimTime,
-    TargetSet,
+    CostModel, Envelope, FanInApi, Metrics, Node, NodeApi, QueueKind, RouterKind, ShardMode, Sim,
+    SimTime, TargetSet,
 };
 use mm_topo::{Graph, NodeId};
 
@@ -59,10 +59,29 @@ impl Outbox for NodeApi<'_, ProtoMsg> {
 }
 
 /// Hands the machine's verdicts to the engine as simulator reports.
+///
+/// Equal `Miss` answers queued back to back for one client join into a
+/// fan-in, handled by the same rule as one `Miss` (`NodeMachine::missed`):
+/// a miss sends nothing and reads nothing of its envelope but the payload.
+/// A `Hit` never joins — each carries the node it came from.
 impl Node<ProtoMsg> for NodeMachine {
     fn on_message(&mut self, env: Envelope<ProtoMsg>, api: &mut NodeApi<'_, ProtoMsg>) {
         if let Some(settled) = self.handle(api.me(), env.msg, api.now(), api) {
             api.report(token(settled));
+        }
+    }
+
+    fn joins(a: &ProtoMsg, b: &ProtoMsg) -> bool {
+        matches!(a, ProtoMsg::Miss { .. }) && a == b
+    }
+
+    fn on_fan_in(&mut self, msg: &ProtoMsg, count: u64, api: &mut FanInApi<'_>) {
+        if let ProtoMsg::Miss { locate_id, .. } = *msg {
+            // lossless: a fan-in counts answers sent in one tick, one
+            // handler call each, far fewer than `usize::MAX`
+            if let Some(settled) = self.missed(locate_id, count as usize, api.now()) {
+                api.report(token(settled));
+            }
         }
     }
 }

@@ -26,20 +26,26 @@
 //! The paper's model has one network, and [`Sim`] is the handlers plus
 //! one copy of it: graph, routes, crash flags, clock, metrics, the
 //! queue-depth histogram and the queue of pending deliveries. A queue
-//! entry is one [`Envelope`] — or, for a multicast under
-//! [`CostModel::Uniform`], one *fan*: every remote copy lands on the next
-//! tick (§2.1), so the copies share a single entry that holds the
-//! [`TargetSet`] and the payload once. The loop takes one tick's whole
-//! FIFO run off the queue at a time, runs each delivery its entries stand
-//! for in run order — a fan's in target order, each counted, charged and
-//! dropped exactly as an envelope of its own would be — and hands the
-//! handler a [`NodeApi`] over that network, so a send is routed, charged
-//! and queued while the handler runs; a send for the same tick queues
-//! behind the whole run, as it would behind the rest of the tick. Queue
-//! depth is the number of pending deliveries, not of entries, so every
-//! report reads the same as with one entry per copy. A parallel per-tick
-//! scheduler was built, measured behind this loop at every setting, and
-//! deleted (README "Sharded execution").
+//! entry is one of three things. It is one [`Envelope`]. Or, for a
+//! multicast under [`CostModel::Uniform`], it is one *fan*: every remote
+//! copy lands on the next tick (§2.1), so the copies share a single entry
+//! that holds the [`TargetSet`] and the payload once. Or it is the fan's
+//! mirror, a *fan-in*: uniform-cost sends of one payload to one node,
+//! queued back to back for the same tick, share one entry that holds the
+//! payload and a count — when the handler type says, through
+//! [`Node::joins`], that it can take them in bulk (a locate's `Miss`
+//! answers). The loop takes one tick's whole FIFO run off the queue at a
+//! time, runs each delivery its entries stand for in run order — a fan's
+//! in target order, each counted, charged and dropped exactly as an
+//! envelope of its own would be, a fan-in's all at once through one
+//! [`Node::on_fan_in`] call — and hands the handler a [`NodeApi`] over
+//! that network, so a send is routed, charged and queued while the
+//! handler runs; a send for the same tick queues behind the whole run, as
+//! it would behind the rest of the tick. Queue depth is the number of
+//! pending deliveries, not of entries, so every report reads the same as
+//! with one entry per copy. A parallel per-tick scheduler was built,
+//! measured behind this loop at every setting, and deleted (README
+//! "Sharded execution").
 //!
 //! Everything is deterministic: events execute in time order, FIFO within
 //! a timestamp, and the only randomness is whatever the embedded
@@ -151,9 +157,54 @@ pub struct Envelope<M> {
 ///
 /// Handlers react to messages through [`NodeApi`]; they never block.
 /// State lives in the implementing struct.
+///
+/// A node type may also take some deliveries in bulk. Under
+/// [`CostModel::Uniform`], when remote sends of payloads that
+/// [`joins`](Node::joins) pairs are queued back to back for one
+/// destination on one tick, they share one queue entry: the loop counts,
+/// charges or drops all `count` of them at once and makes one
+/// [`on_fan_in`](Node::on_fan_in) call. The contract is exactness: that
+/// call must leave the node, and the host's reports, as `count`
+/// [`on_message`](Node::on_message) calls with that payload would, in the
+/// same order. So only payloads whose handling sends nothing may join —
+/// [`FanInApi`] can report, not send — and the handler must not need
+/// the envelope's `from`, which the joined deliveries do not share.
 pub trait Node<M> {
     /// A message arrived at this node.
     fn on_message(&mut self, env: Envelope<M>, api: &mut NodeApi<'_, M>);
+
+    /// May a delivery of `b` join one of `a` queued just before it for the
+    /// same node and tick? Joins nothing by default.
+    fn joins(_a: &M, _b: &M) -> bool {
+        false
+    }
+
+    /// `count` deliveries of `msg`, whose payloads [`joins`](Node::joins)
+    /// paired, arrived back to back: handle them as `count`
+    /// [`on_message`](Node::on_message) calls would. Never called while
+    /// `joins` is `false`, which is the default.
+    fn on_fan_in(&mut self, _msg: &M, _count: u64, _api: &mut FanInApi<'_>) {}
+}
+
+/// What a [`Node::on_fan_in`] handler may do: read the clock and report.
+/// It cannot send — so the deliveries a fan-in stands for cause no queue
+/// traffic between them.
+#[derive(Debug)]
+pub struct FanInApi<'a> {
+    now: SimTime,
+    reports: &'a mut Vec<u64>,
+}
+
+impl FanInApi<'_> {
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// As [`NodeApi::report`].
+    pub fn report(&mut self, token: u64) {
+        self.reports.push(token);
+    }
 }
 
 /// The per-invocation API handed to [`Node`] handlers.
@@ -258,18 +309,26 @@ struct Net<M> {
     queue: EventQueue<Queued<M>>,
     /// Tokens handlers reported and the host has not taken yet.
     reports: Vec<u64>,
+    /// The handler type's [`Node::joins`]: may a uniform-cost send join
+    /// the delivery queued just before it?
+    joins: fn(&M, &M) -> bool,
 }
 
-/// One queue entry: a single delivery, or every remote copy of one
-/// uniform-cost multicast.
+/// One queue entry: a single delivery, every remote copy of one
+/// uniform-cost multicast, or a fan-in — `count` uniform-cost deliveries
+/// of one payload to one node, queued back to back on one tick.
 ///
-/// A fan is boxed so the enum can keep its tag in the payload's niche: an
-/// entry is then no larger than an envelope (64 B for `mm-proto`'s
-/// messages, against 80 B unboxed).
+/// A fan and a fan-in are boxed so the enum can keep its tag in the
+/// payload's niche: an entry is then no larger than an envelope (64 B for
+/// `mm-proto`'s messages, against 80 B unboxed).
 #[derive(Debug)]
 enum Queued<M> {
     One(Envelope<M>),
     Fan(Box<Fan<M>>),
+    /// One joined delivery's envelope and the count. The payloads are
+    /// interchangeable (that is what joining them says); the senders of
+    /// all but the first are not kept.
+    FanIn(Box<(Envelope<M>, u64)>),
 }
 
 /// The remote copies of one uniform-cost multicast, all due on the same
@@ -355,6 +414,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
             pending: 0,
             queue: EventQueue::new(kind),
             reports: Vec::new(),
+            joins: N::joins,
         };
         Sim { nodes, net }
     }
@@ -481,6 +541,7 @@ mod tests {
     use super::*;
     use mm_topo::gen;
     use proptest::prelude::*;
+    use queue::CalendarQueue;
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -491,6 +552,9 @@ mod tests {
         /// order the copies ran.
         Ask(Vec<NodeId>),
         Note,
+        /// An answer carrying a value: equal tags may join into a fan-in,
+        /// unequal ones may not.
+        Tag(u8),
         /// Re-sent to oneself, one shorter, until it reaches 0: a chain
         /// of zero-delay events inside one tick.
         Chain(u8),
@@ -1199,5 +1263,315 @@ mod tests {
             (sim.metrics().clone(), *sim.queue_depth_buckets())
         };
         assert_eq!(run(ALIAS), run(ShardMode::Single));
+    }
+    // ---- fan-in: back-to-back uniform-cost answers share one entry ----
+
+    /// Counts the answers it gets (`Note`s and `Tag`s) and reports every
+    /// third. With `JOIN`, equal answers queued back to back for it arrive
+    /// as one fan-in; without, one by one. The two must be indistinguishable
+    /// but for the handler calls (`calls`) and the fan-ins seen.
+    #[derive(Default)]
+    struct Tally<const JOIN: bool> {
+        me: u32,
+        answers: u64,
+        sum: u64,
+        calls: u64,
+        fan_ins: Vec<u64>,
+    }
+
+    impl<const JOIN: bool> Tally<JOIN> {
+        /// Takes one answer; the token to report when it is a third.
+        fn take(&mut self, msg: &Msg) -> Option<u64> {
+            let x = match msg {
+                Msg::Note => 0,
+                Msg::Tag(x) => u64::from(*x) + 1,
+                _ => return None,
+            };
+            self.answers += 1;
+            self.sum += x;
+            self.answers
+                .is_multiple_of(3)
+                .then_some(u64::from(self.me) << 40 | self.answers << 8 | x)
+        }
+    }
+
+    impl<const JOIN: bool> Node<Msg> for Tally<JOIN> {
+        fn on_message(&mut self, env: Envelope<Msg>, api: &mut NodeApi<'_, Msg>) {
+            self.calls += 1;
+            match env.msg {
+                Msg::Ask(targets) => api.multicast(&targets, Msg::Ping),
+                Msg::Spread(targets) => api.multicast(&targets, Msg::Note),
+                // answered in runs of equal tags: responders 4k..4k+3 agree
+                Msg::Ping => api.send(env.from, Msg::Tag((self.me / 4 % 3) as u8)),
+                Msg::Chain(k) if k > 0 => api.send(api.me(), Msg::Chain(k - 1)),
+                ref answer => {
+                    if let Some(token) = self.take(answer) {
+                        api.report(token);
+                    }
+                }
+            }
+        }
+
+        fn joins(a: &Msg, b: &Msg) -> bool {
+            JOIN && matches!(a, Msg::Note | Msg::Tag(_)) && a == b
+        }
+
+        fn on_fan_in(&mut self, msg: &Msg, count: u64, api: &mut FanInApi<'_>) {
+            self.calls += 1;
+            self.fan_ins.push(count);
+            for _ in 0..count {
+                if let Some(token) = self.take(msg) {
+                    api.report(token);
+                }
+            }
+        }
+    }
+
+    fn tally_sim<const JOIN: bool>(
+        n: usize,
+        cost: CostModel,
+        kind: QueueKind,
+    ) -> Sim<Msg, Tally<JOIN>> {
+        let nodes = (0..n as u32)
+            .map(|me| Tally {
+                me,
+                ..Tally::default()
+            })
+            .collect();
+        Sim::with_router(
+            gen::complete(n),
+            nodes,
+            cost,
+            kind,
+            ShardMode::Single,
+            RouterKind::Auto,
+        )
+    }
+
+    /// Everything a host or a test can observe of a tally run but the
+    /// handler calls: the reports in order, metrics (per-node load
+    /// included), the depth histogram, the clock and every node's count.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        reports: Vec<u64>,
+        metrics: Metrics,
+        buckets: [u64; QUEUE_DEPTH_BUCKETS],
+        now: SimTime,
+        counts: Vec<(u64, u64)>,
+    }
+
+    fn observe<const JOIN: bool>(sim: &mut Sim<Msg, Tally<JOIN>>, reports: Vec<u64>) -> Observed {
+        let n = sim.graph().node_count() as u32;
+        Observed {
+            reports,
+            metrics: sim.metrics().clone(),
+            buckets: *sim.queue_depth_buckets(),
+            now: sim.now(),
+            counts: (0..n)
+                .map(|v| (sim.node(nid(v)).answers, sim.node(nid(v)).sum))
+                .collect(),
+        }
+    }
+
+    fn calls<const JOIN: bool>(sim: &Sim<Msg, Tally<JOIN>>) -> u64 {
+        let n = sim.graph().node_count() as u32;
+        (0..n).map(|v| sim.node(nid(v)).calls).sum()
+    }
+
+    /// A script whose answers come back in runs: two locates-alike (an
+    /// `Ask` of eleven nodes, answered in runs of equal tags), direct
+    /// pings from one node, and a spread whose notes land one per node.
+    fn fan_in_script<const JOIN: bool>(sim: &mut Sim<Msg, Tally<JOIN>>) -> (Vec<u64>, usize) {
+        sim.inject(nid(0), nid(0), Msg::Ask((1..12).map(nid).collect()));
+        sim.inject(nid(5), nid(5), Msg::Ask((0..12).map(nid).collect()));
+        for v in [4, 5, 6, 7, 9] {
+            sim.inject(nid(3), nid(v), Msg::Ping);
+        }
+        sim.run_until(1); // the pings ran: every answer to an ask waits on tick 2
+        let entries = sim.net.queue.len();
+        let mut reports: Vec<u64> = sim.reports().collect();
+        sim.inject(nid(2), nid(2), Msg::Spread(vec![nid(0), nid(3), nid(5)]));
+        sim.run();
+        reports.extend(sim.reports());
+        (reports, entries)
+    }
+
+    #[test]
+    fn fan_in_matches_one_by_one() {
+        for kind in [QueueKind::Calendar, QueueKind::BTree] {
+            let mut joined = tally_sim::<true>(12, CostModel::Uniform, kind);
+            let mut plain = tally_sim::<false>(12, CostModel::Uniform, kind);
+            let (joined_reports, joined_entries) = fan_in_script(&mut joined);
+            let (plain_reports, plain_entries) = fan_in_script(&mut plain);
+            assert_eq!(
+                observe(&mut joined, joined_reports),
+                observe(&mut plain, plain_reports),
+                "{kind:?}"
+            );
+            // node 0 hears from 1..=11 in tag runs 1-3 | 4-7 | 8-11, node 5
+            // from 0-3 | 4, 6, 7 | 8-11, node 3 from 4-7 and then 9 alone
+            assert_eq!(joined.node(nid(0)).fan_ins, [3, 4, 4], "{kind:?}");
+            assert_eq!(joined.node(nid(5)).fan_ins, [4, 3, 4], "{kind:?}");
+            assert_eq!(joined.node(nid(3)).fan_ins, [4], "{kind:?}");
+            assert!(plain.nodes.iter().all(|t| t.fan_ins.is_empty()));
+            // the same pending deliveries in fewer entries (the asks'
+            // answers: 11 in 3 entries each), run by fewer calls
+            assert_eq!(plain_entries - joined_entries, 8 + 8, "{kind:?}");
+            assert_eq!(calls(&plain) - calls(&joined), 8 + 8 + 3, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_fan_in_never_spans_what_a_push_would_not() {
+        /// Runs `script` on a joining sim over `complete(16)` (responders
+        /// 1-3 answer `Tag(0)`, 4-7 `Tag(1)`) and returns the fan-ins each
+        /// node saw.
+        fn fan_ins(cost: CostModel, script: impl Fn(&mut Sim<Msg, Tally<true>>)) -> Vec<Vec<u64>> {
+            let mut sim = tally_sim::<true>(16, cost, QueueKind::Calendar);
+            script(&mut sim);
+            sim.run();
+            sim.nodes.iter().map(|t| t.fan_ins.clone()).collect()
+        }
+        let none = vec![Vec::new(); 16];
+        // local answers: node 0 pings itself twice, and the two equal
+        // answers queue back to back on the current tick
+        assert_eq!(
+            fan_ins(CostModel::Uniform, |sim| {
+                sim.inject(nid(0), nid(0), Msg::Ping);
+                sim.inject(nid(0), nid(0), Msg::Ping);
+            }),
+            none,
+            "a local send never joins"
+        );
+        // equal answers split by a fan to the same node: pings to 1 and 2,
+        // then a spread from 1 that includes 0, then a ping to 3 (1-3 all
+        // answer Tag(0))
+        let split = fan_ins(CostModel::Uniform, |sim| {
+            sim.inject(nid(0), nid(1), Msg::Ping);
+            sim.inject(nid(0), nid(2), Msg::Ping);
+            sim.inject(nid(1), nid(1), Msg::Spread(vec![nid(0)]));
+            sim.inject(nid(0), nid(3), Msg::Ping);
+        });
+        assert_eq!(
+            split[0],
+            [2],
+            "1 and 2 join; the spread's note sits before 3"
+        );
+        // equal answers split by one to another destination
+        let split = fan_ins(CostModel::Uniform, |sim| {
+            sim.inject(nid(0), nid(1), Msg::Ping);
+            sim.inject(nid(4), nid(2), Msg::Ping);
+            sim.inject(nid(0), nid(3), Msg::Ping);
+        });
+        assert_eq!(split, none, "another destination between them");
+        // equal answers due on different ticks
+        let ticks = fan_ins(CostModel::Uniform, |sim| {
+            sim.inject(nid(0), nid(1), Msg::Ping);
+            sim.run_until(sim.now() + 1);
+            sim.inject(nid(0), nid(2), Msg::Ping);
+        });
+        assert_eq!(ticks, none, "answers on ticks 1 and 2");
+        // hop cost never joins, not even at distance 1 on a complete graph
+        let hops = fan_ins(CostModel::Hops, |sim| {
+            sim.inject(nid(0), nid(0), Msg::Ask((1..16).map(nid).collect()));
+        });
+        assert_eq!(hops, none, "hop cost pushes every answer");
+        // the queue edits a tail only in its unit slots: a tick in a
+        // coarse bucket or the far map hands none out, though it holds one
+        let mut q = CalendarQueue::default();
+        for at in [1, 5_000, 1 << 40] {
+            q.push(at, at);
+            let tail = q.last_at_mut(at).map(|(t, &mut ev)| (t, ev));
+            assert_eq!(tail, (at == 1).then_some((1, 1)), "tick {at}");
+        }
+    }
+
+    #[test]
+    fn a_crashed_destination_drops_the_whole_fan_in() {
+        let mut sim = tally_sim::<true>(8, CostModel::Uniform, QueueKind::Calendar);
+        sim.inject(nid(0), nid(0), Msg::Ask((1..4).map(nid).collect()));
+        sim.run_until(1); // three equal answers wait on tick 2 as one entry
+        assert_eq!(sim.net.queue.len(), 1);
+        let before = sim.metrics().clone();
+        sim.crash(nid(0));
+        sim.run();
+        let m = sim.metrics();
+        assert_eq!(m.dropped, before.dropped + 3);
+        assert_eq!(m.events_executed, before.events_executed + 3);
+        assert_eq!((m.delivered, m.node_load[0]), (before.delivered, 1));
+        assert_eq!(sim.node(nid(0)).calls, 1, "only the ask ran");
+        assert_eq!(sim.net.pending, 0);
+    }
+
+    /// Random uniform-cost traffic on `complete(n)` whose answers come
+    /// back in runs of equal and unequal tags: asks, spreads, direct
+    /// pings, same-tick chains, and crashes and restores between phased
+    /// `run_until`s. Returns the reports in order.
+    fn answer_traffic<const JOIN: bool>(
+        sim: &mut Sim<Msg, Tally<JOIN>>,
+        n: usize,
+        mut s: u64,
+    ) -> Vec<u64> {
+        let node = |s: &mut u64| nid((mix(s) % n as u64) as u32);
+        let mut reports = Vec::new();
+        for phase in 0..6 {
+            for _ in 0..8 {
+                match mix(&mut s) % 6 {
+                    0 | 1 => {
+                        let from = node(&mut s);
+                        let targets = (0..mix(&mut s) % 12).map(|_| node(&mut s)).collect();
+                        sim.inject(from, from, Msg::Ask(targets));
+                    }
+                    2 => {
+                        let from = node(&mut s);
+                        let targets = (0..mix(&mut s) % 4).map(|_| node(&mut s)).collect();
+                        sim.inject(from, from, Msg::Spread(targets));
+                    }
+                    3 => {
+                        let (a, b) = (node(&mut s), node(&mut s));
+                        sim.inject(a, b, Msg::Ping);
+                    }
+                    4 => {
+                        let v = node(&mut s);
+                        sim.inject(v, v, Msg::Chain((mix(&mut s) % 4) as u8));
+                    }
+                    _ => {
+                        let v = node(&mut s);
+                        if sim.is_crashed(v) {
+                            sim.restore(v);
+                        } else {
+                            sim.crash(v);
+                        }
+                    }
+                }
+            }
+            let deadline = sim.now() + mix(&mut s) % 3;
+            sim.run_until(deadline);
+            reports.extend(sim.reports());
+            if phase == 3 {
+                sim.run();
+            }
+        }
+        sim.run();
+        reports.extend(sim.reports());
+        reports
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Joined and one-by-one runs of the same random script agree on
+        /// every observable, on both queues.
+        #[test]
+        fn fan_ins_run_as_their_deliveries_would(seed in any::<u64>(), n in 1usize..24) {
+            for kind in [QueueKind::Calendar, QueueKind::BTree] {
+                let mut joined = tally_sim::<true>(n, CostModel::Uniform, kind);
+                let mut plain = tally_sim::<false>(n, CostModel::Uniform, kind);
+                let joined_reports = answer_traffic(&mut joined, n, seed);
+                let plain_reports = answer_traffic(&mut plain, n, seed);
+                prop_assert!(calls(&joined) <= calls(&plain));
+                prop_assert_eq!(observe(&mut joined, joined_reports), observe(&mut plain, plain_reports));
+            }
+        }
     }
 }

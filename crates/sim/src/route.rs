@@ -5,7 +5,9 @@
 //! the network's `Metrics` and queue each copy that survives — one at a
 //! time through `Net::deliver`, the one place an [`Envelope`] is built
 //! and queued, or, for a uniform-cost multicast, all remote copies at
-//! once as one fan entry. Under `CostModel::Uniform` there is no router:
+//! once as one fan entry; a uniform-cost point-to-point send may instead
+//! join the entry at the tail of its tick as a fan-in (`join_or_deliver`).
+//! Under `CostModel::Uniform` there is no router:
 //! every remote destination is one pass and one tick away, and nothing is
 //! truncated.
 //!
@@ -49,12 +51,10 @@ impl<M> Net<M> {
         self.queued(1);
     }
 
-    /// Hops from `from` to `to` (1 under uniform cost), `None` if no path
-    /// exists.
+    /// Hops from `from` to `to`, `None` if no path exists. Hop cost only:
+    /// a uniform-cost send never asks.
     fn distance(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        self.routing
-            .as_ref()
-            .map_or(Some(1), |r| r.distance(from, to))
+        self.routing.as_ref()?.distance(from, to)
     }
 
     /// Hops a message covers on its `dist`-hop way to `to`, and whether a
@@ -79,6 +79,12 @@ impl<M> Net<M> {
             self.deliver(from, to, 0, msg);
             return;
         }
+        if self.routing.is_none() {
+            // uniform cost: one pass, one tick, and no crash on the way
+            self.metrics.message_passes += 1;
+            self.join_or_deliver(from, to, msg);
+            return;
+        }
         let Some(dist) = self.distance(from, to) else {
             self.metrics.dropped += 1;
             return;
@@ -90,6 +96,46 @@ impl<M> Net<M> {
         } else {
             self.deliver(from, to, travelled, msg);
         }
+    }
+
+    /// Queues a uniform-cost remote send for the next tick. It joins the
+    /// tail of that tick's run — exactly where its push would land — if
+    /// the tail is a delivery or fan-in to the same node, sent this tick,
+    /// of a payload the handler type [joins](crate::Node::joins) with
+    /// `msg`; otherwise it is pushed. Either way it is one more pending
+    /// delivery, sampled at the depth it brings the queue to.
+    ///
+    /// Kept out of line so that `route`'s hop-cost path stays as small as
+    /// it was before the join existed.
+    #[inline(never)]
+    fn join_or_deliver(&mut self, from: NodeId, to: NodeId, msg: M) {
+        let (now, joins) = (self.now, self.joins);
+        let at = now + 1;
+        if let Some((tick, tail)) = self.queue.last_at_mut(at) {
+            debug_assert_eq!(tick, at, "a joined tail is due on the tick after its send");
+            let same =
+                |env: &Envelope<M>| env.to == to && env.sent_at == now && joins(&env.msg, &msg);
+            match tail {
+                Queued::FanIn(fan_in) if same(&fan_in.0) => {
+                    fan_in.1 += 1;
+                    self.queued(1);
+                    return;
+                }
+                Queued::One(env) if same(env) => {
+                    let first = Envelope {
+                        from: env.from,
+                        to,
+                        sent_at: now,
+                        msg,
+                    };
+                    *tail = Queued::FanIn(Box::new((first, 2)));
+                    self.queued(1);
+                    return;
+                }
+                _ => {}
+            }
+        }
+        self.deliver(from, to, 1, msg);
     }
 
     /// Multicast with shared-prefix (spanning/Steiner tree) accounting:

@@ -15,7 +15,11 @@
 //! back in target order. That is the order one envelope per copy would
 //! pop in: the copies were queued together, so on their tick nothing sits
 //! between them, and whatever their handlers queue for the same tick goes
-//! behind the last of them.
+//! behind the last of them. A fan-in (uniform-cost deliveries of one
+//! payload to one node, joined as they were queued back to back) is
+//! `count` deliveries run at once: one crash check, every counter moved
+//! by `count`, and one [`Node::on_fan_in`] call. That handler can only
+//! report, so nothing it does lands between the deliveries it stands for.
 //!
 //! A protocol event's cost is mostly its first touch of per-node state:
 //! a locate visits `2·√n` distinct nodes once each, so at large `n` the
@@ -29,7 +33,7 @@
 //! a delivery to them reads. A prefetch changes no architectural state,
 //! so order, counters and reports are what they are without it.
 
-use crate::{Envelope, Net, Node, NodeApi, Queued, Sim, SimTime};
+use crate::{Envelope, FanInApi, Net, Node, NodeApi, Queued, Sim, SimTime};
 use mm_topo::NodeId;
 
 /// How many events ahead of the one executing the loop prefetches: far
@@ -101,6 +105,32 @@ fn execute<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: Envelope<M>) {
     nodes[me.index()].on_message(env, &mut NodeApi { net, me });
 }
 
+/// Runs the `count` deliveries of a fan-in as that many [`execute`]s
+/// would: all counted as events, then all dropped at a crashed
+/// destination or all charged to it, and the handler called once. A
+/// fan-in handler cannot send, so nothing is queued between the
+/// deliveries, and no depth sample can see `pending` part way down.
+///
+/// Out of line: it runs once per fan-in, hundreds of deliveries, and
+/// inlined it only grew the loop that hop cost runs without it.
+#[inline(never)]
+fn execute_fan_in<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: &Envelope<M>, count: u64) {
+    net.pending -= count;
+    net.metrics.events_executed += count;
+    let me = env.to.index();
+    if net.crashed[me] {
+        net.metrics.dropped += count;
+        return;
+    }
+    net.metrics.delivered += count;
+    net.metrics.node_load[me] += count;
+    let mut api = FanInApi {
+        now: net.now,
+        reports: &mut net.reports,
+    };
+    nodes[me].on_fan_in(&env.msg, count, &mut api);
+}
+
 impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// Executes every delivery due at or before `deadline`, in queue order.
     pub(crate) fn drain(&mut self, deadline: SimTime) {
@@ -114,10 +144,15 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
                 match entries.as_slice().get(LOOKAHEAD - 1) {
                     Some(Queued::One(env)) => prefetch_node(nodes, net, env.to),
                     Some(Queued::Fan(fan)) => prefetch_node(nodes, net, fan.targets[0]),
+                    Some(Queued::FanIn(fan_in)) => prefetch_node(nodes, net, fan_in.0.to),
                     None => {}
                 }
                 match entry {
                     Queued::One(env) => execute(nodes, net, env),
+                    Queued::FanIn(fan_in) => {
+                        let (env, count) = &*fan_in;
+                        execute_fan_in(nodes, net, env, *count);
+                    }
                     Queued::Fan(fan) => {
                         for (i, to) in fan.targets.iter().enumerate() {
                             if let Some(&ahead) = fan.targets.get(i + LOOKAHEAD) {

@@ -430,7 +430,9 @@ struct LoopBucket {
 
 impl LoopBucket {
     fn sorted(mut v: Vec<f64>) -> Vec<f64> {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("ticks are finite"));
+        // tick counts as `f64`: finite and never `-0.0`, so `total_cmp`
+        // orders them as `partial_cmp` would
+        v.sort_by(f64::total_cmp);
         v
     }
 

@@ -163,12 +163,15 @@ impl<PM: PortMapped> Runtime for ShotgunEngine<PM> {
         // double-sweep estimate of the diameter via the router:
         // eccentricity of node 0, then of the farthest node
         let n = self.sim().graph().node_count();
+        // the farthest node, the last of equals as `max_by_key` picks it
         let ecc = |from: NodeId| -> (NodeId, u32) {
             (0..n)
                 .map(NodeId::from)
                 .map(|v| (v, rt.distance(from, v).unwrap_or(0)))
-                .max_by_key(|&(_, d)| d)
-                .expect("nonempty graph")
+                .fold(
+                    (from, 0),
+                    |far, (v, d)| if d >= far.1 { (v, d) } else { far },
+                )
         };
         let (far, _) = ecc(NodeId::new(0));
         let (_, diameter) = ecc(far);

@@ -58,7 +58,9 @@ impl PopularitySampler {
         // short of 1.0, which would silently hand the missing tail mass to
         // the least-popular port (every draw above the accumulated total
         // clamps to the final index). Pin the tail exactly.
-        *cdf.last_mut().expect("at least one port") = 1.0;
+        if let Some(last) = cdf.last_mut() {
+            *last = 1.0;
+        }
         PopularitySampler { cdf, pinned }
     }
 
@@ -76,7 +78,9 @@ impl PopularitySampler {
     fn index_for(&self, u: f64) -> usize {
         match self
             .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
+            // both sides are finite and nonnegative, never `-0.0`: the
+            // total order is the numeric one
+            .binary_search_by(|c| c.total_cmp(&u))
         {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
