@@ -51,7 +51,10 @@ impl Summary {
         } else {
             0.0
         };
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaNs were filtered"));
+        // NaNs were filtered, so `partial_cmp` always answers; it ranks
+        // `-0.0` and `0.0` equal (kept in input order), which
+        // `f64::total_cmp` would not
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         Some(Summary {
             count,
             dropped_nan,

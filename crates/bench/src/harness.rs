@@ -224,6 +224,23 @@ mod tests {
         assert!(bad.is_empty(), "{bad:#?}");
     }
 
+    /// `EXPERIMENTS.md` is prose above the table `experiments` prints;
+    /// the table must be a fresh run's, byte for byte.
+    #[test]
+    #[ignore = "release tier: all of E1-E18"]
+    fn experiments_md_holds_a_fresh_runs_table() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+        let committed = std::fs::read_to_string(&path).unwrap();
+        let table = committed
+            .find("\n| id |")
+            .map_or("", |at| &committed[at + 1..]);
+        let fresh = mm_analysis::record::to_markdown(&run_by_name(&[]).unwrap());
+        assert!(
+            table == fresh,
+            "EXPERIMENTS.md is stale (its header says how to regenerate it); fresh table:\n{fresh}"
+        );
+    }
+
     #[test]
     fn measure_instance_finds_server() {
         let (post, locate, found) = measure_instance(

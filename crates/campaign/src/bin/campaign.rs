@@ -13,7 +13,7 @@
 //! output unchanged. Exit status: 0 when every run produced its file,
 //! 1 when any run failed, 2 on invalid invocation.
 
-use mm_campaign::{by_id, execute_with_budget, EXPERIMENTS};
+use mm_campaign::{by_id, execute, EXPERIMENTS};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -101,7 +101,7 @@ fn main() {
         jobs.min(configs.len().max(1)),
         out.display()
     );
-    let report = execute_with_budget(&configs, &out, jobs, verbose, budget).unwrap_or_else(|e| {
+    let report = execute(&configs, &out, jobs, verbose, budget).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });

@@ -1,5 +1,5 @@
-//! The parallel campaign executor: a shared work queue drained by scoped
-//! worker threads, one JSON file per run.
+//! The parallel campaign executor: scoped worker threads take runs by
+//! a shared atomic index, one JSON file per run.
 //!
 //! Parallelism cannot be allowed to cost determinism, so the design keeps
 //! the two orthogonal: workers race only for *which run they pick up*,
@@ -19,9 +19,9 @@
 //! which runs completed, failed or were skipped, so a later invocation
 //! (or a human) can finish the remainder.
 
-use crossbeam::channel;
 use mm_workload::drive::{self, RunConfig};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// What one [`execute`] call did.
@@ -54,32 +54,16 @@ enum RunOutcome {
 
 /// Runs every config, `jobs` at a time, writing
 /// `<out_dir>/<label>.json` per run — each file byte-identical to the
-/// stdout of the equivalent single `scenarios` invocation. Equivalent to
-/// [`execute_with_budget`] with no deadline.
+/// stdout of the equivalent single `scenarios` invocation. Under a
+/// `budget`, once it elapses the remaining runs are recorded as skipped
+/// instead of dispatched (runs already in flight finish and keep their
+/// files).
 ///
-/// # Errors
-///
-/// An error creating the output directory or spawning workers; per-run
-/// failures are collected in the report instead, so one bad cell cannot
-/// discard a half-finished campaign.
-pub fn execute(
-    configs: &[RunConfig],
-    out_dir: &Path,
-    jobs: usize,
-    verbose: bool,
-) -> Result<ExecReport, String> {
-    execute_with_budget(configs, out_dir, jobs, verbose, None)
-}
-
-/// [`execute`] under an optional wall-clock budget: once `budget`
-/// elapses, remaining queued runs are recorded as skipped instead of
-/// dispatched (runs already in flight finish and keep their files).
-///
-/// Worker threads pull from one shared MPMC channel, so a slow run never
-/// idles the pool the way static slicing would. `verbose` prints a
-/// completion line per run to stderr (completion order, which is the one
-/// nondeterministic thing here and is why it is *not* part of any
-/// artifact).
+/// Each worker thread takes the next run index from one shared atomic
+/// counter, in expansion order, so a slow run never idles the pool the
+/// way static slicing would. `verbose` prints a completion line per run
+/// to stderr (completion order, which is the one nondeterministic thing
+/// here and is why it is *not* part of any artifact).
 ///
 /// Every invocation writes `<out_dir>/manifest.json` listing completed,
 /// failed and skipped run labels in expansion order — the resume ledger
@@ -87,9 +71,11 @@ pub fn execute(
 ///
 /// # Errors
 ///
-/// An error creating the output directory, spawning workers, or writing
-/// the manifest; per-run failures are collected in the report instead.
-pub fn execute_with_budget(
+/// An error creating the output directory, a worker panic that lost
+/// runs, or writing the manifest; per-run failures are collected in the
+/// report instead, so one bad cell cannot discard a half-finished
+/// campaign.
+pub fn execute(
     configs: &[RunConfig],
     out_dir: &Path,
     jobs: usize,
@@ -100,22 +86,20 @@ pub fn execute_with_budget(
     let total = configs.len();
     let workers = jobs.max(1).min(total.max(1));
     let deadline = budget.map(|b| Instant::now() + b);
-
-    let (tx, rx) = channel::unbounded();
-    for (idx, cfg) in configs.iter().enumerate() {
-        tx.send((idx, cfg.clone())).expect("receiver is alive");
-    }
-    drop(tx); // disconnect: workers drain the queue and stop
+    let next = &AtomicUsize::new(0);
 
     // (idx, label, outcome) per run, gathered from each worker's return
     // value and re-sorted into expansion order afterwards
-    let mut outcomes: Vec<(usize, String, RunOutcome)> = crossbeam::thread::scope(|s| {
+    let mut outcomes: Vec<(usize, String, RunOutcome)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let rx = rx.clone();
                 s.spawn(move || {
                     let mut done = Vec::new();
-                    for (idx, cfg) in rx.iter() {
+                    loop {
+                        // the index publishes no data: `configs` is
+                        // shared read-only from before the spawn
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(cfg) = configs.get(idx) else { break };
                         let label = cfg.label();
                         // the budget gates *dispatch*: a run either gets
                         // its full deterministic execution or none at all
@@ -129,7 +113,7 @@ pub fn execute_with_budget(
                             done.push((idx, label, RunOutcome::Skipped));
                             continue;
                         }
-                        let outcome = match run_to_file(&cfg, out_dir) {
+                        let outcome = match run_to_file(cfg, out_dir) {
                             Ok(path) => RunOutcome::Wrote(path),
                             Err(e) => RunOutcome::Failed(e),
                         };
@@ -252,7 +236,7 @@ mod tests {
             .map(|&seed| RunConfig::new("steady-state", 32, seed))
             .collect();
         let dir = scratch("parallel");
-        let rep = execute(&configs, &dir, 3, false).unwrap();
+        let rep = execute(&configs, &dir, 3, false, None).unwrap();
         assert!(rep.all_ok());
         assert!(rep.skipped.is_empty());
         assert_eq!(rep.written.len(), 3);
@@ -274,11 +258,46 @@ mod tests {
         let good = RunConfig::new("steady-state", 32, 7);
         let bad = RunConfig::new("no-such-scenario", 32, 7);
         let dir = scratch("failures");
-        let rep = execute(&[good.clone(), bad], &dir, 2, false).unwrap();
+        let rep = execute(&[good.clone(), bad], &dir, 2, false, None).unwrap();
         assert_eq!(rep.written.len(), 1);
         assert_eq!(rep.failures.len(), 1);
         assert!(rep.failures[0].0.starts_with("no-such-scenario"));
         assert!(dir.join(format!("{}.json", good.label())).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_empty_campaign_writes_an_empty_manifest() {
+        let dir = scratch("empty");
+        let rep = execute(&[], &dir, 4, false, None).unwrap();
+        assert!(rep.written.is_empty() && rep.failures.is_empty() && rep.skipped.is_empty());
+        let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(manifest.contains("\"total\": 0"), "{manifest}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn more_jobs_than_runs_writes_each_run_once_in_expansion_order() {
+        let configs: Vec<RunConfig> = [13u64, 7, 11]
+            .iter()
+            .map(|&seed| RunConfig::new("steady-state", 32, seed))
+            .collect();
+        let dir = scratch("overjobbed");
+        let rep = execute(&configs, &dir, 8, false, None).unwrap();
+        let labels: Vec<String> = configs.iter().map(|c| c.label()).collect();
+        let want: Vec<PathBuf> = labels
+            .iter()
+            .map(|l| dir.join(format!("{l}.json")))
+            .collect();
+        assert_eq!(rep.written, want);
+        // three distinct run files and the manifest, nothing else
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 4);
+        let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        let at: Vec<usize> = labels
+            .iter()
+            .map(|l| manifest.find(&format!("\"{l}\"")).unwrap())
+            .collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{manifest}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -289,7 +308,7 @@ mod tests {
             .collect();
         let dir = scratch("budget");
         // a zero budget is already exhausted at dispatch: every run skips
-        let rep = execute_with_budget(&configs, &dir, 2, false, Some(Duration::ZERO)).unwrap();
+        let rep = execute(&configs, &dir, 2, false, Some(Duration::ZERO)).unwrap();
         assert!(rep.all_ok(), "skips are not failures");
         assert!(rep.written.is_empty());
         assert_eq!(rep.skipped.len(), 6);
@@ -309,10 +328,10 @@ mod tests {
             .collect();
         let full_dir = scratch("budget-full");
         let part_dir = scratch("budget-part");
-        execute(&configs, &full_dir, 2, false).unwrap();
+        execute(&configs, &full_dir, 2, false, None).unwrap();
         // generous budget: everything completes; the point is that a
         // budgeted run's files are the same bytes as an unbudgeted one's
-        let rep = execute_with_budget(
+        let rep = execute(
             &configs,
             &part_dir,
             2,

@@ -9,9 +9,9 @@
 //! * [`paramset`] — a campaign **experiment** is an ID that expands to a
 //!   deterministic `scenario × n × strategy × queue × runtime × seed`
 //!   cross-product of [`RunConfig`](mm_workload::drive::RunConfig)s.
-//! * [`exec`] — the parallel executor: a shared work queue (the vendored
-//!   `crossbeam` MPMC channel) drained by scoped worker threads, one JSON
-//!   file per run. Because every worker calls
+//! * [`exec`] — the parallel executor: scoped worker threads take runs
+//!   by a shared atomic index, one JSON file per run. Because every
+//!   worker calls
 //!   [`mm_workload::drive`] — the same code path as the `scenarios`
 //!   binary — each per-run file is **byte-identical** to the output of
 //!   the equivalent single CLI invocation at the same seed, no matter how
@@ -34,5 +34,5 @@ pub mod exec;
 pub mod paramset;
 
 pub use agg::{Aggregate, BenchCase};
-pub use exec::{execute, execute_with_budget, ExecReport};
+pub use exec::{execute, ExecReport};
 pub use paramset::{by_id, Experiment, EXPERIMENTS};

@@ -1,6 +1,6 @@
 //! A live, threaded runtime for the match-making protocols.
 //!
-//! Every node is an OS thread with a channel mailbox hosting one
+//! Every node is an OS thread with a `std::sync::mpsc` mailbox hosting one
 //! [`NodeMachine`] — the same protocol rules the simulator's
 //! [`crate::shotgun`] engine hosts, re-run on real concurrency: the
 //! paper's m(P,Q) ≥ 1 rendezvous invariant is a property of the post/query
@@ -56,14 +56,13 @@
 use crate::fault::FaultProfile;
 use crate::messages::ProtoMsg;
 use crate::node::{NodeMachine, Outbox, RequestOutcome, Settled};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use mm_core::Port;
 use mm_sim::{Metrics, TargetSet};
 use mm_topo::NodeId;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -84,11 +83,28 @@ const WEDGE_TIMEOUT: Duration = Duration::from_secs(60);
 /// operation must then be force-classified instead of waiting forever.
 const RACE_RECHECK: Duration = Duration::from_millis(50);
 
-/// What travels through a node's mailbox.
+/// What travels through a node's mailbox: a counted delivery, or
+/// control-plane traffic that [`NodeThread::run`] handles itself.
 #[derive(Debug)]
 enum LiveMsg {
-    /// Protocol traffic between nodes (counted like simulator traffic),
-    /// and the driver's `DoPost`/`DoUnpost` commands.
+    Deliver(Delivery),
+    // --- control plane (never counted; works on crashed nodes too) ---
+    Control {
+        change: Change,
+        ack: Sender<()>,
+    },
+    /// Force-completes a pending operation — a locate with its partial
+    /// state, a request with `None` (no reply): the driver-side stand-in
+    /// for the simulator's client timeout.
+    Finish(Settled),
+    Shutdown,
+}
+
+/// A delivery counted like simulator traffic: what the node machine sees.
+#[derive(Debug)]
+enum Delivery {
+    /// Protocol traffic between nodes, and the driver's
+    /// `DoPost`/`DoUnpost` commands.
     Proto(ProtoMsg),
     // --- driver commands whose caller waits for the verdict ---
     Locate {
@@ -104,16 +120,6 @@ enum LiveMsg {
         request_id: u64,
         done: Sender<Option<RequestOutcome>>,
     },
-    // --- control plane (never counted; works on crashed nodes too) ---
-    Control {
-        change: Change,
-        ack: Sender<()>,
-    },
-    /// Force-completes a pending operation — a locate with its partial
-    /// state, a request with `None` (no reply): the driver-side stand-in
-    /// for the simulator's client timeout.
-    Finish(Settled),
-    Shutdown,
 }
 
 /// An external state change — the live analogue of the simulator's
@@ -175,7 +181,7 @@ impl Outbox for Net {
             self.counters.passes.fetch_add(1, Ordering::Relaxed);
         }
         // a dropped peer just loses the message, like a crashed node
-        let _ = self.peers[to.index()].send(LiveMsg::Proto(msg));
+        let _ = self.peers[to.index()].send(LiveMsg::Deliver(Delivery::Proto(msg)));
     }
 
     /// Remote members cost a send + a pass each, a sender that is its own
@@ -187,7 +193,7 @@ impl Outbox for Net {
                 self.counters.sends.fetch_add(1, Ordering::Relaxed);
                 self.counters.passes.fetch_add(1, Ordering::Relaxed);
             }
-            let _ = self.peers[t.index()].send(LiveMsg::Proto(msg.clone()));
+            let _ = self.peers[t.index()].send(LiveMsg::Deliver(Delivery::Proto(msg.clone())));
         }
     }
 }
@@ -221,7 +227,7 @@ impl NodeThread {
                     let _ = ack.send(());
                 }
                 LiveMsg::Finish(settled) => self.report(settled),
-                other => self.on_message(other),
+                LiveMsg::Deliver(delivery) => self.on_message(delivery),
             }
         }
     }
@@ -246,7 +252,7 @@ impl NodeThread {
         }
     }
 
-    fn on_message(&mut self, msg: LiveMsg) {
+    fn on_message(&mut self, msg: Delivery) {
         let counters = &self.net.counters;
         counters.events.fetch_add(1, Ordering::Relaxed);
         if self.crashed {
@@ -254,13 +260,13 @@ impl NodeThread {
             // must never block on a dead node's answer
             counters.dropped.fetch_add(1, Ordering::Relaxed);
             match msg {
-                LiveMsg::Locate { targets, done, .. } => {
+                Delivery::Locate { targets, done, .. } => {
                     let _ = done.send(LiveLocateOutcome::unanswered(targets.len()));
                 }
-                LiveMsg::Request { done, .. } => {
+                Delivery::Request { done, .. } => {
                     let _ = done.send(None);
                 }
-                _ => {}
+                Delivery::Proto(_) => {}
             }
             return;
         }
@@ -269,8 +275,8 @@ impl NodeThread {
         // the threads keep no clock: every machine step happens "at 0"
         let me = self.net.me;
         let settled = match msg {
-            LiveMsg::Proto(m) => self.machine.handle(me, m, 0, &mut self.net),
-            LiveMsg::Locate {
+            Delivery::Proto(m) => self.machine.handle(me, m, 0, &mut self.net),
+            Delivery::Locate {
                 port,
                 locate_id,
                 targets,
@@ -285,7 +291,7 @@ impl NodeThread {
                 };
                 self.machine.handle(me, cmd, 0, &mut self.net).or(vacuous)
             }
-            LiveMsg::Request {
+            Delivery::Request {
                 port,
                 addr,
                 body,
@@ -302,14 +308,17 @@ impl NodeThread {
                 };
                 self.machine.handle(me, cmd, 0, &mut self.net)
             }
-            LiveMsg::Control { .. } | LiveMsg::Finish(_) | LiveMsg::Shutdown => {
-                unreachable!("control messages are handled in run()")
-            }
         };
         if let Some(s) = settled {
             self.report(s)
         }
     }
+}
+
+/// Locks `m`, ignoring poison: a driver thread that panicked holding a
+/// lock left no half-applied invariant in a crash flag or a handle list.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A live network of `n` node threads exchanging match-making traffic.
@@ -337,7 +346,7 @@ impl LiveNet {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -413,7 +422,7 @@ impl LiveNet {
     }
 
     fn barrier_with<I: IntoIterator<Item = NodeId>>(&self, targets: I, change: Change) {
-        let (ack_tx, ack_rx) = unbounded();
+        let (ack_tx, ack_rx) = channel();
         let mut expected = 0usize;
         for t in targets {
             let _ = self.senders[t.index()].send(LiveMsg::Control {
@@ -444,7 +453,7 @@ impl LiveNet {
         let stamp = self.next_stamp();
         self.control(at, Change::Serve { port, on });
         let cmd = ProtoMsg::advertise(on, port, at, stamp, targets.clone());
-        let _ = self.senders[at.index()].send(LiveMsg::Proto(cmd));
+        let _ = self.senders[at.index()].send(LiveMsg::Deliver(Delivery::Proto(cmd)));
         // the first barrier proves the fan-out enqueued everywhere, the
         // second that it was *processed* everywhere before the driver
         // moves on
@@ -483,7 +492,7 @@ impl LiveNet {
 
     /// Crashes a node: it drops every protocol message until restored.
     pub fn crash(&self, v: NodeId) {
-        self.crashed.lock()[v.index()] = true;
+        lock(&self.crashed)[v.index()] = true;
         self.counters.crashes.fetch_add(1, Ordering::Relaxed);
         self.control(v, Change::Crash);
     }
@@ -491,7 +500,7 @@ impl LiveNet {
     /// Restores a crashed node (cache intact, like [`mm_sim::Sim::restore`];
     /// pair with [`LiveNet::clear_cache`] to model lost volatile memory).
     pub fn restore(&self, v: NodeId) {
-        self.crashed.lock()[v.index()] = false;
+        lock(&self.crashed)[v.index()] = false;
         self.control(v, Change::Restore);
     }
 
@@ -547,19 +556,19 @@ impl LiveNet {
     ) -> LiveLocateOutcome {
         let targets = targets.into();
         let id = self.next_locate.fetch_add(1, Ordering::SeqCst);
-        let (done_tx, done_rx) = bounded(1);
+        let (done_tx, done_rx) = channel();
         let crash_epoch = self.counters.crashes.load(Ordering::SeqCst);
         let crashed_targets = |net: &Self| -> Vec<NodeId> {
-            let crashed = net.crashed.lock();
+            let crashed = lock(&net.crashed);
             targets.iter().filter(|t| crashed[t.index()]).collect()
         };
         let all_live = crashed_targets(self).is_empty();
-        let _ = self.senders[client.index()].send(LiveMsg::Locate {
+        let _ = self.senders[client.index()].send(LiveMsg::Deliver(Delivery::Locate {
             port,
             locate_id: id,
             targets: targets.clone(),
             done: done_tx,
-        });
+        }));
         if all_live {
             if let Some(outcome) = self.await_unless_raced(&done_rx, crash_epoch) {
                 return outcome;
@@ -598,16 +607,16 @@ impl LiveNet {
         body: u64,
     ) -> Option<RequestOutcome> {
         let id = self.next_request.fetch_add(1, Ordering::SeqCst);
-        let (done_tx, done_rx) = bounded(1);
+        let (done_tx, done_rx) = channel();
         let crash_epoch = self.counters.crashes.load(Ordering::SeqCst);
-        let addr_crashed = self.crashed.lock()[addr.index()];
-        let _ = self.senders[client.index()].send(LiveMsg::Request {
+        let addr_crashed = lock(&self.crashed)[addr.index()];
+        let _ = self.senders[client.index()].send(LiveMsg::Deliver(Delivery::Request {
             port,
             addr,
             body,
             request_id: id,
             done: done_tx,
-        });
+        }));
         if !addr_crashed {
             if let Some(outcome) = self.await_unless_raced(&done_rx, crash_epoch) {
                 return outcome;
@@ -626,7 +635,7 @@ impl LiveNet {
         for s in &self.senders {
             let _ = s.send(LiveMsg::Shutdown);
         }
-        let mut handles = self.handles.lock();
+        let mut handles = lock(&self.handles);
         for h in handles.drain(..) {
             let _ = h.join();
         }

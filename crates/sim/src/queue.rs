@@ -576,11 +576,11 @@ impl<T> BTreeQueue<T> {
 
     /// Pops the earliest event if its time is `<= deadline`.
     pub fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        let (&(t, _), _) = self.map.iter().next()?;
-        if t > deadline {
+        let first = self.map.first_entry()?;
+        if first.key().0 > deadline {
             return None;
         }
-        let ((t, _), ev) = self.map.pop_first().expect("nonempty");
+        let ((t, _), ev) = first.remove_entry();
         Some((t, ev))
     }
 

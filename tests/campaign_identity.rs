@@ -30,7 +30,8 @@ fn one_run_campaign_file_equals_direct_invocation_across_queues_and_runtimes() {
             cfg.queue = queue;
             cfg.runtime = runtime;
             let dir = scratch(&format!("identity-{}", cfg.label()));
-            let report = mm_campaign::execute(std::slice::from_ref(&cfg), &dir, 1, false).unwrap();
+            let report =
+                mm_campaign::execute(std::slice::from_ref(&cfg), &dir, 1, false, None).unwrap();
             assert!(report.all_ok(), "{:?}", report.failures);
             let campaign_bytes = std::fs::read_to_string(&report.written[0]).unwrap();
             // the same bytes `scenarios --scenario steady-state --n 48
@@ -71,7 +72,7 @@ fn core_matrix_expands_executes_and_aggregates() {
         cfg.n = if cfg.n == 64 { 16 } else { 24 };
     }
     let dir = scratch("matrix");
-    let report = mm_campaign::execute(&configs, &dir, 4, false).unwrap();
+    let report = mm_campaign::execute(&configs, &dir, 4, false, None).unwrap();
     assert!(report.all_ok(), "{:?}", report.failures);
     assert_eq!(report.written.len(), 16);
 
@@ -118,7 +119,8 @@ fn aggregation_is_order_independent_over_shuffled_run_files() {
 fn assert_campaign_reproduces(id: &str, committed: &str) {
     let dir = scratch(id);
     let jobs = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let report = mm_campaign::execute(&by_id(id).unwrap().expand(), &dir, jobs, false).unwrap();
+    let report =
+        mm_campaign::execute(&by_id(id).unwrap().expand(), &dir, jobs, false, None).unwrap();
     assert!(report.all_ok(), "{id}: {:?}", report.failures);
     assert!(report.skipped.is_empty(), "{id}: {:?}", report.skipped);
     let agg = agg::load_dir(&dir).unwrap();
