@@ -70,14 +70,17 @@ impl HierarchicalStrategy {
     }
 
     /// The lowest level at which `i` and `j` share a group — where their
-    /// rendezvous happens (1-based level; `0` if `i == j`).
+    /// rendezvous happens (1-based level; `0` if `i == j`). The top level
+    /// is one group, so it is where any pair that shares no lower group
+    /// meets.
     pub fn meeting_level(&self, i: NodeId, j: NodeId) -> usize {
         if i == j {
             return 0;
         }
-        (1..=self.h.levels())
+        let top = self.h.levels();
+        (1..top)
             .find(|&l| self.h.group_of(i, l) == self.h.group_of(j, l))
-            .expect("top level is shared by construction")
+            .unwrap_or(top)
     }
 }
 

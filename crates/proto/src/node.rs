@@ -381,6 +381,32 @@ impl NodeMachine {
         p.answered(k, now).then_some(Settled::Locate(locate_id))
     }
 
+    /// The answer rule: what rendezvous node `me` answers a `Query` for
+    /// `port` on behalf of locate `locate_id`. Written once, for a query
+    /// handled here ([`handle`](Self::handle)) and for one the simulator
+    /// answers without a handler call ([`mm_sim::Node::reply`]): hit,
+    /// forged and refused answers all come from here, and sending the
+    /// answer is all a query does. A node nobody posted to and nobody
+    /// made hostile is an honest empty cache: it misses.
+    pub(crate) fn answer(&self, me: NodeId, port: Port, locate_id: u64) -> ProtoMsg {
+        let found = self.rendezvous.as_ref().and_then(|r| match r.fault {
+            // forge a hit for every port, stamped to out-bid honesty
+            FaultProfile::ForgedAddress => Some((me, FORGED_STAMP)),
+            FaultProfile::RefuseMatch => None,
+            _ => r.cache.lookup(port).map(|e| (e.addr, e.stamp)),
+        });
+        match found {
+            Some((addr, stamp)) => ProtoMsg::Hit {
+                port,
+                addr,
+                stamp,
+                locate_id,
+                at: me,
+            },
+            None => ProtoMsg::Miss { port, locate_id },
+        }
+    }
+
     /// Handles one protocol message delivered to node `me` at `now`,
     /// putting any messages it causes into `out`.
     pub fn handle<O: Outbox>(
@@ -459,29 +485,7 @@ impl NodeMachine {
                 port,
                 reply_to,
                 locate_id,
-            } => {
-                // a node nobody posted to and nobody made hostile is an
-                // honest empty cache: it misses
-                let answer = self.rendezvous.as_ref().and_then(|r| match r.fault {
-                    // forge a hit for every port, stamped to out-bid honesty
-                    FaultProfile::ForgedAddress => Some((me, FORGED_STAMP)),
-                    FaultProfile::RefuseMatch => None,
-                    _ => r.cache.lookup(port).map(|e| (e.addr, e.stamp)),
-                });
-                out.send(
-                    reply_to,
-                    match answer {
-                        Some((addr, stamp)) => ProtoMsg::Hit {
-                            port,
-                            addr,
-                            stamp,
-                            locate_id,
-                            at: me,
-                        },
-                        None => ProtoMsg::Miss { port, locate_id },
-                    },
-                );
-            }
+            } => out.send(reply_to, self.answer(me, port, locate_id)),
             ProtoMsg::Hit {
                 addr,
                 stamp,
@@ -786,6 +790,44 @@ mod tests {
             port: port(),
             reply_to: CLIENT,
             locate_id: 7,
+        }
+    }
+
+    /// The simulator's [`reply`](mm_sim::Node::reply) to a query is the
+    /// one send `handle` makes for it, for every fault profile on a bare
+    /// node, on a node posted the port and on one posted another port;
+    /// and handling the query changes nothing the next query could see.
+    #[test]
+    fn a_querys_reply_is_the_one_send_handle_makes() {
+        use mm_sim::Node;
+        use FaultProfile::*;
+        for fault in [Honest, DropPosts, StaleAddress, ForgedAddress, RefuseMatch] {
+            for posted in [None, Some(port()), Some(Port::from_name("other"))] {
+                let at = format!("{fault:?} posted {posted:?}");
+                let mut m = NodeMachine::default();
+                m.set_fault(fault);
+                if let Some(p) = posted {
+                    let post = ProtoMsg::Post {
+                        port: p,
+                        addr: node(1),
+                        stamp: 10,
+                    };
+                    m.handle(ME, post, 0, &mut Sent::default());
+                }
+                let reply = Node::reply(&m, ME, &query());
+                for _ in 0..2 {
+                    let mut out = Sent::default();
+                    assert_eq!(m.handle(ME, query(), 3, &mut out), None, "{at}");
+                    let want = reply.clone().map(|(to, msg)| (vec![to], msg));
+                    assert_eq!(out.0, Vec::from_iter(want), "{at}");
+                }
+            }
+        }
+        // no other message has one: a fan carries posts, unposts and
+        // queries, and of those only a query's handling is a lone send
+        let m = NodeMachine::default();
+        for msg in [post(1, 10), unpost(1, 11), hit(1, 10), miss()] {
+            assert_eq!(Node::reply(&m, ME, &msg), None, "{msg:?}");
         }
     }
 

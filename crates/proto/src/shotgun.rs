@@ -64,6 +64,10 @@ impl Outbox for NodeApi<'_, ProtoMsg> {
 /// fan-in, handled by the same rule as one `Miss` (`NodeMachine::missed`):
 /// a miss sends nothing and reads nothing of its envelope but the payload.
 /// A `Hit` never joins — each carries the node it came from.
+///
+/// A `Query`'s one effect is its answer (`NodeMachine::answer`, the rule
+/// `handle` sends by), so the simulator may take it as the delivery's
+/// [`reply`](Node::reply) and answer a locate's fan in bulk.
 impl Node<ProtoMsg> for NodeMachine {
     fn on_message(&mut self, env: Envelope<ProtoMsg>, api: &mut NodeApi<'_, ProtoMsg>) {
         if let Some(settled) = self.handle(api.me(), env.msg, api.now(), api) {
@@ -73,6 +77,17 @@ impl Node<ProtoMsg> for NodeMachine {
 
     fn joins(a: &ProtoMsg, b: &ProtoMsg) -> bool {
         matches!(a, ProtoMsg::Miss { .. }) && a == b
+    }
+
+    fn reply(&self, me: NodeId, msg: &ProtoMsg) -> Option<(NodeId, ProtoMsg)> {
+        match *msg {
+            ProtoMsg::Query {
+                port,
+                reply_to,
+                locate_id,
+            } => Some((reply_to, self.answer(me, port, locate_id))),
+            _ => None,
+        }
     }
 
     fn on_fan_in(&mut self, msg: &ProtoMsg, count: u64, api: &mut FanInApi<'_>) {

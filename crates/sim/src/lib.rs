@@ -41,7 +41,10 @@
 //! [`Node::on_fan_in`] call — and hands the handler a [`NodeApi`] over
 //! that network, so a send is routed, charged and queued while the
 //! handler runs; a send for the same tick queues behind the whole run, as
-//! it would behind the rest of the tick. Queue depth is the number of
+//! it would behind the rest of the tick. A fan's pure replies (a locate's
+//! answers, which [`Node::reply`] names without a handler call) run in
+//! bulk: a streak of joining replies to one node is counted and charged
+//! at once and queued as one join. Queue depth is the number of
 //! pending deliveries, not of entries, so every report reads the same as
 //! with one entry per copy. A parallel per-tick scheduler was built,
 //! measured behind this loop at every setting, and deleted (README
@@ -169,6 +172,17 @@ pub struct Envelope<M> {
 /// same order. So only payloads whose handling sends nothing may join —
 /// [`FanInApi`] can report, not send — and the handler must not need
 /// the envelope's `from`, which the joined deliveries do not share.
+///
+/// A node type may also answer a fan's copy without a handler call. When
+/// [`reply`](Node::reply) names the one send a delivery would make, the
+/// loop makes it itself: consecutive targets of one fan whose replies go
+/// to one other node and [`joins`](Node::joins) pairs are counted,
+/// charged and sampled in bulk and queued as one join. The contract is
+/// exactness again: `reply` may answer only where
+/// [`on_message`](Node::on_message) would make exactly that one
+/// point-to-point send and nothing else — no state change, no report, no
+/// other send — and only from the payload and the node's own state, not
+/// from the envelope's `from` or `sent_at` or the clock.
 pub trait Node<M> {
     /// A message arrived at this node.
     fn on_message(&mut self, env: Envelope<M>, api: &mut NodeApi<'_, M>);
@@ -177,6 +191,14 @@ pub trait Node<M> {
     /// same node and tick? Joins nothing by default.
     fn joins(_a: &M, _b: &M) -> bool {
         false
+    }
+
+    /// The send delivering `msg` at `me` would make, as `(to, payload)`,
+    /// when that send is all the delivery would do. Asked only of a
+    /// uniform-cost fan's live targets; `None`, the default, runs the
+    /// delivery through [`on_message`](Node::on_message).
+    fn reply(&self, _me: NodeId, _msg: &M) -> Option<(NodeId, M)> {
+        None
     }
 
     /// `count` deliveries of `msg`, whose payloads [`joins`](Node::joins)
@@ -558,6 +580,12 @@ mod tests {
         /// Re-sent to oneself, one shorter, until it reaches 0: a chain
         /// of zero-delay events inside one tick.
         Chain(u8),
+        /// A question answered to the first node or the second, by the
+        /// answerer's rule (`Tally::probe_answer`).
+        Probe(NodeId, NodeId),
+        /// Multicasts a `Probe` of the two nodes: a fan whose answers
+        /// may run without handler calls.
+        Survey(Vec<NodeId>, NodeId, NodeId),
     }
 
     #[derive(Default)]
@@ -1266,12 +1294,15 @@ mod tests {
     }
     // ---- fan-in: back-to-back uniform-cost answers share one entry ----
 
-    /// Counts the answers it gets (`Note`s and `Tag`s) and reports every
-    /// third. With `JOIN`, equal answers queued back to back for it arrive
-    /// as one fan-in; without, one by one. The two must be indistinguishable
-    /// but for the handler calls (`calls`) and the fan-ins seen.
+    /// Counts the answers it gets (`Note`s, `Tag`s and `Pong`s) and
+    /// reports every third. With `JOIN`, equal answers queued back to back
+    /// for it arrive as one fan-in; without, one by one. With `REPLY`, it
+    /// names its pure answers to a `Probe`, and a fan of probes is answered
+    /// without handler calls; without, every probe runs its handler. Any
+    /// two must be indistinguishable but for the handler calls (`calls`)
+    /// and — between `JOIN` and not — the fan-ins seen.
     #[derive(Default)]
-    struct Tally<const JOIN: bool> {
+    struct Tally<const JOIN: bool, const REPLY: bool> {
         me: u32,
         answers: u64,
         sum: u64,
@@ -1279,12 +1310,13 @@ mod tests {
         fan_ins: Vec<u64>,
     }
 
-    impl<const JOIN: bool> Tally<JOIN> {
+    impl<const JOIN: bool, const REPLY: bool> Tally<JOIN, REPLY> {
         /// Takes one answer; the token to report when it is a third.
         fn take(&mut self, msg: &Msg) -> Option<u64> {
             let x = match msg {
                 Msg::Note => 0,
                 Msg::Tag(x) => u64::from(*x) + 1,
+                Msg::Pong => 100,
                 _ => return None,
             };
             self.answers += 1;
@@ -1295,12 +1327,39 @@ mod tests {
         }
     }
 
-    impl<const JOIN: bool> Node<Msg> for Tally<JOIN> {
+    impl<const JOIN: bool, const REPLY: bool> Tally<JOIN, REPLY> {
+        /// How node `me` answers `Probe(a, b)`: nodes 7 mod 8 have no pure
+        /// answer (they also report); nodes 5 mod 8 answer `a` a `Pong`,
+        /// which joins nothing; the rest answer tags in runs of four like
+        /// `Ping`'s, nodes 0-11 to `a`, 12-23 to `b`, 24-35 to `a` and so
+        /// on.
+        fn probe_answer(me: NodeId, a: NodeId, b: NodeId) -> Option<(NodeId, Msg)> {
+            let v = me.raw();
+            match v % 8 {
+                7 => None,
+                5 => Some((a, Msg::Pong)),
+                _ => {
+                    let to = if (v / 12).is_multiple_of(2) { a } else { b };
+                    Some((to, Msg::Tag((v / 4 % 3) as u8)))
+                }
+            }
+        }
+    }
+
+    impl<const JOIN: bool, const REPLY: bool> Node<Msg> for Tally<JOIN, REPLY> {
         fn on_message(&mut self, env: Envelope<Msg>, api: &mut NodeApi<'_, Msg>) {
             self.calls += 1;
             match env.msg {
                 Msg::Ask(targets) => api.multicast(&targets, Msg::Ping),
                 Msg::Spread(targets) => api.multicast(&targets, Msg::Note),
+                Msg::Survey(targets, a, b) => api.multicast(&targets, Msg::Probe(a, b)),
+                Msg::Probe(a, b) => match Self::probe_answer(api.me(), a, b) {
+                    Some((to, answer)) => api.send(to, answer),
+                    None => {
+                        api.report(u64::from(self.me) << 40 | 0xff);
+                        api.send(a, Msg::Tag((self.me / 4 % 3) as u8));
+                    }
+                },
                 // answered in runs of equal tags: responders 4k..4k+3 agree
                 Msg::Ping => api.send(env.from, Msg::Tag((self.me / 4 % 3) as u8)),
                 Msg::Chain(k) if k > 0 => api.send(api.me(), Msg::Chain(k - 1)),
@@ -1316,6 +1375,13 @@ mod tests {
             JOIN && matches!(a, Msg::Note | Msg::Tag(_)) && a == b
         }
 
+        fn reply(&self, me: NodeId, msg: &Msg) -> Option<(NodeId, Msg)> {
+            match *msg {
+                Msg::Probe(a, b) if REPLY => Self::probe_answer(me, a, b),
+                _ => None,
+            }
+        }
+
         fn on_fan_in(&mut self, msg: &Msg, count: u64, api: &mut FanInApi<'_>) {
             self.calls += 1;
             self.fan_ins.push(count);
@@ -1327,11 +1393,11 @@ mod tests {
         }
     }
 
-    fn tally_sim<const JOIN: bool>(
+    fn tally_sim<const JOIN: bool, const REPLY: bool>(
         n: usize,
         cost: CostModel,
         kind: QueueKind,
-    ) -> Sim<Msg, Tally<JOIN>> {
+    ) -> Sim<Msg, Tally<JOIN, REPLY>> {
         let nodes = (0..n as u32)
             .map(|me| Tally {
                 me,
@@ -1360,7 +1426,10 @@ mod tests {
         counts: Vec<(u64, u64)>,
     }
 
-    fn observe<const JOIN: bool>(sim: &mut Sim<Msg, Tally<JOIN>>, reports: Vec<u64>) -> Observed {
+    fn observe<const JOIN: bool, const REPLY: bool>(
+        sim: &mut Sim<Msg, Tally<JOIN, REPLY>>,
+        reports: Vec<u64>,
+    ) -> Observed {
         let n = sim.graph().node_count() as u32;
         Observed {
             reports,
@@ -1373,7 +1442,7 @@ mod tests {
         }
     }
 
-    fn calls<const JOIN: bool>(sim: &Sim<Msg, Tally<JOIN>>) -> u64 {
+    fn calls<const JOIN: bool, const REPLY: bool>(sim: &Sim<Msg, Tally<JOIN, REPLY>>) -> u64 {
         let n = sim.graph().node_count() as u32;
         (0..n).map(|v| sim.node(nid(v)).calls).sum()
     }
@@ -1381,7 +1450,9 @@ mod tests {
     /// A script whose answers come back in runs: two locates-alike (an
     /// `Ask` of eleven nodes, answered in runs of equal tags), direct
     /// pings from one node, and a spread whose notes land one per node.
-    fn fan_in_script<const JOIN: bool>(sim: &mut Sim<Msg, Tally<JOIN>>) -> (Vec<u64>, usize) {
+    fn fan_in_script<const JOIN: bool>(
+        sim: &mut Sim<Msg, Tally<JOIN, false>>,
+    ) -> (Vec<u64>, usize) {
         sim.inject(nid(0), nid(0), Msg::Ask((1..12).map(nid).collect()));
         sim.inject(nid(5), nid(5), Msg::Ask((0..12).map(nid).collect()));
         for v in [4, 5, 6, 7, 9] {
@@ -1399,8 +1470,8 @@ mod tests {
     #[test]
     fn fan_in_matches_one_by_one() {
         for kind in [QueueKind::Calendar, QueueKind::BTree] {
-            let mut joined = tally_sim::<true>(12, CostModel::Uniform, kind);
-            let mut plain = tally_sim::<false>(12, CostModel::Uniform, kind);
+            let mut joined = tally_sim::<true, false>(12, CostModel::Uniform, kind);
+            let mut plain = tally_sim::<false, false>(12, CostModel::Uniform, kind);
             let (joined_reports, joined_entries) = fan_in_script(&mut joined);
             let (plain_reports, plain_entries) = fan_in_script(&mut plain);
             assert_eq!(
@@ -1426,8 +1497,11 @@ mod tests {
         /// Runs `script` on a joining sim over `complete(16)` (responders
         /// 1-3 answer `Tag(0)`, 4-7 `Tag(1)`) and returns the fan-ins each
         /// node saw.
-        fn fan_ins(cost: CostModel, script: impl Fn(&mut Sim<Msg, Tally<true>>)) -> Vec<Vec<u64>> {
-            let mut sim = tally_sim::<true>(16, cost, QueueKind::Calendar);
+        fn fan_ins(
+            cost: CostModel,
+            script: impl Fn(&mut Sim<Msg, Tally<true, false>>),
+        ) -> Vec<Vec<u64>> {
+            let mut sim = tally_sim::<true, false>(16, cost, QueueKind::Calendar);
             script(&mut sim);
             sim.run();
             sim.nodes.iter().map(|t| t.fan_ins.clone()).collect()
@@ -1488,7 +1562,7 @@ mod tests {
 
     #[test]
     fn a_crashed_destination_drops_the_whole_fan_in() {
-        let mut sim = tally_sim::<true>(8, CostModel::Uniform, QueueKind::Calendar);
+        let mut sim = tally_sim::<true, false>(8, CostModel::Uniform, QueueKind::Calendar);
         sim.inject(nid(0), nid(0), Msg::Ask((1..4).map(nid).collect()));
         sim.run_until(1); // three equal answers wait on tick 2 as one entry
         assert_eq!(sim.net.queue.len(), 1);
@@ -1504,11 +1578,12 @@ mod tests {
     }
 
     /// Random uniform-cost traffic on `complete(n)` whose answers come
-    /// back in runs of equal and unequal tags: asks, spreads, direct
-    /// pings, same-tick chains, and crashes and restores between phased
-    /// `run_until`s. Returns the reports in order.
-    fn answer_traffic<const JOIN: bool>(
-        sim: &mut Sim<Msg, Tally<JOIN>>,
+    /// back in runs of equal and unequal tags: asks, surveys (their
+    /// sender a target or not, answered to one node or two), spreads,
+    /// direct pings, same-tick chains, and crashes and restores between
+    /// phased `run_until`s. Returns the reports in order.
+    fn answer_traffic<const JOIN: bool, const REPLY: bool>(
+        sim: &mut Sim<Msg, Tally<JOIN, REPLY>>,
         n: usize,
         mut s: u64,
     ) -> Vec<u64> {
@@ -1516,11 +1591,17 @@ mod tests {
         let mut reports = Vec::new();
         for phase in 0..6 {
             for _ in 0..8 {
-                match mix(&mut s) % 6 {
-                    0 | 1 => {
+                match mix(&mut s) % 7 {
+                    0 => {
                         let from = node(&mut s);
                         let targets = (0..mix(&mut s) % 12).map(|_| node(&mut s)).collect();
                         sim.inject(from, from, Msg::Ask(targets));
+                    }
+                    1 | 6 => {
+                        let from = node(&mut s);
+                        let targets = (0..mix(&mut s) % 16).map(|_| node(&mut s)).collect();
+                        let (a, b) = (node(&mut s), node(&mut s));
+                        sim.inject(from, from, Msg::Survey(targets, a, b));
                     }
                     2 => {
                         let from = node(&mut s);
@@ -1565,12 +1646,138 @@ mod tests {
         #[test]
         fn fan_ins_run_as_their_deliveries_would(seed in any::<u64>(), n in 1usize..24) {
             for kind in [QueueKind::Calendar, QueueKind::BTree] {
-                let mut joined = tally_sim::<true>(n, CostModel::Uniform, kind);
-                let mut plain = tally_sim::<false>(n, CostModel::Uniform, kind);
+                let mut joined = tally_sim::<true, false>(n, CostModel::Uniform, kind);
+                let mut plain = tally_sim::<false, false>(n, CostModel::Uniform, kind);
                 let joined_reports = answer_traffic(&mut joined, n, seed);
                 let plain_reports = answer_traffic(&mut plain, n, seed);
                 prop_assert!(calls(&joined) <= calls(&plain));
                 prop_assert_eq!(observe(&mut joined, joined_reports), observe(&mut plain, plain_reports));
+            }
+        }
+    }
+    // ---- a fan's pure replies: counted in bulk, joined as they are made ----
+
+    /// Everything `observe` sees, and the fan-ins each node took: a fan
+    /// answered in bulk must leave the queue in the entries its handlers
+    /// would have, so the fan-ins match as well.
+    fn observe_with_fan_ins<const REPLY: bool>(
+        sim: &mut Sim<Msg, Tally<true, REPLY>>,
+        reports: Vec<u64>,
+    ) -> (Observed, Vec<Vec<u64>>) {
+        let fan_ins = sim.nodes.iter().map(|t| t.fan_ins.clone()).collect();
+        (observe(sim, reports), fan_ins)
+    }
+
+    /// One survey on `complete(32)` through every case the bulk path
+    /// distinguishes, with 16 deliveries pending when it runs (the ping,
+    /// 14 remote copies and the sender's own answer) — a power of two, so
+    /// a depth sample one off lands in another bucket. Node 2 surveys
+    /// 1-5, 9-17 and 20, itself among them, for 0 (nodes 0-11) and 20
+    /// (nodes 12-23), after node 0 pinged node 1; node 10 is down. On
+    /// tick 1, in target order:
+    /// - 1 and 3 answer `Tag(0)` to 0 and join the ping's answer, queued
+    ///   for tick 2 just before the fan ran;
+    /// - 4's `Tag(1)` is a streak, 5's `Pong` joins nothing, so it runs
+    ///   its handler between two streaks to 0;
+    /// - 9 and 11 answer `Tag(2)` around the crashed 10;
+    /// - 12 and 14 answer `Tag(0)` to 20, around 13's `Pong` to 0;
+    /// - 15 has no pure answer: it reports and answers 0 itself;
+    /// - 16 and 17 answer `Tag(1)` to 20;
+    /// - 20 answers itself, locally.
+    fn survey_script<const REPLY: bool>(sim: &mut Sim<Msg, Tally<true, REPLY>>) -> Vec<u64> {
+        let targets = [1, 2, 3, 4, 5, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20];
+        sim.inject(nid(0), nid(0), Msg::Ask(vec![nid(1)]));
+        sim.inject(
+            nid(2),
+            nid(2),
+            Msg::Survey(targets.map(nid).to_vec(), nid(0), nid(20)),
+        );
+        sim.run_until(0);
+        sim.crash(nid(10));
+        sim.run_until(1);
+        let mut reports: Vec<u64> = sim.reports().collect();
+        // a locate's shape: the client surveys a set it belongs to, for
+        // itself; then again once 10 is back
+        let all: Vec<NodeId> = (0..32).map(nid).collect();
+        sim.inject(nid(7), nid(7), Msg::Survey(all.clone(), nid(7), nid(7)));
+        sim.run_until(3);
+        sim.restore(nid(10));
+        sim.inject(nid(6), nid(6), Msg::Survey(all, nid(6), nid(30)));
+        sim.run();
+        reports.extend(sim.reports());
+        reports
+    }
+
+    #[test]
+    fn a_fans_replies_run_as_their_handlers_would() {
+        for kind in [QueueKind::Calendar, QueueKind::BTree] {
+            let mut bulk = tally_sim::<true, true>(32, CostModel::Uniform, kind);
+            let mut plain = tally_sim::<true, false>(32, CostModel::Uniform, kind);
+            let bulk_reports = survey_script(&mut bulk);
+            let plain_reports = survey_script(&mut plain);
+            let (bulk_seen, plain_seen) = (
+                observe_with_fan_ins(&mut bulk, bulk_reports),
+                observe_with_fan_ins(&mut plain, plain_reports),
+            );
+            assert_eq!(bulk_seen, plain_seen, "{kind:?}");
+            // the first survey's answers on tick 2: to 0, the ping's and
+            // 1's and 3's as one entry, then 9's and 11's; to 20, 16's and
+            // 17's
+            assert_eq!(bulk.node(nid(0)).fan_ins[..2], [3, 2], "{kind:?}");
+            assert_eq!(bulk.node(nid(20)).fan_ins[0], 2, "{kind:?}");
+            // every live remote target but those answering a `Pong`
+            // (5 mod 8), without a pure answer (7 mod 8) or to itself
+            // (20, once) skips its handler: 13 − 4, 30 − 7 and 31 − 8
+            assert_eq!(calls(&plain) - calls(&bulk), 9 + 23 + 23, "{kind:?}");
+            let (m, buckets) = (&bulk_seen.0.metrics, &bulk_seen.0.buckets);
+            assert_eq!(
+                m.dropped, 2,
+                "{kind:?}: two surveys' copies to the crashed 10"
+            );
+            assert_eq!(m.events_executed, buckets.iter().sum::<u64>());
+        }
+    }
+
+    /// The depth a streak samples is the one its deliveries leave
+    /// unchanged — each pops one pending delivery and queues one — and a
+    /// crashed target between two streaks lowers it for the second only.
+    #[test]
+    fn a_streak_samples_the_depth_its_pops_and_sends_leave() {
+        let mut sim = tally_sim::<true, true>(16, CostModel::Uniform, QueueKind::Calendar);
+        // four remote targets, each answering `Tag(0)` to 0; 2 is down
+        let targets = [1, 2, 3, 12].map(nid).to_vec();
+        sim.inject(nid(0), nid(0), Msg::Survey(targets, nid(0), nid(0)));
+        sim.run_until(0);
+        sim.crash(nid(2));
+        let before = *sim.queue_depth_buckets();
+        sim.run_until(1);
+        let after = sim.queue_depth_buckets();
+        let added: Vec<u64> = (0..5).map(|b| after[b] - before[b]).collect();
+        // 1 answers at depth 4, 3 and 12 at depth 3 after 2's drop
+        assert_eq!(added, [0, 0, 2, 1, 0]);
+        assert_eq!(sim.node(nid(0)).answers, 0, "the answers wait on tick 2");
+        sim.run();
+        assert_eq!(sim.node(nid(0)).fan_ins, [3], "one streak joins the next");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random surveys, asks, pings, chains, crashes and restores: a
+        /// node type that names its replies and its twin that does not
+        /// agree on every observable and on the fan-ins, on both queues.
+        #[test]
+        fn replies_run_as_their_handlers_would(seed in any::<u64>(), n in 1usize..40) {
+            for kind in [QueueKind::Calendar, QueueKind::BTree] {
+                let mut bulk = tally_sim::<true, true>(n, CostModel::Uniform, kind);
+                let mut plain = tally_sim::<true, false>(n, CostModel::Uniform, kind);
+                let bulk_reports = answer_traffic(&mut bulk, n, seed);
+                let plain_reports = answer_traffic(&mut plain, n, seed);
+                prop_assert!(calls(&bulk) <= calls(&plain));
+                prop_assert_eq!(
+                    observe_with_fan_ins(&mut bulk, bulk_reports),
+                    observe_with_fan_ins(&mut plain, plain_reports)
+                );
             }
         }
     }

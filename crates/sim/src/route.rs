@@ -3,10 +3,11 @@
 //! A handler's [`NodeApi`](crate::NodeApi) calls `Net::route` and
 //! `Net::route_multicast` while the handler runs; they charge the send to
 //! the network's `Metrics` and queue each copy that survives — one at a
-//! time through `Net::deliver`, the one place an [`Envelope`] is built
-//! and queued, or, for a uniform-cost multicast, all remote copies at
-//! once as one fan entry; a uniform-cost point-to-point send may instead
-//! join the entry at the tail of its tick as a fan-in (`join_or_deliver`).
+//! time through `Net::deliver`, or, for a uniform-cost multicast, all
+//! remote copies at once as one fan entry; a uniform-cost point-to-point
+//! send, or a streak of a fan's replies that the loop makes in bulk, may
+//! instead join the entry at the tail of its tick as a fan-in
+//! (`join_or_deliver`).
 //! Under `CostModel::Uniform` there is no router:
 //! every remote destination is one pass and one tick away, and nothing is
 //! truncated.
@@ -37,6 +38,15 @@ impl<M> Net<M> {
             self.depth_buckets[(64 - zeros) as usize] += top - depth + 1;
             depth = top + 1;
         }
+    }
+
+    /// Counts `count` more pending deliveries, every one sampled at the
+    /// depth they bring the queue to together.
+    fn sampled(&mut self, count: u64) {
+        self.pending += count;
+        let depth = self.pending;
+        self.metrics.peak_queue_depth = self.metrics.peak_queue_depth.max(depth);
+        self.depth_buckets[(64 - depth.leading_zeros()) as usize] += count;
     }
 
     /// Queues `msg` from `from` to `to`, arriving `delay` ticks from now.
@@ -82,7 +92,7 @@ impl<M> Net<M> {
         if self.routing.is_none() {
             // uniform cost: one pass, one tick, and no crash on the way
             self.metrics.message_passes += 1;
-            self.join_or_deliver(from, to, msg);
+            self.join_or_deliver(from, to, msg, 1);
             return;
         }
         let Some(dist) = self.distance(from, to) else {
@@ -98,17 +108,23 @@ impl<M> Net<M> {
         }
     }
 
-    /// Queues a uniform-cost remote send for the next tick. It joins the
-    /// tail of that tick's run — exactly where its push would land — if
-    /// the tail is a delivery or fan-in to the same node, sent this tick,
-    /// of a payload the handler type [joins](crate::Node::joins) with
-    /// `msg`; otherwise it is pushed. Either way it is one more pending
-    /// delivery, sampled at the depth it brings the queue to.
+    /// Queues `count` uniform-cost remote sends of `msg` from `from` to
+    /// `to` for the next tick, as `count` back-to-back sends of payloads
+    /// the handler type [joins](crate::Node::joins) would queue them. They
+    /// join the tail of that tick's run — exactly where a push would land
+    /// — if the tail is a delivery or fan-in to the same node, sent this
+    /// tick, of a payload that joins `msg`; otherwise they are pushed, one
+    /// envelope or, for `count > 1`, one fan-in. Either way they are
+    /// `count` more pending deliveries, each sampled at the depth they
+    /// bring the queue to together: for one send that is the depth it
+    /// brings the queue to; for a streak of a fan's replies, whose
+    /// deliveries the caller has taken off the count, it is the depth
+    /// each pop followed by its send left unchanged.
     ///
     /// Kept out of line so that `route`'s hop-cost path stays as small as
     /// it was before the join existed.
     #[inline(never)]
-    fn join_or_deliver(&mut self, from: NodeId, to: NodeId, msg: M) {
+    pub(crate) fn join_or_deliver(&mut self, from: NodeId, to: NodeId, msg: M, count: u64) {
         let (now, joins) = (self.now, self.joins);
         let at = now + 1;
         if let Some((tick, tail)) = self.queue.last_at_mut(at) {
@@ -117,8 +133,8 @@ impl<M> Net<M> {
                 |env: &Envelope<M>| env.to == to && env.sent_at == now && joins(&env.msg, &msg);
             match tail {
                 Queued::FanIn(fan_in) if same(&fan_in.0) => {
-                    fan_in.1 += 1;
-                    self.queued(1);
+                    fan_in.1 += count;
+                    self.sampled(count);
                     return;
                 }
                 Queued::One(env) if same(env) => {
@@ -128,14 +144,26 @@ impl<M> Net<M> {
                         sent_at: now,
                         msg,
                     };
-                    *tail = Queued::FanIn(Box::new((first, 2)));
-                    self.queued(1);
+                    *tail = Queued::FanIn(Box::new((first, 1 + count)));
+                    self.sampled(count);
                     return;
                 }
                 _ => {}
             }
         }
-        self.deliver(from, to, 1, msg);
+        let env = Envelope {
+            from,
+            to,
+            sent_at: now,
+            msg,
+        };
+        let entry = if count == 1 {
+            Queued::One(env)
+        } else {
+            Queued::FanIn(Box::new((env, count)))
+        };
+        self.queue.push(at, entry);
+        self.sampled(count);
     }
 
     /// Multicast with shared-prefix (spanning/Steiner tree) accounting:

@@ -21,6 +21,16 @@
 //! by `count`, and one [`Node::on_fan_in`] call. That handler can only
 //! report, so nothing it does lands between the deliveries it stands for.
 //!
+//! A fan's pure replies run in bulk ([`execute_fan`]). A target whose
+//! node names the one send its delivery would make ([`Node::reply`]) is
+//! charged without a handler call, and consecutive targets whose replies
+//! go to one other node and join form a *streak*: counted once, sampled
+//! once per reply at the depth that a pop followed by a send leaves
+//! unchanged, and queued as one join at the next tick's tail. A locate's
+//! `Miss` answers are such a streak. Everything else in the fan runs as
+//! before, after the open streak is flushed, so the queue holds the same
+//! entries in the same order as one handler call per target leaves.
+//!
 //! A protocol event's cost is mostly its first touch of per-node state:
 //! a locate visits `2·√n` distinct nodes once each, so at large `n` the
 //! handler struct, the load counter and the crash flag of the target are
@@ -33,7 +43,7 @@
 //! a delivery to them reads. A prefetch changes no architectural state,
 //! so order, counters and reports are what they are without it.
 
-use crate::{Envelope, FanInApi, Net, Node, NodeApi, Queued, Sim, SimTime};
+use crate::{Envelope, Fan, FanInApi, Net, Node, NodeApi, Queued, Sim, SimTime};
 use mm_topo::NodeId;
 
 /// How many events ahead of the one executing the loop prefetches: far
@@ -131,6 +141,101 @@ fn execute_fan_in<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: &Envelo
     nodes[me].on_fan_in(&env.msg, count, &mut api);
 }
 
+/// The open streak of a fan: `count` consecutive targets, the first
+/// `from`, whose replies go to `to` and join `msg`.
+struct Streak<M> {
+    from: NodeId,
+    to: NodeId,
+    msg: M,
+    count: u64,
+}
+
+/// Runs a streak's deliveries and queues their replies as `count`
+/// handler calls would have, each send right after its own delivery's
+/// pop: every counter moved by `count`, and one join at the tail of the
+/// next tick whose `count` depth samples read the depth each pop and
+/// send left unchanged.
+fn flush<M>(net: &mut Net<M>, streak: Option<Streak<M>>) {
+    let Some(Streak {
+        from,
+        to,
+        msg,
+        count,
+    }) = streak
+    else {
+        return;
+    };
+    net.pending -= count;
+    let m = &mut net.metrics;
+    m.events_executed += count;
+    m.delivered += count;
+    m.sends += count;
+    m.message_passes += count;
+    net.join_or_deliver(from, to, msg, count);
+    let at = net.now + 1;
+    debug_assert!(
+        match net.queue.last_at_mut(at) {
+            Some((tick, Queued::One(env))) => tick == at && env.to == to,
+            Some((tick, Queued::FanIn(fan_in))) => tick == at && fan_in.0.to == to,
+            Some((_, Queued::Fan(_))) => false,
+            None => true,
+        },
+        "a streak's replies land at the tail of the tick after their send"
+    );
+}
+
+/// Runs a fan's deliveries in target order, the sender skipped. A live
+/// target whose node names its [reply](Node::reply) to another node is
+/// charged here and its reply joins the open streak when it goes to the
+/// same node and [joins](Node::joins) it; the streak is queued in bulk
+/// ([`flush`]) when the next target cannot join it. Every other target —
+/// crashed, without a pure reply, replying to itself or with a reply that
+/// joins nothing — first flushes the streak and then runs as an envelope
+/// of its own. Each delivery is thus counted, charged and sampled as its
+/// own [`execute`] would be, and the queue ends in the same entries.
+///
+/// Out of line: hop cost never builds a fan, and inlined into the loop
+/// it slowed the hop-cost runs.
+#[inline(never)]
+fn execute_fan<M: Clone, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, fan: &Fan<M>) {
+    let mut streak: Option<Streak<M>> = None;
+    for (i, to) in fan.targets.iter().enumerate() {
+        if let Some(&ahead) = fan.targets.get(i + LOOKAHEAD) {
+            prefetch_node(nodes, net, ahead);
+        }
+        if to == fan.from {
+            continue;
+        }
+        let me = to.index();
+        let reply = if net.crashed[me] {
+            None
+        } else {
+            nodes[me]
+                .reply(to, &fan.msg)
+                .filter(|(dest, msg)| *dest != to && N::joins(msg, msg))
+        };
+        let Some((dest, msg)) = reply else {
+            flush(net, streak.take());
+            execute(nodes, net, fan.copy_to(to));
+            continue;
+        };
+        net.metrics.node_load[me] += 1;
+        match &mut streak {
+            Some(s) if s.to == dest && N::joins(&s.msg, &msg) => s.count += 1,
+            _ => {
+                flush(net, streak.take());
+                streak = Some(Streak {
+                    from: to,
+                    to: dest,
+                    msg,
+                    count: 1,
+                });
+            }
+        }
+    }
+    flush(net, streak);
+}
+
 impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// Executes every delivery due at or before `deadline`, in queue order.
     pub(crate) fn drain(&mut self, deadline: SimTime) {
@@ -153,16 +258,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
                         let (env, count) = &*fan_in;
                         execute_fan_in(nodes, net, env, *count);
                     }
-                    Queued::Fan(fan) => {
-                        for (i, to) in fan.targets.iter().enumerate() {
-                            if let Some(&ahead) = fan.targets.get(i + LOOKAHEAD) {
-                                prefetch_node(nodes, net, ahead);
-                            }
-                            if to != fan.from {
-                                execute(nodes, net, fan.copy_to(to));
-                            }
-                        }
-                    }
+                    Queued::Fan(fan) => execute_fan(nodes, net, &fan),
                 }
             }
         }
