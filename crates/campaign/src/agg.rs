@@ -120,7 +120,7 @@ pub fn load(paths: &[PathBuf]) -> Result<Aggregate, String> {
     for path in paths {
         for report in parse_file(path)? {
             let key = key_of(&report);
-            let canon = serde_json::to_string(&report).expect("reports always serialize");
+            let canon = serde_json::to_string(&report);
             match groups.get_mut(&key) {
                 None => {
                     groups.insert(key, (report, canon, 1, vec![path.display().to_string()]));
@@ -338,7 +338,7 @@ impl Aggregate {
             bench: "mm-campaign".to_string(),
             cases: self.cases(),
         };
-        let json = serde_json::to_string_pretty(&file).expect("cases always serialize");
+        let json = serde_json::to_string_pretty(&file);
         format!("{json}\n")
     }
 

@@ -204,7 +204,7 @@ fn write_manifest(report: &ExecReport, total: usize, out_dir: &Path) -> Result<(
             .collect(),
     };
     let path = out_dir.join("manifest.json");
-    let json = serde_json::to_string_pretty(&manifest).expect("manifest always serializes");
+    let json = serde_json::to_string_pretty(&manifest);
     std::fs::write(&path, format!("{json}\n"))
         .map_err(|e| format!("writing {}: {e}", path.display()))
 }

@@ -355,7 +355,7 @@ mod tests {
         r.counter_add("c", 7);
         r.observe("h", 9);
         let s = r.snapshot_and_reset();
-        let text = serde_json::to_string(&s).unwrap();
+        let text = serde_json::to_string(&s);
         let v = serde_json::from_str(&text).unwrap();
         let back = RegistrySnapshot::from_value(&v).unwrap();
         assert_eq!(back, s);

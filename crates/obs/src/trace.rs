@@ -255,14 +255,14 @@ impl TraceFile {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let header = serde::Value::Map(vec![("header".to_string(), self.header.to_value())]);
-        out.push_str(&serde_json::to_string(&header).expect("infallible"));
+        out.push_str(&serde_json::to_string(&header));
         out.push('\n');
         for s in &self.spans {
-            out.push_str(&serde_json::to_string(s).expect("infallible"));
+            out.push_str(&serde_json::to_string(s));
             out.push('\n');
         }
         let footer = serde::Value::Map(vec![("footer".to_string(), self.footer.to_value())]);
-        out.push_str(&serde_json::to_string(&footer).expect("infallible"));
+        out.push_str(&serde_json::to_string(&footer));
         out.push('\n');
         out
     }

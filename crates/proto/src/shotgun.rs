@@ -60,7 +60,7 @@ impl Outbox for NodeApi<'_, ProtoMsg> {
 
 /// Hands the machine's verdicts to the engine as simulator reports.
 ///
-/// Equal `Miss` answers queued back to back for one client join into a
+/// Equal `Miss` answers a locate's fan makes for one client join into a
 /// fan-in, handled by the same rule as one `Miss` (`NodeMachine::missed`):
 /// a miss sends nothing and reads nothing of its envelope but the payload.
 /// A `Hit` never joins — each carries the node it came from.

@@ -30,25 +30,22 @@
 //! multicast under [`CostModel::Uniform`], it is one *fan*: every remote
 //! copy lands on the next tick (§2.1), so the copies share a single entry
 //! that holds the [`TargetSet`] and the payload once. Or it is the fan's
-//! mirror, a *fan-in*: uniform-cost sends of one payload to one node,
-//! queued back to back for the same tick, share one entry that holds the
-//! payload and a count — when the handler type says, through
-//! [`Node::joins`], that it can take them in bulk (a locate's `Miss`
-//! answers). The loop takes one tick's whole FIFO run off the queue at a
+//! mirror, a *fan-in*: a fan's pure replies (a locate's answers, which
+//! [`Node::reply`] names without a handler call) that go to one node and
+//! that [`Node::joins`] pairs (a locate's `Miss` answers) are counted and
+//! charged at once, and queued as one entry that holds the payload and a
+//! count. The loop takes one tick's whole FIFO run off the queue at a
 //! time, runs each delivery its entries stand for in run order — a fan's
 //! in target order, each counted, charged and dropped exactly as an
 //! envelope of its own would be, a fan-in's all at once through one
 //! [`Node::on_fan_in`] call — and hands the handler a [`NodeApi`] over
 //! that network, so a send is routed, charged and queued while the
 //! handler runs; a send for the same tick queues behind the whole run, as
-//! it would behind the rest of the tick. A fan's pure replies (a locate's
-//! answers, which [`Node::reply`] names without a handler call) run in
-//! bulk: a streak of joining replies to one node is counted and charged
-//! at once and queued as one join. Queue depth is the number of
-//! pending deliveries, not of entries, so every report reads the same as
-//! with one entry per copy. A parallel per-tick scheduler was built,
-//! measured behind this loop at every setting, and deleted (README
-//! "Sharded execution").
+//! it would behind the rest of the tick. The queue is only pushed to and
+//! popped. Queue depth is the number of pending deliveries, not of
+//! entries, so every report reads the same as with one entry per copy. A
+//! parallel per-tick scheduler was built, measured behind this loop at
+//! every setting, and deleted (README "Sharded execution").
 //!
 //! Everything is deterministic: events execute in time order, FIFO within
 //! a timestamp, and the only randomness is whatever the embedded
@@ -161,34 +158,28 @@ pub struct Envelope<M> {
 /// Handlers react to messages through [`NodeApi`]; they never block.
 /// State lives in the implementing struct.
 ///
-/// A node type may also take some deliveries in bulk. Under
-/// [`CostModel::Uniform`], when remote sends of payloads that
-/// [`joins`](Node::joins) pairs are queued back to back for one
-/// destination on one tick, they share one queue entry: the loop counts,
-/// charges or drops all `count` of them at once and makes one
-/// [`on_fan_in`](Node::on_fan_in) call. The contract is exactness: that
-/// call must leave the node, and the host's reports, as `count`
-/// [`on_message`](Node::on_message) calls with that payload would, in the
-/// same order. So only payloads whose handling sends nothing may join —
-/// [`FanInApi`] can report, not send — and the handler must not need
-/// the envelope's `from`, which the joined deliveries do not share.
-///
-/// A node type may also answer a fan's copy without a handler call. When
+/// A node type may also answer a fan's copies, and take the answers, in
+/// bulk: [`joins`](Node::joins) pairs a fan's consecutive replies. When
 /// [`reply`](Node::reply) names the one send a delivery would make, the
-/// loop makes it itself: consecutive targets of one fan whose replies go
-/// to one other node and [`joins`](Node::joins) pairs are counted,
-/// charged and sampled in bulk and queued as one join. The contract is
-/// exactness again: `reply` may answer only where
-/// [`on_message`](Node::on_message) would make exactly that one
-/// point-to-point send and nothing else — no state change, no report, no
-/// other send — and only from the payload and the node's own state, not
-/// from the envelope's `from` or `sent_at` or the clock.
+/// loop makes it itself, and the replies of one uniform-cost fan to one
+/// other node that `joins` pairs, consecutive but for crashed targets, are
+/// counted, charged and sampled at once and arrive as one
+/// [`on_fan_in`](Node::on_fan_in) call. The contract is exactness: `reply`
+/// may answer only where [`on_message`](Node::on_message) would make
+/// exactly that one point-to-point send and nothing else — no state
+/// change, no report, no other send — and only from the payload and the
+/// node's own state, not from the envelope's `from` or `sent_at` or the
+/// clock; and `on_fan_in` must leave the node, and the host's reports, as
+/// `count` `on_message` calls with that payload would, in the same order.
+/// So only payloads whose handling sends nothing may join ([`FanInApi`]
+/// can report, not send), and the handler must not need the envelope's
+/// `from`, which the joined deliveries do not share.
 pub trait Node<M> {
     /// A message arrived at this node.
     fn on_message(&mut self, env: Envelope<M>, api: &mut NodeApi<'_, M>);
 
-    /// May a delivery of `b` join one of `a` queued just before it for the
-    /// same node and tick? Joins nothing by default.
+    /// May a fan's reply `b` join the reply `a` made just before it to the
+    /// same node? Joins nothing by default.
     fn joins(_a: &M, _b: &M) -> bool {
         false
     }
@@ -331,14 +322,11 @@ struct Net<M> {
     queue: EventQueue<Queued<M>>,
     /// Tokens handlers reported and the host has not taken yet.
     reports: Vec<u64>,
-    /// The handler type's [`Node::joins`]: may a uniform-cost send join
-    /// the delivery queued just before it?
-    joins: fn(&M, &M) -> bool,
 }
 
 /// One queue entry: a single delivery, every remote copy of one
-/// uniform-cost multicast, or a fan-in — `count` uniform-cost deliveries
-/// of one payload to one node, queued back to back on one tick.
+/// uniform-cost multicast, or a fan-in — `count` replies of one fan, of
+/// one payload to one node, queued together.
 ///
 /// A fan and a fan-in are boxed so the enum can keep its tag in the
 /// payload's niche: an entry is then no larger than an envelope (64 B for
@@ -436,7 +424,6 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
             pending: 0,
             queue: EventQueue::new(kind),
             reports: Vec::new(),
-            joins: N::joins,
         };
         Sim { nodes, net }
     }
@@ -563,7 +550,6 @@ mod tests {
     use super::*;
     use mm_topo::gen;
     use proptest::prelude::*;
-    use queue::CalendarQueue;
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -1292,17 +1278,17 @@ mod tests {
         };
         assert_eq!(run(ALIAS), run(ShardMode::Single));
     }
-    // ---- fan-in: back-to-back uniform-cost answers share one entry ----
+    // ---- a fan's pure replies: counted in bulk, queued as fan-ins ----
 
     /// Counts the answers it gets (`Note`s, `Tag`s and `Pong`s) and
-    /// reports every third. With `JOIN`, equal answers queued back to back
-    /// for it arrive as one fan-in; without, one by one. With `REPLY`, it
-    /// names its pure answers to a `Probe`, and a fan of probes is answered
-    /// without handler calls; without, every probe runs its handler. Any
-    /// two must be indistinguishable but for the handler calls (`calls`)
-    /// and — between `JOIN` and not — the fan-ins seen.
+    /// reports every third. With `REPLY`, it names its pure answers to a
+    /// `Probe`, and a fan of probes is answered without handler calls, its
+    /// equal answers to one node queued as one fan-in; without, every
+    /// probe runs its handler and every answer is an envelope of its own.
+    /// The two must be indistinguishable but for the handler calls
+    /// (`calls`) and the fan-ins seen.
     #[derive(Default)]
-    struct Tally<const JOIN: bool, const REPLY: bool> {
+    struct Tally<const REPLY: bool> {
         me: u32,
         answers: u64,
         sum: u64,
@@ -1310,7 +1296,7 @@ mod tests {
         fan_ins: Vec<u64>,
     }
 
-    impl<const JOIN: bool, const REPLY: bool> Tally<JOIN, REPLY> {
+    impl<const REPLY: bool> Tally<REPLY> {
         /// Takes one answer; the token to report when it is a third.
         fn take(&mut self, msg: &Msg) -> Option<u64> {
             let x = match msg {
@@ -1325,9 +1311,7 @@ mod tests {
                 .is_multiple_of(3)
                 .then_some(u64::from(self.me) << 40 | self.answers << 8 | x)
         }
-    }
 
-    impl<const JOIN: bool, const REPLY: bool> Tally<JOIN, REPLY> {
         /// How node `me` answers `Probe(a, b)`: nodes 7 mod 8 have no pure
         /// answer (they also report); nodes 5 mod 8 answer `a` a `Pong`,
         /// which joins nothing; the rest answer tags in runs of four like
@@ -1346,7 +1330,7 @@ mod tests {
         }
     }
 
-    impl<const JOIN: bool, const REPLY: bool> Node<Msg> for Tally<JOIN, REPLY> {
+    impl<const REPLY: bool> Node<Msg> for Tally<REPLY> {
         fn on_message(&mut self, env: Envelope<Msg>, api: &mut NodeApi<'_, Msg>) {
             self.calls += 1;
             match env.msg {
@@ -1360,7 +1344,8 @@ mod tests {
                         api.send(a, Msg::Tag((self.me / 4 % 3) as u8));
                     }
                 },
-                // answered in runs of equal tags: responders 4k..4k+3 agree
+                // answered in runs of equal tags, by handlers: responders
+                // 4k..4k+3 agree, but no handler's send joins another
                 Msg::Ping => api.send(env.from, Msg::Tag((self.me / 4 % 3) as u8)),
                 Msg::Chain(k) if k > 0 => api.send(api.me(), Msg::Chain(k - 1)),
                 ref answer => {
@@ -1372,7 +1357,7 @@ mod tests {
         }
 
         fn joins(a: &Msg, b: &Msg) -> bool {
-            JOIN && matches!(a, Msg::Note | Msg::Tag(_)) && a == b
+            matches!(a, Msg::Note | Msg::Tag(_)) && a == b
         }
 
         fn reply(&self, me: NodeId, msg: &Msg) -> Option<(NodeId, Msg)> {
@@ -1393,11 +1378,7 @@ mod tests {
         }
     }
 
-    fn tally_sim<const JOIN: bool, const REPLY: bool>(
-        n: usize,
-        cost: CostModel,
-        kind: QueueKind,
-    ) -> Sim<Msg, Tally<JOIN, REPLY>> {
+    fn tally_sim<const REPLY: bool>(n: usize, kind: QueueKind) -> Sim<Msg, Tally<REPLY>> {
         let nodes = (0..n as u32)
             .map(|me| Tally {
                 me,
@@ -1407,7 +1388,7 @@ mod tests {
         Sim::with_router(
             gen::complete(n),
             nodes,
-            cost,
+            CostModel::Uniform,
             kind,
             ShardMode::Single,
             RouterKind::Auto,
@@ -1415,8 +1396,9 @@ mod tests {
     }
 
     /// Everything a host or a test can observe of a tally run but the
-    /// handler calls: the reports in order, metrics (per-node load
-    /// included), the depth histogram, the clock and every node's count.
+    /// handler calls and the fan-ins: the reports in order, metrics
+    /// (per-node load included), the depth histogram, the clock and every
+    /// node's count.
     #[derive(Debug, PartialEq)]
     struct Observed {
         reports: Vec<u64>,
@@ -1426,144 +1408,87 @@ mod tests {
         counts: Vec<(u64, u64)>,
     }
 
-    fn observe<const JOIN: bool, const REPLY: bool>(
-        sim: &mut Sim<Msg, Tally<JOIN, REPLY>>,
-        reports: Vec<u64>,
-    ) -> Observed {
-        let n = sim.graph().node_count() as u32;
+    fn observe<const REPLY: bool>(sim: &Sim<Msg, Tally<REPLY>>, reports: Vec<u64>) -> Observed {
         Observed {
             reports,
             metrics: sim.metrics().clone(),
             buckets: *sim.queue_depth_buckets(),
             now: sim.now(),
-            counts: (0..n)
-                .map(|v| (sim.node(nid(v)).answers, sim.node(nid(v)).sum))
-                .collect(),
+            counts: sim.nodes.iter().map(|t| (t.answers, t.sum)).collect(),
         }
     }
 
-    fn calls<const JOIN: bool, const REPLY: bool>(sim: &Sim<Msg, Tally<JOIN, REPLY>>) -> u64 {
-        let n = sim.graph().node_count() as u32;
-        (0..n).map(|v| sim.node(nid(v)).calls).sum()
+    fn calls<const REPLY: bool>(sim: &Sim<Msg, Tally<REPLY>>) -> u64 {
+        sim.nodes.iter().map(|t| t.calls).sum()
     }
 
-    /// A script whose answers come back in runs: two locates-alike (an
-    /// `Ask` of eleven nodes, answered in runs of equal tags), direct
-    /// pings from one node, and a spread whose notes land one per node.
-    fn fan_in_script<const JOIN: bool>(
-        sim: &mut Sim<Msg, Tally<JOIN, false>>,
-    ) -> (Vec<u64>, usize) {
-        sim.inject(nid(0), nid(0), Msg::Ask((1..12).map(nid).collect()));
-        sim.inject(nid(5), nid(5), Msg::Ask((0..12).map(nid).collect()));
-        for v in [4, 5, 6, 7, 9] {
-            sim.inject(nid(3), nid(v), Msg::Ping);
-        }
-        sim.run_until(1); // the pings ran: every answer to an ask waits on tick 2
+    /// The handler calls a fan-in saves: one per delivery but the first.
+    fn joined<const REPLY: bool>(sim: &Sim<Msg, Tally<REPLY>>) -> u64 {
+        sim.nodes
+            .iter()
+            .flat_map(|t| &t.fan_ins)
+            .map(|k| k - 1)
+            .sum()
+    }
+
+    /// Two locates-alike on `complete(12)`, each a survey of eleven nodes
+    /// answered to its sender, run to the tick their answers wait on.
+    /// Returns the reports and the queue entries then held.
+    fn fan_in_script<const REPLY: bool>(sim: &mut Sim<Msg, Tally<REPLY>>) -> (Vec<u64>, usize) {
+        sim.inject(
+            nid(0),
+            nid(0),
+            Msg::Survey((1..12).map(nid).collect(), nid(0), nid(0)),
+        );
+        sim.inject(
+            nid(5),
+            nid(5),
+            Msg::Survey((0..12).map(nid).collect(), nid(5), nid(5)),
+        );
+        sim.run_until(1); // every answer waits on tick 2
         let entries = sim.net.queue.len();
-        let mut reports: Vec<u64> = sim.reports().collect();
-        sim.inject(nid(2), nid(2), Msg::Spread(vec![nid(0), nid(3), nid(5)]));
         sim.run();
-        reports.extend(sim.reports());
-        (reports, entries)
+        (sim.reports().collect(), entries)
     }
 
+    /// A fan-in runs as the deliveries it stands for: the same
+    /// observables, in fewer entries and handler calls.
     #[test]
     fn fan_in_matches_one_by_one() {
         for kind in [QueueKind::Calendar, QueueKind::BTree] {
-            let mut joined = tally_sim::<true, false>(12, CostModel::Uniform, kind);
-            let mut plain = tally_sim::<false, false>(12, CostModel::Uniform, kind);
-            let (joined_reports, joined_entries) = fan_in_script(&mut joined);
+            let mut bulk = tally_sim::<true>(12, kind);
+            let mut plain = tally_sim::<false>(12, kind);
+            let (bulk_reports, bulk_entries) = fan_in_script(&mut bulk);
             let (plain_reports, plain_entries) = fan_in_script(&mut plain);
             assert_eq!(
-                observe(&mut joined, joined_reports),
-                observe(&mut plain, plain_reports),
+                observe(&bulk, bulk_reports),
+                observe(&plain, plain_reports),
                 "{kind:?}"
             );
-            // node 0 hears from 1..=11 in tag runs 1-3 | 4-7 | 8-11, node 5
-            // from 0-3 | 4, 6, 7 | 8-11, node 3 from 4-7 and then 9 alone
-            assert_eq!(joined.node(nid(0)).fan_ins, [3, 4, 4], "{kind:?}");
-            assert_eq!(joined.node(nid(5)).fan_ins, [4, 3, 4], "{kind:?}");
-            assert_eq!(joined.node(nid(3)).fan_ins, [4], "{kind:?}");
+            // node 0 hears from 1-3 | 4 | 5's pong | 6 | 7's handler |
+            // 8-11, node 5 (itself not surveyed) from 0-3 | 4, 6 | 7 | 8-11
+            assert_eq!(bulk.node(nid(0)).fan_ins, [3, 4], "{kind:?}");
+            assert_eq!(bulk.node(nid(5)).fan_ins, [4, 2, 4], "{kind:?}");
             assert!(plain.nodes.iter().all(|t| t.fan_ins.is_empty()));
-            // the same pending deliveries in fewer entries (the asks'
-            // answers: 11 in 3 entries each), run by fewer calls
-            assert_eq!(plain_entries - joined_entries, 8 + 8, "{kind:?}");
-            assert_eq!(calls(&plain) - calls(&joined), 8 + 8 + 3, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn a_fan_in_never_spans_what_a_push_would_not() {
-        /// Runs `script` on a joining sim over `complete(16)` (responders
-        /// 1-3 answer `Tag(0)`, 4-7 `Tag(1)`) and returns the fan-ins each
-        /// node saw.
-        fn fan_ins(
-            cost: CostModel,
-            script: impl Fn(&mut Sim<Msg, Tally<true, false>>),
-        ) -> Vec<Vec<u64>> {
-            let mut sim = tally_sim::<true, false>(16, cost, QueueKind::Calendar);
-            script(&mut sim);
-            sim.run();
-            sim.nodes.iter().map(|t| t.fan_ins.clone()).collect()
-        }
-        let none = vec![Vec::new(); 16];
-        // local answers: node 0 pings itself twice, and the two equal
-        // answers queue back to back on the current tick
-        assert_eq!(
-            fan_ins(CostModel::Uniform, |sim| {
-                sim.inject(nid(0), nid(0), Msg::Ping);
-                sim.inject(nid(0), nid(0), Msg::Ping);
-            }),
-            none,
-            "a local send never joins"
-        );
-        // equal answers split by a fan to the same node: pings to 1 and 2,
-        // then a spread from 1 that includes 0, then a ping to 3 (1-3 all
-        // answer Tag(0))
-        let split = fan_ins(CostModel::Uniform, |sim| {
-            sim.inject(nid(0), nid(1), Msg::Ping);
-            sim.inject(nid(0), nid(2), Msg::Ping);
-            sim.inject(nid(1), nid(1), Msg::Spread(vec![nid(0)]));
-            sim.inject(nid(0), nid(3), Msg::Ping);
-        });
-        assert_eq!(
-            split[0],
-            [2],
-            "1 and 2 join; the spread's note sits before 3"
-        );
-        // equal answers split by one to another destination
-        let split = fan_ins(CostModel::Uniform, |sim| {
-            sim.inject(nid(0), nid(1), Msg::Ping);
-            sim.inject(nid(4), nid(2), Msg::Ping);
-            sim.inject(nid(0), nid(3), Msg::Ping);
-        });
-        assert_eq!(split, none, "another destination between them");
-        // equal answers due on different ticks
-        let ticks = fan_ins(CostModel::Uniform, |sim| {
-            sim.inject(nid(0), nid(1), Msg::Ping);
-            sim.run_until(sim.now() + 1);
-            sim.inject(nid(0), nid(2), Msg::Ping);
-        });
-        assert_eq!(ticks, none, "answers on ticks 1 and 2");
-        // hop cost never joins, not even at distance 1 on a complete graph
-        let hops = fan_ins(CostModel::Hops, |sim| {
-            sim.inject(nid(0), nid(0), Msg::Ask((1..16).map(nid).collect()));
-        });
-        assert_eq!(hops, none, "hop cost pushes every answer");
-        // the queue edits a tail only in its unit slots: a tick in a
-        // coarse bucket or the far map hands none out, though it holds one
-        let mut q = CalendarQueue::default();
-        for at in [1, 5_000, 1 << 40] {
-            q.push(at, at);
-            let tail = q.last_at_mut(at).map(|(t, &mut ev)| (t, ev));
-            assert_eq!(tail, (at == 1).then_some((1, 1)), "tick {at}");
+            // 22 answers in 6 + 4 entries, and the skipped handlers: all
+            // targets but 5 and 7 in the first survey, but 7 in the second
+            assert_eq!(plain_entries - bulk_entries, 22 - 10, "{kind:?}");
+            assert_eq!(
+                calls(&plain) - calls(&bulk),
+                9 + 10 + joined(&bulk),
+                "{kind:?}"
+            );
         }
     }
 
     #[test]
     fn a_crashed_destination_drops_the_whole_fan_in() {
-        let mut sim = tally_sim::<true, false>(8, CostModel::Uniform, QueueKind::Calendar);
-        sim.inject(nid(0), nid(0), Msg::Ask((1..4).map(nid).collect()));
+        let mut sim = tally_sim::<true>(8, QueueKind::Calendar);
+        sim.inject(
+            nid(0),
+            nid(0),
+            Msg::Survey((1..4).map(nid).collect(), nid(0), nid(0)),
+        );
         sim.run_until(1); // three equal answers wait on tick 2 as one entry
         assert_eq!(sim.net.queue.len(), 1);
         let before = sim.metrics().clone();
@@ -1573,7 +1498,7 @@ mod tests {
         assert_eq!(m.dropped, before.dropped + 3);
         assert_eq!(m.events_executed, before.events_executed + 3);
         assert_eq!((m.delivered, m.node_load[0]), (before.delivered, 1));
-        assert_eq!(sim.node(nid(0)).calls, 1, "only the ask ran");
+        assert_eq!(sim.node(nid(0)).calls, 1, "only the survey ran");
         assert_eq!(sim.net.pending, 0);
     }
 
@@ -1581,17 +1506,20 @@ mod tests {
     /// back in runs of equal and unequal tags: asks, surveys (their
     /// sender a target or not, answered to one node or two), spreads,
     /// direct pings, same-tick chains, and crashes and restores between
-    /// phased `run_until`s. Returns the reports in order.
-    fn answer_traffic<const JOIN: bool, const REPLY: bool>(
-        sim: &mut Sim<Msg, Tally<JOIN, REPLY>>,
+    /// phased `run_until`s; with `surveys_only`, surveys and crashes
+    /// alone. Returns the reports in order.
+    fn answer_traffic<const REPLY: bool>(
+        sim: &mut Sim<Msg, Tally<REPLY>>,
         n: usize,
         mut s: u64,
+        surveys_only: bool,
     ) -> Vec<u64> {
         let node = |s: &mut u64| nid((mix(s) % n as u64) as u32);
         let mut reports = Vec::new();
         for phase in 0..6 {
             for _ in 0..8 {
-                match mix(&mut s) % 7 {
+                let kind = mix(&mut s) % 7;
+                match if surveys_only && kind < 5 { 1 } else { kind } {
                     0 => {
                         let from = node(&mut s);
                         let targets = (0..mix(&mut s) % 12).map(|_| node(&mut s)).collect();
@@ -1638,34 +1566,30 @@ mod tests {
         reports
     }
 
+    /// Runs `answer_traffic` on a node type that names its replies and on
+    /// its twin that does not, on both queues: they must agree on every
+    /// observable, the bulk side in no more handler calls.
+    fn bulk_matches_plain(seed: u64, n: usize, surveys_only: bool) {
+        for kind in [QueueKind::Calendar, QueueKind::BTree] {
+            let mut bulk = tally_sim::<true>(n, kind);
+            let mut plain = tally_sim::<false>(n, kind);
+            let bulk_reports = answer_traffic(&mut bulk, n, seed, surveys_only);
+            let plain_reports = answer_traffic(&mut plain, n, seed, surveys_only);
+            assert!(calls(&bulk) <= calls(&plain));
+            assert_eq!(observe(&bulk, bulk_reports), observe(&plain, plain_reports));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Joined and one-by-one runs of the same random script agree on
-        /// every observable, on both queues.
+        /// Surveys among frequent crashes and restores, on few nodes: the
+        /// fan-ins they make, crashed targets inside their streaks and
+        /// crashed destinations included, run as their deliveries would.
         #[test]
         fn fan_ins_run_as_their_deliveries_would(seed in any::<u64>(), n in 1usize..24) {
-            for kind in [QueueKind::Calendar, QueueKind::BTree] {
-                let mut joined = tally_sim::<true, false>(n, CostModel::Uniform, kind);
-                let mut plain = tally_sim::<false, false>(n, CostModel::Uniform, kind);
-                let joined_reports = answer_traffic(&mut joined, n, seed);
-                let plain_reports = answer_traffic(&mut plain, n, seed);
-                prop_assert!(calls(&joined) <= calls(&plain));
-                prop_assert_eq!(observe(&mut joined, joined_reports), observe(&mut plain, plain_reports));
-            }
+            bulk_matches_plain(seed, n, true);
         }
-    }
-    // ---- a fan's pure replies: counted in bulk, joined as they are made ----
-
-    /// Everything `observe` sees, and the fan-ins each node took: a fan
-    /// answered in bulk must leave the queue in the entries its handlers
-    /// would have, so the fan-ins match as well.
-    fn observe_with_fan_ins<const REPLY: bool>(
-        sim: &mut Sim<Msg, Tally<true, REPLY>>,
-        reports: Vec<u64>,
-    ) -> (Observed, Vec<Vec<u64>>) {
-        let fan_ins = sim.nodes.iter().map(|t| t.fan_ins.clone()).collect();
-        (observe(sim, reports), fan_ins)
     }
 
     /// One survey on `complete(32)` through every case the bulk path
@@ -1675,16 +1599,16 @@ mod tests {
     /// 1-5, 9-17 and 20, itself among them, for 0 (nodes 0-11) and 20
     /// (nodes 12-23), after node 0 pinged node 1; node 10 is down. On
     /// tick 1, in target order:
-    /// - 1 and 3 answer `Tag(0)` to 0 and join the ping's answer, queued
-    ///   for tick 2 just before the fan ran;
+    /// - 1 and 3 answer `Tag(0)` to 0, as one fan-in queued behind the
+    ///   ping's answer, which 1's handler sent just before the fan ran;
     /// - 4's `Tag(1)` is a streak, 5's `Pong` joins nothing, so it runs
     ///   its handler between two streaks to 0;
-    /// - 9 and 11 answer `Tag(2)` around the crashed 10;
+    /// - 9 and 11 answer `Tag(2)` as one fan-in across the crashed 10;
     /// - 12 and 14 answer `Tag(0)` to 20, around 13's `Pong` to 0;
     /// - 15 has no pure answer: it reports and answers 0 itself;
     /// - 16 and 17 answer `Tag(1)` to 20;
     /// - 20 answers itself, locally.
-    fn survey_script<const REPLY: bool>(sim: &mut Sim<Msg, Tally<true, REPLY>>) -> Vec<u64> {
+    fn survey_script<const REPLY: bool>(sim: &mut Sim<Msg, Tally<REPLY>>) -> Vec<u64> {
         let targets = [1, 2, 3, 4, 5, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20];
         sim.inject(nid(0), nid(0), Msg::Ask(vec![nid(1)]));
         sim.inject(
@@ -1711,25 +1635,25 @@ mod tests {
     #[test]
     fn a_fans_replies_run_as_their_handlers_would() {
         for kind in [QueueKind::Calendar, QueueKind::BTree] {
-            let mut bulk = tally_sim::<true, true>(32, CostModel::Uniform, kind);
-            let mut plain = tally_sim::<true, false>(32, CostModel::Uniform, kind);
+            let mut bulk = tally_sim::<true>(32, kind);
+            let mut plain = tally_sim::<false>(32, kind);
             let bulk_reports = survey_script(&mut bulk);
             let plain_reports = survey_script(&mut plain);
-            let (bulk_seen, plain_seen) = (
-                observe_with_fan_ins(&mut bulk, bulk_reports),
-                observe_with_fan_ins(&mut plain, plain_reports),
-            );
-            assert_eq!(bulk_seen, plain_seen, "{kind:?}");
-            // the first survey's answers on tick 2: to 0, the ping's and
-            // 1's and 3's as one entry, then 9's and 11's; to 20, 16's and
-            // 17's
-            assert_eq!(bulk.node(nid(0)).fan_ins[..2], [3, 2], "{kind:?}");
+            let bulk_seen = observe(&bulk, bulk_reports);
+            assert_eq!(bulk_seen, observe(&plain, plain_reports), "{kind:?}");
+            // the first survey's fan-ins on tick 2: to 0, 1's and 3's, then
+            // 9's and 11's; to 20, 16's and 17's
+            assert_eq!(bulk.node(nid(0)).fan_ins[..2], [2, 2], "{kind:?}");
             assert_eq!(bulk.node(nid(20)).fan_ins[0], 2, "{kind:?}");
             // every live remote target but those answering a `Pong`
             // (5 mod 8), without a pure answer (7 mod 8) or to itself
             // (20, once) skips its handler: 13 − 4, 30 − 7 and 31 − 8
-            assert_eq!(calls(&plain) - calls(&bulk), 9 + 23 + 23, "{kind:?}");
-            let (m, buckets) = (&bulk_seen.0.metrics, &bulk_seen.0.buckets);
+            assert_eq!(
+                calls(&plain) - calls(&bulk),
+                9 + 23 + 23 + joined(&bulk),
+                "{kind:?}"
+            );
+            let (m, buckets) = (&bulk_seen.metrics, &bulk_seen.buckets);
             assert_eq!(
                 m.dropped, 2,
                 "{kind:?}: two surveys' copies to the crashed 10"
@@ -1738,12 +1662,45 @@ mod tests {
         }
     }
 
+    /// A streak stays open across crashed targets, so each streak of a
+    /// fan is one queue entry, and the run observes what one handler call
+    /// per target would. Node 0 surveys 1-3 and 8-13 for itself, with 2,
+    /// 9, 10 and 13 down: 1 and 3 answer `Tag(0)` across 2; 8 and 11
+    /// `Tag(2)` across 9 and 10; 12 `Tag(0)`, ahead of the trailing 13.
+    #[test]
+    fn a_streak_spans_crashed_targets_as_one_entry() {
+        fn run<const REPLY: bool>(kind: QueueKind) -> (Sim<Msg, Tally<REPLY>>, usize, Observed) {
+            let mut sim = tally_sim::<REPLY>(16, kind);
+            let targets = [1, 2, 3, 8, 9, 10, 11, 12, 13].map(nid).to_vec();
+            sim.inject(nid(0), nid(0), Msg::Survey(targets, nid(0), nid(0)));
+            sim.run_until(0);
+            for v in [2, 9, 10, 13] {
+                sim.crash(nid(v));
+            }
+            sim.run_until(1);
+            let entries = sim.net.queue.len();
+            sim.run();
+            let reports = sim.reports().collect();
+            let seen = observe(&sim, reports);
+            (sim, entries, seen)
+        }
+        for kind in [QueueKind::Calendar, QueueKind::BTree] {
+            let (bulk, bulk_entries, bulk_seen) = run::<true>(kind);
+            let (_, plain_entries, plain_seen) = run::<false>(kind);
+            assert_eq!(bulk_seen, plain_seen, "{kind:?}");
+            assert_eq!((bulk_entries, plain_entries), (3, 5), "{kind:?}");
+            assert_eq!(bulk.node(nid(0)).fan_ins, [2, 2], "{kind:?}");
+            assert_eq!(bulk_seen.metrics.dropped, 4, "{kind:?}");
+        }
+    }
+
     /// The depth a streak samples is the one its deliveries leave
     /// unchanged — each pops one pending delivery and queues one — and a
-    /// crashed target between two streaks lowers it for the second only.
+    /// crashed target inside a streak lowers it for the replies after it
+    /// only.
     #[test]
     fn a_streak_samples_the_depth_its_pops_and_sends_leave() {
-        let mut sim = tally_sim::<true, true>(16, CostModel::Uniform, QueueKind::Calendar);
+        let mut sim = tally_sim::<true>(16, QueueKind::Calendar);
         // four remote targets, each answering `Tag(0)` to 0; 2 is down
         let targets = [1, 2, 3, 12].map(nid).to_vec();
         sim.inject(nid(0), nid(0), Msg::Survey(targets, nid(0), nid(0)));
@@ -1757,7 +1714,7 @@ mod tests {
         assert_eq!(added, [0, 0, 2, 1, 0]);
         assert_eq!(sim.node(nid(0)).answers, 0, "the answers wait on tick 2");
         sim.run();
-        assert_eq!(sim.node(nid(0)).fan_ins, [3], "one streak joins the next");
+        assert_eq!(sim.node(nid(0)).fan_ins, [3], "one streak across 2");
     }
 
     proptest! {
@@ -1765,20 +1722,10 @@ mod tests {
 
         /// Random surveys, asks, pings, chains, crashes and restores: a
         /// node type that names its replies and its twin that does not
-        /// agree on every observable and on the fan-ins, on both queues.
+        /// agree on every observable, on both queues.
         #[test]
         fn replies_run_as_their_handlers_would(seed in any::<u64>(), n in 1usize..40) {
-            for kind in [QueueKind::Calendar, QueueKind::BTree] {
-                let mut bulk = tally_sim::<true, true>(n, CostModel::Uniform, kind);
-                let mut plain = tally_sim::<true, false>(n, CostModel::Uniform, kind);
-                let bulk_reports = answer_traffic(&mut bulk, n, seed);
-                let plain_reports = answer_traffic(&mut plain, n, seed);
-                prop_assert!(calls(&bulk) <= calls(&plain));
-                prop_assert_eq!(
-                    observe_with_fan_ins(&mut bulk, bulk_reports),
-                    observe_with_fan_ins(&mut plain, plain_reports)
-                );
-            }
+            bulk_matches_plain(seed, n, false);
         }
     }
 }

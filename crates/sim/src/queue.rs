@@ -31,12 +31,10 @@
 //! hands over every event of the earliest due tick, in push order, and
 //! leaves that tick's slot empty. A push at the same tick while the run is
 //! out starts the tick's next run, which is where a per-event pop would
-//! have put it too — behind everything the taken run still holds. The
-//! one other access is `last_at_mut`, the tail of a tick's run — exactly
-//! where a push at that tick would land behind — which `Sim` may edit in
-//! place instead of pushing (a uniform-cost answer joining a fan-in). The
-//! per-event `pop_next_until` / `pop_next` stay on the two queues as the
-//! oracle's view and for callers that want one event at a time. An event
+//! have put it too — behind everything the taken run still holds. No
+//! queued event is read or edited in place. The per-event
+//! `pop_next_until` / `pop_next` stay on the two queues as the oracle's
+//! view and for callers that want one event at a time. An event
 //! here is one queue entry, which for `Sim` may stand for many deliveries
 //! (a uniform-cost multicast's fan, or a fan-in), so the queue does not
 //! know the simulator's queue depth and does not report one: `Sim` counts
@@ -482,20 +480,6 @@ impl<T> CalendarQueue<T> {
         Some(t)
     }
 
-    /// The last event queued for tick `at` — where a push at `at` would
-    /// land behind — with the tick its slot holds, if `at` is in the unit
-    /// slots. `None` for an empty run and for a tick still in a coarse
-    /// bucket or the far map (whose events are never edited in place).
-    pub(crate) fn last_at_mut(&mut self, at: SimTime) -> Option<(SimTime, &mut T)> {
-        if at < self.cursor || at >> self.block_bits >= self.next_block {
-            return None;
-        }
-        // the one tick of the window `[cursor, cursor + span)` in `at`'s slot
-        let slot = at & self.mask;
-        let tick = self.cursor + (slot.wrapping_sub(self.cursor) & self.mask);
-        self.ring[slot as usize].back_mut().map(|ev| (tick, ev))
-    }
-
     /// Pops the earliest event if its time is `<= deadline`.
     ///
     /// Returns `None` when the queue is empty or the next event lies
@@ -568,12 +552,6 @@ impl<T> BTreeQueue<T> {
         self.seq += 1;
     }
 
-    /// The last event queued for tick `at`, with its tick.
-    pub(crate) fn last_at_mut(&mut self, at: SimTime) -> Option<(SimTime, &mut T)> {
-        let (&(t, _), ev) = self.map.range_mut((at, 0)..=(at, u64::MAX)).next_back()?;
-        Some((t, ev))
-    }
-
     /// Pops the earliest event if its time is `<= deadline`.
     pub fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
         let first = self.map.first_entry()?;
@@ -642,15 +620,6 @@ impl<T> EventQueue<T> {
         match self {
             EventQueue::Calendar(q) => q.len(),
             EventQueue::BTree(q) => q.len(),
-        }
-    }
-
-    /// The tail of tick `at`'s run and the tick it sits at, if the queue
-    /// can edit it in place: the calendar only in its unit slots.
-    pub(crate) fn last_at_mut(&mut self, at: SimTime) -> Option<(SimTime, &mut T)> {
-        match self {
-            EventQueue::Calendar(q) => q.last_at_mut(at),
-            EventQueue::BTree(q) => q.last_at_mut(at),
         }
     }
 }
@@ -1221,13 +1190,6 @@ mod tests {
                     }
                 }
             }
-            // the tail a push would land behind: the oracle's, wherever
-            // the calendar hands one out, and everywhere in the unit slots
-            let probe = cal.cursor + x % 16;
-            let in_slots = probe >> cal.block_bits < cal.next_block;
-            let tail = cal.last_at_mut(probe).map(|(t, &mut ev)| (t, ev));
-            let want = oracle.last_at_mut(probe).map(|(t, &mut ev)| (t, ev));
-            prop_assert_eq!(tail, want.filter(|_| in_slots), "tail of {}", probe);
         }
         // full drain must agree event by event
         let mut sends = 0;

@@ -4,10 +4,9 @@
 //! `Net::route_multicast` while the handler runs; they charge the send to
 //! the network's `Metrics` and queue each copy that survives — one at a
 //! time through `Net::deliver`, or, for a uniform-cost multicast, all
-//! remote copies at once as one fan entry; a uniform-cost point-to-point
-//! send, or a streak of a fan's replies that the loop makes in bulk, may
-//! instead join the entry at the tail of its tick as a fan-in
-//! (`join_or_deliver`).
+//! remote copies at once as one fan entry. Every send is a push: the only
+//! fan-ins are the streaks of a fan's replies, which the loop assembles
+//! whole before it queues them (`single.rs`).
 //! Under `CostModel::Uniform` there is no router:
 //! every remote destination is one pass and one tick away, and nothing is
 //! truncated.
@@ -40,12 +39,15 @@ impl<M> Net<M> {
         }
     }
 
-    /// Counts `count` more pending deliveries, every one sampled at the
-    /// depth they bring the queue to together.
-    fn sampled(&mut self, count: u64) {
-        self.pending += count;
+    /// Samples `count` deliveries at the current depth without counting
+    /// them: replies the loop made in bulk, each sent right after its own
+    /// delivery's pop, so each left the depth where it found it.
+    pub(crate) fn sampled(&mut self, count: u64) {
         let depth = self.pending;
-        self.metrics.peak_queue_depth = self.metrics.peak_queue_depth.max(depth);
+        debug_assert!(
+            depth <= self.metrics.peak_queue_depth,
+            "a depth reached before"
+        );
         self.depth_buckets[(64 - depth.leading_zeros()) as usize] += count;
     }
 
@@ -92,7 +94,7 @@ impl<M> Net<M> {
         if self.routing.is_none() {
             // uniform cost: one pass, one tick, and no crash on the way
             self.metrics.message_passes += 1;
-            self.join_or_deliver(from, to, msg, 1);
+            self.deliver(from, to, 1, msg);
             return;
         }
         let Some(dist) = self.distance(from, to) else {
@@ -106,64 +108,6 @@ impl<M> Net<M> {
         } else {
             self.deliver(from, to, travelled, msg);
         }
-    }
-
-    /// Queues `count` uniform-cost remote sends of `msg` from `from` to
-    /// `to` for the next tick, as `count` back-to-back sends of payloads
-    /// the handler type [joins](crate::Node::joins) would queue them. They
-    /// join the tail of that tick's run — exactly where a push would land
-    /// — if the tail is a delivery or fan-in to the same node, sent this
-    /// tick, of a payload that joins `msg`; otherwise they are pushed, one
-    /// envelope or, for `count > 1`, one fan-in. Either way they are
-    /// `count` more pending deliveries, each sampled at the depth they
-    /// bring the queue to together: for one send that is the depth it
-    /// brings the queue to; for a streak of a fan's replies, whose
-    /// deliveries the caller has taken off the count, it is the depth
-    /// each pop followed by its send left unchanged.
-    ///
-    /// Kept out of line so that `route`'s hop-cost path stays as small as
-    /// it was before the join existed.
-    #[inline(never)]
-    pub(crate) fn join_or_deliver(&mut self, from: NodeId, to: NodeId, msg: M, count: u64) {
-        let (now, joins) = (self.now, self.joins);
-        let at = now + 1;
-        if let Some((tick, tail)) = self.queue.last_at_mut(at) {
-            debug_assert_eq!(tick, at, "a joined tail is due on the tick after its send");
-            let same =
-                |env: &Envelope<M>| env.to == to && env.sent_at == now && joins(&env.msg, &msg);
-            match tail {
-                Queued::FanIn(fan_in) if same(&fan_in.0) => {
-                    fan_in.1 += count;
-                    self.sampled(count);
-                    return;
-                }
-                Queued::One(env) if same(env) => {
-                    let first = Envelope {
-                        from: env.from,
-                        to,
-                        sent_at: now,
-                        msg,
-                    };
-                    *tail = Queued::FanIn(Box::new((first, 1 + count)));
-                    self.sampled(count);
-                    return;
-                }
-                _ => {}
-            }
-        }
-        let env = Envelope {
-            from,
-            to,
-            sent_at: now,
-            msg,
-        };
-        let entry = if count == 1 {
-            Queued::One(env)
-        } else {
-            Queued::FanIn(Box::new((env, count)))
-        };
-        self.queue.push(at, entry);
-        self.sampled(count);
     }
 
     /// Multicast with shared-prefix (spanning/Steiner tree) accounting:

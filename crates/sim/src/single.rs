@@ -15,21 +15,22 @@
 //! back in target order. That is the order one envelope per copy would
 //! pop in: the copies were queued together, so on their tick nothing sits
 //! between them, and whatever their handlers queue for the same tick goes
-//! behind the last of them. A fan-in (uniform-cost deliveries of one
-//! payload to one node, joined as they were queued back to back) is
-//! `count` deliveries run at once: one crash check, every counter moved
-//! by `count`, and one [`Node::on_fan_in`] call. That handler can only
+//! behind the last of them. A fan-in (a streak of a fan's replies: one
+//! payload to one node, assembled whole before it was queued) is `count`
+//! deliveries run at once: one crash check, every counter moved by
+//! `count`, and one [`Node::on_fan_in`] call. That handler can only
 //! report, so nothing it does lands between the deliveries it stands for.
 //!
 //! A fan's pure replies run in bulk ([`execute_fan`]). A target whose
 //! node names the one send its delivery would make ([`Node::reply`]) is
-//! charged without a handler call, and consecutive targets whose replies
-//! go to one other node and join form a *streak*: counted once, sampled
-//! once per reply at the depth that a pop followed by a send leaves
-//! unchanged, and queued as one join at the next tick's tail. A locate's
-//! `Miss` answers are such a streak. Everything else in the fan runs as
-//! before, after the open streak is flushed, so the queue holds the same
-//! entries in the same order as one handler call per target leaves.
+//! charged without a handler call, and targets whose replies go to one
+//! other node and join form a *streak*, with only crashed targets between
+//! them: counted once, sampled once per reply at the depth that a pop
+//! followed by a send leaves unchanged, and pushed as one entry. A
+//! locate's `Miss` answers are such a streak. Every other live target
+//! runs as an envelope of its own, after the open streak is pushed, so
+//! the queue receives the same deliveries in the same order as one
+//! handler call per target would send them.
 //!
 //! A protocol event's cost is mostly its first touch of per-node state:
 //! a locate visits `2·√n` distinct nodes once each, so at large `n` the
@@ -141,58 +142,67 @@ fn execute_fan_in<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: &Envelo
     nodes[me].on_fan_in(&env.msg, count, &mut api);
 }
 
-/// The open streak of a fan: `count` consecutive targets, the first
-/// `from`, whose replies go to `to` and join `msg`.
+/// The open streak of a fan: `count` targets, the first `from`, whose
+/// replies go to `to` and join `msg`; only crashed targets, which send
+/// nothing, lie between them.
 struct Streak<M> {
     from: NodeId,
     to: NodeId,
     msg: M,
     count: u64,
+    /// Replies not yet depth-sampled: those since the streak opened or
+    /// since its last crashed target.
+    unsampled: u64,
 }
 
 /// Runs a streak's deliveries and queues their replies as `count`
 /// handler calls would have, each send right after its own delivery's
-/// pop: every counter moved by `count`, and one join at the tail of the
-/// next tick whose `count` depth samples read the depth each pop and
-/// send left unchanged.
+/// pop: every counter moved by `count`, the unsampled replies sampled at
+/// the depth each pop and send left unchanged, and one entry pushed for
+/// the next tick — an envelope for one reply, a fan-in for more.
 fn flush<M>(net: &mut Net<M>, streak: Option<Streak<M>>) {
     let Some(Streak {
         from,
         to,
         msg,
         count,
+        unsampled,
     }) = streak
     else {
         return;
     };
-    net.pending -= count;
+    net.sampled(unsampled);
     let m = &mut net.metrics;
     m.events_executed += count;
     m.delivered += count;
     m.sends += count;
     m.message_passes += count;
-    net.join_or_deliver(from, to, msg, count);
-    let at = net.now + 1;
-    debug_assert!(
-        match net.queue.last_at_mut(at) {
-            Some((tick, Queued::One(env))) => tick == at && env.to == to,
-            Some((tick, Queued::FanIn(fan_in))) => tick == at && fan_in.0.to == to,
-            Some((_, Queued::Fan(_))) => false,
-            None => true,
-        },
-        "a streak's replies land at the tail of the tick after their send"
-    );
+    let env = Envelope {
+        from,
+        to,
+        sent_at: net.now,
+        msg,
+    };
+    let entry = if count == 1 {
+        Queued::One(env)
+    } else {
+        Queued::FanIn(Box::new((env, count)))
+    };
+    net.queue.push(net.now + 1, entry);
 }
 
 /// Runs a fan's deliveries in target order, the sender skipped. A live
 /// target whose node names its [reply](Node::reply) to another node is
 /// charged here and its reply joins the open streak when it goes to the
-/// same node and [joins](Node::joins) it; the streak is queued in bulk
-/// ([`flush`]) when the next target cannot join it. Every other target —
-/// crashed, without a pure reply, replying to itself or with a reply that
-/// joins nothing — first flushes the streak and then runs as an envelope
-/// of its own. Each delivery is thus counted, charged and sampled as its
-/// own [`execute`] would be, and the queue ends in the same entries.
+/// same node and [joins](Node::joins) it; the streak is queued whole
+/// ([`flush`]) when a live target cannot join it. A crashed target sends
+/// nothing, so the streak stays open across it: the replies before it are
+/// sampled at the depth they saw, and it drops as its own [`execute`]
+/// would. Every other target — without a pure reply, replying to itself
+/// or with a reply that joins nothing — first flushes the streak and then
+/// runs as an envelope of its own. Each delivery is thus counted, charged
+/// and sampled as its own `execute` would be, and the queue receives the
+/// same deliveries in the same order.
 ///
 /// Out of line: hop cost never builds a fan, and inlined into the loop
 /// it slowed the hop-cost runs.
@@ -207,13 +217,16 @@ fn execute_fan<M: Clone, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, fan: &Fa
             continue;
         }
         let me = to.index();
-        let reply = if net.crashed[me] {
-            None
-        } else {
-            nodes[me]
-                .reply(to, &fan.msg)
-                .filter(|(dest, msg)| *dest != to && N::joins(msg, msg))
-        };
+        if net.crashed[me] {
+            if let Some(s) = &mut streak {
+                net.sampled(std::mem::take(&mut s.unsampled));
+            }
+            execute(nodes, net, fan.copy_to(to));
+            continue;
+        }
+        let reply = nodes[me]
+            .reply(to, &fan.msg)
+            .filter(|(dest, msg)| *dest != to && N::joins(msg, msg));
         let Some((dest, msg)) = reply else {
             flush(net, streak.take());
             execute(nodes, net, fan.copy_to(to));
@@ -221,7 +234,10 @@ fn execute_fan<M: Clone, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, fan: &Fa
         };
         net.metrics.node_load[me] += 1;
         match &mut streak {
-            Some(s) if s.to == dest && N::joins(&s.msg, &msg) => s.count += 1,
+            Some(s) if s.to == dest && N::joins(&s.msg, &msg) => {
+                s.count += 1;
+                s.unsampled += 1;
+            }
             _ => {
                 flush(net, streak.take());
                 streak = Some(Streak {
@@ -229,6 +245,7 @@ fn execute_fan<M: Clone, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, fan: &Fa
                     to: dest,
                     msg,
                     count: 1,
+                    unsampled: 1,
                 });
             }
         }

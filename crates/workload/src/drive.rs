@@ -378,8 +378,7 @@ pub fn reports_to_json(reports: &[ScenarioReport], pretty: bool) -> String {
         serde_json::to_string_pretty(&reports)
     } else {
         serde_json::to_string(&reports)
-    }
-    .expect("reports always serialize");
+    };
     format!("{json}\n")
 }
 

@@ -169,8 +169,8 @@ mod live_runner {
 
         #[test]
         fn live_runs_are_deterministic_given_a_seed() {
-            let a = serde_json::to_string(&run_on_threads("cold-vs-warm-cache", 16, 5)).unwrap();
-            let b = serde_json::to_string(&run_on_threads("cold-vs-warm-cache", 16, 5)).unwrap();
+            let a = serde_json::to_string(&run_on_threads("cold-vs-warm-cache", 16, 5));
+            let b = serde_json::to_string(&run_on_threads("cold-vs-warm-cache", 16, 5));
             assert_eq!(a, b, "lock-step live runs reproduce byte-identically");
         }
 
@@ -193,8 +193,8 @@ mod live_runner {
             );
             assert!(stats.iter().all(|s| s.latency_p99 <= 2.0));
             assert!(r.windows.is_some());
-            let a = serde_json::to_string(&run_on_threads("overload-ramp", 16, 7)).unwrap();
-            let b = serde_json::to_string(&run_on_threads("overload-ramp", 16, 7)).unwrap();
+            let a = serde_json::to_string(&run_on_threads("overload-ramp", 16, 7));
+            let b = serde_json::to_string(&run_on_threads("overload-ramp", 16, 7));
             assert_eq!(a, b, "closed-loop live runs reproduce byte-identically");
         }
 

@@ -1142,8 +1142,7 @@ mod tests {
     /// switch on, no observability key may leak into that JSON.
     #[test]
     fn identical_seeds_are_byte_identical() {
-        let json =
-            |name: &str, seed: u64| serde_json::to_string(&run_scenario(name, 64, seed)).unwrap();
+        let json = |name: &str, seed: u64| serde_json::to_string(&run_scenario(name, 64, seed));
         for name in scenarios::ALL {
             let a = json(name, 42);
             assert_eq!(a, json(name, 42), "{name}: same seed, same bytes");
@@ -1378,7 +1377,7 @@ mod tests {
                 RouterKind::Auto,
             )
             .run();
-            serde_json::to_string(&r).unwrap()
+            serde_json::to_string(&r)
         };
         let a = json(42, QueueKind::Calendar);
         assert_eq!(a, json(42, QueueKind::Calendar), "repeat run");
@@ -1393,7 +1392,7 @@ mod tests {
     #[test]
     fn open_loop_json_has_no_closed_loop_keys() {
         let r = run_scenario("steady-state", 64, 7);
-        let json = serde_json::to_string(&r).unwrap();
+        let json = serde_json::to_string(&r);
         for key in ["closed_loop", "windows", "clients", "latency_p50"] {
             assert!(!json.contains(key), "open-loop JSON leaked {key:?}");
         }

@@ -166,7 +166,7 @@ fn hostile_reports_byte_identical_across_queues() {
                     RouterKind::Auto,
                 )
                 .run();
-                serde_json::to_string(&r).unwrap()
+                serde_json::to_string(&r)
             };
             assert_eq!(
                 json(QueueKind::Calendar),
@@ -263,7 +263,7 @@ fn churn_edge_cases_are_deterministic_in_the_simulator() {
             RouterKind::Auto,
         )
         .run();
-        serde_json::to_string(&r).unwrap()
+        serde_json::to_string(&r)
     };
     let a = json(QueueKind::Calendar);
     assert_eq!(a, json(QueueKind::Calendar), "repeat run");
@@ -283,9 +283,9 @@ fn churn_edge_cases_are_deterministic_in_the_live_runtime() {
     let n = 36;
     let spec = churn_edge_spec(11);
     let live = live_report(spec.clone(), n);
-    let again = serde_json::to_string(&live_report(spec.clone(), n)).unwrap();
+    let again = serde_json::to_string(&live_report(spec.clone(), n));
     assert_eq!(
-        serde_json::to_string(&live).unwrap(),
+        serde_json::to_string(&live),
         again,
         "live runtime must be run-to-run deterministic"
     );

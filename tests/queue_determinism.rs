@@ -28,7 +28,7 @@ fn report_json(scenario: &str, n: usize, seed: u64, queue: QueueKind) -> String 
         RouterKind::Auto,
     )
     .run();
-    serde_json::to_string(&report).expect("reports serialize")
+    serde_json::to_string(&report)
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn queues_agree_under_hops_cost_model() {
                 RouterKind::Auto,
             )
             .run();
-            serde_json::to_string(&report).expect("reports serialize")
+            serde_json::to_string(&report)
         };
         assert_eq!(
             run(QueueKind::Calendar),
