@@ -18,6 +18,13 @@ use mm_topo::NodeId;
 /// `j`'s column-band: `#P·#Q = x·y ≥ n` realizes any point on the
 /// trade-off curve of §2.3.2 — including the weighted (M3′) optima
 /// `p = √(αn)`, `q = √(n/α)` (see [`Blocks::for_alpha`]).
+///
+/// Either set is one arithmetic band before the reduction mod `n`: row
+/// `r` is `r·y, r·y + 1, …` (`y` members, step 1), column `c` is
+/// `c, c + y, c + 2y, …` (`x` members, step `y`). The members below `n`
+/// ascend as they are made, so a band that stays below `n` — every band
+/// when `x·y = n`, as on a square `n` — is canonical without a division
+/// or a sort; only a band that wraps reduces its tail and is sorted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Blocks {
     n: usize,
@@ -33,9 +40,10 @@ impl Blocks {
     /// # Panics
     ///
     /// Panics unless `1 ≤ x,y ≤ n` and `x·y ≥ n` (the rendezvous
-    /// constraint `p·q ≥ n`).
+    /// constraint `p·q ≥ n`), or if node `n - 1` has no 32-bit id.
     pub fn new(n: usize, x: usize, y: usize) -> Self {
         assert!(n > 0, "universe must be non-empty");
+        assert!(n - 1 <= u32::MAX as usize, "node index exceeds u32::MAX");
         assert!(
             (1..=n).contains(&x) && (1..=n).contains(&y),
             "band counts must be in 1..=n"
@@ -67,9 +75,23 @@ impl Blocks {
         j.index() * self.y / self.n
     }
 
-    /// The rendezvous node of block `(r, c)`.
-    fn block_node(&self, r: usize, c: usize) -> NodeId {
-        NodeId::from((r * self.y + c) % self.n)
+    /// The nodes `(first + k·step) mod n` for `k < count`, ascending and
+    /// duplicate-free: the rendezvous nodes of one row or column band.
+    ///
+    /// The members below `n` are a plain progression, written as they
+    /// come; only a band that runs past `n` reduces its tail and sorts.
+    /// Every member is below `n`, so it fits a `NodeId` ([`Blocks::new`]
+    /// checks that once).
+    fn band(&self, first: usize, step: usize, count: usize) -> Vec<NodeId> {
+        let plain = count.min(self.n.saturating_sub(first).div_ceil(step));
+        let mut out = Vec::with_capacity(count);
+        out.extend((0..plain).map(|k| NodeId::new((first + k * step) as u32)));
+        if plain < count {
+            let wrapped = (plain..count).map(|k| (first + k * step) % self.n);
+            out.extend(wrapped.map(|v| NodeId::new(v as u32)));
+            normalize_set(&mut out);
+        }
+        out
     }
 
     /// `(x, y)` band counts.
@@ -84,17 +106,11 @@ impl Strategy for Blocks {
     }
 
     fn post_set(&self, i: NodeId) -> Vec<NodeId> {
-        let r = self.row_band(i);
-        let mut out: Vec<NodeId> = (0..self.y).map(|c| self.block_node(r, c)).collect();
-        normalize_set(&mut out);
-        out
+        self.band(self.row_band(i) * self.y, 1, self.y)
     }
 
     fn query_set(&self, j: NodeId) -> Vec<NodeId> {
-        let c = self.col_band(j);
-        let mut out: Vec<NodeId> = (0..self.x).map(|r| self.block_node(r, c)).collect();
-        normalize_set(&mut out);
-        out
+        self.band(self.col_band(j), self.y, self.x)
     }
 
     fn name(&self) -> String {
@@ -148,6 +164,106 @@ impl Strategy for Checkerboard {
 mod tests {
     use super::*;
     use crate::bounds;
+    use proptest::prelude::{any, proptest, ProptestConfig};
+
+    /// The construction the band builder replaced, kept as its oracle:
+    /// block `(r, c)` is node `(r·y + c) mod n`, and a set is its band's
+    /// blocks sorted and deduped.
+    fn oracle(b: &Blocks, blocks: impl Iterator<Item = (usize, usize)>) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = blocks
+            .map(|(r, c)| NodeId::from((r * b.y + c) % b.n))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Checks `P(i)` and `Q(i)` against the oracle at every node `i` that
+    /// `nodes` yields (the oracle's sets are made once per band).
+    fn assert_bands_match(b: &Blocks, nodes: impl Iterator<Item = usize>) {
+        let mut posts = vec![None; b.x];
+        let mut queries = vec![None; b.y];
+        for i in nodes.map(NodeId::from) {
+            let (r, c) = (b.row_band(i), b.col_band(i));
+            let post = posts[r].get_or_insert_with(|| oracle(b, (0..b.y).map(|c| (r, c))));
+            assert_eq!(&b.post_set(i), post, "{b:?}: P({i})");
+            let query = queries[c].get_or_insert_with(|| oracle(b, (0..b.x).map(|r| (r, c))));
+            assert_eq!(&b.query_set(i), query, "{b:?}: Q({i})");
+        }
+    }
+
+    /// The first node of every row band and of every column band: a set
+    /// depends on its node's band only.
+    fn band_starts(b: &Blocks) -> impl Iterator<Item = usize> + '_ {
+        let bands = |i: usize| (b.row_band(NodeId::from(i)), b.col_band(NodeId::from(i)));
+        (0..b.n).filter(move |&i| i == 0 || bands(i) != bands(i - 1))
+    }
+
+    /// Checks every node of a `Blocks` over `n` nodes whose shape the two
+    /// picks choose among all valid ones: `x·y` from just over `n` (a
+    /// short wrapped tail) to `n²` (every band wraps many times over and
+    /// folds onto duplicates).
+    fn assert_any_shape_matches(n: usize, x_pick: usize, y_pick: usize) {
+        let x = 1 + x_pick % n;
+        let y_min = n.div_ceil(x);
+        let y = y_min + y_pick % (n - y_min + 1);
+        let b = Blocks::new(n, x, y);
+        assert_bands_match(&b, 0..n);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bands_equal_the_block_formula(
+            n in 1usize..=300,
+            x_pick in any::<usize>(),
+            y_pick in any::<usize>(),
+        ) {
+            assert_any_shape_matches(n, x_pick, y_pick);
+        }
+
+        /// The weighted optima's shapes, `α` from 1/16 to 16.
+        #[test]
+        fn for_alpha_bands_equal_the_block_formula(
+            n in 1usize..=2000,
+            quarter_octaves in 0u32..=32,
+        ) {
+            let alpha = 2f64.powf(quarter_octaves as f64 / 4.0 - 4.0);
+            let b = Blocks::for_alpha(n, alpha);
+            assert_bands_match(&b, 0..n);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        #[ignore = "release tier: n up to 2,000, every node"]
+        fn bands_equal_the_block_formula_at_scale(
+            n in 1usize..=2000,
+            x_pick in any::<usize>(),
+            y_pick in any::<usize>(),
+        ) {
+            assert_any_shape_matches(n, x_pick, y_pick);
+        }
+    }
+
+    #[test]
+    fn checkerboard_bands_equal_the_block_formula() {
+        // non-square n: x·y > n, so the last bands run past n and wrap
+        for n in [40usize, 257, 2047, 4030] {
+            let b = Checkerboard::new(n).inner;
+            assert!(b.x * b.y > n, "n={n} should wrap");
+            assert_bands_match(&b, band_starts(&b));
+        }
+        // square n: x·y = n, every band is a plain progression
+        for n in [65_536usize, 262_144] {
+            let b = Checkerboard::new(n).inner;
+            assert_eq!(b.x * b.y, n);
+            assert_bands_match(&b, band_starts(&b));
+        }
+    }
 
     #[test]
     fn perfect_square_matches_example_4() {

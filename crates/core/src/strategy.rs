@@ -62,7 +62,9 @@ impl std::error::Error for StrategyError {}
 ///
 /// Implementations must be deterministic (same input, same set) so that
 /// rendezvous matrices and simulations are reproducible. Sets are returned
-/// as sorted, duplicate-free `Vec<NodeId>`.
+/// as sorted, duplicate-free `Vec<NodeId>`: the set algebra relies on it,
+/// and so does the simulator's shared `TargetSet`, which keeps a canonical
+/// vector as it is and sorts only one that is not.
 ///
 /// The provided methods derive the paper's cost measures; implementations
 /// can override [`Strategy::post_count`] / [`Strategy::query_count`] with

@@ -7,7 +7,9 @@
 //! allocation costs. [`TargetSet`] is a shared, canonically sorted,
 //! deduplicated `Arc<[NodeId]>`: cloning is a reference-count bump, and
 //! the simulator's multicast path can skip its own sort/dedup because the
-//! invariant is established once at construction.
+//! invariant is established once at construction. Construction itself is
+//! one O(len) pass when its input is already canonical (ascending, no
+//! duplicates) — as every `Strategy` set is — and a sort otherwise.
 
 use mm_topo::NodeId;
 use std::ops::Deref;
@@ -49,11 +51,21 @@ impl TargetSet {
         Self::from_vec(targets.to_vec())
     }
 
-    /// Builds a set from an owned vector (sorts and dedups in place; no
-    /// extra copy beyond the final shared allocation).
+    /// Builds a set from an owned vector, with no extra copy beyond the
+    /// final shared allocation. Input that is already strictly ascending
+    /// is kept as it is, after one O(len) check; anything else is sorted
+    /// and deduped in place.
     pub fn from_vec(mut targets: Vec<NodeId>) -> Self {
-        targets.sort_unstable();
-        targets.dedup();
+        // no early exit: the branch-free fold vectorizes, and canonical
+        // input (the common case) reads every pair anyway
+        let ascending = targets
+            .iter()
+            .zip(targets.iter().skip(1))
+            .fold(true, |ok, (a, b)| ok & (a < b));
+        if !ascending {
+            targets.sort_unstable();
+            targets.dedup();
+        }
         TargetSet {
             ids: targets.into(),
         }
@@ -122,9 +134,48 @@ impl<'a> IntoIterator for &'a TargetSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever the input — shuffled, with repeats, sorted with
+        /// repeats, or already canonical — the set is its sort-and-dedup.
+        #[test]
+        fn from_vec_is_sort_and_dedup(
+            ids in prop::collection::vec(0u32..64, 0..40),
+            shape in 0u8..3,
+        ) {
+            let raw: Vec<NodeId> = ids.into_iter().map(n).collect();
+            let mut sorted = raw.clone();
+            sorted.sort_unstable();
+            let mut want = sorted.clone();
+            want.dedup();
+            let input = match shape {
+                0 => raw,
+                1 => sorted,
+                _ => want.clone(),
+            };
+            prop_assert_eq!(TargetSet::from_vec(input).as_slice(), &want[..]);
+        }
+    }
+
+    #[test]
+    fn equal_neighbours_are_not_canonical() {
+        // ascending but not strictly: the repeat must still go
+        let s = TargetSet::from_vec(vec![n(1), n(2), n(2), n(7)]);
+        assert_eq!(s.as_slice(), &[n(1), n(2), n(7)]);
+        assert_eq!(TargetSet::from_vec(vec![n(4), n(4)]).as_slice(), &[n(4)]);
+    }
+
+    #[test]
+    fn empty_and_single_inputs() {
+        assert!(TargetSet::from_vec(vec![]).is_empty());
+        assert_eq!(TargetSet::from_vec(vec![n(9)]).as_slice(), &[n(9)]);
     }
 
     #[test]
