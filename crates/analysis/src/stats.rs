@@ -3,7 +3,8 @@
 //! This module is the **single** percentile implementation in the
 //! workspace: `mm-workload`'s per-phase reports and the campaign
 //! aggregation pipeline both interpolate through [`percentile_sorted`] /
-//! [`percentile_or_zero`], so a campaign table can never disagree with
+//! [`percentile_or_zero`] (or, for samples not kept as one sorted slice,
+//! [`interpolate`] itself), so a campaign table can never disagree with
 //! the per-run report it was joined from (the two used to carry
 //! independently written interpolations — see `tests/stats_consistency.rs`
 //! for the cross-crate pin).
@@ -94,8 +95,14 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// The one interpolation: the `q`-quantile of `len` ascending samples,
-/// the `i`-th read through `at`.
-fn interpolate(len: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+/// the `i`-th read through `at`. A caller whose samples are not one
+/// sorted `f64` slice (a histogram of integer loads, say) reads them
+/// through `at` here rather than keeping a second interpolation.
+///
+/// # Panics
+///
+/// Panics if `len` is 0 or `q` is outside `[0,1]`.
+pub fn interpolate(len: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
     assert!(len > 0, "empty sample set");
     assert!((0.0..=1.0).contains(&q), "quantile out of range");
     if len == 1 {
@@ -118,19 +125,6 @@ pub fn percentile_or_zero(sorted: &[f64], q: f64) -> f64 {
         0.0
     } else {
         percentile_sorted(sorted, q)
-    }
-}
-
-/// [`percentile_or_zero`] over ascending integer samples, converting
-/// only the two it reads: a per-node load vector is sorted as `u64` in
-/// place instead of being copied into a `Vec<f64>` first. The conversion
-/// is monotone, so the result is bit-identical to converting the whole
-/// slice and calling [`percentile_or_zero`].
-pub fn percentile_or_zero_u64(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        0.0
-    } else {
-        interpolate(sorted.len(), q, |i| sorted[i] as f64)
     }
 }
 
@@ -201,20 +195,6 @@ mod tests {
                 percentile_sorted(&sorted, q)
             );
         }
-    }
-
-    #[test]
-    fn percentile_or_zero_u64_matches_the_f64_path() {
-        assert_eq!(percentile_or_zero_u64(&[], 0.99), 0.0);
-        let ints = [0u64, 0, 3, 7, 7, u64::from(u32::MAX)];
-        let floats: Vec<f64> = ints.iter().map(|&x| x as f64).collect();
-        for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(
-                percentile_or_zero_u64(&ints, q).to_bits(),
-                percentile_or_zero(&floats, q).to_bits()
-            );
-        }
-        assert_eq!(percentile_or_zero_u64(&[9], 0.5), 9.0);
     }
 
     #[test]

@@ -43,12 +43,12 @@ impl Metrics {
     }
 
     /// Counter-wise difference `self - earlier`: what happened between two
-    /// snapshots. Used by the workload runners (simulator *and* live) to
-    /// attribute traffic to phases from the same report-building code.
-    /// `peak_queue_depth` is a high-water mark, not a counter, so the
-    /// later snapshot's value is kept as-is. The later snapshot is
+    /// snapshots. `peak_queue_depth` is a high-water mark, not a counter,
+    /// so the later snapshot's value is kept as-is. The later snapshot is
     /// consumed and subtracted in place, so the difference costs no
-    /// second per-node vector.
+    /// second per-node vector. (The workload runner subtracts only the
+    /// counters this way, on snapshots without `node_load`: it walks the
+    /// per-node loads against its own baseline, once per phase.)
     ///
     /// # Panics
     ///

@@ -2,9 +2,11 @@
 //!
 //! [`crate::runner::ScenarioRunner`] emits one JSON schema whatever
 //! [`crate::Runtime`] it drives: per-phase [`PhaseReport`]s built by
-//! `build_phase_report` out of an operation-accumulator (`Acc`) and
-//! an [`mm_sim::Metrics`] delta — so any field that diverges between the
-//! simulator and the thread network reflects the runtimes, not the
+//! `build_phase_report` out of an operation-accumulator (`Acc`), the
+//! phase's [`mm_sim::Metrics`] counter deltas and a one-pass summary of
+//! its per-node loads (`PhaseLoads`, filled as the run's one `Baseline`
+//! moves across the phase boundary) — so any field that diverges between
+//! the simulator and the thread network reflects the runtimes, not the
 //! serializers.
 //!
 //! The runner also keeps a per-operation [`LocateRecord`] log. Records are
@@ -15,7 +17,7 @@
 
 use crate::clients::ClientOpRecord;
 use crate::timeline::PhaseBounds;
-use mm_analysis::stats::{percentile_or_zero, percentile_or_zero_u64};
+use mm_analysis::stats::{interpolate, percentile_or_zero};
 use mm_analysis::ExperimentRecord;
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
@@ -345,24 +347,169 @@ pub(crate) struct Acc {
 // code the campaign aggregation pipeline uses, so per-phase reports and
 // campaign tables can never disagree on what "p99" means.
 
-/// Builds one [`PhaseReport`] from the phase's operation counters and the
-/// runtime metrics delta — the single code path for both runtimes. Rate
-/// denominators use the scheduled phase duration `[start, end)`; the
-/// final phase's drain grace is deliberately excluded (see
-/// [`PhaseReport::throughput_per_kilotick`]). The delta is consumed: its
-/// per-node loads are sorted in place, the report's only per-node copy.
+/// Loads below this are counted by value. A phase's few hotter nodes
+/// (clients collecting a fan's answers, a hot port's rendezvous) are kept
+/// apart and sorted.
+const LOAD_BINS: usize = 1024;
+
+/// A phase's per-node loads (deliveries), summarized in one pass with no
+/// per-node copy and no sort of the whole: a by-value histogram of the
+/// loads below [`LOAD_BINS`] and a sorted tail of the rest. The `i`-th
+/// smallest load, the maximum and the sum are exact, so the report's
+/// percentiles and mean are the ones a sorted copy of the loads gives,
+/// bit for bit.
+#[derive(Debug)]
+pub(crate) struct PhaseLoads {
+    /// `hist[l]`: nodes with exactly `l` deliveries (node ids are 32-bit).
+    hist: Box<[u32; LOAD_BINS]>,
+    /// Loads of at least [`LOAD_BINS`], ascending once the walk is done.
+    tail: Vec<u64>,
+    /// Nodes counted.
+    len: usize,
+    /// Sum of the loads.
+    sum: u64,
+}
+
+impl PhaseLoads {
+    pub fn new() -> Self {
+        PhaseLoads {
+            hist: Box::new([0; LOAD_BINS]),
+            tail: Vec::new(),
+            len: 0,
+            sum: 0,
+        }
+    }
+
+    /// Summarizes the loads between two cumulative per-node snapshots,
+    /// `now[v] - baseline[v]`, and moves `baseline` forward to `now` in
+    /// the same pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshots disagree on the node count, or if the
+    /// loads sum past 2⁵³ (see [`mean`](Self::mean)).
+    pub fn walk(&mut self, baseline: &mut [u64], now: &[u64]) {
+        assert_eq!(
+            baseline.len(),
+            now.len(),
+            "snapshots must come from the same network"
+        );
+        self.hist.fill(0);
+        self.tail.clear();
+        self.len = now.len();
+        let mut sum = 0u64;
+        for (b, &a) in baseline.iter_mut().zip(now) {
+            let load = a - *b;
+            *b = a;
+            sum = sum.saturating_add(load);
+            if load < LOAD_BINS as u64 {
+                self.hist[load as usize] += 1;
+            } else {
+                self.tail.push(load);
+            }
+        }
+        assert!(sum <= 1 << 53, "phase loads sum past 2^53: {sum}");
+        self.sum = sum;
+        self.tail.sort_unstable();
+    }
+
+    /// The `i`-th smallest load.
+    fn nth(&self, i: usize) -> u64 {
+        let mut below = 0;
+        for (load, &count) in self.hist.iter().enumerate() {
+            below += count as usize;
+            if i < below {
+                return load as u64;
+            }
+        }
+        self.tail[i - below]
+    }
+
+    /// The `q`-quantile, 0 when there are no nodes.
+    pub fn percentile(&self, q: f64) -> f64 {
+        if self.len == 0 {
+            0.0
+        } else {
+            interpolate(self.len, q, |i| self.nth(i) as f64)
+        }
+    }
+
+    /// The hottest node's load, 0 when there are no nodes.
+    pub fn max(&self) -> u64 {
+        match self.tail.last() {
+            Some(&load) => load,
+            None => self.hist.iter().rposition(|&c| c > 0).unwrap_or(0) as u64,
+        }
+    }
+
+    /// The mean load, 0 when there are no nodes. The loads are integers
+    /// whose sum [`walk`](Self::walk) bounds by 2⁵³, so every partial sum
+    /// of an ascending `f64` summation is exact and equals the integer
+    /// one: the mean is that summation's, bit for bit.
+    pub fn mean(&self) -> f64 {
+        if self.len == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.len as f64
+        }
+    }
+}
+
+/// What a phase is measured against: the run's cumulative metrics at the
+/// last phase boundary. The runner keeps one for the whole run and moves
+/// it forward at each boundary, so no phase snapshots or subtracts a
+/// per-node vector of its own.
+#[derive(Debug)]
+pub(crate) struct Baseline {
+    at: Metrics,
+    loads: PhaseLoads,
+}
+
+impl Baseline {
+    pub fn new(now: &Metrics) -> Self {
+        Baseline {
+            at: now.clone(),
+            loads: PhaseLoads::new(),
+        }
+    }
+
+    /// Moves the baseline forward to `now` and returns the counter deltas
+    /// since the last boundary. The per-node loads are summarized into
+    /// [`loads`](Self::loads) instead, so the returned delta's
+    /// `node_load` is empty.
+    pub fn advance(&mut self, now: &Metrics) -> Metrics {
+        self.loads.walk(&mut self.at.node_load, &now.node_load);
+        let node_load = std::mem::take(&mut self.at.node_load);
+        let earlier = std::mem::replace(&mut self.at, Metrics { node_load, ..*now });
+        Metrics {
+            node_load: Vec::new(),
+            ..*now
+        }
+        .delta(&earlier)
+    }
+
+    /// The loads of the phase that ended at the last
+    /// [`advance`](Self::advance).
+    pub fn loads(&self) -> &PhaseLoads {
+        &self.loads
+    }
+}
+
+/// Builds one [`PhaseReport`] from the phase's operation counters, the
+/// runtime's counter `delta` and its per-node `loads` — the single code
+/// path for both runtimes. Rate denominators use the scheduled phase
+/// duration `[start, end)`; the final phase's drain grace is
+/// deliberately excluded (see [`PhaseReport::throughput_per_kilotick`]).
 pub(crate) fn build_phase_report(
     name: &str,
     start: SimTime,
     end: SimTime,
     acc: &Acc,
-    mut delta: Metrics,
+    delta: &Metrics,
+    loads: &PhaseLoads,
     hostile: bool,
 ) -> PhaseReport {
     let completed = acc.completed;
-    let loads = &mut delta.node_load;
-    loads.sort_unstable();
-    let load_max = loads.last().copied().unwrap_or(0);
     let window = (end - start).max(1);
     PhaseReport {
         name: name.to_string(),
@@ -396,15 +543,10 @@ pub(crate) fn build_phase_report(
         } else {
             acc.hits as f64 / completed as f64
         },
-        load_p50: percentile_or_zero_u64(loads, 0.5),
-        load_p99: percentile_or_zero_u64(loads, 0.99),
-        load_max,
-        // summed as f64 in ascending order: the mean's low bits depend on it
-        load_mean: if loads.is_empty() {
-            0.0
-        } else {
-            loads.iter().map(|&d| d as f64).sum::<f64>() / loads.len() as f64
-        },
+        load_p50: loads.percentile(0.5),
+        load_p99: loads.percentile(0.99),
+        load_max: loads.max(),
+        load_mean: loads.mean(),
         detected_lie: hostile.then_some(acc.detected_lie),
         false_match: hostile.then_some(acc.false_match),
         closed_loop: None,
@@ -647,13 +789,15 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a metrics delta with no per-node loads (an
-    /// empty network snapshot) must produce zeroed load stats, not an
+    /// Satellite regression: a phase with no per-node loads (an empty
+    /// network snapshot) must produce zeroed load stats, not an
     /// empty-slice percentile panic or a 0/0 mean.
     #[test]
     fn empty_node_load_yields_zeroed_stats() {
         let acc = Acc::default();
-        let p = build_phase_report("empty", 0, 100, &acc, Metrics::new(0), false);
+        let mut baseline = Baseline::new(&Metrics::new(0));
+        let delta = baseline.advance(&Metrics::new(0));
+        let p = build_phase_report("empty", 0, 100, &acc, &delta, baseline.loads(), false);
         assert_eq!(p.load_p50, 0.0);
         assert_eq!(p.load_p99, 0.0);
         assert_eq!(p.load_max, 0);
@@ -684,13 +828,99 @@ mod tests {
         )
     }
 
+    /// [`percentile_or_zero`] over ascending integer samples, converting
+    /// only the two it reads.
+    fn percentile_or_zero_u64(sorted: &[u64], q: f64) -> f64 {
+        if sorted.is_empty() {
+            0.0
+        } else {
+            interpolate(sorted.len(), q, |i| sorted[i] as f64)
+        }
+    }
+
+    #[test]
+    fn percentile_or_zero_u64_matches_the_f64_path() {
+        assert_eq!(percentile_or_zero_u64(&[], 0.99), 0.0);
+        let ints = [0u64, 0, 3, 7, 7, u64::from(u32::MAX)];
+        let floats: Vec<f64> = ints.iter().map(|&x| x as f64).collect();
+        for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(
+                percentile_or_zero_u64(&ints, q).to_bits(),
+                percentile_or_zero(&floats, q).to_bits()
+            );
+        }
+        assert_eq!(percentile_or_zero_u64(&[9], 0.5), 9.0);
+    }
+
+    /// The load statistics as the report computed them before the
+    /// one-pass summary: the loads sorted as `u64`, the percentiles read
+    /// off the sorted slice, the mean an ascending `f64` sum.
+    fn sorting_load_stats(loads: &[u64]) -> (f64, f64, u64, f64) {
+        let mut sorted = loads.to_vec();
+        sorted.sort_unstable();
+        let mean = if sorted.is_empty() {
+            0.0
+        } else {
+            sorted.iter().map(|&d| d as f64).sum::<f64>() / sorted.len() as f64
+        };
+        (
+            percentile_or_zero_u64(&sorted, 0.5),
+            percentile_or_zero_u64(&sorted, 0.99),
+            sorted.last().copied().unwrap_or(0),
+            mean,
+        )
+    }
+
+    fn summary_of(loads: &[u64]) -> (f64, f64, u64, f64) {
+        let mut summary = PhaseLoads::new();
+        summary.walk(&mut vec![0; loads.len()], loads);
+        (
+            summary.percentile(0.5),
+            summary.percentile(0.99),
+            summary.max(),
+            summary.mean(),
+        )
+    }
+
+    /// Compares the four statistics bit for bit.
+    fn same_stats(got: (f64, f64, u64, f64), want: (f64, f64, u64, f64)) -> bool {
+        got.0.to_bits() == want.0.to_bits()
+            && got.1.to_bits() == want.1.to_bits()
+            && got.2 == want.2
+            && got.3.to_bits() == want.3.to_bits()
+    }
+
+    #[test]
+    fn load_summary_matches_the_sorting_path_on_fixed_vectors() {
+        let bound = LOAD_BINS as u64;
+        let vectors: [Vec<u64>; 7] = [
+            vec![],
+            vec![bound],
+            vec![bound - 1, bound],
+            vec![7; 1000],
+            vec![bound; 1000],
+            (0..2000).map(|i| bound + i % 13).collect(),
+            (0..3000).map(|i| (i * 7919) % (2 * bound)).collect(),
+        ];
+        for loads in &vectors {
+            assert!(
+                same_stats(summary_of(loads), sorting_load_stats(loads)),
+                "{} loads from {:?}",
+                loads.len(),
+                loads.first()
+            );
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Subtracting in place and sorting the `u64` loads reads the same
-        /// four statistics, bit for bit, as the copying computation — on
-        /// lengths 0, 1, 2 and random, zero-heavy phases, loads up to
-        /// `u32::MAX`, and a phase-start snapshot that is not zero.
+        /// Moving the baseline forward and summarizing the loads in the
+        /// same pass reads the same four statistics, bit for bit, as the
+        /// copying computation — on lengths 0, 1, 2 and random,
+        /// zero-heavy phases, loads up to `u32::MAX`, and a phase-start
+        /// snapshot that is not zero. The baseline ends at the phase-end
+        /// snapshot.
         #[test]
         fn in_place_load_stats_match_the_copying_computation(
             len_class in 0usize..4,
@@ -712,12 +942,43 @@ mod tests {
             let mut snapshot = Metrics::new(len);
             snapshot.node_load = before;
             let mut now = Metrics::new(len);
-            now.node_load = after;
-            let p = build_phase_report("p", 0, 100, &Acc::default(), now.delta(&snapshot), false);
+            now.node_load = after.clone();
+            let mut baseline = Baseline::new(&snapshot);
+            let delta = baseline.advance(&now);
+            let p = build_phase_report("p", 0, 100, &Acc::default(), &delta, baseline.loads(), false);
             proptest::prop_assert_eq!(p.load_p50.to_bits(), p50.to_bits());
             proptest::prop_assert_eq!(p.load_p99.to_bits(), p99.to_bits());
             proptest::prop_assert_eq!(p.load_max, max);
             proptest::prop_assert_eq!(p.load_mean.to_bits(), mean.to_bits());
+            proptest::prop_assert_eq!(&baseline.at.node_load, &after);
+        }
+
+        /// The one-pass summary reproduces the sorting path's `load_p50`,
+        /// `load_p99`, `load_max` and `load_mean` bit for bit, on lengths
+        /// 0, 1, 2 and large, with loads that straddle the histogram's
+        /// bound, cluster just below or above it, or sit far past it.
+        #[test]
+        fn load_summary_matches_the_sorting_path(
+            len_class in 0usize..4,
+            spread in 0usize..3,
+            cells in proptest::collection::vec((0u64..8, 0u64..2048, 0..=u64::from(u32::MAX)), 3..5000),
+        ) {
+            let len = if len_class < 3 { len_class } else { cells.len() };
+            let bound = LOAD_BINS as u64;
+            let loads: Vec<u64> = cells[..len]
+                .iter()
+                .map(|&(kind, near, far)| match (spread, kind) {
+                    // all above the bound
+                    (0, _) => bound + near,
+                    // a few far past it, the rest zero-heavy and small
+                    (1, 0) => far,
+                    (1, 1..=4) => 0,
+                    (1, _) => near % 8,
+                    // packed around the bound
+                    _ => bound - 4 + near % 8,
+                })
+                .collect();
+            proptest::prop_assert!(same_stats(summary_of(&loads), sorting_load_stats(&loads)));
         }
     }
 
@@ -751,7 +1012,15 @@ mod tests {
             false_match: 1,
             ..Acc::default()
         };
-        let p = build_phase_report("assault", 0, 100, &acc, Metrics::new(4), true);
+        let p = build_phase_report(
+            "assault",
+            0,
+            100,
+            &acc,
+            &Metrics::new(4),
+            &PhaseLoads::new(),
+            true,
+        );
         assert_eq!(p.detected_lie, Some(2));
         assert_eq!(p.false_match, Some(1));
     }

@@ -38,7 +38,7 @@ use crate::observe::{
     uniform_round_trip,
 };
 use crate::report::{
-    build_closed_loop, build_phase_report, classify_hit, predict_passes_per_locate, Acc,
+    build_closed_loop, build_phase_report, classify_hit, predict_passes_per_locate, Acc, Baseline,
     RobustnessReport, WindowReport,
 };
 use crate::runtime::{Issued, Runtime};
@@ -48,7 +48,7 @@ use mm_core::strategies::PortMapped;
 use mm_core::Port;
 use mm_obs::{Registry, TraceConfig, TraceFile, TraceHeader, Tracer, HIST_BUCKETS, TRACE_VERSION};
 use mm_proto::{FaultProfile, LocateOutcome, RequestOutcome, Settled, ShotgunEngine};
-use mm_sim::{CostModel, Metrics, QueueKind, RouterKind, ShardMode, SimTime};
+use mm_sim::{CostModel, QueueKind, RouterKind, ShardMode, SimTime};
 use mm_topo::{Graph, NodeId};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -377,9 +377,10 @@ impl<R: Runtime> OpDriver for Ops<R> {
     }
 }
 
-/// What a phase's report is measured against, captured as it opens.
+/// The wall clock and queue depths a phase's report is measured against,
+/// captured as it opens; its counters and loads are measured against the
+/// run's one [`Baseline`].
 struct PhaseStart {
-    before: Metrics,
     wall: Instant,
     /// Cumulative queue-depth histogram, when the registry wants the
     /// phase's delta and the runtime has a queue to sample.
@@ -628,7 +629,6 @@ impl<R: Runtime> ScenarioRunner<R> {
     fn begin_phase(&mut self) -> PhaseStart {
         self.ops.acc = Acc::default();
         PhaseStart {
-            before: self.ops.rt.metrics(),
             wall: Instant::now(),
             queue_depth: self
                 .ops
@@ -641,26 +641,29 @@ impl<R: Runtime> ScenarioRunner<R> {
     /// Builds the phase's report from what accumulated since
     /// [`begin_phase`](Self::begin_phase), plus its observability:
     /// wall-clock throughput and the registry snapshot (with the phase's
-    /// queue-depth bucket delta).
+    /// queue-depth bucket delta). The runtime's counters are read in
+    /// place and `baseline` is moved forward to them in one pass, which
+    /// also summarizes the phase's per-node loads.
     fn end_phase(
         &mut self,
         name: &str,
         start: SimTime,
         end: SimTime,
         ps: PhaseStart,
+        baseline: &mut Baseline,
     ) -> PhaseReport {
         let ops = &mut self.ops;
-        let PhaseStart {
-            before,
-            wall,
-            queue_depth,
-        } = ps;
-        // one per-node copy at a time: the fresh snapshot becomes the
-        // delta in place, and the phase-start one goes before the report
-        // sorts the delta's loads
-        let delta = ops.rt.metrics().delta(&before);
-        drop(before);
-        let mut report = build_phase_report(name, start, end, &ops.acc, delta, self.spec.hostile());
+        let PhaseStart { wall, queue_depth } = ps;
+        let delta = baseline.advance(&ops.rt.metrics());
+        let mut report = build_phase_report(
+            name,
+            start,
+            end,
+            &ops.acc,
+            &delta,
+            baseline.loads(),
+            self.spec.hostile(),
+        );
         if self.wallclock {
             let secs = wall.elapsed().as_secs_f64();
             report.throughput = Some(if secs > 0.0 {
@@ -697,13 +700,15 @@ impl<R: Runtime> ScenarioRunner<R> {
         let mut pool = self.spec.clients.map(ClientPool::new);
         let mut reports = Vec::with_capacity(phase_bounds.len());
         let last = phase_bounds.len() - 1;
+        // the run's one per-node copy: each phase boundary moves it forward
+        let mut baseline = Baseline::new(&self.ops.rt.metrics());
         for (pi, (start, end, name)) in phase_bounds.iter().enumerate() {
             let ps = self.begin_phase();
             match pool.as_mut() {
                 None => self.open_phase(&mut events, *end, pi == last),
                 Some(pool) => self.closed_phase(pool, &mut events, *end, pi == last),
             }
-            reports.push(self.end_phase(name, *start, *end, ps));
+            reports.push(self.end_phase(name, *start, *end, ps, &mut baseline));
         }
 
         let mut windows = None;
@@ -735,7 +740,8 @@ impl<R: Runtime> ScenarioRunner<R> {
         let n = self.n() as u64;
         let ops = &mut self.ops;
         // the header carries only runtime-agnostic identification; the
-        // cumulative sends/passes are there for the conservation check
+        // cumulative sends/passes are there for the conservation check,
+        // read in place: the simulator lends its counters
         let totals = ops.rt.metrics();
         let trace = ops.tracer.take().map(|tracer| {
             let header = TraceHeader {
@@ -897,7 +903,7 @@ impl<R: Runtime> ScenarioRunner<R> {
         let n = self.n();
         let ops = &mut self.ops;
         let mut any_crash = false;
-        for r in self.draws.churn(action, &ops.homes) {
+        for &r in self.draws.churn(action, &ops.homes) {
             match r {
                 ResolvedChurn::Crash(v) => {
                     any_crash = true;

@@ -41,6 +41,7 @@ use mm_proto::{
 };
 use mm_sim::{Metrics, SimTime, TargetSet};
 use mm_topo::{NodeId, Router as _};
+use std::borrow::Cow;
 
 /// An operation a [`Runtime`] has just been asked to start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +124,11 @@ pub trait Runtime {
 
     /// Lets virtual time pass up to (and including) `deadline`.
     fn advance(&mut self, deadline: SimTime);
-    /// Cumulative message accounting so far.
-    fn metrics(&self) -> Metrics;
+    /// Cumulative message accounting so far: borrowed when the runtime
+    /// keeps its counters in a [`Metrics`] (the simulator), so reading
+    /// them copies nothing, or a fresh snapshot when it has to gather
+    /// them (the thread network).
+    fn metrics(&self) -> Cow<'_, Metrics>;
     /// Cumulative event-queue depth histogram, for runtimes that have a
     /// global event queue.
     fn queue_depth_buckets(&self) -> Option<[u64; HIST_BUCKETS]> {
@@ -234,8 +238,8 @@ impl<PM: PortMapped> Runtime for ShotgunEngine<PM> {
         self.run_until(deadline);
     }
 
-    fn metrics(&self) -> Metrics {
-        ShotgunEngine::metrics(self).clone()
+    fn metrics(&self) -> Cow<'_, Metrics> {
+        Cow::Borrowed(ShotgunEngine::metrics(self))
     }
 
     fn queue_depth_buckets(&self) -> Option<[u64; HIST_BUCKETS]> {
@@ -371,8 +375,8 @@ impl<PM: PortMapped> Runtime for LiveRuntime<PM> {
     /// Every operation settled when it was issued.
     fn advance(&mut self, _deadline: SimTime) {}
 
-    fn metrics(&self) -> Metrics {
-        self.net.metrics()
+    fn metrics(&self) -> Cow<'_, Metrics> {
+        Cow::Owned(self.net.metrics())
     }
 }
 

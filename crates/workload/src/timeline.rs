@@ -51,7 +51,7 @@ pub(crate) struct Timeline {
 /// A churn action with every random draw already made: concrete nodes to
 /// crash/restore, a concrete migration target — ready to execute on any
 /// runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum ResolvedChurn {
     Crash(NodeId),
     Restore {
@@ -90,9 +90,14 @@ pub(crate) struct Draws {
     rng: StdRng,
     sampler: PopularitySampler,
     crashed: Vec<bool>,
-    /// The ascending complement of `crashed`, rebuilt once per churn event
-    /// so the per-arrival client draw is one index.
+    /// The ascending complement of `crashed`, so the per-arrival client
+    /// draw is one index. A crash wave draws its victims from it in place;
+    /// after any churn event that may crash or restore, it is rebuilt from
+    /// the flags in one branch-free pass, into the same buffer.
     live: Vec<NodeId>,
+    /// The last churn event's decisions, in a buffer kept from event to
+    /// event.
+    resolved: Vec<ResolvedChurn>,
 }
 
 impl Draws {
@@ -102,6 +107,7 @@ impl Draws {
             sampler: PopularitySampler::new(ports, popularity),
             crashed: vec![false; n],
             live: (0..n).map(NodeId::from).collect(),
+            resolved: Vec::new(),
         }
     }
 
@@ -174,85 +180,127 @@ impl Draws {
 
     /// Resolves a spec-level [`ChurnAction`] against the current liveness
     /// and `homes`, and takes the resulting crashes and restores into its
-    /// own view; the caller executes the list on the runtime.
-    pub fn churn(&mut self, action: &ChurnAction, homes: &[NodeId]) -> Vec<ResolvedChurn> {
-        let out = match *action {
+    /// own view; the caller executes the list on the runtime. Nothing
+    /// node- or wave-sized is allocated: a crash wave's pool is `live`
+    /// itself, and the list is the buffer of the previous event's.
+    pub fn churn(&mut self, action: &ChurnAction, homes: &[NodeId]) -> &[ResolvedChurn] {
+        let n = self.crashed.len();
+        let out = &mut self.resolved;
+        out.clear();
+        match *action {
             ChurnAction::CrashRandom {
                 count,
                 spare_servers,
             } => {
-                let mut pool: Vec<NodeId> = self
-                    .live
-                    .iter()
-                    .copied()
-                    .filter(|v| !spare_servers || !homes.contains(v))
-                    .collect();
-                let mut out = Vec::new();
+                // the pool is the live nodes, ascending, without the homes
+                // when they are spared; each victim is swap-removed from it
+                if spare_servers {
+                    let mut spared: Vec<usize> = homes
+                        .iter()
+                        .filter_map(|h| self.live.binary_search(h).ok())
+                        .collect();
+                    spared.sort_unstable();
+                    spared.dedup();
+                    remove_sorted(&mut self.live, &spared);
+                }
+                let pool = &mut self.live;
                 for _ in 0..count.min(pool.len()) {
                     let k = self.rng.gen_range(0..pool.len());
                     out.push(ResolvedChurn::Crash(pool.swap_remove(k)));
                 }
-                out
             }
             ChurnAction::CrashServer { port_index } => {
                 let v = homes[port_index];
-                if self.crashed[v.index()] {
-                    Vec::new()
-                } else {
-                    vec![ResolvedChurn::Crash(v)]
+                if !self.crashed[v.index()] {
+                    out.push(ResolvedChurn::Crash(v));
                 }
             }
-            ChurnAction::RestoreAll { clear_caches } => (0..self.crashed.len())
-                .filter(|&vi| self.crashed[vi])
-                .map(|vi| ResolvedChurn::Restore {
-                    node: NodeId::from(vi),
+            ChurnAction::RestoreAll { clear_caches } => {
+                // the crashed nodes, gathered into `live`'s buffer, which
+                // is rebuilt below anyway
+                gather(&mut self.live, &self.crashed, true);
+                out.extend(self.live.iter().map(|&node| ResolvedChurn::Restore {
+                    node,
                     clear_cache: clear_caches,
-                })
-                .collect(),
-            ChurnAction::MigrateRandom { port_index } => {
-                let from = homes[port_index];
-                let pool: Vec<NodeId> = self.live.iter().copied().filter(|&v| v != from).collect();
-                if pool.is_empty() {
-                    return Vec::new();
-                }
-                let to = pick(&pool, &mut self.rng);
-                vec![ResolvedChurn::Migrate {
-                    port_idx: port_index,
-                    from,
-                    to,
-                }]
+                }));
             }
-            ChurnAction::ClearAllCaches => vec![ResolvedChurn::ClearAllCaches],
+            ChurnAction::MigrateRandom { port_index } => {
+                // the pool is the live nodes but `from`: its `k`-th is the
+                // `k`-th live node, or the next one from `from` on
+                let from = homes[port_index];
+                let at = self.live.binary_search(&from).ok();
+                let len = self.live.len() - usize::from(at.is_some());
+                if len > 0 {
+                    let k = self.rng.gen_range(0..len);
+                    let to = self.live[k + usize::from(at.is_some_and(|at| k >= at))];
+                    out.push(ResolvedChurn::Migrate {
+                        port_idx: port_index,
+                        from,
+                        to,
+                    });
+                }
+            }
+            ChurnAction::ClearAllCaches => out.push(ResolvedChurn::ClearAllCaches),
             ChurnAction::CrashGroup { ref nodes } => {
                 // correlated failure: the spec already names the victims, so
                 // nothing is drawn — members already down are skipped, and the
                 // ascending order makes the execution sequence canonical
-                let mut victims: Vec<usize> = nodes
-                    .iter()
-                    .copied()
-                    .filter(|&vi| vi < self.crashed.len() && !self.crashed[vi])
-                    .collect();
-                victims.sort_unstable();
-                victims.dedup();
-                victims
-                    .into_iter()
-                    .map(|vi| ResolvedChurn::Crash(NodeId::from(vi)))
-                    .collect()
+                out.extend(
+                    nodes
+                        .iter()
+                        .copied()
+                        .filter(|&vi| vi < n && !self.crashed[vi])
+                        .map(|vi| ResolvedChurn::Crash(NodeId::from(vi))),
+                );
+                out.sort_unstable();
+                out.dedup();
             }
-        };
-        for r in &out {
+        }
+        for r in out.iter() {
             match *r {
                 ResolvedChurn::Crash(v) => self.crashed[v.index()] = true,
                 ResolvedChurn::Restore { node, .. } => self.crashed[node.index()] = false,
                 ResolvedChurn::Migrate { .. } | ResolvedChurn::ClearAllCaches => {}
             }
         }
-        // one O(n) pass per churn event, whatever the size of the wave
-        self.live.clear();
-        let alive = (0..self.crashed.len()).filter(|&vi| !self.crashed[vi]);
-        self.live.extend(alive.map(NodeId::from));
-        out
+        // every other action may have moved a flag, and a crash wave drew
+        // from `live` in place, a restore gathered into it
+        if !matches!(
+            action,
+            ChurnAction::MigrateRandom { .. } | ChurnAction::ClearAllCaches
+        ) {
+            gather(&mut self.live, &self.crashed, false);
+        }
+        &self.resolved
     }
+}
+
+/// Fills `nodes` with the nodes whose flag is `flag`, ascending, in one
+/// pass with no branch on the flags: every node is written at the cursor,
+/// which moves on past the matching ones only.
+fn gather(nodes: &mut Vec<NodeId>, flags: &[bool], flag: bool) {
+    nodes.resize(flags.len(), NodeId::new(0));
+    let mut w = 0;
+    for (vi, &f) in flags.iter().enumerate() {
+        // `Draws::new` checked that every index fits a `NodeId`
+        nodes[w] = NodeId::new(vi as u32);
+        w += usize::from(f == flag);
+    }
+    nodes.truncate(w);
+}
+
+/// Removes the elements at `at` (ascending, distinct, in range) from `v`,
+/// keeping the order of the rest: each run between two of them moves
+/// down once.
+fn remove_sorted<T: Copy>(v: &mut Vec<T>, at: &[usize]) {
+    let Some(&first) = at.first() else { return };
+    let mut w = first;
+    for (k, &p) in at.iter().enumerate() {
+        let next = at.get(k + 1).copied().unwrap_or(v.len());
+        v.copy_within(p + 1..next, w);
+        w += next - p - 1;
+    }
+    v.truncate(w);
 }
 
 #[cfg(test)]
@@ -295,13 +343,15 @@ mod tests {
     fn resolve_churn_spares_servers_and_respects_pools() {
         let mut d = draws(3, 8);
         let homes = vec![NodeId::new(2), NodeId::new(5)];
-        let out = d.churn(
-            &ChurnAction::CrashRandom {
-                count: 6,
-                spare_servers: true,
-            },
-            &homes,
-        );
+        let out = d
+            .churn(
+                &ChurnAction::CrashRandom {
+                    count: 6,
+                    spare_servers: true,
+                },
+                &homes,
+            )
+            .to_vec();
         assert_eq!(out.len(), 6, "everyone but the two servers dies");
         for r in &out {
             let ResolvedChurn::Crash(v) = r else {
@@ -311,7 +361,9 @@ mod tests {
         }
         assert_eq!(d.live(), homes.as_slice());
         // migration never targets the current home
-        let out = d.churn(&ChurnAction::MigrateRandom { port_index: 0 }, &homes);
+        let out = d
+            .churn(&ChurnAction::MigrateRandom { port_index: 0 }, &homes)
+            .to_vec();
         let [ResolvedChurn::Migrate { from, to, .. }] = out.as_slice() else {
             panic!("one migration expected")
         };
@@ -325,12 +377,14 @@ mod tests {
         let homes = vec![NodeId::new(2)];
         d.churn(&ChurnAction::CrashGroup { nodes: vec![5] }, &homes);
         let before = d.rng().clone();
-        let out = d.churn(
-            &ChurnAction::CrashGroup {
-                nodes: vec![6, 5, 4, 6],
-            },
-            &homes,
-        );
+        let out = d
+            .churn(
+                &ChurnAction::CrashGroup {
+                    nodes: vec![6, 5, 4, 6],
+                },
+                &homes,
+            )
+            .to_vec();
         assert_eq!(d.rng(), &before, "correlated kills draw nothing");
         assert_eq!(
             out,
@@ -374,7 +428,7 @@ mod tests {
                     _ => ChurnAction::MigrateRandom { port_index: 0 },
                 };
                 let before = d.rng().clone();
-                let out = d.churn(&action, &homes);
+                let out = d.churn(&action, &homes).to_vec();
                 if matches!(action, ChurnAction::CrashGroup { .. }) {
                     assert_eq!(d.rng(), &before, "seed {seed}: {action:?} drew");
                 }
@@ -407,6 +461,159 @@ mod tests {
             }
         }
         assert!(outages > 0, "the mix must reach a total outage");
+    }
+
+    /// `Draws::churn` as it was before it drew from `live` in place: a
+    /// fresh pool per event, filtered through `homes`, and `live`
+    /// rebuilt from the flags after every event — the oracle for which
+    /// node each draw picks.
+    struct Reference {
+        rng: StdRng,
+        crashed: Vec<bool>,
+        live: Vec<NodeId>,
+    }
+
+    impl Reference {
+        fn churn(&mut self, action: &ChurnAction, homes: &[NodeId]) -> Vec<ResolvedChurn> {
+            let out = match *action {
+                ChurnAction::CrashRandom {
+                    count,
+                    spare_servers,
+                } => {
+                    let mut pool: Vec<NodeId> = self
+                        .live
+                        .iter()
+                        .copied()
+                        .filter(|v| !spare_servers || !homes.contains(v))
+                        .collect();
+                    let mut out = Vec::new();
+                    for _ in 0..count.min(pool.len()) {
+                        let k = self.rng.gen_range(0..pool.len());
+                        out.push(ResolvedChurn::Crash(pool.swap_remove(k)));
+                    }
+                    out
+                }
+                ChurnAction::CrashServer { port_index } => {
+                    let v = homes[port_index];
+                    if self.crashed[v.index()] {
+                        Vec::new()
+                    } else {
+                        vec![ResolvedChurn::Crash(v)]
+                    }
+                }
+                ChurnAction::RestoreAll { clear_caches } => (0..self.crashed.len())
+                    .filter(|&vi| self.crashed[vi])
+                    .map(|vi| ResolvedChurn::Restore {
+                        node: NodeId::from(vi),
+                        clear_cache: clear_caches,
+                    })
+                    .collect(),
+                ChurnAction::MigrateRandom { port_index } => {
+                    let from = homes[port_index];
+                    let pool: Vec<NodeId> =
+                        self.live.iter().copied().filter(|&v| v != from).collect();
+                    if pool.is_empty() {
+                        return Vec::new();
+                    }
+                    let to = pick(&pool, &mut self.rng);
+                    vec![ResolvedChurn::Migrate {
+                        port_idx: port_index,
+                        from,
+                        to,
+                    }]
+                }
+                ChurnAction::ClearAllCaches => vec![ResolvedChurn::ClearAllCaches],
+                ChurnAction::CrashGroup { ref nodes } => {
+                    let mut victims: Vec<usize> = nodes
+                        .iter()
+                        .copied()
+                        .filter(|&vi| vi < self.crashed.len() && !self.crashed[vi])
+                        .collect();
+                    victims.sort_unstable();
+                    victims.dedup();
+                    victims
+                        .into_iter()
+                        .map(|vi| ResolvedChurn::Crash(NodeId::from(vi)))
+                        .collect()
+                }
+            };
+            for r in &out {
+                match *r {
+                    ResolvedChurn::Crash(v) => self.crashed[v.index()] = true,
+                    ResolvedChurn::Restore { node, .. } => self.crashed[node.index()] = false,
+                    ResolvedChurn::Migrate { .. } | ResolvedChurn::ClearAllCaches => {}
+                }
+            }
+            self.live.clear();
+            let alive = (0..self.crashed.len()).filter(|&vi| !self.crashed[vi]);
+            self.live.extend(alive.map(NodeId::from));
+            out
+        }
+    }
+
+    /// `Draws::churn` resolves exactly what the reference resolves — the
+    /// same list, the same generator state afterwards, the same `live()`
+    /// and `crashed()` — over random event sequences: crash waves with the
+    /// servers spared and not, partial and past the pool's size, homes
+    /// duplicated and already down, followed by restores, group kills,
+    /// migrations (which move the home, as the runner does) and cache
+    /// wipes.
+    #[test]
+    fn churn_draws_what_the_reference_draws() {
+        let mut waves = 0;
+        for seed in 0..120u64 {
+            let mut dice = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let n = [1, 2, 3, 24, 97][dice.gen_range(0..5usize)];
+            let mut d = draws(seed, n);
+            // few distinct values, so homes repeat
+            let mut homes: Vec<NodeId> = (0..dice.gen_range(1..6))
+                .map(|_| NodeId::from(dice.gen_range(0..n.min(4))))
+                .collect();
+            let mut reference = Reference {
+                rng: d.rng().clone(),
+                crashed: d.crashed().to_vec(),
+                live: d.live().to_vec(),
+            };
+            for step in 0..50 {
+                let action = match dice.gen_range(0..8) {
+                    0..=2 => ChurnAction::CrashRandom {
+                        count: dice.gen_range(0..=n + 2),
+                        spare_servers: dice.gen_range(0..2) == 0,
+                    },
+                    3 => ChurnAction::CrashServer {
+                        port_index: dice.gen_range(0..homes.len()),
+                    },
+                    4 => ChurnAction::CrashGroup {
+                        nodes: (0..dice.gen_range(0..6))
+                            .map(|_| dice.gen_range(0..n + 2))
+                            .collect(),
+                    },
+                    5 => ChurnAction::RestoreAll {
+                        clear_caches: dice.gen_range(0..2) == 0,
+                    },
+                    6 => ChurnAction::MigrateRandom {
+                        port_index: dice.gen_range(0..homes.len()),
+                    },
+                    _ => ChurnAction::ClearAllCaches,
+                };
+                let want = reference.churn(&action, &homes);
+                let got = d.churn(&action, &homes).to_vec();
+                let at = format!("seed {seed} n {n} step {step}: {action:?}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(d.rng(), &reference.rng, "{at}");
+                assert_eq!(d.crashed(), reference.crashed.as_slice(), "{at}");
+                assert_eq!(d.live(), reference.live.as_slice(), "{at}");
+                if matches!(action, ChurnAction::CrashRandom { .. }) && got.len() > 1 {
+                    waves += 1;
+                }
+                for r in &got {
+                    if let ResolvedChurn::Migrate { port_idx, to, .. } = *r {
+                        homes[port_idx] = to;
+                    }
+                }
+            }
+        }
+        assert!(waves > 100, "the mix must draw multi-node waves: {waves}");
     }
 
     #[test]

@@ -16,6 +16,7 @@ use mm_workload::{
     ArrivalProcess, ClientModel, FaultSpec, Issued, LocateRecord, LocateVerdict, Phase,
     PortPopularity, Runtime, ScenarioReport, ScenarioRunner, ThinkTime, Workload,
 };
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -236,8 +237,8 @@ impl Runtime for Scripted {
     fn advance(&mut self, deadline: SimTime) {
         self.now = self.now.max(deadline);
     }
-    fn metrics(&self) -> Metrics {
-        Metrics::new(N)
+    fn metrics(&self) -> Cow<'_, Metrics> {
+        Cow::Owned(Metrics::new(N))
     }
 }
 
