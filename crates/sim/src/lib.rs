@@ -25,8 +25,12 @@
 //!
 //! The paper's model has one network, and [`Sim`] is the handlers plus
 //! one copy of it: graph, routes, crash flags, clock, metrics, the
-//! queue-depth histogram and the queue of pending deliveries. A queue
-//! entry is one of three things. It is one [`Envelope`]. Or, for a
+//! queue-depth histogram, the queue of pending deliveries and the slab of
+//! what they deliver. A queue entry is 8 bytes, a destination and a slab
+//! slot; each send writes its payload into one slot, once, and the slot
+//! holds one of three things. It is one send's payload, shared by every
+//! copy of a multicast under [`CostModel::Hops`] and rebuilt into an
+//! [`Envelope`] at each copy's pop. Or, for a
 //! multicast under [`CostModel::Uniform`], it is one *fan*: every remote
 //! copy lands on the next tick (§2.1), so the copies share a single entry
 //! that holds the [`TargetSet`] and the payload once. Or it is the fan's
@@ -82,6 +86,7 @@ pub mod metrics;
 pub mod queue;
 mod route;
 mod single;
+mod slab;
 pub mod targets;
 
 pub use metrics::Metrics;
@@ -90,6 +95,7 @@ pub use targets::TargetSet;
 
 use mm_topo::{AnyRouter, Graph, NodeId};
 use queue::EventQueue;
+use slab::Slab;
 
 /// Which routing backend a hop-cost simulation uses.
 ///
@@ -319,27 +325,29 @@ struct Net<M> {
     /// entry counts once per copy it stands for.
     pending: u64,
     /// Deliveries in flight, keyed by arrival tick.
-    queue: EventQueue<Queued<M>>,
+    queue: EventQueue<Queued>,
+    /// What the queued entries deliver: one slot per send.
+    slab: Slab<M>,
     /// Tokens handlers reported and the host has not taken yet.
     reports: Vec<u64>,
 }
 
-/// One queue entry: a single delivery, every remote copy of one
-/// uniform-cost multicast, or a fan-in — `count` replies of one fan, of
-/// one payload to one node, queued together.
+/// One queue entry: a destination and the slab slot of what it delivers.
 ///
-/// A fan and a fan-in are boxed so the enum can keep its tag in the
-/// payload's niche: an entry is then no larger than an envelope (64 B for
-/// `mm-proto`'s messages, against 80 B unboxed).
-#[derive(Debug)]
-enum Queued<M> {
-    One(Envelope<M>),
-    Fan(Box<Fan<M>>),
-    /// One joined delivery's envelope and the count. The payloads are
-    /// interchangeable (that is what joining them says); the senders of
-    /// all but the first are not kept.
-    FanIn(Box<(Envelope<M>, u64)>),
+/// The slot holds one send's payload ([`slab::BULK`] clear), shared by
+/// every copy of a hop-cost multicast, or ([`slab::BULK`] set) the box of
+/// a uniform-cost fan, which stands for every remote copy of one
+/// multicast, or of a fan-in, which stands for `count` replies of one
+/// fan, of one payload to one node. A fan's `to` is its first target, the
+/// node the loop prefetches for it. An entry is 8 bytes whatever the
+/// message type, so a tick's run is a dense array of them.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    to: NodeId,
+    slot: u32,
 }
+
+const _: () = assert!(size_of::<Queued>() == 8);
 
 /// The remote copies of one uniform-cost multicast, all due on the same
 /// tick: one delivery of `msg` to each member of `targets` but `from`.
@@ -423,6 +431,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
             depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
             pending: 0,
             queue: EventQueue::new(kind),
+            slab: Slab::new(),
             reports: Vec::new(),
         };
         Sim { nodes, net }
@@ -900,10 +909,11 @@ mod tests {
         assert_eq!(m.node_load, [2, 0, 1, 1, 0]);
     }
 
-    /// The fan reuses the payload's niche for its tag, so a queue entry is
-    /// no larger than an envelope.
+    /// A queue entry is 8 bytes whatever the message, and the slot that
+    /// holds the message is no larger than the envelope the entry used to
+    /// be: the free link and the fan boxes take the payload's niche.
     #[test]
-    fn a_queue_entry_is_the_size_of_an_envelope() {
+    fn a_queue_entry_is_8_bytes_and_a_slot_the_size_of_an_envelope() {
         /// Shaped like `mm-proto`'s messages: an explicit tag, a 16-byte
         /// port, and a shared target set in some variants.
         #[allow(dead_code)]
@@ -912,8 +922,9 @@ mod tests {
             Answer { port: u128, stamp: u64, id: u64 },
             Bare(u32),
         }
-        assert_eq!(size_of::<Queued<Msg>>(), size_of::<Envelope<Msg>>());
-        assert_eq!(size_of::<Queued<Wire>>(), size_of::<Envelope<Wire>>());
+        assert_eq!(size_of::<Queued>(), 8);
+        assert_eq!(size_of::<slab::Slot<Msg>>(), size_of::<Envelope<Msg>>());
+        assert_eq!(size_of::<slab::Slot<Wire>>(), size_of::<Envelope<Wire>>());
     }
 
     /// Crash-free traffic on `complete(n)`: pings, multicasts that may
@@ -1278,6 +1289,165 @@ mod tests {
         };
         assert_eq!(run(ALIAS), run(ShardMode::Single));
     }
+    // ---- the payload slab: one slot per send, freed by its last copy ----
+
+    /// A hop-cost multicast's copies share one slot. A copy dropped at a
+    /// crashed destination still gives its share back, whether it pops
+    /// before the copy that delivers or after it.
+    #[test]
+    fn a_copy_dropped_at_a_crashed_destination_releases_its_share() {
+        for down in [3, 6] {
+            let mut sim = Sim::new(gen::path(7), recorders(7), CostModel::Hops);
+            sim.inject(nid(0), nid(0), Msg::Spread(vec![nid(3), nid(6)]));
+            sim.run_until(0); // the spread ran: its copies land at 3 and 6
+            assert_eq!((sim.net.queue.len(), sim.net.slab.live()), (2, 1));
+            sim.crash(nid(down));
+            sim.run();
+            let up = 9 - down;
+            assert_eq!(sim.node(nid(up)).got, [(nid(0), Msg::Note, up as u64)]);
+            assert!(sim.node(nid(down)).got.is_empty());
+            assert_eq!(sim.metrics().dropped, 1);
+            assert_eq!(sim.net.slab.live(), 0, "crashed {down}");
+        }
+    }
+
+    /// A multicast whose every copy dies en route queues nothing and takes
+    /// no slot; the next send takes the slot the last pop freed.
+    #[test]
+    fn a_multicast_with_no_surviving_copy_holds_no_slot() {
+        let mut sim = Sim::new(gen::path(5), recorders(5), CostModel::Hops);
+        sim.crash(nid(1));
+        sim.inject(nid(0), nid(0), Msg::Spread(vec![nid(2), nid(3), nid(4)]));
+        sim.run_until(0);
+        let m = sim.metrics();
+        assert_eq!((m.sends, m.dropped, m.message_passes), (3, 3, 4));
+        assert_eq!((sim.net.queue.len(), sim.net.pending), (0, 0));
+        assert_eq!((sim.net.slab.live(), sim.net.slab.capacity()), (0, 1));
+        sim.inject(nid(3), nid(2), Msg::Ping);
+        sim.run();
+        assert_eq!(sim.node(nid(3)).got, [(nid(2), Msg::Pong, 1)]);
+        assert_eq!((sim.net.slab.live(), sim.net.slab.capacity()), (0, 1));
+    }
+
+    /// Hop-cost traffic for the slab on `graph`: pings, multicasts that
+    /// may include their sender, multicasts from a node whose neighbors
+    /// are all down (no copy survives), same-tick chains, crashes and
+    /// restores, all between `run_until` slices. After every slice no
+    /// more slots are live than deliveries are pending, and after every
+    /// drain to quiescence none is.
+    fn slab_traffic(sim: &mut Sim<Msg, Recorder>, mut s: u64) {
+        let n = sim.graph().node_count();
+        let node = |s: &mut u64| nid((mix(s) % n as u64) as u32);
+        let check = |sim: &Sim<Msg, Recorder>| {
+            assert!(sim.net.slab.live() as u64 <= sim.net.pending);
+        };
+        for phase in 0..6 {
+            for _ in 0..8 {
+                match mix(&mut s) % 6 {
+                    0 => {
+                        let from = node(&mut s);
+                        let mut targets: Vec<NodeId> =
+                            (0..mix(&mut s) % 6).map(|_| node(&mut s)).collect();
+                        if mix(&mut s) & 1 == 0 {
+                            targets.push(from);
+                        }
+                        let msg = if mix(&mut s) & 1 == 0 {
+                            Msg::Spread(targets)
+                        } else {
+                            Msg::Ask(targets)
+                        };
+                        sim.inject(from, from, msg);
+                    }
+                    1 => {
+                        // wall a sender in: every copy dies on its first hop
+                        let from = node(&mut s);
+                        let walls: Vec<NodeId> = sim
+                            .graph()
+                            .neighbor_ids(from)
+                            .filter(|&w| !sim.is_crashed(w))
+                            .collect();
+                        for &w in &walls {
+                            sim.crash(w);
+                        }
+                        let targets = (0..1 + mix(&mut s) % 4).map(|_| node(&mut s)).collect();
+                        sim.inject(from, from, Msg::Spread(targets));
+                        sim.run_until(sim.now());
+                        check(sim);
+                        for w in walls {
+                            sim.restore(w);
+                        }
+                    }
+                    2 => {
+                        let v = node(&mut s);
+                        sim.inject(v, v, Msg::Chain((mix(&mut s) % 4) as u8));
+                    }
+                    3 => {
+                        let v = node(&mut s);
+                        if sim.is_crashed(v) {
+                            sim.restore(v);
+                        } else {
+                            sim.crash(v);
+                        }
+                    }
+                    _ => {
+                        let (a, b) = (node(&mut s), node(&mut s));
+                        sim.inject(a, b, Msg::Ping);
+                    }
+                }
+            }
+            let deadline = sim.now() + mix(&mut s) % 8;
+            sim.run_until(deadline);
+            check(sim);
+            if phase % 2 == 1 {
+                sim.run();
+                assert_eq!(sim.net.slab.live(), 0, "quiescent after phase {phase}");
+            }
+        }
+        sim.run();
+        assert_eq!((sim.net.slab.live(), sim.net.pending), (0, 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Hop-cost traffic on a ring, a torus or a grid: the slab frees
+        /// every slot once the queue drains, never holds more slots than
+        /// pending deliveries, and the calendar queue and the `BTree`
+        /// oracle deliver the same messages from the same senders on the
+        /// same ticks.
+        #[test]
+        fn the_slab_frees_every_slot_and_both_queues_agree(
+            seed in any::<u64>(),
+            shape in 0u8..3,
+            w in 3usize..9,
+            h in 1usize..9,
+        ) {
+            let graph = || match shape {
+                0 => gen::ring(w * h),
+                1 => gen::grid(w, h, true),
+                _ => gen::grid(w, h, false),
+            };
+            let run = |kind| {
+                let n = w * h;
+                let mut sim = Sim::with_router(
+                    graph(),
+                    recorders(n),
+                    CostModel::Hops,
+                    kind,
+                    ShardMode::Single,
+                    RouterKind::Auto,
+                );
+                slab_traffic(&mut sim, seed);
+                sim
+            };
+            let (calendar, btree) = (run(QueueKind::Calendar), run(QueueKind::BTree));
+            prop_assert_eq!(calendar.metrics(), btree.metrics());
+            for v in (0..(w * h) as u32).map(nid) {
+                prop_assert_eq!(&calendar.node(v).got, &btree.node(v).got);
+            }
+        }
+    }
+
     // ---- a fan's pure replies: counted in bulk, queued as fan-ins ----
 
     /// Counts the answers it gets (`Note`s, `Tag`s and `Pong`s) and

@@ -2,11 +2,15 @@
 //!
 //! A handler's [`NodeApi`](crate::NodeApi) calls `Net::route` and
 //! `Net::route_multicast` while the handler runs; they charge the send to
-//! the network's `Metrics` and queue each copy that survives — one at a
-//! time through `Net::deliver`, or, for a uniform-cost multicast, all
-//! remote copies at once as one fan entry. Every send is a push: the only
-//! fan-ins are the streaks of a fan's replies, which the loop assembles
-//! whole before it queues them (`single.rs`).
+//! the network's `Metrics` and queue each copy that survives. Every send
+//! writes its payload once, into one slot of the network's slab
+//! (`slab.rs`), and queues an 8-byte entry per copy that names the slot:
+//! a unicast, an inject or a local copy through `Net::deliver`; a hop-cost
+//! multicast one entry per surviving copy, all naming the one slot (none,
+//! and no slot, when every copy dies on the way); a uniform-cost multicast
+//! all its remote copies at once as one fan entry. Every send is a push:
+//! the only fan-ins are the streaks of a fan's replies, which the loop
+//! assembles whole before it queues them (`single.rs`).
 //! Under `CostModel::Uniform` there is no router:
 //! every remote destination is one pass and one tick away, and nothing is
 //! truncated.
@@ -17,7 +21,8 @@
 //! is crashed, hop walks collapse to O(1) `distance` lookups — the walk
 //! exists only to find the first crashed intermediate.
 
-use crate::{Envelope, Fan, Net, Queued, TargetSet};
+use crate::slab::Slot;
+use crate::{Fan, Net, Queued, TargetSet};
 use mm_topo::spanning::multicast_cost;
 use mm_topo::{NodeId, Router};
 
@@ -53,13 +58,8 @@ impl<M> Net<M> {
 
     /// Queues `msg` from `from` to `to`, arriving `delay` ticks from now.
     pub(crate) fn deliver(&mut self, from: NodeId, to: NodeId, delay: u64, msg: M) {
-        let env = Envelope {
-            from,
-            to,
-            sent_at: self.now,
-            msg,
-        };
-        self.queue.push(self.now + delay, Queued::One(env));
+        let slot = self.slab.insert_sent(from, self.now, msg, 1);
+        self.queue.push(self.now + delay, Queued { to, slot });
         self.queued(1);
     }
 
@@ -113,7 +113,8 @@ impl<M> Net<M> {
     /// Multicast with shared-prefix (spanning/Steiner tree) accounting:
     /// the tree is charged once, then each remote target gets a copy along
     /// its shortest path, truncated at crashed nodes. The sender's own copy
-    /// (if it is a target) is local and free.
+    /// (if it is a target) is local and free. The surviving copies share
+    /// one payload slot.
     ///
     /// Under uniform cost every remote copy is one pass, one send and one
     /// tick, and a crash can only stop a copy at its destination — which
@@ -136,13 +137,14 @@ impl<M> Net<M> {
                 self.deliver(from, from, 0, msg.clone());
             }
             if remote > 0 {
-                let fan = Fan {
+                let to = targets.as_slice()[0];
+                let slot = self.slab.insert(Slot::Fan(Box::new(Fan {
                     from,
                     sent_at: self.now,
                     targets,
                     msg,
-                };
-                self.queue.push(self.now + 1, Queued::Fan(Box::new(fan)));
+                })));
+                self.queue.push(self.now + 1, Queued { to, slot });
                 self.queued(remote);
             }
             return;
@@ -158,25 +160,41 @@ impl<M> Net<M> {
             return;
         };
         self.metrics.message_passes += cost;
+        // every surviving copy, the local one included, is an entry
+        // pointing at the one slot the payload is written to once the
+        // copies are counted; nothing else is stored in between, so that
+        // slot is still the vacant one then
+        let slot = self.slab.vacant();
+        let mut copies = 0;
         for t in targets.iter() {
-            if t == from {
-                self.deliver(from, t, 0, msg.clone());
-                continue;
-            }
-            // the tree cost above found every target reachable; should a
-            // router ever disagree with itself, `route` counts the send
-            // and the drop
-            let Some(dist) = self.distance(from, t) else {
-                self.route(from, t, msg.clone());
-                continue;
-            };
-            self.metrics.sends += 1;
-            let (travelled, blocked) = self.travel(from, t, dist);
-            if blocked {
-                self.metrics.dropped += 1;
+            let delay = if t == from {
+                0
             } else {
-                self.deliver(from, t, travelled, msg.clone());
-            }
+                self.metrics.sends += 1;
+                // the tree cost above found every target reachable; should
+                // a router ever disagree with itself, the copy is dropped
+                // as `route` would drop it
+                let Some(dist) = self.distance(from, t) else {
+                    self.metrics.dropped += 1;
+                    continue;
+                };
+                let (travelled, blocked) = self.travel(from, t, dist);
+                if blocked {
+                    self.metrics.dropped += 1;
+                    continue;
+                }
+                travelled
+            };
+            self.queue.push(self.now + delay, Queued { to: t, slot });
+            self.queued(1);
+            copies += 1;
+        }
+        if copies > 0 {
+            let stored = self.slab.insert_sent(from, self.now, msg, copies);
+            debug_assert_eq!(
+                stored, slot,
+                "the payload lands in the slot its copies name"
+            );
         }
     }
 }

@@ -7,10 +7,19 @@
 //! so they come back as the tick's next run — behind everything the taken
 //! run still holds, which is where one pop per entry would have put them.
 //!
-//! Each delivery an entry stands for is charged to its destination and
-//! handed to that node's handler together with a [`NodeApi`] over the
-//! network, through which the handler's sends go straight into the same
-//! queue. An envelope is one delivery; a fan (the remote copies of one
+//! An entry is 8 bytes: a destination and a slot of the network's payload
+//! slab (`slab.rs`), where every send wrote its payload once. Each delivery
+//! an entry stands for is charged to its destination and handed to that
+//! node's handler together with a [`NodeApi`] over the network, through
+//! which the handler's sends go straight into the same queue. An entry
+//! whose slot holds a payload is one delivery: the loop rebuilds its
+//! [`Envelope`] at the pop, cloning the message while other copies of a
+//! hop-cost multicast still share the slot and moving it out of the last,
+//! which frees the slot for the next send — the handler's own, often. A
+//! copy that meets a crashed destination gives its share back too. An
+//! entry whose slot index has the bulk bit set holds a fan or a fan-in
+//! ([`execute_bulk`], out of line), so one bit of the entry tells the two
+//! paths apart. A fan (the remote copies of one
 //! uniform-cost multicast) is one per target but the sender, run back to
 //! back in target order. That is the order one envelope per copy would
 //! pop in: the copies were queued together, so on their tick nothing sits
@@ -38,12 +47,15 @@
 //! all cache misses. The loop holds the targets of the next deliveries
 //! before they run — the rest of a fan's target list, and the rest of the
 //! run — so it prefetches those three for the delivery [`LOOKAHEAD`]
-//! places ahead. Only the handler's own slot is prefetched, not what it
+//! places ahead, and for an entry of the run also its payload slot (for a
+//! fan or fan-in, the slot that holds its box; a fan's entry names its
+//! first target). Only the handler's own slot is prefetched, not what it
 //! points to: the protocol's node machine is two box pointers, and at
 //! scale most targets of a locate have neither box, so the slot is all
 //! a delivery to them reads. A prefetch changes no architectural state,
 //! so order, counters and reports are what they are without it.
 
+use crate::slab::{Slot, BULK};
 use crate::{Envelope, Fan, FanInApi, Net, Node, NodeApi, Queued, Sim, SimTime};
 use mm_topo::NodeId;
 
@@ -116,15 +128,34 @@ fn execute<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: Envelope<M>) {
     nodes[me.index()].on_message(env, &mut NodeApi { net, me });
 }
 
+/// Runs a fan or a fan-in: the entry's slot is freed first, so the
+/// replies a fan's targets make can take it again.
+///
+/// Out of line: it runs once per fan or fan-in, hundreds of deliveries,
+/// and hop cost never takes it; the bulk fan code inlined into the loop
+/// slowed the hop-cost runs.
+#[inline(never)]
+fn execute_bulk<M: Clone, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, slot: u32) {
+    match net.slab.remove(slot) {
+        Slot::Fan(fan) => execute_fan(nodes, net, &fan),
+        Slot::FanIn(fan_in) => {
+            let (env, count) = &*fan_in;
+            execute_fan_in(nodes, net, env, *count);
+        }
+        Slot::Sent(_) | Slot::Free(_) => {
+            debug_assert!(
+                slot & BULK == 0,
+                "a bulk entry's slot holds a fan or a fan-in"
+            );
+        }
+    }
+}
+
 /// Runs the `count` deliveries of a fan-in as that many [`execute`]s
 /// would: all counted as events, then all dropped at a crashed
 /// destination or all charged to it, and the handler called once. A
 /// fan-in handler cannot send, so nothing is queued between the
 /// deliveries, and no depth sample can see `pending` part way down.
-///
-/// Out of line: it runs once per fan-in, hundreds of deliveries, and
-/// inlined it only grew the loop that hop cost runs without it.
-#[inline(never)]
 fn execute_fan_in<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: &Envelope<M>, count: u64) {
     net.pending -= count;
     net.metrics.events_executed += count;
@@ -177,18 +208,18 @@ fn flush<M>(net: &mut Net<M>, streak: Option<Streak<M>>) {
     m.delivered += count;
     m.sends += count;
     m.message_passes += count;
-    let env = Envelope {
-        from,
-        to,
-        sent_at: net.now,
-        msg,
-    };
-    let entry = if count == 1 {
-        Queued::One(env)
+    let slot = if count == 1 {
+        net.slab.insert_sent(from, net.now, msg, 1)
     } else {
-        Queued::FanIn(Box::new((env, count)))
+        let env = Envelope {
+            from,
+            to,
+            sent_at: net.now,
+            msg,
+        };
+        net.slab.insert(Slot::FanIn(Box::new((env, count))))
     };
-    net.queue.push(net.now + 1, entry);
+    net.queue.push(net.now + 1, Queued { to, slot });
 }
 
 /// Runs a fan's deliveries in target order, the sender skipped. A live
@@ -203,10 +234,6 @@ fn flush<M>(net: &mut Net<M>, streak: Option<Streak<M>>) {
 /// runs as an envelope of its own. Each delivery is thus counted, charged
 /// and sampled as its own `execute` would be, and the queue receives the
 /// same deliveries in the same order.
-///
-/// Out of line: hop cost never builds a fan, and inlined into the loop
-/// it slowed the hop-cost runs.
-#[inline(never)]
 fn execute_fan<M: Clone, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, fan: &Fan<M>) {
     let mut streak: Option<Streak<M>> = None;
     for (i, to) in fan.targets.iter().enumerate() {
@@ -262,20 +289,15 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
             // O(1): a run is only ever pushed to, so it starts at the
             // front of its buffer
             let mut entries = Vec::from(run).into_iter();
-            while let Some(entry) = entries.next() {
-                match entries.as_slice().get(LOOKAHEAD - 1) {
-                    Some(Queued::One(env)) => prefetch_node(nodes, net, env.to),
-                    Some(Queued::Fan(fan)) => prefetch_node(nodes, net, fan.targets[0]),
-                    Some(Queued::FanIn(fan_in)) => prefetch_node(nodes, net, fan_in.0.to),
-                    None => {}
+            while let Some(Queued { to, slot }) = entries.next() {
+                if let Some(ahead) = entries.as_slice().get(LOOKAHEAD - 1) {
+                    prefetch_node(nodes, net, ahead.to);
+                    prefetch_at(net.slab.slots(), (ahead.slot & !BULK) as usize);
                 }
-                match entry {
-                    Queued::One(env) => execute(nodes, net, env),
-                    Queued::FanIn(fan_in) => {
-                        let (env, count) = &*fan_in;
-                        execute_fan_in(nodes, net, env, *count);
-                    }
-                    Queued::Fan(fan) => execute_fan(nodes, net, &fan),
+                if slot & BULK != 0 {
+                    execute_bulk(nodes, net, slot);
+                } else if let Some(env) = net.slab.take_copy(slot, to) {
+                    execute(nodes, net, env);
                 }
             }
         }
