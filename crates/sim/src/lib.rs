@@ -30,26 +30,27 @@
 //! slot; each send writes its payload into one slot, once, and the slot
 //! holds one of three things. It is one send's payload, shared by every
 //! copy of a multicast under [`CostModel::Hops`] and rebuilt into an
-//! [`Envelope`] at each copy's pop. Or, for a
-//! multicast under [`CostModel::Uniform`], it is one *fan*: every remote
-//! copy lands on the next tick (§2.1), so the copies share a single entry
-//! that holds the [`TargetSet`] and the payload once. Or it is the fan's
-//! mirror, a *fan-in*: a fan's pure replies (a locate's answers, which
+//! [`Envelope`] at each copy's pop. Or, for a multicast under
+//! [`CostModel::Uniform`], it is one *fan*: every remote copy lands on
+//! the next tick (§2.1), so the copies share a single entry that holds
+//! the [`TargetSet`] and the payload once. Or it is the fan's mirror, a
+//! *fan-in*: a fan's pure replies (a locate's answers, which
 //! [`Node::reply`] names without a handler call) that go to one node and
 //! that [`Node::joins`] pairs (a locate's `Miss` answers) are counted and
-//! charged at once, and queued as one entry that holds the payload and a
-//! count. The loop takes one tick's whole FIFO run off the queue at a
-//! time, runs each delivery its entries stand for in run order — a fan's
-//! in target order, each counted, charged and dropped exactly as an
-//! envelope of its own would be, a fan-in's all at once through one
-//! [`Node::on_fan_in`] call — and hands the handler a [`NodeApi`] over
-//! that network, so a send is routed, charged and queued while the
-//! handler runs; a send for the same tick queues behind the whole run, as
-//! it would behind the rest of the tick. The queue is only pushed to and
-//! popped. Queue depth is the number of pending deliveries, not of
-//! entries, so every report reads the same as with one entry per copy. A
-//! parallel per-tick scheduler was built, measured behind this loop at
-//! every setting, and deleted (README "Sharded execution").
+//! charged at once, and queued as one entry whose slot holds the payload
+//! once, with their count as its copies; the entry's top slot bit marks
+//! it, as it marks a fan. The loop takes one tick's whole FIFO run off
+//! the queue at a time, runs each delivery its entries stand for in run
+//! order — a fan's in target order, each counted, charged and dropped
+//! exactly as an envelope of its own would be, a fan-in's all at once
+//! through one [`Node::on_fan_in`] call — and hands the handler a
+//! [`NodeApi`] over that network, so a send is routed, charged and queued
+//! while the handler runs; a send for the same tick queues behind the
+//! whole run, as it would behind the rest of the tick. The queue is only
+//! pushed to and popped. Queue depth is the number of pending deliveries,
+//! not of entries, so every report reads the same as with one entry per
+//! copy. A parallel per-tick scheduler was built, measured behind this
+//! loop at every setting, and deleted (README "Sharded execution").
 //!
 //! Everything is deterministic: events execute in time order, FIFO within
 //! a timestamp, and the only randomness is whatever the embedded
@@ -335,12 +336,13 @@ struct Net<M> {
 /// One queue entry: a destination and the slab slot of what it delivers.
 ///
 /// The slot holds one send's payload ([`slab::BULK`] clear), shared by
-/// every copy of a hop-cost multicast, or ([`slab::BULK`] set) the box of
-/// a uniform-cost fan, which stands for every remote copy of one
-/// multicast, or of a fan-in, which stands for `count` replies of one
-/// fan, of one payload to one node. A fan's `to` is its first target, the
-/// node the loop prefetches for it. An entry is 8 bytes whatever the
-/// message type, so a tick's run is a dense array of them.
+/// every copy of a hop-cost multicast, or ([`slab::BULK`] set) either the
+/// box of a uniform-cost fan, which stands for every remote copy of one
+/// multicast, or a fan-in, one payload whose copies are the `count`
+/// replies of one fan it stands for, all to `to`. A fan's `to` is its
+/// first target, the node the loop prefetches for it. An entry is 8
+/// bytes whatever the message type, so a tick's run is a dense array of
+/// them.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     to: NodeId,
@@ -911,7 +913,7 @@ mod tests {
 
     /// A queue entry is 8 bytes whatever the message, and the slot that
     /// holds the message is no larger than the envelope the entry used to
-    /// be: the free link and the fan boxes take the payload's niche.
+    /// be: the free link and the fan box take the payload's niche.
     #[test]
     fn a_queue_entry_is_8_bytes_and_a_slot_the_size_of_an_envelope() {
         /// Shaped like `mm-proto`'s messages: an explicit tag, a 16-byte
@@ -1603,8 +1605,11 @@ mod tests {
 
     /// Two locates-alike on `complete(12)`, each a survey of eleven nodes
     /// answered to its sender, run to the tick their answers wait on.
-    /// Returns the reports and the queue entries then held.
-    fn fan_in_script<const REPLY: bool>(sim: &mut Sim<Msg, Tally<REPLY>>) -> (Vec<u64>, usize) {
+    /// Returns the reports, and the queue entries and slab slots then
+    /// held.
+    fn fan_in_script<const REPLY: bool>(
+        sim: &mut Sim<Msg, Tally<REPLY>>,
+    ) -> (Vec<u64>, (usize, usize)) {
         sim.inject(
             nid(0),
             nid(0),
@@ -1616,9 +1621,11 @@ mod tests {
             Msg::Survey((0..12).map(nid).collect(), nid(5), nid(5)),
         );
         sim.run_until(1); // every answer waits on tick 2
-        let entries = sim.net.queue.len();
+        assert_eq!(sim.net.pending, 22, "22 answers in flight");
+        let held = (sim.net.queue.len(), sim.net.slab.live());
         sim.run();
-        (sim.reports().collect(), entries)
+        assert_eq!((sim.net.slab.live(), sim.net.pending), (0, 0));
+        (sim.reports().collect(), held)
     }
 
     /// A fan-in runs as the deliveries it stands for: the same
@@ -1628,8 +1635,8 @@ mod tests {
         for kind in [QueueKind::Calendar, QueueKind::BTree] {
             let mut bulk = tally_sim::<true>(12, kind);
             let mut plain = tally_sim::<false>(12, kind);
-            let (bulk_reports, bulk_entries) = fan_in_script(&mut bulk);
-            let (plain_reports, plain_entries) = fan_in_script(&mut plain);
+            let (bulk_reports, (bulk_entries, bulk_slots)) = fan_in_script(&mut bulk);
+            let (plain_reports, (plain_entries, plain_slots)) = fan_in_script(&mut plain);
             assert_eq!(
                 observe(&bulk, bulk_reports),
                 observe(&plain, plain_reports),
@@ -1640,9 +1647,12 @@ mod tests {
             assert_eq!(bulk.node(nid(0)).fan_ins, [3, 4], "{kind:?}");
             assert_eq!(bulk.node(nid(5)).fan_ins, [4, 2, 4], "{kind:?}");
             assert!(plain.nodes.iter().all(|t| t.fan_ins.is_empty()));
-            // 22 answers in 6 + 4 entries, and the skipped handlers: all
-            // targets but 5 and 7 in the first survey, but 7 in the second
-            assert_eq!(plain_entries - bulk_entries, 22 - 10, "{kind:?}");
+            // 22 answers in 6 + 4 entries, each holding one slot: a
+            // fan-in of k > 1 is one payload, its copies the count
+            assert_eq!((bulk_entries, bulk_slots), (10, 10), "{kind:?}");
+            assert_eq!((plain_entries, plain_slots), (22, 22), "{kind:?}");
+            // and the skipped handlers: all targets but 5 and 7 in the
+            // first survey, but 7 in the second
             assert_eq!(
                 calls(&plain) - calls(&bulk),
                 9 + 10 + joined(&bulk),
@@ -1660,7 +1670,7 @@ mod tests {
             Msg::Survey((1..4).map(nid).collect(), nid(0), nid(0)),
         );
         sim.run_until(1); // three equal answers wait on tick 2 as one entry
-        assert_eq!(sim.net.queue.len(), 1);
+        assert_eq!((sim.net.queue.len(), sim.net.slab.live()), (1, 1));
         let before = sim.metrics().clone();
         sim.crash(nid(0));
         sim.run();
@@ -1669,7 +1679,7 @@ mod tests {
         assert_eq!(m.events_executed, before.events_executed + 3);
         assert_eq!((m.delivered, m.node_load[0]), (before.delivered, 1));
         assert_eq!(sim.node(nid(0)).calls, 1, "only the survey ran");
-        assert_eq!(sim.net.pending, 0);
+        assert_eq!((sim.net.pending, sim.net.slab.live()), (0, 0));
     }
 
     /// Random uniform-cost traffic on `complete(n)` whose answers come
@@ -1745,6 +1755,8 @@ mod tests {
             let mut plain = tally_sim::<false>(n, kind);
             let bulk_reports = answer_traffic(&mut bulk, n, seed, surveys_only);
             let plain_reports = answer_traffic(&mut plain, n, seed, surveys_only);
+            // quiescent: every fan and fan-in gave its slot back
+            assert_eq!((bulk.net.slab.live(), plain.net.slab.live()), (0, 0));
             assert!(calls(&bulk) <= calls(&plain));
             assert_eq!(observe(&bulk, bulk_reports), observe(&plain, plain_reports));
         }

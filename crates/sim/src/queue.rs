@@ -10,8 +10,8 @@
 //!   of bare events per tick near the cursor; the slot position is the
 //!   event's time and the position in the run its push order, so nothing
 //!   is stamped on the event. Past it, a ring of coarse buckets, one per
-//!   64-tick block, each a FIFO list of 16-event chunks from a pooled
-//!   free list, with a `u8` tick offset per event. Past the buckets'
+//!   64-tick block, each a `Vec` of events in push order beside a `Vec`
+//!   of their `u8` tick offsets in the block. Past the buckets'
 //!   horizon, a `BTreeMap` of runs. A block is distributed into the unit
 //!   slots, in push order and in one pass, once the window covers it
 //!   whole; far runs move into buckets whole as the horizon advances, and
@@ -69,68 +69,20 @@ const UNIT_SPAN: u64 = 1024;
 /// event's offset in its block fits a `u8`).
 const MAX_BLOCK: u64 = 64;
 
-/// Events per chunk of a coarse bucket.
-const CHUNK: usize = 16;
-
-/// End of a chunk list.
-const NIL: u32 = u32::MAX;
-
-/// Up to [`CHUNK`] coarse events of one block, in push order, each with
-/// its tick's offset in the block; `next` links the bucket's list, or the
-/// pool's free list while the chunk is unused.
+/// A coarse block's events in push order, each with its tick's offset in
+/// the block.
 #[derive(Debug)]
-struct Chunk<T> {
-    /// Allocated once at [`CHUNK`] capacity and kept across trips through
-    /// the free list.
+struct Bucket<T> {
     events: Vec<T>,
-    offsets: [u8; CHUNK],
-    next: u32,
+    offsets: Vec<u8>,
 }
 
-/// A coarse block's events: a FIFO list of chunks, `NIL` when empty.
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    head: u32,
-    tail: u32,
-}
-
-const EMPTY: Bucket = Bucket {
-    head: NIL,
-    tail: NIL,
-};
-
-/// The chunks of every bucket, with a LIFO free list threaded through
-/// `next`: a chunk freed by a distributed block is the next one taken, so
-/// the pool holds no more chunks than the coarse tier's peak needed.
-#[derive(Debug)]
-struct ChunkPool<T> {
-    chunks: Vec<Chunk<T>>,
-    free: u32,
-}
-
-impl<T> ChunkPool<T> {
-    fn take(&mut self) -> u32 {
-        if self.free == NIL {
-            // the cast cannot truncate: 2^32 chunks would hold 2^36
-            // events, more than any run keeps in memory
-            self.chunks.push(Chunk {
-                events: Vec::with_capacity(CHUNK),
-                offsets: [0; CHUNK],
-                next: NIL,
-            });
-            return (self.chunks.len() - 1) as u32;
+impl<T> Default for Bucket<T> {
+    fn default() -> Self {
+        Bucket {
+            events: Vec::new(),
+            offsets: Vec::new(),
         }
-        let c = self.free;
-        let chunk = &mut self.chunks[c as usize];
-        self.free = std::mem::replace(&mut chunk.next, NIL);
-        c
-    }
-
-    fn give(&mut self, c: u32) {
-        let chunk = &mut self.chunks[c as usize];
-        debug_assert!(chunk.events.is_empty(), "a freed chunk is drained");
-        chunk.next = self.free;
-        self.free = c;
     }
 }
 
@@ -143,10 +95,11 @@ impl<T> ChunkPool<T> {
 ///   event's tick and the position in the run its push order.
 /// * **Coarse buckets** — a ring of buckets, one per block (64 ticks by
 ///   default), for the blocks after the distributed ones. A
-///   bucket is a FIFO list of chunks drawn from a queue-owned pool, each
-///   event stored with its tick's offset in the block. A push appends to
-///   its block's tail, so a long-haul send lands on one of a few hundred
-///   hot tails, not in a cold per-tick slot.
+///   bucket is a `Vec` of events in push order and a `Vec` of their
+///   ticks' `u8` offsets in the block. A push appends to its block's
+///   tail, so a long-haul send lands on one of a few hundred hot tails,
+///   not in a cold per-tick slot; a distributed bucket gives its buffers
+///   back.
 /// * **Far map** — a `BTreeMap` of runs for the ticks past the coarse
 ///   horizon.
 ///
@@ -188,11 +141,10 @@ pub struct CalendarQueue<T> {
     /// The first block not yet distributed. A block is at least 2 ticks
     /// wide, so this stays at most 2^63 even past the end of time.
     next_block: u64,
-    /// `buckets[b & bucket_mask]` is coarse block `b`'s chunk list.
-    buckets: Vec<Bucket>,
+    /// `buckets[b & bucket_mask]` is coarse block `b`'s events.
+    buckets: Vec<Bucket<T>>,
     /// `buckets.len() - 1`; the length is a power of two.
     bucket_mask: u64,
-    pool: ChunkPool<T>,
     /// Number of events currently in the buckets.
     coarse: usize,
     /// The runs at or beyond the coarse horizon, none empty.
@@ -224,12 +176,8 @@ impl<T> CalendarQueue<T> {
             ringed: 0,
             block_bits: block.trailing_zeros(),
             next_block: 0,
-            buckets: vec![EMPTY; blocks as usize],
+            buckets: (0..blocks).map(|_| Bucket::default()).collect(),
             bucket_mask: blocks - 1,
-            pool: ChunkPool {
-                chunks: Vec::new(),
-                free: NIL,
-            },
             coarse: 0,
             far: BTreeMap::new(),
             parked: 0,
@@ -282,24 +230,10 @@ impl<T> CalendarQueue<T> {
 
     /// Appends `ev` to the tail of its (coarse) block's bucket.
     fn append(&mut self, at: SimTime, ev: T) {
+        let offset = (at & ((1 << self.block_bits) - 1)) as u8;
         let bucket = &mut self.buckets[((at >> self.block_bits) & self.bucket_mask) as usize];
-        let tail = match bucket.tail {
-            NIL => {
-                let c = self.pool.take();
-                bucket.head = c;
-                c
-            }
-            tail if self.pool.chunks[tail as usize].events.len() == CHUNK => {
-                let c = self.pool.take();
-                self.pool.chunks[tail as usize].next = c;
-                c
-            }
-            tail => tail,
-        };
-        bucket.tail = tail;
-        let chunk = &mut self.pool.chunks[tail as usize];
-        chunk.offsets[chunk.events.len()] = (at & ((1 << self.block_bits) - 1)) as u8;
-        chunk.events.push(ev);
+        bucket.events.push(ev);
+        bucket.offsets.push(offset);
         self.coarse += 1;
     }
 
@@ -338,42 +272,27 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Moves block `block`'s bucket into the unit slots, in push order,
-    /// and gives its chunks back to the pool.
+    /// Moves block `block`'s bucket into the unit slots, in push order;
+    /// the bucket is left holding no buffer, as a drained slot is.
     fn distribute(&mut self, block: u64) {
-        let bucket = std::mem::replace(
-            &mut self.buckets[(block & self.bucket_mask) as usize],
-            EMPTY,
-        );
+        let bucket = std::mem::take(&mut self.buckets[(block & self.bucket_mask) as usize]);
         let base = block << self.block_bits;
         // size each tick's slot buffer once, from the block's own counts
         let mut counts = [0usize; MAX_BLOCK as usize];
-        let mut c = bucket.head;
-        while c != NIL {
-            let chunk = &self.pool.chunks[c as usize];
-            for &offset in &chunk.offsets[..chunk.events.len()] {
-                counts[usize::from(offset)] += 1;
-            }
-            c = chunk.next;
+        for &offset in &bucket.offsets {
+            counts[usize::from(offset)] += 1;
         }
         for (offset, &count) in counts.iter().enumerate() {
             if count > 0 {
                 self.ring[((base + offset as u64) & self.mask) as usize].reserve_exact(count);
             }
         }
-        let mut c = bucket.head;
-        while c != NIL {
-            let chunk = &mut self.pool.chunks[c as usize];
-            self.coarse -= chunk.events.len();
-            self.ringed += chunk.events.len();
-            for (ev, &offset) in chunk.events.drain(..).zip(&chunk.offsets) {
-                let at = base + u64::from(offset);
-                debug_assert!(at - self.cursor <= self.mask, "one tick per slot");
-                self.ring[(at & self.mask) as usize].push_back(ev);
-            }
-            let next = chunk.next;
-            self.pool.give(c);
-            c = next;
+        self.coarse -= bucket.events.len();
+        self.ringed += bucket.events.len();
+        for (ev, offset) in bucket.events.into_iter().zip(bucket.offsets) {
+            let at = base + u64::from(offset);
+            debug_assert!(at - self.cursor <= self.mask, "one tick per slot");
+            self.ring[(at & self.mask) as usize].push_back(ev);
         }
     }
 
@@ -400,9 +319,8 @@ impl<T> CalendarQueue<T> {
 
     /// The offset of the last event in `at`'s bucket, if it has one.
     fn last_coarse_offset(&self, at: SimTime) -> Option<u8> {
-        let bucket = self.buckets[((at >> self.block_bits) & self.bucket_mask) as usize];
-        let chunk = self.pool.chunks.get(bucket.tail as usize)?;
-        chunk.events.len().checked_sub(1).map(|i| chunk.offsets[i])
+        let bucket = &self.buckets[((at >> self.block_bits) & self.bucket_mask) as usize];
+        bucket.offsets.last().copied()
     }
 
     /// Doubles the bucket ring: every bucket keeps its block and moves to
@@ -411,9 +329,10 @@ impl<T> CalendarQueue<T> {
     fn double_buckets(&mut self) {
         let blocks = self.buckets.len() as u64;
         let mask = 2 * blocks - 1;
-        let mut wider = vec![EMPTY; 2 * blocks as usize];
+        let mut wider: Vec<Bucket<T>> = (0..2 * blocks).map(|_| Bucket::default()).collect();
         for b in self.next_block..self.next_block + blocks {
-            wider[(b & mask) as usize] = self.buckets[(b & self.bucket_mask) as usize];
+            wider[(b & mask) as usize] =
+                std::mem::take(&mut self.buckets[(b & self.bucket_mask) as usize]);
         }
         self.buckets = wider;
         self.bucket_mask = mask;
@@ -425,15 +344,8 @@ impl<T> CalendarQueue<T> {
     fn first_coarse(&self) -> SimTime {
         let mut block = self.next_block;
         loop {
-            let mut c = self.buckets[(block & self.bucket_mask) as usize].head;
-            if c != NIL {
-                let mut least = u8::MAX;
-                while c != NIL {
-                    let chunk = &self.pool.chunks[c as usize];
-                    let offsets = &chunk.offsets[..chunk.events.len()];
-                    least = offsets.iter().fold(least, |l, &o| l.min(o));
-                    c = chunk.next;
-                }
+            let bucket = &self.buckets[(block & self.bucket_mask) as usize];
+            if let Some(&least) = bucket.offsets.iter().min() {
                 return (block << self.block_bits) + u64::from(least);
             }
             block += 1;
@@ -489,7 +401,7 @@ impl<T> CalendarQueue<T> {
     pub fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
         let t = self.seek_front(deadline)?;
         let run = &mut self.ring[(t & self.mask) as usize];
-        let ev = run.pop_front().expect("nonempty run");
+        let ev = run.pop_front()?;
         if run.is_empty() {
             // give the drained run's buffer back: a kept one pins every
             // slot at the largest tick it ever held
@@ -685,30 +597,13 @@ mod tests {
         assert_eq!(q.pop_next(), None);
     }
 
-    /// The chunks a bucket's list needs for the events it holds.
-    fn chunks_needed<T>(q: &CalendarQueue<T>) -> usize {
-        q.buckets
-            .iter()
-            .map(|bucket| {
-                let mut events = 0;
-                let mut c = bucket.head;
-                while c != NIL {
-                    let chunk = &q.pool.chunks[c as usize];
-                    events += chunk.events.len();
-                    c = chunk.next;
-                }
-                events.div_ceil(CHUNK)
-            })
-            .sum()
-    }
-
     /// Regression: a bucket drained by `pop_next_until` kept its buffer, so
     /// after one lap of the window every bucket held the largest tick it
     /// had ever seen (735 MiB vs the btree queue's 97 on `overload-ramp`
-    /// at n = 262,144). The coarse tier's chunks go back to the pool when
-    /// their block is distributed, and the pool reuses them: after a
-    /// far-heavy burst it holds no more chunks than the peak coarse
-    /// occupancy needed.
+    /// at n = 262,144). A drained slot gives its buffer back, and so does
+    /// a coarse bucket once its block is distributed: after a far-heavy
+    /// burst that doubled the bucket ring, no bucket and no slot holds
+    /// any event storage.
     #[test]
     fn drained_buckets_give_their_buffers_back() {
         let mut q = CalendarQueue::default();
@@ -728,33 +623,24 @@ mod tests {
         // every tick sends eight events 2,000–10,000 ticks ahead, past the
         // coarse horizon the queue starts with, so the bucket ring doubles
         // and far runs keep moving into buckets as blocks are distributed
-        let mut peak = 0;
         let start = q.cursor;
         for t in start..start + 4 * UNIT_SPAN {
-            // one event due now moves the cursor every tick, so each pop
-            // distributes at most one block and `peak` sees every high
             q.push(t, 8);
             for i in 0..8u32 {
                 q.push(t + 2_000 + (u64::from(i) * 977 + t * 31) % 8_000, i);
             }
-            peak = peak.max(chunks_needed(&q));
-            while q.pop_next_until(t).is_some() {
-                peak = peak.max(chunks_needed(&q));
-            }
+            while q.pop_next_until(t).is_some() {}
         }
-        while q.pop_next().is_some() {
-            peak = peak.max(chunks_needed(&q));
-        }
+        while q.pop_next().is_some() {}
         assert!(q.is_empty());
         assert!(
             q.buckets.len() > UNIT_SPAN as usize / 64,
             "the burst doubled the ring"
         );
-        assert!(
-            q.pool.chunks.len() <= peak,
-            "{} chunks pooled, the peak needed {peak}",
-            q.pool.chunks.len()
-        );
+        for (b, bucket) in q.buckets.iter().enumerate() {
+            let held = (bucket.events.capacity(), bucket.offsets.capacity());
+            assert_eq!(held, (0, 0), "distributed bucket {b} holds no buffer");
+        }
         let held: usize = q.ring.iter().map(VecDeque::capacity).sum();
         assert_eq!(held, 0, "drained slots hold no buffer");
     }

@@ -21,7 +21,7 @@
 //! is crashed, hop walks collapse to O(1) `distance` lookups — the walk
 //! exists only to find the first crashed intermediate.
 
-use crate::slab::Slot;
+use crate::slab::{Slot, BULK};
 use crate::{Fan, Net, Queued, TargetSet};
 use mm_topo::spanning::multicast_cost;
 use mm_topo::{NodeId, Router};
@@ -138,12 +138,13 @@ impl<M> Net<M> {
             }
             if remote > 0 {
                 let to = targets.as_slice()[0];
-                let slot = self.slab.insert(Slot::Fan(Box::new(Fan {
+                let fan = Slot::Fan(Box::new(Fan {
                     from,
                     sent_at: self.now,
                     targets,
                     msg,
-                })));
+                }));
+                let slot = self.slab.insert(fan) | BULK;
                 self.queue.push(self.now + 1, Queued { to, slot });
                 self.queued(remote);
             }

@@ -19,16 +19,17 @@
 //! copy that meets a crashed destination gives its share back too. An
 //! entry whose slot index has the bulk bit set holds a fan or a fan-in
 //! ([`execute_bulk`], out of line), so one bit of the entry tells the two
-//! paths apart. A fan (the remote copies of one
-//! uniform-cost multicast) is one per target but the sender, run back to
-//! back in target order. That is the order one envelope per copy would
-//! pop in: the copies were queued together, so on their tick nothing sits
-//! between them, and whatever their handlers queue for the same tick goes
-//! behind the last of them. A fan-in (a streak of a fan's replies: one
-//! payload to one node, assembled whole before it was queued) is `count`
-//! deliveries run at once: one crash check, every counter moved by
-//! `count`, and one [`Node::on_fan_in`] call. That handler can only
-//! report, so nothing it does lands between the deliveries it stands for.
+//! paths apart. A fan (the remote copies of one uniform-cost multicast)
+//! is one per target but the sender, run back to back in target order.
+//! That is the order one envelope per copy would pop in: the copies were
+//! queued together, so on their tick nothing sits between them, and
+//! whatever their handlers queue for the same tick goes behind the last
+//! of them. A fan-in (a streak of a fan's replies: one payload to the
+//! entry's node, assembled whole before it was queued, its copies the
+//! streak's `count`) is `count` deliveries run at once: one crash check,
+//! every counter moved by `count`, and one [`Node::on_fan_in`] call. That
+//! handler can only report, so nothing it does lands between the
+//! deliveries it stands for.
 //!
 //! A fan's pure replies run in bulk ([`execute_fan`]). A target whose
 //! node names the one send its delivery would make ([`Node::reply`]) is
@@ -48,8 +49,8 @@
 //! before they run — the rest of a fan's target list, and the rest of the
 //! run — so it prefetches those three for the delivery [`LOOKAHEAD`]
 //! places ahead, and for an entry of the run also its payload slot (for a
-//! fan or fan-in, the slot that holds its box; a fan's entry names its
-//! first target). Only the handler's own slot is prefetched, not what it
+//! fan, the slot that holds its box; a fan's entry names its first
+//! target). Only the handler's own slot is prefetched, not what it
 //! points to: the protocol's node machine is two box pointers, and at
 //! scale most targets of a locate have neither box, so the slot is all
 //! a delivery to them reads. A prefetch changes no architectural state,
@@ -128,38 +129,40 @@ fn execute<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: Envelope<M>) {
     nodes[me.index()].on_message(env, &mut NodeApi { net, me });
 }
 
-/// Runs a fan or a fan-in: the entry's slot is freed first, so the
-/// replies a fan's targets make can take it again.
+/// Runs the fan or the fan-in (a payload under [`BULK`]) of an entry for
+/// `to`: the entry's slot is freed first, so the replies a fan's targets
+/// make can take it again.
 ///
 /// Out of line: it runs once per fan or fan-in, hundreds of deliveries,
 /// and hop cost never takes it; the bulk fan code inlined into the loop
 /// slowed the hop-cost runs.
 #[inline(never)]
-fn execute_bulk<M: Clone, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, slot: u32) {
+fn execute_bulk<M: Clone, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, to: NodeId, slot: u32) {
     match net.slab.remove(slot) {
         Slot::Fan(fan) => execute_fan(nodes, net, &fan),
-        Slot::FanIn(fan_in) => {
-            let (env, count) = &*fan_in;
-            execute_fan_in(nodes, net, env, *count);
+        Slot::Sent(fan_in) => {
+            execute_fan_in(nodes, net, to, &fan_in.msg, u64::from(fan_in.copies));
         }
-        Slot::Sent(_) | Slot::Free(_) => {
-            debug_assert!(
-                slot & BULK == 0,
-                "a bulk entry's slot holds a fan or a fan-in"
-            );
-        }
+        // `remove` asserts that a queued slot is in use
+        Slot::Free(_) => {}
     }
 }
 
-/// Runs the `count` deliveries of a fan-in as that many [`execute`]s
-/// would: all counted as events, then all dropped at a crashed
-/// destination or all charged to it, and the handler called once. A
-/// fan-in handler cannot send, so nothing is queued between the
+/// Runs the `count` deliveries to `to` of a fan-in as that many
+/// [`execute`]s would: all counted as events, then all dropped at a
+/// crashed destination or all charged to it, and the handler called once.
+/// A fan-in handler cannot send, so nothing is queued between the
 /// deliveries, and no depth sample can see `pending` part way down.
-fn execute_fan_in<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: &Envelope<M>, count: u64) {
+fn execute_fan_in<M, N: Node<M>>(
+    nodes: &mut [N],
+    net: &mut Net<M>,
+    to: NodeId,
+    msg: &M,
+    count: u64,
+) {
     net.pending -= count;
     net.metrics.events_executed += count;
-    let me = env.to.index();
+    let me = to.index();
     if net.crashed[me] {
         net.metrics.dropped += count;
         return;
@@ -170,17 +173,18 @@ fn execute_fan_in<M, N: Node<M>>(nodes: &mut [N], net: &mut Net<M>, env: &Envelo
         now: net.now,
         reports: &mut net.reports,
     };
-    nodes[me].on_fan_in(&env.msg, count, &mut api);
+    nodes[me].on_fan_in(msg, count, &mut api);
 }
 
 /// The open streak of a fan: `count` targets, the first `from`, whose
 /// replies go to `to` and join `msg`; only crashed targets, which send
-/// nothing, lie between them.
+/// nothing, lie between them. `count` is at most the fan's targets, so
+/// it fits the `u32` node id space.
 struct Streak<M> {
     from: NodeId,
     to: NodeId,
     msg: M,
-    count: u64,
+    count: u32,
     /// Replies not yet depth-sampled: those since the streak opened or
     /// since its last crashed target.
     unsampled: u64,
@@ -189,8 +193,9 @@ struct Streak<M> {
 /// Runs a streak's deliveries and queues their replies as `count`
 /// handler calls would have, each send right after its own delivery's
 /// pop: every counter moved by `count`, the unsampled replies sampled at
-/// the depth each pop and send left unchanged, and one entry pushed for
-/// the next tick — an envelope for one reply, a fan-in for more.
+/// the depth each pop and send left unchanged, and one payload queued
+/// for the next tick — a delivery for one reply, under [`BULK`] a fan-in
+/// for more.
 fn flush<M>(net: &mut Net<M>, streak: Option<Streak<M>>) {
     let Some(Streak {
         from,
@@ -204,21 +209,13 @@ fn flush<M>(net: &mut Net<M>, streak: Option<Streak<M>>) {
     };
     net.sampled(unsampled);
     let m = &mut net.metrics;
-    m.events_executed += count;
-    m.delivered += count;
-    m.sends += count;
-    m.message_passes += count;
-    let slot = if count == 1 {
-        net.slab.insert_sent(from, net.now, msg, 1)
-    } else {
-        let env = Envelope {
-            from,
-            to,
-            sent_at: net.now,
-            msg,
-        };
-        net.slab.insert(Slot::FanIn(Box::new((env, count))))
-    };
+    let replies = u64::from(count);
+    m.events_executed += replies;
+    m.delivered += replies;
+    m.sends += replies;
+    m.message_passes += replies;
+    let slot = net.slab.insert_sent(from, net.now, msg, count);
+    let slot = if count > 1 { slot | BULK } else { slot };
     net.queue.push(net.now + 1, Queued { to, slot });
 }
 
@@ -295,7 +292,7 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
                     prefetch_at(net.slab.slots(), (ahead.slot & !BULK) as usize);
                 }
                 if slot & BULK != 0 {
-                    execute_bulk(nodes, net, slot);
+                    execute_bulk(nodes, net, to, slot);
                 } else if let Some(env) = net.slab.take_copy(slot, to) {
                     execute(nodes, net, env);
                 }

@@ -5,9 +5,11 @@
 //! writes one payload for all its surviving copies, each copy an entry of
 //! its own, and the last copy to pop or drop frees the slot. A unicast, an
 //! inject, a one-reply streak's flush and a uniform-cost local copy hold
-//! one slot for one copy. A uniform-cost fan or fan-in holds a slot with
-//! its box, and its entry's index carries [`BULK`], so the loop tells the
-//! two paths apart by one bit of the entry it already holds.
+//! one slot for one copy. A uniform-cost fan holds a slot with its box,
+//! and a fan-in of `count` joined replies a payload whose `copies` is that
+//! count; the entry of either carries [`BULK`] in its index, so the loop
+//! tells the bulk path from a delivery by one bit of the entry it already
+//! holds.
 //!
 //! Freed slots go on a LIFO free list threaded through the slots
 //! themselves: the next send takes the slot the last pop freed, whose line
@@ -27,11 +29,12 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug)]
 pub(crate) struct Sent<M> {
     from: NodeId,
-    /// Queue entries that still point here; at most the targets of one
-    /// multicast, so it fits the `u32` node id space.
-    copies: u32,
+    /// Queue entries that still point here, or under [`BULK`] the replies
+    /// a fan-in joins; at most the targets of one multicast, so it fits
+    /// the `u32` node id space.
+    pub(crate) copies: u32,
     sent_at: SimTime,
-    msg: M,
+    pub(crate) msg: M,
 }
 
 /// One slot of the slab.
@@ -39,14 +42,13 @@ pub(crate) struct Sent<M> {
 pub(crate) enum Slot<M> {
     /// Unused; the next free slot, or `NIL`.
     Free(u32),
-    /// A point-to-point send's or a hop-cost multicast's payload.
+    /// A point-to-point send's or a hop-cost multicast's payload; under
+    /// [`BULK`], a fan-in: one joined reply standing for `copies`. The
+    /// payloads it joins are interchangeable (that is what joining them
+    /// says); the senders of all but the first are not kept.
     Sent(Sent<M>),
     /// Every remote copy of one uniform-cost multicast.
     Fan(Box<Fan<M>>),
-    /// One joined delivery's envelope and the count. The payloads are
-    /// interchangeable (that is what joining them says); the senders of
-    /// all but the first are not kept.
-    FanIn(Box<(Envelope<M>, u64)>),
 }
 
 /// The payloads of every delivery in flight, indexed by queue entries.
@@ -78,12 +80,11 @@ impl<M> Slab<M> {
         }
     }
 
-    /// Stores `slot` and returns the index its queue entries carry: the
-    /// slot's position, with [`BULK`] set for a fan or a fan-in.
+    /// Stores `slot` and returns its position; a caller queueing a fan or
+    /// a fan-in sets [`BULK`] in the index its entry carries.
     pub(crate) fn insert(&mut self, slot: Slot<M>) -> u32 {
         let i = self.vacant();
         debug_assert!(i < BULK, "slot index {i} overflows into the bulk bit");
-        let bulk = matches!(slot, Slot::Fan(_) | Slot::FanIn(_));
         match self.slots.get_mut(i as usize) {
             Some(free) => {
                 debug_assert!(
@@ -96,14 +97,11 @@ impl<M> Slab<M> {
             }
             None => self.slots.push(slot),
         }
-        if bulk {
-            i | BULK
-        } else {
-            i
-        }
+        i
     }
 
-    /// Stores the payload of `copies` deliveries of `msg` from `from`.
+    /// Stores the payload of `copies` deliveries of `msg` from `from`, or
+    /// of a fan-in of `copies` replies.
     pub(crate) fn insert_sent(
         &mut self,
         from: NodeId,
