@@ -59,11 +59,6 @@ impl CccStrategy {
     fn position_hash(&self, a: u32) -> u32 {
         (a.wrapping_mul(2654435761)) % self.d
     }
-
-    /// `(d, h)` parameters.
-    pub fn params(&self) -> (u32, u32) {
-        (self.d, self.h)
-    }
 }
 
 impl Strategy for CccStrategy {

@@ -138,11 +138,6 @@ impl Checkerboard {
             inner: Blocks::new(n, b.max(1), b.max(1)),
         }
     }
-
-    /// The band count `⌈√n⌉`.
-    pub fn band_count(&self) -> usize {
-        self.inner.shape().0
-    }
 }
 
 impl Strategy for Checkerboard {

@@ -152,8 +152,8 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
 
     /// Builds an engine with every execution axis explicit: the event
     /// queue ([`QueueKind`]) and the routing backend ([`RouterKind`]).
-    /// Both are output-invariant; the determinism and conformance suites
-    /// use this to pit each optimized path against its oracle. `mode` is
+    /// Both are output-invariant; the differential suite runs each setting
+    /// against the workload layer's reference host. `mode` is
     /// a compatibility alias that selects nothing (see [`ShardMode`]).
     ///
     /// # Panics

@@ -107,8 +107,10 @@ use slab::Slab;
 /// non-default variant exists for conformance checks.
 ///
 /// No binary selects `Table`: it is the oracle of
-/// `tests/router_identity.rs`, `tests/router_memory_guard.rs` and
-/// `crates/topo/tests/router_conformance.rs`. The policy stays a public
+/// `crates/topo/tests/router_conformance.rs`, and whole hop-cost runs on
+/// it are a row of the differential suite
+/// (`crates/workload/tests/differential.rs`), held to the same reference
+/// host as the analytic routers' runs. The policy stays a public
 /// parameter because `benchmark/layers` passes one through
 /// `RunConfig.router` and the `with_router` constructors; making `Table`
 /// test-only is a one-variant cut once that harness stops naming the type.
@@ -400,10 +402,10 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     }
 
     /// Creates a simulator with every backend choice explicit: event
-    /// queue (the [`QueueKind::BTree`] reference is kept for determinism
-    /// cross-checks) and routing backend. Both axes are output-invariant;
-    /// this is the constructor conformance suites use to pit the analytic
-    /// routers against the table oracle. `mode` is ignored (see
+    /// queue (calendar or the [`QueueKind::BTree`] reference) and routing
+    /// backend (analytic or the table oracle). Both axes are
+    /// output-invariant, and each of their settings is a row of the
+    /// workload layer's differential suite. `mode` is ignored (see
     /// [`ShardMode`]).
     ///
     /// # Panics
@@ -1035,67 +1037,6 @@ mod tests {
         assert_eq!(calendar, run(QueueKind::BTree));
     }
 
-    // ---- `ShardMode` is an alias: every value runs the one core ----
-    //
-    // These suites were the sharded core's conformance checks. The core is
-    // gone; they stay, one setting each, so that a `Sharded` value that
-    // starts selecting something again fails here before `benchmark/layers`
-    // (which still passes one) reads different numbers. They go with the
-    // enum (ROADMAP 1(b)).
-
-    const ALIAS: ShardMode = ShardMode::Sharded {
-        shards: 16,
-        threads: 2,
-    };
-
-    /// Drives one busy scenario (pings, multicasts, a crash + restore,
-    /// phased `run_until` with replies in flight across each deadline)
-    /// and returns every observable output.
-    fn drive(mode: ShardMode) -> SimOutput {
-        let n = 36;
-        let mut sim = Sim::with_router(
-            gen::grid(6, 6, false),
-            recorders(n),
-            CostModel::Hops,
-            QueueKind::Calendar,
-            mode,
-            RouterKind::Auto,
-        );
-        sim.inject(nid(0), nid(35), Msg::Ping);
-        sim.inject(nid(3), nid(30), Msg::Ping);
-        sim.inject(nid(5), nid(5), Msg::Spread(vec![nid(0), nid(17), nid(35)]));
-        sim.run_until(6);
-        sim.crash(nid(14));
-        sim.inject(nid(2), nid(14), Msg::Note);
-        sim.inject(nid(20), nid(20), Msg::Spread(vec![nid(8), nid(26)]));
-        sim.run_until(40);
-        sim.restore(nid(14));
-        sim.inject(nid(2), nid(14), Msg::Ping);
-        sim.run();
-        let logs = (0..n)
-            .map(|v| sim.node(nid(v as u32)).got.clone())
-            .collect();
-        SimOutput {
-            metrics: sim.metrics().clone(),
-            buckets: *sim.queue_depth_buckets(),
-            now: sim.now(),
-            logs,
-        }
-    }
-
-    #[derive(Debug, PartialEq)]
-    struct SimOutput {
-        metrics: Metrics,
-        buckets: [u64; QUEUE_DEPTH_BUCKETS],
-        now: SimTime,
-        logs: Vec<Vec<(NodeId, Msg, SimTime)>>,
-    }
-
-    #[test]
-    fn sharded_core_matches_single_oracle() {
-        assert_eq!(drive(ALIAS), drive(ShardMode::Single));
-    }
-
     /// splitmix64 — deterministic traffic generator for the property
     /// suite (no external RNG state, reproduces per test name).
     fn mix(x: &mut u64) -> u64 {
@@ -1106,191 +1047,6 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Drives a deterministic pseudo-random batch of pings, multicasts,
-    /// phased `run_until`s and crash/restore toggles. A pong is in flight
-    /// for the hop distance it covers, so on a path its delay is anything
-    /// up to `n - 1` ticks — well across the 10–40 tick phase deadlines.
-    fn random_traffic(sim: &mut Sim<Msg, Recorder>, n: usize, mut s: u64) {
-        let node = |s: &mut u64| nid((mix(s) % n as u64) as u32);
-        for phase in 0..4 {
-            for _ in 0..6 {
-                match mix(&mut s) % 4 {
-                    0 => {
-                        let from = node(&mut s);
-                        let targets: Vec<NodeId> =
-                            (0..1 + mix(&mut s) % 5).map(|_| node(&mut s)).collect();
-                        sim.inject(from, from, Msg::Spread(targets));
-                    }
-                    1 => {
-                        let v = node(&mut s);
-                        if sim.is_crashed(v) {
-                            sim.restore(v);
-                        } else {
-                            sim.crash(v);
-                        }
-                    }
-                    _ => {
-                        let (a, b) = (node(&mut s), node(&mut s));
-                        sim.inject(a, b, Msg::Ping);
-                    }
-                }
-            }
-            let deadline = sim.now() + 10 + mix(&mut s) % 30;
-            sim.run_until(deadline);
-            if phase == 2 {
-                // drain fully once mid-sequence, then keep going
-                sim.run();
-            }
-        }
-        sim.run();
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Random traffic on a grid (analytic router, short hops) or a
-        /// path of the same size (table router, long delays): the
-        /// `BTree` queue under the `Sharded` alias
-        /// reproduces the default simulator's metrics, depth histogram,
-        /// clock and per-node delivery logs.
-        #[test]
-        fn random_traffic_is_core_invariant_and_shard_metrics_merge(
-            seed in any::<u64>(),
-            w in 3usize..7,
-            h in 3usize..7,
-            long in any::<bool>(),
-        ) {
-            let n = w * h;
-            let graph = || if long { gen::path(n) } else { gen::grid(w, h, false) };
-            let mut plain = Sim::new(graph(), recorders(n), CostModel::Hops);
-            random_traffic(&mut plain, n, seed);
-            let mut other = Sim::with_router(
-                graph(),
-                recorders(n),
-                CostModel::Hops,
-                QueueKind::BTree,
-                ALIAS,
-                RouterKind::Auto,
-            );
-            random_traffic(&mut other, n, seed);
-            // each queued delivery is sampled once and popped once
-            let sampled: u64 = plain.queue_depth_buckets().iter().sum();
-            prop_assert_eq!(sampled, plain.metrics().events_executed);
-            prop_assert_eq!(other.metrics(), plain.metrics());
-            prop_assert_eq!(other.queue_depth_buckets(), plain.queue_depth_buckets());
-            prop_assert_eq!(other.now(), plain.now());
-            for v in (0..n as u32).map(nid) {
-                prop_assert_eq!(&other.node(v).got, &plain.node(v).got);
-            }
-        }
-    }
-
-    /// The cases a scheduler could get wrong, on a ring wide enough that
-    /// a reply from the far side outlasts the calendar queue's bucket
-    /// window: same-tick chains of self-sends next to multicasts that
-    /// include their sender (zero-delay children in one tick), one-tick
-    /// slices with nothing due, crashes and restores between slices, and
-    /// an event parked in the queue's far map meanwhile.
-    fn band_edge_traffic(sim: &mut Sim<Msg, Recorder>, n: u32) {
-        let hosts = [0, 1, n / 3, n / 2, n - 1];
-        for v in hosts {
-            sim.inject(nid(v), nid(v), Msg::Chain(4));
-            let set = vec![nid(v), nid((v + 1) % n), nid((v + 7) % n), nid(n - 1 - v)];
-            sim.inject(nid(v), nid(v), Msg::Spread(set));
-        }
-        // the pong crosses half the ring: under hop cost it lands n / 2
-        // ticks out, past the 1,024-tick window
-        sim.inject(nid(n / 2), nid(0), Msg::Ping);
-        for _ in 0..12 {
-            sim.run_until(sim.now() + 1);
-        }
-        sim.crash(nid(1));
-        sim.crash(nid(n / 3));
-        sim.inject(nid(2), nid(1), Msg::Chain(3)); // dropped at the pop
-        sim.inject(
-            nid(0),
-            nid(0),
-            Msg::Spread(vec![nid(0), nid(1), nid(2), nid(3)]),
-        );
-        for v in hosts {
-            sim.inject(nid(v), nid((v + 2) % n), Msg::Ping);
-        }
-        for _ in 0..5 {
-            sim.run_until(sim.now() + 1);
-        }
-        sim.restore(nid(1));
-        sim.inject(nid(1), nid(1), Msg::Chain(5));
-        sim.inject(nid(1), nid(1), Msg::Spread(hosts.map(nid).to_vec()));
-        sim.run_until(sim.now() + 40);
-        sim.restore(nid(n / 3));
-        sim.inject(nid(n / 3), nid(n / 3), Msg::Chain(3));
-        sim.run();
-    }
-
-    #[test]
-    fn band_edges_match_single_core_at_every_geometry() {
-        let n = 2200;
-        for cost in [CostModel::Hops, CostModel::Uniform] {
-            let build = |kind, mode| {
-                let mut sim = Sim::with_router(
-                    gen::ring(n),
-                    recorders(n),
-                    cost,
-                    kind,
-                    mode,
-                    RouterKind::Auto,
-                );
-                band_edge_traffic(&mut sim, n as u32);
-                sim
-            };
-            let single = build(QueueKind::Calendar, ShardMode::Single);
-            // each queued delivery is sampled once and popped once
-            let sampled: u64 = single.queue_depth_buckets().iter().sum();
-            assert_eq!(sampled, single.metrics().events_executed, "{cost:?}");
-            if cost == CostModel::Hops {
-                let far = &single.node(nid(n as u32 / 2)).got;
-                assert!(far.contains(&(nid(0), Msg::Pong, n as u64 / 2)));
-            }
-            for (kind, mode) in [
-                (QueueKind::BTree, ShardMode::Single),
-                (QueueKind::Calendar, ALIAS),
-            ] {
-                let at = format!("{cost:?} {kind:?} {mode:?}");
-                let other = build(kind, mode);
-                assert_eq!(other.metrics(), single.metrics(), "{at}");
-                assert_eq!(
-                    other.queue_depth_buckets(),
-                    single.queue_depth_buckets(),
-                    "{at}"
-                );
-                assert_eq!(other.now(), single.now(), "{at}");
-                for v in (0..n as u32).map(nid) {
-                    assert_eq!(other.node(v).got, single.node(v).got, "{at} {v:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_uniform_model_matches_oracle() {
-        let run = |mode| {
-            let mut sim = Sim::with_router(
-                gen::complete(12),
-                recorders(12),
-                CostModel::Uniform,
-                QueueKind::Calendar,
-                mode,
-                RouterKind::Auto,
-            );
-            for v in 0..12u32 {
-                sim.inject(nid(v), nid((v + 5) % 12), Msg::Ping);
-            }
-            sim.inject(nid(0), nid(0), Msg::Spread((0..12).map(nid).collect()));
-            sim.run();
-            (sim.metrics().clone(), *sim.queue_depth_buckets())
-        };
-        assert_eq!(run(ALIAS), run(ShardMode::Single));
-    }
     // ---- the payload slab: one slot per send, freed by its last copy ----
 
     /// A hop-cost multicast's copies share one slot. A copy dropped at a

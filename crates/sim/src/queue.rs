@@ -45,11 +45,13 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// Which event-queue implementation a [`Sim`](crate::Sim) uses.
 ///
-/// `BTree` is the oracle of `tests/queue_determinism.rs`, the queue
-/// proptests in this module and the `sustained` campaign (`BENCH_6.json`).
-/// It is still a CLI axis (`--queue btree`) only because `benchmark/e2e`
-/// names it; once that comparison moves into `benchmark/layers`, dropping
-/// the flag is the same one-arm cut the router flag got.
+/// `BTree` is the oracle of the queue proptests in this module. Whole
+/// runs on it are a row of the differential suite
+/// (`crates/workload/tests/differential.rs`), which holds them, like the
+/// calendar's, to a reference host, not to each other. It is still a CLI
+/// axis (`--queue btree`) and a `sustained` campaign axis
+/// (`BENCH_6.json`) only because the benchmark names it; once it stops,
+/// dropping the flag is the same one-arm cut the router flag got.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// Bucketed calendar queue (production default).

@@ -35,8 +35,6 @@ use crate::graph::{Graph, NodeId, TopoError};
 pub struct ProjectivePlane {
     k: u64,
     n: usize,
-    /// Normalized homogeneous coordinates of each point.
-    points: Vec<[u64; 3]>,
     /// `lines[l]` = sorted point ids on line `l`.
     lines: Vec<Vec<u32>>,
     /// `through[p]` = sorted line ids through point `p`.
@@ -74,7 +72,6 @@ impl ProjectivePlane {
         Ok(ProjectivePlane {
             k,
             n,
-            points: coords,
             lines,
             through,
         })
@@ -104,15 +101,6 @@ impl ProjectivePlane {
     /// Number of points (= number of lines) `n = k² + k + 1`.
     pub fn point_count(&self) -> usize {
         self.n
-    }
-
-    /// Homogeneous coordinates of point `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p >= point_count()`.
-    pub fn point_coords(&self, p: usize) -> [u64; 3] {
-        self.points[p]
     }
 
     /// The sorted points on line `l`.

@@ -28,7 +28,7 @@ use mm_topo::{gen, Graph};
 
 /// Ceiling for [`RouterKind::Table`] under hop cost: the O(n²) table at 4096
 /// nodes is ~134 MB, which is as far as the conformance oracle needs to
-/// go (the byte-identity suite proptests exactly this range).
+/// go (`mm-topo`'s router conformance suite checks all pairs at this size).
 pub const TABLE_ROUTER_LIMIT: usize = 4096;
 
 /// One OS thread per node: past this the live runtime would exhaust the
@@ -505,6 +505,16 @@ mod tests {
                 "{strategy}"
             );
         }
+    }
+
+    #[test]
+    fn table_backend_refuses_sizes_beyond_its_ceiling() {
+        let mut cfg = RunConfig::new("steady-state", 65_536, 7);
+        cfg.topology = "grid".to_string();
+        cfg.cost = CostModel::Hops;
+        cfg.router = RouterKind::Table;
+        let err = run(&cfg).expect_err("O(n^2) table at 65536 nodes must refuse");
+        assert!(err.contains("table"), "unexpected error: {err}");
     }
 
     #[test]

@@ -447,7 +447,7 @@ impl<PM: PortMapped> ScenarioRunner<ShotgunEngine<PM>> {
     /// explicit: the event queue (calendar vs the `BTreeMap` reference)
     /// and the routing backend (analytic closed forms vs the O(n²) table
     /// oracle). Reports are byte-identical at every combination — the
-    /// queue and router determinism suites enforce it. `mode` is a
+    /// differential suite holds each to the reference host. `mode` is a
     /// compatibility alias that selects nothing (see [`ShardMode`]).
     ///
     /// # Panics

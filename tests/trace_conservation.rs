@@ -8,10 +8,12 @@
 //!    `Metrics::sends` — in **both** runtimes (discrete-event simulator
 //!    and threaded `LiveNet`).
 //! 2. **Determinism** — at equal seeds a churn-free spec traces
-//!    byte-identically across event-queue implementations *and* across
-//!    the two runtimes; and a head-sampled trace is an exact subset of
-//!    the full trace at the same seed (sampling decides per trace id,
-//!    never re-times or re-orders anything).
+//!    byte-identically across the two runtimes; and a head-sampled trace
+//!    is an exact subset of the full trace at the same seed (sampling
+//!    decides per trace id, never re-times or re-orders anything). The
+//!    simulator's execution axes (event queue, router) are rows of the
+//!    differential suite (`crates/workload/tests/differential.rs`), whose
+//!    traced rows hold the engine's trace to the reference host's.
 //!
 //! Churn-free is the precondition the conservation check documents:
 //! migrate/unpost churn traffic and §1.3 stale-recovery retries are
@@ -19,7 +21,6 @@
 //! whole-run account.
 
 use match_making::prelude::*;
-use match_making::sim::{QueueKind, RouterKind, ShardMode};
 use mm_obs::{analyze, TraceConfig, TraceFile};
 use mm_workload::{ArrivalProcess, LiveRuntime, Phase, PortPopularity, ScenarioRunner, Workload};
 use proptest::prelude::*;
@@ -74,19 +75,12 @@ fn random_spec(
 }
 
 fn sim_trace(spec: &Workload, n: usize, rate: f64) -> TraceFile {
-    sim_trace_queued(spec, n, rate, QueueKind::Calendar)
-}
-
-fn sim_trace_queued(spec: &Workload, n: usize, rate: f64, queue: QueueKind) -> TraceFile {
-    let mut runner = ScenarioRunner::with_router(
+    let mut runner = ScenarioRunner::new(
         spec.clone(),
         gen::complete(n),
         Checkerboard::new(n),
         CostModel::Uniform,
         "checkerboard",
-        queue,
-        ShardMode::Single,
-        RouterKind::Auto,
     );
     runner.set_trace(TraceConfig::with_rate(spec.seed, rate));
     runner.run_traced().1.expect("tracing was enabled")
@@ -196,9 +190,9 @@ proptest! {
         );
     }
 
-    /// The tentpole determinism claim, on random specs: churn-free
-    /// workloads trace byte-identically across event-queue
-    /// implementations and across the two runtimes at equal seeds.
+    /// The cross-runtime determinism claim, on random specs: churn-free
+    /// workloads trace byte-identically on the simulator and on the
+    /// threaded live runtime at equal seeds.
     #[test]
     fn churn_free_traces_are_byte_identical(
         seed in any::<u64>(),
@@ -209,10 +203,8 @@ proptest! {
         zipf in any::<bool>(),
     ) {
         let spec = random_spec(seed, ports, &phase_draws, refresh_draw, 16, zipf);
-        let calendar = sim_trace(&spec, n, 1.0).to_jsonl();
-        let btree = sim_trace_queued(&spec, n, 1.0, QueueKind::BTree).to_jsonl();
-        prop_assert_eq!(&calendar, &btree, "calendar vs btree event queue");
+        let sim = sim_trace(&spec, n, 1.0).to_jsonl();
         let live = live_trace(&spec, n).to_jsonl();
-        prop_assert_eq!(&calendar, &live, "simulator vs live threads");
+        prop_assert_eq!(&sim, &live, "simulator vs live threads");
     }
 }
